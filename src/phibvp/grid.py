@@ -285,7 +285,7 @@ class GridFunction:
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmax(~np.isfinite(vals)))
             raise InvalidInputError(
-                f"callable produced non-finite value at node {bad} (t={mesh.nodes[bad]!r})"
+                f"callable produced non-finite value at node {bad} (t={float(mesh.nodes[bad])!r})"
             )
         return GridFunction(mesh, vals, evaluator=fn if keep_evaluator else None)
 
@@ -319,7 +319,7 @@ def _cell_contributions(g: GridFunction) -> np.ndarray:
                 bad = int(np.argmax(~np.isfinite(mids)))
                 raise InvalidInputError(
                     "evaluator produced non-finite midpoint value near "
-                    f"t={mesh.midpoints[mid_cells[bad]]!r}"
+                    f"t={float(mesh.midpoints[mid_cells[bad]])!r}"
                 )
         else:
             sing = mesh.singular_mask()

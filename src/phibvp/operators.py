@@ -4,7 +4,10 @@ A branch is an interval on which Phi is strictly monotone together with
 its image interval; inversion is only ever performed branch-wise.  The
 catalog operators carry their monotone pieces analytically (exact piece
 endpoints, exact images, and a stable closed-form inverse where one
-exists); anything else falls back to dense sampling and bisection.
+exists); anything else falls back to dense sampling.  Without a closed
+form the inverse is solved inside certified brackets: a zoomed table of
+samples brackets every element, and vectorized Illinois regula falsi
+with a bisection safeguard closes the brackets (bracketed_root).
 """
 
 from __future__ import annotations
@@ -23,11 +26,16 @@ from .errors import (
     InvalidInputError,
 )
 
-# No branch search or bisection ever leaves |s| <= WORK_WINDOW.
+# No branch search or inversion ever leaves |s| <= WORK_WINDOW.
 WORK_WINDOW = 1.0e8
 
 BISECT_TOL = 1e-13
-BISECT_MAX_ITER = 200
+# Cap on the steps of bracketed_root (one map evaluation each) and on the
+# table zoom levels of a generic inversion.
+INVERSE_MAX_ITER = 120
+# Samples of the table that gives each element of a generic inversion its
+# own bracket.
+INVERSE_TABLE_SIZE = 33
 
 
 @dataclass(frozen=True)
@@ -470,68 +478,167 @@ def _check_in_image(branch: MonotoneBranch, y) -> None:
         raise ImageDomainError(bad, branch.image_lo, branch.image_hi)
 
 
+def bracketed_root(
+    g: Callable,
+    a,
+    b,
+    ga,
+    gb,
+    xtol: float = 0.0,
+    ftol: float = 0.0,
+    x0: float | None = None,
+    max_iter: int = INVERSE_MAX_ITER,
+) -> np.ndarray:
+    """Roots of increasing maps inside sign-changing brackets, vectorized.
+
+    Element i starts from a[i] < b[i] with ga[i] <= 0 <= gb[i], the values
+    of its map there; g(x, idx) evaluates the maps of the elements idx at
+    the points x.  Each step evaluates g once, on the unfinished elements
+    only, at the regula falsi point with the Illinois modification
+    (Dowell & Jarratt, BIT 11, 1971): an end kept twice in a row has its
+    value halved.  A bracket that has not halved within two steps is
+    bisected instead.  As in Brent (1973, ch. 4), a trial point stays at
+    least xtol/2 inside its bracket, so a root next to an end is closed
+    in by a bracket of width xtol/2.  x0, when given, is the first trial
+    point of the elements whose bracket holds it strictly inside.
+
+    An element finishes when |g| <= ftol at an evaluated point (its
+    bracket collapses onto that point), when its bracket is no wider than
+    xtol, or when no float lies strictly inside it.  Returns the regula
+    falsi point of each final bracket, in the order of a.
+    """
+    a, b, ga, gb = (np.array(v, dtype=float).reshape(-1) for v in (a, b, ga, gb))
+    out = np.empty(a.size)
+    pos = np.arange(a.size)  # where each unfinished element goes in out
+    at_a = np.abs(ga) <= ftol
+    b[at_a] = a[at_a]
+    at_b = np.abs(gb) <= ftol
+    a[at_b] = b[at_b]
+    kept = np.zeros(a.size, dtype=np.int8)  # -1: a moved last, +1: b moved last
+    w1 = np.full(a.size, np.inf)  # bracket widths one and two steps back
+    w2 = np.full(a.size, np.inf)
+    half = 0.5 * xtol
+    for step in range(max_iter + 1):
+        W = b - a
+        M = 0.5 * (a + b)
+        live = (W > xtol) & (a < M) & (M < b)
+        if step == max_iter:
+            live[:] = False
+        if not live.all():
+            end = ~live
+            out[pos[end]] = _falsi_point(a[end], b[end], ga[end], gb[end])
+            a, b, ga, gb, kept, w1, w2, pos, W, M = (
+                v[live] for v in (a, b, ga, gb, kept, w1, w2, pos, W, M)
+            )
+            if not pos.size:
+                break
+        x = b - gb * (W / (gb - ga))
+        stall = W > 0.5 * w2
+        if stall.any():
+            x = np.where(stall, M, x)
+        if step == 0 and x0 is not None:
+            x = np.where((a < x0) & (x0 < b), x0, x)
+        if half:
+            x = np.clip(x, a + half, b - half)
+        idx = slice(None) if pos.size == out.size else pos
+        gx = np.asarray(g(x, idx), dtype=float).reshape(-1)
+        low = gx < 0.0
+        ga = np.where(low, gx, np.where(kept > 0, 0.5 * ga, ga))
+        gb = np.where(low, np.where(kept < 0, 0.5 * gb, gb), gx)
+        a = np.where(low, x, a)
+        b = np.where(low, b, x)
+        kept = np.where(low, -1, 1).astype(np.int8)
+        w2, w1 = w1, W
+        exact = np.abs(gx) <= ftol
+        if exact.any():
+            a[exact] = b[exact] = x[exact]
+    return out
+
+
+def _falsi_point(a, b, ga, gb):
+    """Regula falsi point of brackets [a, b]; a itself where a == b."""
+    with np.errstate(all="ignore"):
+        est = b - gb * ((b - a) / (gb - ga))
+    return np.where((a <= est) & (est <= b), est, a)
+
+
 def partial_inverse(phi: PhiOperator, branch: MonotoneBranch, y: float) -> float:
     """Solve Phi(s) = y for s on the branch; y must lie strictly inside the image."""
-    _check_in_image(branch, y)
-    if branch.inverse is not None:
-        s = float(branch.inverse(np.asarray(y, dtype=float)))
-        return min(max(s, branch.lo), branch.hi)
-    f, orient = _oriented(phi, branch)
-    ty = orient * float(y)
-    lo = max(branch.lo, -WORK_WINDOW)
-    hi = min(branch.hi, WORK_WINDOW)
-    below = _bracket_endpoint(f, lo, hi, ty, "lo")
-    above = _bracket_endpoint(f, lo, hi, ty, "hi")
-    if below is None or above is None:
-        raise ImageDomainError(
-            float(y), branch.image_lo, branch.image_hi,
-            "no bisection bracket inside the working window",
-        )
-    a, _ = below
-    b, _ = above
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b or (b - a) <= BISECT_TOL:
-            break
-        v = float(f(mid))
-        if v < ty:
-            a = mid
-        elif v > ty:
-            b = mid
-        else:
-            return mid
-    return 0.5 * (a + b)
+    return float(partial_inverse_array(phi, branch, np.asarray([y], dtype=float))[0])
+
+
+def _table(f, a: float, b: float):
+    """INVERSE_TABLE_SIZE samples of the increasing f on [a, b], ends included.
+
+    Spacing is geometric while the ends differ by more than a factor of
+    four; the running maximum of the values keeps searches sorted where
+    rounding makes a flat Phi wobble.
+    """
+    if a * b > 0.0 and max(abs(a), abs(b)) > 4.0 * min(abs(a), abs(b)):
+        nodes = np.geomspace(a, b, INVERSE_TABLE_SIZE)
+    else:
+        nodes = np.linspace(a, b, INVERSE_TABLE_SIZE)
+    nodes[0], nodes[-1] = a, b
+    vals = np.asarray(f(nodes), dtype=float)
+    return nodes, vals, np.maximum.accumulate(vals)
+
+
+def _cell(mono: np.ndarray, t):
+    """Index j of the table cell with vals[j] <= t <= vals[j + 1].
+
+    Needs vals[0] <= t <= vals[-1].  vals[j] <= mono[j] <= t, and where
+    mono first exceeds t it equals vals, so the cell changes sign.
+    """
+    return np.clip(np.searchsorted(mono, t, side="right") - 1, 0, mono.size - 2)
 
 
 def partial_inverse_array(
     phi: PhiOperator, branch: MonotoneBranch, y: np.ndarray
 ) -> np.ndarray:
-    """Vectorized branch-wise inversion; same contract as partial_inverse."""
+    """Branch-wise inversion of Phi, elementwise over y.
+
+    A closed-form inverse is used when the branch carries one.  Otherwise
+    each result lies inside a certified bracket: Phi - y changes sign
+    across it and it is no wider than BISECT_TOL (or its ends are
+    adjacent floats), or Phi(s) = y holds exactly.  A scalar search
+    zooms a table of INVERSE_TABLE_SIZE samples onto the solutions of
+    min y and max y, the last table gives each element its own bracket,
+    and bracketed_root closes the brackets.
+    """
     y = np.asarray(y, dtype=float)
     _check_in_image(branch, y)
     if branch.inverse is not None:
         s = np.asarray(branch.inverse(y), dtype=float)
         return np.clip(s, branch.lo, branch.hi)
     f, orient = _oriented(phi, branch)
-    ty = orient * y
+    ty = (orient * y).reshape(-1)
     lo = max(branch.lo, -WORK_WINDOW)
     hi = min(branch.hi, WORK_WINDOW)
-    below = _bracket_endpoint(f, lo, hi, float(np.min(ty)), "lo")
-    above = _bracket_endpoint(f, lo, hi, float(np.max(ty)), "hi")
+    t_lo, t_hi = float(np.min(ty)), float(np.max(ty))
+    below = _bracket_endpoint(f, lo, hi, t_lo, "lo")
+    above = _bracket_endpoint(f, lo, hi, t_hi, "hi")
     if below is None or above is None:
         raise ImageDomainError(
             float(y.reshape(-1)[0]), branch.image_lo, branch.image_hi,
             "no bisection bracket inside the working window",
         )
-    a = np.full(y.shape, below[0])
-    b = np.full(y.shape, above[0])
-    for _ in range(120):
-        mid = 0.5 * (a + b)
-        with np.errstate(all="ignore"):
-            v = np.asarray(f(mid), dtype=float)
-        low = v < ty
-        a = np.where(low, mid, a)
-        b = np.where(low, b, mid)
-        if float(np.max(b - a)) <= BISECT_TOL:
+    a, b = below[0], above[0]
+    # zoom onto [s(t_lo), s(t_hi)] until the targets spread over half the
+    # table's cells, or the range is resolved
+    for _ in range(INVERSE_MAX_ITER):
+        nodes, vals, mono = _table(f, a, b)
+        j_lo = int(_cell(mono, t_lo))
+        j_hi = int(_cell(mono, t_hi)) + 1
+        a2, b2 = float(nodes[j_lo]), float(nodes[j_hi])
+        if 2 * (j_hi - j_lo) > nodes.size or b2 - a2 <= BISECT_TOL or b2 - a2 >= b - a:
             break
-    return 0.5 * (a + b)
+        a, b = a2, b2
+    j = _cell(mono, ty)
+
+    def g(x, idx):
+        return np.asarray(f(x), dtype=float) - ty[idx]
+
+    s = bracketed_root(
+        g, nodes[j], nodes[j + 1], vals[j] - ty, vals[j + 1] - ty, BISECT_TOL
+    )
+    return s.reshape(y.shape)

@@ -6,12 +6,15 @@ equation
 
     integral over [0,T] of (1/k(t)) Phi^{-1}(beta + F_cum(t)) dt = nu2 - nu1
 
-for the integration constant beta by bisection, and integrates the new
-derivative Phi^{-1}(beta + F_cum)/k back up from nu1.  Every sweep output
-lands inside the derived slope envelopes and the solution box regardless
-of its input, which is what makes the truncation harmless and the
-iteration stable.  Decreasing branches are reduced to increasing ones by
-negating Phi and f.
+for the integration constant beta, and integrates the new derivative
+Phi^{-1}(beta + F_cum)/k back up from nu1.  The left side is strictly
+monotone in beta, so beta is solved inside a certified bracket by
+Illinois regula falsi with a bisection safeguard
+(operators.bracketed_root), starting from the previous sweep's beta.
+Every sweep output lands inside the derived slope envelopes and the
+solution box regardless of its input, which is what makes the truncation
+harmless and the iteration stable.  Decreasing branches are reduced to
+increasing ones by negating Phi and f.
 
 The truncation box for x is [min(nu1, N1), max(nu1, N2)]: the running
 integral of a derivative pinched between A*/k and B*/k can approach nu1
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -44,7 +47,7 @@ from .grid import (
     norm,
     same_mesh,
 )
-from .operators import MonotoneBranch, partial_inverse_array
+from .operators import MonotoneBranch, bracketed_root, partial_inverse_array
 from .problem import (
     BvpProblem,
     DerivedScalars,
@@ -60,6 +63,9 @@ log = logging.getLogger(__name__)
 
 # Relative slack below which a clamp is bookkeeping noise, not activity.
 _CLIP_RTOL = 1e-12
+
+# Cap on the scalar-map evaluations of one beta solve inside its bracket.
+BETA_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,9 @@ class BetaEquation:
     F_n: np.ndarray
     F_mid: np.ndarray
     target: float
+    # the last (xi, cumulative(xi)): the solve ends on the point g_map
+    # integrates, so that integration is free
+    _last: list = field(default_factory=list, repr=False)
 
     @staticmethod
     def build(kernel: SolverKernel, branch, Fcum: GridFunction) -> "BetaEquation":
@@ -165,13 +174,22 @@ class BetaEquation:
 
     def cumulative(self, xi: float) -> tuple[np.ndarray, np.ndarray]:
         """Running integral of (1/k)Phi^{-1}(xi + F) and its nodal integrand."""
+        if self._last and self._last[0] == xi:
+            return self._last[1]
         w_n, w_mid = self._slopes(xi)
-        return self.kernel._accumulate(w_n, w_mid), w_n
+        out = (self.kernel._accumulate(w_n, w_mid), w_n)
+        self._last[:] = (xi, out)
+        return out
 
     def value(self, xi: float) -> float:
         return float(self.cumulative(xi)[0][-1])
 
-    def solve(self, tol_beta: float) -> float:
+    def solve(self, tol_beta: float, guess: float | None = None) -> float:
+        """Root of value(xi) = target inside a certified bracket.
+
+        `guess`, typically the previous sweep's beta, is only the first
+        trial point, and only if it lies inside the bracket.
+        """
         kern = self.kernel
         br = self.branch
         s_star_d = self.target / kern.k1_quad
@@ -226,21 +244,23 @@ class BetaEquation:
                 "bisection bracket does not straddle the boundary target: "
                 f"residuals ({r_lo!r}, {r_hi!r}) at ({lo!r}, {hi!r})"
             )
-        best, best_r = (lo, r_lo) if abs(r_lo) <= abs(r_hi) else (hi, r_hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            r = sgn * (self.value(mid) - self.target)
-            if abs(r) < abs(best_r):
-                best, best_r = mid, r
-            if abs(r) <= tol_beta:
-                return mid
-            if r < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return best
+        # Illinois regula falsi with a bisection safeguard inside the
+        # certified bracket; it stops at the first point with
+        # |r| <= tol_beta, or when the bracket closes.  Either way the
+        # answer is the evaluated point of least |r|.
+        tried = [(abs(r_lo), lo), (abs(r_hi), hi)]
+
+        def residual(x, idx):
+            xi = float(x[0])
+            r = sgn * (self.value(xi) - self.target)
+            tried.append((abs(r), xi))
+            return r
+
+        bracketed_root(
+            residual, lo, hi, r_lo, r_hi,
+            ftol=tol_beta, x0=guess, max_iter=BETA_MAX_ITER,
+        )
+        return min(tried)[1]
 
 
 def beta_solve(
@@ -371,15 +391,20 @@ def g_map(
     envs: Envelopes | None = None,
     tol_beta: float = 1e-12,
     kernel: SolverKernel | None = None,
+    beta_guess: float | None = None,
 ) -> GStep:
-    """g_x = nu1 + cumulative (1/k) Phi^{-1}(beta + F_cum) at one iterate."""
+    """g_x = nu1 + cumulative (1/k) Phi^{-1}(beta + F_cum) at one iterate.
+
+    `beta_guess` is the first trial point of the beta solve (see
+    BetaEquation.solve); the previous sweep's beta is a good one.
+    """
     kern = kernel if kernel is not None else SolverKernel(problem)
     env = envs if envs is not None else envelopes(problem, scalars)
     stats: dict = {}
     F = truncated_rhs(problem, scalars, env, x, x_prime, stats=stats)
     Fcum = cumulative_integral(F)
     eq = BetaEquation.build(kern, problem.branch, Fcum)
-    beta = eq.solve(tol_beta)
+    beta = eq.solve(tol_beta, guess=beta_guess)
     cum, w_n = eq.cumulative(beta)
     x_new = GridFunction(kern.mesh, problem.nu1 + cum)
     xp_vals = np.where(kern.singular, SENTINEL, w_n)
@@ -522,6 +547,7 @@ def solve(
             envs=envs,
             tol_beta=cfg.tol_beta,
             kernel=kern,
+            beta_guess=None if last is None else last.beta,
         )
         g_vec = np.concatenate((last.x.values, last.x_prime.values))
         z_vec = np.concatenate((x_vals, xp_vals))

@@ -113,6 +113,17 @@ class TestCheck:
         assert main(["check", "/nonexistent.cfg"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_vanishing_weight_error_prints_a_plain_float(self, tmp_path, capsys):
+        text = QUADRATIC.format(n=10).replace(
+            "name = constant\nvalue = 1.0", "expr = t - 0.5"
+        )
+        assert "expr = t - 0.5" in text
+        cfg = write(tmp_path, text)
+        assert main(["solve", cfg, "-o", str(tmp_path / "run")]) != 0
+        err = capsys.readouterr().err
+        assert "t=0.5" in err
+        assert "np.float64" not in err
+
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         cfg = write(tmp_path, "nonsense\n")
         assert main(["check", cfg]) == 1

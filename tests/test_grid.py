@@ -234,3 +234,13 @@ def test_residual_requires_shared_mesh():
     r = GridFunction(Mesh.uniform(1.0, 11), np.zeros(12))
     with pytest.raises(MeshMismatchError):
         forward_difference_residual(u, r)
+
+
+def test_non_finite_sample_message_prints_a_plain_float():
+    # a weight like `expr = t - 0.5` has 1/k = inf at t = 0.5
+    mesh = Mesh.uniform(1.0, 10)
+    with pytest.raises(InvalidInputError) as exc:
+        GridFunction.from_callable(mesh, lambda t: 1.0 / (t - 0.5))
+    message = str(exc.value)
+    assert "(t=0.5)" in message
+    assert "np.float64" not in message

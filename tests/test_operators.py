@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from phibvp import constant_weight, make_problem, operators, solver
 from phibvp.errors import (
     BranchError,
     BranchNotFoundError,
@@ -26,6 +28,7 @@ from phibvp.operators import (
     relativistic,
     sine,
 )
+from phibvp.problem import Rhs
 
 
 def test_catalog_names_exist():
@@ -226,3 +229,186 @@ def test_difference_piece_layout():
     assert mid.lo == pytest.approx(-c) and mid.hi == pytest.approx(c)
     right = op.piece_at(2.0)
     assert right.increasing and math.isinf(right.image_hi)
+
+
+# -- generic inversion: cost, agreement, certified brackets -------------------
+
+
+def _counting(base):
+    """base with every Phi evaluation's element count logged."""
+    sizes = []
+
+    def fn(s):
+        sizes.append(int(np.size(s)))
+        return base.fn(s)
+
+    op = PhiOperator(
+        base.name, fn, domain=base.domain, odd=base.odd,
+        piece_at=base.piece_at, params=base.params,
+    )
+    return op, sizes
+
+
+def test_generic_inverse_costs_at_most_twelve_vector_evaluations(monkeypatch):
+    # the solve-bisect problem shape: difference (no closed-form inverse),
+    # constant weight, f = 0.05 cos(x) sin(y), n = 2000
+    op, sizes = _counting(difference(2.0, 0.0))
+    rhs = Rhs(
+        fn=lambda t, x, y: 0.05 * np.cos(x) * np.sin(y),
+        psi=lambda t: np.full_like(t, 0.05),
+        name="bisect-shape",
+    )
+    prob = make_problem(op, constant_weight(1.0), rhs, 0.0, 1.5, 1.0, mesh_n=2000)
+    assert prob.branch.inverse is None
+    per_call = []
+
+    def counted(phi, branch, y):
+        sizes.clear()
+        out = partial_inverse_array(phi, branch, y)
+        # vector evaluations run over the elements; table samples and
+        # scalar probes (at most INVERSE_TABLE_SIZE points) are not counted
+        vector = [k for k in sizes if k > operators.INVERSE_TABLE_SIZE]
+        per_call.append((len(vector), sum(sizes), np.size(y)))
+        return out
+
+    monkeypatch.setattr(solver, "partial_inverse_array", counted)
+    report = solver.solve(prob)
+    assert report.status == "converged"
+    assert len(per_call) > 10
+    for vector_evals, elements, n in per_call:
+        assert vector_evals <= 12
+        assert elements <= 12 * n
+
+
+class _BracketLog:
+    """Replays the brackets of bracketed_root from the points it evaluates.
+
+    Installed in place of operators.bracketed_root, it follows every
+    element's bracket: a takes the points where g < 0, b the others.
+    """
+
+    def __init__(self, real):
+        self.real = real
+        self.runs = []
+        self.midpoint_steps = 0
+
+    def __call__(self, g, a, b, ga, gb, *args, **kwargs):
+        a = np.array(a, dtype=float).reshape(-1)
+        b = np.array(b, dtype=float).reshape(-1)
+        ga = np.asarray(ga, dtype=float).reshape(-1)
+        gb = np.asarray(gb, dtype=float).reshape(-1)
+        assert np.all(ga <= 0.0) and np.all(gb >= 0.0) and np.all(a <= b)
+        exact = (ga == 0.0) | (gb == 0.0)
+
+        def logged(x, idx):
+            gx = np.asarray(g(x, idx), dtype=float)
+            sel = np.arange(a.size)[idx]
+            assert np.all((a[sel] < x) & (x < b[sel]))
+            self.midpoint_steps += int(np.count_nonzero(x == 0.5 * (a[sel] + b[sel])))
+            low = gx < 0.0
+            a[sel] = np.where(low, x, a[sel])
+            b[sel] = np.where(low, b[sel], x)
+            exact[sel[gx == 0.0]] = True
+            return gx
+
+        s = self.real(logged, a.copy(), b.copy(), ga, gb, *args, **kwargs)
+        self.runs.append((s, a, b, exact))
+        return s
+
+    def assert_certified(self, tol):
+        for s, a, b, exact in self.runs:
+            assert np.all((a <= s) & (s <= b))
+            mid = 0.5 * (a + b)
+            closed = (b - a <= tol) | (mid <= a) | (mid >= b)
+            assert np.all(closed | exact)
+
+
+# (id, operator, slope on the branch, hint, largest |s| sampled); mean
+# curvature stops at |s| = 10, where Phi' = 1e-3: beyond, one ulp of Phi
+# moves s by more than the tolerance (see the test after this one)
+_CLOSED_FORM_BRANCHES = [
+    ("r_laplacian", r_laplacian(3.0), 0.5, None, 1e3),
+    ("r_laplacian_sublinear", r_laplacian(1.5), 0.5, None, 1e3),
+    ("mean_curvature", mean_curvature(), 0.5, None, 10.0),
+    ("relativistic", relativistic(), 0.5, None, 1e3),
+    ("p_relativistic", p_relativistic(3.0), 0.5, None, 1e3),
+    ("perona_mid", perona_malik(), 0.5, None, 1e3),
+    ("perona_outer", perona_malik(), 3.0, None, 1e3),
+    ("sine_shifted", sine(), 3.0, (math.pi / 2, 3 * math.pi / 2), 1e3),
+]
+
+
+@pytest.mark.parametrize(
+    "op,s0,hint,s_max", [c[1:] for c in _CLOSED_FORM_BRANCHES],
+    ids=[c[0] for c in _CLOSED_FORM_BRANCHES],
+)
+def test_generic_inverse_agrees_with_closed_form(op, s0, hint, s_max, monkeypatch):
+    br = find_branch(op, s0, hint=hint)
+    assert br.inverse is not None
+    generic = dataclasses.replace(br, inverse=None)
+    # slopes across the branch, |s| <= s_max
+    lo, hi = max(br.lo, -s_max), min(br.hi, s_max)
+    ss = lo + (hi - lo) * np.linspace(0.0, 1.0, 401)[1:-1]
+    ys = list(np.asarray(op(ss)))
+    # within 1e-9 of each image endpoint that the branch attains at a
+    # finite slope (Phi' -> 0 at the perona and sine turning points)
+    ends = [(br.lo, br.image_lo if br.increasing else br.image_hi),
+            (br.hi, br.image_hi if br.increasing else br.image_lo)]
+    for s_end, y_end in ends:
+        if math.isfinite(s_end) and math.isfinite(y_end):
+            inward = 1.0 if y_end == br.image_lo else -1.0
+            ys += [y_end + inward * d for d in (1e-9, 1e-7, 1e-5)]
+    ys = np.array([y for y in ys if br.image_lo < y < br.image_hi])
+    log = _BracketLog(operators.bracketed_root)
+    monkeypatch.setattr(operators, "bracketed_root", log)
+    s = partial_inverse_array(op, generic, ys)
+    s_closed = partial_inverse_array(op, br, ys)
+    assert np.all(np.abs(s - s_closed) <= 1e-12 * (1.0 + np.abs(s)))
+    log.assert_certified(operators.BISECT_TOL)
+
+
+def test_generic_inverse_toward_an_end_at_infinite_slope():
+    # mean curvature reaches its image end 1 only as s -> inf, where
+    # Phi' ~ s^-3: at y = 1 - 1e-9 (s ~ 2.2e4) one ulp of Phi moves s by
+    # about 1e-3, so forward errors of both inverses are set by rounding;
+    # the backward error stays at rounding level
+    op = mean_curvature()
+    br = find_branch(op, 0.5)
+    generic = dataclasses.replace(br, inverse=None)
+    ys = np.array([1.0 - 1e-9, -1.0 + 1e-9, 1.0 - 1e-7])
+    s = partial_inverse_array(op, generic, ys)
+    assert np.all(np.abs(np.asarray(op(s)) - ys) <= 4 * np.finfo(float).eps)
+    # perona's outer piece reaches 0 only as s -> inf; y = 1e-9 needs
+    # s ~ 1e9, beyond the work window, and is refused
+    pm = perona_malik()
+    outer = dataclasses.replace(find_branch(pm, 3.0), inverse=None)
+    with pytest.raises(ImageDomainError, match="no bisection bracket"):
+        partial_inverse_array(pm, outer, np.array([1e-9, 0.25]))
+
+
+def test_difference_flat_end_keeps_certified_brackets(monkeypatch):
+    # next to s_c = 1/sqrt(3) the right branch flattens (Phi' -> 0), so
+    # regula falsi stalls and the bisection safeguard has to step in
+    op = difference(2.0, 0.0)
+    br = find_branch(op, 2.0)
+    assert br.inverse is None and br.lo == pytest.approx(1.0 / math.sqrt(3.0))
+    ys = br.image_lo + np.geomspace(1e-12, 1e-2, 200)
+    log = _BracketLog(operators.bracketed_root)
+    monkeypatch.setattr(operators, "bracketed_root", log)
+    s = partial_inverse_array(op, br, ys)
+    log.assert_certified(operators.BISECT_TOL)
+    assert log.midpoint_steps > 0
+    assert np.all(s > br.lo)
+    assert np.all(np.abs(np.asarray(op(s)) - ys) <= 1e-15)
+    assert np.all(np.diff(s) > 0)
+
+
+def test_scalar_inverse_is_the_array_inverse():
+    op = difference(2.0, 0.0)
+    br = find_branch(op, 2.0)
+    ys = np.array([-0.3, 0.0, 6.0, 1e4])
+    vec = partial_inverse_array(op, br, ys)
+    for y, s in zip(ys, vec):
+        one = partial_inverse(op, br, float(y))
+        assert one == float(partial_inverse_array(op, br, np.array([y]))[0])
+        assert one == pytest.approx(s, rel=0.0, abs=operators.BISECT_TOL * (1.0 + abs(s)))

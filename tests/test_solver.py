@@ -24,8 +24,10 @@ from phibvp import (
     sqrt_t_weight,
     zero_rhs,
 )
+from phibvp import solver as solver_mod
 from phibvp.problem import Rhs
 from phibvp.solver import (
+    BETA_MAX_ITER,
     BetaEquation,
     IterationConfig,
     SolverKernel,
@@ -106,6 +108,90 @@ class TestBetaSolve:
         eq = BetaEquation.build(kern, prob.branch, GridFunction(prob.mesh, F))
         lo, hi = sorted((xi1, xi2))
         assert eq.value(lo) < eq.value(hi)
+
+    @staticmethod
+    def _bisect_shape(n=2000):
+        # the solve-bisect workload's problem: difference alpha=2 beta=0
+        # (no closed-form inverse), constant weight, f = 0.05 cos(x) sin(y)
+        rhs = Rhs(
+            fn=lambda t, x, y: 0.05 * np.cos(x) * np.sin(y),
+            psi=lambda t: np.full_like(t, 0.05),
+            name="bisect-shape",
+        )
+        phi = make_operator("difference", alpha=2.0, beta=0.0)
+        return make_problem(phi, constant_weight(1.0), rhs, 0.0, 1.5, 1.0, mesh_n=n)
+
+    def test_at_most_eight_map_evaluations_per_sweep(self, monkeypatch):
+        prob = self._bisect_shape()
+        assert prob.branch.inverse is None
+        evals, inversions = [], []
+        real_value = BetaEquation.value
+        real_g_map = solver_mod.g_map
+        real_inverse = solver_mod.partial_inverse_array
+
+        def value(self, xi):
+            evals[-1] += 1
+            return real_value(self, xi)
+
+        def inverse(*args):
+            inversions[-1] += 1
+            return real_inverse(*args)
+
+        def g_map_counted(*args, **kwargs):
+            evals.append(0)
+            inversions.append(0)
+            return real_g_map(*args, **kwargs)
+
+        monkeypatch.setattr(BetaEquation, "value", value)
+        monkeypatch.setattr(solver_mod, "partial_inverse_array", inverse)
+        monkeypatch.setattr(solver_mod, "g_map", g_map_counted)
+        report = solve(prob)
+        assert report.status == "converged"
+        assert len(evals) == report.iterations
+        assert max(evals) <= 8
+        # g_map builds the new iterate from the solve's last evaluation,
+        # so Phi is inverted once per map evaluation
+        assert inversions == evals
+
+    def _sweep_equation(self):
+        prob = self._bisect_shape(n=500)
+        kern = SolverKernel(prob)
+        F = 0.05 * np.sin(3.0 * prob.mesh.nodes)
+        Fcum = GridFunction(prob.mesh, np.cumsum(F) / F.size)
+        return BetaEquation.build(kern, prob.branch, Fcum)
+
+    def test_guess_is_only_a_first_trial_point(self, monkeypatch):
+        eq = self._sweep_equation()
+        cold = eq.solve(1e-12)
+        assert abs(eq.value(cold) - eq.target) <= 1e-12
+        # far outside the certified bracket: ignored
+        assert eq.solve(1e-12, guess=1e6) == cold
+        # at the root: the two bracket ends plus the guess itself
+        calls = []
+        real_value = BetaEquation.value
+        monkeypatch.setattr(
+            BetaEquation, "value", lambda self, xi: calls.append(xi) or real_value(self, xi)
+        )
+        assert eq.solve(1e-12, guess=cold) == cold
+        assert len(calls) == 3 and calls[-1] == cold
+
+    def test_unreachable_tolerance_returns_best_point(self, monkeypatch):
+        eq = self._sweep_equation()
+        calls = []
+        real_value = BetaEquation.value
+
+        def value(self, xi):
+            r = real_value(self, xi)
+            calls.append((abs(r - self.target), xi))
+            return r
+
+        monkeypatch.setattr(BetaEquation, "value", value)
+        beta = eq.solve(1e-300)
+        # the loop ends when no float is left inside the bracket, and the
+        # answer is the evaluated point of least residual
+        assert beta == min(calls)[1]
+        assert min(calls)[0] <= 1e-12
+        assert len(calls) <= BETA_MAX_ITER + 2
 
 
 class TestTruncatedRhs:
