@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,10 +29,9 @@ from .config import (
     with_overrides,
 )
 from .errors import ConfigError, PhibvpError
-from .grid import GridFunction, cumulative_integral, forward_difference_residual
+from .grid import GridFunction, Mesh, cumulative_integral, forward_difference_residual
 from .halfline import HeteroclinicReport, solve_halfline
 from .hypotheses import HypothesisReport
-from .problem import BvpProblem
 from .solver import SolveReport, solve
 
 EXIT_OK = 0
@@ -43,6 +41,9 @@ EXIT_INCONCLUSIVE = 3
 EXIT_NUMERIC = 4
 
 TABLE_HEADER = "t,x,dx,u"
+# %.17g is the conversion of _fmt; rows are formatted a block at a time
+TABLE_ROW = "%.17g,%.17g,%.17g,%.17g\n"
+TABLE_BLOCK_ROWS = 4096
 
 
 def _fmt(value: float) -> str:
@@ -57,15 +58,17 @@ def _sanitize(text: str) -> str:
 # -- solution tables --------------------------------------------------------
 
 
-def write_solution_table(path: str, problem: BvpProblem, report: SolveReport) -> None:
-    singular = problem.mesh.singular_mask()
-    dx = np.where(singular, np.nan, report.x_prime.values)
+def write_solution_table(path: str, mesh: Mesh, report: SolveReport) -> None:
+    """Write t, x, dx, u on `mesh`; dx is nan at singular nodes."""
+    dx = np.where(mesh.singular_mask(), np.nan, report.x_prime.values)
+    columns = (mesh.nodes, report.x.values, dx, report.u.values)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(TABLE_HEADER + "\n")
-        for t, x, d, u in zip(
-            problem.mesh.nodes, report.x.values, dx, report.u.values
-        ):
-            handle.write(f"{_fmt(t)},{_fmt(x)},{_fmt(d)},{_fmt(u)}\n")
+        for start in range(0, mesh.nodes.size, TABLE_BLOCK_ROWS):
+            block = np.column_stack(
+                [col[start : start + TABLE_BLOCK_ROWS] for col in columns]
+            )
+            handle.write(TABLE_ROW * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_solution_table(path: str):
@@ -228,8 +231,8 @@ def cmd_check(cfg: ProblemConfig, args) -> int:
 
 def cmd_solve(cfg: ProblemConfig, args) -> int:
     os.makedirs(args.output, exist_ok=True)
-    problem = cfg.build_finite()
     try:
+        problem = cfg.build_finite()
         report_check = cfg.run_check(problem)
     except PhibvpError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -254,7 +257,7 @@ def cmd_solve(cfg: ProblemConfig, args) -> int:
         return EXIT_NUMERIC
 
     table_path = os.path.join(args.output, "solution.txt")
-    write_solution_table(table_path, problem, report)
+    write_solution_table(table_path, problem.mesh, report)
     code = EXIT_OK if report.status == "converged" else EXIT_NUMERIC
     record = build_run_record(
         "solve", cfg.doc, code, seed=args.seed, check=report_check, solve_report=report
@@ -272,8 +275,8 @@ def _sweep_row(cfg: ProblemConfig, lam: float) -> tuple[float, str, str, float]:
     try:
         problem = cfg.build_finite(nu2_override=lam)
         report = cfg.run_check(problem)
-    except PhibvpError:
-        return lam, "error", "skipped", math.nan
+    except PhibvpError as exc:
+        return lam, f"error:{type(exc).__name__}", "skipped", math.nan
     verdict = report.overall
     if verdict != "pass":
         return lam, verdict, "skipped", math.nan
@@ -290,13 +293,9 @@ def cmd_sweep(cfg: ProblemConfig, args) -> int:
         return EXIT_USAGE
     os.makedirs(args.output, exist_ok=True)
     lo, hi, count = cfg.sweep_range
-    lams = np.linspace(lo, hi, count) if count > 0 else np.empty(0)
-    workers = max(1, args.threads)
-    if count > 0:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda lam: _sweep_row(cfg, float(lam)), lams))
-    else:
-        rows = []
+    # serial: each row is a chain of small GIL-bound numpy calls, so
+    # worker threads measured slower than this loop (--threads is ignored)
+    rows = [_sweep_row(cfg, float(lam)) for lam in np.linspace(lo, hi, count)]
 
     table_path = os.path.join(args.output, "sweep.txt")
     with open(table_path, "w", encoding="utf-8") as handle:
@@ -318,8 +317,8 @@ def cmd_sweep(cfg: ProblemConfig, args) -> int:
 
 def cmd_halfline(cfg: ProblemConfig, args) -> int:
     os.makedirs(args.output, exist_ok=True)
-    hp = cfg.build_halfline()
     try:
+        hp = cfg.build_halfline()
         report_check = cfg.run_check(hp)
     except PhibvpError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -340,16 +339,8 @@ def cmd_halfline(cfg: ProblemConfig, args) -> int:
         return EXIT_NUMERIC
 
     for run in hetero.runs:
-        problem = run.report.x.mesh
         path = os.path.join(args.output, f"interval_{run.n:g}.txt")
-        singular = problem.singular_mask()
-        dx = np.where(singular, np.nan, run.report.x_prime.values)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(TABLE_HEADER + "\n")
-            for t, x, d, u in zip(
-                problem.nodes, run.report.x.values, dx, run.report.u.values
-            ):
-                handle.write(f"{_fmt(t)},{_fmt(x)},{_fmt(d)},{_fmt(u)}\n")
+        write_solution_table(path, run.report.x.mesh, run.report)
         gap_text = "-" if run.gap is None else _fmt(run.gap)
         print(
             f"interval [0, {run.n:g}]: {run.report.status}, gap {gap_text}"
@@ -379,7 +370,11 @@ def cmd_halfline(cfg: ProblemConfig, args) -> int:
 
 def cmd_verify(cfg: ProblemConfig, args) -> int:
     t, x, dx, u = read_solution_table(args.table)
-    problem = cfg.build_finite()
+    try:
+        problem = cfg.build_finite()
+    except PhibvpError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     nodes = problem.mesh.nodes
     if t.size != nodes.size or np.max(np.abs(t - nodes)) > 1e-9 * (1.0 + problem.T):
         print(
@@ -452,7 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--tol-beta", type=float, default=None, help="beta-equation tolerance")
     shared.add_argument("--damping", type=float, default=None, help="Picard damping factor")
     shared.add_argument("--max-iters", type=int, default=None, help="outer iteration cap")
-    shared.add_argument("--threads", type=int, default=4, help="sweep worker threads")
+    shared.add_argument(
+        "--threads", type=int, default=4, help="accepted and ignored: sweep runs serially"
+    )
     shared.add_argument("--seed", type=int, default=None, help="recorded in run records")
 
     parser = _Parser(prog="phibvp", description="phi-Laplacian boundary value problems")

@@ -97,28 +97,31 @@ def _scan_domination(
 
     y ranges over [slope_lo, slope_hi] / k(t) per time node; nodes with
     non-positive or non-finite k are skipped (singular weight points).
+    f is evaluated once, broadcast over (time node, x, y).  A node whose
+    max |f| is not finite, whose psi is negative, or whose psi is zero
+    under a nonzero f makes the ratio infinite.
     Returns (worst ratio, number of time nodes actually sampled).
     """
-    xs = np.linspace(x_lo, x_hi, nx)[:, None]
-    worst = 0.0
-    used = 0
-    for t, kv in zip(np.asarray(t_vals, float), np.asarray(k_vals, float)):
-        if not (math.isfinite(kv) and kv > 0.0):
-            continue
-        ys = np.linspace(slope_lo / kv, slope_hi / kv, ny)[None, :]
-        fv = np.abs(np.asarray(rhs(float(t), xs, ys), dtype=float))
-        fmax = float(np.max(fv))
-        pv = float(rhs.psi_at(float(t)))
-        used += 1
-        if not math.isfinite(fmax) or pv < 0.0:
-            worst = math.inf
-            continue
-        if pv == 0.0:
-            if fmax > 0.0:
-                worst = math.inf
-            continue
-        worst = max(worst, fmax / pv)
-    return worst, used
+    t_vals = np.asarray(t_vals, dtype=float)
+    k_vals = np.asarray(k_vals, dtype=float)
+    usable = np.isfinite(k_vals) & (k_vals > 0.0)
+    used = int(np.count_nonzero(usable))
+    if used == 0:
+        return 0.0, 0
+    t = t_vals[usable]
+    k = k_vals[usable]
+    xs = np.linspace(x_lo, x_hi, nx)
+    ys = np.linspace(slope_lo / k, slope_hi / k, ny, axis=-1)
+    fv = rhs(t[:, None, None], xs[None, :, None], ys[:, None, :])
+    fv = np.broadcast_to(np.asarray(fv, dtype=float), (used, nx, ny))
+    fmax = np.max(np.abs(fv), axis=(1, 2))
+    pv = np.broadcast_to(rhs.psi_at(t), (used,))
+    if np.any(~np.isfinite(fmax) | (pv < 0.0) | ((pv == 0.0) & (fmax > 0.0))):
+        return math.inf, used
+    with np.errstate(all="ignore"):
+        ratio = fmax / pv
+    # a NaN psi, or psi == 0 under f == 0, bounds nothing
+    return float(np.fmax.reduce(ratio, initial=0.0)), used
 
 
 def _margin_item(

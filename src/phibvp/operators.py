@@ -158,7 +158,7 @@ def relativistic() -> PhiOperator:
         return s / np.sqrt(1.0 - s * s)
 
     def inv(y):
-        return y / np.sqrt(1.0 + y * y)
+        return y / np.hypot(1.0, y)
 
     piece = MonotonePiece(-1.0, 1.0, True, -math.inf, math.inf, inv)
     _selftest_inverse(fn, piece, "relativistic")

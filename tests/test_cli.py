@@ -6,12 +6,15 @@ asserts on the exit code contract and the emitted tables.  Exit codes:
 """
 
 import math
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from phibvp import parse_config
-from phibvp.cli import main, read_solution_table
+from phibvp.cli import TABLE_BLOCK_ROWS, main, read_solution_table, write_solution_table
+from phibvp.grid import Mesh
 
 PERONA = """
 [operator]
@@ -124,6 +127,15 @@ class TestCheck:
         assert "t=0.5" in err
         assert "np.float64" not in err
 
+    @pytest.mark.parametrize("expr", ["t - 0.5", "abs(t - 0.5)"])
+    def test_vanishing_weight_is_a_config_error(self, tmp_path, capsys, expr):
+        text = QUADRATIC.format(n=10).replace(
+            "name = constant\nvalue = 1.0", f"expr = {expr}"
+        )
+        cfg = write(tmp_path, text)
+        assert main(["solve", cfg, "-o", str(tmp_path / "run")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         cfg = write(tmp_path, "nonsense\n")
         assert main(["check", cfg]) == 1
@@ -176,6 +188,33 @@ class TestSolve:
         ).read_bytes()
 
 
+SWEEP = PERONA.format(nu2=0.05) + (
+    "\n[sweep]\nlambda_min = 0.09\nlambda_max = 0.11\ncount = 5\n"
+)
+
+RELATIVISTIC_SWEEP = """
+[operator]
+name = relativistic
+
+[weight]
+name = constant
+value = 1.0
+
+[problem]
+nu1 = 0.0
+nu2 = 0.1
+T = 1.0
+
+[mesh]
+n = 100
+
+[sweep]
+lambda_min = 0.5
+lambda_max = 1.5
+count = 3
+"""
+
+
 class TestSweep:
     def test_perona_threshold_flip(self, tmp_path, capsys):
         cfg = write(
@@ -204,6 +243,31 @@ class TestSweep:
                 assert row[2] == "skipped"
                 assert math.isnan(float(row[3]))
         assert "flips between" in capsys.readouterr().out
+
+    def test_sweep_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("sweep started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = write(tmp_path, SWEEP)
+        assert main(["sweep", cfg, "-o", str(tmp_path / "run"), "--threads", "3"]) == 0
+
+    def test_threads_flag_is_ignored(self, tmp_path):
+        cfg = write(tmp_path, SWEEP)
+        one, three = tmp_path / "one", tmp_path / "three"
+        assert main(["sweep", cfg, "-o", str(one), "--threads", "1"]) == 0
+        assert main(["sweep", cfg, "-o", str(three), "--threads", "3"]) == 0
+        assert (one / "sweep.txt").read_bytes() == (three / "sweep.txt").read_bytes()
+
+    def test_failed_build_names_its_error(self, tmp_path):
+        # relativistic Phi lives on (-1, 1): s* = lambda >= 1 has no branch
+        cfg = write(tmp_path, RELATIVISTIC_SWEEP)
+        out = tmp_path / "run"
+        assert main(["sweep", cfg, "-o", str(out)]) == 0
+        lines = (out / "sweep.txt").read_text().splitlines()[1:]
+        rows = [line.split(",") for line in lines]
+        assert [r[1] for r in rows] == ["pass", "error:ConfigError", "error:ConfigError"]
+        assert [r[2] for r in rows] == ["converged", "skipped", "skipped"]
 
     def test_empty_range(self, tmp_path):
         cfg = write(
@@ -300,9 +364,54 @@ class TestVerify:
         assert main(["verify", str(out / "solution.txt"), cfg200]) == 1
         assert "does not match" in capsys.readouterr().err
 
+    def test_vanishing_weight_is_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, QUADRATIC.format(n=10), "good.cfg")
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 0
+        text = QUADRATIC.format(n=10).replace(
+            "name = constant\nvalue = 1.0", "expr = t - 0.5"
+        )
+        bad = write(tmp_path, text, "bad.cfg")
+        assert main(["verify", str(out / "solution.txt"), bad]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_rejects_garbage_table(self, tmp_path, capsys):
         cfg = write(tmp_path, QUADRATIC.format(n=100))
         bad = tmp_path / "bad.txt"
         bad.write_text("not,a,table\n")
         assert main(["verify", str(bad), cfg]) == 1
         assert "must start with" in capsys.readouterr().err
+
+
+class TestSolutionTable:
+    def test_block_writer_matches_per_value_format(self, tmp_path):
+        n = 2 * TABLE_BLOCK_ROWS + 2
+        rng = np.random.default_rng(3)
+        nodes = np.cumsum(rng.uniform(0.5, 1.5, n + 1))
+        nodes[0] = 0.0
+        mesh = Mesh(nodes, singular_indices=(0, TABLE_BLOCK_ROWS))
+        x, dx, u = (
+            rng.standard_normal(n + 1) * 10.0 ** rng.integers(-300, 300, n + 1)
+            for _ in range(3)
+        )
+        special = [math.inf, -math.inf, -0.0, 5e-324, 1e300, -1e-300, 0.1]
+        for col in (x, dx, u):
+            col[1 : 1 + len(special)] = special
+            col[TABLE_BLOCK_ROWS - 1 : TABLE_BLOCK_ROWS + len(special) - 1] = special
+        report = SimpleNamespace(
+            x=SimpleNamespace(values=x),
+            x_prime=SimpleNamespace(values=dx),
+            u=SimpleNamespace(values=u),
+        )
+        path = tmp_path / "table.txt"
+        write_solution_table(str(path), mesh, report)
+
+        expected = ["t,x,dx,u\n"]
+        for i in range(n + 1):
+            d = math.nan if i in mesh.singular_indices else dx[i]
+            row = (nodes[i], x[i], d, u[i])
+            expected.append(",".join(format(float(v), ".17g") for v in row) + "\n")
+        text = path.read_text()
+        assert text == "".join(expected)
+        for piece in ("nan", "-inf", "4.9406564584124654e-324", "1.0000000000000001e+300", ",-0,"):
+            assert piece in text

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phibvp.hypotheses as hyp
 from phibvp import (
     DegenerateExponentError,
     HalflineProblem,
@@ -549,3 +550,106 @@ class TestHalflineOdd:
         )
         with pytest.raises(InvalidInputError):
             check_halfline_odd(hetero)
+
+
+# -- the broadcast domination scan against a per-node loop -------------------
+
+
+def _scan_domination_per_node(rhs, t_vals, k_vals, x_lo, x_hi, slope_lo, slope_hi, nx, ny):
+    """Reference: the scan evaluated one time node at a time."""
+    xs = np.linspace(x_lo, x_hi, nx)[:, None]
+    worst = 0.0
+    used = 0
+    for t, kv in zip(np.asarray(t_vals, float), np.asarray(k_vals, float)):
+        if not (math.isfinite(kv) and kv > 0.0):
+            continue
+        ys = np.linspace(slope_lo / kv, slope_hi / kv, ny)[None, :]
+        fv = np.abs(np.asarray(rhs(float(t), xs, ys), dtype=float))
+        fmax = float(np.max(fv))
+        pv = float(rhs.psi_at(float(t)))
+        used += 1
+        if not math.isfinite(fmax) or pv < 0.0:
+            worst = math.inf
+            continue
+        if pv == 0.0:
+            if fmax > 0.0:
+                worst = math.inf
+            continue
+        worst = max(worst, fmax / pv)
+    return worst, used
+
+
+_T = np.linspace(0.0, 2.0, 13)
+_SMOOTH = Rhs(
+    fn=lambda t, x, y: np.sin(3.0 * t) * x - np.exp(-t) * y * y + np.arctan(x * y),
+    psi=lambda t: 2.0 + t * t,
+)
+_PSI_ZERO_AT_ONE = Rhs(
+    fn=lambda t, x, y: np.sin(3.0 * t) * x * y + 0.0 * t,
+    psi=lambda t: np.abs(t - 1.0),
+)
+_F_VANISHES_WITH_PSI = Rhs(
+    fn=lambda t, x, y: (t - 1.0) * x * y,
+    psi=lambda t: np.abs(t - 1.0),
+)
+_NAN_AT_ONE = Rhs(
+    fn=lambda t, x, y: x * y / (t - 1.0) + np.where(t == 1.0, np.nan, 0.0),
+    psi=lambda t: 1.0 + 0.0 * t,
+)
+_CONSTANT_F = Rhs(fn=lambda t, x, y: -0.75, psi=lambda t: 0.5 + t)
+_CONSTANT_PSI = Rhs(fn=lambda t, x, y: np.cos(t) * x + y, psi=lambda t: 3.0)
+_NEGATIVE_PSI = Rhs(fn=lambda t, x, y: x + 0.0 * t * y, psi=lambda t: 1.5 - t)
+_NAN_PSI = Rhs(
+    fn=lambda t, x, y: x * y + 0.0 * t,
+    psi=lambda t: np.where(t > 1.5, np.nan, 1.0 + t),
+)
+
+
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        _SMOOTH,
+        _PSI_ZERO_AT_ONE,
+        _F_VANISHES_WITH_PSI,
+        _NAN_AT_ONE,
+        _CONSTANT_F,
+        _CONSTANT_PSI,
+        _NEGATIVE_PSI,
+        _NAN_PSI,
+    ],
+    ids=[
+        "smooth",
+        "psi-zero-f-positive",
+        "psi-zero-f-zero",
+        "nan-f",
+        "constant-f",
+        "constant-psi",
+        "negative-psi",
+        "nan-psi",
+    ],
+)
+@pytest.mark.parametrize(
+    "k_vals",
+    [
+        np.ones_like(_T),
+        1.0 + _T * _T,
+        np.where(np.isclose(_T, 0.5), 0.0, 1.0 + _T * _T),
+        np.where(_T < 1.0, 1.0, np.where(_T < 1.5, np.inf, -1.0)),
+        np.zeros_like(_T),
+    ],
+    ids=["constant-k", "1+t^2", "k-zero-node", "k-inf-and-negative", "all-unusable"],
+)
+def test_scan_domination_matches_per_node_loop(rhs, k_vals):
+    args = (rhs, _T, k_vals, -0.3, 0.8, -1.2, 0.7, 7, 5)
+    assert hyp._scan_domination(*args) == _scan_domination_per_node(*args)
+
+
+def test_scan_domination_verdict_cases():
+    ones = np.ones_like(_T)
+    scan = hyp._scan_domination
+    assert scan(_PSI_ZERO_AT_ONE, _T, ones, -0.3, 0.8, -1.2, 0.7, 7, 5)[0] == math.inf
+    assert scan(_NAN_AT_ONE, _T, ones, -0.3, 0.8, -1.2, 0.7, 7, 5)[0] == math.inf
+    assert scan(_CONSTANT_F, _T, ones, -0.3, 0.8, -1.2, 0.7, 7, 5) == (1.5, 13)
+    k_zero = np.where(np.isclose(_T, 0.5), 0.0, 1.0)
+    assert scan(_SMOOTH, _T, k_zero, -0.3, 0.8, -1.2, 0.7, 7, 5)[1] == 12
+    assert scan(_SMOOTH, _T, np.zeros_like(_T), -0.3, 0.8, -1.2, 0.7, 7, 5) == (0.0, 0)

@@ -151,6 +151,14 @@ def test_relativistic_inverse_value():
     assert partial_inverse(op, br, 1.0) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-14)
 
 
+@pytest.mark.parametrize("y", [1e300, -1e300])
+def test_relativistic_inverse_does_not_overflow(y):
+    op = relativistic()
+    br = find_branch(op, 0.0)
+    with np.errstate(all="raise"):
+        assert partial_inverse(op, br, y) == math.copysign(1.0, y)
+
+
 def test_perona_malik_inverse_value():
     op = perona_malik()
     br = find_branch(op, 0.0)
