@@ -31,7 +31,7 @@ from .config import (
 from .errors import ConfigError, PhibvpError
 from .grid import GridFunction, Mesh, cumulative_integral, forward_difference_residual
 from .halfline import HeteroclinicReport, solve_halfline
-from .hypotheses import HypothesisReport
+from .hypotheses import FAIL, INCONCLUSIVE, PASS, HypothesisReport
 from .solver import SolveReport, solve
 
 EXIT_OK = 0
@@ -302,17 +302,24 @@ def cmd_sweep(cfg: ProblemConfig, args) -> int:
         handle.write("lambda,check,solve,residual\n")
         for lam, verdict, status, residual in rows:
             handle.write(f"{_fmt(lam)},{verdict},{status},{_fmt(residual)}\n")
-    record = build_run_record("sweep", cfg.doc, EXIT_OK, seed=args.seed)
+    # an error:* row has no verdict: it neither flips nor counts as a result
+    judged = [row[1] in (PASS, FAIL, INCONCLUSIVE) for row in rows]
+    code = EXIT_USAGE if rows and not any(judged) else EXIT_OK
+    record = build_run_record("sweep", cfg.doc, code, seed=args.seed)
     _write_record(args.output, record)
     print(f"wrote {table_path} ({len(rows)} rows)")
     flips = [
         (rows[i][0], rows[i + 1][0])
         for i in range(len(rows) - 1)
-        if (rows[i][1] == "pass") != (rows[i + 1][1] == "pass")
+        if judged[i]
+        and judged[i + 1]
+        and (rows[i][1] == PASS) != (rows[i + 1][1] == PASS)
     ]
     for a, b in flips:
         print(f"check verdict flips between lambda = {_fmt(a)} and {_fmt(b)}")
-    return EXIT_OK
+    if code != EXIT_OK:
+        print("error: no sweep row produced a check verdict", file=sys.stderr)
+    return code
 
 
 def cmd_halfline(cfg: ProblemConfig, args) -> int:
@@ -336,6 +343,10 @@ def cmd_halfline(cfg: ProblemConfig, args) -> int:
         hetero = solve_halfline(hp, cfg.iteration)
     except PhibvpError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        record = build_run_record(
+            "halfline", cfg.doc, EXIT_NUMERIC, seed=args.seed, check=report_check
+        )
+        _write_record(args.output, record)
         return EXIT_NUMERIC
 
     for run in hetero.runs:

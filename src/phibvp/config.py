@@ -314,17 +314,6 @@ def _example_psi_l1(tag: str, sec: _Section) -> float | None:
     return None
 
 
-def _example_condition_tag(tag: str) -> str | None:
-    return tag if tag in (
-        "perona",
-        "sine",
-        "plaplacian",
-        "relativistic",
-        "halfline1",
-        "halfline2",
-    ) else None
-
-
 # -- the assembled configuration -------------------------------------------
 
 

@@ -289,9 +289,6 @@ class GridFunction:
             )
         return GridFunction(mesh, vals, evaluator=fn if keep_evaluator else None)
 
-    def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.mesh, values, evaluator=self.evaluator)
-
     def interp(self, t) -> np.ndarray:
         """Piecewise-linear interpolation of the nodal values."""
         return np.interp(t, self.mesh.nodes, self.values)

@@ -486,7 +486,6 @@ def bracketed_root(
     gb,
     xtol: float = 0.0,
     ftol: float = 0.0,
-    x0: float | None = None,
     max_iter: int = INVERSE_MAX_ITER,
 ) -> np.ndarray:
     """Roots of increasing maps inside sign-changing brackets, vectorized.
@@ -499,8 +498,7 @@ def bracketed_root(
     value halved.  A bracket that has not halved within two steps is
     bisected instead.  As in Brent (1973, ch. 4), a trial point stays at
     least xtol/2 inside its bracket, so a root next to an end is closed
-    in by a bracket of width xtol/2.  x0, when given, is the first trial
-    point of the elements whose bracket holds it strictly inside.
+    in by a bracket of width xtol/2.
 
     An element finishes when |g| <= ftol at an evaluated point (its
     bracket collapses onto that point), when its bracket is no wider than
@@ -536,8 +534,6 @@ def bracketed_root(
         stall = W > 0.5 * w2
         if stall.any():
             x = np.where(stall, M, x)
-        if step == 0 and x0 is not None:
-            x = np.where((a < x0) & (x0 < b), x0, x)
         if half:
             x = np.clip(x, a + half, b - half)
         idx = slice(None) if pos.size == out.size else pos

@@ -8,13 +8,17 @@ equation
 
 for the integration constant beta, and integrates the new derivative
 Phi^{-1}(beta + F_cum)/k back up from nu1.  The left side is strictly
-monotone in beta, so beta is solved inside a certified bracket by
-Illinois regula falsi with a bisection safeguard
-(operators.bracketed_root), starting from the previous sweep's beta.
-Every sweep output lands inside the derived slope envelopes and the
-solution box regardless of its input, which is what makes the truncation
-harmless and the iteration stable.  Decreasing branches are reduced to
-increasing ones by negating Phi and f.
+monotone in beta.  Its solve starts at the previous sweep's beta, or on
+the first sweep at the first-order estimate Phi(s*_d) - Fbar (Fbar the
+1/k-weighted mean of F_cum; exact when Phi is affine), and walks by a
+first-order step, then doubled secant steps, until two evaluated points
+change sign.  That local certified bracket is closed by Illinois regula
+falsi with a bisection safeguard (operators.bracketed_root).  The wide
+bracket that the image margin guarantees is evaluated only when the walk
+reaches one of its ends or stalls.  Every sweep output lands inside the
+derived slope envelopes and the solution box regardless of its input,
+which is what makes the truncation harmless and the iteration stable.
+Decreasing branches are reduced to increasing ones by negating Phi and f.
 
 The truncation box for x is [min(nu1, N1), max(nu1, N2)]: the running
 integral of a derivative pinched between A*/k and B*/k can approach nu1
@@ -187,8 +191,14 @@ class BetaEquation:
     def solve(self, tol_beta: float, guess: float | None = None) -> float:
         """Root of value(xi) = target inside a certified bracket.
 
-        `guess`, typically the previous sweep's beta, is only the first
-        trial point, and only if it lies inside the bracket.
+        The search starts at `guess`, typically the previous sweep's beta,
+        if it lies strictly inside the theoretical bracket [lo, hi], else
+        at Phi(s*_d) - Fbar with Fbar the 1/k-weighted mean of F (the root
+        when Phi is affine).  It walks from there by a first-order step,
+        then by doubled secant steps, until two evaluated points change
+        sign, and closes that local bracket.  Only a walk that reaches an
+        end of [lo, hi] or stalls evaluates, and if need be expands, the
+        theoretical bracket itself.
         """
         kern = self.kernel
         br = self.branch
@@ -217,8 +227,71 @@ class BetaEquation:
             )
         # the scalar map shares the branch orientation; fold it into the sign
         sgn = 1.0 if br.increasing else -1.0
-        r_lo = sgn * (self.value(lo) - self.target)
-        r_hi = sgn * (self.value(hi) - self.target)
+        # every evaluated point; the answer is the one of least |r|
+        tried = []
+
+        def residual(xi: float) -> float:
+            r = sgn * (self.value(xi) - self.target)
+            tried.append((abs(r), xi))
+            return r
+
+        def close(a: float, b: float, r_a: float, r_b: float) -> float:
+            # Illinois regula falsi with a bisection safeguard inside the
+            # certified bracket; it stops at the first point with
+            # |r| <= tol_beta, or when the bracket closes
+            bracketed_root(
+                lambda x, idx: residual(float(x[0])), a, b, r_a, r_b,
+                ftol=tol_beta, max_iter=BETA_MAX_ITER,
+            )
+            return min(tried)[1]
+
+        if guess is not None and lo < guess < hi:
+            x = guess
+        else:
+            F_int = kern._accumulate(kern.ik_n * self.F_n, kern.ik_mid * self.F_mid)
+            F_mean = float(F_int[-1]) / kern.k1_quad
+            x = min(max(phi_sd - F_mean, lo), hi)
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+        r = residual(x)
+        if abs(r) <= tol_beta:
+            return x
+        # first step: d value / d xi is about k1 / |Phi'(s*_d)|, with Phi'
+        # from a central difference that stays inside the branch
+        h = min(
+            1e-6 * (1.0 + abs(s_star_d)),
+            0.5 * (s_star_d - br.lo),
+            0.5 * (br.hi - s_star_d),
+        )
+        with np.errstate(all="ignore"):
+            phi_pm = np.asarray(self.phi(np.array([s_star_d - h, s_star_d + h])))
+            slope = float(kern.k1_quad * 2.0 * h / abs(phi_pm[1] - phi_pm[0]))
+        if math.isfinite(slope) and slope > 0.0:
+            step = -r / slope
+        else:
+            step = math.copysign(0.25 * (hi - lo), -r)
+        for _ in range(60):
+            x_new = min(max(x + step, lo), hi)
+            if x_new == x:
+                break
+            r_new = residual(x_new)
+            if abs(r_new) <= tol_beta:
+                return x_new
+            if (r_new > 0.0) != (r > 0.0):
+                (a, r_a), (b, r_b) = sorted(((x, r), (x_new, r_new)))
+                if r_a < 0.0 < r_b:
+                    return close(a, b, r_a, r_b)
+                break
+            slope = (r_new - r) / (x_new - x)
+            if x_new in (lo, hi) or not slope > 0.0:
+                break
+            # doubled, so that the next point tends to cross the root
+            x, r, step = x_new, r_new, -2.0 * r_new / slope
+
+        # the walk reached an end of [lo, hi] or stalled: certify the
+        # theoretical bracket, expanding it if it does not straddle
+        r_lo = residual(lo)
+        r_hi = residual(hi)
         for _ in range(60):
             if r_lo <= 0.0 <= r_hi:
                 break
@@ -230,7 +303,7 @@ class BetaEquation:
                 if lo2 >= lo:
                     break
                 lo = lo2
-                r_lo = sgn * (self.value(lo) - self.target)
+                r_lo = residual(lo)
             else:
                 hi2 = hi + width
                 if math.isfinite(b2):
@@ -238,29 +311,13 @@ class BetaEquation:
                 if hi2 <= hi:
                     break
                 hi = hi2
-                r_hi = sgn * (self.value(hi) - self.target)
+                r_hi = residual(hi)
         if not (r_lo <= 0.0 <= r_hi):
             raise BetaBracketError(
                 "bisection bracket does not straddle the boundary target: "
                 f"residuals ({r_lo!r}, {r_hi!r}) at ({lo!r}, {hi!r})"
             )
-        # Illinois regula falsi with a bisection safeguard inside the
-        # certified bracket; it stops at the first point with
-        # |r| <= tol_beta, or when the bracket closes.  Either way the
-        # answer is the evaluated point of least |r|.
-        tried = [(abs(r_lo), lo), (abs(r_hi), hi)]
-
-        def residual(x, idx):
-            xi = float(x[0])
-            r = sgn * (self.value(xi) - self.target)
-            tried.append((abs(r), xi))
-            return r
-
-        bracketed_root(
-            residual, lo, hi, r_lo, r_hi,
-            ftol=tol_beta, x0=guess, max_iter=BETA_MAX_ITER,
-        )
-        return min(tried)[1]
+        return close(lo, hi, r_lo, r_hi)
 
 
 def beta_solve(

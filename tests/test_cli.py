@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from phibvp import parse_config
+from phibvp import BetaBracketError, cli, parse_config
 from phibvp.cli import TABLE_BLOCK_ROWS, main, read_solution_table, write_solution_table
 from phibvp.grid import Mesh
 
@@ -269,6 +269,25 @@ class TestSweep:
         assert [r[1] for r in rows] == ["pass", "error:ConfigError", "error:ConfigError"]
         assert [r[2] for r in rows] == ["converged", "skipped", "skipped"]
 
+    def test_error_rows_are_not_flips(self, tmp_path, capsys):
+        # rows pass, error:ConfigError, error:ConfigError: no verdict flips
+        cfg = write(tmp_path, RELATIVISTIC_SWEEP)
+        assert main(["sweep", cfg, "-o", str(tmp_path / "run")]) == 0
+        assert "verdict flips" not in capsys.readouterr().out
+
+    def test_sweep_without_a_verdict_exits_one(self, tmp_path, capsys):
+        text = RELATIVISTIC_SWEEP.replace("lambda_max = 1.5", "lambda_max = 2.5")
+        cfg = write(tmp_path, text.replace("lambda_min = 0.5", "lambda_min = 1.5"))
+        out = tmp_path / "run"
+        assert main(["sweep", cfg, "-o", str(out)]) == 1
+        rows = [line.split(",") for line in (out / "sweep.txt").read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == ["error:ConfigError"] * 3
+        record = parse_config((out / "record.txt").read_text())
+        assert record.section("run")["exit_code"] == "1"
+        captured = capsys.readouterr()
+        assert "verdict flips" not in captured.out
+        assert "no sweep row produced a check verdict" in captured.err
+
     def test_empty_range(self, tmp_path):
         cfg = write(
             tmp_path,
@@ -323,6 +342,23 @@ class TestHalfline:
         cfg = write(tmp_path, text)
         out = tmp_path / "run"
         assert main(["halfline", cfg, "-o", str(out)]) == 2
+        assert not (out / "gaps.txt").exists()
+
+    def test_solver_error_writes_record(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise BetaBracketError("bisection bracket does not straddle")
+
+        monkeypatch.setattr(cli, "solve_halfline", fail)
+        cfg = write(tmp_path, ARCTAN)
+        out = tmp_path / "run"
+        assert main(["halfline", cfg, "-o", str(out), "--seed", "3"]) == 4
+        assert "solver error: bisection bracket" in capsys.readouterr().err
+        record = parse_config((out / "record.txt").read_text())
+        assert record.section("run")["command"] == "halfline"
+        assert record.section("run")["exit_code"] == "4"
+        assert record.section("run")["seed"] == "3"
+        assert record.section("check")["overall"] == "pass"
+        assert record.section("halfline") is None
         assert not (out / "gaps.txt").exists()
 
     def test_schedule_exhausted_exits_four(self, tmp_path):

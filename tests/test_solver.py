@@ -148,7 +148,10 @@ class TestBetaSolve:
         report = solve(prob)
         assert report.status == "converged"
         assert len(evals) == report.iterations
-        assert max(evals) <= 8
+        # the walk from the warm start certifies a local bracket; the
+        # theoretical bracket's ends are never evaluated here
+        assert max(evals) <= 4
+        assert sum(evals) <= 3 * report.iterations
         # g_map builds the new iterate from the solve's last evaluation,
         # so Phi is inverted once per map evaluation
         assert inversions == evals
@@ -166,14 +169,145 @@ class TestBetaSolve:
         assert abs(eq.value(cold) - eq.target) <= 1e-12
         # far outside the certified bracket: ignored
         assert eq.solve(1e-12, guess=1e6) == cold
-        # at the root: the two bracket ends plus the guess itself
+        # at the root: the guess itself, and no bracket end
         calls = []
         real_value = BetaEquation.value
         monkeypatch.setattr(
             BetaEquation, "value", lambda self, xi: calls.append(xi) or real_value(self, xi)
         )
         assert eq.solve(1e-12, guess=cold) == cold
-        assert len(calls) == 3 and calls[-1] == cold
+        assert len(calls) == 1 and calls[-1] == cold
+
+    @staticmethod
+    def _theoretical_bracket(eq):
+        # [lo, hi] of BetaEquation.solve: Phi(s*_d) minus the range of F,
+        # padded, and kept inside the branch image at every sample
+        s_star_d = eq.target / eq.kernel.k1_quad
+        phi_sd = float(eq.phi(s_star_d))
+        F = np.concatenate((eq.F_n, eq.F_mid))
+        m_F, M_F = float(F.min()), float(F.max())
+        pad = 1e-12 * (1.0 + abs(phi_sd) + abs(m_F) + abs(M_F))
+        lo, hi = phi_sd - M_F - pad, phi_sd - m_F + pad
+        b1, b2 = eq.branch.image_lo, eq.branch.image_hi
+        if math.isfinite(b1):
+            lo = max(lo, b1 - m_F + 1e-14 * (1.0 + abs(b1)))
+        if math.isfinite(b2):
+            hi = min(hi, b2 - M_F - 1e-14 * (1.0 + abs(b2)))
+        return lo, hi
+
+    def test_replay_every_beta_is_certified(self, monkeypatch):
+        # one [eq, tol, beta, [(xi, value - target), ...]] per solve call
+        solves = []
+        real_value = BetaEquation.value
+        real_solve = BetaEquation.solve
+
+        def value(self, xi):
+            v = real_value(self, xi)
+            solves[-1][3].append((xi, v - self.target))
+            return v
+
+        def solve_logged(self, tol_beta, guess=None):
+            solves.append([self, tol_beta, None, []])
+            solves[-1][2] = real_solve(self, tol_beta, guess=guess)
+            return solves[-1][2]
+
+        monkeypatch.setattr(BetaEquation, "value", value)
+        monkeypatch.setattr(BetaEquation, "solve", solve_logged)
+        weave = Rhs(
+            fn=lambda t, x, y: 0.2 * np.sin(3.0 * t + x) - 0.1 * np.cos(y),
+            psi=lambda t: np.full_like(np.asarray(t, dtype=float), 0.3),
+            name="weave",
+        )
+        problems = [
+            self._bisect_shape(),
+            make_problem(
+                make_operator("relativistic"), one_plus_t_squared_weight(),
+                weave, 0.0, 0.5, 1.0, mesh_n=400,
+            ),
+        ]
+        for prob in problems:
+            assert solve(prob).status == "converged"
+        # a decreasing branch keeps its orientation outside solve()
+        sine = make_problem(
+            make_operator("sine"), constant_weight(1.0), zero_rhs(), 0.0, 3.0, 1.0,
+            branch_hint=(math.pi / 2, 3 * math.pi / 2),
+        )
+        eq = BetaEquation.build(
+            SolverKernel(sine), sine.branch,
+            GridFunction(sine.mesh, 0.05 * np.sin(5.0 * sine.mesh.nodes)),
+        )
+        cold = eq.solve(1e-12)
+        eq.solve(1e-12, guess=cold + 1e-3)
+        eq.solve(1e-300)
+        assert len(solves) > 10
+        # each beta is an evaluated point with |r| <= tol, or lies between
+        # two evaluated points of opposite sign inside [lo, hi]
+        for eq, tol, beta, log in solves:
+            lo, hi = self._theoretical_bracket(eq)
+            sgn = 1.0 if eq.branch.increasing else -1.0
+            points = [(xi, sgn * r) for xi, r in log]
+            if any(xi == beta and abs(r) <= tol for xi, r in points):
+                continue
+            assert any(
+                lo <= a <= beta <= b <= hi
+                for a, r_a in points
+                for b, r_b in points
+                if r_a < 0.0 < r_b
+            ), (beta, points, lo, hi)
+
+    def test_affine_phi_cold_start_takes_one_evaluation(self, monkeypatch):
+        # Phi(s) = s: Phi(s*_d) minus the 1/k-weighted mean of F is the root
+        phi = make_operator("r_laplacian", r=2.0)
+        prob = make_problem(
+            phi, one_plus_t_squared_weight(), zero_rhs(), 0.0, 0.4, 2.0, mesh_n=300
+        )
+        F = 0.3 * np.sin(3.0 * prob.mesh.nodes)
+        eq = BetaEquation.build(SolverKernel(prob), prob.branch, GridFunction(prob.mesh, F))
+        calls = []
+        real_value = BetaEquation.value
+        monkeypatch.setattr(
+            BetaEquation, "value", lambda self, xi: calls.append(xi) or real_value(self, xi)
+        )
+        beta = eq.solve(1e-12)
+        assert len(calls) == 1 and calls[0] == beta
+        assert abs(real_value(eq, beta) - eq.target) <= 1e-12
+
+    def test_empty_bracket_message(self):
+        # the image (-1, 1) of mean curvature is narrower than F = 2.5 t spans
+        prob = make_problem(
+            make_operator("mean_curvature"), constant_weight(1.0), zero_rhs(),
+            0.0, 0.5, 1.0, mesh_n=200,
+        )
+        eq = BetaEquation.build(
+            SolverKernel(prob), prob.branch, GridFunction(prob.mesh, 2.5 * prob.mesh.nodes)
+        )
+        with pytest.raises(BetaBracketError) as info:
+            eq.solve(1e-12)
+        assert str(info.value) == (
+            "empty bisection bracket [-0.99999999999998, -1.50000000000002]; "
+            "the compatibility margin is thinner than quadrature accuracy"
+        )
+
+    def test_bracket_that_never_straddles_message(self, monkeypatch):
+        # the relativistic inverse is bounded by 1, so value + 10 never
+        # reaches the target however far the bracket expands
+        prob = make_problem(
+            make_operator("relativistic"), constant_weight(1.0), zero_rhs(),
+            0.0, 0.5, 1.0, mesh_n=200,
+        )
+        eq = BetaEquation.build(
+            SolverKernel(prob), prob.branch,
+            GridFunction(prob.mesh, np.zeros(prob.mesh.nodes.size)),
+        )
+        real_value = BetaEquation.value
+        monkeypatch.setattr(BetaEquation, "value", lambda self, xi: real_value(self, xi) + 10.0)
+        with pytest.raises(BetaBracketError) as info:
+            eq.solve(1e-12)
+        assert str(info.value) == (
+            "bisection bracket does not straddle the boundary target: "
+            "residuals (8.50000000000004, 10.000000000001023) "
+            "at (-3637247.422649732, 0.5773502691912032)"
+        )
 
     def test_unreachable_tolerance_returns_best_point(self, monkeypatch):
         eq = self._sweep_equation()
