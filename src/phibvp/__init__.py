@@ -39,7 +39,6 @@ from .operators import (
     MonotoneBranch,
     PhiOperator,
     find_branch,
-    image_of_branch,
     make_operator,
     partial_inverse,
     partial_inverse_array,

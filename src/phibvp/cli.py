@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -115,7 +116,7 @@ def _check_sections(report: HypothesisReport):
     return tuple(sections)
 
 
-def _solve_section(report: SolveReport):
+def _solve_sections(report: SolveReport):
     pairs = (
         ("status", report.status),
         ("iterations", str(report.iterations)),
@@ -126,7 +127,18 @@ def _solve_section(report: SolveReport):
         ("psi_clip_count", str(report.psi_clip_count)),
         ("max_envelope_excess", _fmt(report.max_envelope_excess)),
     )
-    return (("solve", pairs),)
+    sections = [("solve", pairs)]
+    if report.verification is not None:
+        sections.append(
+            (
+                "solve.verification",
+                tuple(
+                    (field.name, _fmt(getattr(report.verification, field.name)))
+                    for field in fields(report.verification)
+                ),
+            )
+        )
+    return tuple(sections)
 
 
 def _halfline_sections(report: HeteroclinicReport):
@@ -152,11 +164,25 @@ def _halfline_sections(report: HeteroclinicReport):
     return tuple(sections)
 
 
+# Flags that override a config value.  A record echoes the config after
+# them, and its [run.overrides] section names the ones given.
+OVERRIDE_FLAGS = ("mesh_n", "tol_fp", "tol_beta", "damping", "max_iters")
+
+
+def _overrides(args) -> tuple[tuple[str, str], ...]:
+    return tuple(
+        (flag.replace("_", "-"), _fmt(getattr(args, flag)))
+        for flag in OVERRIDE_FLAGS
+        if getattr(args, flag) is not None
+    )
+
+
 def build_run_record(
     command: str,
     doc: ConfigDoc,
     exit_code: int,
     seed: int | None = None,
+    overrides: tuple[tuple[str, str], ...] = (),
     check: HypothesisReport | None = None,
     solve_report: SolveReport | None = None,
     halfline_report: HeteroclinicReport | None = None,
@@ -170,21 +196,28 @@ def build_run_record(
     if seed is not None:
         run_pairs.append(("seed", str(seed)))
     sections = [("run", tuple(run_pairs))]
+    if overrides:
+        sections.append(("run.overrides", overrides))
     sections.extend(_config_echo_sections(doc))
     if check is not None:
         sections.extend(_check_sections(check))
     if solve_report is not None:
-        sections.extend(_solve_section(solve_report))
+        sections.extend(_solve_sections(solve_report))
     if halfline_report is not None:
         sections.extend(_halfline_sections(halfline_report))
     return ConfigDoc(sections=tuple(sections))
 
 
-def _write_record(outdir: str, record: ConfigDoc) -> str:
-    path = os.path.join(outdir, "record.txt")
-    with open(path, "w", encoding="utf-8") as handle:
+def _write_record(
+    command: str, cfg: ProblemConfig, args, exit_code: int, **reports
+) -> None:
+    """Write args.output/record.txt: the effective config and the reports."""
+    record = build_run_record(
+        command, cfg.doc, exit_code,
+        seed=args.seed, overrides=_overrides(args), **reports,
+    )
+    with open(os.path.join(args.output, "record.txt"), "w", encoding="utf-8") as handle:
         handle.write(emit_config(record))
-    return path
 
 
 # -- command implementations --------------------------------------------------
@@ -224,8 +257,7 @@ def cmd_check(cfg: ProblemConfig, args) -> int:
     code = _check_exit_code(report)
     if args.output is not None:
         os.makedirs(args.output, exist_ok=True)
-        record = build_run_record("check", cfg.doc, code, seed=args.seed, check=report)
-        _write_record(args.output, record)
+        _write_record("check", cfg, args, code, check=report)
     return code
 
 
@@ -240,29 +272,20 @@ def cmd_solve(cfg: ProblemConfig, args) -> int:
     _print_check(report_check)
     if report_check.overall != "pass":
         code = _check_exit_code(report_check)
-        record = build_run_record(
-            "solve", cfg.doc, code, seed=args.seed, check=report_check
-        )
-        _write_record(args.output, record)
+        _write_record("solve", cfg, args, code, check=report_check)
         return code
 
     try:
         report = solve(problem, cfg.iteration)
     except PhibvpError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
-        record = build_run_record(
-            "solve", cfg.doc, EXIT_NUMERIC, seed=args.seed, check=report_check
-        )
-        _write_record(args.output, record)
+        _write_record("solve", cfg, args, EXIT_NUMERIC, check=report_check)
         return EXIT_NUMERIC
 
     table_path = os.path.join(args.output, "solution.txt")
     write_solution_table(table_path, problem.mesh, report)
     code = EXIT_OK if report.status == "converged" else EXIT_NUMERIC
-    record = build_run_record(
-        "solve", cfg.doc, code, seed=args.seed, check=report_check, solve_report=report
-    )
-    _write_record(args.output, record)
+    _write_record("solve", cfg, args, code, check=report_check, solve_report=report)
     print(
         f"solve: {report.status} in {report.iterations} iterations, "
         f"residual {_fmt(report.residual)}"
@@ -305,8 +328,7 @@ def cmd_sweep(cfg: ProblemConfig, args) -> int:
     # an error:* row has no verdict: it neither flips nor counts as a result
     judged = [row[1] in (PASS, FAIL, INCONCLUSIVE) for row in rows]
     code = EXIT_USAGE if rows and not any(judged) else EXIT_OK
-    record = build_run_record("sweep", cfg.doc, code, seed=args.seed)
-    _write_record(args.output, record)
+    _write_record("sweep", cfg, args, code)
     print(f"wrote {table_path} ({len(rows)} rows)")
     flips = [
         (rows[i][0], rows[i + 1][0])
@@ -333,20 +355,14 @@ def cmd_halfline(cfg: ProblemConfig, args) -> int:
     _print_check(report_check)
     if report_check.overall != "pass":
         code = _check_exit_code(report_check)
-        record = build_run_record(
-            "halfline", cfg.doc, code, seed=args.seed, check=report_check
-        )
-        _write_record(args.output, record)
+        _write_record("halfline", cfg, args, code, check=report_check)
         return code
 
     try:
         hetero = solve_halfline(hp, cfg.iteration)
     except PhibvpError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
-        record = build_run_record(
-            "halfline", cfg.doc, EXIT_NUMERIC, seed=args.seed, check=report_check
-        )
-        _write_record(args.output, record)
+        _write_record("halfline", cfg, args, EXIT_NUMERIC, check=report_check)
         return EXIT_NUMERIC
 
     for run in hetero.runs:
@@ -364,15 +380,9 @@ def cmd_halfline(cfg: ProblemConfig, args) -> int:
             handle.write(f"{_fmt(label)},{_fmt(gap)}\n")
 
     code = EXIT_OK if hetero.status == "converged" else EXIT_NUMERIC
-    record = build_run_record(
-        "halfline",
-        cfg.doc,
-        code,
-        seed=args.seed,
-        check=report_check,
-        halfline_report=hetero,
+    _write_record(
+        "halfline", cfg, args, code, check=report_check, halfline_report=hetero
     )
-    _write_record(args.output, record)
     print(f"halfline: {hetero.status}, tail value {_fmt(hetero.tail_value)}")
     if hetero.detail:
         print(f"detail: {hetero.detail}")
@@ -502,12 +512,7 @@ def main(argv=None) -> int:
         doc = read_config(args.config)
         cfg = load_problem_config(doc)
         cfg = with_overrides(
-            cfg,
-            mesh_n=args.mesh_n,
-            tol_fp=args.tol_fp,
-            tol_beta=args.tol_beta,
-            damping=args.damping,
-            max_iters=args.max_iters,
+            cfg, **{flag: getattr(args, flag) for flag in OVERRIDE_FLAGS}
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

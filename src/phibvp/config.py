@@ -76,6 +76,21 @@ class ConfigDoc:
     def position(self, section: str, key: str) -> tuple[int | None, int | None]:
         return self.positions.get((section, key), (None, None))
 
+    def with_value(self, section: str, key: str, value: str) -> "ConfigDoc":
+        """A copy with [section] key = value, appending the key or section."""
+        sections = list(self.sections)
+        for i, (sec, pairs) in enumerate(sections):
+            if sec == section:
+                if any(k == key for k, _ in pairs):
+                    pairs = tuple((k, value if k == key else v) for k, v in pairs)
+                else:
+                    pairs = pairs + ((key, value),)
+                sections[i] = (sec, pairs)
+                break
+        else:
+            sections.append((section, ((key, value),)))
+        return ConfigDoc(sections=tuple(sections), positions=self.positions)
+
 
 def parse_config(text: str) -> ConfigDoc:
     sections: list[tuple[str, list[tuple[str, str]]]] = []
@@ -700,7 +715,11 @@ def with_overrides(
     damping: float | None = None,
     max_iters: int | None = None,
 ) -> ProblemConfig:
-    """Apply command-line flag overrides on top of the config values."""
+    """Apply command-line flag overrides on top of the config values.
+
+    The config text `cfg.doc` is rewritten to match (numbers as %.17g), so
+    a run record that echoes it replays the run.
+    """
     it = cfg.iteration
     it = replace(
         it,
@@ -709,8 +728,19 @@ def with_overrides(
         omega=damping if damping is not None else it.omega,
         max_outer=max_iters if max_iters is not None else it.max_outer,
     )
+    doc = cfg.doc
+    for section, key, value in (
+        ("mesh", "n", mesh_n),
+        ("iteration", "tol_fp", tol_fp),
+        ("iteration", "tol_beta", tol_beta),
+        ("iteration", "omega", damping),
+        ("iteration", "max_outer", max_iters),
+    ):
+        if value is not None:
+            doc = doc.with_value(section, key, format(value, ".17g"))
     return replace(
         cfg,
         mesh_n=mesh_n if mesh_n is not None else cfg.mesh_n,
         iteration=it,
+        doc=doc,
     )

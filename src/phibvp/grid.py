@@ -10,7 +10,8 @@ singular point itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -206,15 +207,25 @@ class Mesh:
             raise InvalidInputError("refinement factor must be >= 1")
         if factor == 1:
             return self
-        left = self.nodes[:-1]
-        h = np.diff(self.nodes)
-        sub = left[:, None] + h[:, None] * (np.arange(factor) / factor)[None, :]
-        nodes = np.append(sub.reshape(-1), self.nodes[-1])
+        nodes = self.refined_nodes(factor, 0, self.n_cells)
         rule = np.repeat(self.cell_rule, factor)
         sing = tuple(i * factor for i in self.singular_indices)
         return Mesh(nodes, singular_indices=sing, cell_rule=rule, grading=self.grading)
 
+    def refined_nodes(self, factor: int, start: int, stop: int) -> np.ndarray:
+        """Nodes of cells start..stop-1 split `factor` ways, node `stop` included.
+
+        Node j * factor + i of the refined mesh is the same double whichever
+        range of cells it is built in, so a refined mesh can be walked in
+        blocks of cells.
+        """
+        left = self.nodes[start:stop]
+        h = self.widths[start:stop]
+        sub = left[:, None] + h[:, None] * (np.arange(factor) / factor)[None, :]
+        return np.append(sub.reshape(-1), self.nodes[stop])
+
     # -- geometry ----------------------------------------------------------
+    # cached read-only arrays: the solver asks for them on every sweep
 
     @property
     def T(self) -> float:
@@ -224,19 +235,32 @@ class Mesh:
     def n_cells(self) -> int:
         return self.nodes.size - 1
 
-    @property
+    @cached_property
     def widths(self) -> np.ndarray:
-        return np.diff(self.nodes)
+        return _read_only(np.diff(self.nodes))
 
-    @property
+    @cached_property
     def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
+        return _read_only(0.5 * (self.nodes[:-1] + self.nodes[1:]))
+
+    @cached_property
+    def mid_cells(self) -> np.ndarray:
+        """Indices of the cells integrated with the midpoint rule."""
+        return _read_only(np.nonzero(self.cell_rule == MIDPOINT)[0])
+
+    @cached_property
+    def _singular_mask(self) -> np.ndarray:
+        mask = np.zeros(self.nodes.size, dtype=bool)
+        mask[list(self.singular_indices)] = True
+        return _read_only(mask)
 
     def singular_mask(self) -> np.ndarray:
-        mask = np.zeros(self.nodes.size, dtype=bool)
-        for i in self.singular_indices:
-            mask[i] = True
-        return mask
+        return self._singular_mask
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _locate_singular(nodes: np.ndarray, points: Sequence[float]) -> tuple[int, ...]:
@@ -300,43 +324,66 @@ def same_mesh(a: GridFunction, b: GridFunction) -> Mesh:
     raise MeshMismatchError("grid functions live on different meshes")
 
 
-def _cell_contributions(g: GridFunction) -> np.ndarray:
-    mesh = g.mesh
-    v = g.values
-    h = mesh.widths
-    contrib = 0.5 * h * (v[:-1] + v[1:])
-    mid_cells = np.nonzero(mesh.cell_rule == MIDPOINT)[0]
+def cell_contributions(
+    h: np.ndarray, values: np.ndarray, mid_cells: np.ndarray, mid_values
+) -> np.ndarray:
+    """Quadrature of each cell: trapezoid, or h * mid_values on mid_cells.
+
+    This is the one quadrature accumulator: running integrals, norms and
+    the refined-mesh verification all sum these contributions.
+    """
+    contrib = 0.5 * h * (values[:-1] + values[1:])
     if mid_cells.size:
-        if g.evaluator is not None:
-            with np.errstate(all="ignore"):
-                mids = np.asarray(g.evaluator(mesh.midpoints[mid_cells]), dtype=float)
-            if mids.shape == ():
-                mids = np.full(mid_cells.shape, float(mids))
-            if not np.all(np.isfinite(mids)):
-                bad = int(np.argmax(~np.isfinite(mids)))
-                raise InvalidInputError(
-                    "evaluator produced non-finite midpoint value near "
-                    f"t={float(mesh.midpoints[mid_cells[bad]])!r}"
-                )
-        else:
-            sing = mesh.singular_mask()
-            lo, hi = v[mid_cells], v[mid_cells + 1]
-            lo_bad = sing[mid_cells]
-            hi_bad = sing[mid_cells + 1]
-            mids = 0.5 * (lo + hi)
-            mids = np.where(lo_bad, hi, mids)
-            mids = np.where(hi_bad, lo, mids)
-        contrib[mid_cells] = h[mid_cells] * mids
+        contrib[mid_cells] = h[mid_cells] * mid_values
     return contrib
+
+
+def endpoint_midvalues(
+    values: np.ndarray, mid_cells: np.ndarray, singular: np.ndarray
+) -> np.ndarray:
+    """Midpoint stand-ins without an evaluator: the endpoint mean, or the
+    finite endpoint of a cell that touches a flagged singular node."""
+    lo, hi = values[mid_cells], values[mid_cells + 1]
+    mids = 0.5 * (lo + hi)
+    mids = np.where(singular[mid_cells], hi, mids)
+    return np.where(singular[mid_cells + 1], lo, mids)
+
+
+def _midvalues(mesh: Mesh, values: np.ndarray, evaluator) -> np.ndarray:
+    cells = mesh.mid_cells
+    if not cells.size:
+        return np.empty(0)
+    if evaluator is None:
+        return endpoint_midvalues(values, cells, mesh.singular_mask())
+    with np.errstate(all="ignore"):
+        mids = np.asarray(evaluator(mesh.midpoints[cells]), dtype=float)
+    if mids.shape == ():
+        mids = np.full(cells.shape, float(mids))
+    if not np.all(np.isfinite(mids)):
+        bad = int(np.argmax(~np.isfinite(mids)))
+        raise InvalidInputError(
+            "evaluator produced non-finite midpoint value near "
+            f"t={float(mesh.midpoints[cells[bad]])!r}"
+        )
+    return mids
+
+
+def running_integral(
+    mesh: Mesh, values: np.ndarray, mid_values: np.ndarray
+) -> np.ndarray:
+    """Running integral at the nodes, 0 at t = 0, of nodal `values` and of
+    `mid_values` at the midpoints of `mesh.mid_cells`."""
+    contrib = cell_contributions(mesh.widths, values, mesh.mid_cells, mid_values)
+    out = np.empty(values.size)
+    out[0] = 0.0
+    np.cumsum(contrib, out=out[1:])
+    return out
 
 
 def cumulative_integral(g: GridFunction) -> GridFunction:
     """Running integral G(t_j) = integral of g over [0, t_j], G(0) = 0."""
-    contrib = _cell_contributions(g)
-    out = np.empty(g.values.size)
-    out[0] = 0.0
-    np.cumsum(contrib, out=out[1:])
-    return GridFunction(g.mesh, out)
+    mids = _midvalues(g.mesh, g.values, g.evaluator)
+    return GridFunction(g.mesh, running_integral(g.mesh, g.values, mids))
 
 
 def integrate(g: GridFunction) -> float:
@@ -362,16 +409,24 @@ def norm(g: GridFunction, spec: NormSpec | float = 1.0) -> float:
     quadrature cells around them use midpoint sampling.
     """
     p = spec.p if isinstance(spec, NormSpec) else float(NormSpec(spec).p)
+    return lp_norm(g.mesh, g.values, p, g.evaluator)
+
+
+def lp_norm(mesh: Mesh, values: np.ndarray, p: float, evaluator=None) -> float:
+    """`norm` of nodal values that need not form a GridFunction.
+
+    |v|^p must be finite at every node, as a GridFunction's values must.
+    """
     if math.isinf(p):
-        mask = ~g.mesh.singular_mask()
-        return float(np.max(np.abs(g.values[mask])))
-    ev = g.evaluator
-    powered = GridFunction(
-        g.mesh,
-        np.abs(g.values) ** p,
-        evaluator=(None if ev is None else (lambda t: np.abs(ev(t)) ** p)),
-    )
-    total = integrate(powered)
+        if not np.all(np.isfinite(values)):
+            raise InvalidInputError("grid function values must be finite")
+        return float(np.max(np.abs(values[~mesh.singular_mask()])))
+    with np.errstate(over="ignore"):
+        powered = np.abs(values) ** p
+    if not np.all(np.isfinite(powered)):
+        raise InvalidInputError("grid function values must be finite")
+    ev = None if evaluator is None else (lambda t: np.abs(evaluator(t)) ** p)
+    total = float(running_integral(mesh, powered, _midvalues(mesh, powered, ev))[-1])
     return float(total ** (1.0 / p))
 
 

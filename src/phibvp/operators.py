@@ -441,11 +441,6 @@ def find_branch(
         )
 
 
-def image_of_branch(phi: PhiOperator, branch: MonotoneBranch) -> tuple[float, float]:
-    """Oriented image interval (b1, b2) of the branch, b1 < b2."""
-    return (branch.image_lo, branch.image_hi)
-
-
 # -- branch-wise inversion ----------------------------------------------------
 
 
@@ -498,7 +493,8 @@ def bracketed_root(
     value halved.  A bracket that has not halved within two steps is
     bisected instead.  As in Brent (1973, ch. 4), a trial point stays at
     least xtol/2 inside its bracket, so a root next to an end is closed
-    in by a bracket of width xtol/2.
+    in by a bracket of width xtol/2; a trial point that is not strictly
+    inside its bracket is replaced by the midpoint.
 
     An element finishes when |g| <= ftol at an evaluated point (its
     bracket collapses onto that point), when its bracket is no wider than
@@ -536,6 +532,11 @@ def bracketed_root(
             x = np.where(stall, M, x)
         if half:
             x = np.clip(x, a + half, b - half)
+        # a point on an end of its bracket (regula falsi rounds onto an end
+        # whose g is at rounding level) would only repeat an evaluation
+        inside = (a < x) & (x < b)
+        if not inside.all():
+            x = np.where(inside, x, M)
         idx = slice(None) if pos.size == out.size else pos
         gx = np.asarray(g(x, idx), dtype=float).reshape(-1)
         low = gx < 0.0

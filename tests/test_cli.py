@@ -178,6 +178,51 @@ class TestSolve:
         t, *_ = read_solution_table(str(out / "solution.txt"))
         assert t.size == 41
 
+    def test_record_replays_flag_overrides(self, tmp_path):
+        cfg = write(tmp_path, QUADRATIC.format(n=500))
+        out = tmp_path / "run"
+        flags = ["--mesh-n", "40", "--tol-beta", "1e-11", "--damping", "0.75"]
+        assert main(["solve", cfg, "-o", str(out), *flags]) == 0
+        record = parse_config((out / "record.txt").read_text())
+        assert record.section("run.overrides") == {
+            "mesh-n": "40",
+            "tol-beta": format(1e-11, ".17g"),
+            "damping": "0.75",
+        }
+        assert record.section("config.mesh") == {"n": "40"}
+        assert record.section("config.iteration") == {
+            "tol_beta": format(1e-11, ".17g"),
+            "omega": "0.75",
+        }
+        # the echoed config alone reproduces the table
+        echo = "".join(
+            f"[{name[len('config.'):]}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs)
+            for name, pairs in record.sections
+            if name.startswith("config.")
+        )
+        replay_cfg = tmp_path / "replay.cfg"
+        replay_cfg.write_text(echo)
+        replay = tmp_path / "replay"
+        assert main(["solve", str(replay_cfg), "-o", str(replay)]) == 0
+        assert (replay / "solution.txt").read_bytes() == (out / "solution.txt").read_bytes()
+        assert parse_config((replay / "record.txt").read_text()).section("run.overrides") is None
+
+    def test_record_holds_the_verification(self, tmp_path):
+        text = QUADRATIC.format(n=200)
+        cfg = write(tmp_path, text)
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 0
+        record = parse_config((out / "record.txt").read_text())
+        config = cli.load_problem_config(parse_config(text))
+        expected = cli.solve(config.build_finite(), config.iteration).verification
+        section = record.section("solve.verification")
+        assert list(section) == [
+            "refine_factor", "boundary_defect", "integral_defect",
+            "residual_defect", "envelope_excess_x", "envelope_excess_xp",
+        ]
+        for name, value in section.items():
+            assert value == format(float(getattr(expected, name)), ".17g"), name
+
     def test_deterministic_tables(self, tmp_path):
         cfg = write(tmp_path, QUADRATIC.format(n=200))
         out1, out2 = tmp_path / "a", tmp_path / "b"

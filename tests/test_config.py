@@ -300,5 +300,11 @@ class TestAssembly:
         assert out.iteration.max_outer == 7
         # untouched values survive
         assert out.iteration.tol_beta == cfg.iteration.tol_beta
+        # the config text follows, so a record that echoes it replays
+        assert out.doc.section("mesh")["n"] == "64"
+        assert out.doc.section("iteration")["tol_fp"] == format(1e-5, ".17g")
+        assert out.doc.section("iteration")["max_outer"] == "7"
+        assert "tol_beta" not in out.doc.section("iteration")
+        assert load_problem_config(out.doc) == out
         untouched = with_overrides(cfg)
         assert untouched == cfg

@@ -187,6 +187,72 @@ def test_norm_values():
     assert norm(g, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
+def _gridfunction_norm(g, p):
+    # norm as it was computed through GridFunctions and integrate
+    if math.isinf(p):
+        return float(np.max(np.abs(g.values[~g.mesh.singular_mask()])))
+    ev = g.evaluator
+    powered = GridFunction(
+        g.mesh,
+        np.abs(g.values) ** p,
+        evaluator=(None if ev is None else (lambda t: np.abs(ev(t)) ** p)),
+    )
+    return float(integrate(powered) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+@pytest.mark.parametrize("with_evaluator", [False, True])
+def test_norm_matches_gridfunction_quadrature(p, with_evaluator):
+    fn = lambda t: np.sin(7.0 * t) / np.sqrt(t + 0.01) - 0.3
+    for mesh in (
+        Mesh.uniform(1.0, 101),
+        Mesh.graded(1.0, 256, [0.0], ratio=0.7, graded_cells=32),
+        Mesh.graded(2.0, 200, [0.7], ratio=0.6, graded_cells=8),
+    ):
+        g = GridFunction.from_callable(mesh, fn, keep_evaluator=with_evaluator)
+        assert norm(g, p) == _gridfunction_norm(g, p)
+        assert norm(g, NormSpec(p)) == _gridfunction_norm(g, p)
+
+
+def test_norm_rejects_an_overflowing_power():
+    mesh = Mesh.uniform(1.0, 4)
+    g = GridFunction(mesh, np.full(5, 1e200))
+    with pytest.raises(InvalidInputError):
+        norm(g, 2.0)
+    assert norm(g, 1.0) == pytest.approx(1e200)
+
+
+def test_mesh_geometry_is_cached_and_read_only():
+    for mesh in (
+        Mesh.uniform(1.0, 10, singular_points=[0.0]),
+        Mesh.graded(1.0, 64, [0.0, 0.5], ratio=0.7, graded_cells=8),
+    ):
+        expected = {
+            "widths": np.diff(mesh.nodes),
+            "midpoints": 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:]),
+            "mid_cells": np.nonzero(mesh.cell_rule == MIDPOINT)[0],
+            "singular_mask": np.isin(np.arange(mesh.nodes.size), mesh.singular_indices),
+        }
+        for name, value in expected.items():
+            first = getattr(mesh, name)
+            first = first() if callable(first) else first
+            again = getattr(mesh, name)
+            again = again() if callable(again) else again
+            assert again is first, name
+            assert not first.flags.writeable, name
+            np.testing.assert_array_equal(first, value)
+            with pytest.raises(ValueError):
+                first[:1] = first[:1]
+
+
+def test_refined_nodes_build_the_refined_mesh_in_blocks():
+    mesh = Mesh.graded(1.0, 64, [0.0], ratio=0.7, graded_cells=8)
+    fine = mesh.refine(4)
+    blocks = [mesh.refined_nodes(4, a, min(a + 5, 64)) for a in range(0, 64, 5)]
+    joined = np.concatenate([b[:-1] for b in blocks] + [blocks[-1][-1:]])
+    np.testing.assert_array_equal(joined, fine.nodes)
+
+
 def test_sup_norm_skips_singular_placeholder():
     mesh = Mesh.uniform(1.0, 4, singular_points=[0.0])
     g = GridFunction(mesh, np.array([1e29, 0.5, 0.25, 0.125, 0.0]))

@@ -17,7 +17,6 @@ from phibvp.operators import (
     PhiOperator,
     difference,
     find_branch,
-    image_of_branch,
     make_operator,
     mean_curvature,
     p_relativistic,
@@ -73,7 +72,7 @@ def test_perona_malik_branch_with_hint():
     br = find_branch(op, 0.3, hint=(-1.0, 1.0))
     assert br.increasing
     assert br.lo == -1.0 and br.hi == 1.0
-    assert image_of_branch(op, br) == (-0.5, 0.5)
+    assert (br.image_lo, br.image_hi) == (-0.5, 0.5)
 
 
 def test_perona_malik_branch_without_hint():
@@ -88,14 +87,14 @@ def test_perona_malik_decreasing_tail_branch():
     br = find_branch(op, 3.0)
     assert not br.increasing
     assert br.lo == 1.0 and br.hi == math.inf
-    assert image_of_branch(op, br) == (0.0, 0.5)
+    assert (br.image_lo, br.image_hi) == (0.0, 0.5)
 
 
 def test_sine_decreasing_branch():
     op = sine()
     br = find_branch(op, 3.0, hint=(math.pi / 2, 3 * math.pi / 2))
     assert not br.increasing
-    assert image_of_branch(op, br) == (-1.0, 1.0)
+    assert (br.image_lo, br.image_hi) == (-1.0, 1.0)
     s = partial_inverse(op, br, 0.5)
     assert s == pytest.approx(math.pi - math.asin(0.5), abs=1e-12)
 

@@ -1,6 +1,8 @@
-"""Smoke tests of the demo scripts: each runs to completion and its printed
-results agree with the closed forms it quotes."""
+"""Tests of the scripts: each demo runs to completion and its printed
+results agree with the closed forms it quotes; compare_outputs.py finds a
+tree identical to itself and reports differences."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -45,3 +47,46 @@ def test_threshold_sweep():
     assert len(flips) == 2, out
     for a, b, mid, closed in (tuple(map(float, f)) for f in flips):
         assert abs(mid - closed) <= b - a
+
+
+def _compare_outputs_module():
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "scripts" / "compare_outputs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_outputs_finds_the_tree_identical_to_itself(tmp_path):
+    src = str(ROOT / "src")
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), src, src,
+         "--variants", "0"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+        check=False,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "0 difference(s)"
+    for name in ("solve-bisect 0 out_difference/solution.txt", "sweep 0 out_sweep/sweep.txt",
+                 "halfline 0 out_halfline/interval_160.txt", "halfline 0 out_halfline/record.txt"):
+        assert f"{name}: identical" in done.stdout, done.stdout
+
+
+def test_compare_outputs_reports_differences():
+    cmp = _compare_outputs_module()
+    assert cmp.text_difference("t,x\n0,1.5\n", "t,x\n0,1.5\n") is None
+    assert cmp.text_difference("t,x\n0,1.5\n", "t,x\n0,1.25\n") == "max abs difference 2.500e-01"
+    assert cmp.text_difference("status converged", "status aborted") == "differs in text"
+    old = "[run]\ntimestamp = 2026-01-01T00:00:00\nexit_code = 0\n\n[solve]\nbeta = 1\n"
+    new = "[run]\ntimestamp = 2026-02-02T00:00:00\nexit_code = 0\n\n[solve]\nbeta = 1\n"
+    assert cmp.record_difference(old, new) is None
+    newer = new.replace("beta = 1", "beta = 2") + "\n[solve.verification]\nrefine_factor = 4\n"
+    assert cmp.record_difference(old, newer) == (
+        "[solve] beta: max abs difference 1.000e+00; [solve.verification] added"
+    )

@@ -1,7 +1,8 @@
 """Beta-equation oracles, g-map identities, and end-to-end solves."""
 
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,12 +26,15 @@ from phibvp import (
     zero_rhs,
 )
 from phibvp import solver as solver_mod
+from phibvp.grid import Mesh, cumulative_integral, forward_difference_residual
 from phibvp.problem import Rhs
 from phibvp.solver import (
     BETA_MAX_ITER,
+    VERIFY_BLOCK_CELLS,
     BetaEquation,
     IterationConfig,
     SolverKernel,
+    VerificationRecord,
     beta_solve,
     g_map,
     solve,
@@ -254,6 +258,35 @@ class TestBetaSolve:
                 for b, r_b in points
                 if r_a < 0.0 < r_b
             ), (beta, points, lo, hi)
+
+    @pytest.mark.parametrize(
+        "weight, nu2, a, w, b",
+        [
+            (constant_weight(1.0), -0.5, 0.5, 4.0, -0.2),
+            (constant_weight(1.0), 1.5, -0.25, 10.0, -0.1),
+            (one_plus_t_squared_weight(), 1.2, -0.15, 5.5, -0.3),
+        ],
+    )
+    def test_no_point_is_evaluated_twice(self, monkeypatch, weight, nu2, a, w, b):
+        # at an unreachable tolerance the bracket closes down to adjacent
+        # floats; a regula falsi point that rounds onto a bracket end must
+        # not be evaluated again (these equations repeated 42-69 points)
+        prob = make_problem(
+            make_operator("mean_curvature"), weight, zero_rhs(), 0.0, nu2, 1.0,
+            mesh_n=200,
+        )
+        t = prob.mesh.nodes
+        eq = BetaEquation.build(
+            SolverKernel(prob), prob.branch, GridFunction(prob.mesh, a * np.sin(w * t) + b * t)
+        )
+        calls = []
+        real_value = BetaEquation.value
+        monkeypatch.setattr(
+            BetaEquation, "value", lambda self, xi: calls.append(xi) or real_value(self, xi)
+        )
+        beta = eq.solve(1e-300)
+        assert beta in calls
+        assert len(calls) == len(set(calls))
 
     def test_affine_phi_cold_start_takes_one_evaluation(self, monkeypatch):
         # Phi(s) = s: Phi(s*_d) minus the 1/k-weighted mean of F is the root
@@ -594,6 +627,102 @@ class TestVerify:
         record = verify(report, _identity_problem(constant_rhs(2.0)))
         assert record.integral_defect <= 1e-10
         assert record.boundary_defect <= 1e-12
+
+    @staticmethod
+    def _monolithic_verify(report, problem, refine_factor):
+        # the whole refined mesh at once, as verify computed it before it
+        # walked the mesh in blocks
+        fine = problem.mesh.refine(refine_factor)
+        nodes = fine.nodes
+        singular = fine.singular_mask()
+        ns_coarse = ~problem.mesh.singular_mask()
+        x_f = report.x.interp(nodes)
+        xp_f = np.interp(
+            nodes, problem.mesh.nodes[ns_coarse], report.x_prime.values[ns_coarse]
+        )
+        boundary_defect = abs(float(x_f[-1]) - problem.nu2)
+        with np.errstate(all="ignore"):
+            F_vals = np.asarray(problem.rhs(nodes, x_f, xp_f), dtype=float)
+        if F_vals.shape == ():
+            F_vals = np.full(nodes.shape, float(F_vals))
+        F_vals = np.where(singular | ~np.isfinite(F_vals), 0.0, F_vals)
+        F_fine = GridFunction(fine, F_vals)
+        Fcum = cumulative_integral(F_fine)
+        u_fine = report.u.interp(nodes)
+        integral_defect = float(np.max(np.abs(u_fine - (report.beta + Fcum.values))))
+        residual_defect = forward_difference_residual(GridFunction(fine, u_fine), F_fine)
+        sc = report.scalars
+        box_lo = min(problem.nu1, sc.N1, sc.N2)
+        box_hi = max(problem.nu1, sc.N1, sc.N2)
+        ex_x = float(max(np.max(box_lo - x_f), np.max(x_f - box_hi), 0.0))
+        with np.errstate(all="ignore"):
+            ik = np.asarray(problem.weight.recip(nodes), dtype=float)
+        ok = np.isfinite(ik) & (ik > 0) & ~singular
+        ex_y = float(
+            max(
+                np.max(sc.slope_lo * ik[ok] - xp_f[ok]),
+                np.max(xp_f[ok] - sc.slope_hi * ik[ok]),
+                0.0,
+            )
+        )
+        return VerificationRecord(
+            refine_factor, boundary_defect, integral_defect, residual_defect, ex_x, ex_y
+        )
+
+    @staticmethod
+    def _verify_problems():
+        weave = Rhs(
+            fn=lambda t, x, y: 0.2 * np.sin(3.0 * t + x) - 0.1 * np.cos(y),
+            psi=lambda t: np.full_like(np.asarray(t, dtype=float), 0.3),
+            name="weave",
+        )
+        phi = make_operator("r_laplacian", r=2.0)
+        return {
+            "uniform": make_problem(phi, constant_weight(1.0), weave, 0.0, 0.3, 1.0, mesh_n=50),
+            "one_plus_t_squared": make_problem(
+                phi, one_plus_t_squared_weight(), weave, 0.0, 0.3, 1.0, mesh_n=500
+            ),
+            # graded toward the singular node t = 0, midpoint-rule cells
+            "sqrt_t": make_problem(phi, sqrt_t_weight(), weave, 0.0, 0.3, 1.0, mesh_n=80),
+            # an interior singular node, with graded blocks on both sides
+            "interior_singular": make_problem(
+                phi, constant_weight(1.0), weave, 0.0, 0.3, 1.0,
+                mesh=Mesh.graded(1.0, 60, [0.5], graded_cells=6),
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["uniform", "one_plus_t_squared", "sqrt_t", "interior_singular"]
+    )
+    def test_blocked_verify_is_the_monolithic_one(self, monkeypatch, name):
+        prob = self._verify_problems()[name]
+        report = solve(prob)
+        i_sing = prob.mesh.singular_indices
+        blocks = [3, 7, VERIFY_BLOCK_CELLS] + [i for i in i_sing if i > 0]
+        for refine_factor in (1, 4):
+            expected = self._monolithic_verify(report, prob, refine_factor)
+            for cells in blocks:
+                monkeypatch.setattr(solver_mod, "VERIFY_BLOCK_CELLS", cells)
+                got = verify(report, prob, refine_factor=refine_factor)
+                for field in fields(VerificationRecord):
+                    assert getattr(got, field.name) == getattr(expected, field.name), (
+                        name, refine_factor, cells, field.name,
+                    )
+
+    def test_verify_memory_does_not_grow_with_the_mesh(self):
+        # 32000 cells: the refined mesh has 128001 nodes, about 1 MiB per
+        # array; built in one piece the verification took about 12 MiB
+        prob = _identity_problem(constant_rhs(2.0), n=32000)
+        report = solve(prob)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            verify(report, prob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 3 * 2**20
 
 
 class TestIterationConfig:
