@@ -28,7 +28,6 @@ from .grid import (
     SENTINEL,
     GridFunction,
     Mesh,
-    NormSpec,
     cumulative_integral,
     forward_difference_residual,
     integrate,
@@ -61,7 +60,6 @@ from .problem import (
     one_plus_t_squared_weight,
     oriented_problem,
     sqrt_t_weight,
-    truncate,
     zero_rhs,
 )
 from .solver import (

@@ -40,9 +40,9 @@ from .problem import (
     default_mesh,
     make_problem,
     make_weight,
+    recip_weight_grid,
     zero_rhs,
 )
-from .grid import GridFunction, integrate
 from .solver import IterationConfig
 
 CHECK_KINDS = (
@@ -170,9 +170,6 @@ class _Section:
         self.name = name
         self.pairs = doc.section(name) or {}
         self.seen: set[str] = set()
-
-    def __bool__(self) -> bool:
-        return doc_has_section(self.doc, self.name)
 
     def error(self, key: str, message: str) -> ConfigError:
         line, col = self.doc.position(self.name, key)
@@ -412,7 +409,10 @@ class ProblemConfig:
             ratio=self.mesh_ratio,
             graded_cells=self.graded_cells,
         )
-        k1 = _quadrature_k1(weight, mesh)
+        try:
+            k1 = recip_weight_grid(weight, mesh)[1]
+        except PhibvpError as exc:
+            raise ConfigError(f"[weight] {exc}") from exc
         s_star = (nu2 - self.nu1) / k1
         rhs = self._build_rhs(s_star)
         try:
@@ -505,20 +505,6 @@ class ProblemConfig:
         if kind == "halfline-odd":
             return check_halfline_odd(built, lattice=self.lattice)
         raise ConfigError(f"[check] unknown kind {kind!r}")
-
-
-def _quadrature_k1(weight: Weight, mesh) -> float:
-    """||1/k||_L1 on the mesh, the same quadrature the solver reports."""
-    g = GridFunction.from_callable(mesh, weight.recip, fill=0.0)
-    vals = g.values[~mesh.singular_mask()]
-    if np.any(~np.isfinite(vals) | (vals <= 0.0)):
-        raise ConfigError(
-            "[weight] k must be positive and finite at every non-singular node"
-        )
-    k1 = float(integrate(g))
-    if not (k1 > 0.0 and math.isfinite(k1)):
-        raise ConfigError("[weight] the L1 norm of 1/k is not positive and finite")
-    return k1
 
 
 def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
@@ -619,22 +605,28 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
     acceleration = it.raw("acceleration", base.acceleration)
     if acceleration not in ("secant", "none"):
         raise it.error("acceleration", f"expected secant or none, got {acceleration!r}")
-    iteration = IterationConfig(
-        omega=it.get_float("omega", base.omega),
-        max_outer=it.get_int("max_outer", base.max_outer),
-        tol_fp=it.get_float("tol_fp", base.tol_fp),
-        tol_beta=it.get_float("tol_beta", base.tol_beta),
-        acceleration=acceleration,
-        window=it.get_int("window", base.window),
-        stagnation=it.get_int("stagnation", base.stagnation),
-        min_omega=it.get_float("min_omega", base.min_omega),
-        verify_refine=it.get_int("verify_refine", base.verify_refine),
-    )
+    try:
+        iteration = IterationConfig(
+            omega=it.get_float("omega", base.omega),
+            max_outer=it.get_int("max_outer", base.max_outer),
+            tol_fp=it.get_float("tol_fp", base.tol_fp),
+            tol_beta=it.get_float("tol_beta", base.tol_beta),
+            acceleration=acceleration,
+            window=it.get_int("window", base.window),
+            stagnation=it.get_int("stagnation", base.stagnation),
+            min_omega=it.get_float("min_omega", base.min_omega),
+            verify_refine=it.get_int("verify_refine", base.verify_refine),
+        )
+    except InvalidInputError as exc:
+        raise ConfigError(f"[iteration] {exc}") from None
 
     chk = _Section(doc, "check")
     check_kind = chk.raw("kind", "auto")
     if check_kind not in CHECK_KINDS:
         raise chk.error("kind", f"expected one of {', '.join(CHECK_KINDS)}")
+    if check_kind != "auto" and check_kind.startswith("halfline") != halfline:
+        needs = "halfline = true" if check_kind.startswith("halfline") else "a finite T"
+        raise chk.error("kind", f"{check_kind} needs {needs}")
     lattice_raw = chk.get_floats("lattice", (50.0, 20.0, 20.0))
     if len(lattice_raw) != 3 or any(v != int(v) or v < 2 for v in lattice_raw):
         raise chk.error("lattice", "expected three integers, each at least 2")
@@ -721,23 +713,23 @@ def with_overrides(
     a run record that echoes it replays the run.
     """
     it = cfg.iteration
-    it = replace(
-        it,
-        tol_fp=tol_fp if tol_fp is not None else it.tol_fp,
-        tol_beta=tol_beta if tol_beta is not None else it.tol_beta,
-        omega=damping if damping is not None else it.omega,
-        max_outer=max_iters if max_iters is not None else it.max_outer,
-    )
     doc = cfg.doc
-    for section, key, value in (
-        ("mesh", "n", mesh_n),
-        ("iteration", "tol_fp", tol_fp),
-        ("iteration", "tol_beta", tol_beta),
-        ("iteration", "omega", damping),
-        ("iteration", "max_outer", max_iters),
+    for flag, section, key, value in (
+        ("--mesh-n", "mesh", "n", mesh_n),
+        ("--tol-fp", "iteration", "tol_fp", tol_fp),
+        ("--tol-beta", "iteration", "tol_beta", tol_beta),
+        ("--damping", "iteration", "omega", damping),
+        ("--max-iters", "iteration", "max_outer", max_iters),
     ):
-        if value is not None:
-            doc = doc.with_value(section, key, format(value, ".17g"))
+        if value is None:
+            continue
+        if section == "iteration":
+            # one flag at a time on a valid config: a failure is this flag's
+            try:
+                it = replace(it, **{key: value})
+            except InvalidInputError as exc:
+                raise ConfigError(f"{flag} {value!r}: {exc}") from None
+        doc = doc.with_value(section, key, format(value, ".17g"))
     return replace(
         cfg,
         mesh_n=mesh_n if mesh_n is not None else cfg.mesh_n,

@@ -391,25 +391,15 @@ def integrate(g: GridFunction) -> float:
     return float(cumulative_integral(g).values[-1])
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Which norm to take: a finite exponent p >= 1 or math.inf for sup."""
-
-    p: float = 1.0
-
-    def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise InvalidInputError("norm exponent must satisfy p >= 1")
-
-
-def norm(g: GridFunction, spec: NormSpec | float = 1.0) -> float:
-    """L^p norm via the mesh quadrature, or the nodal sup for p = inf.
+def norm(g: GridFunction, p: float = 1.0) -> float:
+    """L^p norm, p >= 1, via the mesh quadrature, or the nodal sup for p = inf.
 
     Flagged singular nodes never contribute: the sup skips them and the
     quadrature cells around them use midpoint sampling.
     """
-    p = spec.p if isinstance(spec, NormSpec) else float(NormSpec(spec).p)
-    return lp_norm(g.mesh, g.values, p, g.evaluator)
+    if not (p >= 1.0):
+        raise InvalidInputError("norm exponent must satisfy p >= 1")
+    return lp_norm(g.mesh, g.values, float(p), g.evaluator)
 
 
 def lp_norm(mesh: Mesh, values: np.ndarray, p: float, evaluator=None) -> float:
@@ -441,12 +431,8 @@ def forward_difference_residual(u: GridFunction, rhs: GridFunction) -> float:
     slope = np.diff(u.values) / h
     midrhs = 0.5 * (rhs.values[:-1] + rhs.values[1:])
     defect = np.abs(slope - midrhs)
-    keep = np.ones(defect.size, dtype=bool)
-    for i in mesh.singular_indices:
-        if i > 0:
-            keep[i - 1] = False
-        if i < defect.size:
-            keep[i] = False
+    singular = mesh.singular_mask()
+    keep = ~(singular[:-1] | singular[1:])
     if not np.any(keep):
         raise InvalidInputError("no admissible cells for the residual")
     return float(np.max(defect[keep]))

@@ -18,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, PhibvpError
-from .grid import GridFunction, integrate
-from .operators import MonotoneBranch, PhiOperator, partial_inverse
-from .problem import BvpProblem, Rhs, Weight, default_mesh
+from .grid import GridFunction
+from .operators import MonotoneBranch, PhiOperator
+from .problem import BvpProblem, Rhs, Weight, default_mesh, recip_weight_grid, slope_box
 from .solver import IterationConfig, SolveReport, solve
 
 # Numeric half-line integrals stop here; the last decade is reported as a
@@ -60,8 +60,7 @@ def k_mass_upto(weight: Weight, t: float, cells: int = 4000) -> float:
         val = float(K(float(t))) - float(K(0.0))
         if math.isfinite(val):
             return val
-    mesh = default_mesh(weight, float(t), n=cells)
-    return float(integrate(GridFunction.from_callable(mesh, weight.recip, fill=0.0)))
+    return recip_weight_grid(weight, default_mesh(weight, float(t), n=cells))[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,12 +200,10 @@ def _uniform_bounds(
     if not hp.branch.contains(s_inf):
         return None
     try:
-        phi_s = float(hp.phi.fn(s_inf))
-        a = partial_inverse(hp.phi, hp.branch, phi_s - 2.0 * ell_inf)
-        b = partial_inverse(hp.phi, hp.branch, phi_s + 2.0 * ell_inf)
+        a, b = slope_box(hp.phi, hp.branch, float(hp.phi.fn(s_inf)), ell_inf)
     except PhibvpError:
         return None
-    lo, hi = (a, b) if a <= b else (b, a)
+    lo, hi = sorted((a, b))
     return lo, hi, k_inf * (abs(a) + abs(b))
 
 

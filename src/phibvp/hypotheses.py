@@ -20,10 +20,10 @@ from .errors import (
     InvalidInputError,
     WrongCorollaryError,
 )
-from .grid import GridFunction, NormSpec, integrate, norm
+from .grid import GridFunction, integrate, norm
 from .halfline import HalflineProblem, k_mass_upto, psi_mass, recip_mass
 from .operators import partial_inverse
-from .problem import BvpProblem, Rhs, derive_scalars, recip_weight_grid
+from .problem import BvpProblem, Rhs, derive_scalars, recip_weight_grid, slope_box
 
 PASS = "pass"
 FAIL = "fail"
@@ -143,6 +143,33 @@ def _margin_item(
     )
 
 
+def _slope_items(
+    problem: BvpProblem, recip_detail: str
+) -> tuple[list[CheckItem], float, float, bool]:
+    """The recip-norm and slope-in-branch items, then k1, s* and whether
+    s* lies inside the branch."""
+    branch = problem.branch
+    invk, k1 = recip_weight_grid(problem.weight, problem.mesh)
+    kp = float(norm(invk, problem.p))
+    kappa_ok = math.isfinite(kp)
+    s_star = (problem.nu2 - problem.nu1) / k1 if kappa_ok else math.nan
+    slope_ok = kappa_ok and branch.contains(s_star)
+    items = [
+        CheckItem(
+            "recip-norm",
+            PASS if kappa_ok else FAIL,
+            _q(k1=k1, kp=kp, p=problem.p),
+            detail=recip_detail,
+        ),
+        CheckItem(
+            "slope-in-branch",
+            PASS if slope_ok else FAIL,
+            _q(s_star=s_star, branch_lo=branch.lo, branch_hi=branch.hi),
+        ),
+    ]
+    return items, k1, s_star, slope_ok
+
+
 def _finite_interval_items(
     problem: BvpProblem,
     lattice: tuple[int, int, int],
@@ -150,29 +177,8 @@ def _finite_interval_items(
 ) -> list[CheckItem]:
     nt, nx, ny = lattice
     branch = problem.branch
-    items: list[CheckItem] = []
-
-    invk = recip_weight_grid(problem)
-    k1 = float(integrate(invk))
-    kp = float(norm(invk, NormSpec(problem.p)))
-    kappa_ok = math.isfinite(k1) and math.isfinite(kp) and k1 > 0.0
-    items.append(
-        CheckItem(
-            "recip-norm",
-            PASS if kappa_ok else FAIL,
-            _q(k1=k1, kp=kp, p=problem.p),
-            detail="1/k must have finite L1 and Lp norms on [0, T]",
-        )
-    )
-
-    s_star = (problem.nu2 - problem.nu1) / k1 if kappa_ok else math.nan
-    slope_ok = kappa_ok and branch.contains(s_star)
-    items.append(
-        CheckItem(
-            "slope-in-branch",
-            PASS if slope_ok else FAIL,
-            _q(s_star=s_star, branch_lo=branch.lo, branch_hi=branch.hi),
-        )
+    items, _, s_star, slope_ok = _slope_items(
+        problem, "1/k must have finite L1 and Lp norms on [0, T]"
     )
 
     psi_grid = GridFunction.from_callable(problem.mesh, problem.rhs.psi_at, fill=0.0)
@@ -319,28 +325,7 @@ def check_corollary_singular(
         raise WrongCorollaryError(
             "bounded-domain shortcut needs the branch image to be all of R"
         )
-    items: list[CheckItem] = []
-
-    invk = recip_weight_grid(problem)
-    k1 = float(integrate(invk))
-    kp = float(norm(invk, NormSpec(problem.p)))
-    kappa_ok = math.isfinite(k1) and math.isfinite(kp) and k1 > 0.0
-    items.append(
-        CheckItem(
-            "recip-norm",
-            PASS if kappa_ok else FAIL,
-            _q(k1=k1, kp=kp, p=problem.p),
-        )
-    )
-    s_star = (problem.nu2 - problem.nu1) / k1 if kappa_ok else math.nan
-    slope_ok = kappa_ok and branch.contains(s_star)
-    items.append(
-        CheckItem(
-            "slope-in-branch",
-            PASS if slope_ok else FAIL,
-            _q(s_star=s_star, branch_lo=branch.lo, branch_hi=branch.hi),
-        )
-    )
+    items, k1, _, slope_ok = _slope_items(problem, "")
     if not slope_ok:
         items.append(
             CheckItem(
@@ -488,6 +473,21 @@ def _mass_item(name: str, value: float, tail: float, detail: str) -> CheckItem:
     return CheckItem(name, PASS if ok else FAIL, _q(mass=value, tail_estimate=tail), detail)
 
 
+def _mass_items(hp: HalflineProblem) -> tuple[list[CheckItem], float, float]:
+    """The recip-integrable and psi-integrable items, then k_inf and ell_inf."""
+    k_inf, k_tail = recip_mass(hp)
+    ell_inf, psi_tail = psi_mass(hp)
+    items = [
+        _mass_item(
+            "recip-integrable", k_inf, k_tail, "1/k must be integrable on the half-line"
+        ),
+        _mass_item(
+            "psi-integrable", ell_inf, psi_tail, "psi must be integrable on the half-line"
+        ),
+    ]
+    return items, k_inf, ell_inf
+
+
 def _halfline_t_lattice(nt: int) -> np.ndarray:
     head = np.linspace(0.0, 10.0, nt - nt // 2)
     tail = np.geomspace(10.0, 1.0e4, nt // 2 + 1)[1:]
@@ -513,23 +513,7 @@ def check_halfline(
         raise InvalidInputError("delta must be positive")
     nt, nx, ny = lattice
     branch = hp.branch
-    items: list[CheckItem] = []
-
-    k_inf, k_tail = recip_mass(hp)
-    items.append(
-        _mass_item(
-            "recip-integrable",
-            k_inf,
-            k_tail,
-            "1/k must be integrable on the half-line",
-        )
-    )
-    ell_inf, psi_tail = psi_mass(hp)
-    items.append(
-        _mass_item(
-            "psi-integrable", ell_inf, psi_tail, "psi must be integrable on the half-line"
-        )
-    )
+    items, k_inf, ell_inf = _mass_items(hp)
     k_ok = items[0].verdict == PASS
 
     s_inf = (hp.nu2 - hp.nu1) / k_inf if k_ok else math.nan
@@ -629,9 +613,7 @@ def check_halfline(
         )
         return HypothesisReport("thm_halfline", tuple(items), _overall(items))
 
-    a = partial_inverse(hp.phi, branch, phi_s - 2.0 * ell_inf)
-    b = partial_inverse(hp.phi, branch, phi_s + 2.0 * ell_inf)
-    slope_lo, slope_hi = (a, b) if a <= b else (b, a)
+    slope_lo, slope_hi = sorted(slope_box(hp.phi, branch, phi_s, ell_inf))
     x_lo = min(hp.nu1, hp.nu1 + k_inf * slope_lo)
     x_hi = max(hp.nu1, hp.nu1 + k_inf * slope_hi)
     t_vals = _halfline_t_lattice(nt)
@@ -670,23 +652,7 @@ def check_halfline_odd(
             "odd-operator shortcut requires the symmetric increasing branch"
         )
     nt, nx, ny = lattice
-    items: list[CheckItem] = []
-
-    k_inf, k_tail = recip_mass(hp)
-    items.append(
-        _mass_item(
-            "recip-integrable",
-            k_inf,
-            k_tail,
-            "1/k must be integrable on the half-line",
-        )
-    )
-    ell_inf, psi_tail = psi_mass(hp)
-    items.append(
-        _mass_item(
-            "psi-integrable", ell_inf, psi_tail, "psi must be integrable on the half-line"
-        )
-    )
+    items, k_inf, ell_inf = _mass_items(hp)
 
     witness = None
     last_quantities: tuple[tuple[str, float], ...] = ()

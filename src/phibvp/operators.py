@@ -39,20 +39,11 @@ INVERSE_TABLE_SIZE = 33
 
 
 @dataclass(frozen=True)
-class MonotonePiece:
-    """Maximal interval of strict monotonicity known analytically."""
-
-    lo: float
-    hi: float
-    increasing: bool
-    image_lo: float
-    image_hi: float
-    inverse: Callable | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class MonotoneBranch:
-    """Certified strictly monotone interval with its oriented image."""
+    """Certified strictly monotone interval with its oriented image.
+
+    A catalog operator's analytic pieces of monotonicity are branches too.
+    """
 
     lo: float
     hi: float
@@ -79,7 +70,7 @@ class PhiOperator:
     fn: Callable = field(repr=False)
     domain: tuple[float, float] = (-math.inf, math.inf)
     odd: bool = False
-    piece_at: Callable[[float], MonotonePiece | None] | None = field(
+    piece_at: Callable[[float], MonotoneBranch | None] | None = field(
         default=None, repr=False
     )
     params: tuple[tuple[str, float], ...] = ()
@@ -92,7 +83,7 @@ class PhiOperator:
 # -- catalog -----------------------------------------------------------------
 
 
-def _selftest_inverse(fn: Callable, piece: MonotonePiece, name: str) -> None:
+def _selftest_inverse(fn: Callable, piece: MonotoneBranch, name: str) -> None:
     a = max(piece.lo, -1e6)
     b = min(piece.hi, 1e6)
     ss = a + (b - a) * np.linspace(0.02, 0.98, 17)
@@ -104,8 +95,8 @@ def _selftest_inverse(fn: Callable, piece: MonotonePiece, name: str) -> None:
         raise InvalidInputError(f"analytic inverse self-test failed for {name}")
 
 
-def _static_pieces(pieces: tuple[MonotonePiece, ...]) -> Callable:
-    def piece_at(s: float) -> MonotonePiece | None:
+def _static_pieces(pieces: tuple[MonotoneBranch, ...]) -> Callable:
+    def piece_at(s: float) -> MonotoneBranch | None:
         for p in pieces:
             if p.lo <= s <= p.hi:
                 return p
@@ -126,7 +117,7 @@ def r_laplacian(r: float = 2.0) -> PhiOperator:
     def inv(y):
         return np.sign(y) * np.abs(y) ** (1.0 / e)
 
-    piece = MonotonePiece(-math.inf, math.inf, True, -math.inf, math.inf, inv)
+    piece = MonotoneBranch(-math.inf, math.inf, True, -math.inf, math.inf, inv)
     _selftest_inverse(fn, piece, "r_laplacian")
     return PhiOperator(
         "r_laplacian",
@@ -146,7 +137,7 @@ def mean_curvature() -> PhiOperator:
     def inv(y):
         return y / np.sqrt(1.0 - y * y)
 
-    piece = MonotonePiece(-math.inf, math.inf, True, -1.0, 1.0, inv)
+    piece = MonotoneBranch(-math.inf, math.inf, True, -1.0, 1.0, inv)
     _selftest_inverse(fn, piece, "mean_curvature")
     return PhiOperator("mean_curvature", fn, odd=True, piece_at=_static_pieces((piece,)))
 
@@ -160,7 +151,7 @@ def relativistic() -> PhiOperator:
     def inv(y):
         return y / np.hypot(1.0, y)
 
-    piece = MonotonePiece(-1.0, 1.0, True, -math.inf, math.inf, inv)
+    piece = MonotoneBranch(-1.0, 1.0, True, -math.inf, math.inf, inv)
     _selftest_inverse(fn, piece, "relativistic")
     return PhiOperator(
         "relativistic", fn, domain=(-1.0, 1.0), odd=True, piece_at=_static_pieces((piece,))
@@ -183,7 +174,7 @@ def p_relativistic(p: float = 2.0) -> PhiOperator:
             w = 1.0 / (1.0 + a ** (-p / (p - 1.0)))
         return np.sign(y) * w ** (1.0 / p)
 
-    piece = MonotonePiece(-1.0, 1.0, True, -math.inf, math.inf, inv)
+    piece = MonotoneBranch(-1.0, 1.0, True, -math.inf, math.inf, inv)
     _selftest_inverse(fn, piece, "p_relativistic")
     return PhiOperator(
         "p_relativistic",
@@ -208,12 +199,12 @@ def perona_malik() -> PhiOperator:
     def inv_outer(y):
         return (1.0 + np.sqrt(1.0 - 4.0 * y * y)) / (2.0 * y)
 
-    mid = MonotonePiece(-1.0, 1.0, True, -0.5, 0.5, inv_mid)
-    right = MonotonePiece(1.0, math.inf, False, 0.0, 0.5, inv_outer)
-    left = MonotonePiece(-math.inf, -1.0, False, -0.5, 0.0, inv_outer)
+    mid = MonotoneBranch(-1.0, 1.0, True, -0.5, 0.5, inv_mid)
+    right = MonotoneBranch(1.0, math.inf, False, 0.0, 0.5, inv_outer)
+    left = MonotoneBranch(-math.inf, -1.0, False, -0.5, 0.0, inv_outer)
     _selftest_inverse(fn, mid, "perona_malik")
 
-    def piece_at(s: float) -> MonotonePiece | None:
+    def piece_at(s: float) -> MonotoneBranch | None:
         if -1.0 <= s <= 1.0:
             return mid
         return right if s > 1.0 else left
@@ -224,7 +215,7 @@ def perona_malik() -> PhiOperator:
 def sine() -> PhiOperator:
     """Phi(s) = sin s: monotone on each ((m-1/2)pi, (m+1/2)pi)."""
 
-    def piece_at(s: float) -> MonotonePiece | None:
+    def piece_at(s: float) -> MonotoneBranch | None:
         m = math.floor(s / math.pi + 0.5)
         lo = (m - 0.5) * math.pi
         hi = (m + 0.5) * math.pi
@@ -235,7 +226,7 @@ def sine() -> PhiOperator:
         def inv(y, shift=shift, sign=sign):
             return shift + sign * np.arcsin(y)
 
-        piece = MonotonePiece(lo, hi, increasing, -1.0, 1.0, inv)
+        piece = MonotoneBranch(lo, hi, increasing, -1.0, 1.0, inv)
         return piece
 
     op = PhiOperator("sine", np.sin, odd=True, piece_at=piece_at)
@@ -260,15 +251,15 @@ def difference(alpha: float, beta: float) -> PhiOperator:
     f_c = float(fn(np.asarray(s_c)))
     outer_increasing = alpha > beta  # outer pieces follow the larger exponent
     if outer_increasing:
-        mid = MonotonePiece(-s_c, s_c, False, f_c, -f_c)
-        right = MonotonePiece(s_c, math.inf, True, f_c, math.inf)
-        left = MonotonePiece(-math.inf, -s_c, True, -math.inf, -f_c)
+        mid = MonotoneBranch(-s_c, s_c, False, f_c, -f_c)
+        right = MonotoneBranch(s_c, math.inf, True, f_c, math.inf)
+        left = MonotoneBranch(-math.inf, -s_c, True, -math.inf, -f_c)
     else:
-        mid = MonotonePiece(-s_c, s_c, True, -f_c, f_c)
-        right = MonotonePiece(s_c, math.inf, False, -math.inf, f_c)
-        left = MonotonePiece(-math.inf, -s_c, False, -f_c, math.inf)
+        mid = MonotoneBranch(-s_c, s_c, True, -f_c, f_c)
+        right = MonotoneBranch(s_c, math.inf, False, -math.inf, f_c)
+        left = MonotoneBranch(-math.inf, -s_c, False, -f_c, math.inf)
 
-    def piece_at(s: float) -> MonotonePiece | None:
+    def piece_at(s: float) -> MonotoneBranch | None:
         if -s_c <= s <= s_c:
             return mid
         return right if s > s_c else left
@@ -392,11 +383,8 @@ def find_branch(
 
     if phi.piece_at is not None:
         piece = phi.piece_at(s_star)
-        if piece is not None and piece.lo < s_star < piece.hi:
-            return MonotoneBranch(
-                piece.lo, piece.hi, piece.increasing,
-                piece.image_lo, piece.image_hi, piece.inverse,
-            )
+        if piece is not None and piece.contains(s_star):
+            return piece
         raise BranchNotFoundError(
             f"no strictly monotone piece has {s_star!r} in its interior"
         )

@@ -195,25 +195,25 @@ def make_problem(
     if mesh is None:
         mesh = default_mesh(weight, T, n=mesh_n, ratio=ratio, graded_cells=graded_cells)
     if branch is None:
-        k1 = _k1_for(weight, mesh)
-        s_star = (nu2 - nu1) / k1
+        s_star = (nu2 - nu1) / recip_weight_grid(weight, mesh)[1]
         branch = find_branch(phi, s_star, hint=branch_hint)
     return BvpProblem(phi, branch, weight, rhs, nu1, nu2, T, p=p, mesh=mesh)
 
 
-def recip_weight_grid(problem: BvpProblem) -> GridFunction:
-    """1/k as a grid function; singular nodes hold a placeholder zero."""
-    g = GridFunction.from_callable(problem.mesh, problem.weight.recip, fill=0.0)
-    mask = ~problem.mesh.singular_mask()
-    vals = g.values[mask]
-    if np.any(vals <= 0.0):
-        raise InvalidInputError("weight must be positive away from singular points")
-    return g
+def recip_weight_grid(weight: Weight, mesh: Mesh) -> tuple[GridFunction, float]:
+    """1/k on the mesh and its quadrature k1 = ||1/k||_L1 over [0, T].
 
-
-def _k1_for(weight: Weight, mesh: Mesh) -> float:
+    Singular nodes hold a placeholder zero.  Everywhere else 1/k must be
+    positive and finite, and so must k1: every k1 the package computes
+    comes from here.
+    """
     g = GridFunction.from_callable(mesh, weight.recip, fill=0.0)
-    return integrate(g)
+    if np.any(g.values[~mesh.singular_mask()] <= 0.0):
+        raise InvalidInputError("weight must be positive away from singular points")
+    k1 = integrate(g)
+    if not (k1 > 0.0 and math.isfinite(k1)):
+        raise InvalidInputError("the L1 norm of 1/k is not positive and finite")
+    return g, k1
 
 
 @dataclass(frozen=True)
@@ -245,9 +245,7 @@ def derive_scalars(
     exact antiderivative; the solver needs that so its envelopes agree
     with its own quadrature to rounding accuracy.
     """
-    mesh = problem.mesh
-    invk = recip_weight_grid(problem)
-    k1_quad = integrate(invk)
+    invk, k1_quad = recip_weight_grid(problem.weight, problem.mesh)
     k1 = k1_quad
     K = problem.weight.recip_antiderivative
     if K is not None:
@@ -269,20 +267,13 @@ def derive_scalars(
             f"({problem.branch.lo}, {problem.branch.hi})"
         )
 
-    psi = GridFunction.from_callable(mesh, problem.rhs.psi_at, fill=0.0)
+    psi = GridFunction.from_callable(problem.mesh, problem.rhs.psi_at, fill=0.0)
     if np.any(psi.values < 0.0):
         raise InvalidInputError("psi must be nonnegative")
     L = integrate(psi)
 
     phi_s = float(problem.phi(s_star))
-    b1, b2 = problem.branch.image_lo, problem.branch.image_hi
-    if not (b1 < phi_s - 2.0 * L and phi_s + 2.0 * L < b2):
-        raise CompatibilityError(
-            f"Phi(s*) +- 2L = {phi_s!r} +- {2.0 * L!r} leaves the branch image "
-            f"({b1!r}, {b2!r})"
-        )
-    A_star = partial_inverse(problem.phi, problem.branch, phi_s - 2.0 * L)
-    B_star = partial_inverse(problem.phi, problem.branch, phi_s + 2.0 * L)
+    A_star, B_star = slope_box(problem.phi, problem.branch, phi_s, L)
     slope_lo, slope_hi = sorted((A_star, B_star))
     N1 = problem.nu1 + k1 * slope_lo
     N2 = problem.nu1 + k1 * slope_hi
@@ -299,6 +290,26 @@ def derive_scalars(
         slope_hi=slope_hi,
         N1=N1,
         N2=N2,
+    )
+
+
+def slope_box(
+    phi: PhiOperator, branch: MonotoneBranch, phi_s: float, L: float
+) -> tuple[float, float]:
+    """Phi^{-1}(Phi(s*) - 2L) and Phi^{-1}(Phi(s*) + 2L) on the branch.
+
+    phi_s is Phi(s*), evaluated by the caller.  Raises CompatibilityError
+    when Phi(s*) +- 2L leaves the branch image.
+    """
+    b1, b2 = branch.image_lo, branch.image_hi
+    if not (b1 < phi_s - 2.0 * L and phi_s + 2.0 * L < b2):
+        raise CompatibilityError(
+            f"Phi(s*) +- 2L = {phi_s!r} +- {2.0 * L!r} leaves the branch image "
+            f"({b1!r}, {b2!r})"
+        )
+    return (
+        partial_inverse(phi, branch, phi_s - 2.0 * L),
+        partial_inverse(phi, branch, phi_s + 2.0 * L),
     )
 
 
@@ -328,15 +339,6 @@ def envelopes(problem: BvpProblem, scalars: DerivedScalars) -> Envelopes:
         N1=scalars.N1,
         N2=scalars.N2,
     )
-
-
-def truncate(values, lo, hi):
-    """Componentwise clamp of values into [lo, hi]."""
-    lo_arr = np.asarray(lo, dtype=float)
-    hi_arr = np.asarray(hi, dtype=float)
-    if np.any(lo_arr > hi_arr):
-        raise EnvelopeError("truncation bounds are inverted")
-    return np.clip(np.asarray(values, dtype=float), lo_arr, hi_arr)
 
 
 def oriented_problem(problem: BvpProblem) -> tuple[BvpProblem, bool]:

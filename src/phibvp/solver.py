@@ -95,22 +95,26 @@ class IterationConfig:
     verify_refine: int = 4
 
     def __post_init__(self):
+        # each message starts with the field name, which is also the
+        # [iteration] config key
         if not (0.0 < self.omega <= 1.0):
-            raise InvalidInputError("damping omega must lie in (0, 1]")
+            raise InvalidInputError("omega (damping) must lie in (0, 1]")
         if self.max_outer < 1:
             raise InvalidInputError("max_outer must be at least 1")
-        if not (self.tol_fp > 0 and self.tol_beta > 0):
-            raise InvalidInputError("tolerances must be positive")
+        if not self.tol_fp > 0:
+            raise InvalidInputError("tol_fp must be positive")
+        if not self.tol_beta > 0:
+            raise InvalidInputError("tol_beta must be positive")
         if self.acceleration not in ("none", "secant"):
             raise InvalidInputError("acceleration must be 'none' or 'secant'")
         if self.window < 1:
-            raise InvalidInputError("acceleration window must be >= 1")
+            raise InvalidInputError("window must be at least 1")
         if self.stagnation < 1:
-            raise InvalidInputError("stagnation patience must be >= 1")
+            raise InvalidInputError("stagnation must be at least 1")
         if not (0.0 < self.min_omega <= self.omega):
             raise InvalidInputError("min_omega must lie in (0, omega]")
         if self.verify_refine < 1:
-            raise InvalidInputError("verify_refine must be >= 1")
+            raise InvalidInputError("verify_refine must be at least 1")
 
 
 class SolverKernel:
@@ -125,7 +129,7 @@ class SolverKernel:
         self.problem = problem
         mesh = problem.mesh
         self.mesh = mesh
-        invk = recip_weight_grid(problem)
+        invk, self.k1_quad = recip_weight_grid(problem.weight, mesh)
         self.ik_n = invk.values
         self.t_mid = mesh.midpoints[mesh.mid_cells]
         with np.errstate(all="ignore"):
@@ -136,9 +140,6 @@ class SolverKernel:
             raise InvalidInputError("1/k must be positive and finite at midpoints")
         self.singular = mesh.singular_mask()
         self.recip_cumulative = running_integral(mesh, self.ik_n, self.ik_mid)
-        self.k1_quad = float(self.recip_cumulative[-1])
-        if not (self.k1_quad > 0):
-            raise InvalidInputError("quadrature of 1/k must be positive")
         self.psi_n = _psi_nodes(problem, mesh.nodes, self.singular)
 
 
@@ -446,9 +447,6 @@ class GStep:
     x_prime: GridFunction
     beta: float
     u: GridFunction
-    F: GridFunction
-    truncated_nodes: int
-    psi_clips: int
     phi_defect: float
 
 
@@ -469,8 +467,7 @@ def g_map(
     """
     kern = kernel if kernel is not None else SolverKernel(problem)
     env = envs if envs is not None else envelopes(problem, scalars)
-    stats: dict = {}
-    F = truncated_rhs(problem, scalars, env, x, x_prime, stats=stats, kernel=kern)
+    F = truncated_rhs(problem, scalars, env, x, x_prime, kernel=kern)
     Fcum = cumulative_integral(F)
     eq = BetaEquation.build(kern, problem.branch, Fcum)
     beta = eq.solve(tol_beta, guess=beta_guess)
@@ -484,9 +481,6 @@ def g_map(
         x_prime=xp_new,
         beta=beta,
         u=u,
-        F=F,
-        truncated_nodes=stats.get("truncated_nodes", 0),
-        psi_clips=stats.get("psi_clips", 0),
         phi_defect=abs(float(cum[-1]) - eq.target),
     )
 
@@ -535,15 +529,18 @@ def _envelope_excess(
     xp_vals: np.ndarray,
     box: tuple[float, float],
     envs: Envelopes,
-    singular: np.ndarray,
 ) -> tuple[float, float]:
+    """How far x leaves the box and x' its envelopes, 0 when inside.
+
+    Singular nodes need no mask: their envelopes are exactly +-SENTINEL,
+    and every slope there is SENTINEL or clipped into that range.
+    """
     lo, hi = box
     ex_x = float(max(np.max(lo - x_vals), np.max(x_vals - hi), 0.0))
-    ns = ~singular
     ex_y = float(
         max(
-            np.max(envs.eta1.values[ns] - xp_vals[ns]),
-            np.max(xp_vals[ns] - envs.eta2.values[ns]),
+            np.max(envs.eta1.values - xp_vals),
+            np.max(xp_vals - envs.eta2.values),
             0.0,
         )
     )
@@ -593,9 +590,7 @@ def solve(
         ),
     )
     boundary_defect = abs(float(last.x.values[-1]) - oriented.nu2)
-    ex_x, ex_y = _envelope_excess(
-        last.x.values, last.x_prime.values, box, envs, kern.singular
-    )
+    ex_x, ex_y = _envelope_excess(last.x.values, last.x_prime.values, box, envs)
 
     beta_out = -last.beta if flipped else last.beta
     u_out = GridFunction(kern.mesh, -last.u.values) if flipped else last.u
@@ -676,7 +671,7 @@ def _iterate(
     # C-ordered (2n, m) array: the layout np.stack(axis=1) gives, so lstsq
     # and @ round as they would on a fresh stack
     secant_buf = None
-    max_excess = max(_envelope_excess(x_vals, xp_vals, box, envs, singular))
+    max_excess = max(_envelope_excess(x_vals, xp_vals, box, envs))
     best_step = math.inf
     best_output: GStep | None = None
     since_improvement = 0
@@ -702,9 +697,7 @@ def _iterate(
         trace.append(step)
         max_excess = max(
             max_excess,
-            *_envelope_excess(
-                last.x.values, last.x_prime.values, box, envs, singular
-            ),
+            *_envelope_excess(last.x.values, last.x_prime.values, box, envs),
         )
         if step < best_step:
             best_step = step
@@ -744,9 +737,7 @@ def _iterate(
         # project mixed iterates back into the admissible boxes
         x_vals = np.clip(z_next[:n_nodes], box[0], box[1])
         xp_vals = np.clip(z_next[n_nodes:], envs.eta1.values, envs.eta2.values)
-        max_excess = max(
-            max_excess, *_envelope_excess(x_vals, xp_vals, box, envs, singular)
-        )
+        max_excess = max(max_excess, *_envelope_excess(x_vals, xp_vals, box, envs))
 
         if since_improvement >= cfg.stagnation and omega > cfg.min_omega:
             omega = max(0.5 * omega, cfg.min_omega)

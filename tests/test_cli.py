@@ -136,6 +136,39 @@ class TestCheck:
         assert main(["solve", cfg, "-o", str(tmp_path / "run")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_invalid_iteration_value_is_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, PERONA.format(nu2=0.05) + "\n[iteration]\nomega = 2\n")
+        assert main(["check", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config error: [iteration] omega" in err
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--damping", "0"), ("--tol-fp", "-1"), ("--max-iters", "0")]
+    )
+    def test_invalid_iteration_flag_is_a_config_error(self, tmp_path, capsys, flag, value):
+        cfg = write(tmp_path, QUADRATIC.format(n=10))
+        assert main(["solve", cfg, "-o", str(tmp_path / "run"), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {flag}" in err
+
+    @pytest.mark.parametrize(
+        "kind", ["halfline", "halfline-odd", "thm1", "cor-surjective", "cor-singular"]
+    )
+    def test_check_kind_must_fit_the_problem(self, tmp_path, capsys, kind):
+        if kind.startswith("halfline"):
+            text = PERONA.format(nu2=0.05) + f"\n[check]\nkind = {kind}\n"
+            needs = "needs halfline = true"
+        else:
+            # relativistic: a bounded branch with image all of R, so cor-singular
+            # gets past its own scope checks
+            text = ARCTAN.replace("kind = halfline-odd", f"kind = {kind}")
+            if kind == "cor-singular":
+                text = text.replace("name = r_laplacian\nr = 2.0", "name = relativistic")
+            needs = "needs a finite T"
+        assert main(["check", write(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"[check] kind: {kind} {needs}" in err
+
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         cfg = write(tmp_path, "nonsense\n")
         assert main(["check", cfg]) == 1

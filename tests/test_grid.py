@@ -11,7 +11,6 @@ from phibvp.grid import (
     TRAPEZOID,
     GridFunction,
     Mesh,
-    NormSpec,
     cumulative_integral,
     forward_difference_residual,
     integrate,
@@ -174,9 +173,10 @@ def test_refinement_reduces_trapezoid_error():
 
 
 def test_norm_spec_validation():
+    g = GridFunction(Mesh.uniform(1.0, 4), np.ones(5))
     with pytest.raises(InvalidInputError):
-        NormSpec(0.5)
-    assert NormSpec(math.inf).p == math.inf
+        norm(g, 0.5)
+    assert norm(g, math.inf) == 1.0
 
 
 def test_norm_values():
@@ -211,7 +211,6 @@ def test_norm_matches_gridfunction_quadrature(p, with_evaluator):
     ):
         g = GridFunction.from_callable(mesh, fn, keep_evaluator=with_evaluator)
         assert norm(g, p) == _gridfunction_norm(g, p)
-        assert norm(g, NormSpec(p)) == _gridfunction_norm(g, p)
 
 
 def test_norm_rejects_an_overflowing_power():

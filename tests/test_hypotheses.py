@@ -358,6 +358,25 @@ class TestCorollaries:
         assert rep_boundary.item("slope-in-branch").verdict == "fail"
         assert check_corollary_singular(self.relativistic_problem(-0.99)).overall == "pass"
 
+    def test_singular_report_items_and_details(self):
+        for lam, overall, psi_detail in (
+            (0.5, "pass", "sampled |f| <= psi over the whole branch box"),
+            (1.0, "fail", "s* outside the branch, nothing to sample"),
+        ):
+            rep = check_corollary_singular(self.relativistic_problem(lam))
+            assert rep.theorem == "cor2" and rep.overall == overall
+            assert [it.name for it in rep.items] == [
+                "recip-norm", "slope-in-branch", "psi-domination"
+            ]
+            assert [[k for k, _ in it.quantities] for it in rep.items[:2]] == [
+                ["k1", "kp", "p"], ["s_star", "branch_lo", "branch_hi"]
+            ]
+            # the cor2 recip-norm has no detail, so its record has no detail key
+            assert rep.items[0].detail == rep.items[1].detail == ""
+            assert rep.items[2].detail == psi_detail
+        thm1 = check_theorem1(self.relativistic_problem(0.5))
+        assert thm1.item("recip-norm").detail.startswith("1/k must have finite")
+
     def test_singular_rejects_unbounded_domain(self):
         phi = make_operator("r_laplacian", r=2.0)
         prob = make_problem(

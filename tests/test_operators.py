@@ -228,6 +228,29 @@ def test_monotone_inverse_property():
     assert np.all(np.diff(ss) > 0)
 
 
+@pytest.mark.parametrize("name", sorted(OPERATOR_CATALOG))
+def test_find_branch_returns_the_catalog_piece(name):
+    params = {"difference": {"alpha": 2.0, "beta": 0.0}}.get(name, {})
+    op = make_operator(name, **params)
+    found = 0
+    for s in (-2.0, -0.5, 0.0, 0.3, 2.0, 4.0):
+        if not op.domain[0] < s < op.domain[1]:
+            continue
+        piece = op.piece_at(s)
+        if not piece.contains(s):
+            continue
+        br = find_branch(op, s)
+        assert type(br) is type(piece) and br == piece
+        if piece.inverse is None:
+            assert br.inverse is None
+        else:
+            lo, hi = max(piece.image_lo, -5.0), min(piece.image_hi, 5.0)
+            ys = lo + (hi - lo) * np.linspace(0.05, 0.95, 9)
+            assert np.array_equal(br.inverse(ys), piece.inverse(ys))
+        found += 1
+    assert found >= 3
+
+
 def test_difference_piece_layout():
     op = difference(2.0, 0.0)
     c = 1.0 / math.sqrt(3.0)

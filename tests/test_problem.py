@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from phibvp import (
     BranchError,
     CompatibilityError,
-    EnvelopeError,
     InvalidInputError,
     Mesh,
     SENTINEL,
@@ -27,10 +26,11 @@ from phibvp import (
     one_plus_t_squared_weight,
     oriented_problem,
     sqrt_t_weight,
-    truncate,
     zero_rhs,
 )
+from phibvp.hypotheses import check_theorem1
 from phibvp.problem import Rhs, recip_weight_grid
+from phibvp.solver import SolverKernel
 
 
 def _pm_problem(L=0.05, nu2=0.3, n=400):
@@ -179,8 +179,24 @@ class TestWeights:
         shady = Weight(fn=lambda t: np.asarray(t) - 0.5)
         phi = make_operator("r_laplacian", r=2.0)
         with pytest.raises(InvalidInputError):
-            prob = make_problem(phi, shady, zero_rhs(), 0.0, 0.1, 1.0, mesh_n=64)
-            recip_weight_grid(prob)
+            make_problem(phi, shady, zero_rhs(), 0.0, 0.1, 1.0, mesh_n=64)
+        mesh = Mesh.uniform(1.0, 64)
+        with pytest.raises(InvalidInputError):
+            recip_weight_grid(shady, mesh)
+
+
+@pytest.mark.parametrize(
+    "weight", [constant_weight(1.0), one_plus_t_squared_weight(), sqrt_t_weight()]
+)
+def test_one_k1_for_checks_scalars_and_solver(weight):
+    phi = make_operator("r_laplacian", r=2.0)
+    prob = make_problem(phi, weight, constant_rhs(0.05), 0.0, 0.3, 1.0, mesh_n=256)
+    _, k1 = recip_weight_grid(weight, prob.mesh)
+    kernel = SolverKernel(prob)
+    assert kernel.k1_quad == k1
+    assert kernel.recip_cumulative[-1] == k1
+    assert derive_scalars(prob).k1_quad == k1
+    assert check_theorem1(prob).item("recip-norm").quantity("k1") == k1
 
 
 class TestProblemAssembly:
@@ -252,31 +268,6 @@ class TestEnvelopes:
         env = envelopes(prob, sc)
         assert np.all(np.abs(env.eta1.values) < SENTINEL)
         assert env.N1 < env.N2
-
-
-class TestTruncate:
-    def test_inverted_bounds_raise(self):
-        with pytest.raises(EnvelopeError):
-            truncate(0.0, 1.0, -1.0)
-
-    @given(
-        st.floats(-50, 50),
-        st.floats(-50, 50),
-        st.floats(-50, 50),
-    )
-    def test_clamp_properties(self, v, a, b):
-        lo, hi = min(a, b), max(a, b)
-        out = float(truncate(v, lo, hi))
-        assert lo <= out <= hi
-        if lo <= v <= hi:
-            assert out == v
-        assert float(truncate(out, lo, hi)) == out
-
-    def test_vector_clamp(self):
-        lo = np.array([-1.0, 0.0, 1.0])
-        hi = np.array([1.0, 2.0, 3.0])
-        out = truncate(np.array([-5.0, 1.0, 10.0]), lo, hi)
-        assert np.array_equal(out, np.array([-1.0, 1.0, 3.0]))
 
 
 class TestOddSymmetry:

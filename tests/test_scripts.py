@@ -90,3 +90,23 @@ def test_compare_outputs_reports_differences():
     assert cmp.record_difference(old, newer) == (
         "[solve] beta: max abs difference 1.000e+00; [solve.verification] added"
     )
+
+
+def test_tracer_installs_and_uninstalls_in_process(monkeypatch):
+    # perfbench/tracing.py patches names the phibvp modules import; a
+    # refactor that drops one of them makes install raise
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    recorder = tracing.Recorder()
+    try:
+        tracing.install(recorder)
+        patched = list(recorder._undo)
+    finally:
+        recorder.uninstall()
+    assert patched
+    assert all(getattr(owner, attr) is original for owner, attr, original in patched)

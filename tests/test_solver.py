@@ -15,6 +15,7 @@ from phibvp import (
     InvalidInputError,
     RhsEvaluationError,
     SENTINEL,
+    Weight,
     constant_rhs,
     constant_weight,
     derive_scalars,
@@ -723,6 +724,56 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert peak - before <= 3 * 2**20
+
+
+def _masked_envelope_excess(x_vals, xp_vals, box, envs):
+    # the excess as it was computed with the singular nodes masked out
+    lo, hi = box
+    ns = ~envs.eta1.mesh.singular_mask()
+    ex_x = float(max(np.max(lo - x_vals), np.max(x_vals - hi), 0.0))
+    ex_y = float(
+        max(
+            np.max(envs.eta1.values[ns] - xp_vals[ns]),
+            np.max(xp_vals[ns] - envs.eta2.values[ns]),
+            0.0,
+        )
+    )
+    return ex_x, ex_y
+
+
+class TestEnvelopeExcess:
+    @pytest.mark.parametrize("where", ["sqrt_t", "interior"])
+    def test_mask_free_excess_is_the_masked_one(self, monkeypatch, where):
+        weave = Rhs(
+            fn=lambda t, x, y: 0.2 * np.sin(3.0 * t + x) - 0.1 * np.cos(y),
+            psi=lambda t: np.full_like(np.asarray(t, dtype=float), 0.3),
+            name="weave",
+        )
+        if where == "sqrt_t":
+            weight = sqrt_t_weight()
+        else:
+            weight = Weight(
+                fn=lambda t: np.sqrt(np.abs(np.asarray(t) - 0.5)), singular_points=(0.5,)
+            )
+        phi = make_operator("r_laplacian", r=2.0)
+        prob = make_problem(phi, weight, weave, 0.0, 0.3, 1.0, mesh_n=200)
+        assert prob.mesh.singular_indices
+        calls = []
+        original = solver_mod._envelope_excess
+
+        def checked(x_vals, xp_vals, box, envs):
+            got = original(x_vals, xp_vals, box, envs)
+            assert got == _masked_envelope_excess(x_vals, xp_vals, box, envs)
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(solver_mod, "_envelope_excess", checked)
+        report = solve(prob)
+        assert report.status == "converged"
+        cold = len(calls)
+        # a start outside the box and the envelopes is clipped into them
+        solve(prob, initial=(2.0 * report.x.values, -3.0 * report.x_prime.values))
+        assert cold >= 2 * report.iterations and len(calls) > cold + 2
 
 
 class TestIterationConfig:
