@@ -349,8 +349,6 @@ class ProblemConfig:
     halfline: bool
     p: float
     mesh_n: int
-    mesh_ratio: float
-    graded_cells: int
     iteration: IterationConfig
     check_kind: str
     lattice: tuple[int, int, int]
@@ -402,13 +400,7 @@ class ProblemConfig:
         nu2 = self.nu2 if nu2_override is None else float(nu2_override)
         phi = self.build_operator()
         weight = self.build_weight()
-        mesh = default_mesh(
-            weight,
-            self.T,
-            n=self.mesh_n,
-            ratio=self.mesh_ratio,
-            graded_cells=self.graded_cells,
-        )
+        mesh = default_mesh(weight, self.T, n=self.mesh_n)
         try:
             k1 = recip_weight_grid(weight, mesh)[1]
         except PhibvpError as exc:
@@ -597,8 +589,9 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
 
     mesh = _Section(doc, "mesh")
     mesh_n = mesh.get_int("n", 1000)
-    mesh_ratio = mesh.get_float("ratio", 0.7)
-    graded_cells = mesh.get_int("graded_cells", 32)
+    # accepted and ignored: the power-law grading has no ratio or block size
+    mesh.get_float("ratio")
+    mesh.get_int("graded_cells")
 
     it = _Section(doc, "iteration")
     base = IterationConfig()
@@ -682,8 +675,6 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
         halfline=halfline,
         p=float(p),
         mesh_n=int(mesh_n),
-        mesh_ratio=float(mesh_ratio),
-        graded_cells=int(graded_cells),
         iteration=iteration,
         check_kind=check_kind,
         lattice=lattice,

@@ -1,10 +1,16 @@
 """Meshes, nodal grid functions, quadrature, and discrete norms on [0, T].
 
 The quadrature rule is composite trapezoid.  Meshes may flag singular
-nodes (points where an integrand such as 1/k blows up); cells belonging
-to the geometrically graded block around a singular node are integrated
-with the midpoint rule instead, so the integrand is never sampled at the
-singular point itself.
+nodes (points where an integrand such as 1/k blows up); the cells that
+touch a singular node are integrated with the midpoint rule instead, so
+the integrand is never sampled at the singular point itself.
+
+Graded meshes crowd their nodes toward each singular point p by the power
+map u -> u^q, q = GRADING_EXPONENT.  If 1/k ~ |t - p|^-a, the midpoint
+cell next to p has width about h^q and adds an error of about
+h^(q (1 - a)), so second order needs q >= 2 / (1 - a).  q = 4 serves
+a = 1/2, the `sqrt_t` weight; a library weight with a larger exponent a
+needs a larger q.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ import numpy as np
 
 from .errors import InvalidInputError, MeshMismatchError
 
-TRAPEZOID = 0
-MIDPOINT = 1
+GRADING_EXPONENT = 4.0
 
 # Nodal stand-in for an unbounded envelope value; excluded from norms.
 SENTINEL = 1.0e30
@@ -36,16 +41,15 @@ def _as_float_array(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Partition 0 = t_0 < t_1 < ... < t_n = T with per-cell quadrature rules.
+    """Partition 0 = t_0 < t_1 < ... < t_n = T.
 
-    cell_rule[j] applies to the cell [t_j, t_{j+1}]; singular_indices lists
-    the nodes where an integrand is allowed to be undefined.
+    singular_indices lists the nodes where an integrand is allowed to be
+    undefined; the cells touching them use the midpoint rule (mid_cells),
+    every other cell the trapezoid rule.
     """
 
     nodes: np.ndarray
     singular_indices: tuple[int, ...] = ()
-    cell_rule: np.ndarray | None = None
-    grading: str = "uniform"
 
     def __post_init__(self):
         nodes = _as_float_array(self.nodes)
@@ -61,19 +65,6 @@ class Mesh:
         for i in self.singular_indices:
             if not 0 <= i < nodes.size:
                 raise InvalidInputError(f"singular index {i} out of range")
-        if self.cell_rule is None:
-            rule = np.zeros(nodes.size - 1, dtype=np.int8)
-            for i in self.singular_indices:
-                if i > 0:
-                    rule[i - 1] = MIDPOINT
-                if i < nodes.size - 1:
-                    rule[i] = MIDPOINT
-            object.__setattr__(self, "cell_rule", rule)
-        else:
-            rule = np.asarray(self.cell_rule, dtype=np.int8)
-            if rule.shape != (nodes.size - 1,):
-                raise InvalidInputError("cell_rule length must equal cell count")
-            object.__setattr__(self, "cell_rule", rule)
 
     # -- construction ------------------------------------------------------
 
@@ -85,132 +76,46 @@ class Mesh:
             raise InvalidInputError("need at least 2 cells")
         nodes = np.linspace(0.0, T, n + 1)
         nodes[0], nodes[-1] = 0.0, T
-        sing = _locate_singular(nodes, singular_points)
-        return Mesh(nodes, singular_indices=sing, grading="uniform")
+        return Mesh(nodes, singular_indices=_locate_singular(nodes, singular_points))
 
     @staticmethod
-    def graded(
-        T: float,
-        n: int,
-        singular_points: Sequence[float],
-        ratio: float = 0.7,
-        graded_cells: int = 32,
-    ) -> "Mesh":
-        """Uniform mesh with geometric grading toward each singular point.
+    def graded(T: float, n: int, singular_points: Sequence[float]) -> "Mesh":
+        """n cells, crowded toward each singular point by u -> u^q.
 
-        Each singular point gets a block of graded_cells cells on every
-        adjacent side; cell widths shrink by the given ratio toward the
-        point.  The block width is chosen so the largest graded cell
-        matches the uniform cell width, which keeps the composite error
-        balanced between the graded and uniform regions.
+        [0, T] is cut at the singular points.  Each piece gets one cell
+        plus its share, by length, of the rest, and its nodes follow the
+        power map, q = GRADING_EXPONENT, from each singular end; a piece
+        with two singular ends grades each half toward its own end.  An
+        end's q is lowered where its innermost cell would span fewer than
+        64 ulps of the point, as at an interior point or T with n ~ 1e5.
         """
         if not (T > 0 and math.isfinite(T)):
             raise InvalidInputError("T must be positive and finite")
-        if not 0.0 < ratio < 1.0:
-            raise InvalidInputError("grading ratio must lie in (0, 1)")
-        if graded_cells < 2:
-            raise InvalidInputError("need at least 2 graded cells")
         points = sorted(set(float(p) for p in singular_points))
         if not points:
             return Mesh.uniform(T, n)
         for p in points:
             if not 0.0 <= p <= T:
                 raise InvalidInputError(f"singular point {p} outside [0, T]")
-
-        sides = []  # (point, direction): grading extends from point toward direction
-        for p in points:
-            if p > 0.0:
-                sides.append((p, -1))
-            if p < T:
-                sides.append((p, +1))
-        m = graded_cells
-        n_uniform = n - m * len(sides)
-        if n_uniform < 2 * max(1, len(points)):
-            raise InvalidInputError(
-                f"mesh with {n} cells is too coarse for {len(sides)} graded blocks "
-                f"of {m} cells"
-            )
-        # Largest graded cell has width W*(1-ratio); equate it with h.
-        h = T / (n_uniform + len(sides) / (1.0 - ratio))
-        W = h / (1.0 - ratio)
-
-        windows = []
-        for p, direction in sides:
-            a, b = (p, p + W) if direction > 0 else (p - W, p)
-            windows.append((a, b, p, direction))
-        windows.sort()
-        bounds = [0.0] + [w[0] for w in windows] + [w[1] for w in windows] + [T]
-        bounds = sorted(set(bounds))
-        for (a1, b1, _, _), (a2, b2, _, _) in zip(windows, windows[1:]):
-            if b1 > a2:
-                raise InvalidInputError("graded blocks overlap; refine the mesh")
-        for a, b, _, _ in windows:
-            if a < -_SNAP or b > T + _SNAP:
-                raise InvalidInputError("graded block leaves [0, T]; refine the mesh")
-
-        # Complement segments get the uniform cells, largest-remainder rounding.
-        segments = []
-        cursor = 0.0
-        for a, b, p, direction in windows:
-            if a > cursor + _SNAP:
-                segments.append((cursor, a))
-            cursor = b
-        if cursor < T - _SNAP:
-            segments.append((cursor, T))
-        lengths = np.array([b - a for a, b in segments])
-        raw = lengths / h
-        counts = np.maximum(1, np.floor(raw).astype(int))
-        while counts.sum() < n_uniform:
-            counts[np.argmax(raw - counts)] += 1
-        while counts.sum() > n_uniform:
-            adjustable = counts > 1
-            idx = np.argmin(np.where(adjustable, raw - counts, np.inf))
-            counts[idx] -= 1
-
-        pieces = []  # (nodes_without_last, is_graded)
-        parts = []
-        for (a, b), c in zip(segments, counts):
-            parts.append((a, np.linspace(a, b, c + 1), False))
-        for a, b, p, direction in windows:
-            offs = W * ratio ** np.arange(m - 1, 0, -1)
-            if direction > 0:
-                inner = p + offs
-            else:
-                inner = p - offs[::-1]
-            win_nodes = np.concatenate([[a], inner, [b]])
-            parts.append((a, win_nodes, True))
-        parts.sort(key=lambda item: item[0])
-
-        nodes = [0.0]
-        rules = []
-        for _, seg_nodes, graded in parts:
-            seg_nodes = np.asarray(seg_nodes, dtype=float)
-            rules.extend([MIDPOINT if graded else TRAPEZOID] * (seg_nodes.size - 1))
-            nodes.extend(seg_nodes[1:].tolist())
-        nodes = np.array(nodes)
-        nodes[-1] = T
-        # snap singular points onto their nodes exactly
-        for p in points:
-            i = int(np.argmin(np.abs(nodes - p)))
-            nodes[i] = p
-        sing = _locate_singular(nodes, points)
-        return Mesh(
-            nodes,
-            singular_indices=sing,
-            cell_rule=np.array(rules, dtype=np.int8),
-            grading="geometric",
-        )
+        cuts = np.array(sorted({0.0, float(T), *points}))
+        pieces = cuts.size - 1
+        if n < max(2, pieces):
+            raise InvalidInputError(f"mesh with {n} cells is too coarse for {pieces} pieces")
+        edges = np.arange(pieces + 1) + np.round((n - pieces) * cuts / T).astype(int)
+        nodes = np.empty(n + 1)
+        for a, b, i, j in zip(cuts[:-1], cuts[1:], edges[:-1], edges[1:]):
+            nodes[i : j + 1] = _power_nodes(a, b, int(j - i), a in points, b in points)
+        sing = tuple(int(i) for i, c in zip(edges, cuts) if c in points)
+        return Mesh(nodes, singular_indices=sing)
 
     def refine(self, factor: int) -> "Mesh":
-        """Split every cell into `factor` equal subcells, keeping rules and flags."""
+        """Split every cell into `factor` equal subcells, keeping the flags."""
         if factor < 1:
             raise InvalidInputError("refinement factor must be >= 1")
         if factor == 1:
             return self
         nodes = self.refined_nodes(factor, 0, self.n_cells)
-        rule = np.repeat(self.cell_rule, factor)
-        sing = tuple(i * factor for i in self.singular_indices)
-        return Mesh(nodes, singular_indices=sing, cell_rule=rule, grading=self.grading)
+        return Mesh(nodes, singular_indices=tuple(i * factor for i in self.singular_indices))
 
     def refined_nodes(self, factor: int, start: int, stop: int) -> np.ndarray:
         """Nodes of cells start..stop-1 split `factor` ways, node `stop` included.
@@ -245,8 +150,9 @@ class Mesh:
 
     @cached_property
     def mid_cells(self) -> np.ndarray:
-        """Indices of the cells integrated with the midpoint rule."""
-        return _read_only(np.nonzero(self.cell_rule == MIDPOINT)[0])
+        """Indices of the midpoint-rule cells: those touching a singular node."""
+        sing = self._singular_mask
+        return _read_only(np.nonzero(sing[:-1] | sing[1:])[0])
 
     @cached_property
     def _singular_mask(self) -> np.ndarray:
@@ -261,6 +167,32 @@ class Mesh:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _power_nodes(a: float, b: float, m: int, grade_a: bool, grade_b: bool) -> np.ndarray:
+    """m + 1 nodes from a to b, crowded toward each graded end by u -> u^q.
+
+    Nodes up to `split` are measured from a, the rest from b.
+    """
+    split = m / 2 if grade_a and grade_b else (m if grade_a else 0)
+    i = np.arange(m + 1)
+    out = np.empty(m + 1)
+    from_a = i <= split
+    for end, cells, sel, steps, sign in (
+        (a, split, from_a, i, 1.0),
+        (b, m - split, ~from_a, m - i, -1.0),
+    ):
+        if cells > 0:
+            span = (b - a) * cells / m
+            q = GRADING_EXPONENT
+            if cells > 1:
+                # the cell next to the end spans span / cells^q: keep it at
+                # least 64 ulps of the end, or the nodes there collapse
+                room = (math.log(span) - math.log(64.0 * math.ulp(end))) / math.log(cells)
+                q = max(1.0, min(q, room))
+            out[sel] = end + sign * span * (steps[sel] / cells) ** q
+    out[0], out[-1] = a, b
+    return out
 
 
 def _locate_singular(nodes: np.ndarray, points: Sequence[float]) -> tuple[int, ...]:

@@ -163,17 +163,9 @@ class BvpProblem:
             raise InvalidInputError("mesh endpoint differs from T")
 
 
-def default_mesh(
-    weight: Weight,
-    T: float,
-    n: int = 1000,
-    ratio: float = 0.7,
-    graded_cells: int = 32,
-) -> Mesh:
-    points = [p for p in weight.singular_points if 0.0 <= p <= T]
-    if points:
-        return Mesh.graded(T, n, points, ratio=ratio, graded_cells=graded_cells)
-    return Mesh.uniform(T, n)
+def default_mesh(weight: Weight, T: float, n: int = 1000) -> Mesh:
+    """n cells on [0, T], graded toward the weight's singular points there."""
+    return Mesh.graded(T, n, [p for p in weight.singular_points if 0.0 <= p <= T])
 
 
 def make_problem(
@@ -188,12 +180,10 @@ def make_problem(
     p: float = 1.0,
     mesh: Mesh | None = None,
     mesh_n: int = 1000,
-    ratio: float = 0.7,
-    graded_cells: int = 32,
 ) -> BvpProblem:
     """Assemble a problem, selecting the branch around s* when not given."""
     if mesh is None:
-        mesh = default_mesh(weight, T, n=mesh_n, ratio=ratio, graded_cells=graded_cells)
+        mesh = default_mesh(weight, T, n=mesh_n)
     if branch is None:
         s_star = (nu2 - nu1) / recip_weight_grid(weight, mesh)[1]
         branch = find_branch(phi, s_star, hint=branch_hint)

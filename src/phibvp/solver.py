@@ -43,7 +43,6 @@ from .errors import (
     RhsEvaluationError,
 )
 from .grid import (
-    MIDPOINT,
     SENTINEL,
     GridFunction,
     Mesh,
@@ -789,9 +788,7 @@ def verify(
         # refined node i * refine_factor is coarse node i, and inherits its flag
         singular = np.zeros(nodes.size, dtype=bool)
         singular[::refine_factor] = sing_coarse[start : stop + 1]
-        mid_cells = np.nonzero(
-            np.repeat(mesh.cell_rule[start:stop], refine_factor) == MIDPOINT
-        )[0]
+        mid_cells = np.nonzero(singular[:-1] | singular[1:])[0]
 
         x_f = report.x.interp(nodes)
         xp_f = np.interp(nodes, xp_nodes, xp_vals)

@@ -456,6 +456,21 @@ class TestVerify:
         assert main(["verify", table, cfg]) == 0
         assert "verification: ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", [1000, 10000])
+    def test_singular_weight_solution_verifies(self, tmp_path, capsys, n):
+        # k = sqrt(t) vanishes at t = 0: the graded mesh must carry the
+        # solution to the accuracy that verify's slope check asks for
+        text = (
+            PERONA.format(nu2=0.05)
+            .replace("name = constant\nvalue = 1.0", "name = sqrt_t")
+            .replace("M = 1.0\nN = 1.0", "M = 0.5\nN = 0.1")
+        )
+        cfg = write(tmp_path, text + f"\n[mesh]\nn = {n}\n")
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 0
+        assert main(["verify", str(out / "solution.txt"), cfg]) == 0
+        assert "verification: ok" in capsys.readouterr().out
+
     def test_corrupted_table_fails(self, tmp_path, capsys):
         cfg = write(tmp_path, QUADRATIC.format(n=300))
         out = tmp_path / "run"

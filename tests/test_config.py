@@ -126,12 +126,18 @@ class TestValidation:
     def test_minimal_loads_with_defaults(self):
         cfg = load(MINIMAL)
         assert cfg.mesh_n == 1000
-        assert cfg.mesh_ratio == 0.7
-        assert cfg.graded_cells == 32
         assert cfg.p == 1.0
         assert cfg.check_kind == "auto"
         assert cfg.lattice == (50, 20, 20)
         assert cfg.sweep_range is None
+
+    def test_mesh_ratio_and_graded_cells_are_accepted_and_ignored(self):
+        # keys of the old geometric grading; the power-law grading has neither
+        base = MINIMAL.replace("name = constant\nvalue = 1.0", "name = sqrt_t")
+        plain = load(base).build_finite().mesh
+        knobs = load(splice("[mesh]\nratio = 0.5\ngraded_cells = 8", base)).build_finite().mesh
+        np.testing.assert_array_equal(knobs.nodes, plain.nodes)
+        assert knobs.singular_indices == plain.singular_indices == (0,)
 
     @pytest.mark.parametrize(
         "mutation,fragment",

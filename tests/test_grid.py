@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phibvp.errors import InvalidInputError, MeshMismatchError
 from phibvp.grid import (
-    MIDPOINT,
-    TRAPEZOID,
     GridFunction,
     Mesh,
     cumulative_integral,
@@ -27,7 +25,7 @@ def test_uniform_mesh_basics():
     assert mesh.nodes[0] == 0.0
     assert mesh.nodes[-1] == 2.0
     assert np.all(np.diff(mesh.nodes) > 0)
-    assert np.all(mesh.cell_rule == TRAPEZOID)
+    assert mesh.mid_cells.size == 0
 
 
 def test_uniform_mesh_rejects_bad_input():
@@ -42,40 +40,84 @@ def test_uniform_mesh_rejects_bad_input():
 
 
 def test_graded_mesh_structure():
-    mesh = Mesh.graded(1.0, 256, [0.0], ratio=0.7, graded_cells=32)
+    mesh = Mesh.graded(1.0, 256, [0.0])
     assert mesh.n_cells == 256
     assert mesh.nodes[0] == 0.0 and mesh.nodes[-1] == 1.0
-    assert mesh.grading == "geometric"
     assert mesh.singular_indices == (0,)
-    # the first 32 cells form the graded block with width ratio 0.7
-    w = mesh.widths
-    assert np.all(mesh.cell_rule[:32] == MIDPOINT)
-    assert np.all(mesh.cell_rule[32:] == TRAPEZOID)
-    ratios = w[1:31] / w[2:32]
-    assert np.allclose(ratios, 0.7, rtol=1e-9)
-    # graded block hands over to cells of comparable width
-    assert w[31] == pytest.approx(w[33], rel=0.05)
+    # the power map t_i = (i/n)^4, with the midpoint rule on the first cell only
+    np.testing.assert_allclose(mesh.nodes, (np.arange(257) / 256) ** 4, rtol=1e-15)
+    np.testing.assert_array_equal(mesh.mid_cells, [0])
+    assert np.all(np.diff(mesh.widths) > 0)
 
 
 def test_graded_mesh_interior_singularity():
-    mesh = Mesh.graded(1.0, 400, [0.5], ratio=0.7, graded_cells=20)
+    mesh = Mesh.graded(1.0, 400, [0.5])
     assert mesh.n_cells == 400
-    i = mesh.singular_indices[0]
-    assert mesh.nodes[i] == 0.5
-    assert mesh.cell_rule[i - 1] == MIDPOINT and mesh.cell_rule[i] == MIDPOINT
+    assert mesh.singular_indices == (200,)
+    assert mesh.nodes[200] == 0.5
+    np.testing.assert_array_equal(mesh.mid_cells, [199, 200])
+    # graded toward 0.5 from both sides, mirror images of each other
+    np.testing.assert_allclose(1.0 - mesh.nodes[::-1], mesh.nodes, atol=1e-15)
+    assert mesh.widths[200] == pytest.approx(0.5 * 200.0**-4, rel=1e-9)
+
+
+def test_graded_mesh_shares_cells_by_length():
+    # pieces [0, 0.5] and [0.5, 2], both ends of the second one singular
+    mesh = Mesh.graded(2.0, 100, [0.5, 2.0])
+    assert mesh.singular_indices == (25, 100)
+    np.testing.assert_array_equal(mesh.mid_cells, [24, 25, 99])
+    # [0.5, 2] is graded toward both ends, and its 75 cells split at 1.25
+    assert mesh.nodes[62] < 1.25 < mesh.nodes[63]
+    assert mesh.widths[25] == pytest.approx(mesh.widths[99], rel=1e-6)
 
 
 def test_graded_mesh_too_coarse():
-    with pytest.raises(InvalidInputError):
-        Mesh.graded(1.0, 40, [0.0, 0.5], ratio=0.7, graded_cells=32)
+    # fewer cells than pieces: [0, 0.25], [0.25, 0.5], [0.5, 0.75], [0.75, 1]
+    with pytest.raises(InvalidInputError, match="too coarse for 4 pieces"):
+        Mesh.graded(1.0, 3, [0.25, 0.5, 0.75])
+    mesh = Mesh.graded(1.0, 4, [0.25, 0.5, 0.75])
+    np.testing.assert_array_equal(mesh.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
+    with pytest.raises(InvalidInputError, match="outside"):
+        Mesh.graded(1.0, 10, [1.5])
+
+
+@given(
+    T=st.floats(1e-2, 1e2),
+    ticks=st.lists(st.integers(0, 10**9), min_size=1, max_size=3),
+    n=st.integers(4, 10**6),
+    factor=st.integers(1, 3),
+)
+@example(T=1.0, ticks=[10**9], n=10**6, factor=2)  # a point at T
+@example(T=1.0, ticks=[5 * 10**8], n=10**6, factor=2)  # an interior point
+@example(T=1.0, ticks=[0, 5 * 10**8], n=10**6, factor=1)
+@example(T=1.0, ticks=[3 * 10**8, 7 * 10**8], n=10**5, factor=1)
+@settings(max_examples=30, deadline=None)
+def test_graded_mesh_properties(T, ticks, n, factor):
+    # points on a lattice of T/1e9: distinct points lie at least that far
+    # apart (two points a few ulps apart cannot share out many cells)
+    points = [T * k / 10**9 for k in ticks]
+    mesh = Mesh.graded(T, n, points)
+    assert mesh.n_cells == n
+    assert np.all(np.diff(mesh.nodes) > 0)
+    assert [mesh.nodes[i] for i in mesh.singular_indices] == sorted(set(points))
+    touching = sorted({c for i in mesh.singular_indices for c in (i - 1, i) if 0 <= c < n})
+    np.testing.assert_array_equal(mesh.mid_cells, touching)
+    for i in mesh.singular_indices:
+        for c in (i - 1, i):
+            if 0 <= c < n:
+                assert mesh.midpoints[c] != mesh.nodes[i]
+    fine = mesh.refine(factor)
+    assert fine.singular_indices == tuple(factor * i for i in mesh.singular_indices)
+    np.testing.assert_array_equal(fine.nodes[list(fine.singular_indices)], sorted(set(points)))
 
 
 def test_refine_preserves_structure():
-    mesh = Mesh.graded(1.0, 64, [0.0], ratio=0.7, graded_cells=8)
+    mesh = Mesh.graded(1.0, 64, [0.0])
     fine = mesh.refine(4)
     assert fine.n_cells == 4 * mesh.n_cells
     assert fine.nodes[0] == 0.0 and fine.nodes[-1] == 1.0
     assert fine.singular_indices == (0,)
+    np.testing.assert_array_equal(fine.mid_cells, [0])
     assert np.all(fine.nodes[::4] == mesh.nodes)
 
 
@@ -96,7 +138,7 @@ def test_integrate_linear_exact():
 
 def test_integrate_inverse_sqrt_singular():
     # oracle: d/dt (2 sqrt(t)) = t^(-1/2), so the exact integral over [0,1] is 2
-    mesh = Mesh.graded(1.0, 256, [0.0], ratio=0.7, graded_cells=32)
+    mesh = Mesh.graded(1.0, 256, [0.0])
     g = GridFunction.from_callable(mesh, lambda t: t ** -0.5)
     assert integrate(g) == pytest.approx(2.0, abs=1e-3)
 
@@ -206,8 +248,8 @@ def test_norm_matches_gridfunction_quadrature(p, with_evaluator):
     fn = lambda t: np.sin(7.0 * t) / np.sqrt(t + 0.01) - 0.3
     for mesh in (
         Mesh.uniform(1.0, 101),
-        Mesh.graded(1.0, 256, [0.0], ratio=0.7, graded_cells=32),
-        Mesh.graded(2.0, 200, [0.7], ratio=0.6, graded_cells=8),
+        Mesh.graded(1.0, 256, [0.0]),
+        Mesh.graded(2.0, 200, [0.7]),
     ):
         g = GridFunction.from_callable(mesh, fn, keep_evaluator=with_evaluator)
         assert norm(g, p) == _gridfunction_norm(g, p)
@@ -224,12 +266,13 @@ def test_norm_rejects_an_overflowing_power():
 def test_mesh_geometry_is_cached_and_read_only():
     for mesh in (
         Mesh.uniform(1.0, 10, singular_points=[0.0]),
-        Mesh.graded(1.0, 64, [0.0, 0.5], ratio=0.7, graded_cells=8),
+        Mesh.graded(1.0, 64, [0.0, 0.5]),
     ):
+        cells = {c for i in mesh.singular_indices for c in (i - 1, i)}
         expected = {
             "widths": np.diff(mesh.nodes),
             "midpoints": 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:]),
-            "mid_cells": np.nonzero(mesh.cell_rule == MIDPOINT)[0],
+            "mid_cells": sorted(cells & set(range(mesh.n_cells))),
             "singular_mask": np.isin(np.arange(mesh.nodes.size), mesh.singular_indices),
         }
         for name, value in expected.items():
@@ -245,7 +288,7 @@ def test_mesh_geometry_is_cached_and_read_only():
 
 
 def test_refined_nodes_build_the_refined_mesh_in_blocks():
-    mesh = Mesh.graded(1.0, 64, [0.0], ratio=0.7, graded_cells=8)
+    mesh = Mesh.graded(1.0, 64, [0.0])
     fine = mesh.refine(4)
     blocks = [mesh.refined_nodes(4, a, min(a + 5, 64)) for a in range(0, 64, 5)]
     joined = np.concatenate([b[:-1] for b in blocks] + [blocks[-1][-1:]])

@@ -203,13 +203,16 @@ class TestProblemAssembly:
     def test_auto_mesh_grades_singular_weight(self):
         phi = make_operator("r_laplacian", r=2.0)
         prob = make_problem(phi, sqrt_t_weight(), zero_rhs(), 0.0, 0.3, 1.0, mesh_n=256)
-        assert prob.mesh.grading == "geometric"
         assert prob.mesh.singular_indices == (0,)
+        np.testing.assert_array_equal(prob.mesh.nodes, Mesh.graded(1.0, 256, [0.0]).nodes)
+        np.testing.assert_array_equal(prob.mesh.mid_cells, [0])
 
     def test_auto_mesh_uniform_otherwise(self):
         phi = make_operator("r_laplacian", r=2.0)
         prob = make_problem(phi, constant_weight(1.0), zero_rhs(), 0.0, 0.3, 1.0)
-        assert prob.mesh.grading == "uniform"
+        np.testing.assert_array_equal(prob.mesh.nodes, np.linspace(0.0, 1.0, 1001))
+        assert prob.mesh.singular_indices == ()
+        assert prob.mesh.mid_cells.size == 0
 
     def test_auto_branch_lands_on_reference_slope(self):
         phi = make_operator("perona_malik")

@@ -683,12 +683,12 @@ class TestVerify:
             "one_plus_t_squared": make_problem(
                 phi, one_plus_t_squared_weight(), weave, 0.0, 0.3, 1.0, mesh_n=500
             ),
-            # graded toward the singular node t = 0, midpoint-rule cells
+            # graded toward the singular node t = 0, a midpoint-rule cell
             "sqrt_t": make_problem(phi, sqrt_t_weight(), weave, 0.0, 0.3, 1.0, mesh_n=80),
-            # an interior singular node, with graded blocks on both sides
+            # an interior singular node, graded toward from both sides
             "interior_singular": make_problem(
                 phi, constant_weight(1.0), weave, 0.0, 0.3, 1.0,
-                mesh=Mesh.graded(1.0, 60, [0.5], graded_cells=6),
+                mesh=Mesh.graded(1.0, 60, [0.5]),
             ),
         }
 
