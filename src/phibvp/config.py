@@ -32,13 +32,18 @@ from .hypotheses import (
     plaplacian_bound,
     plaplacian_maximizer,
 )
-from .operators import MonotoneBranch, PhiOperator, find_branch, make_operator
+from .operators import (
+    MonotoneBranch,
+    PhiOperator,
+    find_branch,
+    hint_branch,
+    make_operator,
+)
 from .problem import (
     BvpProblem,
     Rhs,
     Weight,
     default_mesh,
-    make_problem,
     make_weight,
     recip_weight_grid,
     zero_rhs,
@@ -408,19 +413,25 @@ class ProblemConfig:
         s_star = (nu2 - self.nu1) / k1
         rhs = self._build_rhs(s_star)
         try:
-            return make_problem(
-                phi,
-                weight,
-                rhs,
-                self.nu1,
-                nu2,
-                self.T,
-                branch_hint=self.branch_hint,
-                p=self.p,
-                mesh=mesh,
+            branch = self._branch_around(phi, s_star)
+            return BvpProblem(
+                phi, branch, weight, rhs, self.nu1, nu2, self.T, p=self.p, mesh=mesh
             )
         except PhibvpError as exc:
             raise ConfigError(f"[problem] {exc}") from exc
+
+    def _branch_around(self, phi: PhiOperator, s_star: float) -> MonotoneBranch | None:
+        """The branch that holds s*, else the hint's branch, else None.
+
+        s* outside every branch is a failed hypothesis for the check to
+        report.  Without a hint every find_branch failure is about s*;
+        with one, hint_branch raises again if the hint is no branch."""
+        try:
+            return find_branch(phi, s_star, hint=self.branch_hint)
+        except PhibvpError:
+            if self.branch_hint is None:
+                return None
+            return hint_branch(phi, self.branch_hint)
 
     def build_halfline(self) -> HalflineProblem:
         if not self.halfline:

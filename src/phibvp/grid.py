@@ -105,6 +105,11 @@ class Mesh:
         nodes = np.empty(n + 1)
         for a, b, i, j in zip(cuts[:-1], cuts[1:], edges[:-1], edges[1:]):
             nodes[i : j + 1] = _power_nodes(a, b, int(j - i), a in points, b in points)
+            if np.any(np.diff(nodes[i : j + 1]) <= 0.0):
+                raise InvalidInputError(
+                    f"points {float(a)!r} and {float(b)!r} lie too close "
+                    f"together for a graded mesh of {n} cells"
+                )
         sing = tuple(int(i) for i, c in zip(edges, cuts) if c in points)
         return Mesh(nodes, singular_indices=sing)
 

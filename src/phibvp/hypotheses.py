@@ -20,10 +20,16 @@ from .errors import (
     InvalidInputError,
     WrongCorollaryError,
 )
-from .grid import GridFunction, integrate, norm
 from .halfline import HalflineProblem, k_mass_upto, psi_mass, recip_mass
 from .operators import partial_inverse
-from .problem import BvpProblem, Rhs, derive_scalars, recip_weight_grid, slope_box
+from .problem import (
+    BvpProblem,
+    DerivedScalars,
+    Rhs,
+    derive_scalars,
+    image_margins,
+    slope_box,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -124,18 +130,15 @@ def _scan_domination(
     return float(np.fmax.reduce(ratio, initial=0.0)), used
 
 
-def _margin_item(
-    name: str, phi_s: float, two_l: float, image_lo: float, image_hi: float
-) -> CheckItem:
-    lo_margin = (phi_s - two_l) - image_lo
-    hi_margin = image_hi - (phi_s + two_l)
+def _margin_item(branch, phi_s: float, L: float) -> CheckItem:
+    lo_margin, hi_margin = image_margins(branch, phi_s, L)
     ok = lo_margin > 0.0 and hi_margin > 0.0
     return CheckItem(
-        name,
+        "image-margin",
         PASS if ok else FAIL,
         _q(
             phi_s_star=phi_s,
-            two_l=two_l,
+            two_l=2.0 * L,
             margin_lo=lo_margin,
             margin_hi=hi_margin,
         ),
@@ -143,31 +146,56 @@ def _margin_item(
     )
 
 
+def _unsampled(detail: str = "") -> CheckItem:
+    return CheckItem("psi-domination", INCONCLUSIVE, (), detail)
+
+
+def _domination_item(
+    built, t_vals, box, lattice, detail: str, counts: bool = True, **quantities
+) -> CheckItem:
+    """The psi-domination verdict of f sampled over box = (x_lo, x_hi,
+    slope_lo, slope_hi) at the times t_vals; counts adds the lattice size
+    to the max ratio and the caller's quantities."""
+    _, nx, ny = lattice
+    k_vals = np.asarray(built.weight(t_vals), dtype=float)
+    worst, used = _scan_domination(built.rhs, t_vals, k_vals, *box, nx, ny)
+    if used == 0:
+        return _unsampled("no usable time nodes (weight vanished everywhere sampled)")
+    if counts:
+        quantities = dict(t_nodes=used, x_nodes=nx, y_nodes=ny, **quantities)
+    return CheckItem(
+        "psi-domination",
+        SAMPLED if worst <= 1.0 + RATIO_SLACK else FAIL,
+        _q(max_ratio=worst, **quantities),
+        detail=detail,
+    )
+
+
 def _slope_items(
-    problem: BvpProblem, recip_detail: str
-) -> tuple[list[CheckItem], float, float, bool]:
-    """The recip-norm and slope-in-branch items, then k1, s* and whether
-    s* lies inside the branch."""
+    problem: BvpProblem, sc: DerivedScalars, recip_detail: str
+) -> tuple[list[CheckItem], bool]:
+    """The recip-norm and slope-in-branch items, then whether s* lies
+    inside the branch."""
     branch = problem.branch
-    invk, k1 = recip_weight_grid(problem.weight, problem.mesh)
-    kp = float(norm(invk, problem.p))
-    kappa_ok = math.isfinite(kp)
-    s_star = (problem.nu2 - problem.nu1) / k1 if kappa_ok else math.nan
-    slope_ok = kappa_ok and branch.contains(s_star)
+    kappa_ok = math.isfinite(sc.kp)
+    slope_ok = kappa_ok and problem.branch_contains(sc.s_star)
+    s_star = sc.s_star if kappa_ok else math.nan
+    lo, hi = (math.nan, math.nan) if branch is None else (branch.lo, branch.hi)
     items = [
         CheckItem(
             "recip-norm",
             PASS if kappa_ok else FAIL,
-            _q(k1=k1, kp=kp, p=problem.p),
+            _q(k1=sc.k1, kp=sc.kp, p=problem.p),
             detail=recip_detail,
         ),
         CheckItem(
             "slope-in-branch",
             PASS if slope_ok else FAIL,
-            _q(s_star=s_star, branch_lo=branch.lo, branch_hi=branch.hi),
+            _q(s_star=s_star, branch_lo=lo, branch_hi=hi),
+            "no monotone branch of Phi contains s*" if branch is None else "",
         ),
     ]
-    return items, k1, s_star, slope_ok
+    return items, slope_ok
 
 
 def _finite_interval_items(
@@ -175,107 +203,53 @@ def _finite_interval_items(
     lattice: tuple[int, int, int],
     surjective_shortcut: bool,
 ) -> list[CheckItem]:
-    nt, nx, ny = lattice
-    branch = problem.branch
-    items, _, s_star, slope_ok = _slope_items(
-        problem, "1/k must have finite L1 and Lp norms on [0, T]"
+    sc = derive_scalars(problem)
+    items, slope_ok = _slope_items(
+        problem, sc, "1/k must have finite L1 and Lp norms on [0, T]"
     )
-
-    psi_grid = GridFunction.from_callable(problem.mesh, problem.rhs.psi_at, fill=0.0)
-    L = float(integrate(psi_grid))
-    psi_min = float(np.min(psi_grid.values[~problem.mesh.singular_mask()]))
-
     if surjective_shortcut:
-        items.append(
-            CheckItem(
-                "image-margin",
-                PASS,
-                _q(two_l=2.0 * L),
-                detail="surjective branch: the image margin holds for every L",
-            )
+        margin = CheckItem(
+            "image-margin",
+            PASS,
+            _q(two_l=2.0 * sc.L),
+            detail="surjective branch: the image margin holds for every L",
         )
-        margin_ok = slope_ok
     elif not slope_ok:
-        items.append(
-            CheckItem(
-                "image-margin",
-                INCONCLUSIVE,
-                _q(two_l=2.0 * L),
-                detail="s* lies outside the branch, margin undefined",
-            )
+        margin = CheckItem(
+            "image-margin",
+            INCONCLUSIVE,
+            _q(two_l=2.0 * sc.L),
+            detail="s* lies outside the branch, margin undefined",
         )
-        margin_ok = False
     else:
-        phi_s = float(problem.phi.fn(s_star))
-        item = _margin_item(
-            "image-margin", phi_s, 2.0 * L, branch.image_lo, branch.image_hi
-        )
-        items.append(item)
-        margin_ok = item.verdict == PASS
+        margin = _margin_item(problem.branch, sc.phi_s_star, sc.L)
+    items.append(margin)
 
-    if psi_min < 0.0:
+    if sc.psi_min < 0.0:
         items.append(
             CheckItem(
                 "psi-domination",
                 FAIL,
-                _q(psi_min=psi_min),
+                _q(psi_min=sc.psi_min),
                 detail="psi is negative at sampled nodes",
             )
         )
-        return items
-    if not margin_ok:
+    elif not slope_ok or margin.verdict != PASS:
+        items.append(_unsampled("admissible slope box undefined, nothing to sample"))
+    else:
+        box_lo = min(problem.nu1, sc.N1, sc.N2)
+        box_hi = max(problem.nu1, sc.N1, sc.N2)
         items.append(
-            CheckItem(
-                "psi-domination",
-                INCONCLUSIVE,
-                (),
-                detail="admissible slope box undefined, nothing to sample",
-            )
-        )
-        return items
-
-    scalars = derive_scalars(problem, use_exact_length=False)
-    box_lo = min(problem.nu1, scalars.N1, scalars.N2)
-    box_hi = max(problem.nu1, scalars.N1, scalars.N2)
-    t_vals = np.linspace(0.0, problem.T, nt)
-    k_vals = np.asarray(problem.weight(t_vals), dtype=float)
-    worst, used = _scan_domination(
-        problem.rhs,
-        t_vals,
-        k_vals,
-        box_lo,
-        box_hi,
-        scalars.slope_lo,
-        scalars.slope_hi,
-        nx,
-        ny,
-    )
-    if used == 0:
-        items.append(
-            CheckItem(
-                "psi-domination",
-                INCONCLUSIVE,
-                (),
-                detail="no usable time nodes (weight vanished everywhere sampled)",
-            )
-        )
-        return items
-    ok = worst <= 1.0 + RATIO_SLACK
-    items.append(
-        CheckItem(
-            "psi-domination",
-            SAMPLED if ok else FAIL,
-            _q(
-                max_ratio=worst,
-                t_nodes=used,
-                x_nodes=nx,
-                y_nodes=ny,
+            _domination_item(
+                problem,
+                np.linspace(0.0, problem.T, lattice[0]),
+                (box_lo, box_hi, sc.slope_lo, sc.slope_hi),
+                lattice,
+                "sampled |f(t,x,y)| <= psi(t) over the admissible box",
                 box_lo=box_lo,
                 box_hi=box_hi,
-            ),
-            detail="sampled |f(t,x,y)| <= psi(t) over the admissible box",
+            )
         )
-    )
     return items
 
 
@@ -297,7 +271,9 @@ def check_corollary_surjective(
 ) -> HypothesisReport:
     """Shortcut for branches whose image is all of R: the margin is free."""
     branch = problem.branch
-    if math.isfinite(branch.image_lo) or math.isfinite(branch.image_hi):
+    if branch is not None and (
+        math.isfinite(branch.image_lo) or math.isfinite(branch.image_hi)
+    ):
         raise WrongCorollaryError(
             "branch image is bounded; use check_corollary_singular for a "
             "bounded domain with full image, or check_theorem1 otherwise"
@@ -314,55 +290,35 @@ def check_corollary_singular(
     The domination box widens to the whole of J: x with (x - nu1)/k1 in J
     and slopes with k(t) y in J.
     """
-    nt, nx, ny = lattice
     branch = problem.branch
-    if not (math.isfinite(branch.lo) and math.isfinite(branch.hi)):
-        raise WrongCorollaryError(
-            "branch domain is unbounded; use check_corollary_surjective "
-            "or check_theorem1"
-        )
-    if math.isfinite(branch.image_lo) or math.isfinite(branch.image_hi):
-        raise WrongCorollaryError(
-            "bounded-domain shortcut needs the branch image to be all of R"
-        )
-    items, k1, _, slope_ok = _slope_items(problem, "")
+    if branch is not None:
+        if not (math.isfinite(branch.lo) and math.isfinite(branch.hi)):
+            raise WrongCorollaryError(
+                "branch domain is unbounded; use check_corollary_surjective "
+                "or check_theorem1"
+            )
+        if math.isfinite(branch.image_lo) or math.isfinite(branch.image_hi):
+            raise WrongCorollaryError(
+                "bounded-domain shortcut needs the branch image to be all of R"
+            )
+    sc = derive_scalars(problem)
+    items, slope_ok = _slope_items(problem, sc, "")
     if not slope_ok:
+        items.append(_unsampled("s* outside the branch, nothing to sample"))
+    else:
+        # inset the open interval so endpoint singularities are never touched
+        width = branch.hi - branch.lo
+        j_lo = branch.lo + 1e-9 * width
+        j_hi = branch.hi - 1e-9 * width
         items.append(
-            CheckItem(
-                "psi-domination",
-                INCONCLUSIVE,
-                (),
-                detail="s* outside the branch, nothing to sample",
+            _domination_item(
+                problem,
+                np.linspace(0.0, problem.T, lattice[0]),
+                (problem.nu1 + sc.k1 * j_lo, problem.nu1 + sc.k1 * j_hi, j_lo, j_hi),
+                lattice,
+                "sampled |f| <= psi over the whole branch box",
             )
         )
-        return HypothesisReport("cor2", tuple(items), _overall(items))
-
-    # inset the open interval so endpoint singularities are never touched
-    width = branch.hi - branch.lo
-    j_lo = branch.lo + 1e-9 * width
-    j_hi = branch.hi - 1e-9 * width
-    t_vals = np.linspace(0.0, problem.T, nt)
-    k_vals = np.asarray(problem.weight(t_vals), dtype=float)
-    worst, used = _scan_domination(
-        problem.rhs,
-        t_vals,
-        k_vals,
-        problem.nu1 + k1 * j_lo,
-        problem.nu1 + k1 * j_hi,
-        j_lo,
-        j_hi,
-        nx,
-        ny,
-    )
-    ok = used > 0 and worst <= 1.0 + RATIO_SLACK
-    items.append(
-        CheckItem(
-            "psi-domination",
-            SAMPLED if ok else FAIL,
-            _q(max_ratio=worst, t_nodes=used, x_nodes=nx, y_nodes=ny),
-            detail="sampled |f| <= psi over the whole branch box",
-        )
-    )
     return HypothesisReport("cor2", tuple(items), _overall(items))
 
 
@@ -511,7 +467,6 @@ def check_halfline(
         raise InvalidInputError("L_lip must be nonnegative and finite")
     if not (delta > 0.0 and math.isfinite(delta)):
         raise InvalidInputError("delta must be positive")
-    nt, nx, ny = lattice
     branch = hp.branch
     items, k_inf, ell_inf = _mass_items(hp)
     k_ok = items[0].verdict == PASS
@@ -594,40 +549,26 @@ def check_halfline(
 
     if not slope_ok:
         items.append(CheckItem("image-margin", INCONCLUSIVE, ()))
-        items.append(CheckItem("psi-domination", INCONCLUSIVE, ()))
+        items.append(_unsampled())
         return HypothesisReport("thm_halfline", tuple(items), _overall(items))
 
     phi_s = float(hp.phi.fn(s_inf))
-    margin = _margin_item(
-        "image-margin", phi_s, 2.0 * ell_inf, branch.image_lo, branch.image_hi
-    )
+    margin = _margin_item(branch, phi_s, ell_inf)
     items.append(margin)
     if margin.verdict != PASS:
-        items.append(
-            CheckItem(
-                "psi-domination",
-                INCONCLUSIVE,
-                (),
-                detail="admissible slope box undefined, nothing to sample",
-            )
-        )
+        items.append(_unsampled("admissible slope box undefined, nothing to sample"))
         return HypothesisReport("thm_halfline", tuple(items), _overall(items))
 
     slope_lo, slope_hi = sorted(slope_box(hp.phi, branch, phi_s, ell_inf))
     x_lo = min(hp.nu1, hp.nu1 + k_inf * slope_lo)
     x_hi = max(hp.nu1, hp.nu1 + k_inf * slope_hi)
-    t_vals = _halfline_t_lattice(nt)
-    k_vals = np.asarray(hp.weight(t_vals), dtype=float)
-    worst, used = _scan_domination(
-        hp.rhs, t_vals, k_vals, x_lo, x_hi, slope_lo, slope_hi, nx, ny
-    )
-    ok = used > 0 and worst <= 1.0 + RATIO_SLACK
     items.append(
-        CheckItem(
-            "psi-domination",
-            SAMPLED if ok else FAIL,
-            _q(max_ratio=worst, t_nodes=used, x_nodes=nx, y_nodes=ny),
-            detail="sampled |f| <= psi over the half-line admissible box",
+        _domination_item(
+            hp,
+            _halfline_t_lattice(lattice[0]),
+            (x_lo, x_hi, slope_lo, slope_hi),
+            lattice,
+            "sampled |f| <= psi over the half-line admissible box",
         )
     )
     return HypothesisReport("thm_halfline", tuple(items), _overall(items))
@@ -651,7 +592,6 @@ def check_halfline_odd(
         raise InvalidInputError(
             "odd-operator shortcut requires the symmetric increasing branch"
         )
-    nt, nx, ny = lattice
     items, k_inf, ell_inf = _mass_items(hp)
 
     witness = None
@@ -662,9 +602,7 @@ def check_halfline_odd(
         if not branch.contains(s_T):
             last_quantities = _q(T=T, s_T_star=s_T)
             continue
-        phi_sT = float(phi.fn(s_T))
-        lo_margin = (phi_sT - 2.0 * ell_inf) - branch.image_lo
-        hi_margin = branch.image_hi - (phi_sT + 2.0 * ell_inf)
+        lo_margin, hi_margin = image_margins(branch, float(phi.fn(s_T)), ell_inf)
         last_quantities = _q(
             T=T, s_T_star=s_T, margin_lo=lo_margin, margin_hi=hi_margin
         )
@@ -680,7 +618,7 @@ def check_halfline_odd(
                 detail="no T in the doubling grid satisfies the margins",
             )
         )
-        items.append(CheckItem("psi-domination", INCONCLUSIVE, ()))
+        items.append(_unsampled())
         return HypothesisReport("thm_halfline_odd", tuple(items), _overall(items))
 
     T, k_T, s_T = witness
@@ -696,18 +634,16 @@ def check_halfline_odd(
     # symmetric admissible box from the odd form of the slope estimates
     slope_hi = partial_inverse(phi, branch, float(phi.fn(abs(s_T))) + 2.0 * ell_inf)
     x_max = abs(hp.nu1) + k_inf * slope_hi
-    t_vals = _halfline_t_lattice(nt)
-    k_vals = np.asarray(hp.weight(t_vals), dtype=float)
-    worst, used = _scan_domination(
-        hp.rhs, t_vals, k_vals, -x_max, x_max, -slope_hi, slope_hi, nx, ny
-    )
-    ok = used > 0 and worst <= 1.0 + RATIO_SLACK
     items.append(
-        CheckItem(
-            "psi-domination",
-            SAMPLED if ok else FAIL,
-            _q(max_ratio=worst, slope_bound=slope_hi, x_bound=x_max),
-            detail="sampled |f| <= psi over the symmetric admissible box",
+        _domination_item(
+            hp,
+            _halfline_t_lattice(lattice[0]),
+            (-x_max, x_max, -slope_hi, slope_hi),
+            lattice,
+            "sampled |f| <= psi over the symmetric admissible box",
+            counts=False,
+            slope_bound=slope_hi,
+            x_bound=x_max,
         )
     )
     return HypothesisReport("thm_halfline_odd", tuple(items), _overall(items))

@@ -352,34 +352,12 @@ def find_branch(
         raise DomainError(f"slope {s_star!r} outside operator domain ({dom_lo}, {dom_hi})")
 
     if hint is not None:
-        a, b = float(hint[0]), float(hint[1])
-        if not a < b:
-            raise InvalidInputError("branch hint must be a nonempty interval")
-        if a < dom_lo or b > dom_hi:
-            raise DomainError("branch hint leaves the operator domain")
-        if not a < s_star < b:
-            raise BranchError(f"slope {s_star!r} not inside branch hint ({a}, {b})")
-        ss, vv = _sample_window(phi, max(a, -WORK_WINDOW), min(b, WORK_WINDOW), samples)
-        direction = _monotone_direction(vv)
-        if direction is None:
-            raise BranchNotFoundError(
-                f"sampled monotonicity violation inside hint ({a}, {b})"
+        branch = hint_branch(phi, hint, samples)
+        if not branch.contains(s_star):
+            raise BranchError(
+                f"slope {s_star!r} not inside branch hint ({branch.lo}, {branch.hi})"
             )
-        piece = phi.piece_at(0.5 * (max(a, -WORK_WINDOW) + min(b, WORK_WINDOW))) if phi.piece_at else None
-        if piece is not None and a >= piece.lo - 1e-12 and b <= piece.hi + 1e-12:
-            inc = piece.increasing
-            img_a = piece.image_lo if inc else piece.image_hi
-            img_b = piece.image_hi if inc else piece.image_lo
-            if a > piece.lo + 1e-12:
-                img_a = _limit_at(phi, a, b)
-            if b < piece.hi - 1e-12:
-                img_b = _limit_at(phi, b, a)
-            lo_img, hi_img = sorted((img_a, img_b))
-            return MonotoneBranch(a, b, inc, lo_img, hi_img, piece.inverse)
-        img_a = _limit_at(phi, a, b)
-        img_b = _limit_at(phi, b, a)
-        lo_img, hi_img = sorted((img_a, img_b))
-        return MonotoneBranch(a, b, direction > 0, lo_img, hi_img, None)
+        return branch
 
     if phi.piece_at is not None:
         piece = phi.piece_at(s_star)
@@ -427,6 +405,45 @@ def find_branch(
         return MonotoneBranch(
             lo, hi, sign > 0, min(v_lo, v_hi), max(v_lo, v_hi), None
         )
+
+
+def hint_branch(
+    phi: PhiOperator, hint: tuple[float, float], samples: int = 2048
+) -> MonotoneBranch:
+    """Certify the hint interval itself as a strictly monotone branch.
+
+    Monotonicity is validated by dense sampling on the hint; catalog piece
+    metadata supplies exact images and inverses when the hint sits inside
+    a known piece.  Every error names the hint, never a slope.
+    """
+    dom_lo, dom_hi = phi.domain
+    a, b = float(hint[0]), float(hint[1])
+    if not a < b:
+        raise InvalidInputError("branch hint must be a nonempty interval")
+    if a < dom_lo or b > dom_hi:
+        raise DomainError("branch hint leaves the operator domain")
+    ss, vv = _sample_window(phi, max(a, -WORK_WINDOW), min(b, WORK_WINDOW), samples)
+    direction = _monotone_direction(vv)
+    if direction is None:
+        raise BranchNotFoundError(
+            f"sampled monotonicity violation inside hint ({a}, {b})"
+        )
+    mid = 0.5 * (max(a, -WORK_WINDOW) + min(b, WORK_WINDOW))
+    piece = phi.piece_at(mid) if phi.piece_at else None
+    if piece is not None and a >= piece.lo - 1e-12 and b <= piece.hi + 1e-12:
+        inc = piece.increasing
+        img_a = piece.image_lo if inc else piece.image_hi
+        img_b = piece.image_hi if inc else piece.image_lo
+        if a > piece.lo + 1e-12:
+            img_a = _limit_at(phi, a, b)
+        if b < piece.hi - 1e-12:
+            img_b = _limit_at(phi, b, a)
+        lo_img, hi_img = sorted((img_a, img_b))
+        return MonotoneBranch(a, b, inc, lo_img, hi_img, piece.inverse)
+    img_a = _limit_at(phi, a, b)
+    img_b = _limit_at(phi, b, a)
+    lo_img, hi_img = sorted((img_a, img_b))
+    return MonotoneBranch(a, b, direction > 0, lo_img, hi_img, None)
 
 
 # -- branch-wise inversion ----------------------------------------------------

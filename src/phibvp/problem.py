@@ -19,6 +19,10 @@ from .errors import BranchError, CompatibilityError, EnvelopeError, InvalidInput
 from .grid import SENTINEL, GridFunction, Mesh, integrate, norm
 from .operators import MonotoneBranch, PhiOperator, find_branch, partial_inverse
 
+# reference mesh and tolerance of the K self-test (sqrt_t is off by 1e-6)
+K_SELFTEST_CELLS = 4096
+K_SELFTEST_RTOL = 1e-5
+
 
 @dataclass(frozen=True, eq=False)
 class Weight:
@@ -26,6 +30,7 @@ class Weight:
 
     recip_antiderivative, when given, is the exact K(t) = integral of 1/k
     over [0, t]; recip_total is its limit at infinity (for half-line work).
+    K is self-tested once, here, against a fine quadrature over [0, 1].
     """
 
     fn: Callable = field(repr=False)
@@ -34,6 +39,20 @@ class Weight:
     recip_total: float | None = None
     name: str = "custom"
     params: tuple[tuple[str, float], ...] = ()
+
+    def __post_init__(self):
+        K = self.recip_antiderivative
+        if K is None:
+            return
+        points = [p for p in self.singular_points if 0.0 <= p <= 1.0]
+        ref = Mesh.graded(1.0, K_SELFTEST_CELLS, points)
+        quad = integrate(GridFunction.from_callable(ref, self.recip, fill=0.0))
+        exact = float(K(1.0)) - float(K(0.0))
+        if not abs(quad - exact) <= K_SELFTEST_RTOL * max(1.0, abs(exact)):
+            raise InvalidInputError(
+                "weight antiderivative self-test failed: "
+                f"quadrature {quad!r} vs exact {exact!r}"
+            )
 
     def __call__(self, t):
         with np.errstate(all="ignore"):
@@ -139,8 +158,10 @@ def make_rhs(name: str, **params) -> Rhs:
 
 @dataclass(frozen=True, eq=False)
 class BvpProblem:
+    """The finite-interval problem; branch is None when no branch contains s*."""
+
     phi: PhiOperator
-    branch: MonotoneBranch
+    branch: MonotoneBranch | None
     weight: Weight
     rhs: Rhs
     nu1: float
@@ -161,6 +182,9 @@ class BvpProblem:
             raise InvalidInputError("problem needs a mesh; use make_problem")
         if abs(self.mesh.T - self.T) > 1e-12 * max(1.0, self.T):
             raise InvalidInputError("mesh endpoint differs from T")
+
+    def branch_contains(self, s: float) -> bool:
+        return self.branch is not None and self.branch.contains(s)
 
 
 def default_mesh(weight: Weight, T: float, n: int = 1000) -> Mesh:
@@ -208,13 +232,18 @@ def recip_weight_grid(weight: Weight, mesh: Mesh) -> tuple[GridFunction, float]:
 
 @dataclass(frozen=True)
 class DerivedScalars:
-    """Scalar data the existence hypotheses and the solver share."""
+    """Scalar data the existence hypotheses and the solver share.
+
+    A failed hypothesis leaves the fields it undefines NaN: phi_s_star
+    when s* lies outside the branch, and A*, B*, the slopes and [N1, N2]
+    also when psi < 0 somewhere or Phi(s*) +- 2L leaves the branch image.
+    """
 
     k1: float
-    k1_quad: float
     kp: float
     s_star: float
     L: float
+    psi_min: float
     phi_s_star: float
     A_star: float
     B_star: float
@@ -224,63 +253,65 @@ class DerivedScalars:
     N2: float
 
 
-def derive_scalars(
-    problem: BvpProblem, use_exact_length: bool = True
-) -> DerivedScalars:
-    """Compute k1, kp, s*, L, the shifted slopes A*, B*, and the box [N1, N2].
+def derive_scalars(problem: BvpProblem) -> DerivedScalars:
+    """Compute k1, kp, s*, L, min psi, Phi(s*), A*, B* and the box [N1, N2].
 
-    Raises BranchError when s* leaves the branch and CompatibilityError
-    when Phi(s*) +- 2L leaves the branch image.  use_exact_length=False
-    forces the quadrature value of k1 even when the weight carries an
-    exact antiderivative; the solver needs that so its envelopes agree
-    with its own quadrature to rounding accuracy.
+    k1 and L are mesh quadratures, the ones the solver integrates with.
+    A failed hypothesis is reported by NaN fields, never raised;
+    require_box raises for it.
     """
-    invk, k1_quad = recip_weight_grid(problem.weight, problem.mesh)
-    k1 = k1_quad
-    K = problem.weight.recip_antiderivative
-    if K is not None:
-        k1_exact = float(K(problem.T)) - float(K(0.0))
-        tol = 1e-6 if not problem.weight.singular_points else 1e-2
-        if abs(k1_quad - k1_exact) > tol * max(1.0, abs(k1_exact)):
-            raise InvalidInputError(
-                "weight antiderivative self-test failed: "
-                f"quadrature {k1_quad!r} vs exact {k1_exact!r}"
-            )
-        if use_exact_length:
-            k1 = k1_exact
-    kp = norm(invk, problem.p)
-
+    mesh = problem.mesh
+    invk, k1 = recip_weight_grid(problem.weight, mesh)
+    psi = GridFunction.from_callable(mesh, problem.rhs.psi_at, fill=0.0)
     s_star = (problem.nu2 - problem.nu1) / k1
-    if not problem.branch.contains(s_star):
-        raise BranchError(
-            f"reference slope {s_star!r} outside branch "
-            f"({problem.branch.lo}, {problem.branch.hi})"
-        )
-
-    psi = GridFunction.from_callable(problem.mesh, problem.rhs.psi_at, fill=0.0)
-    if np.any(psi.values < 0.0):
-        raise InvalidInputError("psi must be nonnegative")
     L = integrate(psi)
-
-    phi_s = float(problem.phi(s_star))
-    A_star, B_star = slope_box(problem.phi, problem.branch, phi_s, L)
+    psi_min = float(np.min(psi.values[~mesh.singular_mask()], initial=math.inf))
+    phi_s = A_star = B_star = math.nan
+    if problem.branch_contains(s_star):
+        phi_s = float(problem.phi(s_star))
+        if psi_min >= 0.0 and min(image_margins(problem.branch, phi_s, L)) > 0.0:
+            A_star, B_star = slope_box(problem.phi, problem.branch, phi_s, L)
     slope_lo, slope_hi = sorted((A_star, B_star))
-    N1 = problem.nu1 + k1 * slope_lo
-    N2 = problem.nu1 + k1 * slope_hi
     return DerivedScalars(
         k1=k1,
-        k1_quad=k1_quad,
-        kp=kp,
+        kp=norm(invk, problem.p),
         s_star=s_star,
         L=L,
+        psi_min=psi_min,
         phi_s_star=phi_s,
         A_star=A_star,
         B_star=B_star,
         slope_lo=slope_lo,
         slope_hi=slope_hi,
-        N1=N1,
-        N2=N2,
+        N1=problem.nu1 + k1 * slope_lo,
+        N2=problem.nu1 + k1 * slope_hi,
     )
+
+
+def require_box(problem: BvpProblem, scalars: DerivedScalars) -> None:
+    """Raise for the first hypothesis that leaves the slope box undefined.
+
+    BranchError when s* leaves the branch, InvalidInputError when psi is
+    negative, CompatibilityError when Phi(s*) +- 2L leaves the image.
+    """
+    br = problem.branch
+    if not problem.branch_contains(scalars.s_star):
+        where = "every branch" if br is None else f"branch ({br.lo}, {br.hi})"
+        raise BranchError(f"reference slope {scalars.s_star!r} outside {where}")
+    if scalars.psi_min < 0.0:
+        raise InvalidInputError("psi must be nonnegative")
+    if math.isnan(scalars.A_star):
+        raise CompatibilityError(
+            f"Phi(s*) +- 2L = {scalars.phi_s_star!r} +- {2.0 * scalars.L!r} leaves "
+            f"the branch image ({br.image_lo!r}, {br.image_hi!r})"
+        )
+
+
+def image_margins(
+    branch: MonotoneBranch, phi_s: float, L: float
+) -> tuple[float, float]:
+    """How far Phi(s*) - 2L and Phi(s*) + 2L sit inside the branch image."""
+    return (phi_s - 2.0 * L) - branch.image_lo, branch.image_hi - (phi_s + 2.0 * L)
 
 
 def slope_box(
@@ -288,15 +319,10 @@ def slope_box(
 ) -> tuple[float, float]:
     """Phi^{-1}(Phi(s*) - 2L) and Phi^{-1}(Phi(s*) + 2L) on the branch.
 
-    phi_s is Phi(s*), evaluated by the caller.  Raises CompatibilityError
-    when Phi(s*) +- 2L leaves the branch image.
+    phi_s is Phi(s*), evaluated by the caller.  Both values must lie
+    strictly inside the branch image (see image_margins); partial_inverse
+    raises ImageDomainError otherwise.
     """
-    b1, b2 = branch.image_lo, branch.image_hi
-    if not (b1 < phi_s - 2.0 * L and phi_s + 2.0 * L < b2):
-        raise CompatibilityError(
-            f"Phi(s*) +- 2L = {phi_s!r} +- {2.0 * L!r} leaves the branch image "
-            f"({b1!r}, {b2!r})"
-        )
     return (
         partial_inverse(phi, branch, phi_s - 2.0 * L),
         partial_inverse(phi, branch, phi_s + 2.0 * L),

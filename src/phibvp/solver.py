@@ -63,6 +63,7 @@ from .problem import (
     envelopes,
     oriented_problem,
     recip_weight_grid,
+    require_box,
 )
 
 log = logging.getLogger(__name__)
@@ -562,15 +563,12 @@ def solve(
     the affine-in-K profile, which is the exact solution when f = 0.
     """
     cfg = config if config is not None else IterationConfig()
-    oriented, flipped = oriented_problem(problem)
     # quadrature-consistent scalars: the g outputs then satisfy the
     # envelopes to rounding accuracy, not merely to quadrature accuracy
-    report_scalars = derive_scalars(problem, use_exact_length=False)
-    scalars = (
-        derive_scalars(oriented, use_exact_length=False)
-        if flipped
-        else report_scalars
-    )
+    report_scalars = derive_scalars(problem)
+    require_box(problem, report_scalars)
+    oriented, flipped = oriented_problem(problem)
+    scalars = derive_scalars(oriented) if flipped else report_scalars
     envs = envelopes(oriented, scalars)
     kern = SolverKernel(oriented)
     box = _box(oriented, envs)

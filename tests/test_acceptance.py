@@ -283,7 +283,7 @@ def test_06_random_certified_problems_stay_in_envelopes():
             report = solve(problem)
             assert report.status == "converged"
             assert report.truncation_count == 0
-            scalars = derive_scalars(problem, use_exact_length=False)
+            scalars = derive_scalars(problem)
             env = envelopes(problem, scalars)
             lo = min(problem.nu1, scalars.N1) - 1e-8
             hi = max(problem.nu1, scalars.N2) + 1e-8
@@ -301,7 +301,7 @@ def test_07_square_root_weight_singularity():
         problem = make_problem(
             phi, sqrt_t_weight(), zero_rhs(), 0.0, 1.0, 1.0, mesh_n=1000
         )
-        scalars = derive_scalars(problem, use_exact_length=False)
+        scalars = derive_scalars(problem)
         assert scalars.k1 == pytest.approx(2.0, abs=1e-4)
         report = solve(problem)
         assert report.status == "converged"

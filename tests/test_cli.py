@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from phibvp import BetaBracketError, cli, parse_config
+from phibvp import BetaBracketError, ConfigError, cli, parse_config
+from phibvp.config import ProblemConfig
 from phibvp.cli import TABLE_BLOCK_ROWS, main, read_solution_table, write_solution_table
 from phibvp.grid import Mesh
 
@@ -169,6 +170,65 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "config error:" in err and f"[check] kind: {kind} {needs}" in err
 
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_smooth_weight_on_a_coarse_mesh(self, tmp_path, capsys, n):
+        # the trapezoid k1 of 1/(1 + t^2) is off by 5e-6 at n = 100: only
+        # the weight's own antiderivative self-test may judge its K
+        text = (
+            QUADRATIC.format(n=n)
+            .replace("name = constant\nvalue = 1.0", "name = one_plus_t_squared")
+            .replace("f = 2.0 + 0.0*t\npsi = 2.0 + 0.0*t", "f = 0.0*t\npsi = 0.0*t")
+        )
+        cfg = write(tmp_path, text)
+        assert main(["check", cfg]) == 0
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 0
+        assert main(["verify", str(out / "solution.txt"), cfg]) == 0
+        assert "verification: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["auto", "cor-singular"])
+    @pytest.mark.parametrize("nu2", ["1.0", "1.5"])
+    def test_slope_in_no_branch_is_a_failed_hypothesis(
+        self, tmp_path, capsys, kind, nu2
+    ):
+        # relativistic Phi lives on (-1, 1): s* = nu2 >= 1 lies in no branch
+        text = RELATIVISTIC_SWEEP.replace("nu2 = 0.1", f"nu2 = {nu2}")
+        cfg = write(tmp_path, text + f"\n[check]\nkind = {kind}\n")
+        out = tmp_path / "run"
+        assert main(["check", cfg, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"slope-in-branch: fail  (s_star={float(nu2):.17g} " in captured.out
+        assert "error" not in captured.err
+        record = parse_config((out / "record.txt").read_text())
+        assert record.section("run")["exit_code"] == "2"
+        item = record.section("check.slope-in-branch")
+        assert item["verdict"] == "fail" and float(item["s_star"]) == float(nu2)
+        assert item["detail"] == "no monotone branch of Phi contains s*"
+
+    def test_slope_outside_the_hint_is_a_failed_hypothesis(self, tmp_path, capsys):
+        text = RELATIVISTIC_SWEEP.replace(
+            "name = relativistic", "name = relativistic\nbranch_hint = 0.2, 0.9"
+        )
+        assert main(["check", write(tmp_path, text)]) == 2
+        out = capsys.readouterr().out
+        assert "slope-in-branch: fail  (s_star=0.10000000000000001" in out
+        assert "branch_lo=0.20000000000000001 branch_hi=0.90000000000000002" in out
+
+    @pytest.mark.parametrize(
+        "hint,message",
+        [
+            ("-2.0, 2.0", "branch hint leaves the operator domain"),
+            ("0.5, 0.5", "branch hint must be a nonempty interval"),
+        ],
+    )
+    def test_bad_hint_is_a_config_error(self, tmp_path, capsys, hint, message):
+        text = RELATIVISTIC_SWEEP.replace(
+            "name = relativistic", f"name = relativistic\nbranch_hint = {hint}"
+        )
+        cfg = write(tmp_path, text.replace("nu2 = 0.1", "nu2 = 1.5"))
+        assert main(["check", cfg]) == 1
+        assert f"error: [problem] {message}" in capsys.readouterr().err
+
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         cfg = write(tmp_path, "nonsense\n")
         assert main(["check", cfg]) == 1
@@ -203,6 +263,16 @@ class TestSolve:
         record = parse_config((out / "record.txt").read_text())
         assert record.section("check")["overall"] == "fail"
         assert record.section("solve") is None
+
+    def test_slope_in_no_branch_blocks_solve(self, tmp_path, capsys):
+        cfg = write(tmp_path, RELATIVISTIC_SWEEP.replace("nu2 = 0.1", "nu2 = 1.5"))
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 2
+        assert "slope-in-branch: fail" in capsys.readouterr().out
+        assert not (out / "solution.txt").exists()
+        record = parse_config((out / "record.txt").read_text())
+        assert record.section("run")["exit_code"] == "2"
+        assert record.section("check")["overall"] == "fail"
 
     def test_mesh_override_flag(self, tmp_path):
         cfg = write(tmp_path, QUADRATIC.format(n=500))
@@ -337,8 +407,32 @@ class TestSweep:
         assert main(["sweep", cfg, "-o", str(three), "--threads", "3"]) == 0
         assert (one / "sweep.txt").read_bytes() == (three / "sweep.txt").read_bytes()
 
-    def test_failed_build_names_its_error(self, tmp_path):
-        # relativistic Phi lives on (-1, 1): s* = lambda >= 1 has no branch
+    def test_slope_in_no_branch_is_a_fail_row(self, tmp_path, capsys):
+        # relativistic Phi lives on (-1, 1): s* = lambda >= 1 lies in no
+        # branch, a failed hypothesis and so a verdict flip
+        cfg = write(tmp_path, RELATIVISTIC_SWEEP)
+        out = tmp_path / "run"
+        assert main(["sweep", cfg, "-o", str(out)]) == 0
+        lines = (out / "sweep.txt").read_text().splitlines()[1:]
+        rows = [line.split(",")[1:3] for line in lines]
+        assert rows == [["pass", "converged"], ["fail", "skipped"], ["fail", "skipped"]]
+        out = capsys.readouterr().out
+        assert "check verdict flips between lambda = 0.5 and 1" in out
+
+    @staticmethod
+    def _build_fails_above_one(monkeypatch):
+        # no catalog config fails to build for some lambdas only: inject it
+        build = ProblemConfig.build_finite
+
+        def flaky(self, nu2_override=None):
+            if nu2_override is not None and nu2_override >= 1.0:
+                raise ConfigError("[problem] injected build failure")
+            return build(self, nu2_override)
+
+        monkeypatch.setattr(ProblemConfig, "build_finite", flaky)
+
+    def test_failed_build_names_its_error(self, tmp_path, monkeypatch):
+        self._build_fails_above_one(monkeypatch)
         cfg = write(tmp_path, RELATIVISTIC_SWEEP)
         out = tmp_path / "run"
         assert main(["sweep", cfg, "-o", str(out)]) == 0
@@ -347,15 +441,19 @@ class TestSweep:
         assert [r[1] for r in rows] == ["pass", "error:ConfigError", "error:ConfigError"]
         assert [r[2] for r in rows] == ["converged", "skipped", "skipped"]
 
-    def test_error_rows_are_not_flips(self, tmp_path, capsys):
+    def test_error_rows_are_not_flips(self, tmp_path, capsys, monkeypatch):
         # rows pass, error:ConfigError, error:ConfigError: no verdict flips
+        self._build_fails_above_one(monkeypatch)
         cfg = write(tmp_path, RELATIVISTIC_SWEEP)
         assert main(["sweep", cfg, "-o", str(tmp_path / "run")]) == 0
         assert "verdict flips" not in capsys.readouterr().out
 
     def test_sweep_without_a_verdict_exits_one(self, tmp_path, capsys):
-        text = RELATIVISTIC_SWEEP.replace("lambda_max = 1.5", "lambda_max = 2.5")
-        cfg = write(tmp_path, text.replace("lambda_min = 0.5", "lambda_min = 1.5"))
+        # a hint outside the operator domain fails every row's build
+        text = RELATIVISTIC_SWEEP.replace(
+            "name = relativistic", "name = relativistic\nbranch_hint = -2.0, 2.0"
+        )
+        cfg = write(tmp_path, text)
         out = tmp_path / "run"
         assert main(["sweep", cfg, "-o", str(out)]) == 1
         rows = [line.split(",") for line in (out / "sweep.txt").read_text().splitlines()[1:]]

@@ -219,7 +219,7 @@ class TestAssembly:
         # integral of 1/sqrt(t) over [0,1] is 2
         from phibvp import derive_scalars
 
-        scalars = derive_scalars(problem, use_exact_length=False)
+        scalars = derive_scalars(problem)
         assert scalars.k1 == pytest.approx(2.0, rel=1e-3)
 
     def test_nu2_override_changes_boundary_only(self):
@@ -229,6 +229,19 @@ class TestAssembly:
         assert moved.nu2 == 0.25
         assert base.nu2 == 0.5
         assert moved.nu1 == base.nu1
+
+    def test_slope_in_no_branch_builds_a_problem_without_one(self):
+        # s* = 1.5 leaves the relativistic domain (-1, 1): the check
+        # reports it and solve raises it, with the slope in the message
+        from phibvp import BranchError, check_theorem1, solve
+
+        problem = load(MINIMAL).build_finite(nu2_override=1.5)
+        assert problem.branch is None
+        rep = check_theorem1(problem, lattice=(6, 4, 4))
+        assert rep.overall == "fail"
+        assert rep.item("slope-in-branch").quantity("s_star") == 1.5
+        with pytest.raises(BranchError, match="slope 1.5 outside every branch"):
+            solve(problem)
 
     def test_perona_example_rhs(self):
         cfg = load(

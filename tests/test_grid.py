@@ -111,6 +111,14 @@ def test_graded_mesh_properties(T, ticks, n, factor):
     np.testing.assert_array_equal(fine.nodes[list(fine.singular_indices)], sorted(set(points)))
 
 
+def test_graded_mesh_rejects_near_coincident_points():
+    # one ulp apart: rounding gives the piece between them two cells,
+    # and its middle node falls on an end
+    named = r"0\.5 and 0\.5000000000000001 .* 1000 cells"
+    with pytest.raises(InvalidInputError, match=named):
+        Mesh.graded(1.0, 1000, [0.5, np.nextafter(0.5, 1.0)])
+
+
 def test_refine_preserves_structure():
     mesh = Mesh.graded(1.0, 64, [0.0])
     fine = mesh.refine(4)

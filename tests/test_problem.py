@@ -29,8 +29,8 @@ from phibvp import (
     zero_rhs,
 )
 from phibvp.hypotheses import check_theorem1
-from phibvp.problem import Rhs, recip_weight_grid
-from phibvp.solver import SolverKernel
+from phibvp.problem import Rhs, recip_weight_grid, require_box
+from phibvp.solver import SolverKernel, solve
 
 
 def _pm_problem(L=0.05, nu2=0.3, n=400):
@@ -53,7 +53,6 @@ class TestDerivedScalars:
         prob = make_problem(phi, constant_weight(1.0), zero_rhs(), 0.0, 0.3, 1.0)
         sc = derive_scalars(prob)
         assert sc.k1 == pytest.approx(1.0, abs=1e-14)
-        assert sc.k1_quad == pytest.approx(1.0, abs=1e-12)
         assert sc.s_star == pytest.approx(0.3, abs=1e-14)
         assert sc.L == 0.0
         # L = 0 collapses the slope box to the single point s*
@@ -82,15 +81,23 @@ class TestDerivedScalars:
         )
 
     def test_incompatible_mass_raises(self):
-        # 2L pushes Phi(s*) + 2L past the (-1/2, 1/2) image edge
-        with pytest.raises(CompatibilityError):
-            derive_scalars(_pm_problem(L=0.1124))
+        # 2L pushes Phi(s*) + 2L past the (-1/2, 1/2) image edge: the
+        # scalars report it by NaN, solve raises it
+        prob = _pm_problem(L=0.1124)
+        sc = derive_scalars(prob)
+        assert sc.phi_s_star == pytest.approx(0.2752293577981651, abs=1e-14)
+        for value in (sc.A_star, sc.B_star, sc.slope_lo, sc.slope_hi, sc.N1, sc.N2):
+            assert math.isnan(value)
+        with pytest.raises(CompatibilityError, match="leaves the branch image"):
+            solve(prob)
 
     def test_compatibility_is_strict_at_the_edge(self):
         threshold = 0.11238532110091745
-        derive_scalars(_pm_problem(L=threshold - 1e-6))
+        inside = _pm_problem(L=threshold - 1e-6)
+        require_box(inside, derive_scalars(inside))
+        outside = _pm_problem(L=threshold + 1e-6)
         with pytest.raises(CompatibilityError):
-            derive_scalars(_pm_problem(L=threshold + 1e-6))
+            require_box(outside, derive_scalars(outside))
 
     def test_surjective_branch_tolerates_huge_mass(self):
         phi = make_operator("relativistic")
@@ -111,8 +118,11 @@ class TestDerivedScalars:
             1.0,
             branch=branch,
         )
-        with pytest.raises(BranchError):
-            derive_scalars(prob)
+        sc = derive_scalars(prob)
+        assert sc.s_star == 5.0
+        assert math.isnan(sc.phi_s_star) and math.isnan(sc.N2)
+        with pytest.raises(BranchError, match="reference slope 5.0 outside branch"):
+            solve(prob)
 
     def test_decreasing_branch_swaps_slope_roles(self):
         phi = make_operator("sine")
@@ -138,15 +148,20 @@ class TestDerivedScalars:
             phi, one_plus_t_squared_weight(), zero_rhs(), 0.0, 0.3, 1.0, p=2.0
         )
         sc = derive_scalars(prob)
-        assert sc.k1 == pytest.approx(math.atan(1.0), abs=1e-14)
+        # k1 is the mesh quadrature of the exact arctan(1)
+        assert sc.k1 == recip_weight_grid(prob.weight, prob.mesh)[1]
+        assert sc.k1 == pytest.approx(math.atan(1.0), abs=1e-7)
         assert sc.kp == pytest.approx(0.8016851512275402, abs=1e-6)
 
     def test_negative_psi_rejected(self):
         phi = make_operator("r_laplacian", r=2.0)
         bad = Rhs(fn=lambda t, x, y: t, psi=lambda t: t - 0.5, name="bad")
         prob = make_problem(phi, constant_weight(1.0), bad, 0.0, 0.3, 1.0)
-        with pytest.raises(InvalidInputError):
-            derive_scalars(prob)
+        sc = derive_scalars(prob)
+        assert sc.psi_min == -0.5
+        assert math.isnan(sc.A_star) and math.isnan(sc.N1)
+        with pytest.raises(InvalidInputError, match="psi must be nonnegative"):
+            solve(prob)
 
 
 class TestWeights:
@@ -159,21 +174,20 @@ class TestWeights:
             constant_weight(-1.0)
 
     def test_antiderivative_self_test_catches_mismatch(self):
-        lying = Weight(
-            fn=lambda t: 1.0 + np.asarray(t) ** 2,
-            recip_antiderivative=lambda t: np.asarray(t, dtype=float),
-        )
-        phi = make_operator("r_laplacian", r=2.0)
-        prob = make_problem(phi, lying, zero_rhs(), 0.0, 0.3, 1.0)
-        with pytest.raises(InvalidInputError):
-            derive_scalars(prob)
+        # K(t) = t is not the antiderivative of 1/(1 + t^2): the weight
+        # is rejected where it is made, before any mesh exists
+        with pytest.raises(InvalidInputError, match="antiderivative self-test"):
+            Weight(
+                fn=lambda t: 1.0 + np.asarray(t) ** 2,
+                recip_antiderivative=lambda t: np.asarray(t, dtype=float),
+            )
 
-    def test_sqrt_weight_uses_exact_length(self):
+    def test_sqrt_weight_k1_is_the_quadrature(self):
         phi = make_operator("r_laplacian", r=2.0)
         prob = make_problem(phi, sqrt_t_weight(), zero_rhs(), 0.0, 0.3, 1.0, mesh_n=256)
         sc = derive_scalars(prob)
-        assert sc.k1 == pytest.approx(2.0, abs=1e-14)
-        assert sc.k1_quad == pytest.approx(2.0, abs=1e-2)
+        assert sc.k1 == recip_weight_grid(prob.weight, prob.mesh)[1]
+        assert sc.k1 == pytest.approx(2.0, abs=1e-2)
 
     def test_nonpositive_weight_rejected(self):
         shady = Weight(fn=lambda t: np.asarray(t) - 0.5)
@@ -195,7 +209,7 @@ def test_one_k1_for_checks_scalars_and_solver(weight):
     kernel = SolverKernel(prob)
     assert kernel.k1_quad == k1
     assert kernel.recip_cumulative[-1] == k1
-    assert derive_scalars(prob).k1_quad == k1
+    assert derive_scalars(prob).k1 == k1
     assert check_theorem1(prob).item("recip-norm").quantity("k1") == k1
 
 
@@ -289,10 +303,11 @@ class TestOddSymmetry:
         bwd = make_problem(
             phi, w, constant_rhs(L), 0.0, -s_mag, 1.0, branch_hint=(-1, 1), mesh_n=64
         )
-        try:
-            sf = derive_scalars(fwd)
-            sb = derive_scalars(bwd)
-        except CompatibilityError:
+        sf = derive_scalars(fwd)
+        sb = derive_scalars(bwd)
+        # an incompatible mass leaves both boxes undefined
+        assert math.isnan(sf.A_star) == math.isnan(sb.A_star)
+        if math.isnan(sf.A_star):
             return
         half_f = max(abs(sf.A_star), abs(sf.B_star))
         half_b = max(abs(sb.A_star), abs(sb.B_star))

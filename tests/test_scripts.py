@@ -110,3 +110,38 @@ def test_tracer_installs_and_uninstalls_in_process(monkeypatch):
         recorder.uninstall()
     assert patched
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_one_solve_samples_weight_and_psi_at_most_four_times(tmp_path, monkeypatch):
+    # one `phibvp solve` of the solve-bisect workload samples 1/k for the
+    # build, the check's scalars, the solve's scalars and the solver kernel,
+    # and psi for the two scalar derivations, the kernel and the verification
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    (text,) = workloads._solve_bisect_configs(0).values()
+    cfg = tmp_path / "difference.cfg"
+    cfg.write_text(text)
+
+    from phibvp import cli, config, halfline, hypotheses, problem, solver
+
+    calls = {"recip_weight_grid": 0, "psi_at": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    grid = counted(problem.recip_weight_grid, "recip_weight_grid")
+    for module in (config, halfline, hypotheses, problem, solver):
+        if hasattr(module, "recip_weight_grid"):
+            monkeypatch.setattr(module, "recip_weight_grid", grid)
+    monkeypatch.setattr(problem.Rhs, "psi_at", counted(problem.Rhs.psi_at, "psi_at"))
+    assert cli.main(["solve", str(cfg), "-o", str(tmp_path / "run")]) == 0
+    assert calls["recip_weight_grid"] <= 4, calls
+    assert calls["psi_at"] <= 4, calls

@@ -543,7 +543,7 @@ class TestSolve:
         cfg = IterationConfig()
         report = solve(prob, cfg)
         assert report.status == "converged"
-        sc = derive_scalars(prob, use_exact_length=False)
+        sc = derive_scalars(prob)
         again = g_map(prob, sc, report.x, report.x_prime)
         from phibvp.solver import _w1p_distance
 
