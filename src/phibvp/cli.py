@@ -1,8 +1,14 @@
 """Command-line front door.
 
 Subcommands: check, solve, sweep, halfline, verify.  Exit codes are a
-contract: 0 ok/converged, 1 usage or parse problem, 2 hypothesis fail,
+contract: 0 ok/converged, 1 usage or config problem, 2 hypothesis fail,
 3 inconclusive hypotheses, 4 non-convergence or verification failure.
+
+An error's class alone decides its exit code, and main alone maps it:
+ConfigError (config, flags, building or checking the problem) exits 1
+with "config error: ...", any other PhibvpError exits 4 with "error: ...".
+Only a solver failure after a passed check is mapped by its command
+("solver error: ...", record written, exit 4); a sweep row names its class.
 
 All numeric output is decimal with 17 significant digits so tables
 round-trip doubles exactly.  Run records reuse the config text format
@@ -211,7 +217,9 @@ def build_run_record(
 def _write_record(
     command: str, cfg: ProblemConfig, args, exit_code: int, **reports
 ) -> None:
-    """Write args.output/record.txt: the effective config and the reports."""
+    """Write args.output/record.txt, if given: the config and the reports."""
+    if args.output is None:
+        return
     record = build_run_record(
         command, cfg.doc, exit_code,
         seed=args.seed, overrides=_overrides(args), **reports,
@@ -242,37 +250,33 @@ def _check_exit_code(report: HypothesisReport) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _run_configured_check(cfg: ProblemConfig):
-    built = cfg.build_halfline() if cfg.halfline else cfg.build_finite()
-    return built, cfg.run_check(built)
+def _check_gate(command: str, cfg: ProblemConfig, args, build):
+    """Build the problem, check it and print the report.
+
+    Returns the problem, the report and the check's exit code.  A check
+    that does not pass has its record written here."""
+    built = build()
+    report = cfg.run_check(built)
+    _print_check(report)
+    if args.output is not None:
+        os.makedirs(args.output, exist_ok=True)
+    code = _check_exit_code(report)
+    if code != EXIT_OK:
+        _write_record(command, cfg, args, code, check=report)
+    return built, report, code
 
 
 def cmd_check(cfg: ProblemConfig, args) -> int:
-    try:
-        _, report = _run_configured_check(cfg)
-    except PhibvpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _print_check(report)
-    code = _check_exit_code(report)
-    if args.output is not None:
-        os.makedirs(args.output, exist_ok=True)
+    build = cfg.build_halfline if cfg.halfline else cfg.build_finite
+    _, report, code = _check_gate("check", cfg, args, build)
+    if code == EXIT_OK:
         _write_record("check", cfg, args, code, check=report)
     return code
 
 
 def cmd_solve(cfg: ProblemConfig, args) -> int:
-    os.makedirs(args.output, exist_ok=True)
-    try:
-        problem = cfg.build_finite()
-        report_check = cfg.run_check(problem)
-    except PhibvpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _print_check(report_check)
-    if report_check.overall != "pass":
-        code = _check_exit_code(report_check)
-        _write_record("solve", cfg, args, code, check=report_check)
+    problem, report_check, code = _check_gate("solve", cfg, args, cfg.build_finite)
+    if code != EXIT_OK:
         return code
 
     try:
@@ -312,8 +316,7 @@ def _sweep_row(cfg: ProblemConfig, lam: float) -> tuple[float, str, str, float]:
 
 def cmd_sweep(cfg: ProblemConfig, args) -> int:
     if cfg.sweep_range is None:
-        print("error: config has no [sweep] section", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("config has no [sweep] section")
     os.makedirs(args.output, exist_ok=True)
     lo, hi, count = cfg.sweep_range
     # serial: each row is a chain of small GIL-bound numpy calls, so
@@ -345,17 +348,8 @@ def cmd_sweep(cfg: ProblemConfig, args) -> int:
 
 
 def cmd_halfline(cfg: ProblemConfig, args) -> int:
-    os.makedirs(args.output, exist_ok=True)
-    try:
-        hp = cfg.build_halfline()
-        report_check = cfg.run_check(hp)
-    except PhibvpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _print_check(report_check)
-    if report_check.overall != "pass":
-        code = _check_exit_code(report_check)
-        _write_record("halfline", cfg, args, code, check=report_check)
+    hp, report_check, code = _check_gate("halfline", cfg, args, cfg.build_halfline)
+    if code != EXIT_OK:
         return code
 
     try:
@@ -391,19 +385,13 @@ def cmd_halfline(cfg: ProblemConfig, args) -> int:
 
 def cmd_verify(cfg: ProblemConfig, args) -> int:
     t, x, dx, u = read_solution_table(args.table)
-    try:
-        problem = cfg.build_finite()
-    except PhibvpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    problem = cfg.build_finite()
     nodes = problem.mesh.nodes
     if t.size != nodes.size or np.max(np.abs(t - nodes)) > 1e-9 * (1.0 + problem.T):
-        print(
-            "error: table grid does not match the config mesh "
-            f"({t.size} rows vs {nodes.size} nodes)",
-            file=sys.stderr,
+        raise ConfigError(
+            "table grid does not match the config mesh "
+            f"({t.size} rows vs {nodes.size} nodes)"
         )
-        return EXIT_USAGE
 
     scale_x = 1.0 + max(abs(problem.nu1), abs(problem.nu2))
     boundary = max(abs(x[0] - problem.nu1), abs(x[-1] - problem.nu2))
@@ -508,34 +496,27 @@ def main(argv=None) -> int:
         # argparse --help and --version exit 0; usage errors exit 1
         return int(exc.code or 0)
 
+    command = {
+        "check": cmd_check,
+        "solve": cmd_solve,
+        "sweep": cmd_sweep,
+        "halfline": cmd_halfline,
+        "verify": cmd_verify,
+    }[args.command]
+    # the one error-to-exit-code table (see the module docstring)
     try:
         doc = read_config(args.config)
         cfg = load_problem_config(doc)
         cfg = with_overrides(
             cfg, **{flag: getattr(args, flag) for flag in OVERRIDE_FLAGS}
         )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        if args.command == "check":
-            return cmd_check(cfg, args)
-        if args.command == "solve":
-            return cmd_solve(cfg, args)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args)
-        if args.command == "halfline":
-            return cmd_halfline(cfg, args)
-        if args.command == "verify":
-            return cmd_verify(cfg, args)
+        return command(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PhibvpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    raise AssertionError("unreachable command dispatch")
 
 
 if __name__ == "__main__":

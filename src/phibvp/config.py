@@ -15,11 +15,12 @@ halfline commands.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ExpressionError, InvalidInputError, PhibvpError
+from .errors import ConfigError, ExpressionError, PhibvpError
 from .expressions import CompiledExpression, compile_expression
 from .halfline import DEFAULT_SCHEDULE, HalflineProblem
 from .hypotheses import (
@@ -58,6 +59,21 @@ CHECK_KINDS = (
     "halfline",
     "halfline-odd",
 )
+
+# the domination scan holds several floats per point: 50x the default lattice
+MAX_LATTICE_POINTS = 10**6
+
+
+@contextmanager
+def _config_errors(prefix: str, also: tuple[type[Exception], ...] = ()):
+    """Raise a PhibvpError (or an `also` error) of the block as a
+    ConfigError that starts with `prefix`; a ConfigError passes as is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (PhibvpError, *also) as exc:
+        raise ConfigError(f"{prefix} {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -370,23 +386,21 @@ class ProblemConfig:
     # -- builders ----------------------------------------------------------
 
     def build_operator(self) -> PhiOperator:
-        try:
+        # TypeError: a catalog parameter the operator does not take
+        with _config_errors("[operator]", also=(TypeError,)):
             return make_operator(self.operator_name, **dict(self.operator_params))
-        except (InvalidInputError, TypeError) as exc:
-            raise ConfigError(f"[operator] {exc}") from exc
 
     def build_weight(self) -> Weight:
         if self.weight_expr is not None:
             expr = self.weight_expr
             return Weight(fn=lambda t: expr(t), name=f"expr({expr.source})")
-        try:
+        with _config_errors("[weight]", also=(TypeError,)):
             return make_weight(self.weight_name, **dict(self.weight_params))
-        except (InvalidInputError, TypeError) as exc:
-            raise ConfigError(f"[weight] {exc}") from exc
 
     def _build_rhs(self, s_star: float) -> Rhs:
         if self.rhs_example is not None:
-            return _example_rhs(self.rhs_example, _Section(self.doc, "rhs"), s_star)
+            with _config_errors("[rhs]"):
+                return _example_rhs(self.rhs_example, _Section(self.doc, "rhs"), s_star)
         if self.f_expr is None:
             return zero_rhs()
         f = self.f_expr
@@ -405,20 +419,17 @@ class ProblemConfig:
         nu2 = self.nu2 if nu2_override is None else float(nu2_override)
         phi = self.build_operator()
         weight = self.build_weight()
-        mesh = default_mesh(weight, self.T, n=self.mesh_n)
-        try:
+        with _config_errors("[mesh]"):
+            mesh = default_mesh(weight, self.T, n=self.mesh_n)
+        with _config_errors("[weight]"):
             k1 = recip_weight_grid(weight, mesh)[1]
-        except PhibvpError as exc:
-            raise ConfigError(f"[weight] {exc}") from exc
         s_star = (nu2 - self.nu1) / k1
         rhs = self._build_rhs(s_star)
-        try:
+        with _config_errors("[problem]"):
             branch = self._branch_around(phi, s_star)
             return BvpProblem(
                 phi, branch, weight, rhs, self.nu1, nu2, self.T, p=self.p, mesh=mesh
             )
-        except PhibvpError as exc:
-            raise ConfigError(f"[problem] {exc}") from exc
 
     def _branch_around(self, phi: PhiOperator, s_star: float) -> MonotoneBranch | None:
         """The branch that holds s*, else the hint's branch, else None.
@@ -448,7 +459,7 @@ class ProblemConfig:
             psi_l1 = _example_psi_l1(self.rhs_example, _Section(self.doc, "rhs"))
         if psi_l1 is None and self.f_expr is None and self.rhs_example is None:
             psi_l1 = 0.0
-        try:
+        with _config_errors("[problem]"):
             branch = find_branch(phi, s_inf, hint=self.branch_hint)
             return HalflineProblem(
                 phi,
@@ -464,8 +475,6 @@ class ProblemConfig:
                 k_infinity=self.k_infinity,
                 psi_l1=psi_l1,
             )
-        except PhibvpError as exc:
-            raise ConfigError(f"[problem] {exc}") from exc
 
     # -- checks -------------------------------------------------------------
 
@@ -486,28 +495,27 @@ class ProblemConfig:
         return "halfline"
 
     def run_check(self, built) -> HypothesisReport:
-        kind = self.resolved_check_kind(built.phi, built.branch)
-        if kind == "thm1":
-            return check_theorem1(built, lattice=self.lattice)
-        if kind == "cor-surjective":
-            return check_corollary_surjective(built, lattice=self.lattice)
-        if kind == "cor-singular":
-            return check_corollary_singular(built, lattice=self.lattice)
-        if kind == "halfline":
-            if self.l_lip is None or self.l_delta is None:
-                raise ConfigError(
-                    "[check] kind halfline needs l_lip and delta values"
+        with _config_errors("[check]"):
+            kind = self.resolved_check_kind(built.phi, built.branch)
+            if kind == "thm1":
+                return check_theorem1(built, lattice=self.lattice)
+            if kind == "cor-surjective":
+                return check_corollary_surjective(built, lattice=self.lattice)
+            if kind == "cor-singular":
+                return check_corollary_singular(built, lattice=self.lattice)
+            if kind == "halfline":
+                if self.l_lip is None or self.l_delta is None:
+                    raise ConfigError(
+                        "[check] kind halfline needs l_lip and delta values"
+                    )
+                return check_halfline(
+                    built,
+                    L_lip=self.l_lip,
+                    delta=self.l_delta,
+                    M=self.tail_m,
+                    lattice=self.lattice,
                 )
-            return check_halfline(
-                built,
-                L_lip=self.l_lip,
-                delta=self.l_delta,
-                M=self.tail_m,
-                lattice=self.lattice,
-            )
-        if kind == "halfline-odd":
             return check_halfline_odd(built, lattice=self.lattice)
-        raise ConfigError(f"[check] unknown kind {kind!r}")
 
 
 def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
@@ -609,7 +617,7 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
     acceleration = it.raw("acceleration", base.acceleration)
     if acceleration not in ("secant", "none"):
         raise it.error("acceleration", f"expected secant or none, got {acceleration!r}")
-    try:
+    with _config_errors("[iteration]"):
         iteration = IterationConfig(
             omega=it.get_float("omega", base.omega),
             max_outer=it.get_int("max_outer", base.max_outer),
@@ -621,8 +629,6 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
             min_omega=it.get_float("min_omega", base.min_omega),
             verify_refine=it.get_int("verify_refine", base.verify_refine),
         )
-    except InvalidInputError as exc:
-        raise ConfigError(f"[iteration] {exc}") from None
 
     chk = _Section(doc, "check")
     check_kind = chk.raw("kind", "auto")
@@ -632,9 +638,13 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
         needs = "halfline = true" if check_kind.startswith("halfline") else "a finite T"
         raise chk.error("kind", f"{check_kind} needs {needs}")
     lattice_raw = chk.get_floats("lattice", (50.0, 20.0, 20.0))
-    if len(lattice_raw) != 3 or any(v != int(v) or v < 2 for v in lattice_raw):
+    if len(lattice_raw) != 3 or not all(
+        math.isfinite(v) and v == int(v) and v >= 2 for v in lattice_raw
+    ):
         raise chk.error("lattice", "expected three integers, each at least 2")
     lattice = tuple(int(v) for v in lattice_raw)
+    if math.prod(lattice) > MAX_LATTICE_POINTS:
+        raise chk.error("lattice", f"nt * nx * ny must be at most {MAX_LATTICE_POINTS}")
     l_lip = chk.get_float("l_lip")
     l_delta = chk.get_float("delta")
     tail_m = chk.get_float("m")
@@ -727,10 +737,8 @@ def with_overrides(
             continue
         if section == "iteration":
             # one flag at a time on a valid config: a failure is this flag's
-            try:
+            with _config_errors(f"{flag} {value!r}:"):
                 it = replace(it, **{key: value})
-            except InvalidInputError as exc:
-                raise ConfigError(f"{flag} {value!r}: {exc}") from None
         doc = doc.with_value(section, key, format(value, ".17g"))
     return replace(
         cfg,

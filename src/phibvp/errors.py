@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every error raised on a user-facing path derives from PhibvpError so the
-command line layer can map failures to exit codes in one place.
+command line layer can map failures to exit codes in one place, by class:
+ConfigError exits 1 and every other PhibvpError exits 4.  Building and
+checking a problem raise only ConfigError.
 """
 
 from __future__ import annotations

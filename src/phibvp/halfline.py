@@ -200,7 +200,7 @@ def _uniform_bounds(
     if not hp.branch.contains(s_inf):
         return None
     try:
-        a, b = slope_box(hp.phi, hp.branch, float(hp.phi.fn(s_inf)), ell_inf)
+        a, b = slope_box(hp.phi, hp.branch, float(hp.phi(s_inf)), ell_inf)
     except PhibvpError:
         return None
     lo, hi = sorted((a, b))

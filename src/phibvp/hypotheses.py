@@ -486,8 +486,8 @@ def check_halfline(
         width = min(delta, s_inf - branch.lo, branch.hi - s_inf)
         ss = s_inf + np.linspace(-width, width, 401)
         ss = ss[np.abs(ss - s_inf) > 1e-14 * (1.0 + abs(s_inf))]
-        phi_vals = np.asarray(hp.phi.fn(ss), dtype=float)
-        phi_center = float(hp.phi.fn(s_inf))
+        phi_vals = np.asarray(hp.phi(ss), dtype=float)
+        phi_center = float(hp.phi(s_inf))
         ratios = np.abs(phi_vals - phi_center) / np.abs(ss - s_inf)
         lip_worst = float(np.max(ratios))
         lip_ok = lip_worst <= L_lip * (1.0 + RATIO_SLACK) + 1e-15
@@ -552,7 +552,7 @@ def check_halfline(
         items.append(_unsampled())
         return HypothesisReport("thm_halfline", tuple(items), _overall(items))
 
-    phi_s = float(hp.phi.fn(s_inf))
+    phi_s = float(hp.phi(s_inf))
     margin = _margin_item(branch, phi_s, ell_inf)
     items.append(margin)
     if margin.verdict != PASS:
@@ -602,7 +602,7 @@ def check_halfline_odd(
         if not branch.contains(s_T):
             last_quantities = _q(T=T, s_T_star=s_T)
             continue
-        lo_margin, hi_margin = image_margins(branch, float(phi.fn(s_T)), ell_inf)
+        lo_margin, hi_margin = image_margins(branch, float(phi(s_T)), ell_inf)
         last_quantities = _q(
             T=T, s_T_star=s_T, margin_lo=lo_margin, margin_hi=hi_margin
         )
@@ -632,7 +632,7 @@ def check_halfline_odd(
     )
 
     # symmetric admissible box from the odd form of the slope estimates
-    slope_hi = partial_inverse(phi, branch, float(phi.fn(abs(s_T))) + 2.0 * ell_inf)
+    slope_hi = partial_inverse(phi, branch, float(phi(abs(s_T))) + 2.0 * ell_inf)
     x_max = abs(hp.nu1) + k_inf * slope_hi
     items.append(
         _domination_item(

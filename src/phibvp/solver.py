@@ -521,6 +521,8 @@ class SolveReport:
 def _w1p_distance(mesh: Mesh, dx: np.ndarray, dxp: np.ndarray, p: float) -> float:
     nx = lp_norm(mesh, dx, p)
     nxp = lp_norm(mesh, dxp, p)
+    if math.isinf(p):
+        return max(nx, nxp)
     return float((nx**p + nxp**p) ** (1.0 / p))
 
 

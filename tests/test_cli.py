@@ -6,12 +6,18 @@ asserts on the exit code contract and the emitted tables.  Exit codes:
 """
 
 import math
+import os
+import subprocess
+import sys
 import threading
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import phibvp
 from phibvp import BetaBracketError, ConfigError, cli, parse_config
 from phibvp.config import ProblemConfig
 from phibvp.cli import TABLE_BLOCK_ROWS, main, read_solution_table, write_solution_table
@@ -227,7 +233,22 @@ class TestCheck:
         )
         cfg = write(tmp_path, text.replace("nu2 = 0.1", "nu2 = 1.5"))
         assert main(["check", cfg]) == 1
-        assert f"error: [problem] {message}" in capsys.readouterr().err
+        assert f"config error: [problem] {message}" in capsys.readouterr().err
+
+    def test_open_branch_end_in_the_lipschitz_samples_warns_nothing(
+        self, tmp_path, capsys
+    ):
+        # delta reaches past the branch end s = 1 of relativistic Phi, so
+        # the Lipschitz samples include the pole
+        text = ARCTAN.replace("name = r_laplacian\nr = 2.0", "name = relativistic")
+        text = text.replace("nu2 = 0.2", "nu2 = 1.5").replace(
+            "kind = halfline-odd", "kind = halfline\nl_lip = 2\ndelta = 0.05"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["check", write(tmp_path, text)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
 
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         cfg = write(tmp_path, "nonsense\n")
@@ -273,6 +294,13 @@ class TestSolve:
         record = parse_config((out / "record.txt").read_text())
         assert record.section("run")["exit_code"] == "2"
         assert record.section("check")["overall"] == "fail"
+
+    def test_sup_norm_solve_converges_and_verifies(self, tmp_path, capsys):
+        cfg = write(tmp_path, PERONA.format(nu2=0.05) + "p = inf\n")
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 0
+        assert main(["verify", str(out / "solution.txt"), cfg]) == 0
+        assert "verification: ok" in capsys.readouterr().out
 
     def test_mesh_override_flag(self, tmp_path):
         cfg = write(tmp_path, QUADRATIC.format(n=500))
@@ -642,3 +670,99 @@ class TestSolutionTable:
         assert text == "".join(expected)
         for piece in ("nan", "-inf", "4.9406564584124654e-324", "1.0000000000000001e+300", ",-0,"):
             assert piece in text
+
+
+PLAPLACIAN_DEGENERATE = """
+[operator]
+name = r_laplacian
+r = 2.0
+
+[rhs]
+example = plaplacian
+p = 2.0
+beta = 1.0
+
+[problem]
+nu1 = 0.0
+nu2 = 0.1
+T = 1.0
+"""
+
+HALFLINE_NEGATIVE_LIPSCHITZ = ARCTAN.replace(
+    "kind = halfline-odd", "kind = halfline\nl_lip = -2\ndelta = 0.05"
+)
+
+# build and check failures that once printed "error:", with the start of
+# their message; {cfg} is the config, {table} a table on a 10-cell mesh
+CONFIG_FAILURES = {
+    "mesh-n-1-check": (
+        PERONA.format(nu2=0.05), ["check", "{cfg}", "--mesh-n", "1"], "[mesh] "
+    ),
+    "mesh-n-1-solve": (
+        PERONA.format(nu2=0.05),
+        ["solve", "{cfg}", "--mesh-n", "1", "-o", "{out}"],
+        "[mesh] ",
+    ),
+    "plaplacian-beta-p-1": (PLAPLACIAN_DEGENERATE, ["check", "{cfg}"], "[rhs] "),
+    "cor-surjective-perona": (
+        PERONA.format(nu2=0.05) + "\n[check]\nkind = cor-surjective\n",
+        ["check", "{cfg}"],
+        "[check] ",
+    ),
+    "negative-l-lip-check": (
+        HALFLINE_NEGATIVE_LIPSCHITZ, ["check", "{cfg}"], "[check] "
+    ),
+    "negative-l-lip-halfline": (
+        HALFLINE_NEGATIVE_LIPSCHITZ, ["halfline", "{cfg}", "-o", "{out}"], "[check] "
+    ),
+    "halfline-odd-asymmetric-hint": (
+        ARCTAN.replace("r = 2.0", "r = 2.0\nbranch_hint = 0.05, 1.0"),
+        ["check", "{cfg}"],
+        "[check] ",
+    ),
+    "sweep-without-section": (
+        PERONA.format(nu2=0.05),
+        ["sweep", "{cfg}", "-o", "{out}"],
+        "config has no [sweep] section",
+    ),
+    "verify-other-mesh": (
+        QUADRATIC.format(n=20),
+        ["verify", "{table}", "{cfg}"],
+        "table grid does not match",
+    ),
+}
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("case", list(CONFIG_FAILURES))
+    def test_build_and_check_failures_are_config_errors(self, tmp_path, capsys, case):
+        text, argv, message = CONFIG_FAILURES[case]
+        solved = tmp_path / "solved"
+        if "{table}" in argv:
+            ten = write(tmp_path, QUADRATIC.format(n=10), "ten.cfg")
+            assert main(["solve", ten, "-o", str(solved)]) == 0
+            capsys.readouterr()
+        paths = {
+            "cfg": write(tmp_path, text),
+            "out": str(tmp_path / "run"),
+            "table": str(solved / "solution.txt"),
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    def test_module_entry_point_prints_no_traceback(self, tmp_path):
+        text = PERONA.format(nu2=0.05) + "\n[check]\nlattice = nan, 2, 2\n"
+        cfg = write(tmp_path, text)
+        # the package the in-process tests import, wherever it lives
+        src = str(Path(phibvp.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "phibvp.cli", "check", cfg],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("config error: ")

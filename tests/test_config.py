@@ -157,6 +157,9 @@ class TestValidation:
             (("[rhs]\nf = t", None), "needs a matching psi"),
             (("[rhs]\npsi = 1.0", None), "without f"),
             (("[rhs]\nexample = nonsense", None), "unknown example tag"),
+            (("[check]\nlattice = nan, 2, 2", None), "lattice"),
+            (("[check]\nlattice = inf, 2, 2", None), "lattice"),
+            (("[check]\nlattice = 2, 2, 1e30", None), "lattice"),
         ],
     )
     def test_rejections(self, mutation, fragment):
