@@ -32,6 +32,7 @@ from .hypotheses import (
     check_theorem1,
     plaplacian_bound,
     plaplacian_maximizer,
+    symmetric_increasing,
 )
 from .operators import (
     MonotoneBranch,
@@ -460,7 +461,7 @@ class ProblemConfig:
         if psi_l1 is None and self.f_expr is None and self.rhs_example is None:
             psi_l1 = 0.0
         with _config_errors("[problem]"):
-            branch = find_branch(phi, s_inf, hint=self.branch_hint)
+            branch = self._branch_around(phi, s_inf)
             return HalflineProblem(
                 phi,
                 branch,
@@ -486,11 +487,8 @@ class ProblemConfig:
             return "thm1"
         if self.l_lip is not None and self.l_delta is not None:
             return "halfline"
-        whole_line = math.isinf(branch.lo) and math.isinf(branch.hi)
-        symmetric = branch.increasing and (
-            whole_line or abs(branch.lo + branch.hi) <= 1e-12 * (1.0 + abs(branch.hi))
-        )
-        if phi.odd and symmetric:
+        # without a branch at s*_inf either check reports slope-in-branch
+        if phi.odd and (branch is None or symmetric_increasing(branch)):
             return "halfline-odd"
         return "halfline"
 

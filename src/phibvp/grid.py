@@ -104,8 +104,11 @@ class Mesh:
         edges = np.arange(pieces + 1) + np.round((n - pieces) * cuts / T).astype(int)
         nodes = np.empty(n + 1)
         for a, b, i, j in zip(cuts[:-1], cuts[1:], edges[:-1], edges[1:]):
-            nodes[i : j + 1] = _power_nodes(a, b, int(j - i), a in points, b in points)
-            if np.any(np.diff(nodes[i : j + 1]) <= 0.0):
+            piece = _power_nodes(a, b, int(j - i), a in points, b in points)
+            nodes[i : j + 1] = piece
+            # the midpoint rule samples the cells at the cuts strictly inside
+            ends = 0.5 * (piece[[0, -2]] + piece[[1, -1]])
+            if np.any(np.diff(piece) <= 0.0) or not a < ends[0] <= ends[1] < b:
                 raise InvalidInputError(
                     f"points {float(a)!r} and {float(b)!r} lie too close "
                     f"together for a graded mesh of {n} cells"

@@ -73,7 +73,7 @@ class HalflineProblem:
     """
 
     phi: PhiOperator
-    branch: MonotoneBranch
+    branch: MonotoneBranch | None  # None: no branch holds s*_inf
     weight: Weight
     rhs: Rhs
     nu1: float
@@ -197,7 +197,7 @@ def _uniform_bounds(
     half-line margins fail (the box is then not defined)."""
     if not (math.isfinite(k_inf) and k_inf > 0 and math.isfinite(ell_inf)):
         return None
-    if not hp.branch.contains(s_inf):
+    if hp.branch is None or not hp.branch.contains(s_inf):
         return None
     try:
         a, b = slope_box(hp.phi, hp.branch, float(hp.phi(s_inf)), ell_inf)

@@ -21,7 +21,7 @@ from .errors import (
     WrongCorollaryError,
 )
 from .halfline import HalflineProblem, k_mass_upto, psi_mass, recip_mass
-from .operators import partial_inverse
+from .operators import MonotoneBranch, partial_inverse
 from .problem import (
     BvpProblem,
     DerivedScalars,
@@ -176,11 +176,9 @@ def _slope_items(
 ) -> tuple[list[CheckItem], bool]:
     """The recip-norm and slope-in-branch items, then whether s* lies
     inside the branch."""
-    branch = problem.branch
     kappa_ok = math.isfinite(sc.kp)
     slope_ok = kappa_ok and problem.branch_contains(sc.s_star)
     s_star = sc.s_star if kappa_ok else math.nan
-    lo, hi = (math.nan, math.nan) if branch is None else (branch.lo, branch.hi)
     items = [
         CheckItem(
             "recip-norm",
@@ -188,14 +186,28 @@ def _slope_items(
             _q(k1=sc.k1, kp=sc.kp, p=problem.p),
             detail=recip_detail,
         ),
-        CheckItem(
-            "slope-in-branch",
-            PASS if slope_ok else FAIL,
-            _q(s_star=s_star, branch_lo=lo, branch_hi=hi),
-            "no monotone branch of Phi contains s*" if branch is None else "",
-        ),
+        _slope_item(problem.branch, slope_ok, "s*", s_star=s_star),
     ]
     return items, slope_ok
+
+
+def _slope_item(branch, ok: bool, symbol: str, **slope) -> CheckItem:
+    """slope-in-branch for the slope named symbol; NaN ends without a branch."""
+    lo, hi = (math.nan, math.nan) if branch is None else (branch.lo, branch.hi)
+    return CheckItem(
+        "slope-in-branch",
+        PASS if ok else FAIL,
+        _q(**slope, branch_lo=lo, branch_hi=hi),
+        f"no monotone branch of Phi contains {symbol}" if branch is None else "",
+    )
+
+
+def symmetric_increasing(branch: MonotoneBranch) -> bool:
+    """Whether the branch increases on an interval symmetric about 0."""
+    whole_line = math.isinf(branch.lo) and math.isinf(branch.hi)
+    return branch.increasing and (
+        whole_line or abs(branch.lo + branch.hi) <= 1e-12 * (1.0 + abs(branch.hi))
+    )
 
 
 def _finite_interval_items(
@@ -472,14 +484,8 @@ def check_halfline(
     k_ok = items[0].verdict == PASS
 
     s_inf = (hp.nu2 - hp.nu1) / k_inf if k_ok else math.nan
-    slope_ok = k_ok and branch.contains(s_inf)
-    items.append(
-        CheckItem(
-            "slope-in-branch",
-            PASS if slope_ok else FAIL,
-            _q(s_star_infinity=s_inf, branch_lo=branch.lo, branch_hi=branch.hi),
-        )
-    )
+    slope_ok = k_ok and branch is not None and branch.contains(s_inf)
+    items.append(_slope_item(branch, slope_ok, "s*_inf", s_star_infinity=s_inf))
 
     # sampled Lipschitz verification near the limit slope
     if slope_ok:
@@ -582,17 +588,22 @@ def check_halfline_odd(
     Instead of the Lipschitz and tail-limit conditions, an odd operator
     only needs one T with s_T* inside the branch and Phi(s_T*) +/- 2
     ||psi|| inside the image; the witness grid doubles from 1 to 1024.
+    Without a branch at s*_inf, slope-in-branch fails instead.
     """
     phi, branch = hp.phi, hp.branch
     if not phi.odd:
         raise InvalidInputError("odd-operator shortcut requires an odd operator")
-    if not branch.increasing or abs(branch.lo + branch.hi) > 1e-12 * (
-        1.0 + abs(branch.hi)
-    ):
+    if branch is not None and not symmetric_increasing(branch):
         raise InvalidInputError(
             "odd-operator shortcut requires the symmetric increasing branch"
         )
     items, k_inf, ell_inf = _mass_items(hp)
+    if branch is None:
+        k_ok = items[0].verdict == PASS
+        s_inf = (hp.nu2 - hp.nu1) / k_inf if k_ok else math.nan
+        items.append(_slope_item(None, False, "s*_inf", s_star_infinity=s_inf))
+        items.append(_unsampled())
+        return HypothesisReport("thm_halfline_odd", tuple(items), _overall(items))
 
     witness = None
     last_quantities: tuple[tuple[str, float], ...] = ()

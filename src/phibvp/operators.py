@@ -5,9 +5,12 @@ its image interval; inversion is only ever performed branch-wise.  The
 catalog operators carry their monotone pieces analytically (exact piece
 endpoints, exact images, and a stable closed-form inverse where one
 exists); anything else falls back to dense sampling.  Without a closed
-form the inverse is solved inside certified brackets: a zoomed table of
-samples brackets every element, and vectorized Illinois regula falsi
-with a bisection safeguard closes the brackets (bracketed_root).
+form the inverse is solved inside certified brackets, polish first, then
+certify: a zoomed table of samples brackets every element, one
+evaluation at the bracket's regula falsi point and an inverse quadratic
+step polish it, and one evaluation on each side of the polished point
+closes the bracket.  Vectorized Illinois regula falsi with a bisection
+safeguard (bracketed_root) closes only the brackets left open.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ INVERSE_MAX_ITER = 120
 # Samples of the table that gives each element of a generic inversion its
 # own bracket.
 INVERSE_TABLE_SIZE = 33
+# Elements that one call of bracketed_root closes in a generic inversion.
+INVERSE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -564,6 +569,27 @@ def _falsi_point(a, b, ga, gb):
     return np.where((a <= est) & (est <= b), est, a)
 
 
+def _inverse_quadratic(a, b, ga, gb, x, gx):
+    """Zero of the quadratic in g through (ga, a), (gb, b) and (gx, x).
+
+    x is the regula falsi point of [a, b]; the quadratic adds
+    ga gb s[ga, gb, gx] to it, s[...] the divided difference of the
+    inverse map.  NaN where two of the values coincide.
+    """
+    with np.errstate(all="ignore"):
+        return x + ga * gb * ((x - b) / (gx - gb) - (b - a) / (gb - ga)) / (gx - ga)
+
+
+def _narrow(a, b, ga, gb, x, gx) -> None:
+    """Move the end of each bracket on the side of gx's sign to x, in place."""
+    low = gx < 0.0
+    np.copyto(a, x, where=low)
+    np.copyto(ga, gx, where=low)
+    high = gx >= 0.0
+    np.copyto(b, x, where=high)
+    np.copyto(gb, gx, where=high)
+
+
 def partial_inverse(phi: PhiOperator, branch: MonotoneBranch, y: float) -> float:
     """Solve Phi(s) = y for s on the branch; y must lie strictly inside the image."""
     return float(partial_inverse_array(phi, branch, np.asarray([y], dtype=float))[0])
@@ -604,8 +630,16 @@ def partial_inverse_array(
     across it and it is no wider than BISECT_TOL (or its ends are
     adjacent floats), or Phi(s) = y holds exactly.  A scalar search
     zooms a table of INVERSE_TABLE_SIZE samples onto the solutions of
-    min y and max y, the last table gives each element its own bracket,
-    and bracketed_root closes the brackets.
+    min y and max y, and the last table gives each element its own
+    bracket, a table cell.  Polish: Phi at the cell's regula falsi point
+    narrows the bracket, and the inverse quadratic through that point and
+    the cell ends moves the estimate on.  Certify: Phi at
+    max(BISECT_TOL/4, one ulp) on each side of the estimate narrows the
+    bracket again, and where both sides have the right sign it is at most
+    BISECT_TOL wide; the result is the regula falsi point of the final
+    bracket.  bracketed_root closes the brackets left open (the flat ends
+    of a branch, wide target ranges), INVERSE_BLOCK elements at a time,
+    so that a call holds about a dozen arrays of the input's size.
     """
     y = np.asarray(y, dtype=float)
     _check_in_image(branch, y)
@@ -613,7 +647,7 @@ def partial_inverse_array(
         s = np.asarray(branch.inverse(y), dtype=float)
         return np.clip(s, branch.lo, branch.hi)
     f, orient = _oriented(phi, branch)
-    ty = (orient * y).reshape(-1)
+    ty = y.reshape(-1) if orient > 0 else -y.reshape(-1)
     lo = max(branch.lo, -WORK_WINDOW)
     hi = min(branch.hi, WORK_WINDOW)
     t_lo, t_hi = float(np.min(ty)), float(np.max(ty))
@@ -636,11 +670,40 @@ def partial_inverse_array(
             break
         a, b = a2, b2
     j = _cell(mono, ty)
+    a, b = nodes[j], nodes[j + 1]
+    ga, gb = vals[j], vals[j + 1]
+    ga -= ty
+    gb -= ty
+    # each work array goes once spent: together they set the peak memory
+    del j
 
-    def g(x, idx):
-        return np.asarray(f(x), dtype=float) - ty[idx]
+    def g_at(x):
+        return np.asarray(f(x), dtype=float) - ty
 
-    s = bracketed_root(
-        g, nodes[j], nodes[j + 1], vals[j] - ty, vals[j + 1] - ty, BISECT_TOL
-    )
+    # polish: Phi at the falsi point of the cell, then the inverse
+    # quadratic through that point and the cell ends, kept inside the
+    # bracket that point narrows
+    x0 = _falsi_point(a, b, ga, gb)
+    g0 = g_at(x0)
+    x = _inverse_quadratic(a, b, ga, gb, x0, g0)
+    _narrow(a, b, ga, gb, x0, g0)
+    np.copyto(x, x0, where=~((a <= x) & (x <= b)))
+    del x0, g0
+    # certify: Phi on each side of the polished point
+    d = np.spacing(np.abs(x))
+    np.maximum(d, 0.25 * BISECT_TOL, out=d)
+    for sign in (-1.0, 1.0):
+        side = np.minimum(np.maximum(x + sign * d, a), b)
+        _narrow(a, b, ga, gb, side, g_at(side))
+    del x, d, side
+    s = _falsi_point(a, b, ga, gb)
+    # the flat ends of a branch and any element the polish missed close in
+    # bracketed_root, a block at a time so that its work arrays stay small
+    rest = np.flatnonzero(b - a > BISECT_TOL)
+    for start in range(0, rest.size, INVERSE_BLOCK):
+        k = rest[start : start + INVERSE_BLOCK]
+        s[k] = bracketed_root(
+            lambda x, idx, t=ty[k]: np.asarray(f(x), dtype=float) - t[idx],
+            a[k], b[k], ga[k], gb[k], BISECT_TOL,
+        )
     return s.reshape(y.shape)

@@ -211,6 +211,31 @@ class TestCheck:
         assert item["verdict"] == "fail" and float(item["s_star"]) == float(nu2)
         assert item["detail"] == "no monotone branch of Phi contains s*"
 
+    @pytest.mark.parametrize("command", ["check", "halfline"])
+    @pytest.mark.parametrize(
+        "check", ["auto", "halfline-odd", "halfline\nl_lip = 2.0\ndelta = 0.05"]
+    )
+    def test_halfline_slope_in_no_branch_is_a_failed_hypothesis(
+        self, tmp_path, capsys, command, check
+    ):
+        # s*_inf = 40 / (pi / 2) = 25.46... lies outside (-1, 1)
+        text = (
+            "[operator]\nname = relativistic\n"
+            "[weight]\nname = one_plus_t_squared\n"
+            "[problem]\nnu1 = 0.0\nnu2 = 40.0\nhalfline = true\n"
+            f"[check]\nkind = {check}\n"
+        )
+        out = tmp_path / "run"
+        assert main([command, write(tmp_path, text), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "slope-in-branch: fail  (s_star_infinity=25.46479089470" in captured.out
+        assert "error" not in captured.err
+        record = parse_config((out / "record.txt").read_text())
+        assert record.section("run")["exit_code"] == "2"
+        item = record.section("check.slope-in-branch")
+        assert item["verdict"] == "fail" and item["branch_lo"] == "nan"
+        assert item["detail"] == "no monotone branch of Phi contains s*_inf"
+
     def test_slope_outside_the_hint_is_a_failed_hypothesis(self, tmp_path, capsys):
         text = RELATIVISTIC_SWEEP.replace(
             "name = relativistic", "name = relativistic\nbranch_hint = 0.2, 0.9"

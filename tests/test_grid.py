@@ -93,9 +93,10 @@ def test_graded_mesh_too_coarse():
 @example(T=1.0, ticks=[3 * 10**8, 7 * 10**8], n=10**5, factor=1)
 @settings(max_examples=30, deadline=None)
 def test_graded_mesh_properties(T, ticks, n, factor):
-    # points on a lattice of T/1e9: distinct points lie at least that far
-    # apart (two points a few ulps apart cannot share out many cells)
-    points = [T * k / 10**9 for k in ticks]
+    # points on a lattice of T/1e9: distinct points, and the ends 0 and T,
+    # lie at least that far apart (two points a few ulps apart cannot
+    # share out many cells); T * 10**9 / 10**9 may round off T itself
+    points = [T if k == 10**9 else T * k / 10**9 for k in ticks]
     mesh = Mesh.graded(T, n, points)
     assert mesh.n_cells == n
     assert np.all(np.diff(mesh.nodes) > 0)
@@ -117,6 +118,22 @@ def test_graded_mesh_rejects_near_coincident_points():
     named = r"0\.5 and 0\.5000000000000001 .* 1000 cells"
     with pytest.raises(InvalidInputError, match=named):
         Mesh.graded(1.0, 1000, [0.5, np.nextafter(0.5, 1.0)])
+
+
+def test_graded_mesh_rejects_a_point_an_ulp_from_an_end():
+    # the piece [p, T] is one cell one ulp wide, so its midpoint rounds
+    # onto p and the midpoint rule would sample the weight at p
+    T = 68.85704417533096
+    p = np.nextafter(T, 0.0)
+    with pytest.raises(InvalidInputError, match=r"68\.85704417533094 and 68\.85704417533096"):
+        Mesh.graded(T, 4, [p])
+    tiny = np.nextafter(0.0, 1.0)
+    with pytest.raises(InvalidInputError, match="5e-324"):
+        Mesh.graded(1.0, 4, [tiny])
+    # two ulps leave room for a midpoint strictly inside
+    mesh = Mesh.graded(1.0, 10, [0.5, 0.5 + 2 * np.spacing(0.5)])
+    assert mesh.singular_indices == (5, 6)
+    assert mesh.nodes[5] < mesh.midpoints[5] < mesh.nodes[6]
 
 
 def test_refine_preserves_structure():

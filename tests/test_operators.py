@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ def _counting(base):
     return op, sizes
 
 
-def test_generic_inverse_costs_at_most_twelve_vector_evaluations(monkeypatch):
+def test_generic_inverse_costs_at_most_three_vector_evaluations(monkeypatch):
     # the solve-bisect problem shape: difference (no closed-form inverse),
     # constant weight, f = 0.05 cos(x) sin(y), n = 2000
     op, sizes = _counting(difference(2.0, 0.0))
@@ -298,16 +299,17 @@ def test_generic_inverse_costs_at_most_twelve_vector_evaluations(monkeypatch):
         # vector evaluations run over the elements; table samples and
         # scalar probes (at most INVERSE_TABLE_SIZE points) are not counted
         vector = [k for k in sizes if k > operators.INVERSE_TABLE_SIZE]
-        per_call.append((len(vector), sum(sizes), np.size(y)))
+        per_call.append((len(vector), sum(vector), np.size(y)))
         return out
 
     monkeypatch.setattr(solver, "partial_inverse_array", counted)
     report = solver.solve(prob)
     assert report.status == "converged"
     assert len(per_call) > 10
+    # one at the falsi points and one on each side of the polished points
     for vector_evals, elements, n in per_call:
-        assert vector_evals <= 12
-        assert elements <= 12 * n
+        assert vector_evals <= 3
+        assert elements <= 3 * n
 
 
 class _BracketLog:
@@ -353,6 +355,25 @@ class _BracketLog:
             assert np.all(closed | exact)
 
 
+def _targets(op, br, s_max, end_offsets):
+    """Values of Phi across the branch, |s| <= s_max, and next to its ends.
+
+    Each image endpoint that the branch attains at a finite slope (Phi'
+    -> 0 at the perona and sine turning points and at the flat ends of
+    the difference pieces) gets the values end_offsets inside it.
+    """
+    lo, hi = max(br.lo, -s_max), min(br.hi, s_max)
+    ss = lo + (hi - lo) * np.linspace(0.0, 1.0, 401)[1:-1]
+    ys = list(np.asarray(op(ss)))
+    ends = [(br.lo, br.image_lo if br.increasing else br.image_hi),
+            (br.hi, br.image_hi if br.increasing else br.image_lo)]
+    for s_end, y_end in ends:
+        if math.isfinite(s_end) and math.isfinite(y_end):
+            inward = 1.0 if y_end == br.image_lo else -1.0
+            ys += [y_end + inward * d for d in end_offsets]
+    return np.array([y for y in ys if br.image_lo < y < br.image_hi])
+
+
 # (id, operator, slope on the branch, hint, largest |s| sampled); mean
 # curvature stops at |s| = 10, where Phi' = 1e-3: beyond, one ulp of Phi
 # moves s by more than the tolerance (see the test after this one)
@@ -376,19 +397,7 @@ def test_generic_inverse_agrees_with_closed_form(op, s0, hint, s_max, monkeypatc
     br = find_branch(op, s0, hint=hint)
     assert br.inverse is not None
     generic = dataclasses.replace(br, inverse=None)
-    # slopes across the branch, |s| <= s_max
-    lo, hi = max(br.lo, -s_max), min(br.hi, s_max)
-    ss = lo + (hi - lo) * np.linspace(0.0, 1.0, 401)[1:-1]
-    ys = list(np.asarray(op(ss)))
-    # within 1e-9 of each image endpoint that the branch attains at a
-    # finite slope (Phi' -> 0 at the perona and sine turning points)
-    ends = [(br.lo, br.image_lo if br.increasing else br.image_hi),
-            (br.hi, br.image_hi if br.increasing else br.image_lo)]
-    for s_end, y_end in ends:
-        if math.isfinite(s_end) and math.isfinite(y_end):
-            inward = 1.0 if y_end == br.image_lo else -1.0
-            ys += [y_end + inward * d for d in (1e-9, 1e-7, 1e-5)]
-    ys = np.array([y for y in ys if br.image_lo < y < br.image_hi])
+    ys = _targets(op, br, s_max, (1e-9, 1e-7, 1e-5))
     log = _BracketLog(operators.bracketed_root)
     monkeypatch.setattr(operators, "bracketed_root", log)
     s = partial_inverse_array(op, generic, ys)
@@ -431,6 +440,66 @@ def test_difference_flat_end_keeps_certified_brackets(monkeypatch):
     assert np.all(s > br.lo)
     assert np.all(np.abs(np.asarray(op(s)) - ys) <= 1e-15)
     assert np.all(np.diff(s) > 0)
+
+
+def _generic_branches():
+    """Every catalog branch with a closed form, rebuilt without it, and the
+    difference pieces, increasing and decreasing: (id, operator, branch,
+    largest |s| sampled)."""
+    cases = []
+    for name, op, s0, hint, s_max in _CLOSED_FORM_BRANCHES:
+        br = dataclasses.replace(find_branch(op, s0, hint=hint), inverse=None)
+        cases.append((name, op, br, s_max))
+    for alpha, beta in ((2.0, 0.0), (0.0, 2.0)):
+        op = difference(alpha, beta)
+        for s0 in (-2.0, 0.0, 2.0):
+            cases.append((f"difference_{alpha:g}_{beta:g}_at_{s0:g}", op, op.piece_at(s0), 1e3))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "op,br,s_max", [c[1:] for c in _generic_branches()],
+    ids=[c[0] for c in _generic_branches()],
+)
+def test_generic_inverse_results_are_certified(op, br, s_max):
+    # read from the results alone, whichever step closed each bracket:
+    # the oriented Phi - y changes sign within BISECT_TOL (or one ulp) of
+    # s, or vanishes at s.  Where Phi is flat to rounding (the perona
+    # turning point), its computed values wobble by an ulp, so the sign
+    # change is asserted up to two ulps of y
+    assert br.inverse is None
+    ys = _targets(op, br, s_max, np.geomspace(1e-12, 1e-2, 21))
+    s = partial_inverse_array(op, br, ys)
+    orient = 1.0 if br.increasing else -1.0
+
+    def f(v):
+        return orient * np.asarray(op(np.clip(v, br.lo, br.hi)))
+
+    t = orient * ys
+    h = np.maximum(operators.BISECT_TOL, np.spacing(np.abs(s)))
+    ulps = 2.0 * np.spacing(np.abs(t))
+    assert np.all((br.lo <= s) & (s <= br.hi))
+    assert np.all(((f(s - h) <= t + ulps) & (t - ulps <= f(s + h))) | (f(s) == t))
+
+
+@pytest.mark.parametrize("s_lo,s_hi", [(1.499, 1.501), (1.0, 2.0)])
+def test_generic_inverse_memory_is_a_few_arrays(s_lo, s_hi):
+    # 1e5 elements of the difference branch: a narrow range, closed by the
+    # certifying pass alone, and a wide one, which bracketed_root closes a
+    # block at a time; about 11 arrays of the input's size are live at the
+    # peak
+    op = difference(2.0, 0.0)
+    br = find_branch(op, 2.0)
+    ys = np.asarray(op(np.linspace(s_lo, s_hi, 100_001)))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        partial_inverse_array(op, br, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 14 * ys.nbytes
 
 
 def test_scalar_inverse_is_the_array_inverse():
