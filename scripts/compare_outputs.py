@@ -8,7 +8,9 @@ checkout's `src`).  For every variant of every workload in
 perfbench/workloads.py (all 16 by default), each tree runs the workload's
 operations - the timed run commands and then the verify commands - in a
 fresh interpreter, in a directory of its own.  The configs come from
-perfbench/workloads.py, which is only read.
+perfbench/workloads.py, which is only read.  Then each tree solves and
+verifies the EXTRA_CASES configs, whichever workloads and variants are
+chosen.
 
 Each output file and the output of each command is reported as identical
 or with its largest absolute difference between numbers in the same
@@ -30,13 +32,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "perfbench")
 
 CHILD = """
-import contextlib, io, json, sys
-sys.path.insert(0, {bench!r})
-from workloads import WORKLOADS, Context
+import contextlib, io, json, os, sys
 from phibvp import cli
 
-ctx = Context(WORKLOADS[{workload!r}], {variant!r}, {workdir!r}, 2)
-ctx.write_configs()
 log = []
 
 def main(argv):
@@ -46,14 +44,77 @@ def main(argv):
     log.append([argv, code, buffer.getvalue()])
     return code
 
+{commands}
+with open({log_path!r}, "w", encoding="utf-8") as handle:
+    json.dump({{"package": cli.__file__, "commands": log}}, handle)
+"""
+
+WORKLOAD_COMMANDS = """
+sys.path.insert(0, {bench!r})
+from workloads import WORKLOADS, Context
+
+ctx = Context(WORKLOADS[{workload!r}], {variant!r}, {workdir!r}, 2)
+ctx.write_configs()
 for argv in ctx.workload.run(ctx):
     main(argv)
 if all(entry[1] == 0 for entry in log):
     for argv in ctx.workload.verify(ctx, main):
         main(argv)
-with open({log_path!r}, "w", encoding="utf-8") as handle:
-    json.dump({{"package": cli.__file__, "commands": log}}, handle)
 """
+
+CASE_COMMANDS = """
+cfg = os.path.join({workdir!r}, "problem.cfg")
+with open(cfg, "w", encoding="utf-8") as handle:
+    handle.write({text!r})
+out = os.path.join({workdir!r}, "out")
+if main(["solve", cfg, "-o", out]) == 0:
+    main(["verify", os.path.join(out, "solution.txt"), cfg])
+"""
+
+# No workload runs a singular weight or a decreasing branch: the midpoint
+# samples of 1/k and psi, and the orientation of the problem, are checked
+# by these configs.
+EXTRA_CASES = {
+    "perona-sqrt-t": """[operator]
+name = perona_malik
+
+[weight]
+name = sqrt_t
+
+[rhs]
+example = perona
+alpha = 4
+M = 0.5
+N = 0.1
+
+[problem]
+nu1 = 0.0
+nu2 = 0.05
+T = 1.0
+
+[mesh]
+n = 1000
+""",
+    "sine-decreasing": """[operator]
+name = sine
+branch_hint = 1.5707963267948966, 4.7123889803846897
+
+[weight]
+name = one_plus_t_squared
+
+[rhs]
+f = 0.05*cos(pi*t)
+psi = 0.05
+
+[problem]
+nu1 = 0.0
+nu2 = 3.0
+T = 1.0
+
+[mesh]
+n = 2000
+""",
+}
 
 LOG = "commands.json"
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
@@ -68,21 +129,26 @@ def workload_names() -> tuple:
     return sorted(WORKLOADS), VARIANTS
 
 
-def run_tree(src: str, workload: str, variant: int, workdir: str) -> list:
-    """Run one variant through the package in `src`; return its command log."""
+def run_tree(src: str, workdir: str, workload: str, variant: int | None = None) -> list:
+    """Run one workload variant, or the EXTRA_CASES config named by
+    `workload` when `variant` is None, through the package in `src`;
+    return its command log."""
     os.makedirs(workdir)
     log_path = os.path.join(workdir, LOG)
-    code = CHILD.format(
-        bench=BENCH, workload=workload, variant=variant, workdir=workdir,
-        log_path=log_path,
-    )
+    if variant is None:
+        commands = CASE_COMMANDS.format(workdir=workdir, text=EXTRA_CASES[workload])
+    else:
+        commands = WORKLOAD_COMMANDS.format(
+            bench=BENCH, workload=workload, variant=variant, workdir=workdir
+        )
+    code = CHILD.format(commands=commands, log_path=log_path)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run(
         [sys.executable, "-c", code], cwd=workdir, env=env,
         capture_output=True, text=True, timeout=600, check=False,
     )
     if done.returncode != 0:
-        raise RuntimeError(f"{src}: {workload} variant {variant} failed:\n{done.stderr}")
+        raise RuntimeError(f"{src}: {workload} {variant} failed:\n{done.stderr}")
     with open(log_path, "r", encoding="utf-8") as handle:
         log = json.load(handle)
     if not log["package"].startswith(os.path.abspath(src) + os.sep):
@@ -187,21 +253,26 @@ def main(argv=None) -> int:
         range(variants) if args.variants is None
         else [int(v) for v in args.variants.split(",")]
     )
+    runs = [(w, v) for w in chosen for v in indices]
+    runs += [(case, None) for case in EXTRA_CASES]
     differences = 0
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as scratch:
-        for workload in chosen:
-            for variant in indices:
-                dirs = [os.path.join(scratch, f"{side}_{workload}_{variant}") for side in ("old", "new")]
-                logs = [
-                    run_tree(src, workload, variant, d)
-                    for src, d in zip((args.old_src, args.new_src), dirs)
-                ]
-                for name, diff in compare_variant(*dirs, *logs):
-                    if diff is None:
-                        print(f"{workload} {variant} {name}: identical")
-                    else:
-                        differences += 1
-                        print(f"{workload} {variant} {name}: {diff}")
+        for workload, variant in runs:
+            label = f"{workload} {variant}" if variant is not None else f"extra {workload}"
+            dirs = [
+                os.path.join(scratch, f"{side}_{label.replace(' ', '_')}")
+                for side in ("old", "new")
+            ]
+            logs = [
+                run_tree(src, d, workload, variant)
+                for src, d in zip((args.old_src, args.new_src), dirs)
+            ]
+            for name, diff in compare_variant(*dirs, *logs):
+                if diff is None:
+                    print(f"{label} {name}: identical")
+                else:
+                    differences += 1
+                    print(f"{label} {name}: {diff}")
     print(f"{differences} difference(s)")
     return 1 if differences else 0
 

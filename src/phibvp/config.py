@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -43,11 +44,12 @@ from .operators import (
 )
 from .problem import (
     BvpProblem,
+    Discretization,
     Rhs,
     Weight,
     default_mesh,
     make_weight,
-    recip_weight_grid,
+    sample_weight,
     zero_rhs,
 )
 from .solver import IterationConfig
@@ -414,22 +416,31 @@ class ProblemConfig:
             name=f"expr({f.source})",
         )
 
-    def build_finite(self, nu2_override: float | None = None) -> BvpProblem:
-        if self.halfline or self.T is None:
-            raise ConfigError("[problem] this command needs a finite T")
-        nu2 = self.nu2 if nu2_override is None else float(nu2_override)
+    @cached_property
+    def _finite_parts(self) -> tuple[PhiOperator, Weight, Discretization]:
+        """The operator, the weight (self-tested once) and 1/k on the mesh:
+        what a finite problem does not take from nu2.  A sweep builds them
+        once; a failure is not cached, so every build raises it again."""
         phi = self.build_operator()
         weight = self.build_weight()
         with _config_errors("[mesh]"):
             mesh = default_mesh(weight, self.T, n=self.mesh_n)
         with _config_errors("[weight]"):
-            k1 = recip_weight_grid(weight, mesh)[1]
-        s_star = (nu2 - self.nu1) / k1
+            return phi, weight, sample_weight(weight, mesh)
+
+    def build_finite(self, nu2_override: float | None = None) -> BvpProblem:
+        if self.halfline or self.T is None:
+            raise ConfigError("[problem] this command needs a finite T")
+        nu2 = self.nu2 if nu2_override is None else float(nu2_override)
+        phi, weight, recip = self._finite_parts
+        s_star = (nu2 - self.nu1) / recip.k1
         rhs = self._build_rhs(s_star)
+        with _config_errors("[rhs]"):
+            disc = recip.with_psi(rhs)
         with _config_errors("[problem]"):
             branch = self._branch_around(phi, s_star)
             return BvpProblem(
-                phi, branch, weight, rhs, self.nu1, nu2, self.T, p=self.p, mesh=mesh
+                phi, branch, weight, rhs, self.nu1, nu2, self.T, p=self.p, disc=disc
             )
 
     def _branch_around(self, phi: PhiOperator, s_star: float) -> MonotoneBranch | None:

@@ -289,7 +289,9 @@ def endpoint_midvalues(
     return np.where(singular[mid_cells + 1], lo, mids)
 
 
-def _midvalues(mesh: Mesh, values: np.ndarray, evaluator) -> np.ndarray:
+def midvalues(mesh: Mesh, values: np.ndarray, evaluator) -> np.ndarray:
+    """Values at the midpoints of mesh.mid_cells: the evaluator's, or
+    endpoint stand-ins without one."""
     cells = mesh.mid_cells
     if not cells.size:
         return np.empty(0)
@@ -322,7 +324,7 @@ def running_integral(
 
 def cumulative_integral(g: GridFunction) -> GridFunction:
     """Running integral G(t_j) = integral of g over [0, t_j], G(0) = 0."""
-    mids = _midvalues(g.mesh, g.values, g.evaluator)
+    mids = midvalues(g.mesh, g.values, g.evaluator)
     return GridFunction(g.mesh, running_integral(g.mesh, g.values, mids))
 
 
@@ -356,7 +358,7 @@ def lp_norm(mesh: Mesh, values: np.ndarray, p: float, evaluator=None) -> float:
     if not np.all(np.isfinite(powered)):
         raise InvalidInputError("grid function values must be finite")
     ev = None if evaluator is None else (lambda t: np.abs(evaluator(t)) ** p)
-    total = float(running_integral(mesh, powered, _midvalues(mesh, powered, ev))[-1])
+    total = float(running_integral(mesh, powered, midvalues(mesh, powered, ev))[-1])
     return float(total ** (1.0 / p))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, PhibvpError
 from .grid import GridFunction
 from .operators import MonotoneBranch, PhiOperator
-from .problem import BvpProblem, Rhs, Weight, default_mesh, recip_weight_grid, slope_box
+from .problem import BvpProblem, Rhs, Weight, default_mesh, sample_weight, slope_box
 from .solver import IterationConfig, SolveReport, solve
 
 # Numeric half-line integrals stop here; the last decade is reported as a
@@ -60,7 +60,7 @@ def k_mass_upto(weight: Weight, t: float, cells: int = 4000) -> float:
         val = float(K(float(t))) - float(K(0.0))
         if math.isfinite(val):
             return val
-    return recip_weight_grid(weight, default_mesh(weight, float(t), n=cells))[1]
+    return sample_weight(weight, default_mesh(weight, float(t), n=cells)).k1
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,9 +177,10 @@ class HeteroclinicReport:
 
 def _interval_problem(hp: HalflineProblem, n: float) -> BvpProblem:
     cells = max(2, int(round(hp.cells_per_unit * float(n))))
-    mesh = default_mesh(hp.weight, float(n), n=cells)
+    disc = sample_weight(hp.weight, default_mesh(hp.weight, float(n), n=cells))
     return BvpProblem(
-        hp.phi, hp.branch, hp.weight, hp.rhs, hp.nu1, hp.nu2, float(n), p=hp.p, mesh=mesh
+        hp.phi, hp.branch, hp.weight, hp.rhs, hp.nu1, hp.nu2, float(n), p=hp.p,
+        disc=disc.with_psi(hp.rhs),
     )
 
 
@@ -250,7 +251,6 @@ def solve_halfline(
     detail = ""
 
     for n in hp.schedule:
-        problem = _interval_problem(hp, n)
         k_n = k_mass_upto(hp.weight, float(n))
         s_n = (hp.nu2 - hp.nu1) / k_n
         if not (k_n > prev_k):
@@ -259,16 +259,17 @@ def solve_halfline(
             raise InvalidInputError("interval slope |s_n*| failed to decrease")
         prev_k, prev_abs_s = k_n, abs(s_n)
 
-        initial = None
-        if prev is not None:
-            nodes = problem.mesh.nodes
-            x0 = extend_by_nu2(prev.x, nodes)
-            mask = ~prev.x.mesh.singular_mask()
-            xp0 = np.interp(nodes, prev.x.mesh.nodes[mask], prev.x_prime.values[mask])
-            xp0 = np.where(nodes > prev.x.mesh.nodes[-1], 0.0, xp0)
-            initial = (x0, xp0)
-
         try:
+            # sampling 1/k and psi on [0, n] can fail like the solve
+            problem = _interval_problem(hp, n)
+            initial = None
+            if prev is not None:
+                nodes = problem.mesh.nodes
+                x0 = extend_by_nu2(prev.x, nodes)
+                mask = ~prev.x.mesh.singular_mask()
+                xp0 = np.interp(nodes, prev.x.mesh.nodes[mask], prev.x_prime.values[mask])
+                xp0 = np.where(nodes > prev.x.mesh.nodes[-1], 0.0, xp0)
+                initial = (x0, xp0)
             rep = solve(problem, cfg, initial=initial)
         except PhibvpError as exc:
             status = "aborted"

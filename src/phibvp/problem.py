@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchError, CompatibilityError, EnvelopeError, InvalidInputError
-from .grid import SENTINEL, GridFunction, Mesh, integrate, norm
+from .grid import SENTINEL, GridFunction, Mesh, integrate, lp_norm, midvalues
+from .grid import running_integral
 from .operators import MonotoneBranch, PhiOperator, find_branch, partial_inverse
 
 # reference mesh and tolerance of the K self-test (sqrt_t is off by 1e-6)
@@ -157,6 +158,52 @@ def make_rhs(name: str, **params) -> Rhs:
 
 
 @dataclass(frozen=True, eq=False)
+class Discretization:
+    """1/k and psi, the two functions the existence argument integrates,
+    sampled once on one mesh; the scalars, the envelopes and the solver
+    read them here.
+
+    Node arrays hold a placeholder zero at singular nodes; the midpoint
+    arrays sample the midpoints of the midpoint-rule cells, mesh.mid_cells.
+    1/k comes first, because s* = (nu2 - nu1)/k1 parametrises some
+    right-hand sides; psi_n and psi_mid stay None until with_psi.
+    """
+
+    mesh: Mesh
+    recip_n: np.ndarray
+    recip_mid: np.ndarray
+    recip_cumulative: np.ndarray
+    psi_n: np.ndarray | None = None
+    psi_mid: np.ndarray | None = None
+
+    @property
+    def k1(self) -> float:
+        """||1/k||_L1 over [0, T]: every k1 the package computes is this."""
+        return float(self.recip_cumulative[-1])
+
+    def with_psi(self, rhs: Rhs) -> "Discretization":
+        """A copy that also holds psi; a non-finite sample is an error."""
+        psi_n = GridFunction.from_callable(self.mesh, rhs.psi_at, fill=0.0).values
+        psi_mid = midvalues(self.mesh, psi_n, rhs.psi_at)
+        return replace(self, psi_n=psi_n, psi_mid=psi_mid)
+
+
+def sample_weight(weight: Weight, mesh: Mesh) -> Discretization:
+    """1/k on the mesh, without psi (see Discretization.with_psi); away from
+    singular nodes it must be positive and finite, and so must k1."""
+    recip_n = GridFunction.from_callable(mesh, weight.recip, fill=0.0).values
+    recip_mid = midvalues(mesh, recip_n, weight.recip)
+    if np.any(recip_n[~mesh.singular_mask()] <= 0.0) or np.any(recip_mid <= 0.0):
+        raise InvalidInputError("weight must be positive away from singular points")
+    disc = Discretization(
+        mesh, recip_n, recip_mid, running_integral(mesh, recip_n, recip_mid)
+    )
+    if not (disc.k1 > 0.0 and math.isfinite(disc.k1)):
+        raise InvalidInputError("the L1 norm of 1/k is not positive and finite")
+    return disc
+
+
+@dataclass(frozen=True, eq=False)
 class BvpProblem:
     """The finite-interval problem; branch is None when no branch contains s*."""
 
@@ -168,7 +215,7 @@ class BvpProblem:
     nu2: float
     T: float
     p: float = 1.0
-    mesh: Mesh = None
+    disc: Discretization = None  # 1/k and psi on the mesh: see make_problem
 
     def __post_init__(self):
         if not (self.T > 0 and math.isfinite(self.T)):
@@ -178,10 +225,14 @@ class BvpProblem:
         for v in (self.nu1, self.nu2):
             if not math.isfinite(v):
                 raise InvalidInputError("boundary values must be finite")
-        if self.mesh is None:
-            raise InvalidInputError("problem needs a mesh; use make_problem")
+        if self.disc is None or self.disc.psi_n is None:
+            raise InvalidInputError("problem needs 1/k and psi sampled; use make_problem")
         if abs(self.mesh.T - self.T) > 1e-12 * max(1.0, self.T):
             raise InvalidInputError("mesh endpoint differs from T")
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.disc.mesh
 
     def branch_contains(self, s: float) -> bool:
         return self.branch is not None and self.branch.contains(s)
@@ -208,26 +259,10 @@ def make_problem(
     """Assemble a problem, selecting the branch around s* when not given."""
     if mesh is None:
         mesh = default_mesh(weight, T, n=mesh_n)
+    disc = sample_weight(weight, mesh)
     if branch is None:
-        s_star = (nu2 - nu1) / recip_weight_grid(weight, mesh)[1]
-        branch = find_branch(phi, s_star, hint=branch_hint)
-    return BvpProblem(phi, branch, weight, rhs, nu1, nu2, T, p=p, mesh=mesh)
-
-
-def recip_weight_grid(weight: Weight, mesh: Mesh) -> tuple[GridFunction, float]:
-    """1/k on the mesh and its quadrature k1 = ||1/k||_L1 over [0, T].
-
-    Singular nodes hold a placeholder zero.  Everywhere else 1/k must be
-    positive and finite, and so must k1: every k1 the package computes
-    comes from here.
-    """
-    g = GridFunction.from_callable(mesh, weight.recip, fill=0.0)
-    if np.any(g.values[~mesh.singular_mask()] <= 0.0):
-        raise InvalidInputError("weight must be positive away from singular points")
-    k1 = integrate(g)
-    if not (k1 > 0.0 and math.isfinite(k1)):
-        raise InvalidInputError("the L1 norm of 1/k is not positive and finite")
-    return g, k1
+        branch = find_branch(phi, (nu2 - nu1) / disc.k1, hint=branch_hint)
+    return BvpProblem(phi, branch, weight, rhs, nu1, nu2, T, p=p, disc=disc.with_psi(rhs))
 
 
 @dataclass(frozen=True)
@@ -256,16 +291,15 @@ class DerivedScalars:
 def derive_scalars(problem: BvpProblem) -> DerivedScalars:
     """Compute k1, kp, s*, L, min psi, Phi(s*), A*, B* and the box [N1, N2].
 
-    k1 and L are mesh quadratures, the ones the solver integrates with.
-    A failed hypothesis is reported by NaN fields, never raised;
-    require_box raises for it.
+    k1 and L are mesh quadratures of problem.disc, the ones the solver
+    integrates with.  A failed hypothesis is reported by NaN fields, never
+    raised; require_box raises for it.
     """
-    mesh = problem.mesh
-    invk, k1 = recip_weight_grid(problem.weight, mesh)
-    psi = GridFunction.from_callable(mesh, problem.rhs.psi_at, fill=0.0)
+    disc = problem.disc
+    k1 = disc.k1
     s_star = (problem.nu2 - problem.nu1) / k1
-    L = integrate(psi)
-    psi_min = float(np.min(psi.values[~mesh.singular_mask()], initial=math.inf))
+    L = float(running_integral(disc.mesh, disc.psi_n, disc.psi_mid)[-1])
+    psi_min = float(np.min(disc.psi_n[~disc.mesh.singular_mask()], initial=math.inf))
     phi_s = A_star = B_star = math.nan
     if problem.branch_contains(s_star):
         phi_s = float(problem.phi(s_star))
@@ -274,7 +308,8 @@ def derive_scalars(problem: BvpProblem) -> DerivedScalars:
     slope_lo, slope_hi = sorted((A_star, B_star))
     return DerivedScalars(
         k1=k1,
-        kp=norm(invk, problem.p),
+        # the evaluator serves the midpoint-rule midpoints, sampled already
+        kp=lp_norm(disc.mesh, disc.recip_n, problem.p, lambda t: disc.recip_mid),
         s_star=s_star,
         L=L,
         psi_min=psi_min,
@@ -342,8 +377,7 @@ class Envelopes:
 def envelopes(problem: BvpProblem, scalars: DerivedScalars) -> Envelopes:
     """Derivative envelopes slope/k(t); singular nodes get wide sentinels."""
     mesh = problem.mesh
-    with np.errstate(all="ignore"):
-        invk = np.asarray(problem.weight.recip(mesh.nodes), dtype=float)
+    invk = problem.disc.recip_n
     mask = mesh.singular_mask()
     lo = np.where(mask, -SENTINEL, scalars.slope_lo * invk)
     hi = np.where(mask, SENTINEL, scalars.slope_hi * invk)
@@ -361,7 +395,8 @@ def oriented_problem(problem: BvpProblem) -> tuple[BvpProblem, bool]:
     """Reduce a decreasing branch to the increasing case via Phi -> -Phi, f -> -f.
 
     Solutions are unchanged; the composed quantity u = Phi(k x') changes
-    sign, as does the integration constant.
+    sign, as does the integration constant.  1/k and psi do not change,
+    so the flipped problem shares the discretization.
     """
     if problem.branch.increasing:
         return problem, False

@@ -62,7 +62,6 @@ from .problem import (
     derive_scalars,
     envelopes,
     oriented_problem,
-    recip_weight_grid,
     require_box,
 )
 
@@ -118,37 +117,12 @@ class IterationConfig:
 
 
 class SolverKernel:
-    """Per-solve tables shared by the beta equation, g and the truncation.
-
-    Precomputes 1/k at nodes and at the midpoints of the midpoint-rule
-    cells, and psi at the nodes, so each sweep costs a handful of
-    vectorized passes.
-    """
+    """The problem a beta equation is posed on; its 1/k tables and k1
+    come from problem.disc, so building one samples nothing."""
 
     def __init__(self, problem: BvpProblem):
         self.problem = problem
-        mesh = problem.mesh
-        self.mesh = mesh
-        invk, self.k1_quad = recip_weight_grid(problem.weight, mesh)
-        self.ik_n = invk.values
-        self.t_mid = mesh.midpoints[mesh.mid_cells]
-        with np.errstate(all="ignore"):
-            self.ik_mid = np.asarray(problem.weight.recip(self.t_mid), dtype=float)
-        if mesh.mid_cells.size and not np.all(
-            np.isfinite(self.ik_mid) & (self.ik_mid > 0)
-        ):
-            raise InvalidInputError("1/k must be positive and finite at midpoints")
-        self.singular = mesh.singular_mask()
-        self.recip_cumulative = running_integral(mesh, self.ik_n, self.ik_mid)
-        self.psi_n = _psi_nodes(problem, mesh.nodes, self.singular)
-
-
-def _psi_nodes(
-    problem: BvpProblem, nodes: np.ndarray, singular: np.ndarray
-) -> np.ndarray:
-    """psi at the nodes; singular nodes and non-finite psi bound nothing."""
-    psi_n = problem.rhs.psi_at(nodes)
-    return np.where(singular | ~np.isfinite(psi_n), np.inf, psi_n)
+        self.disc = problem.disc
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +141,11 @@ class BetaEquation:
 
     @staticmethod
     def build(kernel: SolverKernel, branch, Fcum: GridFunction) -> "BetaEquation":
-        mesh = kernel.mesh
+        mesh = kernel.disc.mesh
         if Fcum.mesh is not mesh and not np.array_equal(Fcum.mesh.nodes, mesh.nodes):
             raise InvalidInputError("cumulative grid lives on a different mesh")
         F_n = Fcum.values
-        F_mid = np.interp(kernel.t_mid, mesh.nodes, F_n)
+        F_mid = np.interp(mesh.midpoints[mesh.mid_cells], mesh.nodes, F_n)
         target = kernel.problem.nu2 - kernel.problem.nu1
         return BetaEquation(kernel, branch, kernel.problem.phi, F_n, F_mid, target)
 
@@ -179,17 +153,15 @@ class BetaEquation:
         packed = np.concatenate((xi + self.F_n, xi + self.F_mid))
         inv = partial_inverse_array(self.phi, self.branch, packed)
         n = self.F_n.size
-        return (
-            self.kernel.ik_n * inv[:n],
-            self.kernel.ik_mid * inv[n:],
-        )
+        disc = self.kernel.disc
+        return disc.recip_n * inv[:n], disc.recip_mid * inv[n:]
 
     def cumulative(self, xi: float) -> tuple[np.ndarray, np.ndarray]:
         """Running integral of (1/k)Phi^{-1}(xi + F) and its nodal integrand."""
         if self._last and self._last[0] == xi:
             return self._last[1]
         w_n, w_mid = self._slopes(xi)
-        out = (running_integral(self.kernel.mesh, w_n, w_mid), w_n)
+        out = (running_integral(self.kernel.disc.mesh, w_n, w_mid), w_n)
         self._last[:] = (xi, out)
         return out
 
@@ -208,9 +180,9 @@ class BetaEquation:
         end of [lo, hi] or stalls evaluates, and if need be expands, the
         theoretical bracket itself.
         """
-        kern = self.kernel
+        disc = self.kernel.disc
         br = self.branch
-        s_star_d = self.target / kern.k1_quad
+        s_star_d = self.target / disc.k1
         if not br.contains(s_star_d):
             raise BranchError(
                 f"discrete reference slope {s_star_d!r} escapes the branch"
@@ -257,9 +229,9 @@ class BetaEquation:
             x = guess
         else:
             F_int = running_integral(
-                kern.mesh, kern.ik_n * self.F_n, kern.ik_mid * self.F_mid
+                disc.mesh, disc.recip_n * self.F_n, disc.recip_mid * self.F_mid
             )
-            F_mean = float(F_int[-1]) / kern.k1_quad
+            F_mean = float(F_int[-1]) / disc.k1
             x = min(max(phi_sd - F_mean, lo), hi)
             if not lo < x < hi:
                 x = 0.5 * (lo + hi)
@@ -275,7 +247,7 @@ class BetaEquation:
         )
         with np.errstate(all="ignore"):
             phi_pm = np.asarray(self.phi(np.array([s_star_d - h, s_star_d + h])))
-            slope = float(kern.k1_quad * 2.0 * h / abs(phi_pm[1] - phi_pm[0]))
+            slope = float(disc.k1 * 2.0 * h / abs(phi_pm[1] - phi_pm[0]))
         if math.isfinite(slope) and slope > 0.0:
             step = -r / slope
         else:
@@ -336,7 +308,6 @@ def beta_solve(
     Fx_cumulative: GridFunction,
     L: float,
     tol_beta: float = 1e-12,
-    kernel: SolverKernel | None = None,
 ) -> float:
     """Integration constant beta with |phi(beta) - (nu2 - nu1)| <= tol_beta.
 
@@ -344,10 +315,9 @@ def beta_solve(
     discrete reference slope; a violation means the quadrature and the
     stated psi mass disagree, and is reported rather than patched.
     """
-    kern = kernel if kernel is not None else SolverKernel(problem)
-    eq = BetaEquation.build(kern, branch, Fx_cumulative)
+    eq = BetaEquation.build(SolverKernel(problem), branch, Fx_cumulative)
     beta = eq.solve(tol_beta)
-    s_star_d = eq.target / kern.k1_quad
+    s_star_d = eq.target / problem.disc.k1
     with np.errstate(all="ignore"):
         phi_sd = float(np.asarray(problem.phi(s_star_d)))
     slack = 1e-9 * (1.0 + abs(phi_sd) + abs(L))
@@ -370,17 +340,17 @@ def truncated_rhs(
     x: GridFunction,
     x_prime: GridFunction,
     stats: dict | None = None,
-    kernel: SolverKernel | None = None,
 ) -> GridFunction:
     """f sampled at the clamped iterate, itself clamped into [-psi, psi].
 
     A nonzero psi clip count means the sampled domination hypothesis is
     violated at some node; it is logged and surfaces in the solve status.
     `envs` must come from `envelopes`, which has checked that no bound is
-    inverted; `kernel`, when given, supplies psi at the nodes.
+    inverted; psi and 1/k come from problem.disc.
     """
     mesh = same_mesh(x, x_prime)
     nodes = mesh.nodes
+    disc = problem.disc
     singular = mesh.singular_mask()
     box_lo, box_hi = _box(problem, envs)
     tx = np.clip(x.values, box_lo, box_hi)
@@ -394,9 +364,8 @@ def truncated_rhs(
     if np.any(bad):
         j = int(np.argmax(bad))
         raise RhsEvaluationError(j, float(nodes[j]))
-    psi_n = (
-        kernel.psi_n if kernel is not None else _psi_nodes(problem, nodes, singular)
-    )
+    # psi_n is 0 at singular nodes, where F is 0 too
+    psi_n = disc.psi_n
     over = np.abs(F) > psi_n * (1.0 + _CLIP_RTOL)
     clipped = int(np.count_nonzero(over))
     if clipped:
@@ -415,25 +384,19 @@ def truncated_rhs(
     x_vals = x.values
     xp_vals = x_prime.values
     rhs = problem.rhs
-    recip = problem.weight.recip
-    slo, shi = sorted((scalars.slope_lo, scalars.slope_hi))
 
     def midpoint_eval(t):
+        # t are the midpoints of mesh.mid_cells, where 1/k > 0 and psi
+        # were sampled finite
         t = np.asarray(t, dtype=float)
         xi = np.clip(np.interp(t, nodes, x_vals), box_lo, box_hi)
         ns = ~singular
         yi = np.interp(t, nodes[ns], xp_vals[ns])
-        with np.errstate(all="ignore"):
-            ik = np.asarray(recip(t), dtype=float)
-        ik = np.where(np.isfinite(ik) & (ik > 0), ik, 0.0)
-        lo_env = np.where(ik > 0, slo * ik, -np.inf)
-        hi_env = np.where(ik > 0, shi * ik, np.inf)
-        yi = np.clip(yi, np.minimum(lo_env, hi_env), np.maximum(lo_env, hi_env))
+        ik = disc.recip_mid
+        yi = np.clip(yi, scalars.slope_lo * ik, scalars.slope_hi * ik)
         with np.errstate(all="ignore"):
             val = np.asarray(rhs(t, xi, yi), dtype=float)
-        cap = np.asarray(rhs.psi_at(t), dtype=float)
-        cap = np.where(np.isfinite(cap), cap, np.inf)
-        val = np.clip(val, -cap, cap)
+        val = np.clip(val, -disc.psi_mid, disc.psi_mid)
         return np.where(np.isfinite(val), val, 0.0)
 
     return GridFunction(mesh, F, evaluator=midpoint_eval)
@@ -457,7 +420,6 @@ def g_map(
     x_prime: GridFunction,
     envs: Envelopes | None = None,
     tol_beta: float = 1e-12,
-    kernel: SolverKernel | None = None,
     beta_guess: float | None = None,
 ) -> GStep:
     """g_x = nu1 + cumulative (1/k) Phi^{-1}(beta + F_cum) at one iterate.
@@ -465,17 +427,16 @@ def g_map(
     `beta_guess` is the first trial point of the beta solve (see
     BetaEquation.solve); the previous sweep's beta is a good one.
     """
-    kern = kernel if kernel is not None else SolverKernel(problem)
     env = envs if envs is not None else envelopes(problem, scalars)
-    F = truncated_rhs(problem, scalars, env, x, x_prime, kernel=kern)
+    F = truncated_rhs(problem, scalars, env, x, x_prime)
     Fcum = cumulative_integral(F)
-    eq = BetaEquation.build(kern, problem.branch, Fcum)
+    eq = BetaEquation.build(SolverKernel(problem), problem.branch, Fcum)
     beta = eq.solve(tol_beta, guess=beta_guess)
     cum, w_n = eq.cumulative(beta)
-    x_new = GridFunction(kern.mesh, problem.nu1 + cum)
-    xp_vals = np.where(kern.singular, SENTINEL, w_n)
-    xp_new = GridFunction(kern.mesh, xp_vals)
-    u = GridFunction(kern.mesh, beta + Fcum.values)
+    mesh = problem.mesh
+    x_new = GridFunction(mesh, problem.nu1 + cum)
+    xp_new = GridFunction(mesh, np.where(mesh.singular_mask(), SENTINEL, w_n))
+    u = GridFunction(mesh, beta + Fcum.values)
     return GStep(
         x=x_new,
         x_prime=xp_new,
@@ -572,27 +533,25 @@ def solve(
     oriented, flipped = oriented_problem(problem)
     scalars = derive_scalars(oriented) if flipped else report_scalars
     envs = envelopes(oriented, scalars)
-    kern = SolverKernel(oriented)
     box = _box(oriented, envs)
     # the iterates and the secant history die with _iterate, before the
     # final truncation and the verification allocate
     last, converged, trace, max_excess = _iterate(
-        oriented, scalars, envs, kern, cfg, problem.p, initial
+        oriented, scalars, envs, cfg, problem.p, initial
     )
 
     final_stats: dict = {}
     residual = forward_difference_residual(
         last.u,
         truncated_rhs(
-            oriented, scalars, envs, last.x, last.x_prime,
-            stats=final_stats, kernel=kern,
+            oriented, scalars, envs, last.x, last.x_prime, stats=final_stats
         ),
     )
     boundary_defect = abs(float(last.x.values[-1]) - oriented.nu2)
     ex_x, ex_y = _envelope_excess(last.x.values, last.x_prime.values, box, envs)
 
     beta_out = -last.beta if flipped else last.beta
-    u_out = GridFunction(kern.mesh, -last.u.values) if flipped else last.u
+    u_out = GridFunction(problem.mesh, -last.u.values) if flipped else last.u
 
     status = "max-iters"
     if converged:
@@ -621,8 +580,8 @@ def solve(
         max_envelope_excess=max_excess,
         flipped=flipped,
     )
-    # verify reads only the report: let the g output and the tables go
-    del last, kern, envs
+    # verify reads only the report: let the g output and the envelopes go
+    del last, envs
     verification = verify(report, problem, refine_factor=cfg.verify_refine)
     return replace(report, verification=verification)
 
@@ -631,7 +590,6 @@ def _iterate(
     oriented: BvpProblem,
     scalars: DerivedScalars,
     envs: Envelopes,
-    kern: SolverKernel,
     cfg: IterationConfig,
     p: float,
     initial: tuple[np.ndarray, np.ndarray] | None,
@@ -642,15 +600,15 @@ def _iterate(
     else the one with the smallest step), whether it converged, the step
     trace and the largest envelope excess of any iterate.
     """
-    mesh = kern.mesh
-    singular = kern.singular
+    disc = oriented.disc
+    mesh = disc.mesh
+    singular = mesh.singular_mask()
     box = _box(oriented, envs)
     n_nodes = mesh.nodes.size
 
-    s_star_d = (oriented.nu2 - oriented.nu1) / kern.k1_quad
     if initial is None:
-        x_vals = oriented.nu1 + s_star_d * kern.recip_cumulative
-        xp_vals = np.where(singular, SENTINEL, s_star_d * kern.ik_n)
+        x_vals = oriented.nu1 + scalars.s_star * disc.recip_cumulative
+        xp_vals = np.where(singular, SENTINEL, scalars.s_star * disc.recip_n)
     else:
         x0 = np.asarray(initial[0], dtype=float)
         xp0 = np.asarray(initial[1], dtype=float)
@@ -685,7 +643,6 @@ def _iterate(
             GridFunction(mesh, xp_vals),
             envs=envs,
             tol_beta=cfg.tol_beta,
-            kernel=kern,
             beta_guess=None if last is None else last.beta,
         )
         g_vec = np.concatenate((last.x.values, last.x_prime.values))

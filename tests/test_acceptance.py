@@ -227,7 +227,7 @@ def test_05_random_beta_equations():
             eq = BetaEquation.build(SolverKernel(problem), problem.branch, Fcum)
             assert abs(eq.value(beta) - target) <= 1e-10
             # bracket ends straddle the target
-            s_star_d = target / eq.kernel.k1_quad
+            s_star_d = target / eq.kernel.disc.k1
             center = float(phi.fn(s_star_d))
             assert eq.value(center - L) <= target + 1e-10
             assert eq.value(center + L) >= target - 1e-10

@@ -598,6 +598,26 @@ class TestHalfline:
         assert record.section("halfline")["status"] == "schedule-exhausted"
 
 
+RELATIVISTIC_SQRT_T = """
+[operator]
+name = relativistic
+
+[weight]
+name = sqrt_t
+
+[rhs]
+example = halfline2
+
+[problem]
+nu1 = 0.0
+nu2 = 1.0
+T = 1.0
+
+[mesh]
+n = 10
+"""
+
+
 class TestVerify:
     def test_round_trip_on_own_output(self, tmp_path, capsys):
         cfg = write(tmp_path, QUADRATIC.format(n=300))
@@ -617,6 +637,16 @@ class TestVerify:
             .replace("M = 1.0\nN = 1.0", "M = 0.5\nN = 0.1")
         )
         cfg = write(tmp_path, text + f"\n[mesh]\nn = {n}\n")
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 0
+        assert main(["verify", str(out / "solution.txt"), cfg]) == 0
+        assert "verification: ok" in capsys.readouterr().out
+
+    def test_coarse_singular_mesh_verifies(self, tmp_path, capsys):
+        # f = exp(-t) arctan(x x') is of order one next to the singular
+        # node t = 0: verify must integrate it there with the midpoint rule,
+        # as the solver did, or the first graded cell shows as a defect
+        cfg = write(tmp_path, RELATIVISTIC_SQRT_T)
         out = tmp_path / "run"
         assert main(["solve", cfg, "-o", str(out)]) == 0
         assert main(["verify", str(out / "solution.txt"), cfg]) == 0

@@ -1,15 +1,19 @@
-"""Contract fuzz of `phibvp check`: the exit code depends on the error class.
+"""Contract fuzz of `phibvp check` and `phibvp solve`.
 
 Configs are drawn from the catalogs (operator, weight, worked-example or
 expression right-hand side), boundary values on both sides of the branch
 edges, every check kind, meshes too coarse to build, finite and half-line
 problems, and valid and invalid sampling lattices.  Whatever is drawn,
-`main` must return a code from 0 to 3 without raising, and exit 1 exactly
-when it prints a `config error: ` line first on stderr.
+`main` must return a documented exit code without raising, and exit 1
+exactly when it prints a `config error: ` line first on stderr.  A table
+that `solve` writes holds no NaN outside the slopes at singular nodes, and
+`verify` passes every table of a converged solve.
 """
 
 import contextlib
 import io
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,3 +90,42 @@ def test_check_exit_code_follows_the_error_class(tmp_path_factory, text):
     assert (code == 1) == err.getvalue().startswith("config error: "), (
         text + err.getvalue()
     )
+
+
+@st.composite
+def solve_configs(draw) -> str:
+    sections = [
+        f"[operator]\n{draw(st.sampled_from(OPERATORS))}",
+        f"[weight]\n{draw(st.sampled_from(WEIGHTS))}",
+    ]
+    rhs = draw(st.sampled_from(RHS))
+    if rhs is not None:
+        sections.append(f"[rhs]\n{rhs}")
+    nu2 = draw(st.sampled_from((0.0, 0.05, 0.5, 1.0, 1.5, 40.0, -0.5)))
+    sections.append(f"[problem]\nnu1 = 0.0\nnu2 = {nu2!r}\nT = 1.0")
+    sections.append(f"[mesh]\nn = {draw(st.sampled_from((2, 10, 64)))}")
+    return "\n\n".join(sections) + "\n"
+
+
+def _main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@given(text=solve_configs())
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+def test_solve_writes_tables_that_verify(tmp_path_factory, text):
+    work = tmp_path_factory.mktemp("solve")
+    path = work / "problem.cfg"
+    path.write_text(text)
+    code, err = _main(["solve", str(path), "-o", str(work / "out")])
+    assert code in (0, 1, 2, 3, 4), text
+    assert (code == 1) == err.startswith("config error: "), text + err
+    table = work / "out" / "solution.txt"
+    if table.exists():
+        t, x, _, u = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2).T
+        assert not np.isnan(np.concatenate((t, x, u))).any(), text
+    if code == 0:
+        assert _main(["verify", str(table), str(path)])[0] == 0, text

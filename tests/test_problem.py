@@ -29,7 +29,7 @@ from phibvp import (
     zero_rhs,
 )
 from phibvp.hypotheses import check_theorem1
-from phibvp.problem import Rhs, recip_weight_grid, require_box
+from phibvp.problem import Rhs, require_box, sample_weight
 from phibvp.solver import SolverKernel, solve
 
 
@@ -149,7 +149,7 @@ class TestDerivedScalars:
         )
         sc = derive_scalars(prob)
         # k1 is the mesh quadrature of the exact arctan(1)
-        assert sc.k1 == recip_weight_grid(prob.weight, prob.mesh)[1]
+        assert sc.k1 == sample_weight(prob.weight, prob.mesh).k1
         assert sc.k1 == pytest.approx(math.atan(1.0), abs=1e-7)
         assert sc.kp == pytest.approx(0.8016851512275402, abs=1e-6)
 
@@ -186,7 +186,7 @@ class TestWeights:
         phi = make_operator("r_laplacian", r=2.0)
         prob = make_problem(phi, sqrt_t_weight(), zero_rhs(), 0.0, 0.3, 1.0, mesh_n=256)
         sc = derive_scalars(prob)
-        assert sc.k1 == recip_weight_grid(prob.weight, prob.mesh)[1]
+        assert sc.k1 == sample_weight(prob.weight, prob.mesh).k1
         assert sc.k1 == pytest.approx(2.0, abs=1e-2)
 
     def test_nonpositive_weight_rejected(self):
@@ -196,7 +196,7 @@ class TestWeights:
             make_problem(phi, shady, zero_rhs(), 0.0, 0.1, 1.0, mesh_n=64)
         mesh = Mesh.uniform(1.0, 64)
         with pytest.raises(InvalidInputError):
-            recip_weight_grid(shady, mesh)
+            sample_weight(shady, mesh)
 
 
 @pytest.mark.parametrize(
@@ -205,10 +205,9 @@ class TestWeights:
 def test_one_k1_for_checks_scalars_and_solver(weight):
     phi = make_operator("r_laplacian", r=2.0)
     prob = make_problem(phi, weight, constant_rhs(0.05), 0.0, 0.3, 1.0, mesh_n=256)
-    _, k1 = recip_weight_grid(weight, prob.mesh)
-    kernel = SolverKernel(prob)
-    assert kernel.k1_quad == k1
-    assert kernel.recip_cumulative[-1] == k1
+    k1 = sample_weight(weight, prob.mesh).k1
+    assert SolverKernel(prob).disc is prob.disc
+    assert prob.disc.k1 == k1
     assert derive_scalars(prob).k1 == k1
     assert check_theorem1(prob).item("recip-norm").quantity("k1") == k1
 

@@ -1,6 +1,8 @@
 """Tests of the scripts: each demo runs to completion and its printed
 results agree with the closed forms it quotes; compare_outputs.py finds a
-tree identical to itself and reports differences."""
+tree identical to itself and reports differences.  Also the hooks the
+benchmark in perfbench/ relies on: its tracer reaches every layer, and a
+command samples 1/k and psi once per problem."""
 
 import importlib.util
 import os
@@ -8,6 +10,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,7 +78,11 @@ def test_compare_outputs_finds_the_tree_identical_to_itself(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1] == "0 difference(s)"
     for name in ("solve-bisect 0 out_difference/solution.txt", "sweep 0 out_sweep/sweep.txt",
-                 "halfline 0 out_halfline/interval_160.txt", "halfline 0 out_halfline/record.txt"):
+                 "halfline 0 out_halfline/interval_160.txt", "halfline 0 out_halfline/record.txt",
+                 "extra perona-sqrt-t out/solution.txt", "extra perona-sqrt-t out/record.txt",
+                 "extra perona-sqrt-t stdout of verify solution.txt",
+                 "extra sine-decreasing out/solution.txt", "extra sine-decreasing out/record.txt",
+                 "extra sine-decreasing stdout of verify solution.txt"):
         assert f"{name}: identical" in done.stdout, done.stdout
 
 
@@ -92,9 +100,7 @@ def test_compare_outputs_reports_differences():
     )
 
 
-def test_tracer_installs_and_uninstalls_in_process(monkeypatch):
-    # perfbench/tracing.py patches names the phibvp modules import; a
-    # refactor that drops one of them makes install raise
+def _tracing_module(monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
     )
@@ -102,6 +108,13 @@ def test_tracer_installs_and_uninstalls_in_process(monkeypatch):
     # its dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_installs_and_uninstalls_in_process(monkeypatch):
+    # perfbench/tracing.py patches names the phibvp modules import; a
+    # refactor that drops one of them makes install raise
+    tracing = _tracing_module(monkeypatch)
     recorder = tracing.Recorder()
     try:
         tracing.install(recorder)
@@ -112,36 +125,92 @@ def test_tracer_installs_and_uninstalls_in_process(monkeypatch):
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
 
 
-def test_one_solve_samples_weight_and_psi_at_most_four_times(tmp_path, monkeypatch):
-    # one `phibvp solve` of the solve-bisect workload samples 1/k for the
-    # build, the check's scalars, the solve's scalars and the solver kernel,
-    # and psi for the two scalar derivations, the kernel and the verification
+def test_traced_solve_feeds_every_layer(tmp_path, monkeypatch):
+    # a refactor can keep a binding the tracer patches and stop calling
+    # it; its layer would then read zero
+    tracing = _tracing_module(monkeypatch)
+    (text,) = _workloads_module(monkeypatch)._solve_bisect_configs(0).values()
+    cfg = tmp_path / "difference.cfg"
+    cfg.write_text(text)
+    from phibvp import cli
+
+    recorder = tracing.Recorder()
+    try:
+        tracing.install(recorder)
+        assert cli.main(["solve", str(cfg), "-o", str(tmp_path / "run")]) == 0
+    finally:
+        recorder.uninstall()
+    layers = {
+        "cli.main", "cli.record", "cli.table_write", "config.load", "config.build",
+        "expressions.eval", "grid.mesh", "grid.cumulative", "hypotheses.check",
+        "operators.find_branch", "operators.inverse", "problem.scalars",
+        "solver.solve", "solver.kernel", "solver.gmap", "solver.truncated_rhs",
+        "solver.beta", "solver.map_eval", "solver.verify",
+    }
+    assert layers <= {span.name for span in recorder.spans}
+
+
+def _workloads_module(monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
-    (text,) = workloads._solve_bisect_configs(0).values()
-    cfg = tmp_path / "difference.cfg"
-    cfg.write_text(text)
+    return workloads
 
-    from phibvp import cli, config, halfline, hypotheses, problem, solver
 
-    calls = {"recip_weight_grid": 0, "psi_at": 0}
+def test_each_command_samples_weight_and_psi_once(tmp_path, monkeypatch):
+    # 1/k and psi are sampled on the full mesh once per problem, into its
+    # Discretization.  A sweep samples 1/k and self-tests the weight once
+    # per command, and psi once per lambda whose problem builds.  The
+    # solve's refined-mesh verification samples other meshes.
+    workloads = _workloads_module(monkeypatch)
+    from phibvp import cli, problem
+    from phibvp.config import load_problem_config, parse_config
+
+    n_nodes = 0
+    calls = {}
 
     def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
+        def wrapper(self, t):
+            calls[key] += np.size(t) == n_nodes
+            return fn(self, t)
 
         return wrapper
 
-    grid = counted(problem.recip_weight_grid, "recip_weight_grid")
-    for module in (config, halfline, hypotheses, problem, solver):
-        if hasattr(module, "recip_weight_grid"):
-            monkeypatch.setattr(module, "recip_weight_grid", grid)
-    monkeypatch.setattr(problem.Rhs, "psi_at", counted(problem.Rhs.psi_at, "psi_at"))
-    assert cli.main(["solve", str(cfg), "-o", str(tmp_path / "run")]) == 0
-    assert calls["recip_weight_grid"] <= 4, calls
-    assert calls["psi_at"] <= 4, calls
+    real_post_init = problem.Weight.__post_init__
+
+    def post_init(self):
+        calls["self_test"] += self.recip_antiderivative is not None
+        real_post_init(self)
+
+    monkeypatch.setattr(problem.Weight, "recip", counted(problem.Weight.recip, "recip"))
+    monkeypatch.setattr(problem.Rhs, "psi_at", counted(problem.Rhs.psi_at, "psi"))
+    monkeypatch.setattr(problem.Weight, "__post_init__", post_init)
+
+    def run(name: str, text: str, command: str):
+        nonlocal n_nodes
+        n_nodes = load_problem_config(parse_config(text)).mesh_n + 1
+        calls.update(recip=0, psi=0, self_test=0)
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
+        assert cli.main([command, str(cfg), "-o", str(out)]) == 0
+        return out
+
+    (text,) = workloads._solve_bisect_configs(0).values()
+    run("difference", text, "solve")
+    assert calls == {"recip": 1, "psi": 1, "self_test": 1}
+
+    out = run("sweep", workloads._sweep_configs(0)["sweep"], "sweep")
+    rows = workloads.read_sweep(str(out / "sweep.txt"))
+    built = sum(not row[1].startswith("error:") for row in rows)
+    assert len(rows) == 40 and built > 0
+    assert calls == {"recip": 1, "psi": built, "self_test": 1}
+
+    # a decreasing branch: the flipped problem shares the discretization
+    text = _compare_outputs_module().EXTRA_CASES["sine-decreasing"]
+    run("sine", text, "solve")
+    assert calls == {"recip": 1, "psi": 1, "self_test": 1}
+    assert not load_problem_config(parse_config(text)).build_finite().branch.increasing

@@ -187,7 +187,7 @@ class TestBetaSolve:
     def _theoretical_bracket(eq):
         # [lo, hi] of BetaEquation.solve: Phi(s*_d) minus the range of F,
         # padded, and kept inside the branch image at every sample
-        s_star_d = eq.target / eq.kernel.k1_quad
+        s_star_d = eq.target / eq.kernel.disc.k1
         phi_sd = float(eq.phi(s_star_d))
         F = np.concatenate((eq.F_n, eq.F_mid))
         m_F, M_F = float(F.min()), float(F.max())
