@@ -13,8 +13,10 @@ verifies the EXTRA_CASES configs, whichever workloads and variants are
 chosen.
 
 Each output file and the output of each command is reported as identical
-or with its largest absolute difference between numbers in the same
-place.  Records (record.txt) are compared without their timestamp line,
+or with its largest difference between numbers in the same place, both
+absolute and scaled, |old - new| / (1 + |old|): a table whose values
+reach 1e4 differs by more in absolute terms at the same relative
+precision.  Records (record.txt) are compared without their timestamp line,
 section by section.  The script exits 1 on any difference, 0 otherwise.
 """
 
@@ -163,12 +165,14 @@ def text_difference(old: str, new: str) -> str | None:
     old_nums, new_nums = NUMBER.findall(old), NUMBER.findall(new)
     if NUMBER.sub("#", old) != NUMBER.sub("#", new) or len(old_nums) != len(new_nums):
         return "differs in text"
-    worst = 0.0
+    worst = worst_scaled = 0.0
     for a, b in zip(old_nums, new_nums):
         if a != b:
             diff = abs(float(a) - float(b))
+            scaled = diff / (1.0 + abs(float(a)))
             worst = max(worst, diff) if diff == diff else float("nan")
-    return f"max abs difference {worst:.3e}"
+            worst_scaled = max(worst_scaled, scaled) if scaled == scaled else float("nan")
+    return f"max abs difference {worst:.3e}, scaled {worst_scaled:.3e}"
 
 
 def record_sections(text: str) -> dict:

@@ -103,6 +103,17 @@ def _config_echo_sections(doc: ConfigDoc):
     return tuple((f"config.{sec}", pairs) for sec, pairs in doc.sections)
 
 
+def _effective_doc(cfg: ProblemConfig) -> ConfigDoc:
+    """cfg.doc with every [iteration] value the run used, so that a
+    record replays its run even after an iteration default changes."""
+    doc = cfg.doc
+    for field in fields(cfg.iteration):
+        value = getattr(cfg.iteration, field.name)
+        text = _fmt(value) if isinstance(value, float) else str(value)
+        doc = doc.with_value("iteration", field.name, text)
+    return doc
+
+
 def _check_sections(report: HypothesisReport):
     sections = [
         (
@@ -126,12 +137,15 @@ def _solve_sections(report: SolveReport):
     pairs = (
         ("status", report.status),
         ("iterations", str(report.iterations)),
+        ("omega_halvings", str(report.omega_halvings)),
+        ("secant_rejections", str(report.secant_rejections)),
         ("beta", _fmt(report.beta)),
         ("residual", _fmt(report.residual)),
         ("boundary_defect", _fmt(report.boundary_defect)),
         ("truncation_count", str(report.truncation_count)),
         ("psi_clip_count", str(report.psi_clip_count)),
         ("max_envelope_excess", _fmt(report.max_envelope_excess)),
+        ("trace", ",".join(_fmt(step) for step in report.trace)),
     )
     sections = [("solve", pairs)]
     if report.verification is not None:
@@ -221,7 +235,7 @@ def _write_record(
     if args.output is None:
         return
     record = build_run_record(
-        command, cfg.doc, exit_code,
+        command, _effective_doc(cfg), exit_code,
         seed=args.seed, overrides=_overrides(args), **reports,
     )
     with open(os.path.join(args.output, "record.txt"), "w", encoding="utf-8") as handle:
@@ -463,7 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--mesh-n", type=int, default=None, help="override mesh cells")
     shared.add_argument("--tol-fp", type=float, default=None, help="fixed-point tolerance")
     shared.add_argument("--tol-beta", type=float, default=None, help="beta-equation tolerance")
-    shared.add_argument("--damping", type=float, default=None, help="Picard damping factor")
+    shared.add_argument(
+        "--damping", type=float, default=None,
+        help="Picard damping factor omega (default 1: undamped)",
+    )
     shared.add_argument("--max-iters", type=int, default=None, help="outer iteration cap")
     shared.add_argument(
         "--threads", type=int, default=4, help="accepted and ignored: sweep runs serially"

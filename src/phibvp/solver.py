@@ -1,4 +1,4 @@
-"""Damped Picard iteration for (Phi(k x'))' = f(t, x, x') with Dirichlet data.
+"""Picard iteration for (Phi(k x'))' = f(t, x, x') with Dirichlet data.
 
 One sweep of the scheme evaluates the truncated right-hand side F at the
 current iterate, accumulates its running integral, solves the scalar
@@ -19,6 +19,11 @@ reaches one of its ends or stalls.  Every sweep output lands inside the
 derived slope envelopes and the solution box regardless of its input,
 which is what makes the truncation harmless and the iteration stable.
 Decreasing branches are reduced to increasing ones by negating Phi and f.
+
+The outer loop is undamped by default: a window-3 secant (Anderson) step
+mixes the raw sweep outputs.  Existence comes from a fixed point of the
+integral map, not from a contraction, so damping is a numerical choice
+only; it comes in when the loop stagnates, which halves omega.
 
 The truncation box for x is [min(nu1, N1), max(nu1, N2)]: the running
 integral of a derivative pinched between A*/k and B*/k can approach nu1
@@ -81,9 +86,13 @@ VERIFY_BLOCK_CELLS = 4096
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Knobs for the Picard loop; defaults suit the catalog problems."""
+    """Knobs for the Picard loop; defaults suit the catalog problems.
 
-    omega: float = 0.5
+    omega = 1 leaves the sweep outputs undamped.  After `stagnation`
+    sweeps without a new smallest step, omega halves, down to min_omega.
+    """
+
+    omega: float = 1.0
     max_outer: int = 200
     tol_fp: float = 1e-10
     tol_beta: float = 1e-12
@@ -335,7 +344,6 @@ def _box(problem: BvpProblem, envs: Envelopes) -> tuple[float, float]:
 
 def truncated_rhs(
     problem: BvpProblem,
-    scalars: DerivedScalars,
     envs: Envelopes,
     x: GridFunction,
     x_prime: GridFunction,
@@ -386,14 +394,13 @@ def truncated_rhs(
     rhs = problem.rhs
 
     def midpoint_eval(t):
-        # t are the midpoints of mesh.mid_cells, where 1/k > 0 and psi
-        # were sampled finite
+        # t are the midpoints of mesh.mid_cells, where psi was sampled
+        # finite; the slope is not clipped, so that verify, which
+        # evaluates f at the table's slopes, integrates the same f
         t = np.asarray(t, dtype=float)
         xi = np.clip(np.interp(t, nodes, x_vals), box_lo, box_hi)
         ns = ~singular
         yi = np.interp(t, nodes[ns], xp_vals[ns])
-        ik = disc.recip_mid
-        yi = np.clip(yi, scalars.slope_lo * ik, scalars.slope_hi * ik)
         with np.errstate(all="ignore"):
             val = np.asarray(rhs(t, xi, yi), dtype=float)
         val = np.clip(val, -disc.psi_mid, disc.psi_mid)
@@ -428,7 +435,7 @@ def g_map(
     BetaEquation.solve); the previous sweep's beta is a good one.
     """
     env = envs if envs is not None else envelopes(problem, scalars)
-    F = truncated_rhs(problem, scalars, env, x, x_prime)
+    F = truncated_rhs(problem, env, x, x_prime)
     Fcum = cumulative_integral(F)
     eq = BetaEquation.build(SolverKernel(problem), problem.branch, Fcum)
     beta = eq.solve(tol_beta, guess=beta_guess)
@@ -468,6 +475,8 @@ class SolveReport:
     scalars: DerivedScalars
     iterations: int
     trace: tuple[float, ...]
+    omega_halvings: int
+    secant_rejections: int
     residual: float
     boundary_defect: float
     x_in_box: bool
@@ -515,11 +524,11 @@ def solve(
     config: IterationConfig | None = None,
     initial: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SolveReport:
-    """Iterate the damped map to a fixed point and check it a-posteriori.
+    """Iterate the map g to a fixed point and check it a-posteriori.
 
     The reported solution is the raw g output at the final sweep, so the
-    envelope bounds hold for it by construction; damping and secant
-    mixing only shape the intermediate iterates.
+    envelope bounds hold for it by construction; secant mixing and any
+    stagnation damping only shape the intermediate iterates.
 
     `initial` optionally supplies (x, x') node arrays as the starting
     iterate; they are projected into the box and envelopes.  Default is
@@ -536,7 +545,7 @@ def solve(
     box = _box(oriented, envs)
     # the iterates and the secant history die with _iterate, before the
     # final truncation and the verification allocate
-    last, converged, trace, max_excess = _iterate(
+    last, converged, trace, max_excess, halvings, rejections = _iterate(
         oriented, scalars, envs, cfg, problem.p, initial
     )
 
@@ -544,7 +553,7 @@ def solve(
     residual = forward_difference_residual(
         last.u,
         truncated_rhs(
-            oriented, scalars, envs, last.x, last.x_prime, stats=final_stats
+            oriented, envs, last.x, last.x_prime, stats=final_stats
         ),
     )
     boundary_defect = abs(float(last.x.values[-1]) - oriented.nu2)
@@ -571,6 +580,8 @@ def solve(
         scalars=report_scalars,
         iterations=len(trace),
         trace=tuple(trace),
+        omega_halvings=halvings,
+        secant_rejections=rejections,
         residual=residual,
         boundary_defect=boundary_defect,
         x_in_box=ex_x <= 1e-8,
@@ -593,12 +604,21 @@ def _iterate(
     cfg: IterationConfig,
     p: float,
     initial: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[GStep, bool, list[float], float]:
-    """The damped Picard loop with secant mixing.
+) -> tuple[GStep, bool, list[float], float, int, int]:
+    """The Picard loop with secant mixing, undamped unless cfg.omega < 1.
+
+    Each step mixes h = z + omega (g(z) - z), which is g(z) itself at the
+    default omega = 1, with the last cfg.window of them (a type-II
+    Anderson step).  A secant step whose least-squares coefficients fail,
+    are non-finite or exceed 1e4 is skipped, and h is taken as it is.  The one safeguard
+    is the stagnation counter: after cfg.stagnation steps without a new
+    smallest step, omega halves (down to cfg.min_omega) and the secant
+    history restarts.
 
     Returns the g output to report (the last one if the loop converged,
     else the one with the smallest step), whether it converged, the step
-    trace and the largest envelope excess of any iterate.
+    trace, the largest envelope excess of any iterate, and how often
+    omega halved and a secant step was skipped.
     """
     disc = oriented.disc
     mesh = disc.mesh
@@ -632,6 +652,7 @@ def _iterate(
     best_step = math.inf
     best_output: GStep | None = None
     since_improvement = 0
+    halvings = rejections = 0
     converged = False
     last: GStep | None = None
 
@@ -679,11 +700,16 @@ def _iterate(
                 gamma, *_ = np.linalg.lstsq(diffs, r_vec, rcond=None)
             except np.linalg.LinAlgError:
                 gamma = None
-            if gamma is not None and np.all(np.isfinite(gamma)):
-                if float(np.max(np.abs(gamma))) <= 1e4:
-                    for j in range(1, m + 1):
-                        np.subtract(h_vec, hist_h[-j], out=diffs[:, j - 1])
-                    z_next = h_vec - diffs @ gamma
+            if (
+                gamma is not None
+                and np.all(np.isfinite(gamma))
+                and float(np.max(np.abs(gamma))) <= 1e4
+            ):
+                for j in range(1, m + 1):
+                    np.subtract(h_vec, hist_h[-j], out=diffs[:, j - 1])
+                z_next = h_vec - diffs @ gamma
+            else:
+                rejections += 1
         hist_z.append(z_vec)
         hist_h.append(h_vec)
         if len(hist_z) > cfg.window:
@@ -697,6 +723,7 @@ def _iterate(
 
         if since_improvement >= cfg.stagnation and omega > cfg.min_omega:
             omega = max(0.5 * omega, cfg.min_omega)
+            halvings += 1
             since_improvement = 0
             hist_z.clear()
             hist_h.clear()
@@ -704,7 +731,7 @@ def _iterate(
     if not converged and best_output is not None:
         last = best_output
     assert last is not None
-    return last, converged, trace, max_excess
+    return last, converged, trace, max_excess, halvings, rejections
 
 
 def verify(

@@ -5,6 +5,7 @@ asserts on the exit code contract and the emitted tables.  Exit codes:
 0 ok/converged, 1 usage, 2 hypothesis fail, 3 inconclusive, 4 numeric.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -19,6 +20,7 @@ import pytest
 
 import phibvp
 from phibvp import BetaBracketError, ConfigError, cli, parse_config
+from phibvp import config as config_mod
 from phibvp.config import ProblemConfig
 from phibvp.cli import TABLE_BLOCK_ROWS, main, read_solution_table, write_solution_table
 from phibvp.grid import Mesh
@@ -92,6 +94,15 @@ def write(tmp_path, text, name="problem.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _echoed_config(record) -> str:
+    """The config text that a record's config.* sections echo."""
+    return "".join(
+        f"[{name[len('config.'):]}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs)
+        for name, pairs in record.sections
+        if name.startswith("config.")
+    )
 
 
 class TestCheck:
@@ -346,22 +357,60 @@ class TestSolve:
             "damping": "0.75",
         }
         assert record.section("config.mesh") == {"n": "40"}
+        # every effective iteration value, the overridden ones as given
         assert record.section("config.iteration") == {
             "tol_beta": format(1e-11, ".17g"),
             "omega": "0.75",
+            "max_outer": "200",
+            "tol_fp": "1e-10",
+            "acceleration": "secant",
+            "window": "3",
+            "stagnation": "10",
+            "min_omega": "0.0625",
+            "verify_refine": "4",
         }
         # the echoed config alone reproduces the table
-        echo = "".join(
-            f"[{name[len('config.'):]}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs)
-            for name, pairs in record.sections
-            if name.startswith("config.")
-        )
         replay_cfg = tmp_path / "replay.cfg"
-        replay_cfg.write_text(echo)
+        replay_cfg.write_text(_echoed_config(record))
         replay = tmp_path / "replay"
         assert main(["solve", str(replay_cfg), "-o", str(replay)]) == 0
         assert (replay / "solution.txt").read_bytes() == (out / "solution.txt").read_bytes()
         assert parse_config((replay / "record.txt").read_text()).section("run.overrides") is None
+
+    def test_record_replays_across_a_default_change(self, tmp_path, monkeypatch):
+        cfg = write(tmp_path, PERONA.format(nu2=0.05))
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 0
+        record = parse_config((out / "record.txt").read_text())
+        replay_cfg = tmp_path / "replay.cfg"
+        replay_cfg.write_text(_echoed_config(record))
+
+        @dataclasses.dataclass(frozen=True)
+        class Damped(config_mod.IterationConfig):
+            omega: float = 0.5
+
+        monkeypatch.setattr(config_mod, "IterationConfig", Damped)
+        rerun, replay = tmp_path / "rerun", tmp_path / "replay"
+        assert main(["solve", cfg, "-o", str(rerun)]) == 0
+        assert main(["solve", str(replay_cfg), "-o", str(replay)]) == 0
+        table = (out / "solution.txt").read_bytes()
+        # the config without [iteration] now runs damped; its record does not
+        assert (rerun / "solution.txt").read_bytes() != table
+        assert (replay / "solution.txt").read_bytes() == table
+
+    def test_record_shows_how_the_mixing_went(self, tmp_path):
+        text = PERONA.format(nu2=0.05)
+        cfg = write(tmp_path, text)
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 0
+        section = parse_config((out / "record.txt").read_text()).section("solve")
+        config = cli.load_problem_config(parse_config(text))
+        report = cli.solve(config.build_finite(), config.iteration)
+        assert section["omega_halvings"] == str(report.omega_halvings)
+        assert section["secant_rejections"] == str(report.secant_rejections)
+        trace = [float(step) for step in section["trace"].split(",")]
+        assert trace == list(report.trace)
+        assert len(trace) == int(section["iterations"])
 
     def test_record_holds_the_verification(self, tmp_path):
         text = QUADRATIC.format(n=200)
@@ -617,6 +666,29 @@ T = 1.0
 n = 10
 """
 
+# f oscillates in x', and the solved slope on the first graded cell lies
+# below the slope envelope there
+R_LAPLACIAN_SQRT_T = """
+[operator]
+name = r_laplacian
+r = 3
+
+[weight]
+name = sqrt_t
+
+[rhs]
+f = 0.1*cos(x)*sin(y) + 0*t
+psi = 0.1
+
+[problem]
+nu1 = 0.0
+nu2 = 1.5
+T = 1.0
+
+[mesh]
+n = 10
+"""
+
 
 class TestVerify:
     def test_round_trip_on_own_output(self, tmp_path, capsys):
@@ -647,6 +719,16 @@ class TestVerify:
         # node t = 0: verify must integrate it there with the midpoint rule,
         # as the solver did, or the first graded cell shows as a defect
         cfg = write(tmp_path, RELATIVISTIC_SQRT_T)
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 0
+        assert main(["verify", str(out / "solution.txt"), cfg]) == 0
+        assert "verification: ok" in capsys.readouterr().out
+
+    def test_unclipped_midpoint_slopes_verify(self, tmp_path, capsys):
+        # the solver must evaluate f at the midpoint slopes verify
+        # reconstructs from the table, not at slopes clipped into the
+        # envelopes, or the first graded cell shows as an integral defect
+        cfg = write(tmp_path, R_LAPLACIAN_SQRT_T)
         out = tmp_path / "run"
         assert main(["solve", cfg, "-o", str(out)]) == 0
         assert main(["verify", str(out / "solution.txt"), cfg]) == 0

@@ -303,7 +303,8 @@ def test_generic_inverse_costs_at_most_three_vector_evaluations(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "partial_inverse_array", counted)
-    report = solver.solve(prob)
+    # damped, so that the solve runs enough sweeps to count
+    report = solver.solve(prob, solver.IterationConfig(omega=0.5))
     assert report.status == "converged"
     assert len(per_call) > 10
     # one at the falsi points and one on each side of the polished points

@@ -89,14 +89,21 @@ def test_compare_outputs_finds_the_tree_identical_to_itself(tmp_path):
 def test_compare_outputs_reports_differences():
     cmp = _compare_outputs_module()
     assert cmp.text_difference("t,x\n0,1.5\n", "t,x\n0,1.5\n") is None
-    assert cmp.text_difference("t,x\n0,1.5\n", "t,x\n0,1.25\n") == "max abs difference 2.500e-01"
+    assert cmp.text_difference("t,x\n0,1.5\n", "t,x\n0,1.25\n") == (
+        "max abs difference 2.500e-01, scaled 1.000e-01"
+    )
+    # a large value: the scaled difference is |old - new| / (1 + |old|)
+    assert cmp.text_difference("dx\n24999\n", "dx\n24999.5\n") == (
+        "max abs difference 5.000e-01, scaled 2.000e-05"
+    )
     assert cmp.text_difference("status converged", "status aborted") == "differs in text"
     old = "[run]\ntimestamp = 2026-01-01T00:00:00\nexit_code = 0\n\n[solve]\nbeta = 1\n"
     new = "[run]\ntimestamp = 2026-02-02T00:00:00\nexit_code = 0\n\n[solve]\nbeta = 1\n"
     assert cmp.record_difference(old, new) is None
     newer = new.replace("beta = 1", "beta = 2") + "\n[solve.verification]\nrefine_factor = 4\n"
     assert cmp.record_difference(old, newer) == (
-        "[solve] beta: max abs difference 1.000e+00; [solve.verification] added"
+        "[solve] beta: max abs difference 1.000e+00, scaled 5.000e-01; "
+        "[solve.verification] added"
     )
 
 

@@ -26,7 +26,9 @@ from phibvp import (
     sqrt_t_weight,
     zero_rhs,
 )
+from phibvp import parse_config
 from phibvp import solver as solver_mod
+from phibvp.config import load_problem_config
 from phibvp.grid import Mesh, cumulative_integral, forward_difference_residual
 from phibvp.problem import Rhs
 from phibvp.solver import (
@@ -230,8 +232,9 @@ class TestBetaSolve:
                 weave, 0.0, 0.5, 1.0, mesh_n=400,
             ),
         ]
+        # damped, so that the solves run enough sweeps to replay
         for prob in problems:
-            assert solve(prob).status == "converged"
+            assert solve(prob, IterationConfig(omega=0.5)).status == "converged"
         # a decreasing branch keeps its orientation outside solve()
         sine = make_problem(
             make_operator("sine"), constant_weight(1.0), zero_rhs(), 0.0, 3.0, 1.0,
@@ -372,7 +375,7 @@ class TestTruncatedRhs:
     def test_zero_rhs_gives_zero_grid(self):
         prob, sc, env = self._setup(zero_rhs())
         x = GridFunction(prob.mesh, np.zeros(101))
-        F = truncated_rhs(prob, sc, env, x, x)
+        F = truncated_rhs(prob, env, x, x)
         assert np.all(F.values == 0.0)
 
     def test_inactive_truncation_matches_raw_f(self):
@@ -385,7 +388,7 @@ class TestTruncatedRhs:
         x = GridFunction(prob.mesh, np.full(101, 0.15))
         xp = GridFunction(prob.mesh, np.full(101, 0.3))
         stats = {}
-        F = truncated_rhs(prob, sc, env, x, xp, stats=stats)
+        F = truncated_rhs(prob, env, x, xp, stats=stats)
         expect = np.sin(0.15) + 0.03
         assert np.allclose(F.values, expect, atol=1e-14)
         assert stats["truncated_nodes"] == 0
@@ -402,7 +405,7 @@ class TestTruncatedRhs:
         x = GridFunction(prob.mesh, np.full(101, box_hi + 5.0))
         xp = GridFunction(prob.mesh, np.full(101, sc.s_star))
         stats = {}
-        F = truncated_rhs(prob, sc, env, x, xp, stats=stats)
+        F = truncated_rhs(prob, env, x, xp, stats=stats)
         assert np.allclose(F.values, 0.001 * box_hi, atol=1e-12)
         assert stats["truncated_nodes"] == prob.mesh.nodes.size
         assert stats["psi_clips"] == 0
@@ -417,7 +420,7 @@ class TestTruncatedRhs:
         x = GridFunction(prob.mesh, np.zeros(101))
         stats = {}
         with caplog.at_level("WARNING", logger="phibvp.solver"):
-            F = truncated_rhs(prob, sc, env, x, x, stats=stats)
+            F = truncated_rhs(prob, env, x, x, stats=stats)
         assert np.all(F.values == 1.0)
         assert stats["psi_clips"] == 101
         assert any("psi domination" in r.message for r in caplog.records)
@@ -431,7 +434,7 @@ class TestTruncatedRhs:
         prob, sc, env = self._setup(rhs)
         x = GridFunction(prob.mesh, np.zeros(101))
         with pytest.raises(RhsEvaluationError) as exc:
-            truncated_rhs(prob, sc, env, x, x)
+            truncated_rhs(prob, env, x, x)
         assert "node" in str(exc.value)
 
 
@@ -608,6 +611,77 @@ class TestSolve:
         report = solve(_identity_problem(rhs, nu2=0.1))
         assert report.status == "hypothesis-violation"
         assert report.psi_clip_count > 0
+
+
+PERONA_ROW = """
+[operator]
+name = perona_malik
+
+[weight]
+name = constant
+value = 1.0
+
+[rhs]
+example = perona
+alpha = 4
+M = 1
+N = 1
+
+[problem]
+nu1 = 0.0
+nu2 = 0.07
+T = 1.0
+
+[mesh]
+n = 2000
+"""
+
+
+class TestMixing:
+    """Iteration counts are deterministic, so they may gate the mixing."""
+
+    def test_difference_shape_converges_in_three_sweeps(self):
+        report = solve(TestBetaSolve._bisect_shape())
+        assert report.status == "converged"
+        assert report.iterations <= 3  # 5 with omega = 0.5
+
+    def test_perona_sweep_row_converges_in_six_sweeps(self):
+        config = load_problem_config(parse_config(PERONA_ROW))
+        problem = config.build_finite()
+        assert config.run_check(problem).overall == "pass"
+        report = solve(problem)
+        assert report.status == "converged"
+        assert report.iterations <= 6  # 9 with omega = 0.5
+        assert report.omega_halvings == report.secant_rejections == 0
+
+    def test_stagnation_halves_omega(self):
+        # undamped, this r = 3 problem on a singular weight stops making
+        # new smallest steps; halving omega once lets it converge
+        rhs = Rhs(
+            fn=lambda t, x, y: 0.1 * np.cos(x) * np.sin(y),
+            psi=lambda t: np.full_like(t, 0.1),
+            name="oscillating",
+        )
+        prob = make_problem(
+            make_operator("r_laplacian", r=3.0), sqrt_t_weight(), rhs,
+            0.0, 0.1, 1.0, mesh_n=500,
+        )
+        report = solve(prob)
+        assert report.status == "converged"
+        assert report.omega_halvings >= 1
+
+    def test_skipped_secant_steps_are_counted(self, monkeypatch):
+        # non-finite coefficients: every secant step is skipped, which
+        # leaves the plain undamped Picard step
+        def no_fit(a, b, rcond=None):
+            return np.full(a.shape[1], np.nan), None, None, None
+
+        monkeypatch.setattr(solver_mod.np.linalg, "lstsq", no_fit)
+        report = solve(TestBetaSolve._bisect_shape())
+        assert report.status == "converged"
+        assert report.omega_halvings == 0
+        # the first sweep has no history and the last one stops the loop
+        assert report.secant_rejections == report.iterations - 2 > 0
 
 
 class TestVerify:
