@@ -8,9 +8,10 @@ checkout's `src`).  For every variant of every workload in
 perfbench/workloads.py (all 16 by default), each tree runs the workload's
 operations - the timed run commands and then the verify commands - in a
 fresh interpreter, in a directory of its own.  The configs come from
-perfbench/workloads.py, which is only read.  Then each tree solves and
-verifies the EXTRA_CASES configs, whichever workloads and variants are
-chosen.
+perfbench/workloads.py, which is only read.  Then each tree runs the
+EXTRA_CASES configs, whichever workloads and variants are chosen: a
+config with a [sweep] section is swept, any other is solved and
+verified.
 
 Each output file and the output of each command is reported as identical
 or with its largest difference between numbers in the same place, both
@@ -69,15 +70,13 @@ cfg = os.path.join({workdir!r}, "problem.cfg")
 with open(cfg, "w", encoding="utf-8") as handle:
     handle.write({text!r})
 out = os.path.join({workdir!r}, "out")
-if main(["solve", cfg, "-o", out]) == 0:
+if {sweep!r}:
+    main(["sweep", cfg, "-o", out])
+elif main(["solve", cfg, "-o", out]) == 0:
     main(["verify", os.path.join(out, "solution.txt"), cfg])
 """
 
-# No workload runs a singular weight or a decreasing branch: the midpoint
-# samples of 1/k and psi, and the orientation of the problem, are checked
-# by these configs.
-EXTRA_CASES = {
-    "perona-sqrt-t": """[operator]
+PERONA_SQRT_T = """[operator]
 name = perona_malik
 
 [weight]
@@ -96,7 +95,16 @@ T = 1.0
 
 [mesh]
 n = 1000
-""",
+"""
+
+# No workload runs a singular weight or a decreasing branch: the midpoint
+# samples of 1/k and psi, and the orientation of the problem, are checked
+# by these configs.  A config with a [sweep] section runs `sweep`, the
+# others `solve` and then `verify`: the sweeps walk a singular weight
+# across its flip, and an r = 3 operator through lambda = 0, where a
+# predicted start stalls and the row is solved again cold.
+EXTRA_CASES = {
+    "perona-sqrt-t": PERONA_SQRT_T,
     "sine-decreasing": """[operator]
 name = sine
 branch_hint = 1.5707963267948966, 4.7123889803846897
@@ -115,6 +123,33 @@ T = 1.0
 
 [mesh]
 n = 2000
+""",
+    "perona-sqrt-t-sweep": PERONA_SQRT_T
+    + "\n[sweep]\nlambda_min = 0.01\nlambda_max = 0.2\ncount = 20\n",
+    "r3-through-zero-sweep": """[operator]
+name = r_laplacian
+r = 3.0
+
+[weight]
+name = constant
+value = 1.0
+
+[rhs]
+f = 0.1*cos(x)*sin(y) + 0*t
+psi = 0.1
+
+[problem]
+nu1 = 0.0
+nu2 = 0.0
+T = 1.0
+
+[mesh]
+n = 64
+
+[sweep]
+lambda_min = -0.6
+lambda_max = 0.6
+count = 13
 """,
 }
 
@@ -138,7 +173,8 @@ def run_tree(src: str, workdir: str, workload: str, variant: int | None = None) 
     os.makedirs(workdir)
     log_path = os.path.join(workdir, LOG)
     if variant is None:
-        commands = CASE_COMMANDS.format(workdir=workdir, text=EXTRA_CASES[workload])
+        text = EXTRA_CASES[workload]
+        commands = CASE_COMMANDS.format(workdir=workdir, text=text, sweep="[sweep]" in text)
     else:
         commands = WORKLOAD_COMMANDS.format(
             bench=BENCH, workload=workload, variant=variant, workdir=workdir

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -206,6 +206,7 @@ def build_run_record(
     check: HypothesisReport | None = None,
     solve_report: SolveReport | None = None,
     halfline_report: HeteroclinicReport | None = None,
+    sweep_counts: dict | None = None,
 ) -> ConfigDoc:
     run_pairs = [
         ("command", command),
@@ -225,6 +226,10 @@ def build_run_record(
         sections.extend(_solve_sections(solve_report))
     if halfline_report is not None:
         sections.extend(_halfline_sections(halfline_report))
+    if sweep_counts is not None:
+        sections.append(
+            ("sweep", tuple((key, str(value)) for key, value in sweep_counts.items()))
+        )
     return ConfigDoc(sections=tuple(sections))
 
 
@@ -312,7 +317,38 @@ def cmd_solve(cfg: ProblemConfig, args) -> int:
     return code
 
 
-def _sweep_row(cfg: ProblemConfig, lam: float) -> tuple[float, str, str, float]:
+# A sweep row starts from the Lagrange extrapolation in lambda through
+# this many of the last converged rows: a cubic predictor.
+PREDICTOR_POINTS = 4
+
+# The counts of a sweep's [sweep] record section.  iterations counts every
+# Picard sweep of every solve that returned, abandoned predicted starts
+# included.
+SWEEP_COUNTS = ("rows", "solved_rows", "predicted_starts", "cold_restarts", "iterations")
+
+
+def _predict(history: list, lam: float, shape: tuple) -> tuple | None:
+    """(x, x') extrapolated to `lam` through the (lambda, x, x') rows of
+    `history`, whose lambdas differ, or None when no row has `shape`."""
+    points = [row for row in history if row[1].shape == shape]
+    if not points:
+        return None
+    weights = [
+        math.prod(
+            (lam - other[0]) / (row[0] - other[0]) for other in points if other is not row
+        )
+        for row in points
+    ]
+    return tuple(
+        sum(w * row[k] for w, row in zip(weights, points)) for k in (1, 2)
+    )
+
+
+def _sweep_row(
+    cfg: ProblemConfig, lam: float, history: list, counts: dict
+) -> tuple[float, str, str, float]:
+    """Check and solve one row; a converged row joins `history`."""
+    counts["rows"] += 1
     try:
         problem = cfg.build_finite(nu2_override=lam)
         report = cfg.run_check(problem)
@@ -321,10 +357,33 @@ def _sweep_row(cfg: ProblemConfig, lam: float) -> tuple[float, str, str, float]:
     verdict = report.overall
     if verdict != "pass":
         return lam, verdict, "skipped", math.nan
-    try:
-        rep = solve(problem, cfg.iteration)
-    except PhibvpError as exc:
-        return lam, verdict, f"error:{type(exc).__name__}", math.nan
+    counts["solved_rows"] += 1
+    rep = None
+    initial = _predict(history, lam, problem.mesh.nodes.shape)
+    if initial is not None:
+        counts["predicted_starts"] += 1
+        # `stagnation` sweeps without progress call for another strategy
+        it = cfg.iteration
+        budget = replace(it, max_outer=min(it.max_outer, it.stagnation))
+        try:
+            rep = solve(problem, budget, initial=initial)
+        except PhibvpError:
+            rep = None
+        else:
+            counts["iterations"] += rep.iterations
+        if rep is None or rep.status != "converged":
+            counts["cold_restarts"] += 1
+            rep = None
+    if rep is None:
+        try:
+            rep = solve(problem, cfg.iteration)
+        except PhibvpError as exc:
+            return lam, verdict, f"error:{type(exc).__name__}", math.nan
+        counts["iterations"] += rep.iterations
+    if rep.status == "converged":
+        history[:] = [row for row in history if row[0] != lam]
+        history.append((lam, rep.x.values, rep.x_prime.values))
+        del history[:-PREDICTOR_POINTS]
     return lam, verdict, rep.status, rep.residual
 
 
@@ -333,9 +392,23 @@ def cmd_sweep(cfg: ProblemConfig, args) -> int:
         raise ConfigError("config has no [sweep] section")
     os.makedirs(args.output, exist_ok=True)
     lo, hi, count = cfg.sweep_range
+    # Natural-parameter continuation: neighbouring rows solve nearby
+    # problems, so a passing row starts from the cubic extrapolation of
+    # the last PREDICTOR_POINTS converged rows (fewer while there are
+    # fewer; the first starts cold).  That attempt runs at most
+    # `stagnation` sweeps; if it raises or ends other than converged, the
+    # row is solved again cold with the full config, and that solve is
+    # the one reported.  A predicted row stops on the tol_fp rule, often
+    # after one sweep, so its residual column (the forward difference
+    # residual of the reported iterate) reflects the predicted start.
     # serial: each row is a chain of small GIL-bound numpy calls, so
     # worker threads measured slower than this loop (--threads is ignored)
-    rows = [_sweep_row(cfg, float(lam)) for lam in np.linspace(lo, hi, count)]
+    counts = dict.fromkeys(SWEEP_COUNTS, 0)
+    history: list = []
+    rows = [
+        _sweep_row(cfg, float(lam), history, counts)
+        for lam in np.linspace(lo, hi, count)
+    ]
 
     table_path = os.path.join(args.output, "sweep.txt")
     with open(table_path, "w", encoding="utf-8") as handle:
@@ -345,7 +418,7 @@ def cmd_sweep(cfg: ProblemConfig, args) -> int:
     # an error:* row has no verdict: it neither flips nor counts as a result
     judged = [row[1] in (PASS, FAIL, INCONCLUSIVE) for row in rows]
     code = EXIT_USAGE if rows and not any(judged) else EXIT_OK
-    _write_record("sweep", cfg, args, code)
+    _write_record("sweep", cfg, args, code, sweep_counts=counts)
     print(f"wrote {table_path} ({len(rows)} rows)")
     flips = [
         (rows[i][0], rows[i + 1][0])

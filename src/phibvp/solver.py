@@ -716,10 +716,10 @@ def _iterate(
             hist_z.pop(0)
             hist_h.pop(0)
 
-        # project mixed iterates back into the admissible boxes
+        # project mixed iterates back into the admissible boxes, where
+        # their envelope excess is 0
         x_vals = np.clip(z_next[:n_nodes], box[0], box[1])
         xp_vals = np.clip(z_next[n_nodes:], envs.eta1.values, envs.eta2.values)
-        max_excess = max(max_excess, *_envelope_excess(x_vals, xp_vals, box, envs))
 
         if since_improvement >= cfg.stagnation and omega > cfg.min_omega:
             omega = max(0.5 * omega, cfg.min_omega)

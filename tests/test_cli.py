@@ -465,13 +465,51 @@ count = 3
 """
 
 
+R3_THROUGH_ZERO = """
+[operator]
+name = r_laplacian
+r = 3.0
+
+[weight]
+name = constant
+value = 1.0
+
+[rhs]
+f = 0.1*cos(x)*sin(y) + 0*t
+psi = 0.1
+
+[problem]
+nu1 = 0.0
+nu2 = 0.0
+T = 1.0
+
+[mesh]
+n = 64
+
+[sweep]
+lambda_min = -0.6
+lambda_max = 0.6
+count = 13
+"""
+
+PERONA_FLIP_SWEEP = PERONA.format(nu2=0.05) + (
+    "\n[sweep]\nlambda_min = 0.09\nlambda_max = 0.11\ncount = 9\n"
+)
+
+
+def _sweep(tmp_path, text):
+    """Run a sweep; return its table rows and its record's [sweep] counts."""
+    out = tmp_path / "run"
+    assert main(["sweep", write(tmp_path, text), "-o", str(out)]) == 0
+    lines = (out / "sweep.txt").read_text().splitlines()[1:]
+    record = parse_config((out / "record.txt").read_text())
+    counts = {key: int(value) for key, value in record.section("sweep").items()}
+    return [line.split(",") for line in lines], counts
+
+
 class TestSweep:
     def test_perona_threshold_flip(self, tmp_path, capsys):
-        cfg = write(
-            tmp_path,
-            PERONA.format(nu2=0.05)
-            + "\n[sweep]\nlambda_min = 0.09\nlambda_max = 0.11\ncount = 9\n",
-        )
+        cfg = write(tmp_path, PERONA_FLIP_SWEEP)
         out = tmp_path / "run"
         assert main(["sweep", cfg, "-o", str(out), "--threads", "3"]) == 0
         lines = (out / "sweep.txt").read_text().splitlines()
@@ -493,6 +531,103 @@ class TestSweep:
                 assert row[2] == "skipped"
                 assert math.isnan(float(row[3]))
         assert "flips between" in capsys.readouterr().out
+
+    def test_continuation_sweeps_at_most_40_times(self, tmp_path):
+        # the sweep workload's shape: 21 passing rows, each started cold
+        # they take 126 sweeps, from the cubic predictor 36
+        text = PERONA.format(nu2=0.05) + (
+            "\n[mesh]\nn = 2000\n"
+            "\n[sweep]\nlambda_min = 0.059\nlambda_max = 0.139\ncount = 40\n"
+        )
+        rows, counts = _sweep(tmp_path, text)
+        assert [r[2] for r in rows].count("converged") == 21
+        assert counts["cold_restarts"] == 0
+        assert counts["iterations"] <= 40
+
+    def test_predicted_rows_agree_with_cold_solves(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recording(problem, config=None, initial=None):
+            report = solver_solve(problem, config, initial=initial)
+            calls.append((problem, config, initial, report))
+            return report
+
+        solver_solve = cli.solve
+        monkeypatch.setattr(cli, "solve", recording)
+        rows, counts = _sweep(tmp_path, PERONA_FLIP_SWEEP)
+        predicted = [call for call in calls if call[2] is not None]
+        assert len(predicted) == counts["predicted_starts"] == 4
+        for problem, config, _, report in predicted:
+            assert report.status == "converged"
+            cold = solver_solve(problem)
+            assert cold.status == "converged"
+            assert np.max(np.abs(report.x.values - cold.x.values)) <= 1e-10
+            assert abs(report.beta - cold.beta) <= 1e-10
+            scale = 1.0 + np.abs(cold.x_prime.values)
+            assert np.max(np.abs(report.x_prime.values - cold.x_prime.values) / scale) <= 1e-9
+
+    def test_stalled_prediction_restarts_cold(self, tmp_path):
+        # at lambda = 0 the predicted start stalls (Phi^{-1} of r = 3 has an
+        # infinite slope at 0); with the stagnation budget it is abandoned
+        # after 10 sweeps, and unbudgeted it ran to max-iters: 259 sweeps
+        rows, counts = _sweep(tmp_path, R3_THROUGH_ZERO)
+        assert [r[2] for r in rows] == ["converged"] * 13
+        assert counts["cold_restarts"] == 1
+        assert counts["iterations"] <= 75
+
+    def test_prediction_that_raises_restarts_cold(self, tmp_path, monkeypatch):
+        solver_solve = cli.solve
+
+        def failing(problem, config=None, initial=None):
+            if initial is not None:
+                raise BetaBracketError("injected failure")
+            return solver_solve(problem, config)
+
+        monkeypatch.setattr(cli, "solve", failing)
+        rows, counts = _sweep(tmp_path, PERONA_FLIP_SWEEP)
+        assert [r[2] for r in rows] == ["converged"] * 5 + ["skipped"] * 4
+        assert counts["predicted_starts"] == counts["cold_restarts"] == 4
+
+    def test_repeated_lambda_starts_from_its_own_solution(self, tmp_path):
+        # lambda_min = lambda_max: the predictor keeps one row per lambda
+        text = PERONA.format(nu2=0.05) + (
+            "\n[sweep]\nlambda_min = 0.09\nlambda_max = 0.09\ncount = 3\n"
+        )
+        rows, counts = _sweep(tmp_path, text)
+        assert [r[2] for r in rows] == ["converged"] * 3
+        assert counts["predicted_starts"] == 2 and counts["cold_restarts"] == 0
+
+    def test_record_counts_match_the_table(self, tmp_path, monkeypatch):
+        reports = []
+
+        def recording(problem, config=None, initial=None):
+            reports.append(solver_solve(problem, config, initial=initial))
+            return reports[-1]
+
+        solver_solve = cli.solve
+        monkeypatch.setattr(cli, "solve", recording)
+        rows, counts = _sweep(tmp_path, PERONA_FLIP_SWEEP)
+        solved = [r for r in rows if r[2] != "skipped"]
+        assert len(rows) == 9 and len(solved) == len(reports) == 5
+        assert counts == {
+            "rows": 9,
+            "solved_rows": 5,
+            "predicted_starts": 4,
+            "cold_restarts": 0,
+            "iterations": sum(report.iterations for report in reports),
+        }
+
+    def test_predictor_is_exact_on_cubics(self):
+        def row(lam):
+            return lam, np.full(3, lam**3 - lam), np.full(3, 2.0 * lam**2)
+
+        history = [row(lam) for lam in (0.0, 0.1, 0.3, 0.4)]
+        x, xp = cli._predict(history, 0.7, (3,))
+        assert np.allclose(x, 0.7**3 - 0.7, rtol=0, atol=1e-14)
+        assert np.allclose(xp, 2.0 * 0.49, rtol=0, atol=1e-14)
+        # one point: the previous row; no row on this mesh: a cold start
+        assert cli._predict(history[-1:], 0.7, (3,))[0][0] == 0.4**3 - 0.4
+        assert cli._predict(history, 0.7, (4,)) is None
 
     def test_sweep_starts_no_thread(self, tmp_path, monkeypatch):
         def refuse(thread):

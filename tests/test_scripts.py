@@ -82,7 +82,12 @@ def test_compare_outputs_finds_the_tree_identical_to_itself(tmp_path):
                  "extra perona-sqrt-t out/solution.txt", "extra perona-sqrt-t out/record.txt",
                  "extra perona-sqrt-t stdout of verify solution.txt",
                  "extra sine-decreasing out/solution.txt", "extra sine-decreasing out/record.txt",
-                 "extra sine-decreasing stdout of verify solution.txt"):
+                 "extra sine-decreasing stdout of verify solution.txt",
+                 # a config with a [sweep] section is swept, not solved
+                 "extra perona-sqrt-t-sweep out/sweep.txt",
+                 "extra perona-sqrt-t-sweep out/record.txt",
+                 "extra r3-through-zero-sweep out/sweep.txt",
+                 "extra r3-through-zero-sweep out/record.txt"):
         assert f"{name}: identical" in done.stdout, done.stdout
 
 
