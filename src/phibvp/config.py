@@ -636,8 +636,9 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
             window=it.get_int("window", base.window),
             stagnation=it.get_int("stagnation", base.stagnation),
             min_omega=it.get_float("min_omega", base.min_omega),
-            verify_refine=it.get_int("verify_refine", base.verify_refine),
         )
+    # accepted and ignored: verify runs on the table's own nodes
+    it.get_int("verify_refine")
 
     chk = _Section(doc, "check")
     check_kind = chk.raw("kind", "auto")

@@ -122,20 +122,10 @@ class Mesh:
             raise InvalidInputError("refinement factor must be >= 1")
         if factor == 1:
             return self
-        nodes = self.refined_nodes(factor, 0, self.n_cells)
+        steps = np.arange(factor) / factor
+        sub = self.nodes[:-1, None] + self.widths[:, None] * steps[None, :]
+        nodes = np.append(sub.reshape(-1), self.nodes[-1])
         return Mesh(nodes, singular_indices=tuple(i * factor for i in self.singular_indices))
-
-    def refined_nodes(self, factor: int, start: int, stop: int) -> np.ndarray:
-        """Nodes of cells start..stop-1 split `factor` ways, node `stop` included.
-
-        Node j * factor + i of the refined mesh is the same double whichever
-        range of cells it is built in, so a refined mesh can be walked in
-        blocks of cells.
-        """
-        left = self.nodes[start:stop]
-        h = self.widths[start:stop]
-        sub = left[:, None] + h[:, None] * (np.arange(factor) / factor)[None, :]
-        return np.append(sub.reshape(-1), self.nodes[stop])
 
     # -- geometry ----------------------------------------------------------
     # cached read-only arrays: the solver asks for them on every sweep
@@ -264,31 +254,6 @@ def same_mesh(a: GridFunction, b: GridFunction) -> Mesh:
     raise MeshMismatchError("grid functions live on different meshes")
 
 
-def cell_contributions(
-    h: np.ndarray, values: np.ndarray, mid_cells: np.ndarray, mid_values
-) -> np.ndarray:
-    """Quadrature of each cell: trapezoid, or h * mid_values on mid_cells.
-
-    This is the one quadrature accumulator: running integrals, norms and
-    the refined-mesh verification all sum these contributions.
-    """
-    contrib = 0.5 * h * (values[:-1] + values[1:])
-    if mid_cells.size:
-        contrib[mid_cells] = h[mid_cells] * mid_values
-    return contrib
-
-
-def endpoint_midvalues(
-    values: np.ndarray, mid_cells: np.ndarray, singular: np.ndarray
-) -> np.ndarray:
-    """Midpoint stand-ins without an evaluator: the endpoint mean, or the
-    finite endpoint of a cell that touches a flagged singular node."""
-    lo, hi = values[mid_cells], values[mid_cells + 1]
-    mids = 0.5 * (lo + hi)
-    mids = np.where(singular[mid_cells], hi, mids)
-    return np.where(singular[mid_cells + 1], lo, mids)
-
-
 def midvalues(mesh: Mesh, values: np.ndarray, evaluator) -> np.ndarray:
     """Values at the midpoints of mesh.mid_cells: the evaluator's, or
     endpoint stand-ins without one."""
@@ -296,7 +261,12 @@ def midvalues(mesh: Mesh, values: np.ndarray, evaluator) -> np.ndarray:
     if not cells.size:
         return np.empty(0)
     if evaluator is None:
-        return endpoint_midvalues(values, cells, mesh.singular_mask())
+        # the endpoint mean, or the finite endpoint of a cell that touches
+        # a flagged singular node
+        singular = mesh.singular_mask()
+        lo, hi = values[cells], values[cells + 1]
+        mids = np.where(singular[cells], hi, 0.5 * (lo + hi))
+        return np.where(singular[cells + 1], lo, mids)
     with np.errstate(all="ignore"):
         mids = np.asarray(evaluator(mesh.midpoints[cells]), dtype=float)
     if mids.shape == ():
@@ -314,8 +284,16 @@ def running_integral(
     mesh: Mesh, values: np.ndarray, mid_values: np.ndarray
 ) -> np.ndarray:
     """Running integral at the nodes, 0 at t = 0, of nodal `values` and of
-    `mid_values` at the midpoints of `mesh.mid_cells`."""
-    contrib = cell_contributions(mesh.widths, values, mesh.mid_cells, mid_values)
+    `mid_values` at the midpoints of `mesh.mid_cells`.
+
+    Each cell adds its trapezoid, or its width times its midpoint value on
+    the midpoint-rule cells: this is the one quadrature accumulator, which
+    running integrals and norms share.
+    """
+    h, cells = mesh.widths, mesh.mid_cells
+    contrib = 0.5 * h * (values[:-1] + values[1:])
+    if cells.size:
+        contrib[cells] = h[cells] * mid_values
     out = np.empty(values.size)
     out[0] = 0.0
     np.cumsum(contrib, out=out[1:])
@@ -363,16 +341,14 @@ def lp_norm(mesh: Mesh, values: np.ndarray, p: float, evaluator=None) -> float:
 
 
 def forward_difference_residual(u: GridFunction, rhs: GridFunction) -> float:
-    """Max defect of the cell-slope of u against the midpoint average of rhs.
+    """Max per-cell defect, in u units, of u against the trapezoid of rhs:
+    max_j |u_{j+1} - u_j - h_j (rhs_j + rhs_{j+1}) / 2|.
 
     Cells touching a flagged singular node are skipped (the data there is
     a placeholder by convention).
     """
     mesh = same_mesh(u, rhs)
-    h = mesh.widths
-    slope = np.diff(u.values) / h
-    midrhs = 0.5 * (rhs.values[:-1] + rhs.values[1:])
-    defect = np.abs(slope - midrhs)
+    defect = np.abs(np.diff(u.values) - 0.5 * mesh.widths * (rhs.values[:-1] + rhs.values[1:]))
     singular = mesh.singular_mask()
     keep = ~(singular[:-1] | singular[1:])
     if not np.any(keep):

@@ -51,9 +51,7 @@ from .grid import (
     SENTINEL,
     GridFunction,
     Mesh,
-    cell_contributions,
     cumulative_integral,
-    endpoint_midvalues,
     forward_difference_residual,
     lp_norm,
     running_integral,
@@ -78,11 +76,6 @@ _CLIP_RTOL = 1e-12
 # Cap on the scalar-map evaluations of one beta solve inside its bracket.
 BETA_MAX_ITER = 200
 
-# Coarse cells per block of the refined-mesh verification.  A block holds
-# a few dozen arrays of VERIFY_BLOCK_CELLS * refine_factor floats, so the
-# memory `verify` needs no longer grows with the mesh.
-VERIFY_BLOCK_CELLS = 4096
-
 
 @dataclass(frozen=True)
 class IterationConfig:
@@ -100,7 +93,6 @@ class IterationConfig:
     window: int = 3
     stagnation: int = 10
     min_omega: float = 1.0 / 16.0
-    verify_refine: int = 4
 
     def __post_init__(self):
         # each message starts with the field name, which is also the
@@ -121,8 +113,6 @@ class IterationConfig:
             raise InvalidInputError("stagnation must be at least 1")
         if not (0.0 < self.min_omega <= self.omega):
             raise InvalidInputError("min_omega must lie in (0, omega]")
-        if self.verify_refine < 1:
-            raise InvalidInputError("verify_refine must be at least 1")
 
 
 class SolverKernel:
@@ -455,14 +445,14 @@ def g_map(
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """A-posteriori defects recomputed on a refined mesh."""
+    """The defects of a solution table on its own nodes (see `verify`)."""
 
-    refine_factor: int
     boundary_defect: float
+    operator_defect: float
     integral_defect: float
+    slope_defect: float
     residual_defect: float
-    envelope_excess_x: float
-    envelope_excess_xp: float
+    ok: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -591,9 +581,12 @@ def solve(
         max_envelope_excess=max_excess,
         flipped=flipped,
     )
-    # verify reads only the report: let the g output and the envelopes go
+    # verify reads only the reported columns: let the g output and the
+    # envelopes go
     del last, envs
-    verification = verify(report, problem, refine_factor=cfg.verify_refine)
+    verification = verify(
+        problem, report.x.values, report.x_prime.values, report.u.values
+    )
     return replace(report, verification=verification)
 
 
@@ -735,84 +728,69 @@ def _iterate(
 
 
 def verify(
-    report: SolveReport, problem: BvpProblem, refine_factor: int = 4
+    problem: BvpProblem, x: np.ndarray, dx: np.ndarray, u: np.ndarray
 ) -> VerificationRecord:
-    """Recompute the defining identities of a solution on a refined mesh.
+    """Check a solution table's columns against the defining identities.
 
-    Uses the raw right-hand side (no truncation): at a genuine solution
-    u(t) = beta + integral of f(s, x, x') matches the reported u, and the
-    boundary and envelope statements hold as written.
-
-    The refined mesh (`problem.mesh.refine(refine_factor)`) is walked in
-    blocks of VERIFY_BLOCK_CELLS coarse cells.  Each block's running
-    integral starts from the last value of the block before, so its sums
-    are the sequential sums over the whole refined mesh, and the defects
-    are the maxima over the whole refined mesh.
+    x, dx and u are the table's columns on problem.mesh; no solver state is
+    read.  The defects are the boundary values, u against Phi(k dx), u
+    against u(0) + the running integral of f, x against nu1 + the running
+    trapezoid integral of dx, and the forward-difference residual of u.  f
+    is the raw right-hand side at the table's x and dx, integrated by the
+    mesh's own rule: on the cells that touch a singular node, the midpoint
+    rule at interpolated x and dx.  dx is ignored at singular nodes, so a
+    solver's SENTINEL there and a table's NaN read the same.
     """
-    if refine_factor < 1:
-        raise InvalidInputError("refinement factor must be >= 1")
     mesh = problem.mesh
-    sing_coarse = mesh.singular_mask()
-    xp_nodes, xp_vals = mesh.nodes, report.x_prime.values
-    if mesh.singular_indices:
-        xp_nodes, xp_vals = xp_nodes[~sing_coarse], xp_vals[~sing_coarse]
-    sc = report.scalars
-    box_lo = min(problem.nu1, sc.N1, sc.N2)
-    box_hi = max(problem.nu1, sc.N1, sc.N2)
+    nodes = mesh.nodes
+    scale_x = 1.0 + max(abs(problem.nu1), abs(problem.nu2))
+    boundary = max(abs(x[0] - problem.nu1), abs(x[-1] - problem.nu2))
 
-    F_start = 0.0  # running integral of f at the first node of the block
-    integral_defect = residual_defect = -math.inf
-    below_x = above_x = below_xp = above_xp = -math.inf
-    for start in range(0, mesh.n_cells, VERIFY_BLOCK_CELLS):
-        stop = min(start + VERIFY_BLOCK_CELLS, mesh.n_cells)
-        nodes = mesh.refined_nodes(refine_factor, start, stop)
-        h = np.diff(nodes)
-        if np.any(h <= 0):
-            raise InvalidInputError("mesh nodes must be strictly increasing")
-        # refined node i * refine_factor is coarse node i, and inherits its flag
-        singular = np.zeros(nodes.size, dtype=bool)
-        singular[::refine_factor] = sing_coarse[start : stop + 1]
-        mid_cells = np.nonzero(singular[:-1] | singular[1:])[0]
+    singular = mesh.singular_mask()
+    usable = ~singular & np.isfinite(dx)
+    kv = np.broadcast_to(np.asarray(problem.weight(nodes), dtype=float), nodes.shape)
+    with np.errstate(all="ignore"):
+        phi_kdx = np.asarray(problem.phi.fn(kv[usable] * dx[usable]), dtype=float)
+    scale_u = 1.0 + float(np.max(np.abs(u)))
+    consistency = float(np.max(np.abs(u[usable] - phi_kdx))) if usable.any() else 0.0
 
-        x_f = report.x.interp(nodes)
-        xp_f = np.interp(nodes, xp_nodes, xp_vals)
+    dx_filled = np.where(usable, dx, 0.0)
+    with np.errstate(all="ignore"):
+        f_vals = np.asarray(problem.rhs(nodes, x, dx_filled), dtype=float)
+    f_vals = np.where(np.isfinite(f_vals) & ~singular, f_vals, 0.0)
+
+    def f_mid(t):
+        # the solver integrates f by the midpoint rule on the cells next
+        # to a singular node; so does verify, at interpolated x and dx
         with np.errstate(all="ignore"):
-            F = np.asarray(problem.rhs(nodes, x_f, xp_f), dtype=float)
-        if F.shape == ():
-            F = np.full(nodes.shape, float(F))
-        F = np.where(singular | ~np.isfinite(F), 0.0, F)
-        contrib = cell_contributions(
-            h, F, mid_cells, endpoint_midvalues(F, mid_cells, singular)
-        )
-        Fcum = np.cumsum(np.concatenate(([F_start], contrib)))
-        F_start = Fcum[-1]
-        u_f = report.u.interp(nodes)
-        integral_defect = max(
-            integral_defect, float(np.max(np.abs(u_f - (report.beta + Fcum))))
-        )
-        # forward_difference_residual: cells touching a singular node skipped
-        keep = ~(singular[:-1] | singular[1:])
-        if keep.any():
-            defect = np.abs(np.diff(u_f) / h - 0.5 * (F[:-1] + F[1:]))
-            residual_defect = max(residual_defect, float(np.max(defect[keep])))
+            val = problem.rhs(t, np.interp(t, nodes, x), np.interp(t, nodes[usable], dx[usable]))
+        return np.where(np.isfinite(val), val, 0.0)
 
-        below_x = max(below_x, np.max(box_lo - x_f))
-        above_x = max(above_x, np.max(x_f - box_hi))
-        with np.errstate(all="ignore"):
-            ik = np.asarray(problem.weight.recip(nodes), dtype=float)
-        ok = np.isfinite(ik) & (ik > 0) & ~singular
-        if ok.any():
-            below_xp = max(below_xp, np.max(sc.slope_lo * ik[ok] - xp_f[ok]))
-            above_xp = max(above_xp, np.max(xp_f[ok] - sc.slope_hi * ik[ok]))
-    if not math.isfinite(F_start):
-        raise InvalidInputError("grid function values must be finite")
-    if residual_defect == -math.inf:
-        raise InvalidInputError("no admissible cells for the residual")
+    # without one usable slope, those cells take endpoint stand-ins
+    f_grid = GridFunction(mesh, f_vals, evaluator=f_mid if usable.any() else None)
+    cum = cumulative_integral(f_grid)
+    integral = float(np.max(np.abs(u - (u[0] + cum.values))))
+    residual = forward_difference_residual(GridFunction(mesh, u), f_grid)
+
+    # x must be the integral of dx: trapezoid per cell, skipping cells
+    # whose endpoint slope is unavailable (singular nodes)
+    both = usable[:-1] & usable[1:]
+    increments = np.where(
+        both, 0.5 * (dx_filled[:-1] + dx_filled[1:]) * mesh.widths, np.diff(x)
+    )
+    recon = problem.nu1 + np.concatenate(([0.0], np.cumsum(increments)))
+    slope_integral = float(np.max(np.abs(recon - x)))
+
     return VerificationRecord(
-        refine_factor=refine_factor,
-        boundary_defect=abs(float(x_f[-1]) - problem.nu2),
-        integral_defect=integral_defect,
-        residual_defect=residual_defect,
-        envelope_excess_x=float(max(below_x, above_x, 0.0)),
-        envelope_excess_xp=float(max(below_xp, above_xp, 0.0)),
+        boundary_defect=float(boundary),
+        operator_defect=consistency,
+        integral_defect=integral,
+        slope_defect=slope_integral,
+        residual_defect=residual,
+        ok=bool(
+            boundary <= 1e-8 * scale_x
+            and consistency <= 1e-7 * scale_u
+            and integral <= 1e-6 * scale_u
+            and slope_integral <= 1e-6 * scale_x
+        ),
     )

@@ -8,6 +8,7 @@ asserts on the exit code contract and the emitted tables.  Exit codes:
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import phibvp
-from phibvp import BetaBracketError, ConfigError, cli, parse_config
+from phibvp import BetaBracketError, ConfigError, cli, derive_scalars, parse_config
 from phibvp import config as config_mod
 from phibvp.config import ProblemConfig
 from phibvp.cli import TABLE_BLOCK_ROWS, main, read_solution_table, write_solution_table
@@ -367,7 +368,6 @@ class TestSolve:
             "window": "3",
             "stagnation": "10",
             "min_omega": "0.0625",
-            "verify_refine": "4",
         }
         # the echoed config alone reproduces the table
         replay_cfg = tmp_path / "replay.cfg"
@@ -422,11 +422,24 @@ class TestSolve:
         expected = cli.solve(config.build_finite(), config.iteration).verification
         section = record.section("solve.verification")
         assert list(section) == [
-            "refine_factor", "boundary_defect", "integral_defect",
-            "residual_defect", "envelope_excess_x", "envelope_excess_xp",
+            "boundary_defect", "operator_defect", "integral_defect",
+            "slope_defect", "residual_defect", "ok",
         ]
+        assert section.pop("ok") == "true" and expected.ok
         for name, value in section.items():
             assert value == format(float(getattr(expected, name)), ".17g"), name
+
+    def test_record_holds_the_scalars(self, tmp_path):
+        text = PERONA.format(nu2=0.05)
+        cfg = write(tmp_path, text)
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 0
+        record = parse_config((out / "record.txt").read_text())
+        expected = derive_scalars(cli.load_problem_config(parse_config(text)).build_finite())
+        assert record.section("solve.scalars") == {
+            field.name: format(getattr(expected, field.name), ".17g")
+            for field in dataclasses.fields(expected)
+        }
 
     def test_deterministic_tables(self, tmp_path):
         cfg = write(tmp_path, QUADRATIC.format(n=200))
@@ -490,6 +503,27 @@ n = 64
 lambda_min = -0.6
 lambda_max = 0.6
 count = 13
+"""
+
+WEAVE_SQRT_T = """
+[operator]
+name = r_laplacian
+r = 2.0
+
+[weight]
+name = sqrt_t
+
+[rhs]
+f = 0.2*sin(3*t + x) - 0.1*cos(y)
+psi = 0.3
+
+[problem]
+nu1 = 0.0
+nu2 = 0.05
+T = 1.0
+
+[mesh]
+n = 400
 """
 
 PERONA_FLIP_SWEEP = PERONA.format(nu2=0.05) + (
@@ -574,6 +608,14 @@ class TestSweep:
         assert [r[2] for r in rows] == ["converged"] * 13
         assert counts["cold_restarts"] == 1
         assert counts["iterations"] <= 75
+
+    def test_residual_is_a_per_cell_defect_in_u_units(self, tmp_path):
+        # graded toward t = 0, the first cells are about 4e-11 wide; a
+        # residual divided by the width read 1.9e-9 to 8.7e-7 on these rows
+        text = WEAVE_SQRT_T + "\n[sweep]\nlambda_min = 0.01\nlambda_max = 0.05\ncount = 9\n"
+        rows, _ = _sweep(tmp_path, text)
+        assert [r[2] for r in rows] == ["converged"] * 9
+        assert max(float(r[3]) for r in rows) <= 1e-12
 
     def test_prediction_that_raises_restarts_cold(self, tmp_path, monkeypatch):
         solver_solve = cli.solve
@@ -891,6 +933,24 @@ class TestVerify:
         assert main(["verify", str(out / "solution.txt"), cfg200]) == 1
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t", ["nan", "1e9"])
+    def test_table_grid_off_the_mesh_exits_one(self, tmp_path, capsys, t):
+        # |nan - node| > tol is False: the check must not pass a NaN t
+        cfg = write(tmp_path, QUADRATIC.format(n=200))
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 0
+        table = out / "solution.txt"
+        lines = table.read_text().splitlines()
+        parts = lines[101].split(",")
+        parts[0] = t
+        lines[101] = ",".join(parts)
+        table.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(table), cfg]) == 1
+        captured = capsys.readouterr()
+        assert "table grid does not match" in captured.err
+        assert "verification" not in captured.out
+
     def test_vanishing_weight_is_a_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, QUADRATIC.format(n=10), "good.cfg")
         out = tmp_path / "run"
@@ -1038,3 +1098,24 @@ class TestExitCodeContract:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("config error: ")
+
+
+def test_readme_quick_start_prints_what_readme_shows(tmp_path, monkeypatch, capsys):
+    # the ```ini config of the README's quick start, and each command the
+    # quick start names with the output block that follows it; a shown
+    # line that ends in " ...)" is a prefix of the printed one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    config = re.search(r"```ini\n(.*?)```", quick, re.S).group(1)
+    shown = re.findall(r"`phibvp ([a-z][^`]*)`.*?\n```\n(.*?)```", quick, re.S)
+    assert [command.split()[0] for command, _ in shown] == ["check", "solve", "verify"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pendulum.cfg").write_text(config)
+    for command, block in shown:
+        assert main(command.split()) == 0, command
+        printed = capsys.readouterr().out.splitlines()
+        for line in block.splitlines():
+            if line.endswith(" ...)"):
+                assert any(p.startswith(line[: -len("...)")]) for p in printed), line
+            else:
+                assert line in printed, line

@@ -139,6 +139,12 @@ class TestValidation:
         np.testing.assert_array_equal(knobs.nodes, plain.nodes)
         assert knobs.singular_indices == plain.singular_indices == (0,)
 
+    def test_verify_refine_is_accepted_and_ignored(self):
+        # the knob of the old refined-mesh verification: older records
+        # that echo it still load, to the same iteration config
+        cfg = load(splice("[iteration]\nverify_refine = 4", MINIMAL))
+        assert cfg.iteration == load(MINIMAL).iteration
+
     @pytest.mark.parametrize(
         "mutation,fragment",
         [

@@ -7,7 +7,8 @@ problems, and valid and invalid sampling lattices.  Whatever is drawn,
 `main` must return a documented exit code without raising, and exit 1
 exactly when it prints a `config error: ` line first on stderr.  A table
 that `solve` writes holds no NaN outside the slopes at singular nodes, and
-`verify` passes every table of a converged solve.
+`verify` passes every table of a converged solve and prints the defects
+that the solve's record holds.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phibvp.cli import main
-from phibvp.config import CHECK_KINDS
+from phibvp.config import CHECK_KINDS, parse_config
 
 OPERATORS = (
     "name = r_laplacian\nr = 3.0",
@@ -107,20 +108,21 @@ def solve_configs(draw) -> str:
     return "\n\n".join(sections) + "\n"
 
 
-def _main(argv) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _main(argv) -> tuple[int, str, str]:
+    """Exit code, stderr and stdout of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, err.getvalue(), out.getvalue()
 
 
 @given(text=solve_configs())
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-def test_solve_writes_tables_that_verify(tmp_path_factory, text):
+def test_solve_writes_tables_that_verify(tmp_path_factory, printed_verification, text):
     work = tmp_path_factory.mktemp("solve")
     path = work / "problem.cfg"
     path.write_text(text)
-    code, err = _main(["solve", str(path), "-o", str(work / "out")])
+    code, err, _ = _main(["solve", str(path), "-o", str(work / "out")])
     assert code in (0, 1, 2, 3, 4), text
     assert (code == 1) == err.startswith("config error: "), text + err
     table = work / "out" / "solution.txt"
@@ -128,4 +130,8 @@ def test_solve_writes_tables_that_verify(tmp_path_factory, text):
         t, x, _, u = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2).T
         assert not np.isnan(np.concatenate((t, x, u))).any(), text
     if code == 0:
-        assert _main(["verify", str(table), str(path)])[0] == 0, text
+        code, _, out = _main(["verify", str(table), str(path)])
+        assert code == 0, text
+        # the record's verification is what verify prints on its table
+        record = parse_config((work / "out" / "record.txt").read_text())
+        assert record.section("solve.verification") == printed_verification(out), text

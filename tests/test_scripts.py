@@ -4,7 +4,9 @@ tree identical to itself and reports differences.  Also the hooks the
 benchmark in perfbench/ relies on: its tracer reaches every layer, and a
 command samples 1/k and psi once per problem."""
 
+import contextlib
 import importlib.util
+import io
 import os
 import re
 import subprocess
@@ -175,8 +177,7 @@ def _workloads_module(monkeypatch):
 def test_each_command_samples_weight_and_psi_once(tmp_path, monkeypatch):
     # 1/k and psi are sampled on the full mesh once per problem, into its
     # Discretization.  A sweep samples 1/k and self-tests the weight once
-    # per command, and psi once per lambda whose problem builds.  The
-    # solve's refined-mesh verification samples other meshes.
+    # per command, and psi once per lambda whose problem builds.
     workloads = _workloads_module(monkeypatch)
     from phibvp import cli, problem
     from phibvp.config import load_problem_config, parse_config
@@ -226,3 +227,51 @@ def test_each_command_samples_weight_and_psi_once(tmp_path, monkeypatch):
     run("sine", text, "solve")
     assert calls == {"recip": 1, "psi": 1, "self_test": 1}
     assert not load_problem_config(parse_config(text)).build_finite().branch.increasing
+
+
+def test_every_benchmark_solve_records_what_verify_prints(
+    tmp_path, monkeypatch, printed_verification
+):
+    # every solve that compare_outputs.py runs and then verifies: the
+    # solve-bisect solves and the re-solved sweep row of each variant, and
+    # the extra solve cases; the record's [solve.verification] is what
+    # `phibvp verify` prints on the table, digit for digit
+    workloads = _workloads_module(monkeypatch)
+    from phibvp import cli
+    from phibvp.config import parse_config
+
+    checked = []
+
+    def main(argv):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = cli.main(argv)
+        if argv[0] == "verify":
+            record = Path(argv[1]).parent / "record.txt"
+            section = parse_config(record.read_text()).section("solve.verification")
+            assert section == printed_verification(buffer.getvalue()), argv
+            assert section["ok"] == "true", argv
+            checked.append(argv[1])
+        return code
+
+    for name in ("solve-bisect", "sweep"):
+        for variant in range(workloads.VARIANTS):
+            workdir = str(tmp_path / f"{name}_{variant}")
+            ctx = workloads.Context(workloads.WORKLOADS[name], variant, workdir, 2)
+            ctx.write_configs()
+            for argv in ctx.workload.run(ctx):
+                assert main(argv) == 0, argv
+            for argv in ctx.workload.verify(ctx, main):
+                assert main(argv) == 0, argv
+    cases = {
+        case: text
+        for case, text in _compare_outputs_module().EXTRA_CASES.items()
+        if "[sweep]" not in text
+    }
+    for case, text in cases.items():
+        cfg = tmp_path / f"{case}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / case
+        assert main(["solve", str(cfg), "-o", str(out)]) == 0
+        assert main(["verify", str(out / "solution.txt"), str(cfg)]) == 0
+    assert len(checked) == 2 * workloads.VARIANTS + len(cases) == 34

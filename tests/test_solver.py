@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,15 +28,13 @@ from phibvp import (
 from phibvp import parse_config
 from phibvp import solver as solver_mod
 from phibvp.config import load_problem_config
-from phibvp.grid import Mesh, cumulative_integral, forward_difference_residual
+from phibvp.grid import Mesh
 from phibvp.problem import Rhs
 from phibvp.solver import (
     BETA_MAX_ITER,
-    VERIFY_BLOCK_CELLS,
     BetaEquation,
     IterationConfig,
     SolverKernel,
-    VerificationRecord,
     beta_solve,
     g_map,
     solve,
@@ -482,11 +479,12 @@ class TestSolve:
         assert report.x_in_box and report.xp_in_envelopes
         assert report.max_envelope_excess <= 1e-12
         v = report.verification
-        assert v is not None
+        assert v is not None and v.ok
         assert v.boundary_defect <= 1e-12
+        assert v.operator_defect <= 1e-12
         assert v.integral_defect <= 1e-10
-        assert v.residual_defect <= 1e-10
-        assert v.envelope_excess_x == 0.0 and v.envelope_excess_xp == 0.0
+        assert v.slope_defect <= 1e-10
+        assert v.residual_defect <= 1e-14
 
     def test_weighted_zero_forcing_matches_arctan(self):
         phi = make_operator("relativistic")
@@ -691,109 +689,86 @@ class TestVerify:
             phi, one_plus_t_squared_weight(), zero_rhs(), 0.0, 0.5, 1.0
         )
         report = solve(prob)
-        bad = replace(
-            report, x=GridFunction(prob.mesh, 1.1 * report.x.values)
+        record = verify(
+            prob, 1.1 * report.x.values, report.x_prime.values, report.u.values
         )
-        record = verify(bad, prob)
         assert record.boundary_defect == pytest.approx(0.05, abs=1e-6)
+        assert not record.ok
 
     def test_refined_check_passes_clean_solution(self):
-        report = solve(_identity_problem(constant_rhs(2.0)))
-        record = verify(report, _identity_problem(constant_rhs(2.0)))
+        prob = _identity_problem(constant_rhs(2.0))
+        report = solve(prob)
+        record = verify(prob, report.x.values, report.x_prime.values, report.u.values)
+        assert record == report.verification
+        assert record.ok
         assert record.integral_defect <= 1e-10
         assert record.boundary_defect <= 1e-12
 
-    @staticmethod
-    def _monolithic_verify(report, problem, refine_factor):
-        # the whole refined mesh at once, as verify computed it before it
-        # walked the mesh in blocks
-        fine = problem.mesh.refine(refine_factor)
-        nodes = fine.nodes
-        singular = fine.singular_mask()
-        ns_coarse = ~problem.mesh.singular_mask()
-        x_f = report.x.interp(nodes)
-        xp_f = np.interp(
-            nodes, problem.mesh.nodes[ns_coarse], report.x_prime.values[ns_coarse]
-        )
-        boundary_defect = abs(float(x_f[-1]) - problem.nu2)
-        with np.errstate(all="ignore"):
-            F_vals = np.asarray(problem.rhs(nodes, x_f, xp_f), dtype=float)
-        if F_vals.shape == ():
-            F_vals = np.full(nodes.shape, float(F_vals))
-        F_vals = np.where(singular | ~np.isfinite(F_vals), 0.0, F_vals)
-        F_fine = GridFunction(fine, F_vals)
-        Fcum = cumulative_integral(F_fine)
-        u_fine = report.u.interp(nodes)
-        integral_defect = float(np.max(np.abs(u_fine - (report.beta + Fcum.values))))
-        residual_defect = forward_difference_residual(GridFunction(fine, u_fine), F_fine)
-        sc = report.scalars
-        box_lo = min(problem.nu1, sc.N1, sc.N2)
-        box_hi = max(problem.nu1, sc.N1, sc.N2)
-        ex_x = float(max(np.max(box_lo - x_f), np.max(x_f - box_hi), 0.0))
-        with np.errstate(all="ignore"):
-            ik = np.asarray(problem.weight.recip(nodes), dtype=float)
-        ok = np.isfinite(ik) & (ik > 0) & ~singular
-        ex_y = float(
-            max(
-                np.max(sc.slope_lo * ik[ok] - xp_f[ok]),
-                np.max(xp_f[ok] - sc.slope_hi * ik[ok]),
-                0.0,
+    # r = 2, the weave right-hand side, nu2 = 0.3 on [0, 1]; [mesh] n and
+    # the weight per problem
+    WEAVE = """
+[operator]
+name = r_laplacian
+r = 2.0
+
+[weight]
+{weight}
+
+[rhs]
+f = 0.2*sin(3*t + x) - 0.1*cos(y)
+psi = 0.3
+
+[problem]
+nu1 = 0.0
+nu2 = 0.3
+T = 1.0
+
+[mesh]
+n = {n}
+"""
+    VERIFY_PROBLEMS = {
+        "uniform": ("name = constant\nvalue = 1.0", 50),
+        "one_plus_t_squared": ("name = one_plus_t_squared", 500),
+        # graded toward the singular node t = 0, a midpoint-rule cell
+        "sqrt_t": ("name = sqrt_t", 80),
+        # an interior singular node, graded toward from both sides
+        "interior_singular": ("name = constant\nvalue = 1.0", 60),
+    }
+
+    @pytest.mark.parametrize("name", list(VERIFY_PROBLEMS))
+    def test_record_verification_is_what_verify_prints(
+        self, tmp_path, monkeypatch, capsys, printed_verification, name
+    ):
+        from phibvp import cli
+        from phibvp import config as config_mod
+
+        if name == "interior_singular":
+            monkeypatch.setattr(
+                config_mod, "default_mesh", lambda weight, T, n: Mesh.graded(T, n, [0.5])
             )
-        )
-        return VerificationRecord(
-            refine_factor, boundary_defect, integral_defect, residual_defect, ex_x, ex_y
-        )
+        weight, n = self.VERIFY_PROBLEMS[name]
+        cfg = tmp_path / "weave.cfg"
+        cfg.write_text(self.WEAVE.format(weight=weight, n=n))
+        out = tmp_path / "run"
+        assert cli.main(["solve", str(cfg), "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", str(out / "solution.txt"), str(cfg)]) == 0
+        printed = printed_verification(capsys.readouterr().out)
+        record = parse_config((out / "record.txt").read_text())
+        assert record.section("solve.verification") == printed
+        assert printed["ok"] == "true"
 
-    @staticmethod
-    def _verify_problems():
-        weave = Rhs(
-            fn=lambda t, x, y: 0.2 * np.sin(3.0 * t + x) - 0.1 * np.cos(y),
-            psi=lambda t: np.full_like(np.asarray(t, dtype=float), 0.3),
-            name="weave",
-        )
-        phi = make_operator("r_laplacian", r=2.0)
-        return {
-            "uniform": make_problem(phi, constant_weight(1.0), weave, 0.0, 0.3, 1.0, mesh_n=50),
-            "one_plus_t_squared": make_problem(
-                phi, one_plus_t_squared_weight(), weave, 0.0, 0.3, 1.0, mesh_n=500
-            ),
-            # graded toward the singular node t = 0, a midpoint-rule cell
-            "sqrt_t": make_problem(phi, sqrt_t_weight(), weave, 0.0, 0.3, 1.0, mesh_n=80),
-            # an interior singular node, graded toward from both sides
-            "interior_singular": make_problem(
-                phi, constant_weight(1.0), weave, 0.0, 0.3, 1.0,
-                mesh=Mesh.graded(1.0, 60, [0.5]),
-            ),
-        }
-
-    @pytest.mark.parametrize(
-        "name", ["uniform", "one_plus_t_squared", "sqrt_t", "interior_singular"]
-    )
-    def test_blocked_verify_is_the_monolithic_one(self, monkeypatch, name):
-        prob = self._verify_problems()[name]
-        report = solve(prob)
-        i_sing = prob.mesh.singular_indices
-        blocks = [3, 7, VERIFY_BLOCK_CELLS] + [i for i in i_sing if i > 0]
-        for refine_factor in (1, 4):
-            expected = self._monolithic_verify(report, prob, refine_factor)
-            for cells in blocks:
-                monkeypatch.setattr(solver_mod, "VERIFY_BLOCK_CELLS", cells)
-                got = verify(report, prob, refine_factor=refine_factor)
-                for field in fields(VerificationRecord):
-                    assert getattr(got, field.name) == getattr(expected, field.name), (
-                        name, refine_factor, cells, field.name,
-                    )
-
-    def test_verify_memory_does_not_grow_with_the_mesh(self):
-        # 32000 cells: the refined mesh has 128001 nodes, about 1 MiB per
-        # array; built in one piece the verification took about 12 MiB
+    def test_verify_memory_is_a_few_arrays_of_the_mesh(self):
+        # 32000 cells: each node array is 0.25 MiB; the defects take a
+        # dozen of them, no refined mesh
         prob = _identity_problem(constant_rhs(2.0), n=32000)
         report = solve(prob)
+        columns = (report.x.values, report.x_prime.values, report.u.values)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            verify(report, prob)
+            verify(prob, *columns)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
