@@ -98,8 +98,9 @@ n = 1000
 """
 
 # No workload runs a singular weight or a decreasing branch: the midpoint
-# samples of 1/k and psi, and the orientation of the problem, are checked
-# by these configs.  A config with a [sweep] section runs `sweep`, the
+# samples of 1/k and psi, and decreasing branches with a closed-form
+# inverse (sine) and with the generic one (difference), are checked by
+# these configs.  A config with a [sweep] section runs `sweep`, the
 # others `solve` and then `verify`: the sweeps walk a singular weight
 # across its flip, and an r = 3 operator through lambda = 0, where a
 # predicted start stalls and the row is solved again cold.
@@ -119,6 +120,26 @@ psi = 0.05
 [problem]
 nu1 = 0.0
 nu2 = 3.0
+T = 1.0
+
+[mesh]
+n = 2000
+""",
+    "difference-decreasing": """[operator]
+name = difference
+alpha = 2
+beta = 0
+
+[weight]
+name = one_plus_t_squared
+
+[rhs]
+f = 0.01*cos(x)*sin(y) + 0.005*cos(3*t)
+psi = 0.015
+
+[problem]
+nu1 = 0.0
+nu2 = 0.3
 T = 1.0
 
 [mesh]

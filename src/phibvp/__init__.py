@@ -58,7 +58,6 @@ from .problem import (
     make_rhs,
     make_weight,
     one_plus_t_squared_weight,
-    oriented_problem,
     sqrt_t_weight,
     zero_rhs,
 )

@@ -347,8 +347,13 @@ def forward_difference_residual(u: GridFunction, rhs: GridFunction) -> float:
     Cells touching a flagged singular node are skipped (the data there is
     a placeholder by convention).
     """
-    mesh = same_mesh(u, rhs)
-    defect = np.abs(np.diff(u.values) - 0.5 * mesh.widths * (rhs.values[:-1] + rhs.values[1:]))
+    return difference_residual(same_mesh(u, rhs), u.values, rhs.values)
+
+
+def difference_residual(mesh: Mesh, u: np.ndarray, rhs: np.ndarray) -> float:
+    """`forward_difference_residual` of nodal values that need not form
+    GridFunctions: a non-finite u gives a non-finite residual."""
+    defect = np.abs(np.diff(u) - 0.5 * mesh.widths * (rhs[:-1] + rhs[1:]))
     singular = mesh.singular_mask()
     keep = ~(singular[:-1] | singular[1:])
     if not np.any(keep):

@@ -390,39 +390,3 @@ def envelopes(problem: BvpProblem, scalars: DerivedScalars) -> Envelopes:
         N2=scalars.N2,
     )
 
-
-def oriented_problem(problem: BvpProblem) -> tuple[BvpProblem, bool]:
-    """Reduce a decreasing branch to the increasing case via Phi -> -Phi, f -> -f.
-
-    Solutions are unchanged; the composed quantity u = Phi(k x') changes
-    sign, as does the integration constant.  1/k and psi do not change,
-    so the flipped problem shares the discretization.
-    """
-    if problem.branch.increasing:
-        return problem, False
-    phi = problem.phi
-    br = problem.branch
-    neg_phi = PhiOperator(
-        name=f"neg_{phi.name}",
-        fn=lambda s: -np.asarray(phi.fn(s), dtype=float),
-        domain=phi.domain,
-        odd=phi.odd,
-        params=phi.params,
-    )
-    inv = br.inverse
-    neg_branch = MonotoneBranch(
-        br.lo,
-        br.hi,
-        True,
-        -br.image_hi,
-        -br.image_lo,
-        inverse=(None if inv is None else (lambda y: inv(-np.asarray(y, dtype=float)))),
-    )
-    rhs = problem.rhs
-    neg_rhs = Rhs(
-        fn=lambda t, x, y: -np.asarray(rhs.fn(t, x, y), dtype=float),
-        psi=rhs.psi,
-        name=rhs.name,
-    )
-    flipped = replace(problem, phi=neg_phi, branch=neg_branch, rhs=neg_rhs)
-    return flipped, True

@@ -18,7 +18,8 @@ bracket that the image margin guarantees is evaluated only when the walk
 reaches one of its ends or stalls.  Every sweep output lands inside the
 derived slope envelopes and the solution box regardless of its input,
 which is what makes the truncation harmless and the iteration stable.
-Decreasing branches are reduced to increasing ones by negating Phi and f.
+A decreasing branch is solved as it is: the scalar map then decreases in
+beta, and the beta solve and the branch inverse read the orientation.
 
 The outer loop is undamped by default: a window-3 secant (Anderson) step
 mixes the raw sweep outputs.  Existence comes from a fixed point of the
@@ -52,6 +53,7 @@ from .grid import (
     GridFunction,
     Mesh,
     cumulative_integral,
+    difference_residual,
     forward_difference_residual,
     lp_norm,
     running_integral,
@@ -64,7 +66,6 @@ from .problem import (
     Envelopes,
     derive_scalars,
     envelopes,
-    oriented_problem,
     require_box,
 )
 
@@ -139,14 +140,15 @@ class BetaEquation:
     _last: list = field(default_factory=list, repr=False)
 
     @staticmethod
-    def build(kernel: SolverKernel, branch, Fcum: GridFunction) -> "BetaEquation":
+    def build(kernel: SolverKernel, Fcum: GridFunction) -> "BetaEquation":
         mesh = kernel.disc.mesh
         if Fcum.mesh is not mesh and not np.array_equal(Fcum.mesh.nodes, mesh.nodes):
             raise InvalidInputError("cumulative grid lives on a different mesh")
         F_n = Fcum.values
         F_mid = np.interp(mesh.midpoints[mesh.mid_cells], mesh.nodes, F_n)
-        target = kernel.problem.nu2 - kernel.problem.nu1
-        return BetaEquation(kernel, branch, kernel.problem.phi, F_n, F_mid, target)
+        problem = kernel.problem
+        target = problem.nu2 - problem.nu1
+        return BetaEquation(kernel, problem.branch, problem.phi, F_n, F_mid, target)
 
     def _slopes(self, xi: float) -> tuple[np.ndarray, np.ndarray]:
         packed = np.concatenate((xi + self.F_n, xi + self.F_mid))
@@ -303,18 +305,18 @@ class BetaEquation:
 
 def beta_solve(
     problem: BvpProblem,
-    branch: MonotoneBranch,
     Fx_cumulative: GridFunction,
     L: float,
     tol_beta: float = 1e-12,
 ) -> float:
-    """Integration constant beta with |phi(beta) - (nu2 - nu1)| <= tol_beta.
+    """Integration constant beta whose scalar map, the integral of
+    (1/k) Phi^{-1}(beta + F_cum) over [0, T], is within tol_beta of nu2 - nu1.
 
     The result always lies in [Phi(s*) - L, Phi(s*) + L] around the
     discrete reference slope; a violation means the quadrature and the
     stated psi mass disagree, and is reported rather than patched.
     """
-    eq = BetaEquation.build(SolverKernel(problem), branch, Fx_cumulative)
+    eq = BetaEquation.build(SolverKernel(problem), Fx_cumulative)
     beta = eq.solve(tol_beta)
     s_star_d = eq.target / problem.disc.k1
     with np.errstate(all="ignore"):
@@ -427,7 +429,7 @@ def g_map(
     env = envs if envs is not None else envelopes(problem, scalars)
     F = truncated_rhs(problem, env, x, x_prime)
     Fcum = cumulative_integral(F)
-    eq = BetaEquation.build(SolverKernel(problem), problem.branch, Fcum)
+    eq = BetaEquation.build(SolverKernel(problem), Fcum)
     beta = eq.solve(tol_beta, guess=beta_guess)
     cum, w_n = eq.cumulative(beta)
     mesh = problem.mesh
@@ -474,7 +476,6 @@ class SolveReport:
     truncation_count: int
     psi_clip_count: int
     max_envelope_excess: float
-    flipped: bool
     verification: VerificationRecord | None = None
 
 
@@ -527,30 +528,25 @@ def solve(
     cfg = config if config is not None else IterationConfig()
     # quadrature-consistent scalars: the g outputs then satisfy the
     # envelopes to rounding accuracy, not merely to quadrature accuracy
-    report_scalars = derive_scalars(problem)
-    require_box(problem, report_scalars)
-    oriented, flipped = oriented_problem(problem)
-    scalars = derive_scalars(oriented) if flipped else report_scalars
-    envs = envelopes(oriented, scalars)
-    box = _box(oriented, envs)
+    scalars = derive_scalars(problem)
+    require_box(problem, scalars)
+    envs = envelopes(problem, scalars)
+    box = _box(problem, envs)
     # the iterates and the secant history die with _iterate, before the
     # final truncation and the verification allocate
     last, converged, trace, max_excess, halvings, rejections = _iterate(
-        oriented, scalars, envs, cfg, problem.p, initial
+        problem, scalars, envs, cfg, initial
     )
 
     final_stats: dict = {}
     residual = forward_difference_residual(
         last.u,
         truncated_rhs(
-            oriented, envs, last.x, last.x_prime, stats=final_stats
+            problem, envs, last.x, last.x_prime, stats=final_stats
         ),
     )
-    boundary_defect = abs(float(last.x.values[-1]) - oriented.nu2)
+    boundary_defect = abs(float(last.x.values[-1]) - problem.nu2)
     ex_x, ex_y = _envelope_excess(last.x.values, last.x_prime.values, box, envs)
-
-    beta_out = -last.beta if flipped else last.beta
-    u_out = GridFunction(problem.mesh, -last.u.values) if flipped else last.u
 
     status = "max-iters"
     if converged:
@@ -565,9 +561,9 @@ def solve(
         status=status,
         x=last.x,
         x_prime=last.x_prime,
-        u=u_out,
-        beta=beta_out,
-        scalars=report_scalars,
+        u=last.u,
+        beta=last.beta,
+        scalars=scalars,
         iterations=len(trace),
         trace=tuple(trace),
         omega_halvings=halvings,
@@ -579,7 +575,6 @@ def solve(
         truncation_count=final_stats.get("truncated_nodes", 0),
         psi_clip_count=final_stats.get("psi_clips", 0),
         max_envelope_excess=max_excess,
-        flipped=flipped,
     )
     # verify reads only the reported columns: let the g output and the
     # envelopes go
@@ -591,11 +586,10 @@ def solve(
 
 
 def _iterate(
-    oriented: BvpProblem,
+    problem: BvpProblem,
     scalars: DerivedScalars,
     envs: Envelopes,
     cfg: IterationConfig,
-    p: float,
     initial: tuple[np.ndarray, np.ndarray] | None,
 ) -> tuple[GStep, bool, list[float], float, int, int]:
     """The Picard loop with secant mixing, undamped unless cfg.omega < 1.
@@ -613,14 +607,14 @@ def _iterate(
     trace, the largest envelope excess of any iterate, and how often
     omega halved and a secant step was skipped.
     """
-    disc = oriented.disc
+    disc = problem.disc
     mesh = disc.mesh
     singular = mesh.singular_mask()
-    box = _box(oriented, envs)
+    box = _box(problem, envs)
     n_nodes = mesh.nodes.size
 
     if initial is None:
-        x_vals = oriented.nu1 + scalars.s_star * disc.recip_cumulative
+        x_vals = problem.nu1 + scalars.s_star * disc.recip_cumulative
         xp_vals = np.where(singular, SENTINEL, scalars.s_star * disc.recip_n)
     else:
         x0 = np.asarray(initial[0], dtype=float)
@@ -651,7 +645,7 @@ def _iterate(
 
     for _ in range(cfg.max_outer):
         last = g_map(
-            oriented,
+            problem,
             scalars,
             GridFunction(mesh, x_vals),
             GridFunction(mesh, xp_vals),
@@ -662,7 +656,7 @@ def _iterate(
         g_vec = np.concatenate((last.x.values, last.x_prime.values))
         z_vec = np.concatenate((x_vals, xp_vals))
         step = _w1p_distance(
-            mesh, g_vec[:n_nodes] - x_vals, g_vec[n_nodes:] - xp_vals, p
+            mesh, g_vec[:n_nodes] - x_vals, g_vec[n_nodes:] - xp_vals, problem.p
         )
         trace.append(step)
         max_excess = max(
@@ -739,50 +733,48 @@ def verify(
     is the raw right-hand side at the table's x and dx, integrated by the
     mesh's own rule: on the cells that touch a singular node, the midpoint
     rule at interpolated x and dx.  dx is ignored at singular nodes, so a
-    solver's SENTINEL there and a table's NaN read the same.
+    solver's SENTINEL there and a table's NaN read the same.  A non-finite
+    value anywhere else makes some defect non-finite, which fails `ok`.
     """
     mesh = problem.mesh
     nodes = mesh.nodes
     scale_x = 1.0 + max(abs(problem.nu1), abs(problem.nu2))
-    boundary = max(abs(x[0] - problem.nu1), abs(x[-1] - problem.nu2))
-
-    singular = mesh.singular_mask()
-    usable = ~singular & np.isfinite(dx)
+    regular = ~mesh.singular_mask()
     kv = np.broadcast_to(np.asarray(problem.weight(nodes), dtype=float), nodes.shape)
-    with np.errstate(all="ignore"):
-        phi_kdx = np.asarray(problem.phi.fn(kv[usable] * dx[usable]), dtype=float)
-    scale_u = 1.0 + float(np.max(np.abs(u)))
-    consistency = float(np.max(np.abs(u[usable] - phi_kdx))) if usable.any() else 0.0
-
-    dx_filled = np.where(usable, dx, 0.0)
-    with np.errstate(all="ignore"):
-        f_vals = np.asarray(problem.rhs(nodes, x, dx_filled), dtype=float)
-    f_vals = np.where(np.isfinite(f_vals) & ~singular, f_vals, 0.0)
+    dx_filled = np.where(regular, dx, 0.0)
 
     def f_mid(t):
         # the solver integrates f by the midpoint rule on the cells next
         # to a singular node; so does verify, at interpolated x and dx
-        with np.errstate(all="ignore"):
-            val = problem.rhs(t, np.interp(t, nodes, x), np.interp(t, nodes[usable], dx[usable]))
+        val = problem.rhs(t, np.interp(t, nodes, x), np.interp(t, nodes[regular], dx[regular]))
         return np.where(np.isfinite(val), val, 0.0)
 
-    # without one usable slope, those cells take endpoint stand-ins
-    f_grid = GridFunction(mesh, f_vals, evaluator=f_mid if usable.any() else None)
-    cum = cumulative_integral(f_grid)
-    integral = float(np.max(np.abs(u - (u[0] + cum.values))))
-    residual = forward_difference_residual(GridFunction(mesh, u), f_grid)
+    with np.errstate(all="ignore"):
+        # np.max, unlike max, passes a NaN on
+        boundary = float(np.max(np.abs((x[0] - problem.nu1, x[-1] - problem.nu2))))
+        phi_kdx = np.asarray(problem.phi.fn(kv[regular] * dx[regular]), dtype=float)
+        scale_u = 1.0 + float(np.max(np.abs(u)))
+        consistency = float(np.max(np.abs(u[regular] - phi_kdx))) if regular.any() else 0.0
 
-    # x must be the integral of dx: trapezoid per cell, skipping cells
-    # whose endpoint slope is unavailable (singular nodes)
-    both = usable[:-1] & usable[1:]
-    increments = np.where(
-        both, 0.5 * (dx_filled[:-1] + dx_filled[1:]) * mesh.widths, np.diff(x)
-    )
-    recon = problem.nu1 + np.concatenate(([0.0], np.cumsum(increments)))
-    slope_integral = float(np.max(np.abs(recon - x)))
+        f_vals = np.asarray(problem.rhs(nodes, x, dx_filled), dtype=float)
+        f_vals = np.where(np.isfinite(f_vals) & regular, f_vals, 0.0)
+        # without one regular node, those cells take endpoint stand-ins
+        f_grid = GridFunction(mesh, f_vals, evaluator=f_mid if regular.any() else None)
+        cum = cumulative_integral(f_grid)
+        integral = float(np.max(np.abs(u - (u[0] + cum.values))))
+        residual = difference_residual(mesh, u, f_vals)
+
+        # x must be the integral of dx: trapezoid per cell, skipping cells
+        # that touch a singular node
+        both = regular[:-1] & regular[1:]
+        increments = np.where(
+            both, 0.5 * (dx_filled[:-1] + dx_filled[1:]) * mesh.widths, np.diff(x)
+        )
+        recon = problem.nu1 + np.concatenate(([0.0], np.cumsum(increments)))
+        slope_integral = float(np.max(np.abs(recon - x)))
 
     return VerificationRecord(
-        boundary_defect=float(boundary),
+        boundary_defect=boundary,
         operator_defect=consistency,
         integral_defect=integral,
         slope_defect=slope_integral,

@@ -223,8 +223,8 @@ def test_05_random_beta_equations():
             f_vals = amp * np.sin(2.0 * math.pi * t + phase)
             Fcum = cumulative_integral(GridFunction(mesh, f_vals))
             L = amp  # |f| <= amp pointwise, so the mass over [0,1] is below amp
-            beta = beta_solve(problem, problem.branch, Fcum, L=L)
-            eq = BetaEquation.build(SolverKernel(problem), problem.branch, Fcum)
+            beta = beta_solve(problem, Fcum, L=L)
+            eq = BetaEquation.build(SolverKernel(problem), Fcum)
             assert abs(eq.value(beta) - target) <= 1e-10
             # bracket ends straddle the target
             s_star_d = target / eq.kernel.disc.k1

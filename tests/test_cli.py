@@ -925,6 +925,51 @@ class TestVerify:
         assert main(["verify", str(table), cfg]) == 4
         assert "FAILED" in capsys.readouterr().out
 
+    DIFFERENCE = """
+[operator]
+name = difference
+alpha = 2
+beta = 0
+
+[weight]
+name = constant
+value = 1.0
+
+[rhs]
+f = 0.05 * cos(x) + 0*t
+psi = 0.05
+
+[problem]
+nu1 = 0.0
+nu2 = 1.5
+T = 1.0
+
+[mesh]
+n = 200
+"""
+
+    @pytest.mark.parametrize("column", [1, 2, 3])
+    def test_nan_at_a_regular_node_fails(self, tmp_path, capsys, column, printed_verification):
+        # a NaN x, dx or u on the row t = 0.5 prints every defect and
+        # fails; only a singular node may leave dx out
+        cfg = write(tmp_path, self.DIFFERENCE)
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 0
+        table = out / "solution.txt"
+        lines = table.read_text().splitlines()
+        parts = lines[101].split(",")
+        assert float(parts[0]) == 0.5
+        parts[column] = "nan"
+        lines[101] = ",".join(parts)
+        table.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(table), cfg]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        printed = printed_verification(captured.out)
+        assert printed["ok"] == "false"
+        assert "nan" in [printed[key] for key in printed if key != "ok"]
+
     def test_grid_mismatch_exits_one(self, tmp_path, capsys):
         cfg300 = write(tmp_path, QUADRATIC.format(n=300), "a.cfg")
         cfg200 = write(tmp_path, QUADRATIC.format(n=200), "b.cfg")
@@ -1119,3 +1164,38 @@ def test_readme_quick_start_prints_what_readme_shows(tmp_path, monkeypatch, caps
                 assert any(p.startswith(line[: -len("...)")]) for p in printed), line
             else:
                 assert line in printed, line
+
+
+def test_readme_calls_name_package_attributes():
+    # each `name(` and `Class.method(` the README writes in code is
+    # something a phibvp module defines; builtins, the expression
+    # language's functions and capitalised or one-letter maths (Phi(s*),
+    # u(t)) are not package names
+    import builtins
+    import importlib
+    import pkgutil
+
+    from phibvp.expressions import BINARY_FUNCTIONS, UNARY_FUNCTIONS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = [phibvp] + [
+        importlib.import_module(f"phibvp.{info.name}")
+        for info in pkgutil.iter_modules(phibvp.__path__)
+    ]
+    not_ours = set(dir(builtins)) | set(UNARY_FUNCTIONS) | set(BINARY_FUNCTIONS)
+
+    def defined(name):
+        for module in modules:
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if obj is not None:
+                return True
+        return False
+
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)*)\(", readme))
+    checked = sorted(
+        n for n in names if "." in n or (n[0].islower() and len(n) > 1 and n not in not_ours)
+    )
+    assert "verify" in checked
+    assert [n for n in checked if not defined(n)] == []

@@ -1,4 +1,4 @@
-"""Derived-scalar oracles, envelope structure, and orientation reduction."""
+"""Derived-scalar oracles and envelope structure."""
 
 import math
 
@@ -24,7 +24,6 @@ from phibvp import (
     make_rhs,
     make_weight,
     one_plus_t_squared_weight,
-    oriented_problem,
     sqrt_t_weight,
     zero_rhs,
 )
@@ -323,54 +322,3 @@ class TestOddSymmetry:
         sf, sb = derive_scalars(fwd), derive_scalars(bwd)
         assert sf.N2 - sf.N1 == pytest.approx(sb.N2 - sb.N1, abs=1e-10)
 
-
-class TestOrientation:
-    def test_increasing_branch_is_identity(self):
-        prob = _pm_problem()
-        same, flipped = oriented_problem(prob)
-        assert same is prob
-        assert flipped is False
-
-    def test_decreasing_branch_negates(self):
-        phi = make_operator("sine")
-        prob = make_problem(
-            phi,
-            constant_weight(1.0),
-            constant_rhs(0.02),
-            0.0,
-            3.0,
-            1.0,
-            branch_hint=(math.pi / 2, 3 * math.pi / 2),
-        )
-        flip, flipped = oriented_problem(prob)
-        assert flipped is True
-        assert flip.branch.increasing
-        assert flip.branch.image_lo == pytest.approx(-prob.branch.image_hi)
-        assert flip.branch.image_hi == pytest.approx(-prob.branch.image_lo)
-        s = 3.1
-        assert float(flip.phi(s)) == pytest.approx(-math.sin(s), abs=1e-14)
-        assert float(flip.rhs(0.5, 0.0, 0.0)) == pytest.approx(
-            -float(prob.rhs(0.5, 0.0, 0.0))
-        )
-        # psi is a magnitude bound and keeps its sign
-        assert float(flip.rhs.psi_at(0.5)) == pytest.approx(0.02)
-
-    def test_oriented_scalars_mirror_originals(self):
-        phi = make_operator("sine")
-        prob = make_problem(
-            phi,
-            constant_weight(1.0),
-            constant_rhs(0.02),
-            0.0,
-            3.0,
-            1.0,
-            branch_hint=(math.pi / 2, 3 * math.pi / 2),
-        )
-        flip, _ = oriented_problem(prob)
-        sc = derive_scalars(prob)
-        sf = derive_scalars(flip)
-        assert sf.s_star == pytest.approx(sc.s_star, abs=1e-14)
-        # same slope box either way round
-        assert sf.slope_lo == pytest.approx(sc.slope_lo, abs=1e-10)
-        assert sf.slope_hi == pytest.approx(sc.slope_hi, abs=1e-10)
-        assert sf.phi_s_star == pytest.approx(-sc.phi_s_star, abs=1e-14)

@@ -85,6 +85,9 @@ def test_compare_outputs_finds_the_tree_identical_to_itself(tmp_path):
                  "extra perona-sqrt-t stdout of verify solution.txt",
                  "extra sine-decreasing out/solution.txt", "extra sine-decreasing out/record.txt",
                  "extra sine-decreasing stdout of verify solution.txt",
+                 "extra difference-decreasing out/solution.txt",
+                 "extra difference-decreasing out/record.txt",
+                 "extra difference-decreasing stdout of verify solution.txt",
                  # a config with a [sweep] section is swept, not solved
                  "extra perona-sqrt-t-sweep out/sweep.txt",
                  "extra perona-sqrt-t-sweep out/record.txt",
@@ -222,7 +225,7 @@ def test_each_command_samples_weight_and_psi_once(tmp_path, monkeypatch):
     assert len(rows) == 40 and built > 0
     assert calls == {"recip": 1, "psi": built, "self_test": 1}
 
-    # a decreasing branch: the flipped problem shares the discretization
+    # a decreasing branch is solved as it is, on the same discretization
     text = _compare_outputs_module().EXTRA_CASES["sine-decreasing"]
     run("sine", text, "solve")
     assert calls == {"recip": 1, "psi": 1, "self_test": 1}
@@ -274,4 +277,4 @@ def test_every_benchmark_solve_records_what_verify_prints(
         out = tmp_path / case
         assert main(["solve", str(cfg), "-o", str(out)]) == 0
         assert main(["verify", str(out / "solution.txt"), str(cfg)]) == 0
-    assert len(checked) == 2 * workloads.VARIANTS + len(cases) == 34
+    assert len(checked) == 2 * workloads.VARIANTS + len(cases) == 35

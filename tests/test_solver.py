@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from phibvp import (
     BetaBracketError,
     GridFunction,
     InvalidInputError,
+    MonotoneBranch,
+    PhiOperator,
     RhsEvaluationError,
     SENTINEL,
     Weight,
@@ -55,20 +58,20 @@ class TestBetaSolve:
             phi, constant_weight(1.0), zero_rhs(), 0.0, 0.3, 1.0, mesh_n=500
         )
         Fcum = GridFunction(prob.mesh, np.zeros(prob.mesh.nodes.size))
-        beta = beta_solve(prob, prob.branch, Fcum, L=0.0)
+        beta = beta_solve(prob, Fcum, L=0.0)
         assert beta == pytest.approx(0.2752293577981651, abs=1e-11)
 
     def test_linear_forcing_oracle(self):
         # integral of (beta + t) over [0,1] equals 1 forces beta = 1/2
         prob = _identity_problem(zero_rhs(), nu1=0.0, nu2=1.0)
         Fcum = GridFunction(prob.mesh, prob.mesh.nodes.copy())
-        beta = beta_solve(prob, prob.branch, Fcum, L=1.0)
+        beta = beta_solve(prob, Fcum, L=1.0)
         assert beta == pytest.approx(0.5, abs=1e-11)
 
     def test_zero_mean_forcing(self):
         prob = _identity_problem(zero_rhs(), nu1=0.0, nu2=0.0)
         Fcum = GridFunction(prob.mesh, prob.mesh.nodes - 0.5)
-        beta = beta_solve(prob, prob.branch, Fcum, L=0.5)
+        beta = beta_solve(prob, Fcum, L=0.5)
         assert beta == pytest.approx(0.0, abs=1e-11)
 
     def test_result_outside_stated_bracket_is_an_error(self):
@@ -77,7 +80,7 @@ class TestBetaSolve:
         prob = _identity_problem(zero_rhs(), nu1=0.0, nu2=1.0)
         Fcum = GridFunction(prob.mesh, prob.mesh.nodes.copy())
         with pytest.raises(BetaBracketError):
-            beta_solve(prob, prob.branch, Fcum, L=0.2)
+            beta_solve(prob, Fcum, L=0.2)
 
     def test_decreasing_branch_bisection(self):
         phi = make_operator("sine")
@@ -91,7 +94,7 @@ class TestBetaSolve:
             branch_hint=(math.pi / 2, 3 * math.pi / 2),
         )
         Fcum = GridFunction(prob.mesh, np.zeros(prob.mesh.nodes.size))
-        beta = beta_solve(prob, prob.branch, Fcum, L=0.0)
+        beta = beta_solve(prob, Fcum, L=0.0)
         assert beta == pytest.approx(math.sin(3.0), abs=1e-11)
 
     @settings(max_examples=25, deadline=None)
@@ -109,7 +112,7 @@ class TestBetaSolve:
         )
         kern = SolverKernel(prob)
         F = 0.2 * np.sin(freq * prob.mesh.nodes)
-        eq = BetaEquation.build(kern, prob.branch, GridFunction(prob.mesh, F))
+        eq = BetaEquation.build(kern, GridFunction(prob.mesh, F))
         lo, hi = sorted((xi1, xi2))
         assert eq.value(lo) < eq.value(hi)
 
@@ -165,7 +168,7 @@ class TestBetaSolve:
         kern = SolverKernel(prob)
         F = 0.05 * np.sin(3.0 * prob.mesh.nodes)
         Fcum = GridFunction(prob.mesh, np.cumsum(F) / F.size)
-        return BetaEquation.build(kern, prob.branch, Fcum)
+        return BetaEquation.build(kern, Fcum)
 
     def test_guess_is_only_a_first_trial_point(self, monkeypatch):
         eq = self._sweep_equation()
@@ -238,7 +241,7 @@ class TestBetaSolve:
             branch_hint=(math.pi / 2, 3 * math.pi / 2),
         )
         eq = BetaEquation.build(
-            SolverKernel(sine), sine.branch,
+            SolverKernel(sine),
             GridFunction(sine.mesh, 0.05 * np.sin(5.0 * sine.mesh.nodes)),
         )
         cold = eq.solve(1e-12)
@@ -278,7 +281,7 @@ class TestBetaSolve:
         )
         t = prob.mesh.nodes
         eq = BetaEquation.build(
-            SolverKernel(prob), prob.branch, GridFunction(prob.mesh, a * np.sin(w * t) + b * t)
+            SolverKernel(prob), GridFunction(prob.mesh, a * np.sin(w * t) + b * t)
         )
         calls = []
         real_value = BetaEquation.value
@@ -296,7 +299,7 @@ class TestBetaSolve:
             phi, one_plus_t_squared_weight(), zero_rhs(), 0.0, 0.4, 2.0, mesh_n=300
         )
         F = 0.3 * np.sin(3.0 * prob.mesh.nodes)
-        eq = BetaEquation.build(SolverKernel(prob), prob.branch, GridFunction(prob.mesh, F))
+        eq = BetaEquation.build(SolverKernel(prob), GridFunction(prob.mesh, F))
         calls = []
         real_value = BetaEquation.value
         monkeypatch.setattr(
@@ -313,7 +316,7 @@ class TestBetaSolve:
             0.0, 0.5, 1.0, mesh_n=200,
         )
         eq = BetaEquation.build(
-            SolverKernel(prob), prob.branch, GridFunction(prob.mesh, 2.5 * prob.mesh.nodes)
+            SolverKernel(prob), GridFunction(prob.mesh, 2.5 * prob.mesh.nodes)
         )
         with pytest.raises(BetaBracketError) as info:
             eq.solve(1e-12)
@@ -330,7 +333,7 @@ class TestBetaSolve:
             0.0, 0.5, 1.0, mesh_n=200,
         )
         eq = BetaEquation.build(
-            SolverKernel(prob), prob.branch,
+            SolverKernel(prob),
             GridFunction(prob.mesh, np.zeros(prob.mesh.nodes.size)),
         )
         real_value = BetaEquation.value
@@ -574,12 +577,79 @@ class TestSolve:
         )
         report = solve(prob)
         assert report.status == "converged"
-        assert report.flipped is True
         assert report.boundary_defect <= 1e-10
-        # u must be Phi(k x') = sin(x') in the original orientation
+        # u must be Phi(k x') = sin(x'), with the branch's own sign
         pointwise = np.sin(report.x_prime.values)
         assert np.max(np.abs(report.u.values - pointwise)) <= 1e-9
         assert report.x_in_box and report.xp_in_envelopes
+
+    @staticmethod
+    def _negated_mirror(prob):
+        # the increasing problem with -Phi, its branch and -f: the same x,
+        # with u and beta negated
+        phi, br, rhs = prob.phi, prob.branch, prob.rhs
+        inv = br.inverse
+        return replace(
+            prob,
+            phi=PhiOperator(
+                name=f"neg_{phi.name}",
+                fn=lambda s: -np.asarray(phi.fn(s), dtype=float),
+                odd=phi.odd,
+            ),
+            branch=MonotoneBranch(
+                br.lo, br.hi, True, -br.image_hi, -br.image_lo,
+                inverse=None if inv is None else (lambda y: inv(-np.asarray(y, dtype=float))),
+            ),
+            rhs=Rhs(
+                fn=lambda t, x, y: -np.asarray(rhs.fn(t, x, y), dtype=float),
+                psi=rhs.psi,
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "operator, weight, f, psi, nu2, hint",
+        [
+            ("sine", constant_weight(1.0), "cos(pi t)", 0.05, 3.0, (math.pi / 2, 3 * math.pi / 2)),
+            ("sine", sqrt_t_weight(), "cos(x) sin(y)", 0.05, 6.0, (math.pi / 2, 3 * math.pi / 2)),
+            ("perona_malik", constant_weight(1.0), "cos(x) sin(y)", 0.02, 2.0, None),
+            ("difference", one_plus_t_squared_weight(), "cos(x) sin(y)", 0.015, 0.3, None),
+        ],
+    )
+    def test_decreasing_branch_mirrors_negated_problem(
+        self, monkeypatch, operator, weight, f, psi, nu2, hint
+    ):
+        params = {"alpha": 2.0, "beta": 0.0} if operator == "difference" else {}
+        shape = {
+            "cos(pi t)": lambda t, x, y: np.cos(np.pi * t) + 0.0 * x,
+            "cos(x) sin(y)": lambda t, x, y: np.cos(x) * np.sin(y) + 0.0 * t,
+        }[f]
+        rhs = Rhs(
+            fn=lambda t, x, y: psi * shape(t, x, y),
+            psi=lambda t: np.full_like(np.asarray(t, dtype=float), psi),
+        )
+        prob = make_problem(
+            make_operator(operator, **params), weight, rhs, 0.0, nu2, 1.0,
+            branch_hint=hint, mesh_n=300,
+        )
+        assert not prob.branch.increasing
+        mirror = self._negated_mirror(prob)
+        expected = solve(mirror)
+        assert expected.status == "converged"
+
+        calls = []
+        real = solver_mod.derive_scalars
+        monkeypatch.setattr(
+            solver_mod, "derive_scalars", lambda problem: calls.append(problem) or real(problem)
+        )
+        report = solve(prob)
+        # the problem is solved as it is given: no second, flipped copy
+        assert len(calls) == 1 and calls[0] is prob
+        assert report.status == "converged"
+        assert np.array_equal(report.x.values, expected.x.values)
+        assert np.array_equal(report.x_prime.values, expected.x_prime.values)
+        assert np.array_equal(report.u.values, -expected.u.values)
+        assert report.beta == -expected.beta
+        assert report.iterations == expected.iterations
 
     def test_singular_weight_square_root_profile(self):
         phi = make_operator("r_laplacian", r=2.0)
