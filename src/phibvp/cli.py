@@ -11,8 +11,12 @@ Only a solver failure after a passed check is mapped by its command
 ("solver error: ...", record written, exit 4); a sweep row names its class.
 
 All numeric output is decimal with 17 significant digits so tables
-round-trip doubles exactly.  Run records reuse the config text format
-and therefore round-trip through parse_config.
+round-trip doubles exactly.  Solution tables are written a block of rows
+at a time by g17.encode_rows, a vectorised encoder whose bytes are those
+of %.17g; the values it cannot certify (zeros, NaN, infinities,
+magnitudes outside [1e-280, 1e280], near-ties) it formats with % itself.
+Run records reuse the config text format and therefore round-trip
+through parse_config.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .config import (
     with_overrides,
 )
 from .errors import ConfigError, PhibvpError
+from .g17 import encode_rows
 # cumulative_integral is unused here; perfbench/tracing.py still patches cli's binding
 from .grid import Mesh, cumulative_integral  # noqa: F401
 from .halfline import HeteroclinicReport, solve_halfline
@@ -49,9 +54,9 @@ EXIT_INCONCLUSIVE = 3
 EXIT_NUMERIC = 4
 
 TABLE_HEADER = "t,x,dx,u"
-# %.17g is the conversion of _fmt; rows are formatted a block at a time
-TABLE_ROW = "%.17g,%.17g,%.17g,%.17g\n"
-TABLE_BLOCK_ROWS = 4096
+# rows are encoded a block at a time, so the writer's work arrays do not
+# grow with the table
+TABLE_BLOCK_ROWS = 1024
 
 
 def _fmt(value: float) -> str:
@@ -67,16 +72,19 @@ def _sanitize(text: str) -> str:
 
 
 def write_solution_table(path: str, mesh: Mesh, report: SolveReport) -> None:
-    """Write t, x, dx, u on `mesh`; dx is nan at singular nodes."""
-    dx = np.where(mesh.singular_mask(), np.nan, report.x_prime.values)
-    columns = (mesh.nodes, report.x.values, dx, report.u.values)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(TABLE_HEADER + "\n")
+    """Write t, x, dx, u on `mesh`, each value as %.17g; dx is nan at
+    singular nodes."""
+    columns = (mesh.nodes, report.x.values, report.x_prime.values, report.u.values)
+    with open(path, "wb") as handle:
+        handle.write(TABLE_HEADER.encode() + b"\n")
         for start in range(0, mesh.nodes.size, TABLE_BLOCK_ROWS):
             block = np.column_stack(
                 [col[start : start + TABLE_BLOCK_ROWS] for col in columns]
             )
-            handle.write(TABLE_ROW * len(block) % tuple(block.ravel().tolist()))
+            for i in mesh.singular_indices:
+                if start <= i < start + len(block):
+                    block[i - start, 2] = np.nan
+            handle.write(encode_rows(block))
 
 
 def read_solution_table(path: str):

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import phibvp
-from phibvp import BetaBracketError, ConfigError, cli, derive_scalars, parse_config
+from phibvp import BetaBracketError, ConfigError, cli, derive_scalars, g17, parse_config
 from phibvp import config as config_mod
 from phibvp.config import ProblemConfig
 from phibvp.cli import TABLE_BLOCK_ROWS, main, read_solution_table, write_solution_table
@@ -1015,6 +1016,60 @@ n = 200
         assert "must start with" in capsys.readouterr().err
 
 
+# configs shaped like the benchmark's tables: the difference operator at
+# n = 1e4, perona at n = 2000, the last half-line interval [0, 160] at 200
+# cells per unit, and a sqrt_t weight whose slope is nan at t = 0
+TABLE_DIFFERENCE = """
+[operator]
+name = difference
+alpha = 2
+beta = 0
+
+[weight]
+name = constant
+value = 1.0
+
+[rhs]
+f = 0.05 * cos(x) * sin(y)
+psi = 0.05
+
+[problem]
+nu1 = 0.0
+nu2 = 1.5
+T = 1.0
+
+[mesh]
+n = 10000
+"""
+
+TABLE_PERONA = PERONA.format(nu2=0.05) + "\n[mesh]\nn = 2000\n"
+
+TABLE_HALFLINE_INTERVAL = """
+[operator]
+name = r_laplacian
+r = 2
+
+[weight]
+name = one_plus_t_squared
+
+[rhs]
+example = halfline1
+
+[problem]
+nu1 = 0.0
+nu2 = 0.2
+T = 160.0
+
+[mesh]
+n = 32000
+"""
+
+TABLE_SQRT_T = (
+    TABLE_PERONA.replace("name = constant\nvalue = 1.0", "name = sqrt_t")
+    .replace("M = 1.0\nN = 1.0", "M = 0.5\nN = 0.1")
+)
+
+
 class TestSolutionTable:
     def test_block_writer_matches_per_value_format(self, tmp_path):
         n = 2 * TABLE_BLOCK_ROWS + 2
@@ -1047,6 +1102,49 @@ class TestSolutionTable:
         assert text == "".join(expected)
         for piece in ("nan", "-inf", "4.9406564584124654e-324", "1.0000000000000001e+300", ",-0,"):
             assert piece in text
+
+    @pytest.mark.parametrize(
+        "text",
+        [TABLE_DIFFERENCE, TABLE_PERONA, TABLE_HALFLINE_INTERVAL, TABLE_SQRT_T],
+        ids=["difference-1e4", "perona-2000", "halfline-0-160", "sqrt_t-nan-dx"],
+    )
+    def test_only_zeros_and_nans_take_the_percent_fallback(self, tmp_path, monkeypatch, text):
+        cfg = config_mod.load_problem_config(parse_config(text))
+        problem = cfg.build_finite()
+        report = phibvp.solve(problem, cfg.iteration)
+        fallback = []
+        exact = g17._exact
+        monkeypatch.setattr(g17, "_exact", lambda v: fallback.append(v) or exact(v))
+        path = tmp_path / "table.txt"
+        write_solution_table(str(path), problem.mesh, report)
+        table = np.array(read_solution_table(str(path)))
+        special = (table == 0.0) | np.isnan(table)
+        assert len(fallback) == special.sum() <= 4
+        assert np.isnan(table[2]).sum() == len(problem.mesh.singular_indices)
+
+    def test_peak_memory_does_not_grow_with_the_table(self, tmp_path):
+        """Blocks of TABLE_BLOCK_ROWS rows bound the writer's work arrays.
+        The bound is below the 1.58 MiB that formatting the 64k-row table
+        with % a block of 4096 rows at a time peaks at."""
+        peaks = []
+        for n in (1 << 14, 1 << 16):
+            nodes = np.linspace(0.0, 160.0, n)
+            mesh = Mesh(nodes, singular_indices=(0,))
+            report = SimpleNamespace(
+                x=SimpleNamespace(values=np.tanh(nodes)),
+                x_prime=SimpleNamespace(values=1.0 / np.cosh(nodes) ** 2),
+                u=SimpleNamespace(values=np.sin(nodes)),
+            )
+            path = str(tmp_path / f"table_{n}.txt")
+            write_solution_table(path, mesh, report)  # builds the encoder's tables
+            tracemalloc.start()
+            try:
+                write_solution_table(path, mesh, report)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * 2**20
+        assert peaks[1] <= peaks[0] + 64 * 2**10
 
 
 PLAPLACIAN_DEGENERATE = """

@@ -1,4 +1,4 @@
-"""Contract fuzz of `phibvp check` and `phibvp solve`.
+"""Contract fuzz of `phibvp check`, `phibvp solve` and `phibvp halfline`.
 
 Configs are drawn from the catalogs (operator, weight, worked-example or
 expression right-hand side), boundary values on both sides of the branch
@@ -8,19 +8,23 @@ problems, and valid and invalid sampling lattices.  Whatever is drawn,
 exactly when it prints a `config error: ` line first on stderr.  A table
 that `solve` writes holds no NaN outside the slopes at singular nodes, and
 `verify` passes every table of a converged solve and prints the defects
-that the solve's record holds.
+that the solve's record holds.  `halfline` runs a short schedule; each
+interval table it writes parses, holds no NaN outside the slopes at
+singular nodes, and verifies against its interval's finite config when
+that interval converged.
 """
 
 import contextlib
 import io
+import re
 
 import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phibvp.cli import main
-from phibvp.config import CHECK_KINDS, parse_config
+from phibvp.cli import main, read_solution_table
+from phibvp.config import CHECK_KINDS, load_problem_config, parse_config
 
 OPERATORS = (
     "name = r_laplacian\nr = 3.0",
@@ -135,3 +139,84 @@ def test_solve_writes_tables_that_verify(tmp_path_factory, printed_verification,
         # the record's verification is what verify prints on its table
         record = parse_config((work / "out" / "record.txt").read_text())
         assert record.section("solve.verification") == printed_verification(out), text
+
+
+HALFLINE_RHS = (
+    None,
+    "example = halfline1",
+    "example = halfline2",
+    "f = 0.1*sin(y)/(1 + t*t)\npsi = 0.1/(1 + t*t)",
+)
+HALFLINE_CHECKS = ("auto", "halfline-odd", "halfline\nl_lip = 1.0\ndelta = 0.5")
+# 1/k must be integrable on the half line for a check to pass
+HALFLINE_WEIGHTS = ("name = one_plus_t_squared", "expr = 1 + t*t*t") + WEIGHTS
+
+
+@st.composite
+def halfline_configs(draw) -> str:
+    sections = [
+        f"[operator]\n{draw(st.sampled_from(OPERATORS))}",
+        f"[weight]\n{draw(st.sampled_from(HALFLINE_WEIGHTS))}",
+    ]
+    rhs = draw(st.sampled_from(HALFLINE_RHS))
+    if rhs is not None:
+        sections.append(f"[rhs]\n{rhs}")
+    nu2 = draw(st.sampled_from((0.0, 0.05, 0.2, 0.5, -0.2)))
+    sections.append(f"[problem]\nnu1 = 0.0\nnu2 = {nu2!r}\nhalfline = true")
+    sections.append(f"[check]\nkind = {draw(st.sampled_from(HALFLINE_CHECKS))}")
+    schedule = draw(st.sampled_from(("2, 4", "2, 4, 8")))
+    tol_h = draw(st.sampled_from((1e-3, 5e-2)))
+    cells = draw(st.sampled_from((5, 20)))
+    sections.append(
+        f"[halfline]\nschedule = {schedule}\ntol_h = {tol_h!r}\ncells_per_unit = {cells}"
+    )
+    return "\n\n".join(sections) + "\n"
+
+
+def interval_config(text: str, T: float) -> str:
+    """The finite problem that one interval [0, T] of `text` solves."""
+    doc = parse_config(text)
+    cells = max(2, round(float(doc.section("halfline")["cells_per_unit"]) * T))
+    body = "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs) + "\n"
+        for name, pairs in doc.sections
+        if name not in ("problem", "check", "halfline")
+    )
+    nu2 = doc.section("problem")["nu2"]
+    return body + f"[problem]\nnu1 = 0.0\nnu2 = {nu2}\nT = {T!r}\n\n[mesh]\nn = {cells}\n"
+
+
+INTERVAL_LINE = re.compile(r"^interval \[0, (\S+)\]: (\S+), gap ", re.M)
+
+
+@given(text=halfline_configs())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_halfline_writes_interval_tables_that_verify(tmp_path_factory, text):
+    work = tmp_path_factory.mktemp("halfline")
+    path = work / "problem.cfg"
+    path.write_text(text)
+    code, err, out = _main(["halfline", str(path), "-o", str(work / "out")])
+    assert code in (0, 1, 2, 3, 4), text
+    assert (code == 1) == err.startswith("config error: "), text + err
+    assert (code == 2) == ("overall: fail" in out), text + out
+    assert (code == 3) == ("overall: inconclusive" in out), text + out
+    if code in (0, 4) and not err:
+        converged = "halfline: converged," in out
+        assert (code == 0) == converged, text + out
+    if code == 4 and err:
+        assert err.startswith(("solver error: ", "error: ")), text + err
+
+    statuses = dict(INTERVAL_LINE.findall(out))
+    tables = sorted((work / "out").glob("interval_*.txt"))
+    assert len(tables) == len(statuses), text + out
+    for table in tables:
+        label = table.stem.split("_", 1)[1]
+        cfg = work / f"interval_{label}.cfg"
+        cfg.write_text(interval_config(text, float(label)))
+        t, x, dx, u = read_solution_table(str(table))
+        assert not np.isnan(np.concatenate((t, x, u))).any(), text
+        mesh = load_problem_config(parse_config(cfg.read_text())).build_finite().mesh
+        assert not np.isnan(dx[~mesh.singular_mask()]).any(), text
+        if statuses[label] == "converged":
+            vcode, _, vout = _main(["verify", str(table), str(cfg)])
+            assert vcode == 0 and "verification: ok" in vout, text + vout
