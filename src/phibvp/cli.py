@@ -95,6 +95,12 @@ def read_solution_table(path: str):
                 raise ConfigError(
                     f"solution table must start with {TABLE_HEADER!r}, got {header!r}"
                 )
+            # np.loadtxt only warns on a table without rows
+            rows = handle.tell()
+            while not (line := handle.readline()).strip():
+                if not line:
+                    raise ConfigError(f"solution table {path!r} has no rows")
+            handle.seek(rows)
             data = np.loadtxt(handle, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read table {path!r}: {exc}") from exc

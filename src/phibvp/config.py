@@ -52,7 +52,7 @@ from .problem import (
     sample_weight,
     zero_rhs,
 )
-from .solver import IterationConfig
+from .solver import MIN_OMEGA, SECANT_WINDOW, IterationConfig
 
 CHECK_KINDS = (
     "auto",
@@ -623,20 +623,22 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
 
     it = _Section(doc, "iteration")
     base = IterationConfig()
-    acceleration = it.raw("acceleration", base.acceleration)
-    if acceleration not in ("secant", "none"):
-        raise it.error("acceleration", f"expected secant or none, got {acceleration!r}")
     with _config_errors("[iteration]"):
         iteration = IterationConfig(
             omega=it.get_float("omega", base.omega),
             max_outer=it.get_int("max_outer", base.max_outer),
             tol_fp=it.get_float("tol_fp", base.tol_fp),
             tol_beta=it.get_float("tol_beta", base.tol_beta),
-            acceleration=acceleration,
-            window=it.get_int("window", base.window),
             stagnation=it.get_int("stagnation", base.stagnation),
-            min_omega=it.get_float("min_omega", base.min_omega),
         )
+    # solver constants: older records echo them, so their value is accepted
+    for key, get, fixed in (
+        ("acceleration", it.raw, "secant"),
+        ("window", it.get_int, SECANT_WINDOW),
+        ("min_omega", it.get_float, MIN_OMEGA),
+    ):
+        if get(key, fixed) != fixed:
+            raise it.error(key, f"fixed at {fixed}, got {it.raw(key)!r}")
     # accepted and ignored: verify runs on the table's own nodes
     it.get_int("verify_refine")
 

@@ -3,7 +3,10 @@
 The quadrature rule is composite trapezoid.  Meshes may flag singular
 nodes (points where an integrand such as 1/k blows up); the cells that
 touch a singular node are integrated with the midpoint rule instead, so
-the integrand is never sampled at the singular point itself.
+the integrand is never sampled at the singular point itself.  Only the
+data functions 1/k and psi are sampled at those midpoints
+(sample_midpoints); every other grid function, f and whatever depends on
+the iterate, takes its finite endpoint's value there (midvalues).
 
 Graded meshes crowd their nodes toward each singular point p by the power
 map u -> u^q, q = GRADING_EXPONENT.  If 1/k ~ |t - p|^-a, the midpoint
@@ -206,16 +209,14 @@ def _locate_singular(nodes: np.ndarray, points: Sequence[float]) -> tuple[int, .
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Nodal values on a mesh, with an optional pointwise evaluator.
+    """Nodal values on a mesh.
 
-    The evaluator, when present, supplies values at cell midpoints for the
-    midpoint-rule cells next to singular nodes; without it those cells fall
-    back to the finite endpoint (or the endpoint mean away from flags).
+    On the midpoint-rule cells next to singular nodes it takes its finite
+    endpoint's value (see midvalues).
     """
 
     mesh: Mesh
     values: np.ndarray
-    evaluator: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         vals = _as_float_array(self.values)
@@ -226,9 +227,7 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
     @staticmethod
-    def from_callable(
-        mesh: Mesh, fn: Callable, fill: float = 0.0, keep_evaluator: bool = True
-    ) -> "GridFunction":
+    def from_callable(mesh: Mesh, fn: Callable, fill: float = 0.0) -> "GridFunction":
         """Sample fn at the nodes; flagged singular nodes get `fill` instead."""
         with np.errstate(all="ignore"):
             vals = np.asarray(fn(mesh.nodes), dtype=float)
@@ -241,11 +240,7 @@ class GridFunction:
             raise InvalidInputError(
                 f"callable produced non-finite value at node {bad} (t={float(mesh.nodes[bad])!r})"
             )
-        return GridFunction(mesh, vals, evaluator=fn if keep_evaluator else None)
-
-    def interp(self, t) -> np.ndarray:
-        """Piecewise-linear interpolation of the nodal values."""
-        return np.interp(t, self.mesh.nodes, self.values)
+        return GridFunction(mesh, vals)
 
 
 def same_mesh(a: GridFunction, b: GridFunction) -> Mesh:
@@ -254,30 +249,32 @@ def same_mesh(a: GridFunction, b: GridFunction) -> Mesh:
     raise MeshMismatchError("grid functions live on different meshes")
 
 
-def midvalues(mesh: Mesh, values: np.ndarray, evaluator) -> np.ndarray:
-    """Values at the midpoints of mesh.mid_cells: the evaluator's, or
-    endpoint stand-ins without one."""
+def sample_midpoints(mesh: Mesh, fn: Callable) -> np.ndarray:
+    """fn at the midpoints of mesh.mid_cells, where it must be finite."""
     cells = mesh.mid_cells
     if not cells.size:
         return np.empty(0)
-    if evaluator is None:
-        # the endpoint mean, or the finite endpoint of a cell that touches
-        # a flagged singular node
-        singular = mesh.singular_mask()
-        lo, hi = values[cells], values[cells + 1]
-        mids = np.where(singular[cells], hi, 0.5 * (lo + hi))
-        return np.where(singular[cells + 1], lo, mids)
     with np.errstate(all="ignore"):
-        mids = np.asarray(evaluator(mesh.midpoints[cells]), dtype=float)
+        mids = np.asarray(fn(mesh.midpoints[cells]), dtype=float)
     if mids.shape == ():
         mids = np.full(cells.shape, float(mids))
     if not np.all(np.isfinite(mids)):
         bad = int(np.argmax(~np.isfinite(mids)))
         raise InvalidInputError(
-            "evaluator produced non-finite midpoint value near "
+            "callable produced non-finite midpoint value near "
             f"t={float(mesh.midpoints[cells[bad]])!r}"
         )
     return mids
+
+
+def midvalues(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """Stand-ins for nodal values at the midpoints of mesh.mid_cells: the
+    finite endpoint's value, or the left placeholder on a cell with two
+    singular ends."""
+    cells = mesh.mid_cells
+    if not cells.size:
+        return np.empty(0)
+    return np.where(mesh.singular_mask()[cells + 1], values[cells], values[cells + 1])
 
 
 def running_integral(
@@ -302,7 +299,7 @@ def running_integral(
 
 def cumulative_integral(g: GridFunction) -> GridFunction:
     """Running integral G(t_j) = integral of g over [0, t_j], G(0) = 0."""
-    mids = midvalues(g.mesh, g.values, g.evaluator)
+    mids = midvalues(g.mesh, g.values)
     return GridFunction(g.mesh, running_integral(g.mesh, g.values, mids))
 
 
@@ -315,17 +312,21 @@ def norm(g: GridFunction, p: float = 1.0) -> float:
     """L^p norm, p >= 1, via the mesh quadrature, or the nodal sup for p = inf.
 
     Flagged singular nodes never contribute: the sup skips them and the
-    quadrature cells around them use midpoint sampling.
+    quadrature cells around them take the finite endpoint's value.
     """
     if not (p >= 1.0):
         raise InvalidInputError("norm exponent must satisfy p >= 1")
-    return lp_norm(g.mesh, g.values, float(p), g.evaluator)
+    return lp_norm(g.mesh, g.values, float(p))
 
 
-def lp_norm(mesh: Mesh, values: np.ndarray, p: float, evaluator=None) -> float:
+def lp_norm(
+    mesh: Mesh, values: np.ndarray, p: float, mid_values: np.ndarray | None = None
+) -> float:
     """`norm` of nodal values that need not form a GridFunction.
 
     |v|^p must be finite at every node, as a GridFunction's values must.
+    mid_values, when given, are samples at the midpoints of mesh.mid_cells
+    (as from sample_midpoints) in place of the endpoint stand-ins.
     """
     if math.isinf(p):
         if not np.all(np.isfinite(values)):
@@ -333,10 +334,10 @@ def lp_norm(mesh: Mesh, values: np.ndarray, p: float, evaluator=None) -> float:
         return float(np.max(np.abs(values[~mesh.singular_mask()])))
     with np.errstate(over="ignore"):
         powered = np.abs(values) ** p
-    if not np.all(np.isfinite(powered)):
+        mids = midvalues(mesh, powered) if mid_values is None else np.abs(mid_values) ** p
+    if not (np.all(np.isfinite(powered)) and np.all(np.isfinite(mids))):
         raise InvalidInputError("grid function values must be finite")
-    ev = None if evaluator is None else (lambda t: np.abs(evaluator(t)) ** p)
-    total = float(running_integral(mesh, powered, midvalues(mesh, powered, ev))[-1])
+    total = float(running_integral(mesh, powered, mids)[-1])
     return float(total ** (1.0 / p))
 
 

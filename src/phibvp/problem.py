@@ -16,8 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchError, CompatibilityError, EnvelopeError, InvalidInputError
-from .grid import SENTINEL, GridFunction, Mesh, integrate, lp_norm, midvalues
-from .grid import running_integral
+from .grid import SENTINEL, GridFunction, Mesh, lp_norm, running_integral, sample_midpoints
 from .operators import MonotoneBranch, PhiOperator, find_branch, partial_inverse
 
 # reference mesh and tolerance of the K self-test (sqrt_t is off by 1e-6)
@@ -46,8 +45,7 @@ class Weight:
         if K is None:
             return
         points = [p for p in self.singular_points if 0.0 <= p <= 1.0]
-        ref = Mesh.graded(1.0, K_SELFTEST_CELLS, points)
-        quad = integrate(GridFunction.from_callable(ref, self.recip, fill=0.0))
+        quad = sample_weight(self, Mesh.graded(1.0, K_SELFTEST_CELLS, points)).k1
         exact = float(K(1.0)) - float(K(0.0))
         if not abs(quad - exact) <= K_SELFTEST_RTOL * max(1.0, abs(exact)):
             raise InvalidInputError(
@@ -165,6 +163,9 @@ class Discretization:
 
     Node arrays hold a placeholder zero at singular nodes; the midpoint
     arrays sample the midpoints of the midpoint-rule cells, mesh.mid_cells.
+    These two are the only functions the package evaluates off the nodes:
+    whatever depends on the iterate (f, its running integral F and
+    Phi^{-1}(beta + F)) takes its finite endpoint's value on those cells.
     1/k comes first, because s* = (nu2 - nu1)/k1 parametrises some
     right-hand sides; psi_n and psi_mid stay None until with_psi.
     """
@@ -184,7 +185,7 @@ class Discretization:
     def with_psi(self, rhs: Rhs) -> "Discretization":
         """A copy that also holds psi; a non-finite sample is an error."""
         psi_n = GridFunction.from_callable(self.mesh, rhs.psi_at, fill=0.0).values
-        psi_mid = midvalues(self.mesh, psi_n, rhs.psi_at)
+        psi_mid = sample_midpoints(self.mesh, rhs.psi_at)
         return replace(self, psi_n=psi_n, psi_mid=psi_mid)
 
 
@@ -192,7 +193,7 @@ def sample_weight(weight: Weight, mesh: Mesh) -> Discretization:
     """1/k on the mesh, without psi (see Discretization.with_psi); away from
     singular nodes it must be positive and finite, and so must k1."""
     recip_n = GridFunction.from_callable(mesh, weight.recip, fill=0.0).values
-    recip_mid = midvalues(mesh, recip_n, weight.recip)
+    recip_mid = sample_midpoints(mesh, weight.recip)
     if np.any(recip_n[~mesh.singular_mask()] <= 0.0) or np.any(recip_mid <= 0.0):
         raise InvalidInputError("weight must be positive away from singular points")
     disc = Discretization(
@@ -308,8 +309,7 @@ def derive_scalars(problem: BvpProblem) -> DerivedScalars:
     slope_lo, slope_hi = sorted((A_star, B_star))
     return DerivedScalars(
         k1=k1,
-        # the evaluator serves the midpoint-rule midpoints, sampled already
-        kp=lp_norm(disc.mesh, disc.recip_n, problem.p, lambda t: disc.recip_mid),
+        kp=lp_norm(disc.mesh, disc.recip_n, problem.p, disc.recip_mid),
         s_star=s_star,
         L=L,
         psi_min=psi_min,

@@ -56,6 +56,7 @@ from .grid import (
     difference_residual,
     forward_difference_residual,
     lp_norm,
+    midvalues,
     running_integral,
     same_mesh,
 )
@@ -77,43 +78,39 @@ _CLIP_RTOL = 1e-12
 # Cap on the scalar-map evaluations of one beta solve inside its bracket.
 BETA_MAX_ITER = 200
 
+# The outer loop's secant step mixes the last SECANT_WINDOW sweep outputs;
+# stagnation halves omega down to MIN_OMEGA.
+SECANT_WINDOW = 3
+MIN_OMEGA = 1.0 / 16.0
+
 
 @dataclass(frozen=True)
 class IterationConfig:
     """Knobs for the Picard loop; defaults suit the catalog problems.
 
     omega = 1 leaves the sweep outputs undamped.  After `stagnation`
-    sweeps without a new smallest step, omega halves, down to min_omega.
+    sweeps without a new smallest step, omega halves, down to MIN_OMEGA.
     """
 
     omega: float = 1.0
     max_outer: int = 200
     tol_fp: float = 1e-10
     tol_beta: float = 1e-12
-    acceleration: str = "secant"
-    window: int = 3
     stagnation: int = 10
-    min_omega: float = 1.0 / 16.0
 
     def __post_init__(self):
         # each message starts with the field name, which is also the
         # [iteration] config key
-        if not (0.0 < self.omega <= 1.0):
-            raise InvalidInputError("omega (damping) must lie in (0, 1]")
+        if not (MIN_OMEGA <= self.omega <= 1.0):
+            raise InvalidInputError(f"omega (damping) must lie in [{MIN_OMEGA}, 1]")
         if self.max_outer < 1:
             raise InvalidInputError("max_outer must be at least 1")
         if not self.tol_fp > 0:
             raise InvalidInputError("tol_fp must be positive")
         if not self.tol_beta > 0:
             raise InvalidInputError("tol_beta must be positive")
-        if self.acceleration not in ("none", "secant"):
-            raise InvalidInputError("acceleration must be 'none' or 'secant'")
-        if self.window < 1:
-            raise InvalidInputError("window must be at least 1")
         if self.stagnation < 1:
             raise InvalidInputError("stagnation must be at least 1")
-        if not (0.0 < self.min_omega <= self.omega):
-            raise InvalidInputError("min_omega must lie in (0, omega]")
 
 
 class SolverKernel:
@@ -133,7 +130,6 @@ class BetaEquation:
     branch: MonotoneBranch
     phi: Callable
     F_n: np.ndarray
-    F_mid: np.ndarray
     target: float
     # the last (xi, cumulative(xi)): the solve ends on the point g_map
     # integrates, so that integration is free
@@ -144,18 +140,16 @@ class BetaEquation:
         mesh = kernel.disc.mesh
         if Fcum.mesh is not mesh and not np.array_equal(Fcum.mesh.nodes, mesh.nodes):
             raise InvalidInputError("cumulative grid lives on a different mesh")
-        F_n = Fcum.values
-        F_mid = np.interp(mesh.midpoints[mesh.mid_cells], mesh.nodes, F_n)
         problem = kernel.problem
         target = problem.nu2 - problem.nu1
-        return BetaEquation(kernel, problem.branch, problem.phi, F_n, F_mid, target)
+        return BetaEquation(kernel, problem.branch, problem.phi, Fcum.values, target)
 
     def _slopes(self, xi: float) -> tuple[np.ndarray, np.ndarray]:
-        packed = np.concatenate((xi + self.F_n, xi + self.F_mid))
-        inv = partial_inverse_array(self.phi, self.branch, packed)
-        n = self.F_n.size
+        # Phi^{-1}(xi + F) at the nodes only; the midpoint-rule cells take
+        # its finite endpoint's value, times 1/k sampled at their midpoints
+        inv = partial_inverse_array(self.phi, self.branch, xi + self.F_n)
         disc = self.kernel.disc
-        return disc.recip_n * inv[:n], disc.recip_mid * inv[n:]
+        return disc.recip_n * inv, disc.recip_mid * midvalues(disc.mesh, inv)
 
     def cumulative(self, xi: float) -> tuple[np.ndarray, np.ndarray]:
         """Running integral of (1/k)Phi^{-1}(xi + F) and its nodal integrand."""
@@ -190,8 +184,7 @@ class BetaEquation:
             )
         with np.errstate(all="ignore"):
             phi_sd = float(np.asarray(self.phi(s_star_d)))
-        m_F = float(min(self.F_n.min(), self.F_mid.min()) if self.F_mid.size else self.F_n.min())
-        M_F = float(max(self.F_n.max(), self.F_mid.max()) if self.F_mid.size else self.F_n.max())
+        m_F, M_F = float(self.F_n.min()), float(self.F_n.max())
         pad = 1e-12 * (1.0 + abs(phi_sd) + abs(m_F) + abs(M_F))
         lo = phi_sd - M_F - pad
         hi = phi_sd - m_F + pad
@@ -229,8 +222,9 @@ class BetaEquation:
         if guess is not None and lo < guess < hi:
             x = guess
         else:
+            F_ends = midvalues(disc.mesh, self.F_n)
             F_int = running_integral(
-                disc.mesh, disc.recip_n * self.F_n, disc.recip_mid * self.F_mid
+                disc.mesh, disc.recip_n * self.F_n, disc.recip_mid * F_ends
             )
             F_mean = float(F_int[-1]) / disc.k1
             x = min(max(phi_sd - F_mean, lo), hi)
@@ -346,11 +340,10 @@ def truncated_rhs(
     A nonzero psi clip count means the sampled domination hypothesis is
     violated at some node; it is logged and surfaces in the solve status.
     `envs` must come from `envelopes`, which has checked that no bound is
-    inverted; psi and 1/k come from problem.disc.
+    inverted; psi comes from problem.disc.
     """
     mesh = same_mesh(x, x_prime)
     nodes = mesh.nodes
-    disc = problem.disc
     singular = mesh.singular_mask()
     box_lo, box_hi = _box(problem, envs)
     tx = np.clip(x.values, box_lo, box_hi)
@@ -365,7 +358,7 @@ def truncated_rhs(
         j = int(np.argmax(bad))
         raise RhsEvaluationError(j, float(nodes[j]))
     # psi_n is 0 at singular nodes, where F is 0 too
-    psi_n = disc.psi_n
+    psi_n = problem.disc.psi_n
     over = np.abs(F) > psi_n * (1.0 + _CLIP_RTOL)
     clipped = int(np.count_nonzero(over))
     if clipped:
@@ -380,25 +373,7 @@ def truncated_rhs(
         moved_y = np.abs(txp - x_prime.values) > _CLIP_RTOL * scale_y
         stats["truncated_nodes"] = int(np.count_nonzero((moved_x | moved_y) & ~singular))
         stats["psi_clips"] = clipped
-
-    x_vals = x.values
-    xp_vals = x_prime.values
-    rhs = problem.rhs
-
-    def midpoint_eval(t):
-        # t are the midpoints of mesh.mid_cells, where psi was sampled
-        # finite; the slope is not clipped, so that verify, which
-        # evaluates f at the table's slopes, integrates the same f
-        t = np.asarray(t, dtype=float)
-        xi = np.clip(np.interp(t, nodes, x_vals), box_lo, box_hi)
-        ns = ~singular
-        yi = np.interp(t, nodes[ns], xp_vals[ns])
-        with np.errstate(all="ignore"):
-            val = np.asarray(rhs(t, xi, yi), dtype=float)
-        val = np.clip(val, -disc.psi_mid, disc.psi_mid)
-        return np.where(np.isfinite(val), val, 0.0)
-
-    return GridFunction(mesh, F, evaluator=midpoint_eval)
+    return GridFunction(mesh, F)
 
 
 @dataclass(frozen=True, eq=False)
@@ -595,11 +570,11 @@ def _iterate(
     """The Picard loop with secant mixing, undamped unless cfg.omega < 1.
 
     Each step mixes h = z + omega (g(z) - z), which is g(z) itself at the
-    default omega = 1, with the last cfg.window of them (a type-II
+    default omega = 1, with the last SECANT_WINDOW of them (a type-II
     Anderson step).  A secant step whose least-squares coefficients fail,
     are non-finite or exceed 1e4 is skipped, and h is taken as it is.  The one safeguard
     is the stagnation counter: after cfg.stagnation steps without a new
-    smallest step, omega halves (down to cfg.min_omega) and the secant
+    smallest step, omega halves (down to MIN_OMEGA) and the secant
     history restarts.
 
     Returns the g output to report (the last one if the loop converged,
@@ -675,10 +650,10 @@ def _iterate(
 
         h_vec = z_vec + omega * (g_vec - z_vec)
         z_next = h_vec
-        if cfg.acceleration == "secant" and hist_z:
-            m = min(cfg.window, len(hist_z))
+        if hist_z:
+            m = min(SECANT_WINDOW, len(hist_z))
             if secant_buf is None:
-                secant_buf = np.empty(2 * n_nodes * cfg.window)
+                secant_buf = np.empty(2 * n_nodes * SECANT_WINDOW)
             diffs = secant_buf[: 2 * n_nodes * m].reshape(2 * n_nodes, m)
             r_vec = h_vec - z_vec
             for j in range(1, m + 1):
@@ -699,7 +674,7 @@ def _iterate(
                 rejections += 1
         hist_z.append(z_vec)
         hist_h.append(h_vec)
-        if len(hist_z) > cfg.window:
+        if len(hist_z) > SECANT_WINDOW:
             hist_z.pop(0)
             hist_h.pop(0)
 
@@ -708,8 +683,8 @@ def _iterate(
         x_vals = np.clip(z_next[:n_nodes], box[0], box[1])
         xp_vals = np.clip(z_next[n_nodes:], envs.eta1.values, envs.eta2.values)
 
-        if since_improvement >= cfg.stagnation and omega > cfg.min_omega:
-            omega = max(0.5 * omega, cfg.min_omega)
+        if since_improvement >= cfg.stagnation and omega > MIN_OMEGA:
+            omega = max(0.5 * omega, MIN_OMEGA)
             halvings += 1
             since_improvement = 0
             hist_z.clear()
@@ -730,11 +705,12 @@ def verify(
     read.  The defects are the boundary values, u against Phi(k dx), u
     against u(0) + the running integral of f, x against nu1 + the running
     trapezoid integral of dx, and the forward-difference residual of u.  f
-    is the raw right-hand side at the table's x and dx, integrated by the
-    mesh's own rule: on the cells that touch a singular node, the midpoint
-    rule at interpolated x and dx.  dx is ignored at singular nodes, so a
-    solver's SENTINEL there and a table's NaN read the same.  A non-finite
-    value anywhere else makes some defect non-finite, which fails `ok`.
+    is the raw right-hand side at the table's x and dx, evaluated at the
+    nodes only and integrated by the mesh's own rule: a cell that touches a
+    singular node takes f at its finite end, as the solver does.  dx is
+    ignored at singular nodes, so a solver's SENTINEL there and a table's
+    NaN read the same.  A non-finite value anywhere else makes some defect
+    non-finite, which fails `ok`.
     """
     mesh = problem.mesh
     nodes = mesh.nodes
@@ -742,12 +718,6 @@ def verify(
     regular = ~mesh.singular_mask()
     kv = np.broadcast_to(np.asarray(problem.weight(nodes), dtype=float), nodes.shape)
     dx_filled = np.where(regular, dx, 0.0)
-
-    def f_mid(t):
-        # the solver integrates f by the midpoint rule on the cells next
-        # to a singular node; so does verify, at interpolated x and dx
-        val = problem.rhs(t, np.interp(t, nodes, x), np.interp(t, nodes[regular], dx[regular]))
-        return np.where(np.isfinite(val), val, 0.0)
 
     with np.errstate(all="ignore"):
         # np.max, unlike max, passes a NaN on
@@ -758,9 +728,7 @@ def verify(
 
         f_vals = np.asarray(problem.rhs(nodes, x, dx_filled), dtype=float)
         f_vals = np.where(np.isfinite(f_vals) & regular, f_vals, 0.0)
-        # without one regular node, those cells take endpoint stand-ins
-        f_grid = GridFunction(mesh, f_vals, evaluator=f_mid if regular.any() else None)
-        cum = cumulative_integral(f_grid)
+        cum = cumulative_integral(GridFunction(mesh, f_vals))
         integral = float(np.max(np.abs(u - (u[0] + cum.values))))
         residual = difference_residual(mesh, u, f_vals)
 

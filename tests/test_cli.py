@@ -163,7 +163,8 @@ class TestCheck:
         assert "config error: [iteration] omega" in err
 
     @pytest.mark.parametrize(
-        "flag,value", [("--damping", "0"), ("--tol-fp", "-1"), ("--max-iters", "0")]
+        "flag,value",
+        [("--damping", "0"), ("--damping", "0.05"), ("--tol-fp", "-1"), ("--max-iters", "0")],
     )
     def test_invalid_iteration_flag_is_a_config_error(self, tmp_path, capsys, flag, value):
         cfg = write(tmp_path, QUADRATIC.format(n=10))
@@ -365,10 +366,7 @@ class TestSolve:
             "omega": "0.75",
             "max_outer": "200",
             "tol_fp": "1e-10",
-            "acceleration": "secant",
-            "window": "3",
             "stagnation": "10",
-            "min_omega": "0.0625",
         }
         # the echoed config alone reproduces the table
         replay_cfg = tmp_path / "replay.cfg"
@@ -377,6 +375,22 @@ class TestSolve:
         assert main(["solve", str(replay_cfg), "-o", str(replay)]) == 0
         assert (replay / "solution.txt").read_bytes() == (out / "solution.txt").read_bytes()
         assert parse_config((replay / "record.txt").read_text()).section("run.overrides") is None
+
+    def test_record_with_the_fixed_iteration_keys_replays(self, tmp_path):
+        # records written while acceleration, window and min_omega were
+        # settable echo them, at the values the solver now fixes
+        cfg = write(tmp_path, PERONA.format(nu2=0.05))
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out)]) == 0
+        record = parse_config((out / "record.txt").read_text())
+        for key, value in (("acceleration", "secant"), ("window", "3"), ("min_omega", "0.0625")):
+            assert key not in record.section("config.iteration")
+            record = record.with_value("config.iteration", key, value)
+        replay_cfg = tmp_path / "replay.cfg"
+        replay_cfg.write_text(_echoed_config(record))
+        replay = tmp_path / "replay"
+        assert main(["solve", str(replay_cfg), "-o", str(replay)]) == 0
+        assert (replay / "solution.txt").read_bytes() == (out / "solution.txt").read_bytes()
 
     def test_record_replays_across_a_default_change(self, tmp_path, monkeypatch):
         cfg = write(tmp_path, PERONA.format(nu2=0.05))
@@ -894,8 +908,8 @@ class TestVerify:
 
     def test_coarse_singular_mesh_verifies(self, tmp_path, capsys):
         # f = exp(-t) arctan(x x') is of order one next to the singular
-        # node t = 0: verify must integrate it there with the midpoint rule,
-        # as the solver did, or the first graded cell shows as a defect
+        # node t = 0: verify must integrate it there by the solver's rule,
+        # or the first graded cell shows as a defect
         cfg = write(tmp_path, RELATIVISTIC_SQRT_T)
         out = tmp_path / "run"
         assert main(["solve", cfg, "-o", str(out)]) == 0
@@ -903,9 +917,9 @@ class TestVerify:
         assert "verification: ok" in capsys.readouterr().out
 
     def test_unclipped_midpoint_slopes_verify(self, tmp_path, capsys):
-        # the solver must evaluate f at the midpoint slopes verify
-        # reconstructs from the table, not at slopes clipped into the
-        # envelopes, or the first graded cell shows as an integral defect
+        # the solver's f on the first graded cell, whose singular end has
+        # no slope, must be the one verify integrates from the table, or
+        # that cell shows as an integral defect
         cfg = write(tmp_path, R_LAPLACIAN_SQRT_T)
         out = tmp_path / "run"
         assert main(["solve", cfg, "-o", str(out)]) == 0
@@ -1014,6 +1028,13 @@ n = 200
         bad.write_text("not,a,table\n")
         assert main(["verify", str(bad), cfg]) == 1
         assert "must start with" in capsys.readouterr().err
+
+    def test_header_only_table_is_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, QUADRATIC.format(n=100))
+        empty = tmp_path / "empty.txt"
+        empty.write_text("t,x,dx,u\n")
+        assert main(["verify", str(empty), cfg]) == 1
+        assert "has no rows" in capsys.readouterr().err
 
 
 # configs shaped like the benchmark's tables: the difference operator at

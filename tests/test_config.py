@@ -166,6 +166,9 @@ class TestValidation:
             (("[check]\nlattice = nan, 2, 2", None), "lattice"),
             (("[check]\nlattice = inf, 2, 2", None), "lattice"),
             (("[check]\nlattice = 2, 2, 1e30", None), "lattice"),
+            (("[iteration]\nacceleration = none", None), "acceleration"),
+            (("[iteration]\nwindow = 4", None), "window"),
+            (("[iteration]\nmin_omega = 0.125", None), "min_omega"),
         ],
     )
     def test_rejections(self, mutation, fragment):

@@ -12,7 +12,9 @@ from phibvp.grid import (
     cumulative_integral,
     forward_difference_residual,
     integrate,
+    lp_norm,
     norm,
+    sample_midpoints,
 )
 
 
@@ -258,26 +260,44 @@ def _gridfunction_norm(g, p):
     # norm as it was computed through GridFunctions and integrate
     if math.isinf(p):
         return float(np.max(np.abs(g.values[~g.mesh.singular_mask()])))
-    ev = g.evaluator
-    powered = GridFunction(
-        g.mesh,
-        np.abs(g.values) ** p,
-        evaluator=(None if ev is None else (lambda t: np.abs(ev(t)) ** p)),
-    )
+    powered = GridFunction(g.mesh, np.abs(g.values) ** p)
     return float(integrate(powered) ** (1.0 / p))
 
 
+def _cellwise_norm(mesh, values, p, mids):
+    # the quadrature summed cell by cell in node order: trapezoids, and the
+    # width times |sample|^p on each cell that touches a singular node
+    if math.isinf(p):
+        return float(np.max(np.abs(values[~mesh.singular_mask()])))
+    powered = np.abs(values) ** p
+    samples = iter(np.abs(mids) ** p)
+    singular = mesh.singular_mask()
+    total = 0.0
+    for j, h in enumerate(mesh.widths):
+        if singular[j] or singular[j + 1]:
+            total += h * next(samples)
+        else:
+            total += 0.5 * h * (powered[j] + powered[j + 1])
+    return float(float(total) ** (1.0 / p))
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
-@pytest.mark.parametrize("with_evaluator", [False, True])
-def test_norm_matches_gridfunction_quadrature(p, with_evaluator):
+@pytest.mark.parametrize("sampled_mids", [False, True])
+def test_norm_matches_gridfunction_quadrature(p, sampled_mids):
+    # sampled_mids: midpoint samples of the function passed to lp_norm, as
+    # derive_scalars passes 1/k; else the endpoint stand-ins
     fn = lambda t: np.sin(7.0 * t) / np.sqrt(t + 0.01) - 0.3
     for mesh in (
         Mesh.uniform(1.0, 101),
         Mesh.graded(1.0, 256, [0.0]),
         Mesh.graded(2.0, 200, [0.7]),
     ):
-        g = GridFunction.from_callable(mesh, fn, keep_evaluator=with_evaluator)
-        assert norm(g, p) == _gridfunction_norm(g, p)
+        g = GridFunction.from_callable(mesh, fn)
+        if not sampled_mids:
+            assert norm(g, p) == _gridfunction_norm(g, p)
+        else:
+            mids = sample_midpoints(mesh, fn)
+            assert lp_norm(mesh, g.values, p, mids) == _cellwise_norm(mesh, g.values, p, mids)
 
 
 def test_norm_rejects_an_overflowing_power():

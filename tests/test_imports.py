@@ -1,0 +1,55 @@
+"""Every name a phibvp module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import phibvp
+
+PACKAGE = Path(phibvp.__file__).parent
+
+# perfbench/tracing.py patches cli's binding of cumulative_integral, which
+# cli itself never calls
+ALLOWED = {("cli", "cumulative_integral")}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that the module never reads.
+
+    A name read only inside a quoted annotation counts as unused; with
+    postponed annotations no imported name needs quoting.
+    """
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - read)
+
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    unused = [name for name in unused_imports(source) if (module, name) not in ALLOWED]
+    assert unused == []
+
+
+def test_the_checker_sees_an_unused_import():
+    source = (
+        "from __future__ import annotations\nimport math\nimport os.path\n"
+        "from typing import Sequence as Seq, Callable\n"
+        "x: Callable = os.path.sep\nSeq = 1\n"
+    )
+    assert unused_imports(source) == ["Seq", "math"]

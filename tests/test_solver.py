@@ -35,6 +35,7 @@ from phibvp.grid import Mesh
 from phibvp.problem import Rhs
 from phibvp.solver import (
     BETA_MAX_ITER,
+    MIN_OMEGA,
     BetaEquation,
     IterationConfig,
     SolverKernel,
@@ -191,8 +192,7 @@ class TestBetaSolve:
         # padded, and kept inside the branch image at every sample
         s_star_d = eq.target / eq.kernel.disc.k1
         phi_sd = float(eq.phi(s_star_d))
-        F = np.concatenate((eq.F_n, eq.F_mid))
-        m_F, M_F = float(F.min()), float(F.max())
+        m_F, M_F = float(eq.F_n.min()), float(eq.F_n.max())
         pad = 1e-12 * (1.0 + abs(phi_sd) + abs(m_F) + abs(M_F))
         lo, hi = phi_sd - M_F - pad, phi_sd - m_F + pad
         b1, b2 = eq.branch.image_lo, eq.branch.image_hi
@@ -774,6 +774,32 @@ class TestVerify:
         assert record.integral_defect <= 1e-10
         assert record.boundary_defect <= 1e-12
 
+    def test_f_is_evaluated_at_the_nodes_only(self):
+        # 1/k and psi are the only functions sampled at the midpoints of
+        # the cells next to a singular node: solve and verify call f on
+        # node arrays, never on those midpoints
+        text = (
+            PERONA_ROW.replace("name = constant\nvalue = 1.0", "name = sqrt_t")
+            .replace("M = 1\nN = 1", "M = 0.5\nN = 0.1")
+            .replace("nu2 = 0.07", "nu2 = 0.05")
+            .replace("n = 2000", "n = 1000")
+        )
+        prob = load_problem_config(parse_config(text)).build_finite()
+        assert prob.mesh.mid_cells.size
+        sizes = []
+        fn = prob.rhs.fn
+
+        def recorded(t, x, y):
+            sizes.append((np.size(t), np.size(x), np.size(y)))
+            return fn(t, x, y)
+
+        prob = replace(prob, rhs=replace(prob.rhs, fn=recorded))
+        report = solve(prob)
+        assert report.status == "converged"
+        assert verify(prob, report.x.values, report.x_prime.values, report.u.values).ok
+        n_nodes = prob.mesh.nodes.size
+        assert sizes and set(sizes) == {(n_nodes, n_nodes, n_nodes)}
+
     # r = 2, the weave right-hand side, nu2 = 0.3 on [0, 1]; [mesh] n and
     # the weight per problem
     WEAVE = """
@@ -904,10 +930,8 @@ class TestIterationConfig:
         with pytest.raises(InvalidInputError):
             IterationConfig(omega=1.5)
         with pytest.raises(InvalidInputError):
-            IterationConfig(acceleration="newton")
-        with pytest.raises(InvalidInputError):
-            IterationConfig(window=0)
-        with pytest.raises(InvalidInputError):
             IterationConfig(tol_fp=-1.0)
+        # omega halves down to MIN_OMEGA, so it may not start below it
         with pytest.raises(InvalidInputError):
-            IterationConfig(min_omega=0.9, omega=0.5)
+            IterationConfig(omega=0.5 * MIN_OMEGA)
+        assert IterationConfig(omega=MIN_OMEGA).omega == MIN_OMEGA
