@@ -10,8 +10,8 @@ operations - the timed run commands and then the verify commands - in a
 fresh interpreter, in a directory of its own.  The configs come from
 perfbench/workloads.py, which is only read.  Then each tree runs the
 EXTRA_CASES configs, whichever workloads and variants are chosen: a
-config with a [sweep] section is swept, any other is solved and
-verified.
+config with a [sweep] section is swept, one with `halfline = true` runs
+the half-line schedule, any other is solved and verified.
 
 Each output file and the output of each command is reported as identical
 or with its largest difference between numbers in the same place, both
@@ -72,6 +72,8 @@ with open(cfg, "w", encoding="utf-8") as handle:
 out = os.path.join({workdir!r}, "out")
 if {sweep!r}:
     main(["sweep", cfg, "-o", out])
+elif {halfline!r}:
+    main(["halfline", cfg, "-o", out])
 elif main(["solve", cfg, "-o", out]) == 0:
     main(["verify", os.path.join(out, "solution.txt"), cfg])
 """
@@ -97,13 +99,16 @@ T = 1.0
 n = 1000
 """
 
-# No workload runs a singular weight or a decreasing branch: the midpoint
-# samples of 1/k and psi, and decreasing branches with a closed-form
-# inverse (sine) and with the generic one (difference), are checked by
-# these configs.  A config with a [sweep] section runs `sweep`, the
-# others `solve` and then `verify`: the sweeps walk a singular weight
-# across its flip, and an r = 3 operator through lambda = 0, where a
-# predicted start stalls and the row is solved again cold.
+# No workload runs a singular weight, a decreasing branch or a half-line
+# weight without a closed-form 1/k mass: the midpoint samples of 1/k and
+# psi, decreasing branches with a closed-form inverse (sine) and with the
+# generic one (difference), and the numeric half-line mass of 1/k are
+# checked by these configs.  A config with a [sweep] section runs
+# `sweep`, one with `halfline = true` runs `halfline`, the others `solve`
+# and then `verify`: the sweeps walk a singular weight across its flip,
+# and an r = 3 operator through lambda = 0, where a predicted start
+# stalls and the row is solved again cold.  halfline-expr-weight is the
+# halfline workload's config with k = 1 + t^2 given as an expression.
 EXTRA_CASES = {
     "perona-sqrt-t": PERONA_SQRT_T,
     "sine-decreasing": """[operator]
@@ -172,6 +177,26 @@ lambda_min = -0.6
 lambda_max = 0.6
 count = 13
 """,
+    "halfline-expr-weight": """[problem]
+nu1 = 0.0
+nu2 = 0.2
+halfline = true
+
+[operator]
+name = r_laplacian
+r = 2
+
+[weight]
+expr = 1 + t*t
+
+[rhs]
+example = halfline1
+
+[check]
+kind = halfline
+l_lip = 1
+delta = 0.5
+""",
 }
 
 LOG = "commands.json"
@@ -195,7 +220,10 @@ def run_tree(src: str, workdir: str, workload: str, variant: int | None = None) 
     log_path = os.path.join(workdir, LOG)
     if variant is None:
         text = EXTRA_CASES[workload]
-        commands = CASE_COMMANDS.format(workdir=workdir, text=text, sweep="[sweep]" in text)
+        commands = CASE_COMMANDS.format(
+            workdir=workdir, text=text, sweep="[sweep]" in text,
+            halfline="halfline = true" in text,
+        )
     else:
         commands = WORKLOAD_COMMANDS.format(
             bench=BENCH, workload=workload, variant=variant, workdir=workdir
@@ -257,9 +285,13 @@ def record_difference(old: str, new: str) -> str | None:
         elif name not in b:
             notes.append(f"[{name}] removed")
         elif a[name] != b[name]:
-            keys = sorted(set(a[name]) | set(b[name]))
-            for key in keys:
-                diff = text_difference(a[name].get(key, "<absent>"), b[name].get(key, "<absent>"))
+            for key in sorted(set(a[name]) | set(b[name])):
+                if key not in b[name]:
+                    diff = "only in OLD"
+                elif key not in a[name]:
+                    diff = "only in NEW"
+                else:
+                    diff = text_difference(a[name][key], b[name][key])
                 if diff is not None:
                     notes.append(f"[{name}] {key}: {diff}")
     return "; ".join(notes)

@@ -54,7 +54,7 @@ def report_run(tag, hetero):
         )
     print(
         f"status {hetero.status}; tail value {hetero.tail_value:.6f} "
-        f"(target {LAM}); k_infinity {hetero.k_infinity:.6f}"
+        f"(target {LAM}); k_infinity {hetero.scalars.k_inf:.6f}"
     )
 
 

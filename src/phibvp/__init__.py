@@ -77,6 +77,7 @@ from .solver import (
 from .halfline import (
     DEFAULT_SCHEDULE,
     HalflineProblem,
+    HalflineScalars,
     HeteroclinicReport,
     IntervalRun,
     extend_by_nu2,

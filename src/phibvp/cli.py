@@ -187,9 +187,9 @@ def _halfline_sections(report: HeteroclinicReport):
         ("intervals", str(len(report.runs))),
         ("tail_value", _fmt(report.tail_value)),
         ("tail_defect", _fmt(report.tail_defect)),
-        ("k_infinity", _fmt(report.k_infinity)),
-        ("s_star_infinity", _fmt(report.s_star_infinity)),
-        ("ell_infinity", _fmt(report.ell_infinity)),
+        ("k_infinity", _fmt(report.scalars.k_inf)),
+        ("s_star_infinity", _fmt(report.scalars.s_inf)),
+        ("ell_infinity", _fmt(report.scalars.ell_inf)),
         ("uniform_envelope_ok", str(report.uniform_envelope_ok).lower()),
         ("uniform_offset_ok", str(report.uniform_offset_ok).lower()),
     ]

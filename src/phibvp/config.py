@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ExpressionError, PhibvpError
 from .expressions import CompiledExpression, compile_expression
-from .halfline import DEFAULT_SCHEDULE, HalflineProblem
+from .halfline import DEFAULT_SCHEDULE, HalflineProblem, limit_slope, recip_mass
 from .hypotheses import (
     HypothesisReport,
     check_corollary_singular,
@@ -272,14 +272,12 @@ def doc_has_section(doc: ConfigDoc, name: str) -> bool:
 
 # -- worked-example right-hand sides --------------------------------------
 
-EXAMPLE_TAGS = (
-    "perona",
-    "sine",
-    "plaplacian",
-    "relativistic",
-    "halfline1",
-    "halfline2",
-)
+# each worked-example tag and the [rhs] parameter keys it reads
+EXAMPLE_TAGS = {
+    "perona": ("alpha", "M", "N"), "sine": ("alpha", "M", "N"),
+    "plaplacian": ("p", "beta", "N"), "relativistic": (),
+    "halfline1": ("r",), "halfline2": (),
+}
 
 
 def _example_rhs(tag: str, sec: _Section, s_star: float) -> Rhs:
@@ -461,10 +459,9 @@ class ProblemConfig:
             raise ConfigError("[problem] this command needs halfline = true")
         phi = self.build_operator()
         weight = self.build_weight()
-        k_inf = self.k_infinity
-        if k_inf is None and weight.recip_total is not None:
-            k_inf = weight.recip_total if math.isfinite(weight.recip_total) else None
-        s_inf = (self.nu2 - self.nu1) / k_inf if k_inf else 0.0
+        # the s*_inf of HalflineProblem.scalars, or 0 where that is NaN
+        s_inf = limit_slope(self.nu1, self.nu2, recip_mass(weight, self.k_infinity)[0])
+        s_inf = 0.0 if math.isnan(s_inf) else s_inf
         rhs = self._build_rhs(s_inf)
         psi_l1 = self.psi_l1
         if psi_l1 is None and self.rhs_example is not None:
@@ -595,8 +592,8 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
                     f"unknown example tag {rhs_example!r}; "
                     f"known: {', '.join(EXAMPLE_TAGS)}",
                 )
-            # example parameter keys are read again at build time
-            for key in ("alpha", "M", "N", "p", "beta", "r"):
+            # the tag's parameter keys are read again at build time
+            for key in EXAMPLE_TAGS[rhs_example]:
                 rhs.raw(key)
         leftover = rhs.extra_keys()
         if leftover:

@@ -331,7 +331,7 @@ def lp_norm(
     if math.isinf(p):
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("grid function values must be finite")
-        return float(np.max(np.abs(values[~mesh.singular_mask()])))
+        return float(np.max(np.abs(values[~mesh.singular_mask()]), initial=0.0))
     with np.errstate(over="ignore"):
         powered = np.abs(values) ** p
         mids = midvalues(mesh, powered) if mid_values is None else np.abs(mid_values) ** p

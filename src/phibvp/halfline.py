@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -20,7 +21,9 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, PhibvpError
 from .grid import GridFunction
 from .operators import MonotoneBranch, PhiOperator
-from .problem import BvpProblem, Rhs, Weight, default_mesh, sample_weight, slope_box
+from .problem import (
+    BvpProblem, Rhs, Weight, default_mesh, image_margins, sample_weight, slope_box
+)
 from .solver import IterationConfig, SolveReport, solve
 
 # Numeric half-line integrals stop here; the last decade is reported as a
@@ -63,13 +66,55 @@ def k_mass_upto(weight: Weight, t: float, cells: int = 4000) -> float:
     return sample_weight(weight, default_mesh(weight, float(t), n=cells)).k1
 
 
+def recip_mass(weight: Weight, k_infinity: float | None = None) -> tuple[float, float]:
+    """(||1/k||_L1 over the half-line, truncation proxy): k_infinity when
+    pinned, else the weight's finite recip_total, else a numeric integral."""
+    if k_infinity is not None:
+        return k_infinity, 0.0
+    total = weight.recip_total
+    if total is not None and math.isfinite(total):
+        return float(total), 0.0
+    return halfline_integral(weight.recip)
+
+
+def psi_mass(rhs: Rhs, psi_l1: float | None = None) -> tuple[float, float]:
+    """(||psi||_L1 over the half-line, truncation proxy): psi_l1 when
+    pinned, else a numeric integral."""
+    if psi_l1 is not None:
+        return psi_l1, 0.0
+    return halfline_integral(rhs.psi_at)
+
+
+def limit_slope(nu1: float, nu2: float, k_inf: float) -> float:
+    """s*_inf = (nu2 - nu1) / ||1/k||_L1(0,inf); NaN unless that mass is
+    positive and finite."""
+    return (nu2 - nu1) / k_inf if 0.0 < k_inf < math.inf else math.nan
+
+
+@dataclass(frozen=True)
+class HalflineScalars:
+    """The half-line twin of DerivedScalars: the masses of 1/k and psi with
+    their truncation proxies, s*_inf, Phi(s*_inf) and the sorted slope box
+    Phi^-1(Phi(s*_inf) +- 2 ell_inf).  A failed hypothesis leaves the
+    fields it undefines NaN, as there."""
+
+    k_inf: float
+    k_tail: float
+    ell_inf: float
+    psi_tail: float
+    s_inf: float
+    phi_s_inf: float
+    slope_lo: float
+    slope_hi: float
+
+
 @dataclass(frozen=True, eq=False)
 class HalflineProblem:
     """Dirichlet data at 0 and +inf plus the interval exhaustion schedule.
 
     k_infinity and psi_l1 optionally pin the half-line masses of 1/k and
     psi exactly; otherwise the weight's recip_total or a truncated
-    numeric integral stands in.
+    numeric integral stands in (see recip_mass and psi_mass).
     """
 
     phi: PhiOperator
@@ -111,22 +156,21 @@ class HalflineProblem:
         ):
             raise InvalidInputError("psi_l1 must be nonnegative and finite")
 
-
-def recip_mass(hp: HalflineProblem) -> tuple[float, float]:
-    """(||1/k||_L1 over the half-line, truncation proxy)."""
-    if hp.k_infinity is not None:
-        return hp.k_infinity, 0.0
-    total = hp.weight.recip_total
-    if total is not None and math.isfinite(total):
-        return float(total), 0.0
-    return halfline_integral(hp.weight.recip)
-
-
-def psi_mass(hp: HalflineProblem) -> tuple[float, float]:
-    """(||psi||_L1 over the half-line, truncation proxy)."""
-    if hp.psi_l1 is not None:
-        return hp.psi_l1, 0.0
-    return halfline_integral(hp.rhs.psi_at)
+    @cached_property
+    def scalars(self) -> HalflineScalars:
+        """The half-line scalars, derived once; never raises."""
+        k_inf, k_tail = recip_mass(self.weight, self.k_infinity)
+        ell_inf, psi_tail = psi_mass(self.rhs, self.psi_l1)
+        s_inf = limit_slope(self.nu1, self.nu2, k_inf)
+        phi_s = lo = hi = math.nan
+        if self.branch is not None and self.branch.contains(s_inf):
+            phi_s = float(self.phi(s_inf))
+            if min(image_margins(self.branch, phi_s, ell_inf)) > 0.0:
+                try:
+                    lo, hi = sorted(slope_box(self.phi, self.branch, phi_s, ell_inf))
+                except PhibvpError:
+                    pass  # a numeric inverse found no bracket: the box stays NaN
+        return HalflineScalars(k_inf, k_tail, ell_inf, psi_tail, s_inf, phi_s, lo, hi)
 
 
 def extend_by_nu2(x_on_interval: GridFunction, eval_points) -> np.ndarray:
@@ -162,13 +206,7 @@ class HeteroclinicReport:
     x_final: GridFunction | None
     tail_value: float
     tail_defect: float
-    k_infinity: float
-    k_tail_estimate: float
-    s_star_infinity: float
-    ell_infinity: float
-    psi_tail_estimate: float
-    slope_box_lo: float
-    slope_box_hi: float
+    scalars: HalflineScalars
     offset_bound: float
     uniform_envelope_ok: bool
     uniform_offset_ok: bool
@@ -191,31 +229,12 @@ def _gap(prev: GridFunction, cur: GridFunction) -> float:
     return float(np.max(np.abs(extend_by_nu2(prev, pts) - extend_by_nu2(cur, pts))))
 
 
-def _uniform_bounds(
-    hp: HalflineProblem, k_inf: float, ell_inf: float, s_inf: float
-) -> tuple[float, float, float] | None:
-    """Slope box [lo, hi] for k x' and offset bound C, or None if the
-    half-line margins fail (the box is then not defined)."""
-    if not (math.isfinite(k_inf) and k_inf > 0 and math.isfinite(ell_inf)):
-        return None
-    if hp.branch is None or not hp.branch.contains(s_inf):
-        return None
-    try:
-        a, b = slope_box(hp.phi, hp.branch, float(hp.phi(s_inf)), ell_inf)
-    except PhibvpError:
-        return None
-    lo, hi = sorted((a, b))
-    return lo, hi, k_inf * (abs(a) + abs(b))
-
-
 def _uniform_excess(
-    problem: BvpProblem,
-    report: SolveReport,
-    bounds: tuple[float, float, float] | None,
+    problem: BvpProblem, report: SolveReport, sc: HalflineScalars, offset: float
 ) -> tuple[float, float]:
-    if bounds is None:
+    lo, hi = sc.slope_lo, sc.slope_hi
+    if math.isnan(lo):
         return math.inf, math.inf
-    lo, hi, offset = bounds
     nodes = problem.mesh.nodes
     ok = ~problem.mesh.singular_mask()
     kv = np.asarray(problem.weight(nodes), dtype=float)
@@ -236,10 +255,9 @@ def solve_halfline(
     the partial report.
     """
     cfg = config if config is not None else IterationConfig()
-    k_inf, k_tail = recip_mass(hp)
-    ell_inf, psi_tail = psi_mass(hp)
-    s_inf = (hp.nu2 - hp.nu1) / k_inf if (math.isfinite(k_inf) and k_inf > 0) else 0.0
-    bounds = _uniform_bounds(hp, k_inf, ell_inf, s_inf)
+    sc = hp.scalars
+    boxed = not math.isnan(sc.slope_lo)
+    offset = sc.k_inf * (abs(sc.slope_lo) + abs(sc.slope_hi))
 
     runs: list[IntervalRun] = []
     gaps: list[tuple[float, float]] = []
@@ -275,7 +293,7 @@ def solve_halfline(
             status = "aborted"
             detail = f"interval [0, {n:g}]: {exc}"
             break
-        env_ex, off_ex = _uniform_excess(problem, rep, bounds)
+        env_ex, off_ex = _uniform_excess(problem, rep, sc, offset)
         gap = None
         if prev is not None:
             gap = _gap(prev.x, rep.x)
@@ -303,15 +321,11 @@ def solve_halfline(
     x_final = runs[-1].report.x if runs else None
     tail_value = float(x_final.values[-1]) if x_final is not None else math.nan
     tail_defect = abs(tail_value - hp.nu2) if x_final is not None else math.nan
-    env_tol = 1e-8 * (1.0 + (abs(bounds[0]) + abs(bounds[1]) if bounds else 0.0))
+    env_tol = 1e-8 * (1.0 + (abs(sc.slope_lo) + abs(sc.slope_hi) if boxed else 0.0))
     finished = status != "aborted" and bool(runs)
-    env_ok = finished and bounds is not None and all(
-        r.envelope_excess <= env_tol for r in runs
-    )
-    off_ok = finished and bounds is not None and all(
-        r.offset_excess <= env_tol for r in runs
-    )
-    if bounds is None and not detail:
+    env_ok = finished and boxed and all(r.envelope_excess <= env_tol for r in runs)
+    off_ok = finished and boxed and all(r.offset_excess <= env_tol for r in runs)
+    if not boxed and not detail:
         detail = "uniform slope box unavailable (half-line margins fail)"
     return HeteroclinicReport(
         status=status,
@@ -320,14 +334,8 @@ def solve_halfline(
         x_final=x_final,
         tail_value=tail_value,
         tail_defect=tail_defect,
-        k_infinity=k_inf,
-        k_tail_estimate=k_tail,
-        s_star_infinity=s_inf,
-        ell_infinity=ell_inf,
-        psi_tail_estimate=psi_tail,
-        slope_box_lo=bounds[0] if bounds else math.nan,
-        slope_box_hi=bounds[1] if bounds else math.nan,
-        offset_bound=bounds[2] if bounds else math.nan,
+        scalars=sc,
+        offset_bound=offset,
         uniform_envelope_ok=env_ok,
         uniform_offset_ok=off_ok,
         detail=detail,

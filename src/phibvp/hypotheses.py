@@ -20,7 +20,7 @@ from .errors import (
     InvalidInputError,
     WrongCorollaryError,
 )
-from .halfline import HalflineProblem, k_mass_upto, psi_mass, recip_mass
+from .halfline import HalflineProblem, HalflineScalars, k_mass_upto
 from .operators import MonotoneBranch, partial_inverse
 from .problem import (
     BvpProblem,
@@ -28,7 +28,6 @@ from .problem import (
     Rhs,
     derive_scalars,
     image_margins,
-    slope_box,
 )
 
 PASS = "pass"
@@ -436,24 +435,24 @@ def plaplacian_bound(
     return bound, solver_above
 
 
-def _mass_item(name: str, value: float, tail: float, detail: str) -> CheckItem:
-    ok = math.isfinite(value) and tail <= 1e-3 * max(value, 1e-12)
+def _mass_item(name: str, value: float, tail: float, detail: str, ok=True) -> CheckItem:
+    ok = ok and math.isfinite(value) and tail <= 1e-3 * max(value, 1e-12)
     return CheckItem(name, PASS if ok else FAIL, _q(mass=value, tail_estimate=tail), detail)
 
 
-def _mass_items(hp: HalflineProblem) -> tuple[list[CheckItem], float, float]:
-    """The recip-integrable and psi-integrable items, then k_inf and ell_inf."""
-    k_inf, k_tail = recip_mass(hp)
-    ell_inf, psi_tail = psi_mass(hp)
+def _mass_items(sc: HalflineScalars) -> tuple[list[CheckItem], float]:
+    """The recip-integrable and psi-integrable items, then s*_inf: NaN
+    unless 1/k passes as integrable, which needs a positive mass."""
     items = [
         _mass_item(
-            "recip-integrable", k_inf, k_tail, "1/k must be integrable on the half-line"
+            "recip-integrable", sc.k_inf, sc.k_tail,
+            "1/k must be integrable on the half-line", ok=sc.k_inf > 0.0,
         ),
         _mass_item(
-            "psi-integrable", ell_inf, psi_tail, "psi must be integrable on the half-line"
+            "psi-integrable", sc.ell_inf, sc.psi_tail, "psi must be integrable on the half-line"
         ),
     ]
-    return items, k_inf, ell_inf
+    return items, sc.s_inf if items[0].verdict == PASS else math.nan
 
 
 def _halfline_t_lattice(nt: int) -> np.ndarray:
@@ -479,11 +478,9 @@ def check_halfline(
         raise InvalidInputError("L_lip must be nonnegative and finite")
     if not (delta > 0.0 and math.isfinite(delta)):
         raise InvalidInputError("delta must be positive")
-    branch = hp.branch
-    items, k_inf, ell_inf = _mass_items(hp)
+    branch, sc = hp.branch, hp.scalars
+    items, s_inf = _mass_items(sc)
     k_ok = items[0].verdict == PASS
-
-    s_inf = (hp.nu2 - hp.nu1) / k_inf if k_ok else math.nan
     slope_ok = k_ok and branch is not None and branch.contains(s_inf)
     items.append(_slope_item(branch, slope_ok, "s*_inf", s_star_infinity=s_inf))
 
@@ -493,8 +490,7 @@ def check_halfline(
         ss = s_inf + np.linspace(-width, width, 401)
         ss = ss[np.abs(ss - s_inf) > 1e-14 * (1.0 + abs(s_inf))]
         phi_vals = np.asarray(hp.phi(ss), dtype=float)
-        phi_center = float(hp.phi(s_inf))
-        ratios = np.abs(phi_vals - phi_center) / np.abs(ss - s_inf)
+        ratios = np.abs(phi_vals - sc.phi_s_inf) / np.abs(ss - s_inf)
         lip_worst = float(np.max(ratios))
         lip_ok = lip_worst <= L_lip * (1.0 + RATIO_SLACK) + 1e-15
         items.append(
@@ -517,7 +513,7 @@ def check_halfline(
 
     # tail limit M = lim psi(t) k(t) against the threshold
     threshold = (
-        L_lip * abs(hp.nu2 - hp.nu1) / (2.0 * k_inf**2) if k_ok else math.nan
+        L_lip * abs(hp.nu2 - hp.nu1) / (2.0 * sc.k_inf**2) if k_ok else math.nan
     )
     if M is None:
         probes = np.asarray(TAIL_PROBES, dtype=float)
@@ -558,21 +554,19 @@ def check_halfline(
         items.append(_unsampled())
         return HypothesisReport("thm_halfline", tuple(items), _overall(items))
 
-    phi_s = float(hp.phi(s_inf))
-    margin = _margin_item(branch, phi_s, ell_inf)
+    margin = _margin_item(branch, sc.phi_s_inf, sc.ell_inf)
     items.append(margin)
-    if margin.verdict != PASS:
+    if margin.verdict != PASS or math.isnan(sc.slope_lo):
         items.append(_unsampled("admissible slope box undefined, nothing to sample"))
         return HypothesisReport("thm_halfline", tuple(items), _overall(items))
 
-    slope_lo, slope_hi = sorted(slope_box(hp.phi, branch, phi_s, ell_inf))
-    x_lo = min(hp.nu1, hp.nu1 + k_inf * slope_lo)
-    x_hi = max(hp.nu1, hp.nu1 + k_inf * slope_hi)
+    x_lo = min(hp.nu1, hp.nu1 + sc.k_inf * sc.slope_lo)
+    x_hi = max(hp.nu1, hp.nu1 + sc.k_inf * sc.slope_hi)
     items.append(
         _domination_item(
             hp,
             _halfline_t_lattice(lattice[0]),
-            (x_lo, x_hi, slope_lo, slope_hi),
+            (x_lo, x_hi, sc.slope_lo, sc.slope_hi),
             lattice,
             "sampled |f| <= psi over the half-line admissible box",
         )
@@ -590,17 +584,15 @@ def check_halfline_odd(
     ||psi|| inside the image; the witness grid doubles from 1 to 1024.
     Without a branch at s*_inf, slope-in-branch fails instead.
     """
-    phi, branch = hp.phi, hp.branch
+    phi, branch, sc = hp.phi, hp.branch, hp.scalars
     if not phi.odd:
         raise InvalidInputError("odd-operator shortcut requires an odd operator")
     if branch is not None and not symmetric_increasing(branch):
         raise InvalidInputError(
             "odd-operator shortcut requires the symmetric increasing branch"
         )
-    items, k_inf, ell_inf = _mass_items(hp)
+    items, s_inf = _mass_items(sc)
     if branch is None:
-        k_ok = items[0].verdict == PASS
-        s_inf = (hp.nu2 - hp.nu1) / k_inf if k_ok else math.nan
         items.append(_slope_item(None, False, "s*_inf", s_star_infinity=s_inf))
         items.append(_unsampled())
         return HypothesisReport("thm_halfline_odd", tuple(items), _overall(items))
@@ -613,7 +605,7 @@ def check_halfline_odd(
         if not branch.contains(s_T):
             last_quantities = _q(T=T, s_T_star=s_T)
             continue
-        lo_margin, hi_margin = image_margins(branch, float(phi(s_T)), ell_inf)
+        lo_margin, hi_margin = image_margins(branch, float(phi(s_T)), sc.ell_inf)
         last_quantities = _q(
             T=T, s_T_star=s_T, margin_lo=lo_margin, margin_hi=hi_margin
         )
@@ -643,8 +635,8 @@ def check_halfline_odd(
     )
 
     # symmetric admissible box from the odd form of the slope estimates
-    slope_hi = partial_inverse(phi, branch, float(phi(abs(s_T))) + 2.0 * ell_inf)
-    x_max = abs(hp.nu1) + k_inf * slope_hi
+    slope_hi = partial_inverse(phi, branch, float(phi(abs(s_T))) + 2.0 * sc.ell_inf)
+    x_max = abs(hp.nu1) + sc.k_inf * slope_hi
     items.append(
         _domination_item(
             hp,

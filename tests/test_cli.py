@@ -838,6 +838,84 @@ class TestHalfline:
         record = parse_config((out / "record.txt").read_text())
         assert record.section("halfline")["status"] == "schedule-exhausted"
 
+    @staticmethod
+    def _check_both_weights(tmp_path, capsys, text, pattern):
+        """The check's printout for the catalog and the expression form of
+        k = 1 + t^2, and the float that pattern captures in each."""
+        found = []
+        for weight in ("name = one_plus_t_squared", "expr = 1 + t^2"):
+            code = main(["check", write(tmp_path, text.format(weight=weight))])
+            out = capsys.readouterr().out
+            match = re.search(pattern, out)
+            assert match is not None, out
+            found.append((code, float(match.group(1))))
+        return found
+
+    def test_expression_weight_takes_the_branch_at_its_own_limit_slope(
+        self, tmp_path, capsys
+    ):
+        # the build finds the branch at the s*_inf the check reports; for an
+        # expression weight that is the numeric 1/k mass, not slope 0
+        text = (
+            "[operator]\nname = perona_malik\n[weight]\n{weight}\n"
+            "[rhs]\nf = 0.001*exp(-t)*cos(x)*sin(y)\npsi = 0.001*exp(-t)\n"
+            "[problem]\nnu1 = 0\nnu2 = 2\nhalfline = true\n[halfline]\npsi_l1 = 0.001\n"
+            "[check]\nkind = halfline\nl_lip = 1\ndelta = 0.1\n"
+        )
+        (code, s_catalog), (code_expr, s_expr) = self._check_both_weights(
+            tmp_path, capsys, text,
+            r"slope-in-branch: pass  \(s_star_infinity=(\S+) branch_lo=1 branch_hi=inf\)",
+        )
+        assert code_expr == code
+        assert s_expr == pytest.approx(s_catalog, rel=1e-6)
+
+    def test_expression_weight_certifies_psi_at_its_own_limit_slope(
+        self, tmp_path, capsys
+    ):
+        # the plaplacian psi is the certificate at s*_inf: built at slope 0
+        # for the expression weight, its max ratio read twice the catalog's
+        text = (
+            "[operator]\nname = r_laplacian\nr = 2\n[weight]\n{weight}\n"
+            "[rhs]\nexample = plaplacian\np = 2\nbeta = 0.5\nN = 1\n"
+            "[problem]\nnu1 = 0\nnu2 = 0.2\nhalfline = true\n[halfline]\npsi_l1 = 1\n"
+            "[check]\nkind = halfline-odd\n"
+        )
+        (code, catalog), (code_expr, expr) = self._check_both_weights(
+            tmp_path, capsys, text, r"psi-domination: sampled-pass  \(max_ratio=(\S+) "
+        )
+        assert code == code_expr == 0
+        assert expr == pytest.approx(catalog, rel=1e-6)
+
+    def test_the_psi_mass_is_resolved_once(self, tmp_path, monkeypatch):
+        # the check and the schedule read one HalflineProblem.scalars
+        from phibvp import halfline, hypotheses
+
+        calls = []
+        real = halfline.psi_mass
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (halfline, hypotheses):
+            if hasattr(module, "psi_mass"):
+                monkeypatch.setattr(module, "psi_mass", counted)
+        assert main(["halfline", write(tmp_path, ARCTAN), "-o", str(tmp_path / "run")]) == 0
+        assert len(calls) == 1
+
+    def test_vanishing_weight_fails_recip_integrable(self, tmp_path, capsys):
+        # 1/k = inf everywhere leaves a zero numeric mass: a failed
+        # hypothesis, not a division by zero
+        text = (
+            "[operator]\nname = r_laplacian\nr = 2\n[weight]\nexpr = 0*t\n"
+            "[problem]\nnu1 = 0\nnu2 = 0.2\nhalfline = true\n"
+            "[check]\nkind = halfline\nl_lip = 1\ndelta = 0.5\n"
+        )
+        assert main(["check", write(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert "recip-integrable: fail  (mass=0 " in captured.out
+        assert "Traceback" not in captured.err
+
 
 RELATIVISTIC_SQRT_T = """
 [operator]

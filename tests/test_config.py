@@ -6,6 +6,7 @@ pin the derived quantities (k1, s*, psi) against hand values.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from phibvp import (
     parse_config,
     with_overrides,
 )
+from phibvp.cli import main
 
 MINIMAL = """
 [operator]
@@ -177,6 +179,31 @@ class TestValidation:
         with pytest.raises(ConfigError, match=fragment):
             load(text)
 
+    @pytest.mark.parametrize(
+        "tag,own",
+        [
+            ("perona", "alpha M N"),
+            ("sine", "alpha M N"),
+            ("plaplacian", "p beta N"),
+            ("relativistic", ""),
+            ("halfline1", "r"),
+            ("halfline2", ""),
+        ],
+    )
+    def test_example_takes_only_its_own_parameters(self, tag, own, tmp_path, capsys):
+        # README's per-tag table: a parameter of another tag is an unknown key
+        values = {"alpha": 4, "M": 1, "N": 1, "p": 2, "beta": 0.5, "r": 0.5}
+        section = f"[rhs]\nexample = {tag}\n"
+        load(splice(section + "".join(f"{k} = {values[k]}\n" for k in own.split())))
+        text = splice(section + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        foreign = ", ".join(sorted(set(values) - set(own.split())))
+        with pytest.raises(ConfigError, match=re.escape(f"[rhs] unknown keys: {foreign}")):
+            load(text)
+        cfg = tmp_path / "foreign.cfg"
+        cfg.write_text(text)
+        assert main(["check", str(cfg)]) == 1
+        assert "unknown keys" in capsys.readouterr().err
+
     def test_bad_bool(self):
         text = MINIMAL.replace("T = 1.0", "halfline = maybe")
         with pytest.raises(ConfigError, match="true/false"):
@@ -279,11 +306,8 @@ class TestAssembly:
         hp = cfg.build_halfline()
         # no explicit override: the analytic weight mass is used downstream
         assert hp.k_infinity is None
-        from phibvp import recip_mass
-
-        mass, defect = recip_mass(hp)
-        assert mass == pytest.approx(math.pi / 2, rel=1e-9)
-        assert defect == 0.0
+        assert hp.scalars.k_inf == pytest.approx(math.pi / 2, rel=1e-9)
+        assert hp.scalars.k_tail == 0.0
         assert hp.psi_l1 == 0.0
         assert math.isinf(hp.branch.lo) and math.isinf(hp.branch.hi)
 

@@ -338,6 +338,15 @@ def test_sup_norm_skips_singular_placeholder():
     assert norm(g, math.inf) == 0.5
 
 
+def test_norms_of_a_mesh_without_regular_nodes_are_zero():
+    # every node singular: the sup over no regular node is 0, as the L1 norm is
+    mesh = Mesh.uniform(1.0, 2, singular_points=[0.0, 0.5, 1.0])
+    g = GridFunction(mesh, np.array([1e29, 2.0, -3.0]))
+    assert norm(g, math.inf) == 0.0
+    assert lp_norm(mesh, g.values, math.inf) == 0.0
+    assert norm(GridFunction(mesh, np.zeros(3)), 1.0) == 0.0
+
+
 @given(st.integers(1, 4))
 @settings(max_examples=20, deadline=None)
 def test_norm_triangle_inequality(seed):

@@ -172,10 +172,10 @@ class TestArctanFamily:
 
     def test_limit_quantities(self):
         rep = solve_halfline(arctan_problem())
-        assert rep.k_infinity == math.pi / 2.0
-        assert rep.k_tail_estimate == 0.0
-        assert rep.s_star_infinity == pytest.approx(2.0 * LAM / math.pi, rel=1e-12)
-        assert rep.ell_infinity == 0.0
+        assert rep.scalars.k_inf == math.pi / 2.0
+        assert rep.scalars.k_tail == 0.0
+        assert rep.scalars.s_inf == pytest.approx(2.0 * LAM / math.pi, rel=1e-12)
+        assert rep.scalars.ell_inf == 0.0
         assert rep.tail_value == pytest.approx(LAM, abs=1e-12)
         assert rep.tail_defect <= 1e-12
         assert rep.offset_bound == pytest.approx(2.0 * LAM, rel=1e-12)
@@ -185,7 +185,7 @@ class TestArctanFamily:
         # while each finite interval runs at the strictly larger s*_n; the
         # uniform envelope flag must come out False, not be fudged to True.
         rep = solve_halfline(arctan_problem())
-        assert rep.slope_box_lo == rep.slope_box_hi
+        assert rep.scalars.slope_lo == rep.scalars.slope_hi
         assert not rep.uniform_envelope_ok
         first = rep.runs[0]
         expected_excess = LAM / math.atan(5.0) - 2.0 * LAM / math.pi

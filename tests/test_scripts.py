@@ -92,7 +92,11 @@ def test_compare_outputs_finds_the_tree_identical_to_itself(tmp_path):
                  "extra perona-sqrt-t-sweep out/sweep.txt",
                  "extra perona-sqrt-t-sweep out/record.txt",
                  "extra r3-through-zero-sweep out/sweep.txt",
-                 "extra r3-through-zero-sweep out/record.txt"):
+                 "extra r3-through-zero-sweep out/record.txt",
+                 # a config with halfline = true runs the half-line schedule
+                 "extra halfline-expr-weight stdout of halfline problem.cfg",
+                 "extra halfline-expr-weight out/interval_160.txt",
+                 "extra halfline-expr-weight out/record.txt"):
         assert f"{name}: identical" in done.stdout, done.stdout
 
 
@@ -114,6 +118,10 @@ def test_compare_outputs_reports_differences():
     assert cmp.record_difference(old, newer) == (
         "[solve] beta: max abs difference 1.000e+00, scaled 5.000e-01; "
         "[solve.verification] added"
+    )
+    # a key that one tree alone writes is named as such, not as a changed value
+    assert cmp.record_difference(old, new.replace("beta = 1", "omega = 1")) == (
+        "[solve] beta: only in OLD; [solve] omega: only in NEW"
     )
 
 
@@ -164,6 +172,24 @@ def test_traced_solve_feeds_every_layer(tmp_path, monkeypatch):
         "solver.solve", "solver.kernel", "solver.gmap", "solver.truncated_rhs",
         "solver.beta", "solver.map_eval", "solver.verify",
     }
+    assert layers <= {span.name for span in recorder.spans}
+
+
+def test_traced_halfline_feeds_its_layers(tmp_path, monkeypatch):
+    # the half-line masses are resolved through the names the tracer patches
+    tracing = _tracing_module(monkeypatch)
+    (text,) = _workloads_module(monkeypatch)._halfline_configs(0).values()
+    cfg = tmp_path / "halfline.cfg"
+    cfg.write_text(text)
+    from phibvp import cli
+
+    recorder = tracing.Recorder()
+    try:
+        tracing.install(recorder)
+        assert cli.main(["halfline", str(cfg), "-o", str(tmp_path / "run")]) == 0
+    finally:
+        recorder.uninstall()
+    layers = {"halfline.total", "halfline.mass", "halfline.gap", "solver.solve"}
     assert layers <= {span.name for span in recorder.spans}
 
 
@@ -269,7 +295,7 @@ def test_every_benchmark_solve_records_what_verify_prints(
     cases = {
         case: text
         for case, text in _compare_outputs_module().EXTRA_CASES.items()
-        if "[sweep]" not in text
+        if "[sweep]" not in text and "halfline = true" not in text
     }
     for case, text in cases.items():
         cfg = tmp_path / f"{case}.cfg"
