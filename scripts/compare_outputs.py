@@ -99,6 +99,30 @@ T = 1.0
 n = 1000
 """
 
+EXAMPLE_SWEEP = """[operator]
+name = {operator}
+
+[weight]
+name = constant
+value = 1.0
+
+[rhs]
+example = {rhs}
+
+[problem]
+nu1 = 0.0
+nu2 = {nu2}
+T = 1.0
+
+[mesh]
+n = 200
+
+[sweep]
+lambda_min = {lo}
+lambda_max = {hi}
+count = 4
+"""
+
 # No workload runs a singular weight, a decreasing branch or a half-line
 # weight without a closed-form 1/k mass: the midpoint samples of 1/k and
 # psi, decreasing branches with a closed-form inverse (sine) and with the
@@ -109,6 +133,10 @@ n = 1000
 # and an r = 3 operator through lambda = 0, where a predicted start
 # stalls and the row is solved again cold.  halfline-expr-weight is the
 # halfline workload's config with k = 1 + t^2 given as an expression.
+# The *-example cases build the worked-example tags no other config
+# builds, so that every tag's f and psi are compared: sine, plaplacian
+# and relativistic are swept across their closed-form thresholds, and
+# halfline2 runs the half-line schedule.
 EXTRA_CASES = {
     "perona-sqrt-t": PERONA_SQRT_T,
     "sine-decreasing": """[operator]
@@ -196,6 +224,34 @@ example = halfline1
 kind = halfline
 l_lip = 1
 delta = 0.5
+""",
+    "sine-example-sweep": EXAMPLE_SWEEP.format(
+        operator="sine", rhs="sine\nalpha = 3", nu2=0.4, lo=0.3, hi=0.6
+    ),
+    "plaplacian-example-sweep": EXAMPLE_SWEEP.format(
+        operator="r_laplacian\nr = 2", rhs="plaplacian\nbeta = 4", nu2=0.3, lo=0.3, hi=0.45
+    ),
+    "relativistic-example-sweep": EXAMPLE_SWEEP.format(
+        operator="relativistic", rhs="relativistic", nu2=0.5, lo=-0.9, hi=1.2
+    ),
+    "halfline2-example": """[operator]
+name = relativistic
+
+[weight]
+name = one_plus_t_squared
+
+[rhs]
+example = halfline2
+
+[problem]
+nu1 = 0.0
+nu2 = 0.2
+halfline = true
+
+[halfline]
+schedule = 5, 10, 20, 40
+tol_h = 1.0e-2
+cells_per_unit = 50
 """,
 }
 

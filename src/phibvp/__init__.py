@@ -43,7 +43,6 @@ from .operators import (
     partial_inverse_array,
 )
 from .problem import (
-    RHS_CATALOG,
     WEIGHT_CATALOG,
     BvpProblem,
     DerivedScalars,
@@ -55,7 +54,6 @@ from .problem import (
     derive_scalars,
     envelopes,
     make_problem,
-    make_rhs,
     make_weight,
     one_plus_t_squared_weight,
     sqrt_t_weight,

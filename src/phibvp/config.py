@@ -19,20 +19,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-import numpy as np
-
 from .errors import ConfigError, ExpressionError, PhibvpError
 from .expressions import CompiledExpression, compile_expression
 from .halfline import DEFAULT_SCHEDULE, HalflineProblem, limit_slope, recip_mass
 from .hypotheses import (
+    EXAMPLES,
     HypothesisReport,
     check_corollary_singular,
     check_corollary_surjective,
     check_halfline,
     check_halfline_odd,
     check_theorem1,
-    plaplacian_bound,
-    plaplacian_maximizer,
+    example_params,
     symmetric_increasing,
 )
 from .operators import (
@@ -270,84 +268,6 @@ def doc_has_section(doc: ConfigDoc, name: str) -> bool:
     return any(sec == name for sec, _ in doc.sections)
 
 
-# -- worked-example right-hand sides --------------------------------------
-
-# each worked-example tag and the [rhs] parameter keys it reads
-EXAMPLE_TAGS = {
-    "perona": ("alpha", "M", "N"), "sine": ("alpha", "M", "N"),
-    "plaplacian": ("p", "beta", "N"), "relativistic": (),
-    "halfline1": ("r",), "halfline2": (),
-}
-
-
-def _example_rhs(tag: str, sec: _Section, s_star: float) -> Rhs:
-    """Concrete f and psi for a worked-example family.
-
-    The plaplacian family carries no fixed psi: the certificate is the
-    constant z_bar solving the growth inequality at the problem's own
-    slope s*, or the maximizer argument when no certificate exists (so
-    the sampled domination check fails honestly rather than trivially).
-    """
-    if tag == "perona" or tag == "sine":
-        alpha = sec.get_float("alpha")
-        if alpha is None:
-            raise sec.error("example", f"{tag} needs alpha")
-        M = sec.get_float("M", 1.0)
-        N = sec.get_float("N", 1.0)
-        return Rhs(
-            fn=lambda t, x, y: M * N * t**alpha * np.cos(x) * np.sin(y),
-            psi=lambda t: M * N * np.asarray(t, dtype=float) ** alpha,
-            name=f"{tag}(alpha={alpha:g})",
-        )
-    if tag == "plaplacian":
-        p = sec.get_float("p", 2.0)
-        beta = sec.get_float("beta")
-        if beta is None:
-            raise sec.error("example", "plaplacian needs beta")
-        N = sec.get_float("N", 1.0)
-        _, z_solver = plaplacian_bound(p, beta, N)
-        z_bar = z_solver(abs(s_star))
-        if z_bar is None:
-            z_bar, _ = plaplacian_maximizer(p, beta, N)
-        level = float(z_bar)
-        return Rhs(
-            fn=lambda t, x, y: N * np.cos(x) * np.abs(y) ** beta + 0.0 * t,
-            psi=lambda t: np.full_like(np.asarray(t, dtype=float), level),
-            name=f"plaplacian(beta={beta:g})",
-        )
-    if tag == "relativistic":
-        return Rhs(
-            fn=lambda t, x, y: np.exp(-t) * np.cos(x) * y**3,
-            psi=lambda t: np.exp(-np.asarray(t, dtype=float)),
-            name="relativistic-decay",
-        )
-    if tag == "halfline1":
-        r = sec.get_float("r", (math.pi + 4.0) ** -1.5)
-        return Rhs(
-            fn=lambda t, x, y: t**2 * np.cos(x) * y**3,
-            psi=lambda t: r
-            * np.minimum(1.0, 1.0 / np.asarray(t, dtype=float) ** 2),
-            name=f"halfline1(r={r:g})",
-        )
-    if tag == "halfline2":
-        return Rhs(
-            fn=lambda t, x, y: np.exp(-t) * np.arctan(x * y),
-            psi=lambda t: (math.pi / 2.0) * np.exp(-np.asarray(t, dtype=float)),
-            name="halfline2",
-        )
-    raise sec.error("example", f"unknown example tag {tag!r}")
-
-
-def _example_psi_l1(tag: str, sec: _Section) -> float | None:
-    """Exact half-line mass of the example psi, when known in closed form."""
-    if tag == "halfline1":
-        r = sec.get_float("r", (math.pi + 4.0) ** -1.5)
-        return 2.0 * r
-    if tag == "halfline2":
-        return math.pi / 2.0
-    return None
-
-
 # -- the assembled configuration -------------------------------------------
 
 
@@ -363,6 +283,7 @@ class ProblemConfig:
     weight_params: tuple[tuple[str, float], ...]
     weight_expr: CompiledExpression | None
     rhs_example: str | None
+    rhs_params: tuple[tuple[str, float], ...]
     f_expr: CompiledExpression | None
     psi_expr: CompiledExpression | None
     nu1: float
@@ -391,35 +312,31 @@ class ProblemConfig:
         with _config_errors("[operator]", also=(TypeError,)):
             return make_operator(self.operator_name, **dict(self.operator_params))
 
+    @cached_property
+    def _operator(self) -> PhiOperator:
+        return self.build_operator()
+
     def build_weight(self) -> Weight:
         if self.weight_expr is not None:
-            expr = self.weight_expr
-            return Weight(fn=lambda t: expr(t), name=f"expr({expr.source})")
+            return Weight(fn=self.weight_expr, name=f"expr({self.weight_expr.source})")
         with _config_errors("[weight]", also=(TypeError,)):
             return make_weight(self.weight_name, **dict(self.weight_params))
 
     def _build_rhs(self, s_star: float) -> Rhs:
         if self.rhs_example is not None:
             with _config_errors("[rhs]"):
-                return _example_rhs(self.rhs_example, _Section(self.doc, "rhs"), s_star)
+                return EXAMPLES[self.rhs_example].rhs(s_star, **dict(self.rhs_params))
         if self.f_expr is None:
             return zero_rhs()
-        f = self.f_expr
-        psi = self.psi_expr
-        if psi is None:
-            raise ConfigError("[rhs] an expression f needs a matching psi expression")
-        return Rhs(
-            fn=lambda t, x, y: f(t, x, y),
-            psi=lambda t: psi(t),
-            name=f"expr({f.source})",
-        )
+        # load_problem_config gives an expression f its psi expression
+        return Rhs(fn=self.f_expr, psi=self.psi_expr, name=f"expr({self.f_expr.source})")
 
     @cached_property
     def _finite_parts(self) -> tuple[PhiOperator, Weight, Discretization]:
         """The operator, the weight (self-tested once) and 1/k on the mesh:
         what a finite problem does not take from nu2.  A sweep builds them
         once; a failure is not cached, so every build raises it again."""
-        phi = self.build_operator()
+        phi = self._operator
         weight = self.build_weight()
         with _config_errors("[mesh]"):
             mesh = default_mesh(weight, self.T, n=self.mesh_n)
@@ -436,28 +353,31 @@ class ProblemConfig:
         with _config_errors("[rhs]"):
             disc = recip.with_psi(rhs)
         with _config_errors("[problem]"):
-            branch = self._branch_around(phi, s_star)
+            branch = self._branch_around(s_star)
             return BvpProblem(
                 phi, branch, weight, rhs, self.nu1, nu2, self.T, p=self.p, disc=disc
             )
 
-    def _branch_around(self, phi: PhiOperator, s_star: float) -> MonotoneBranch | None:
-        """The branch that holds s*, else the hint's branch, else None.
-
-        s* outside every branch is a failed hypothesis for the check to
-        report.  Without a hint every find_branch failure is about s*;
-        with one, hint_branch raises again if the hint is no branch."""
+    def _branch_around(self, s_star: float) -> MonotoneBranch | None:
+        """The hint's branch, else the branch that holds s*, else None: s*
+        outside it is a failed hypothesis for the check to report."""
+        if self.branch_hint is not None:
+            return self._hint_branch
         try:
-            return find_branch(phi, s_star, hint=self.branch_hint)
+            return find_branch(self._operator, s_star)
         except PhibvpError:
-            if self.branch_hint is None:
-                return None
-            return hint_branch(phi, self.branch_hint)
+            return None
+
+    @cached_property
+    def _hint_branch(self) -> MonotoneBranch:
+        """The branch_hint certified once per config, as it does not depend
+        on nu2; a failure is not cached, so every build raises it again."""
+        return hint_branch(self._operator, self.branch_hint)
 
     def build_halfline(self) -> HalflineProblem:
         if not self.halfline:
             raise ConfigError("[problem] this command needs halfline = true")
-        phi = self.build_operator()
+        phi = self._operator
         weight = self.build_weight()
         # the s*_inf of HalflineProblem.scalars, or 0 where that is NaN
         s_inf = limit_slope(self.nu1, self.nu2, recip_mass(weight, self.k_infinity)[0])
@@ -465,11 +385,11 @@ class ProblemConfig:
         rhs = self._build_rhs(s_inf)
         psi_l1 = self.psi_l1
         if psi_l1 is None and self.rhs_example is not None:
-            psi_l1 = _example_psi_l1(self.rhs_example, _Section(self.doc, "rhs"))
-        if psi_l1 is None and self.f_expr is None and self.rhs_example is None:
-            psi_l1 = 0.0
+            psi_l1 = EXAMPLES[self.rhs_example].psi_l1(**dict(self.rhs_params))
+        elif psi_l1 is None and self.f_expr is None:
+            psi_l1 = 0.0  # the zero right-hand side
         with _config_errors("[problem]"):
-            branch = self._branch_around(phi, s_inf)
+            branch = self._branch_around(s_inf)
             return HalflineProblem(
                 phi,
                 branch,
@@ -573,6 +493,7 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
 
     rhs = _Section(doc, "rhs")
     rhs_example = None
+    rhs_params: dict[str, float] = {}
     f_expr = None
     psi_expr = None
     if doc_has_section(doc, "rhs"):
@@ -586,15 +507,15 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
         if psi_expr is not None and f_expr is None:
             raise ConfigError("[rhs] psi without f has no effect; give f too")
         if rhs_example is not None:
-            if rhs_example not in EXAMPLE_TAGS:
+            if rhs_example not in EXAMPLES:
                 raise rhs.error(
                     "example",
                     f"unknown example tag {rhs_example!r}; "
-                    f"known: {', '.join(EXAMPLE_TAGS)}",
+                    f"known: {', '.join(EXAMPLES)}",
                 )
-            # the tag's parameter keys are read again at build time
-            for key in EXAMPLE_TAGS[rhs_example]:
-                rhs.raw(key)
+            given = {key: rhs.get_float(key) for key, _ in EXAMPLES[rhs_example].keys}
+            with _config_errors("[rhs]"):
+                rhs_params = example_params(rhs_example, given)
         leftover = rhs.extra_keys()
         if leftover:
             raise ConfigError(f"[rhs] unknown keys: {', '.join(sorted(leftover))}")
@@ -697,6 +618,7 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
         weight_params=tuple(weight_params),
         weight_expr=weight_expr,
         rhs_example=rhs_example,
+        rhs_params=tuple(rhs_params.items()),
         f_expr=f_expr,
         psi_expr=psi_expr,
         nu1=float(nu1),

@@ -341,6 +341,32 @@ def lp_norm(
     return float(total ** (1.0 / p))
 
 
+# Numeric half-line integrals stop here; the last decade is reported as a
+# truncation proxy so callers can tell a vanishing tail from a fat one.
+TAIL_CUTOFF = 1.0e6
+
+
+def halfline_integral(fn: Callable, cutoff: float = TAIL_CUTOFF) -> tuple[float, float]:
+    """Integral of fn over [0, cutoff] plus the mass of the last decade.
+
+    Linear nodes cover [0, 1]; geometric nodes cover [1, cutoff].  Values
+    that evaluate non-finite (isolated singularities) are dropped from
+    the quadrature, so use exact antiderivatives where accuracy matters.
+    """
+    if not (cutoff > 10.0 and math.isfinite(cutoff)):
+        raise InvalidInputError("cutoff must be finite and exceed 10")
+    head = np.linspace(0.0, 1.0, 2001)
+    tail = np.geomspace(1.0, float(cutoff), 12001)[1:]
+    t = np.concatenate([head, tail])
+    with np.errstate(all="ignore"):
+        v = np.asarray(fn(t), dtype=float)
+    v = np.where(np.isfinite(v), v, 0.0)
+    seg = 0.5 * (v[1:] + v[:-1]) * np.diff(t)
+    total = float(np.sum(seg))
+    tail_mass = float(np.sum(seg[t[:-1] >= cutoff / 10.0]))
+    return total, tail_mass
+
+
 def forward_difference_residual(u: GridFunction, rhs: GridFunction) -> float:
     """Max per-cell defect, in u units, of u against the trapezoid of rhs:
     max_j |u_{j+1} - u_j - h_j (rhs_j + rhs_{j+1}) / 2|.

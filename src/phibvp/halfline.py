@@ -14,44 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, PhibvpError
-from .grid import GridFunction
+from .grid import GridFunction, halfline_integral
 from .operators import MonotoneBranch, PhiOperator
 from .problem import (
     BvpProblem, Rhs, Weight, default_mesh, image_margins, sample_weight, slope_box
 )
 from .solver import IterationConfig, SolveReport, solve
 
-# Numeric half-line integrals stop here; the last decade is reported as a
-# truncation proxy so callers can tell a vanishing tail from a fat one.
-TAIL_CUTOFF = 1.0e6
-
 DEFAULT_SCHEDULE = (5.0, 10.0, 20.0, 40.0, 80.0, 160.0)
-
-
-def halfline_integral(fn: Callable, cutoff: float = TAIL_CUTOFF) -> tuple[float, float]:
-    """Integral of fn over [0, cutoff] plus the mass of the last decade.
-
-    Linear nodes cover [0, 1]; geometric nodes cover [1, cutoff].  Values
-    that evaluate non-finite (isolated singularities) are dropped from
-    the quadrature, so use exact antiderivatives where accuracy matters.
-    """
-    if not (cutoff > 10.0 and math.isfinite(cutoff)):
-        raise InvalidInputError("cutoff must be finite and exceed 10")
-    head = np.linspace(0.0, 1.0, 2001)
-    tail = np.geomspace(1.0, float(cutoff), 12001)[1:]
-    t = np.concatenate([head, tail])
-    with np.errstate(all="ignore"):
-        v = np.asarray(fn(t), dtype=float)
-    v = np.where(np.isfinite(v), v, 0.0)
-    seg = 0.5 * (v[1:] + v[:-1]) * np.diff(t)
-    total = float(np.sum(seg))
-    tail_mass = float(np.sum(seg[t[:-1] >= cutoff / 10.0]))
-    return total, tail_mass
 
 
 def k_mass_upto(weight: Weight, t: float, cells: int = 4000) -> float:
@@ -68,13 +42,10 @@ def k_mass_upto(weight: Weight, t: float, cells: int = 4000) -> float:
 
 def recip_mass(weight: Weight, k_infinity: float | None = None) -> tuple[float, float]:
     """(||1/k||_L1 over the half-line, truncation proxy): k_infinity when
-    pinned, else the weight's finite recip_total, else a numeric integral."""
+    pinned, else the weight's own Weight.recip_halfline."""
     if k_infinity is not None:
         return k_infinity, 0.0
-    total = weight.recip_total
-    if total is not None and math.isfinite(total):
-        return float(total), 0.0
-    return halfline_integral(weight.recip)
+    return weight.recip_halfline
 
 
 def psi_mass(rhs: Rhs, psi_l1: float | None = None) -> tuple[float, float]:

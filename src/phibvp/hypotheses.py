@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -652,6 +653,152 @@ def check_halfline_odd(
     return HypothesisReport("thm_halfline_odd", tuple(items), _overall(items))
 
 
+# -- the worked examples ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WorkedExample:
+    """One worked family of the paper, written once.
+
+    keys are its [rhs] parameters with their defaults (None: required),
+    condition_keys those only its lambda-condition reads.  rhs(s_star,
+    **params) gives f and psi at the problem's slope s*, psi_l1(**params)
+    the exact half-line psi mass (None: not known), and bound(**params,
+    **condition params) the closed-form bound on |lambda| with the derived
+    quantities the condition reports; closed admits |lambda| == bound.
+    """
+
+    rhs: Callable[..., Rhs]
+    bound: Callable[..., tuple[float, dict]]
+    detail: str
+    keys: tuple[tuple[str, float | None], ...] = ()
+    condition_keys: tuple[tuple[str, float], ...] = ()
+    psi_l1: Callable[..., float | None] = lambda **params: None
+    closed: bool = False
+
+
+def _integrable_power(alpha: float) -> float:
+    """alpha + 1 > 0, for psi = M N t^alpha integrable at t = 0."""
+    if alpha <= -1.0:
+        raise InvalidInputError("alpha must exceed -1 for an integrable psi")
+    return alpha + 1.0
+
+
+def _power_rhs(tag: str, s_star: float, alpha: float, M: float, N: float) -> Rhs:
+    """f = M N t^alpha cos(x) sin(y) under psi = M N t^alpha."""
+    _integrable_power(alpha)
+    return Rhs(
+        fn=lambda t, x, y: M * N * t**alpha * np.cos(x) * np.sin(y),
+        psi=lambda t: M * N * np.asarray(t, dtype=float) ** alpha,
+        name=f"{tag}(alpha={alpha:g})",
+    )
+
+
+def _perona_bound(alpha: float, M: float, N: float) -> tuple[float, dict]:
+    c = 0.5 - 2.0 * M * N / _integrable_power(alpha)
+    # s/(1+s^2) = c has its first positive root at (1-sqrt(1-4c^2))/(2c)
+    bound = (1.0 - math.sqrt(1.0 - 4.0 * c * c)) / (2.0 * c) if c > 0.0 else 0.0
+    return bound, dict(threshold=c)
+
+
+def _sine_bound(alpha: float, M: float, N: float) -> tuple[float, dict]:
+    c = 1.0 - 2.0 * M * N / _integrable_power(alpha)
+    return (math.asin(c) if c > 0.0 else 0.0), dict(threshold=c)
+
+
+def _plaplacian_rhs(s_star: float, p: float, beta: float, N: float) -> Rhs:
+    """No fixed psi: the certificate is the constant z_bar solving the
+    growth inequality at the problem's own slope s*, or the maximizer
+    argument when no certificate exists (so the sampled domination check
+    fails honestly rather than trivially)."""
+    _, z_solver = plaplacian_bound(p, beta, N)
+    z_bar = z_solver(abs(s_star))
+    if z_bar is None:
+        z_bar, _ = plaplacian_maximizer(p, beta, N)
+    level = float(z_bar)
+    return Rhs(
+        fn=lambda t, x, y: N * np.cos(x) * np.abs(y) ** beta + 0.0 * t,
+        psi=lambda t: np.full_like(np.asarray(t, dtype=float), level),
+        name=f"plaplacian(beta={beta:g})",
+    )
+
+
+# Boundary data is x(0) = 0, x(end) = lambda throughout.
+EXAMPLES: dict[str, WorkedExample] = {
+    "perona": WorkedExample(
+        keys=(("alpha", None), ("M", 1.0), ("N", 1.0)),
+        rhs=partial(_power_rhs, "perona"),
+        bound=_perona_bound,
+        detail="needs |lambda|/(1+lambda^2) < 1/2 - 2MN/(alpha+1)",
+    ),
+    "sine": WorkedExample(
+        keys=(("alpha", None), ("M", 1.0), ("N", 1.0)),
+        rhs=partial(_power_rhs, "sine"),
+        bound=_sine_bound,
+        detail="needs sin(|lambda|) < 1 - 2MN/(alpha+1) on the principal branch",
+    ),
+    "plaplacian": WorkedExample(
+        keys=(("p", 2.0), ("beta", None), ("N", 1.0)),
+        rhs=_plaplacian_rhs,
+        bound=lambda p, beta, N: (plaplacian_bound(p, beta, N)[0], {}),
+        detail="needs |lambda|^{p-1} <= max of (z/N)^{(p-1)/beta} - 2z",
+        closed=True,
+    ),
+    "relativistic": WorkedExample(
+        rhs=lambda s_star: Rhs(
+            fn=lambda t, x, y: np.exp(-t) * np.cos(x) * y**3,
+            psi=lambda t: np.exp(-np.asarray(t, dtype=float)),
+            name="relativistic-decay",
+        ),
+        bound=lambda k1: (k1, {}),
+        detail="needs s* = lambda/k1 inside (-1, 1); every such lambda works",
+        condition_keys=(("k1", 1.0),),
+    ),
+    "halfline1": WorkedExample(
+        keys=(("r", (math.pi + 4.0) ** -1.5),),
+        rhs=lambda s_star, r: Rhs(
+            fn=lambda t, x, y: t**2 * np.cos(x) * y**3,
+            psi=lambda t: r * np.minimum(1.0, 1.0 / np.asarray(t, dtype=float) ** 2),
+            name=f"halfline1(r={r:g})",
+        ),
+        bound=lambda r: (r * math.pi**2 / 2.0, {}),
+        detail="needs |lambda| < r pi^2 / 2 for the tail-limit margin",
+        psi_l1=lambda r: 2.0 * r,
+    ),
+    "halfline2": WorkedExample(
+        rhs=lambda s_star: Rhs(
+            fn=lambda t, x, y: np.exp(-t) * np.arctan(x * y),
+            psi=lambda t: (math.pi / 2.0) * np.exp(-np.asarray(t, dtype=float)),
+            name="halfline2",
+        ),
+        bound=lambda j_half_width, k_infinity: (k_infinity * j_half_width, {}),
+        detail="needs the limit slope s*_inf = lambda/k_inf inside the branch",
+        condition_keys=(("j_half_width", math.inf), ("k_infinity", math.pi / 2.0)),
+        psi_l1=lambda: math.pi / 2.0,
+    ),
+}
+
+
+def example_params(tag: str, given: dict, condition: bool = False) -> dict[str, float]:
+    """A worked example's parameters, in the order of its keys: the given
+    values over the defaults of EXAMPLES.  condition also admits the keys
+    only the lambda-condition reads; a None value counts as not given."""
+    if tag not in EXAMPLES:
+        raise InvalidInputError(f"unknown example tag {tag!r}; known: {', '.join(EXAMPLES)}")
+    example = EXAMPLES[tag]
+    keys = example.keys + example.condition_keys if condition else example.keys
+    extra = sorted(set(given) - {key for key, _ in keys})
+    if extra:
+        raise InvalidInputError(f"unknown parameters for {tag}: {', '.join(extra)}")
+    params = {}
+    for key, default in keys:
+        value = default if given.get(key) is None else given[key]
+        if value is None:
+            raise InvalidInputError(f"{tag} needs {key}")
+        params[key] = float(value)
+    return params
+
+
 @dataclass(frozen=True)
 class ExampleCondition:
     """Closed-form admissibility region of one worked problem family."""
@@ -665,123 +812,19 @@ class ExampleCondition:
     detail: str = ""
 
 
-def _condition(tag, params, bound, lam, admissible, detail) -> ExampleCondition:
+def example_condition(tag: str, lam: float, **params) -> ExampleCondition:
+    """Evaluate one worked example's closed-form lambda condition; the
+    tags and their parameters, condition-only keys included, are those
+    of EXAMPLES."""
+    values = example_params(tag, params, condition=True)
+    example = EXAMPLES[tag]
+    bound, derived = example.bound(**values)
     return ExampleCondition(
         tag=tag,
-        params=_q(**params),
-        bound=float(bound),
+        params=_q(**values, **derived),
+        bound=bound,
         bound_kind="all-of-branch" if math.isinf(bound) else "finite",
         lam=float(lam),
-        admissible=bool(admissible),
-        detail=detail,
+        admissible=bool(abs(lam) <= bound if example.closed else abs(lam) < bound),
+        detail=example.detail,
     )
-
-
-def _take(tag: str, params: dict, name: str) -> float:
-    if name not in params:
-        raise InvalidInputError(f"{tag} needs parameter {name!r}")
-    return float(params.pop(name))
-
-
-def example_condition(tag: str, lam: float, **params) -> ExampleCondition:
-    """Evaluate one worked example's closed-form lambda condition.
-
-    Tags: perona (alpha, M, N), sine (alpha, M, N), plaplacian (p, beta,
-    N), relativistic (k1), halfline1 (r), halfline2 (j_half_width,
-    k_infinity).  Boundary data is x(0) = 0, x(end) = lambda throughout.
-    """
-    if tag == "perona":
-        alpha = _take(tag, params, "alpha")
-        M = float(params.pop("M", 1.0))
-        N = float(params.pop("N", 1.0))
-        _reject_extra(tag, params)
-        if alpha <= -1.0:
-            raise InvalidInputError("alpha must exceed -1 for an integrable psi")
-        c = 0.5 - 2.0 * M * N / (alpha + 1.0)
-        # s/(1+s^2) = c has its first positive root at (1-sqrt(1-4c^2))/(2c)
-        bound = (1.0 - math.sqrt(1.0 - 4.0 * c * c)) / (2.0 * c) if c > 0.0 else 0.0
-        return _condition(
-            "perona",
-            dict(alpha=alpha, M=M, N=N, threshold=c),
-            bound,
-            lam,
-            abs(lam) < bound,
-            "needs |lambda|/(1+lambda^2) < 1/2 - 2MN/(alpha+1)",
-        )
-    if tag == "sine":
-        alpha = _take(tag, params, "alpha")
-        M = float(params.pop("M", 1.0))
-        N = float(params.pop("N", 1.0))
-        _reject_extra(tag, params)
-        if alpha <= -1.0:
-            raise InvalidInputError("alpha must exceed -1 for an integrable psi")
-        c = 1.0 - 2.0 * M * N / (alpha + 1.0)
-        bound = math.asin(c) if c > 0.0 else 0.0
-        return _condition(
-            "sine",
-            dict(alpha=alpha, M=M, N=N, threshold=c),
-            bound,
-            lam,
-            abs(lam) < bound,
-            "needs sin(|lambda|) < 1 - 2MN/(alpha+1) on the principal branch",
-        )
-    if tag == "plaplacian":
-        p = float(params.pop("p", 2.0))
-        beta = _take(tag, params, "beta")
-        N = float(params.pop("N", 1.0))
-        _reject_extra(tag, params)
-        bound, _ = plaplacian_bound(p, beta, N)
-        return _condition(
-            "plaplacian",
-            dict(p=p, beta=beta, N=N),
-            bound,
-            lam,
-            abs(lam) <= bound,
-            "needs |lambda|^{p-1} <= max of (z/N)^{(p-1)/beta} - 2z",
-        )
-    if tag == "relativistic":
-        k1 = float(params.pop("k1", 1.0))
-        _reject_extra(tag, params)
-        return _condition(
-            "relativistic",
-            dict(k1=k1),
-            k1,
-            lam,
-            abs(lam) < k1,
-            "needs s* = lambda/k1 inside (-1, 1); every such lambda works",
-        )
-    if tag == "halfline1":
-        r = float(params.pop("r", (math.pi + 4.0) ** -1.5))
-        _reject_extra(tag, params)
-        bound = r * math.pi**2 / 2.0
-        return _condition(
-            "halfline1",
-            dict(r=r),
-            bound,
-            lam,
-            abs(lam) < bound,
-            "needs |lambda| < r pi^2 / 2 for the tail-limit margin",
-        )
-    if tag == "halfline2":
-        w = float(params.pop("j_half_width", math.inf))
-        k_inf = float(params.pop("k_infinity", math.pi / 2.0))
-        _reject_extra(tag, params)
-        bound = k_inf * w
-        return _condition(
-            "halfline2",
-            dict(j_half_width=w, k_infinity=k_inf),
-            bound,
-            lam,
-            abs(lam) < bound,
-            "needs the limit slope s*_inf = lambda/k_inf inside the branch",
-        )
-    raise InvalidInputError(
-        "unknown example tag; use perona, sine, plaplacian, relativistic, "
-        "halfline1 or halfline2"
-    )
-
-
-def _reject_extra(tag: str, params: dict) -> None:
-    if params:
-        extra = ", ".join(sorted(params))
-        raise InvalidInputError(f"unknown parameters for {tag}: {extra}")

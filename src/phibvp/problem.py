@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import BranchError, CompatibilityError, EnvelopeError, InvalidInputError
-from .grid import SENTINEL, GridFunction, Mesh, lp_norm, running_integral, sample_midpoints
+from .grid import (
+    SENTINEL, GridFunction, Mesh, halfline_integral, lp_norm, running_integral, sample_midpoints
+)
 from .operators import MonotoneBranch, PhiOperator, find_branch, partial_inverse
 
 # reference mesh and tolerance of the K self-test (sqrt_t is off by 1e-6)
@@ -60,6 +63,14 @@ class Weight:
     def recip(self, t):
         with np.errstate(all="ignore"):
             return 1.0 / np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
+
+    @cached_property
+    def recip_halfline(self) -> tuple[float, float]:
+        """(||1/k||_L1 over the half-line, truncation proxy), resolved once
+        per weight: the finite recip_total, else a numeric integral."""
+        if self.recip_total is not None and math.isfinite(self.recip_total):
+            return float(self.recip_total), 0.0
+        return halfline_integral(self.recip)
 
 
 def constant_weight(value: float = 1.0) -> Weight:
@@ -140,19 +151,6 @@ def constant_rhs(value: float) -> Rhs:
         psi=lambda t: np.full_like(np.asarray(t, dtype=float), mag),
         name="constant",
     )
-
-
-RHS_CATALOG: dict[str, Callable[..., Rhs]] = {
-    "zero": zero_rhs,
-    "constant": constant_rhs,
-}
-
-
-def make_rhs(name: str, **params) -> Rhs:
-    if name not in RHS_CATALOG:
-        known = ", ".join(sorted(RHS_CATALOG))
-        raise InvalidInputError(f"unknown rhs {name!r}; catalog: {known}")
-    return RHS_CATALOG[name](**params)
 
 
 @dataclass(frozen=True, eq=False)

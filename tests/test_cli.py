@@ -274,6 +274,30 @@ class TestCheck:
         assert main(["check", cfg]) == 1
         assert f"config error: [problem] {message}" in capsys.readouterr().err
 
+    def test_a_branch_hint_is_certified_once_per_config(self, tmp_path, monkeypatch):
+        # the hint's branch does not depend on nu2: one certification serves
+        # a check whose s* lies outside the hint and every row of a sweep
+        from phibvp import operators
+
+        calls = []
+        real = operators.hint_branch
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        for module in (operators, config_mod):
+            monkeypatch.setattr(module, "hint_branch", counted)
+        text = RELATIVISTIC_SWEEP.replace(
+            "name = relativistic", "name = relativistic\nbranch_hint = 0.2, 0.9"
+        )
+        assert main(["check", write(tmp_path, text)]) == 2
+        assert calls == [(0.2, 0.9)]
+        calls.clear()
+        text = text.replace("count = 3", "count = 10")
+        assert main(["sweep", write(tmp_path, text), "-o", str(tmp_path / "run")]) == 0
+        assert calls == [(0.2, 0.9)]
+
     def test_open_branch_end_in_the_lipschitz_samples_warns_nothing(
         self, tmp_path, capsys
     ):
@@ -903,6 +927,25 @@ class TestHalfline:
         assert main(["halfline", write(tmp_path, ARCTAN), "-o", str(tmp_path / "run")]) == 0
         assert len(calls) == 1
 
+    def test_the_recip_mass_is_integrated_once(self, tmp_path, monkeypatch):
+        # an expression weight has no closed-form 1/k mass: the build's
+        # branch choice and HalflineProblem.scalars share one integral
+        from phibvp import grid, halfline, problem
+
+        calls = []
+        real = halfline.halfline_integral
+
+        def counted(fn, *args, **kwargs):
+            calls.append(getattr(fn, "__func__", None) is problem.Weight.recip)
+            return real(fn, *args, **kwargs)
+
+        for module in (grid, problem, halfline):
+            if hasattr(module, "halfline_integral"):
+                monkeypatch.setattr(module, "halfline_integral", counted)
+        text = ARCTAN.replace("name = one_plus_t_squared", "expr = 1 + t*t")
+        assert main(["halfline", write(tmp_path, text), "-o", str(tmp_path / "run")]) == 0
+        assert calls == [True]
+
     def test_vanishing_weight_fails_recip_integrable(self, tmp_path, capsys):
         # 1/k = inf everywhere leaves a zero numeric mass: a failed
         # hypothesis, not a division by zero
@@ -1278,6 +1321,11 @@ CONFIG_FAILURES = {
         "[mesh] ",
     ),
     "plaplacian-beta-p-1": (PLAPLACIAN_DEGENERATE, ["check", "{cfg}"], "[rhs] "),
+    "perona-alpha-not-above-minus-one": (
+        PERONA.format(nu2=0.05).replace("alpha = 4.0", "alpha = -1.5"),
+        ["check", "{cfg}"],
+        "[rhs] alpha must exceed -1 for an integrable psi",
+    ),
     "cor-surjective-perona": (
         PERONA.format(nu2=0.05) + "\n[check]\nkind = cor-surjective\n",
         ["check", "{cfg}"],

@@ -16,13 +16,16 @@ from hypothesis import strategies as st
 from phibvp import (
     ConfigDoc,
     ConfigError,
+    InvalidInputError,
     ProblemConfig,
+    example_condition,
     emit_config,
     load_problem_config,
     parse_config,
     with_overrides,
 )
 from phibvp.cli import main
+from phibvp.hypotheses import EXAMPLES
 
 MINIMAL = """
 [operator]
@@ -203,6 +206,41 @@ class TestValidation:
         cfg.write_text(text)
         assert main(["check", str(cfg)]) == 1
         assert "unknown keys" in capsys.readouterr().err
+
+    def test_rhs_keys_are_the_condition_keys_less_the_condition_only_ones(self):
+        # [rhs] and example_condition read the one EXAMPLES table: for every
+        # tag, [rhs] accepts exactly the keys example_condition accepts,
+        # less the ones only the lambda-condition reads
+        values = {"alpha": 4, "M": 1, "N": 1, "p": 2, "beta": 0.5, "r": 0.5,
+                  "k1": 1, "j_half_width": 1, "k_infinity": 1.5}
+        for tag, example in EXAMPLES.items():
+            required = {key for key, default in example.keys if default is None}
+
+            def given(key):
+                return {k: values[k] for k in required | {key}}
+
+            def rhs_accepts(key):
+                text = "".join(f"{k} = {v}\n" for k, v in given(key).items())
+                try:
+                    load(splice(f"[rhs]\nexample = {tag}\n" + text))
+                except ConfigError as exc:
+                    assert "[rhs] unknown keys" in str(exc), exc
+                    return False
+                return True
+
+            def condition_accepts(key):
+                try:
+                    example_condition(tag, 0.1, **given(key))
+                except InvalidInputError as exc:
+                    assert f"unknown parameters for {tag}" in str(exc), exc
+                    return False
+                return True
+
+            rhs_keys = {key for key in values if rhs_accepts(key)}
+            condition_keys = {key for key in values if condition_accepts(key)}
+            condition_only = {key for key, _ in example.condition_keys}
+            assert rhs_keys == condition_keys - condition_only, tag
+            assert rhs_keys == {key for key, _ in example.keys}, tag
 
     def test_bad_bool(self):
         text = MINIMAL.replace("T = 1.0", "halfline = maybe")

@@ -21,7 +21,6 @@ from phibvp import (
     find_branch,
     make_operator,
     make_problem,
-    make_rhs,
     make_weight,
     one_plus_t_squared_weight,
     sqrt_t_weight,
@@ -249,11 +248,10 @@ class TestProblemAssembly:
                 mesh=Mesh.uniform(1.0, 64),
             )
 
-    def test_rhs_catalog(self):
-        r = make_rhs("constant", value=-3.0)
+    def test_constant_rhs(self):
+        r = constant_rhs(-3.0)
         assert float(r.psi_at(0.2)) == pytest.approx(3.0)
-        with pytest.raises(InvalidInputError):
-            make_rhs("mystery")
+        assert float(r(0.2, 1.0, 2.0)) == -3.0
 
 
 class TestEnvelopes:

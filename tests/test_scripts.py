@@ -96,7 +96,13 @@ def test_compare_outputs_finds_the_tree_identical_to_itself(tmp_path):
                  # a config with halfline = true runs the half-line schedule
                  "extra halfline-expr-weight stdout of halfline problem.cfg",
                  "extra halfline-expr-weight out/interval_160.txt",
-                 "extra halfline-expr-weight out/record.txt"):
+                 "extra halfline-expr-weight out/record.txt",
+                 # every worked-example tag is built by some case
+                 *(f"extra {tag}-example-sweep out/{name}"
+                   for tag in ("sine", "plaplacian", "relativistic")
+                   for name in ("sweep.txt", "record.txt")),
+                 "extra halfline2-example out/interval_20.txt",
+                 "extra halfline2-example out/record.txt"):
         assert f"{name}: identical" in done.stdout, done.stdout
 
 
