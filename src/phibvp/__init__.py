@@ -29,9 +29,7 @@ from .grid import (
     GridFunction,
     Mesh,
     cumulative_integral,
-    forward_difference_residual,
-    integrate,
-    norm,
+    lp_norm,
 )
 from .operators import (
     OPERATOR_CATALOG,

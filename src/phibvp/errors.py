@@ -18,7 +18,7 @@ class InvalidInputError(PhibvpError):
 
 
 class MeshMismatchError(PhibvpError):
-    """Two grid functions that must share a mesh do not."""
+    """Node arrays that must live on the problem mesh do not."""
 
 
 class DomainError(PhibvpError):

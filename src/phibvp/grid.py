@@ -1,11 +1,11 @@
-"""Meshes, nodal grid functions, quadrature, and discrete norms on [0, T].
+"""Meshes, nodal samples, the quadrature accumulator, and discrete norms on [0, T].
 
 The quadrature rule is composite trapezoid.  Meshes may flag singular
 nodes (points where an integrand such as 1/k blows up); the cells that
 touch a singular node are integrated with the midpoint rule instead, so
 the integrand is never sampled at the singular point itself.  Only the
 data functions 1/k and psi are sampled at those midpoints
-(sample_midpoints); every other grid function, f and whatever depends on
+(sample_midpoints); every other nodal array, f and whatever depends on
 the iterate, takes its finite endpoint's value there (midvalues).
 
 Graded meshes crowd their nodes toward each singular point p by the power
@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, MeshMismatchError
+from .errors import InvalidInputError
 
 GRADING_EXPONENT = 4.0
 
@@ -209,10 +209,11 @@ def _locate_singular(nodes: np.ndarray, points: Sequence[float]) -> tuple[int, .
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Nodal values on a mesh.
+    """Nodal values on a mesh: the column type of the solve reports.
 
-    On the midpoint-rule cells next to singular nodes it takes its finite
-    endpoint's value (see midvalues).
+    Everything below `solve` runs on plain node arrays of the problem's
+    one mesh; a report's x, x' and u carry their mesh with them, so that
+    a half-line schedule can compare solutions on different meshes.
     """
 
     mesh: Mesh
@@ -226,27 +227,21 @@ class GridFunction:
             raise InvalidInputError("grid function values must be finite")
         object.__setattr__(self, "values", vals)
 
-    @staticmethod
-    def from_callable(mesh: Mesh, fn: Callable, fill: float = 0.0) -> "GridFunction":
-        """Sample fn at the nodes; flagged singular nodes get `fill` instead."""
-        with np.errstate(all="ignore"):
-            vals = np.asarray(fn(mesh.nodes), dtype=float)
-        if vals.shape == ():
-            vals = np.full(mesh.nodes.shape, float(vals))
-        mask = mesh.singular_mask()
-        vals = np.where(mask, fill, vals)
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.argmax(~np.isfinite(vals)))
-            raise InvalidInputError(
-                f"callable produced non-finite value at node {bad} (t={float(mesh.nodes[bad])!r})"
-            )
-        return GridFunction(mesh, vals)
 
-
-def same_mesh(a: GridFunction, b: GridFunction) -> Mesh:
-    if a.mesh is b.mesh or np.array_equal(a.mesh.nodes, b.mesh.nodes):
-        return a.mesh
-    raise MeshMismatchError("grid functions live on different meshes")
+def sample_nodes(mesh: Mesh, fn: Callable, fill: float = 0.0) -> np.ndarray:
+    """fn at the nodes, where it must be finite; flagged singular nodes
+    get `fill` instead."""
+    with np.errstate(all="ignore"):
+        vals = np.asarray(fn(mesh.nodes), dtype=float)
+    if vals.shape == ():
+        vals = np.full(mesh.nodes.shape, float(vals))
+    vals = np.where(mesh.singular_mask(), fill, vals)
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.argmax(~np.isfinite(vals)))
+        raise InvalidInputError(
+            f"callable produced non-finite value at node {bad} (t={float(mesh.nodes[bad])!r})"
+        )
+    return vals
 
 
 def sample_midpoints(mesh: Mesh, fn: Callable) -> np.ndarray:
@@ -277,16 +272,19 @@ def midvalues(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     return np.where(mesh.singular_mask()[cells + 1], values[cells], values[cells + 1])
 
 
-def running_integral(
-    mesh: Mesh, values: np.ndarray, mid_values: np.ndarray
+def cumulative_integral(
+    mesh: Mesh, values: np.ndarray, mid_values: np.ndarray | None = None
 ) -> np.ndarray:
     """Running integral at the nodes, 0 at t = 0, of nodal `values` and of
-    `mid_values` at the midpoints of `mesh.mid_cells`.
+    `mid_values` at the midpoints of `mesh.mid_cells` (by default the
+    endpoint stand-ins of midvalues).
 
     Each cell adds its trapezoid, or its width times its midpoint value on
     the midpoint-rule cells: this is the one quadrature accumulator, which
-    running integrals and norms share.
+    running integrals, masses and norms share.
     """
+    if mid_values is None:
+        mid_values = midvalues(mesh, values)
     h, cells = mesh.widths, mesh.mid_cells
     contrib = 0.5 * h * (values[:-1] + values[1:])
     if cells.size:
@@ -297,37 +295,18 @@ def running_integral(
     return out
 
 
-def cumulative_integral(g: GridFunction) -> GridFunction:
-    """Running integral G(t_j) = integral of g over [0, t_j], G(0) = 0."""
-    mids = midvalues(g.mesh, g.values)
-    return GridFunction(g.mesh, running_integral(g.mesh, g.values, mids))
-
-
-def integrate(g: GridFunction) -> float:
-    """Integral of g over [0, T]; equals the last cumulative value exactly."""
-    return float(cumulative_integral(g).values[-1])
-
-
-def norm(g: GridFunction, p: float = 1.0) -> float:
-    """L^p norm, p >= 1, via the mesh quadrature, or the nodal sup for p = inf.
-
-    Flagged singular nodes never contribute: the sup skips them and the
-    quadrature cells around them take the finite endpoint's value.
-    """
-    if not (p >= 1.0):
-        raise InvalidInputError("norm exponent must satisfy p >= 1")
-    return lp_norm(g.mesh, g.values, float(p))
-
-
 def lp_norm(
     mesh: Mesh, values: np.ndarray, p: float, mid_values: np.ndarray | None = None
 ) -> float:
-    """`norm` of nodal values that need not form a GridFunction.
+    """L^p norm, p >= 1, via the mesh quadrature, or the nodal sup for p = inf.
 
-    |v|^p must be finite at every node, as a GridFunction's values must.
-    mid_values, when given, are samples at the midpoints of mesh.mid_cells
-    (as from sample_midpoints) in place of the endpoint stand-ins.
+    |v|^p must be finite at every node.  Flagged singular nodes never
+    contribute: the sup skips them and the quadrature cells around them
+    take the finite endpoint's value, or mid_values, when given: samples
+    at the midpoints of mesh.mid_cells (as from sample_midpoints).
     """
+    if not (p >= 1.0):
+        raise InvalidInputError("norm exponent must satisfy p >= 1")
     if math.isinf(p):
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("grid function values must be finite")
@@ -337,7 +316,7 @@ def lp_norm(
         mids = midvalues(mesh, powered) if mid_values is None else np.abs(mid_values) ** p
     if not (np.all(np.isfinite(powered)) and np.all(np.isfinite(mids))):
         raise InvalidInputError("grid function values must be finite")
-    total = float(running_integral(mesh, powered, mids)[-1])
+    total = float(cumulative_integral(mesh, powered, mids)[-1])
     return float(total ** (1.0 / p))
 
 
@@ -367,19 +346,13 @@ def halfline_integral(fn: Callable, cutoff: float = TAIL_CUTOFF) -> tuple[float,
     return total, tail_mass
 
 
-def forward_difference_residual(u: GridFunction, rhs: GridFunction) -> float:
+def difference_residual(mesh: Mesh, u: np.ndarray, rhs: np.ndarray) -> float:
     """Max per-cell defect, in u units, of u against the trapezoid of rhs:
     max_j |u_{j+1} - u_j - h_j (rhs_j + rhs_{j+1}) / 2|.
 
     Cells touching a flagged singular node are skipped (the data there is
-    a placeholder by convention).
-    """
-    return difference_residual(same_mesh(u, rhs), u.values, rhs.values)
-
-
-def difference_residual(mesh: Mesh, u: np.ndarray, rhs: np.ndarray) -> float:
-    """`forward_difference_residual` of nodal values that need not form
-    GridFunctions: a non-finite u gives a non-finite residual."""
+    a placeholder by convention); a non-finite u gives a non-finite
+    residual."""
     defect = np.abs(np.diff(u) - 0.5 * mesh.widths * (rhs[:-1] + rhs[1:]))
     singular = mesh.singular_mask()
     keep = ~(singular[:-1] | singular[1:])

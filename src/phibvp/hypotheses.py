@@ -10,7 +10,7 @@ lattice and can earn at most "sampled-pass"; the max observed ratio
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -235,6 +235,9 @@ def _finite_interval_items(
         )
     else:
         margin = _margin_item(problem.branch, sc.phi_s_star, sc.L)
+        if sc.psi_min < 0.0:
+            why = "psi is negative at sampled nodes: L bounds no |f|, margin undefined"
+            margin = replace(margin, verdict=INCONCLUSIVE, detail=why)
     items.append(margin)
 
     if sc.psi_min < 0.0:
@@ -694,15 +697,22 @@ def _power_rhs(tag: str, s_star: float, alpha: float, M: float, N: float) -> Rhs
     )
 
 
+def _threshold(top: float, alpha: float, M: float, N: float) -> float:
+    """top - 2 M N / (alpha + 1), at most top: psi = M N t^alpha >= 0."""
+    if not M * N >= 0.0:
+        raise InvalidInputError(f"M N must be nonnegative for psi = M N t^alpha, got {M * N!r}")
+    return top - 2.0 * M * N / _integrable_power(alpha)
+
+
 def _perona_bound(alpha: float, M: float, N: float) -> tuple[float, dict]:
-    c = 0.5 - 2.0 * M * N / _integrable_power(alpha)
+    c = _threshold(0.5, alpha, M, N)
     # s/(1+s^2) = c has its first positive root at (1-sqrt(1-4c^2))/(2c)
     bound = (1.0 - math.sqrt(1.0 - 4.0 * c * c)) / (2.0 * c) if c > 0.0 else 0.0
     return bound, dict(threshold=c)
 
 
 def _sine_bound(alpha: float, M: float, N: float) -> tuple[float, dict]:
-    c = 1.0 - 2.0 * M * N / _integrable_power(alpha)
+    c = _threshold(1.0, alpha, M, N)
     return (math.asin(c) if c > 0.0 else 0.0), dict(threshold=c)
 
 

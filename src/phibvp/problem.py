@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BranchError, CompatibilityError, EnvelopeError, InvalidInputError
 from .grid import (
-    SENTINEL, GridFunction, Mesh, halfline_integral, lp_norm, running_integral, sample_midpoints
+    SENTINEL, Mesh, cumulative_integral, halfline_integral, lp_norm, sample_midpoints, sample_nodes
 )
 from .operators import MonotoneBranch, PhiOperator, find_branch, partial_inverse
 
@@ -182,7 +182,7 @@ class Discretization:
 
     def with_psi(self, rhs: Rhs) -> "Discretization":
         """A copy that also holds psi; a non-finite sample is an error."""
-        psi_n = GridFunction.from_callable(self.mesh, rhs.psi_at, fill=0.0).values
+        psi_n = sample_nodes(self.mesh, rhs.psi_at)
         psi_mid = sample_midpoints(self.mesh, rhs.psi_at)
         return replace(self, psi_n=psi_n, psi_mid=psi_mid)
 
@@ -190,12 +190,12 @@ class Discretization:
 def sample_weight(weight: Weight, mesh: Mesh) -> Discretization:
     """1/k on the mesh, without psi (see Discretization.with_psi); away from
     singular nodes it must be positive and finite, and so must k1."""
-    recip_n = GridFunction.from_callable(mesh, weight.recip, fill=0.0).values
+    recip_n = sample_nodes(mesh, weight.recip)
     recip_mid = sample_midpoints(mesh, weight.recip)
     if np.any(recip_n[~mesh.singular_mask()] <= 0.0) or np.any(recip_mid <= 0.0):
         raise InvalidInputError("weight must be positive away from singular points")
     disc = Discretization(
-        mesh, recip_n, recip_mid, running_integral(mesh, recip_n, recip_mid)
+        mesh, recip_n, recip_mid, cumulative_integral(mesh, recip_n, recip_mid)
     )
     if not (disc.k1 > 0.0 and math.isfinite(disc.k1)):
         raise InvalidInputError("the L1 norm of 1/k is not positive and finite")
@@ -297,7 +297,7 @@ def derive_scalars(problem: BvpProblem) -> DerivedScalars:
     disc = problem.disc
     k1 = disc.k1
     s_star = (problem.nu2 - problem.nu1) / k1
-    L = float(running_integral(disc.mesh, disc.psi_n, disc.psi_mid)[-1])
+    L = float(cumulative_integral(disc.mesh, disc.psi_n, disc.psi_mid)[-1])
     psi_min = float(np.min(disc.psi_n[~disc.mesh.singular_mask()], initial=math.inf))
     phi_s = A_star = B_star = math.nan
     if problem.branch_contains(s_star):
@@ -366,25 +366,21 @@ def slope_box(
 class Envelopes:
     """Nodal derivative bounds eta1 <= x' <= eta2 and the solution box."""
 
-    eta1: GridFunction
-    eta2: GridFunction
+    eta1: np.ndarray
+    eta2: np.ndarray
     N1: float
     N2: float
 
 
 def envelopes(problem: BvpProblem, scalars: DerivedScalars) -> Envelopes:
     """Derivative envelopes slope/k(t); singular nodes get wide sentinels."""
-    mesh = problem.mesh
     invk = problem.disc.recip_n
-    mask = mesh.singular_mask()
+    mask = problem.mesh.singular_mask()
     lo = np.where(mask, -SENTINEL, scalars.slope_lo * invk)
     hi = np.where(mask, SENTINEL, scalars.slope_hi * invk)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise InvalidInputError("derivative envelopes must be finite")
     if np.any(lo[~mask] > hi[~mask]):
         raise EnvelopeError("derivative envelopes are inverted")
-    return Envelopes(
-        eta1=GridFunction(mesh, lo),
-        eta2=GridFunction(mesh, hi),
-        N1=scalars.N1,
-        N2=scalars.N2,
-    )
+    return Envelopes(eta1=lo, eta2=hi, N1=scalars.N1, N2=scalars.N2)
 

@@ -54,11 +54,8 @@ from .grid import (
     Mesh,
     cumulative_integral,
     difference_residual,
-    forward_difference_residual,
     lp_norm,
     midvalues,
-    running_integral,
-    same_mesh,
 )
 from .operators import MonotoneBranch, bracketed_root, partial_inverse_array
 from .problem import (
@@ -136,13 +133,17 @@ class BetaEquation:
     _last: list = field(default_factory=list, repr=False)
 
     @staticmethod
-    def build(kernel: SolverKernel, Fcum: GridFunction) -> "BetaEquation":
-        mesh = kernel.disc.mesh
-        if Fcum.mesh is not mesh and not np.array_equal(Fcum.mesh.nodes, mesh.nodes):
+    def build(kernel: SolverKernel, Fcum: np.ndarray) -> "BetaEquation":
+        """The map for the running integral Fcum of F at the nodes of the
+        kernel's mesh."""
+        F_n = np.asarray(Fcum, dtype=float)
+        if F_n.shape != kernel.disc.mesh.nodes.shape:
             raise InvalidInputError("cumulative grid lives on a different mesh")
+        if not np.all(np.isfinite(F_n)):
+            raise InvalidInputError("grid function values must be finite")
         problem = kernel.problem
         target = problem.nu2 - problem.nu1
-        return BetaEquation(kernel, problem.branch, problem.phi, Fcum.values, target)
+        return BetaEquation(kernel, problem.branch, problem.phi, F_n, target)
 
     def _slopes(self, xi: float) -> tuple[np.ndarray, np.ndarray]:
         # Phi^{-1}(xi + F) at the nodes only; the midpoint-rule cells take
@@ -156,7 +157,7 @@ class BetaEquation:
         if self._last and self._last[0] == xi:
             return self._last[1]
         w_n, w_mid = self._slopes(xi)
-        out = (running_integral(self.kernel.disc.mesh, w_n, w_mid), w_n)
+        out = (cumulative_integral(self.kernel.disc.mesh, w_n, w_mid), w_n)
         self._last[:] = (xi, out)
         return out
 
@@ -223,7 +224,7 @@ class BetaEquation:
             x = guess
         else:
             F_ends = midvalues(disc.mesh, self.F_n)
-            F_int = running_integral(
+            F_int = cumulative_integral(
                 disc.mesh, disc.recip_n * self.F_n, disc.recip_mid * F_ends
             )
             F_mean = float(F_int[-1]) / disc.k1
@@ -299,7 +300,7 @@ class BetaEquation:
 
 def beta_solve(
     problem: BvpProblem,
-    Fx_cumulative: GridFunction,
+    Fx_cumulative: np.ndarray,
     L: float,
     tol_beta: float = 1e-12,
 ) -> float:
@@ -331,10 +332,10 @@ def _box(problem: BvpProblem, envs: Envelopes) -> tuple[float, float]:
 def truncated_rhs(
     problem: BvpProblem,
     envs: Envelopes,
-    x: GridFunction,
-    x_prime: GridFunction,
+    x: np.ndarray,
+    x_prime: np.ndarray,
     stats: dict | None = None,
-) -> GridFunction:
+) -> np.ndarray:
     """f sampled at the clamped iterate, itself clamped into [-psi, psi].
 
     A nonzero psi clip count means the sampled domination hypothesis is
@@ -342,12 +343,11 @@ def truncated_rhs(
     `envs` must come from `envelopes`, which has checked that no bound is
     inverted; psi comes from problem.disc.
     """
-    mesh = same_mesh(x, x_prime)
-    nodes = mesh.nodes
-    singular = mesh.singular_mask()
+    nodes = problem.mesh.nodes
+    singular = problem.mesh.singular_mask()
     box_lo, box_hi = _box(problem, envs)
-    tx = np.clip(x.values, box_lo, box_hi)
-    txp = np.clip(x_prime.values, envs.eta1.values, envs.eta2.values)
+    tx = np.clip(x, box_lo, box_hi)
+    txp = np.clip(x_prime, envs.eta1, envs.eta2)
     with np.errstate(all="ignore"):
         F = np.asarray(problem.rhs(nodes, tx, txp), dtype=float)
     if F.shape == ():
@@ -367,31 +367,29 @@ def truncated_rhs(
         )
         F = np.clip(F, -psi_n, psi_n)
     if stats is not None:
-        scale_x = 1.0 + np.abs(x.values)
-        moved_x = np.abs(tx - x.values) > _CLIP_RTOL * scale_x
-        scale_y = 1.0 + np.abs(x_prime.values)
-        moved_y = np.abs(txp - x_prime.values) > _CLIP_RTOL * scale_y
+        moved_x = np.abs(tx - x) > _CLIP_RTOL * (1.0 + np.abs(x))
+        moved_y = np.abs(txp - x_prime) > _CLIP_RTOL * (1.0 + np.abs(x_prime))
         stats["truncated_nodes"] = int(np.count_nonzero((moved_x | moved_y) & ~singular))
         stats["psi_clips"] = clipped
-    return GridFunction(mesh, F)
+    return F
 
 
 @dataclass(frozen=True, eq=False)
 class GStep:
-    """One application of the integral map g."""
+    """One application of the integral map g, on the problem's nodes."""
 
-    x: GridFunction
-    x_prime: GridFunction
+    x: np.ndarray
+    x_prime: np.ndarray
     beta: float
-    u: GridFunction
+    u: np.ndarray
     phi_defect: float
 
 
 def g_map(
     problem: BvpProblem,
     scalars: DerivedScalars,
-    x: GridFunction,
-    x_prime: GridFunction,
+    x: np.ndarray,
+    x_prime: np.ndarray,
     envs: Envelopes | None = None,
     tol_beta: float = 1e-12,
     beta_guess: float | None = None,
@@ -399,18 +397,20 @@ def g_map(
     """g_x = nu1 + cumulative (1/k) Phi^{-1}(beta + F_cum) at one iterate.
 
     `beta_guess` is the first trial point of the beta solve (see
-    BetaEquation.solve); the previous sweep's beta is a good one.
+    BetaEquation.solve); the previous sweep's beta is a good one.  Every
+    output must be finite.
     """
     env = envs if envs is not None else envelopes(problem, scalars)
     F = truncated_rhs(problem, env, x, x_prime)
-    Fcum = cumulative_integral(F)
+    Fcum = cumulative_integral(problem.mesh, F)
     eq = BetaEquation.build(SolverKernel(problem), Fcum)
     beta = eq.solve(tol_beta, guess=beta_guess)
     cum, w_n = eq.cumulative(beta)
-    mesh = problem.mesh
-    x_new = GridFunction(mesh, problem.nu1 + cum)
-    xp_new = GridFunction(mesh, np.where(mesh.singular_mask(), SENTINEL, w_n))
-    u = GridFunction(mesh, beta + Fcum.values)
+    x_new = problem.nu1 + cum
+    xp_new = np.where(problem.mesh.singular_mask(), SENTINEL, w_n)
+    u = beta + Fcum
+    if not all(np.all(np.isfinite(v)) for v in (x_new, xp_new, u)):
+        raise InvalidInputError("grid function values must be finite")
     return GStep(
         x=x_new,
         x_prime=xp_new,
@@ -475,13 +475,7 @@ def _envelope_excess(
     """
     lo, hi = box
     ex_x = float(max(np.max(lo - x_vals), np.max(x_vals - hi), 0.0))
-    ex_y = float(
-        max(
-            np.max(envs.eta1.values - xp_vals),
-            np.max(xp_vals - envs.eta2.values),
-            0.0,
-        )
-    )
+    ex_y = float(max(np.max(envs.eta1 - xp_vals), np.max(xp_vals - envs.eta2), 0.0))
     return ex_x, ex_y
 
 
@@ -499,6 +493,11 @@ def solve(
     `initial` optionally supplies (x, x') node arrays as the starting
     iterate; they are projected into the box and envelopes.  Default is
     the affine-in-K profile, which is the exact solution when f = 0.
+
+    Everything below runs on node arrays of problem.mesh.  The report
+    wraps its x, x' and u columns once, as GridFunctions, because they
+    leave the one mesh: the half-line schedule compares solutions on
+    meshes of different intervals.
     """
     cfg = config if config is not None else IterationConfig()
     # quadrature-consistent scalars: the g outputs then satisfy the
@@ -514,14 +513,10 @@ def solve(
     )
 
     final_stats: dict = {}
-    residual = forward_difference_residual(
-        last.u,
-        truncated_rhs(
-            problem, envs, last.x, last.x_prime, stats=final_stats
-        ),
-    )
-    boundary_defect = abs(float(last.x.values[-1]) - problem.nu2)
-    ex_x, ex_y = _envelope_excess(last.x.values, last.x_prime.values, box, envs)
+    F = truncated_rhs(problem, envs, last.x, last.x_prime, stats=final_stats)
+    residual = difference_residual(problem.mesh, last.u, F)
+    boundary_defect = abs(float(last.x[-1]) - problem.nu2)
+    ex_x, ex_y = _envelope_excess(last.x, last.x_prime, box, envs)
 
     status = "max-iters"
     if converged:
@@ -534,9 +529,9 @@ def solve(
 
     report = SolveReport(
         status=status,
-        x=last.x,
-        x_prime=last.x_prime,
-        u=last.u,
+        x=GridFunction(problem.mesh, last.x),
+        x_prime=GridFunction(problem.mesh, last.x_prime),
+        u=GridFunction(problem.mesh, last.u),
         beta=last.beta,
         scalars=scalars,
         iterations=len(trace),
@@ -551,9 +546,9 @@ def solve(
         psi_clip_count=final_stats.get("psi_clips", 0),
         max_envelope_excess=max_excess,
     )
-    # verify reads only the reported columns: let the g output and the
-    # envelopes go
-    del last, envs
+    # verify reads only the reported columns: let the g output, the
+    # envelopes and the final F go
+    del last, envs, F
     verification = verify(
         problem, report.x.values, report.x_prime.values, report.u.values
     )
@@ -597,9 +592,9 @@ def _iterate(
         if x0.shape != mesh.nodes.shape or xp0.shape != mesh.nodes.shape:
             raise MeshMismatchError("initial guess must live on the problem mesh")
         x_vals = np.clip(x0, box[0], box[1])
-        xp_vals = np.where(
-            singular, SENTINEL, np.clip(xp0, envs.eta1.values, envs.eta2.values)
-        )
+        xp_vals = np.where(singular, SENTINEL, np.clip(xp0, envs.eta1, envs.eta2))
+        if not (np.all(np.isfinite(x_vals)) and np.all(np.isfinite(xp_vals))):
+            raise InvalidInputError("grid function values must be finite")
 
     omega = cfg.omega
     trace: list[float] = []
@@ -620,24 +615,16 @@ def _iterate(
 
     for _ in range(cfg.max_outer):
         last = g_map(
-            problem,
-            scalars,
-            GridFunction(mesh, x_vals),
-            GridFunction(mesh, xp_vals),
-            envs=envs,
-            tol_beta=cfg.tol_beta,
+            problem, scalars, x_vals, xp_vals, envs=envs, tol_beta=cfg.tol_beta,
             beta_guess=None if last is None else last.beta,
         )
-        g_vec = np.concatenate((last.x.values, last.x_prime.values))
+        g_vec = np.concatenate((last.x, last.x_prime))
         z_vec = np.concatenate((x_vals, xp_vals))
         step = _w1p_distance(
             mesh, g_vec[:n_nodes] - x_vals, g_vec[n_nodes:] - xp_vals, problem.p
         )
         trace.append(step)
-        max_excess = max(
-            max_excess,
-            *_envelope_excess(last.x.values, last.x_prime.values, box, envs),
-        )
+        max_excess = max(max_excess, *_envelope_excess(last.x, last.x_prime, box, envs))
         if step < best_step:
             best_step = step
             best_output = last
@@ -681,7 +668,7 @@ def _iterate(
         # project mixed iterates back into the admissible boxes, where
         # their envelope excess is 0
         x_vals = np.clip(z_next[:n_nodes], box[0], box[1])
-        xp_vals = np.clip(z_next[n_nodes:], envs.eta1.values, envs.eta2.values)
+        xp_vals = np.clip(z_next[n_nodes:], envs.eta1, envs.eta2)
 
         if since_improvement >= cfg.stagnation and omega > MIN_OMEGA:
             omega = max(0.5 * omega, MIN_OMEGA)
@@ -728,8 +715,8 @@ def verify(
 
         f_vals = np.asarray(problem.rhs(nodes, x, dx_filled), dtype=float)
         f_vals = np.where(np.isfinite(f_vals) & regular, f_vals, 0.0)
-        cum = cumulative_integral(GridFunction(mesh, f_vals))
-        integral = float(np.max(np.abs(u - (u[0] + cum.values))))
+        cum = cumulative_integral(mesh, f_vals)
+        integral = float(np.max(np.abs(u - (u[0] + cum))))
         residual = difference_residual(mesh, u, f_vals)
 
         # x must be the integral of dx: trapezoid per cell, skipping cells

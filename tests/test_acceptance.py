@@ -14,7 +14,6 @@ import pytest
 
 from phibvp import (
     BetaEquation,
-    GridFunction,
     HalflineProblem,
     IterationConfig,
     Mesh,
@@ -221,7 +220,7 @@ def test_05_random_beta_equations():
                 mesh=mesh,
             )
             f_vals = amp * np.sin(2.0 * math.pi * t + phase)
-            Fcum = cumulative_integral(GridFunction(mesh, f_vals))
+            Fcum = cumulative_integral(mesh, f_vals)
             L = amp  # |f| <= amp pointwise, so the mass over [0,1] is below amp
             beta = beta_solve(problem, Fcum, L=L)
             eq = BetaEquation.build(SolverKernel(problem), Fcum)
@@ -289,8 +288,8 @@ def test_06_random_certified_problems_stay_in_envelopes():
             hi = max(problem.nu1, scalars.N2) + 1e-8
             assert np.all(report.x.values >= lo)
             assert np.all(report.x.values <= hi)
-            assert np.all(report.x_prime.values >= env.eta1.values - 1e-8)
-            assert np.all(report.x_prime.values <= env.eta2.values + 1e-8)
+            assert np.all(report.x_prime.values >= env.eta1 - 1e-8)
+            assert np.all(report.x_prime.values <= env.eta2 + 1e-8)
             solved += 1
     _verdict(6, "100 certified random problems in envelopes", clock)
 

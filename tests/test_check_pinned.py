@@ -238,7 +238,7 @@ EXPECTED = {
         [
             ('recip-norm', 'pass', [('k1', 1.0), ('kp', 1.0), ('p', 1.0)], '1/k must have finite L1 and Lp norms on [0, T]'),
             ('slope-in-branch', 'pass', [('s_star', 0.3), ('branch_lo', -inf), ('branch_hi', inf)], ''),
-            ('image-margin', 'pass', [('phi_s_star', 0.3), ('two_l', 6.505213034913027e-17), ('margin_lo', inf), ('margin_hi', inf)], 'Phi(s*) +/- 2L must sit strictly inside the branch image'),
+            ('image-margin', 'inconclusive', [('phi_s_star', 0.3), ('two_l', 6.505213034913027e-17), ('margin_lo', inf), ('margin_hi', inf)], 'psi is negative at sampled nodes: L bounds no |f|, margin undefined'),
             ('psi-domination', 'fail', [('psi_min', -0.5)], 'psi is negative at sampled nodes'),
         ],
     ),

@@ -119,6 +119,21 @@ class TestCheck:
         assert main(["check", cfg]) == 2
         assert "overall: fail" in capsys.readouterr().out
 
+    def test_negative_psi_leaves_the_margin_inconclusive(self, tmp_path, capsys):
+        # M = -1 makes psi = M N t^alpha negative and L = -0.25: the margin
+        # Phi(s*) +- 2L is no certificate then, whatever its numbers say
+        text = PERONA.format(nu2=0.4).replace("perona_malik", "sine")
+        text = text.replace("example = perona\nalpha = 4.0\nM = 1.0", "example = sine\nalpha = 3\nM = -1")
+        out = tmp_path / "run"
+        assert main(["check", write(tmp_path, text), "-o", str(out)]) == 2
+        captured = capsys.readouterr().out
+        assert "image-margin: inconclusive  (phi_s_star=" in captured
+        assert "psi-domination: fail  (psi_min=-1)" in captured
+        assert "overall: fail" in captured
+        item = parse_config((out / "record.txt").read_text()).section("check.image-margin")
+        assert item["verdict"] == "inconclusive"
+        assert item["detail"].startswith("psi is negative at sampled nodes")
+
     def test_check_writes_record(self, tmp_path):
         cfg = write(tmp_path, PERONA.format(nu2=0.05))
         out = tmp_path / "run"

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phibvp.errors import InvalidInputError, MeshMismatchError
+from phibvp.errors import InvalidInputError
 from phibvp.grid import (
     GridFunction,
     Mesh,
     cumulative_integral,
-    forward_difference_residual,
-    integrate,
+    difference_residual,
     lp_norm,
-    norm,
     sample_midpoints,
+    sample_nodes,
 )
 
 
@@ -153,28 +152,25 @@ def test_refine_preserves_structure():
 
 def test_integrate_constant_exact():
     mesh = Mesh.uniform(1.0, 10)
-    g = GridFunction(mesh, np.ones(11))
-    assert integrate(g) == pytest.approx(1.0, abs=1e-15)
+    assert cumulative_integral(mesh, np.ones(11))[-1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_integrate_linear_exact():
     mesh = Mesh.uniform(1.0, 7)
-    g = GridFunction(mesh, mesh.nodes.copy())
-    assert integrate(g) == pytest.approx(0.5, abs=1e-15)
+    assert cumulative_integral(mesh, mesh.nodes.copy())[-1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_integrate_inverse_sqrt_singular():
     # oracle: d/dt (2 sqrt(t)) = t^(-1/2), so the exact integral over [0,1] is 2
     mesh = Mesh.graded(1.0, 256, [0.0])
-    g = GridFunction.from_callable(mesh, lambda t: t ** -0.5)
-    assert integrate(g) == pytest.approx(2.0, abs=1e-3)
+    g = sample_nodes(mesh, lambda t: t ** -0.5)
+    assert cumulative_integral(mesh, g)[-1] == pytest.approx(2.0, abs=1e-3)
 
 
 def test_integrate_singular_without_evaluator_uses_finite_side():
     mesh = Mesh.uniform(1.0, 4, singular_points=[0.0])
     vals = np.array([123.0, 1.0, 1.0, 1.0, 1.0])  # node 0 is a placeholder
-    g = GridFunction(mesh, vals)
-    assert integrate(g) == pytest.approx(1.0, abs=1e-15)
+    assert cumulative_integral(mesh, vals)[-1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_integrate_rejects_nonfinite():
@@ -186,30 +182,30 @@ def test_integrate_rejects_nonfinite():
 def test_from_callable_rejects_nonfinite_off_flag():
     mesh = Mesh.uniform(1.0, 4)
     with pytest.raises(InvalidInputError):
-        GridFunction.from_callable(mesh, lambda t: 1.0 / (t - 0.5))
+        sample_nodes(mesh, lambda t: 1.0 / (t - 0.5))
 
 
 def test_cumulative_zero_and_constant():
     mesh = Mesh.uniform(1.0, 16)
-    zero = cumulative_integral(GridFunction(mesh, np.zeros(17)))
-    assert np.all(zero.values == 0.0)
-    two = cumulative_integral(GridFunction(mesh, np.full(17, 2.0)))
-    assert np.allclose(two.values, 2.0 * mesh.nodes, atol=1e-15)
+    zero = cumulative_integral(mesh, np.zeros(17))
+    assert np.all(zero == 0.0)
+    two = cumulative_integral(mesh, np.full(17, 2.0))
+    assert np.allclose(two, 2.0 * mesh.nodes, atol=1e-15)
 
 
 def test_cumulative_quadratic():
     mesh = Mesh.uniform(1.0, 1000)
-    g = GridFunction(mesh, 3.0 * mesh.nodes**2)
-    G = cumulative_integral(g)
-    assert G.values[-1] == pytest.approx(1.0, abs=1e-5)
-    assert G.values[-1] == integrate(g)  # bit-for-bit by construction
+    g = 3.0 * mesh.nodes**2
+    G = cumulative_integral(mesh, g)
+    assert G[-1] == pytest.approx(1.0, abs=1e-5)
+    assert G[-1] == lp_norm(mesh, g, 1.0)  # bit-for-bit: one accumulator
 
 
 def test_cumulative_monotone_for_nonnegative():
     mesh = Mesh.graded(1.0, 128, [0.0])
-    g = GridFunction.from_callable(mesh, lambda t: 1.0 / np.sqrt(t) + np.sin(t) ** 2)
-    G = cumulative_integral(g)
-    assert np.all(np.diff(G.values) >= 0)
+    g = sample_nodes(mesh, lambda t: 1.0 / np.sqrt(t) + np.sin(t) ** 2)
+    G = cumulative_integral(mesh, g)
+    assert np.all(np.diff(G) >= 0)
 
 
 @given(
@@ -221,10 +217,13 @@ def test_cumulative_monotone_for_nonnegative():
 def test_integrate_is_linear(a, b, c):
     mesh = Mesh.uniform(1.0, 33)
     t = mesh.nodes
-    g1 = GridFunction(mesh, np.sin(3 * t))
-    g2 = GridFunction(mesh, t**2 - c)
-    combo = GridFunction(mesh, a * g1.values + b * g2.values)
-    lhs = integrate(combo)
+    g1 = np.sin(3 * t)
+    g2 = t**2 - c
+
+    def integrate(g):
+        return cumulative_integral(mesh, g)[-1]
+
+    lhs = integrate(a * g1 + b * g2)
     rhs = a * integrate(g1) + b * integrate(g2)
     assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(a) + abs(b)))
 
@@ -234,7 +233,7 @@ def test_refinement_reduces_trapezoid_error():
     errs = []
     for n in (100, 200):
         mesh = Mesh.uniform(1.0, n)
-        errs.append(abs(integrate(GridFunction(mesh, np.exp(mesh.nodes))) - exact))
+        errs.append(abs(cumulative_integral(mesh, np.exp(mesh.nodes))[-1] - exact))
     assert errs[0] / errs[1] >= 3.5
 
 
@@ -242,26 +241,25 @@ def test_refinement_reduces_trapezoid_error():
 
 
 def test_norm_spec_validation():
-    g = GridFunction(Mesh.uniform(1.0, 4), np.ones(5))
+    mesh = Mesh.uniform(1.0, 4)
     with pytest.raises(InvalidInputError):
-        norm(g, 0.5)
-    assert norm(g, math.inf) == 1.0
+        lp_norm(mesh, np.ones(5), 0.5)
+    assert lp_norm(mesh, np.ones(5), math.inf) == 1.0
 
 
 def test_norm_values():
     mesh = Mesh.uniform(1.0, 1000)
-    g = GridFunction(mesh, mesh.nodes.copy())
-    assert norm(g, 2.0) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-4)
-    assert norm(g, math.inf) == 1.0
-    assert norm(g, 1.0) == pytest.approx(0.5, abs=1e-12)
+    g = mesh.nodes.copy()
+    assert lp_norm(mesh, g, 2.0) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-4)
+    assert lp_norm(mesh, g, math.inf) == 1.0
+    assert lp_norm(mesh, g, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
-def _gridfunction_norm(g, p):
-    # norm as it was computed through GridFunctions and integrate
+def _gridfunction_norm(mesh, values, p):
+    # the norm as the last running integral of |v|^p, taken to the 1/p
     if math.isinf(p):
-        return float(np.max(np.abs(g.values[~g.mesh.singular_mask()])))
-    powered = GridFunction(g.mesh, np.abs(g.values) ** p)
-    return float(integrate(powered) ** (1.0 / p))
+        return float(np.max(np.abs(values[~mesh.singular_mask()])))
+    return float(cumulative_integral(mesh, np.abs(values) ** p)[-1] ** (1.0 / p))
 
 
 def _cellwise_norm(mesh, values, p, mids):
@@ -292,20 +290,20 @@ def test_norm_matches_gridfunction_quadrature(p, sampled_mids):
         Mesh.graded(1.0, 256, [0.0]),
         Mesh.graded(2.0, 200, [0.7]),
     ):
-        g = GridFunction.from_callable(mesh, fn)
+        g = sample_nodes(mesh, fn)
         if not sampled_mids:
-            assert norm(g, p) == _gridfunction_norm(g, p)
+            assert lp_norm(mesh, g, p) == _gridfunction_norm(mesh, g, p)
         else:
             mids = sample_midpoints(mesh, fn)
-            assert lp_norm(mesh, g.values, p, mids) == _cellwise_norm(mesh, g.values, p, mids)
+            assert lp_norm(mesh, g, p, mids) == _cellwise_norm(mesh, g, p, mids)
 
 
 def test_norm_rejects_an_overflowing_power():
     mesh = Mesh.uniform(1.0, 4)
-    g = GridFunction(mesh, np.full(5, 1e200))
+    g = np.full(5, 1e200)
     with pytest.raises(InvalidInputError):
-        norm(g, 2.0)
-    assert norm(g, 1.0) == pytest.approx(1e200)
+        lp_norm(mesh, g, 2.0)
+    assert lp_norm(mesh, g, 1.0) == pytest.approx(1e200)
 
 
 def test_mesh_geometry_is_cached_and_read_only():
@@ -334,17 +332,15 @@ def test_mesh_geometry_is_cached_and_read_only():
 
 def test_sup_norm_skips_singular_placeholder():
     mesh = Mesh.uniform(1.0, 4, singular_points=[0.0])
-    g = GridFunction(mesh, np.array([1e29, 0.5, 0.25, 0.125, 0.0]))
-    assert norm(g, math.inf) == 0.5
+    g = np.array([1e29, 0.5, 0.25, 0.125, 0.0])
+    assert lp_norm(mesh, g, math.inf) == 0.5
 
 
 def test_norms_of_a_mesh_without_regular_nodes_are_zero():
     # every node singular: the sup over no regular node is 0, as the L1 norm is
     mesh = Mesh.uniform(1.0, 2, singular_points=[0.0, 0.5, 1.0])
-    g = GridFunction(mesh, np.array([1e29, 2.0, -3.0]))
-    assert norm(g, math.inf) == 0.0
-    assert lp_norm(mesh, g.values, math.inf) == 0.0
-    assert norm(GridFunction(mesh, np.zeros(3)), 1.0) == 0.0
+    assert lp_norm(mesh, np.array([1e29, 2.0, -3.0]), math.inf) == 0.0
+    assert lp_norm(mesh, np.zeros(3), 1.0) == 0.0
 
 
 @given(st.integers(1, 4))
@@ -352,11 +348,11 @@ def test_norms_of_a_mesh_without_regular_nodes_are_zero():
 def test_norm_triangle_inequality(seed):
     rng = np.random.default_rng(seed)
     mesh = Mesh.uniform(1.0, 50)
-    u = GridFunction(mesh, rng.normal(size=51))
-    v = GridFunction(mesh, rng.normal(size=51))
+    u = rng.normal(size=51)
+    v = rng.normal(size=51)
     for p in (1.0, 2.0, math.inf):
-        lhs = norm(GridFunction(mesh, u.values + v.values), p)
-        assert lhs <= norm(u, p) + norm(v, p) + 1e-12
+        lhs = lp_norm(mesh, u + v, p)
+        assert lhs <= lp_norm(mesh, u, p) + lp_norm(mesh, v, p) + 1e-12
 
 
 # -- finite-difference residual ----------------------------------------------
@@ -364,47 +360,34 @@ def test_norm_triangle_inequality(seed):
 
 def test_residual_exact_for_quadratic():
     mesh = Mesh.uniform(1.0, 100)
-    u = GridFunction(mesh, mesh.nodes**2)
-    rhs = GridFunction(mesh, 2.0 * mesh.nodes)
-    assert forward_difference_residual(u, rhs) <= 1e-12
+    assert difference_residual(mesh, mesh.nodes**2, 2.0 * mesh.nodes) <= 1e-12
 
 
 def test_residual_zero_for_linear():
     mesh = Mesh.uniform(1.0, 10)
-    u = GridFunction(mesh, mesh.nodes.copy())
-    rhs = GridFunction(mesh, np.ones(11))
-    assert forward_difference_residual(u, rhs) == 0.0
+    assert difference_residual(mesh, mesh.nodes.copy(), np.ones(11)) == 0.0
 
 
 def test_residual_detects_defect():
     mesh = Mesh.uniform(1.0, 10)
-    u = GridFunction(mesh, np.zeros(11))
-    rhs = GridFunction(mesh, np.ones(11))
     # a per-cell defect in u units: each cell misses h * 1
-    assert forward_difference_residual(u, rhs) == pytest.approx(0.1)
+    assert difference_residual(mesh, np.zeros(11), np.ones(11)) == pytest.approx(0.1)
 
 
 def test_residual_is_in_u_units_on_tiny_cells():
     # u is the running integral of rhs, so each cell matches to rounding
     # however small it is; the first graded cells here are about 4e-11 wide
     mesh = Mesh.graded(1.0, 400, [0.0])
-    rhs = GridFunction(mesh, np.cos(3.0 * mesh.nodes))
-    u = GridFunction(mesh, 0.7 + cumulative_integral(rhs).values)
-    assert forward_difference_residual(u, rhs) <= 1e-15
-
-
-def test_residual_requires_shared_mesh():
-    u = GridFunction(Mesh.uniform(1.0, 10), np.zeros(11))
-    r = GridFunction(Mesh.uniform(1.0, 11), np.zeros(12))
-    with pytest.raises(MeshMismatchError):
-        forward_difference_residual(u, r)
+    rhs = np.cos(3.0 * mesh.nodes)
+    u = 0.7 + cumulative_integral(mesh, rhs)
+    assert difference_residual(mesh, u, rhs) <= 1e-15
 
 
 def test_non_finite_sample_message_prints_a_plain_float():
     # a weight like `expr = t - 0.5` has 1/k = inf at t = 0.5
     mesh = Mesh.uniform(1.0, 10)
     with pytest.raises(InvalidInputError) as exc:
-        GridFunction.from_callable(mesh, lambda t: 1.0 / (t - 0.5))
+        sample_nodes(mesh, lambda t: 1.0 / (t - 0.5))
     message = str(exc.value)
     assert "(t=0.5)" in message
     assert "np.float64" not in message

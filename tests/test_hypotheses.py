@@ -149,6 +149,17 @@ class TestExampleConditions:
         flat = example_condition("sine", 0.0, alpha=1.0)
         assert flat.bound == 0.0 and not flat.admissible
 
+    @pytest.mark.parametrize("tag", ["sine", "perona"])
+    def test_negative_psi_scale_is_a_typed_error(self, tag):
+        # M N < 0 makes psi = M N t^alpha negative; the closed-form bound
+        # would take asin or sqrt outside its domain
+        with pytest.raises(InvalidInputError, match="M N"):
+            example_condition(tag, 0.1, alpha=3.0, M=-1.0)
+        with pytest.raises(InvalidInputError, match="M N"):
+            example_condition(tag, 0.1, alpha=3.0, N=-0.01)
+        same = example_condition(tag, 0.1, alpha=3.0, M=-1.0, N=-1.0)
+        assert same.bound == example_condition(tag, 0.1, alpha=3.0).bound
+
     def test_plaplacian_condition_inclusive(self):
         cond = example_condition("plaplacian", 0.375, beta=4.0)
         assert cond.admissible  # admissible region includes its boundary

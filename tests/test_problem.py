@@ -262,13 +262,13 @@ class TestEnvelopes:
         )
         sc = derive_scalars(prob)
         env = envelopes(prob, sc)
-        assert env.eta1.values[0] == -SENTINEL
-        assert env.eta2.values[0] == SENTINEL
+        assert env.eta1[0] == -SENTINEL
+        assert env.eta2[0] == SENTINEL
         inner = slice(1, None)
-        assert np.all(env.eta1.values[inner] < env.eta2.values[inner])
+        assert np.all(env.eta1[inner] < env.eta2[inner])
         # away from the singularity the bound is slope / k(t)
         t = prob.mesh.nodes[100]
-        assert env.eta2.values[100] == pytest.approx(
+        assert env.eta2[100] == pytest.approx(
             sc.slope_hi / math.sqrt(t), rel=1e-12
         )
 
@@ -279,7 +279,7 @@ class TestEnvelopes:
         )
         sc = derive_scalars(prob)
         env = envelopes(prob, sc)
-        assert np.all(np.abs(env.eta1.values) < SENTINEL)
+        assert np.all(np.abs(env.eta1) < SENTINEL)
         assert env.N1 < env.N2
 
 

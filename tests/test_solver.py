@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from phibvp import (
     BetaBracketError,
-    GridFunction,
     InvalidInputError,
+    MeshMismatchError,
     MonotoneBranch,
     PhiOperator,
     RhsEvaluationError,
@@ -58,20 +58,20 @@ class TestBetaSolve:
         prob = make_problem(
             phi, constant_weight(1.0), zero_rhs(), 0.0, 0.3, 1.0, mesh_n=500
         )
-        Fcum = GridFunction(prob.mesh, np.zeros(prob.mesh.nodes.size))
+        Fcum = np.zeros(prob.mesh.nodes.size)
         beta = beta_solve(prob, Fcum, L=0.0)
         assert beta == pytest.approx(0.2752293577981651, abs=1e-11)
 
     def test_linear_forcing_oracle(self):
         # integral of (beta + t) over [0,1] equals 1 forces beta = 1/2
         prob = _identity_problem(zero_rhs(), nu1=0.0, nu2=1.0)
-        Fcum = GridFunction(prob.mesh, prob.mesh.nodes.copy())
+        Fcum = prob.mesh.nodes.copy()
         beta = beta_solve(prob, Fcum, L=1.0)
         assert beta == pytest.approx(0.5, abs=1e-11)
 
     def test_zero_mean_forcing(self):
         prob = _identity_problem(zero_rhs(), nu1=0.0, nu2=0.0)
-        Fcum = GridFunction(prob.mesh, prob.mesh.nodes - 0.5)
+        Fcum = prob.mesh.nodes - 0.5
         beta = beta_solve(prob, Fcum, L=0.5)
         assert beta == pytest.approx(0.0, abs=1e-11)
 
@@ -79,7 +79,7 @@ class TestBetaSolve:
         # passing an L smaller than the actual forcing mass breaks the
         # bracket guarantee and must be reported, not patched
         prob = _identity_problem(zero_rhs(), nu1=0.0, nu2=1.0)
-        Fcum = GridFunction(prob.mesh, prob.mesh.nodes.copy())
+        Fcum = prob.mesh.nodes.copy()
         with pytest.raises(BetaBracketError):
             beta_solve(prob, Fcum, L=0.2)
 
@@ -94,7 +94,7 @@ class TestBetaSolve:
             1.0,
             branch_hint=(math.pi / 2, 3 * math.pi / 2),
         )
-        Fcum = GridFunction(prob.mesh, np.zeros(prob.mesh.nodes.size))
+        Fcum = np.zeros(prob.mesh.nodes.size)
         beta = beta_solve(prob, Fcum, L=0.0)
         assert beta == pytest.approx(math.sin(3.0), abs=1e-11)
 
@@ -113,9 +113,19 @@ class TestBetaSolve:
         )
         kern = SolverKernel(prob)
         F = 0.2 * np.sin(freq * prob.mesh.nodes)
-        eq = BetaEquation.build(kern, GridFunction(prob.mesh, F))
+        eq = BetaEquation.build(kern, F)
         lo, hi = sorted((xi1, xi2))
         assert eq.value(lo) < eq.value(hi)
+
+    def test_build_rejects_a_wrong_length_or_non_finite_forcing(self):
+        prob = _identity_problem(zero_rhs(), nu2=0.3, n=100)
+        kern = SolverKernel(prob)
+        with pytest.raises(InvalidInputError, match="cumulative grid lives on a different mesh"):
+            BetaEquation.build(kern, np.zeros(100))
+        F = np.zeros(101)
+        F[7] = np.nan
+        with pytest.raises(InvalidInputError, match="grid function values must be finite"):
+            BetaEquation.build(kern, F)
 
     @staticmethod
     def _bisect_shape(n=2000):
@@ -168,7 +178,7 @@ class TestBetaSolve:
         prob = self._bisect_shape(n=500)
         kern = SolverKernel(prob)
         F = 0.05 * np.sin(3.0 * prob.mesh.nodes)
-        Fcum = GridFunction(prob.mesh, np.cumsum(F) / F.size)
+        Fcum = np.cumsum(F) / F.size
         return BetaEquation.build(kern, Fcum)
 
     def test_guess_is_only_a_first_trial_point(self, monkeypatch):
@@ -242,7 +252,7 @@ class TestBetaSolve:
         )
         eq = BetaEquation.build(
             SolverKernel(sine),
-            GridFunction(sine.mesh, 0.05 * np.sin(5.0 * sine.mesh.nodes)),
+            0.05 * np.sin(5.0 * sine.mesh.nodes),
         )
         cold = eq.solve(1e-12)
         eq.solve(1e-12, guess=cold + 1e-3)
@@ -280,9 +290,7 @@ class TestBetaSolve:
             mesh_n=200,
         )
         t = prob.mesh.nodes
-        eq = BetaEquation.build(
-            SolverKernel(prob), GridFunction(prob.mesh, a * np.sin(w * t) + b * t)
-        )
+        eq = BetaEquation.build(SolverKernel(prob), a * np.sin(w * t) + b * t)
         calls = []
         real_value = BetaEquation.value
         monkeypatch.setattr(
@@ -299,7 +307,7 @@ class TestBetaSolve:
             phi, one_plus_t_squared_weight(), zero_rhs(), 0.0, 0.4, 2.0, mesh_n=300
         )
         F = 0.3 * np.sin(3.0 * prob.mesh.nodes)
-        eq = BetaEquation.build(SolverKernel(prob), GridFunction(prob.mesh, F))
+        eq = BetaEquation.build(SolverKernel(prob), F)
         calls = []
         real_value = BetaEquation.value
         monkeypatch.setattr(
@@ -315,9 +323,7 @@ class TestBetaSolve:
             make_operator("mean_curvature"), constant_weight(1.0), zero_rhs(),
             0.0, 0.5, 1.0, mesh_n=200,
         )
-        eq = BetaEquation.build(
-            SolverKernel(prob), GridFunction(prob.mesh, 2.5 * prob.mesh.nodes)
-        )
+        eq = BetaEquation.build(SolverKernel(prob), 2.5 * prob.mesh.nodes)
         with pytest.raises(BetaBracketError) as info:
             eq.solve(1e-12)
         assert str(info.value) == (
@@ -334,7 +340,7 @@ class TestBetaSolve:
         )
         eq = BetaEquation.build(
             SolverKernel(prob),
-            GridFunction(prob.mesh, np.zeros(prob.mesh.nodes.size)),
+            np.zeros(prob.mesh.nodes.size),
         )
         real_value = BetaEquation.value
         monkeypatch.setattr(BetaEquation, "value", lambda self, xi: real_value(self, xi) + 10.0)
@@ -374,9 +380,9 @@ class TestTruncatedRhs:
 
     def test_zero_rhs_gives_zero_grid(self):
         prob, sc, env = self._setup(zero_rhs())
-        x = GridFunction(prob.mesh, np.zeros(101))
+        x = np.zeros(101)
         F = truncated_rhs(prob, env, x, x)
-        assert np.all(F.values == 0.0)
+        assert np.all(F == 0.0)
 
     def test_inactive_truncation_matches_raw_f(self):
         rhs = Rhs(
@@ -385,12 +391,12 @@ class TestTruncatedRhs:
             name="smooth",
         )
         prob, sc, env = self._setup(rhs, nu2=0.3)
-        x = GridFunction(prob.mesh, np.full(101, 0.15))
-        xp = GridFunction(prob.mesh, np.full(101, 0.3))
+        x = np.full(101, 0.15)
+        xp = np.full(101, 0.3)
         stats = {}
         F = truncated_rhs(prob, env, x, xp, stats=stats)
         expect = np.sin(0.15) + 0.03
-        assert np.allclose(F.values, expect, atol=1e-14)
+        assert np.allclose(F, expect, atol=1e-14)
         assert stats["truncated_nodes"] == 0
         assert stats["psi_clips"] == 0
 
@@ -402,11 +408,11 @@ class TestTruncatedRhs:
         )
         prob, sc, env = self._setup(rhs, nu2=0.3)
         box_hi = max(prob.nu1, sc.N2)
-        x = GridFunction(prob.mesh, np.full(101, box_hi + 5.0))
-        xp = GridFunction(prob.mesh, np.full(101, sc.s_star))
+        x = np.full(101, box_hi + 5.0)
+        xp = np.full(101, sc.s_star)
         stats = {}
         F = truncated_rhs(prob, env, x, xp, stats=stats)
-        assert np.allclose(F.values, 0.001 * box_hi, atol=1e-12)
+        assert np.allclose(F, 0.001 * box_hi, atol=1e-12)
         assert stats["truncated_nodes"] == prob.mesh.nodes.size
         assert stats["psi_clips"] == 0
 
@@ -417,11 +423,11 @@ class TestTruncatedRhs:
             name="liar",
         )
         prob, sc, env = self._setup(rhs)
-        x = GridFunction(prob.mesh, np.zeros(101))
+        x = np.zeros(101)
         stats = {}
         with caplog.at_level("WARNING", logger="phibvp.solver"):
             F = truncated_rhs(prob, env, x, x, stats=stats)
-        assert np.all(F.values == 1.0)
+        assert np.all(F == 1.0)
         assert stats["psi_clips"] == 101
         assert any("psi domination" in r.message for r in caplog.records)
 
@@ -432,36 +438,67 @@ class TestTruncatedRhs:
             name="nan_tail",
         )
         prob, sc, env = self._setup(rhs)
-        x = GridFunction(prob.mesh, np.zeros(101))
+        x = np.zeros(101)
         with pytest.raises(RhsEvaluationError) as exc:
             truncated_rhs(prob, env, x, x)
         assert "node" in str(exc.value)
 
 
 class TestGMap:
+    def test_non_finite_output_is_rejected(self, monkeypatch):
+        prob = _identity_problem(zero_rhs(), nu2=0.7)
+        sc = derive_scalars(prob)
+        zeros = np.zeros(prob.mesh.nodes.size)
+        monkeypatch.setattr(BetaEquation, "solve", lambda self, tol, guess=None: 0.0)
+        monkeypatch.setattr(
+            BetaEquation, "cumulative", lambda self, xi: (np.full(zeros.size, np.inf), zeros)
+        )
+        with pytest.raises(InvalidInputError, match="grid function values must be finite"):
+            g_map(prob, sc, zeros, zeros)
+
     def test_single_sweep_solves_constant_forcing(self):
         # x'' = 2 with zero boundary data: beta = -1, x = t^2 - t
         prob = _identity_problem(constant_rhs(2.0))
         sc = derive_scalars(prob)
-        zeros = GridFunction(prob.mesh, np.zeros(prob.mesh.nodes.size))
+        zeros = np.zeros(prob.mesh.nodes.size)
         step = g_map(prob, sc, zeros, zeros)
         t = prob.mesh.nodes
         assert step.beta == pytest.approx(-1.0, abs=1e-12)
-        assert np.max(np.abs(step.x.values - (t * t - t))) <= 1e-12
-        assert np.max(np.abs(step.x_prime.values - (2 * t - 1))) <= 1e-12
-        assert np.max(np.abs(step.u.values - (2 * t - 1))) <= 1e-12
+        assert np.max(np.abs(step.x - (t * t - t))) <= 1e-12
+        assert np.max(np.abs(step.x_prime - (2 * t - 1))) <= 1e-12
+        assert np.max(np.abs(step.u - (2 * t - 1))) <= 1e-12
         assert step.phi_defect <= 1e-12
 
     def test_affine_output_for_zero_forcing(self):
         prob = _identity_problem(zero_rhs(), nu2=0.7)
         sc = derive_scalars(prob)
-        zeros = GridFunction(prob.mesh, np.zeros(prob.mesh.nodes.size))
+        zeros = np.zeros(prob.mesh.nodes.size)
         step = g_map(prob, sc, zeros, zeros)
         t = prob.mesh.nodes
-        assert np.max(np.abs(step.x.values - 0.7 * t)) <= 1e-12
+        assert np.max(np.abs(step.x - 0.7 * t)) <= 1e-12
 
 
 class TestSolve:
+    def test_initial_guess_is_checked_before_the_first_sweep(self, monkeypatch):
+        prob = _identity_problem(constant_rhs(0.5), nu2=0.4, n=100)
+        sweeps = []
+        real_g_map = solver_mod.g_map
+        monkeypatch.setattr(
+            solver_mod, "g_map", lambda *a, **k: sweeps.append(1) or real_g_map(*a, **k)
+        )
+        x0 = 0.4 * prob.mesh.nodes
+        bad = x0.copy()
+        bad[50] = np.nan
+        with pytest.raises(InvalidInputError, match="grid function values must be finite"):
+            solve(prob, initial=(bad, np.full(101, 0.4)))
+        with pytest.raises(InvalidInputError, match="grid function values must be finite"):
+            solve(prob, initial=(x0, np.where(x0 > 0.2, np.nan, 0.4)))
+        with pytest.raises(MeshMismatchError):
+            solve(prob, initial=(x0[:-1], np.full(100, 0.4)))
+        assert sweeps == []
+        assert solve(prob, initial=(x0, np.full(101, 0.4))).status == "converged"
+        assert sweeps
+
     def test_zero_forcing_converges_immediately(self):
         report = solve(_identity_problem(zero_rhs(), nu2=0.4))
         t = report.x.mesh.nodes
@@ -548,13 +585,13 @@ class TestSolve:
         report = solve(prob, cfg)
         assert report.status == "converged"
         sc = derive_scalars(prob)
-        again = g_map(prob, sc, report.x, report.x_prime)
+        again = g_map(prob, sc, report.x.values, report.x_prime.values)
         from phibvp.solver import _w1p_distance
 
         dist = _w1p_distance(
             prob.mesh,
-            again.x.values - report.x.values,
-            again.x_prime.values - report.x_prime.values,
+            again.x - report.x.values,
+            again.x_prime - report.x_prime.values,
             prob.p,
         )
         assert dist <= 2.0 * cfg.tol_fp
@@ -871,15 +908,15 @@ n = {n}
         assert peak - before <= 3 * 2**20
 
 
-def _masked_envelope_excess(x_vals, xp_vals, box, envs):
+def _masked_envelope_excess(mesh, x_vals, xp_vals, box, envs):
     # the excess as it was computed with the singular nodes masked out
     lo, hi = box
-    ns = ~envs.eta1.mesh.singular_mask()
+    ns = ~mesh.singular_mask()
     ex_x = float(max(np.max(lo - x_vals), np.max(x_vals - hi), 0.0))
     ex_y = float(
         max(
-            np.max(envs.eta1.values[ns] - xp_vals[ns]),
-            np.max(xp_vals[ns] - envs.eta2.values[ns]),
+            np.max(envs.eta1[ns] - xp_vals[ns]),
+            np.max(xp_vals[ns] - envs.eta2[ns]),
             0.0,
         )
     )
@@ -908,7 +945,7 @@ class TestEnvelopeExcess:
 
         def checked(x_vals, xp_vals, box, envs):
             got = original(x_vals, xp_vals, box, envs)
-            assert got == _masked_envelope_excess(x_vals, xp_vals, box, envs)
+            assert got == _masked_envelope_excess(prob.mesh, x_vals, xp_vals, box, envs)
             calls.append(got)
             return got
 
