@@ -22,9 +22,13 @@ A decreasing branch is solved as it is: the scalar map then decreases in
 beta, and the beta solve and the branch inverse read the orientation.
 
 The outer loop is undamped by default: a window-3 secant (Anderson) step
-mixes the raw sweep outputs.  Existence comes from a fixed point of the
-integral map, not from a contraction, so damping is a numerical choice
-only; it comes in when the loop stagnates, which halves omega.
+mixes the raw sweep outputs.  Its history is a ring of consecutive
+differences of the residuals and of the mixed points, and its
+coefficients solve the m x m (m <= 3) normal equations of those
+differences (Walker and Ni, SIAM J. Numer. Anal. 49, 2011).  Existence
+comes from a fixed point of the integral map, not from a contraction, so
+damping is a numerical choice only; it comes in when the loop stagnates,
+which halves omega.
 
 The truncation box for x is [min(nu1, N1), max(nu1, N2)]: the running
 integral of a derivative pinched between A*/k and B*/k can approach nu1
@@ -555,6 +559,22 @@ def solve(
     return replace(report, verification=verification)
 
 
+def _secant_coefficients(d_res: np.ndarray, res: np.ndarray) -> np.ndarray | None:
+    """Min-norm least-squares gamma of d_res^T gamma ~ res, or None if the
+    solve fails.
+
+    d_res holds m residual differences as rows.  gamma solves the m x m
+    normal equations (d_res d_res^T) gamma = d_res res; lstsq on that small
+    Gram matrix keeps the min-norm solution of a rank-deficient history.
+    Its cutoff drops the directions of d_res below about sqrt(3 eps) of
+    the largest, which the Gram matrix cannot resolve.
+    """
+    try:
+        return np.linalg.lstsq(d_res @ d_res.T, d_res @ res, rcond=None)[0]
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _iterate(
     problem: BvpProblem,
     scalars: DerivedScalars,
@@ -566,11 +586,20 @@ def _iterate(
 
     Each step mixes h = z + omega (g(z) - z), which is g(z) itself at the
     default omega = 1, with the last SECANT_WINDOW of them (a type-II
-    Anderson step).  A secant step whose least-squares coefficients fail,
-    are non-finite or exceed 1e4 is skipped, and h is taken as it is.  The one safeguard
-    is the stagnation counter: after cfg.stagnation steps without a new
-    smallest step, omega halves (down to MIN_OMEGA) and the secant
-    history restarts.
+    Anderson step).  The history is a ring of consecutive differences dR of
+    the residual r = h - z and dH of h; gamma solves the normal equations
+    (dR dR^T) gamma = dR r, and the step goes to h - gamma . dH.  These
+    differences span the space of the differences against the current
+    iterate, so in exact arithmetic this is the least-squares secant step
+    on those.  A step whose gamma fails, is non-finite or has an entry
+    above 1e4 (gamma weighs the consecutive differences) is skipped, and h
+    is taken as it is.  The one safeguard is the stagnation counter: after
+    cfg.stagnation steps without a new smallest step, omega halves (down
+    to MIN_OMEGA) and the secant history restarts.
+
+    The loop keeps a fixed working set of 2n-vectors: the iterate, r and
+    its previous value, the previous h, and the two rings of SECANT_WINDOW
+    rows.  A caller's `initial` arrays are only read.
 
     Returns the g output to report (the last one if the loop converged,
     else the one with the smallest step), whether it converged, the step
@@ -583,28 +612,29 @@ def _iterate(
     box = _box(problem, envs)
     n_nodes = mesh.nodes.size
 
+    # the iterate z = (x, x') in one buffer; the g outputs are fresh arrays,
+    # so nothing reported aliases it
+    z = np.empty(2 * n_nodes)
+    x_vals, xp_vals = z[:n_nodes], z[n_nodes:]
     if initial is None:
-        x_vals = problem.nu1 + scalars.s_star * disc.recip_cumulative
-        xp_vals = np.where(singular, SENTINEL, scalars.s_star * disc.recip_n)
+        x_vals[:] = problem.nu1 + scalars.s_star * disc.recip_cumulative
+        xp_vals[:] = np.where(singular, SENTINEL, scalars.s_star * disc.recip_n)
     else:
         x0 = np.asarray(initial[0], dtype=float)
         xp0 = np.asarray(initial[1], dtype=float)
         if x0.shape != mesh.nodes.shape or xp0.shape != mesh.nodes.shape:
             raise MeshMismatchError("initial guess must live on the problem mesh")
-        x_vals = np.clip(x0, box[0], box[1])
-        xp_vals = np.where(singular, SENTINEL, np.clip(xp0, envs.eta1, envs.eta2))
-        if not (np.all(np.isfinite(x_vals)) and np.all(np.isfinite(xp_vals))):
+        np.clip(x0, box[0], box[1], out=x_vals)
+        xp_vals[:] = np.where(singular, SENTINEL, np.clip(xp0, envs.eta1, envs.eta2))
+        if not np.all(np.isfinite(z)):
             raise InvalidInputError("grid function values must be finite")
 
     omega = cfg.omega
     trace: list[float] = []
-    # a window-m secant step reads the current iterate and m past ones
-    hist_z: list[np.ndarray] = []
-    hist_h: list[np.ndarray] = []
-    # dR, then dH, fill the first 2n * m floats of this buffer as one
-    # C-ordered (2n, m) array: the layout np.stack(axis=1) gives, so lstsq
-    # and @ round as they would on a fresh stack
-    secant_buf = None
+    # the rest of the working set, allocated after the first sweep
+    res = None
+    # mixed points stored since the history last (re)started
+    stored = 0
     max_excess = max(_envelope_excess(x_vals, xp_vals, box, envs))
     best_step = math.inf
     best_output: GStep | None = None
@@ -618,11 +648,20 @@ def _iterate(
             problem, scalars, x_vals, xp_vals, envs=envs, tol_beta=cfg.tol_beta,
             beta_guess=None if last is None else last.beta,
         )
-        g_vec = np.concatenate((last.x, last.x_prime))
-        z_vec = np.concatenate((x_vals, xp_vals))
-        step = _w1p_distance(
-            mesh, g_vec[:n_nodes] - x_vals, g_vec[n_nodes:] - xp_vals, problem.p
-        )
+        if res is None:
+            # res holds g - z, then r = h - z, and swaps roles with res_prev
+            # each sweep; h lands in z, and in mixed_prev for the next
+            # sweep.  Zeros, so that the differences taken while no history
+            # is stored are finite.  Allocated once the first sweep's
+            # temporaries are freed, these take their room; allocated
+            # before, they left every later sweep's temporaries at the heap
+            # top, where free() trims them and the next sweep faults them
+            # back in.
+            res, res_prev, mixed_prev = (np.zeros_like(z) for _ in range(3))
+            d_res, d_mixed = np.empty((2, SECANT_WINDOW, z.size))
+        np.subtract(last.x, x_vals, out=res[:n_nodes])
+        np.subtract(last.x_prime, xp_vals, out=res[n_nodes:])
+        step = _w1p_distance(mesh, res[:n_nodes], res[n_nodes:], problem.p)
         trace.append(step)
         max_excess = max(max_excess, *_envelope_excess(last.x, last.x_prime, box, envs))
         if step < best_step:
@@ -635,47 +674,44 @@ def _iterate(
             converged = True
             break
 
-        h_vec = z_vec + omega * (g_vec - z_vec)
-        z_next = h_vec
-        if hist_z:
-            m = min(SECANT_WINDOW, len(hist_z))
-            if secant_buf is None:
-                secant_buf = np.empty(2 * n_nodes * SECANT_WINDOW)
-            diffs = secant_buf[: 2 * n_nodes * m].reshape(2 * n_nodes, m)
-            r_vec = h_vec - z_vec
-            for j in range(1, m + 1):
-                np.subtract(r_vec, hist_h[-j] - hist_z[-j], out=diffs[:, j - 1])
-            try:
-                gamma, *_ = np.linalg.lstsq(diffs, r_vec, rcond=None)
-            except np.linalg.LinAlgError:
-                gamma = None
+        # h = z + omega (g - z) and r = h - z; h is staged in the ring row
+        # that this sweep's differences go to, before it moves into z.  The
+        # rows fill in order, so a solve that needs k differences writes k
+        # rows.
+        slot = max(stored - 1, 0) % SECANT_WINDOW
+        res *= omega
+        np.add(z, res, out=d_mixed[slot])
+        np.subtract(d_mixed[slot], z, out=res)
+        np.copyto(z, d_mixed[slot])
+        # nothing reads this row's differences while no history is stored
+        np.subtract(res, res_prev, out=d_res[slot])
+        np.subtract(z, mixed_prev, out=d_mixed[slot])
+        np.copyto(mixed_prev, z)
+        if stored:
+            m = min(stored, SECANT_WINDOW)
+            gamma = _secant_coefficients(d_res[:m], res)
             if (
                 gamma is not None
                 and np.all(np.isfinite(gamma))
                 and float(np.max(np.abs(gamma))) <= 1e4
             ):
-                for j in range(1, m + 1):
-                    np.subtract(h_vec, hist_h[-j], out=diffs[:, j - 1])
-                z_next = h_vec - diffs @ gamma
+                # res_prev is free once its difference is taken
+                z -= np.matmul(gamma, d_mixed[:m], out=res_prev)
             else:
                 rejections += 1
-        hist_z.append(z_vec)
-        hist_h.append(h_vec)
-        if len(hist_z) > SECANT_WINDOW:
-            hist_z.pop(0)
-            hist_h.pop(0)
+        stored += 1
+        res, res_prev = res_prev, res
 
         # project mixed iterates back into the admissible boxes, where
         # their envelope excess is 0
-        x_vals = np.clip(z_next[:n_nodes], box[0], box[1])
-        xp_vals = np.clip(z_next[n_nodes:], envs.eta1, envs.eta2)
+        np.clip(x_vals, box[0], box[1], out=x_vals)
+        np.clip(xp_vals, envs.eta1, envs.eta2, out=xp_vals)
 
         if since_improvement >= cfg.stagnation and omega > MIN_OMEGA:
             omega = max(0.5 * omega, MIN_OMEGA)
             halvings += 1
             since_improvement = 0
-            hist_z.clear()
-            hist_h.clear()
+            stored = 0
 
     if not converged and best_output is not None:
         last = best_output

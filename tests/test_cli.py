@@ -1304,6 +1304,31 @@ class TestSolutionTable:
         assert peaks[1] <= peaks[0] + 64 * 2**10
 
 
+class TestSolveMemory:
+    def test_solve_peak_is_a_bounded_number_of_iterates(self):
+        """One solve on [0, 160] (n = 32000) peaks at 16.5 vectors of 2n
+        doubles under numpy 2.4, inside a g_map sweep: the Picard loop
+        holds 4 of them plus two rings of 3 secant differences.  Keeping
+        past iterates and mixed points as separate arrays and refitting a
+        (2n, 3) lstsq per sweep peaked at 21.  The bound of 18 leaves slack
+        for other numpy versions' temporaries; it was only measured under
+        numpy 2.4."""
+        cfg = config_mod.load_problem_config(parse_config(TABLE_HALFLINE_INTERVAL))
+        problem = cfg.build_finite()
+        phibvp.solve(problem, cfg.iteration)  # fills the problem's lazy tables
+        vector = 2 * problem.mesh.nodes.size * 8
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report = phibvp.solve(problem, cfg.iteration)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.status == "converged"
+        assert peak - before <= 18 * vector
+
+
 PLAPLACIAN_DEGENERATE = """
 [operator]
 name = r_laplacian

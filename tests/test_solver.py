@@ -499,6 +499,20 @@ class TestSolve:
         assert solve(prob, initial=(x0, np.full(101, 0.4))).status == "converged"
         assert sweeps
 
+    def test_initial_guess_is_only_read(self):
+        # a warm start from another report's columns, scaled out of the
+        # box so that the projection moves it
+        prob = _identity_problem(constant_rhs(0.5), nu2=0.4, n=100)
+        cold = solve(prob)
+        start = (5.0 * cold.x.values, -2.0 * cold.x_prime.values)
+        kept = tuple(a.copy() for a in start)
+        warm = solve(prob, initial=start)
+        assert warm.status == "converged"
+        for a, b in zip(start, kept):
+            assert np.array_equal(a, b)
+        for col in (warm.x.values, warm.x_prime.values, warm.u.values):
+            assert not any(np.shares_memory(col, a) for a in start)
+
     def test_zero_forcing_converges_immediately(self):
         report = solve(_identity_problem(zero_rhs(), nu2=0.4))
         t = report.x.mesh.nodes
@@ -778,15 +792,47 @@ class TestMixing:
     def test_skipped_secant_steps_are_counted(self, monkeypatch):
         # non-finite coefficients: every secant step is skipped, which
         # leaves the plain undamped Picard step
-        def no_fit(a, b, rcond=None):
-            return np.full(a.shape[1], np.nan), None, None, None
+        def no_fit(d_res, res):
+            return np.full(d_res.shape[0], np.nan)
 
-        monkeypatch.setattr(solver_mod.np.linalg, "lstsq", no_fit)
+        monkeypatch.setattr(solver_mod, "_secant_coefficients", no_fit)
         report = solve(TestBetaSolve._bisect_shape())
         assert report.status == "converged"
         assert report.omega_halvings == 0
         # the first sweep has no history and the last one stops the loop
         assert report.secant_rejections == report.iterations - 2 > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_ring_step_is_the_least_squares_step(self, m):
+        # the mixed point from consecutive differences, in any ring order,
+        # is the one a (2n, m) least-squares fit of the differences against
+        # the current iterate gives
+        rng = np.random.default_rng(m)
+        zs = rng.standard_normal((m + 1, 600))  # oldest first, current last
+        hs = zs + rng.standard_normal((m + 1, 600))
+        rs = hs - zs
+        cols_r = np.stack([rs[-1] - rs[-1 - j] for j in range(1, m + 1)], axis=1)
+        cols_h = np.stack([hs[-1] - hs[-1 - j] for j in range(1, m + 1)], axis=1)
+        gamma_ref = np.linalg.lstsq(cols_r, rs[-1], rcond=None)[0]
+        expected = hs[-1] - cols_h @ gamma_ref
+
+        ring = np.roll(np.arange(m), 1)
+        d_res, d_mixed = np.diff(rs, axis=0)[ring], np.diff(hs, axis=0)[ring]
+        gamma = solver_mod._secant_coefficients(d_res, rs[-1])
+        mixed = hs[-1] - gamma @ d_mixed
+        assert np.linalg.norm(mixed - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_rank_deficient_history_gives_min_norm_coefficients(self):
+        rng = np.random.default_rng(5)
+        row, other, res = rng.standard_normal((3, 600))
+        for d_res in (np.stack([row, other, row]), np.stack([row, row])):
+            gamma = solver_mod._secant_coefficients(d_res, res)
+            assert np.all(np.isfinite(gamma)) and np.max(np.abs(gamma)) <= 1e4
+            min_norm = np.linalg.lstsq(d_res.T, res, rcond=None)[0]
+            assert np.allclose(gamma, min_norm, rtol=1e-6, atol=1e-12)
+        # equal residuals: every difference is zero, and so is gamma
+        gamma = solver_mod._secant_coefficients(np.zeros((3, 600)), res)
+        assert np.array_equal(gamma, np.zeros(3))
 
 
 class TestVerify:
