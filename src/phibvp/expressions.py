@@ -49,7 +49,9 @@ BINARY_FUNCTIONS: dict[str, Callable] = {
     "min": np.minimum,
     "max": np.maximum,
 }
-CONSTANTS: dict[str, float] = {"pi": np.pi}
+# numpy scalars, as the numbers are, so that 1/0 between two constants is
+# inf under IEEE, as on arrays, and no Python ZeroDivisionError
+CONSTANTS: dict[str, np.float64] = {"pi": np.float64(np.pi)}
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,7 @@ class _Parser:
     def atom(self) -> Callable:
         tok = self.take()
         if tok.kind == "number":
-            value = float(tok.text)
+            value = np.float64(tok.text)
             return lambda env: value
         if tok.kind == "(":
             node = self.expr()

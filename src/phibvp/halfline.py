@@ -20,9 +20,7 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, PhibvpError
 from .grid import GridFunction, halfline_integral
 from .operators import MonotoneBranch, PhiOperator
-from .problem import (
-    BvpProblem, Rhs, Weight, default_mesh, image_margins, sample_weight, slope_box
-)
+from .problem import BvpProblem, Rhs, Weight, default_mesh, reference_slopes, sample_weight
 from .solver import IterationConfig, SolveReport, solve
 
 DEFAULT_SCHEDULE = (5.0, 10.0, 20.0, 40.0, 80.0, 160.0)
@@ -129,19 +127,13 @@ class HalflineProblem:
 
     @cached_property
     def scalars(self) -> HalflineScalars:
-        """The half-line scalars, derived once; never raises."""
+        """The half-line scalars, derived once; never raises (see
+        reference_slopes, whose rule leaves the box NaN also for ell_inf < 0)."""
         k_inf, k_tail = recip_mass(self.weight, self.k_infinity)
         ell_inf, psi_tail = psi_mass(self.rhs, self.psi_l1)
         s_inf = limit_slope(self.nu1, self.nu2, k_inf)
-        phi_s = lo = hi = math.nan
-        if self.branch is not None and self.branch.contains(s_inf):
-            phi_s = float(self.phi(s_inf))
-            if min(image_margins(self.branch, phi_s, ell_inf)) > 0.0:
-                try:
-                    lo, hi = sorted(slope_box(self.phi, self.branch, phi_s, ell_inf))
-                except PhibvpError:
-                    pass  # a numeric inverse found no bracket: the box stays NaN
-        return HalflineScalars(k_inf, k_tail, ell_inf, psi_tail, s_inf, phi_s, lo, hi)
+        phi_s, *box = reference_slopes(self.phi, self.branch, s_inf, ell_inf, ell_inf >= 0.0)
+        return HalflineScalars(k_inf, k_tail, ell_inf, psi_tail, s_inf, phi_s, *sorted(box))
 
 
 def extend_by_nu2(x_on_interval: GridFunction, eval_points) -> np.ndarray:

@@ -10,7 +10,7 @@ lattice and can earn at most "sampled-pass"; the max observed ratio
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -130,23 +130,23 @@ def _scan_domination(
     return float(np.fmax.reduce(ratio, initial=0.0)), used
 
 
-def _margin_item(branch, phi_s: float, L: float) -> CheckItem:
+def _margin_item(branch, phi_s: float, L: float, negative_psi: str) -> CheckItem:
+    """The image margin of Phi(s*) +/- 2L; inconclusive when negative_psi
+    says why psi, and so L, bounds no |f|."""
     lo_margin, hi_margin = image_margins(branch, phi_s, L)
-    ok = lo_margin > 0.0 and hi_margin > 0.0
-    return CheckItem(
-        "image-margin",
-        PASS if ok else FAIL,
-        _q(
-            phi_s_star=phi_s,
-            two_l=2.0 * L,
-            margin_lo=lo_margin,
-            margin_hi=hi_margin,
-        ),
-        detail="Phi(s*) +/- 2L must sit strictly inside the branch image",
-    )
+    verdict = PASS if lo_margin > 0.0 and hi_margin > 0.0 else FAIL
+    detail = "Phi(s*) +/- 2L must sit strictly inside the branch image"
+    if negative_psi:
+        verdict, detail = INCONCLUSIVE, f"{negative_psi}: L bounds no |f|, margin undefined"
+    quantities = _q(phi_s_star=phi_s, two_l=2.0 * L, margin_lo=lo_margin, margin_hi=hi_margin)
+    return CheckItem("image-margin", verdict, quantities, detail)
 
 
-def _unsampled(detail: str = "") -> CheckItem:
+def _unsampled(detail: str = "", negative_psi: str = "", **psi) -> CheckItem:
+    """psi-domination left unsampled; it fails outright when negative_psi
+    says why psi is negative, naming the negative quantity psi."""
+    if negative_psi:
+        return CheckItem("psi-domination", FAIL, _q(**psi), detail=negative_psi)
     return CheckItem("psi-domination", INCONCLUSIVE, (), detail)
 
 
@@ -219,6 +219,7 @@ def _finite_interval_items(
     items, slope_ok = _slope_items(
         problem, sc, "1/k must have finite L1 and Lp norms on [0, T]"
     )
+    negative_psi = "psi is negative at sampled nodes" if sc.psi_min < 0.0 else ""
     if surjective_shortcut:
         margin = CheckItem(
             "image-margin",
@@ -234,26 +235,14 @@ def _finite_interval_items(
             detail="s* lies outside the branch, margin undefined",
         )
     else:
-        margin = _margin_item(problem.branch, sc.phi_s_star, sc.L)
-        if sc.psi_min < 0.0:
-            why = "psi is negative at sampled nodes: L bounds no |f|, margin undefined"
-            margin = replace(margin, verdict=INCONCLUSIVE, detail=why)
+        margin = _margin_item(problem.branch, sc.phi_s_star, sc.L, negative_psi)
     items.append(margin)
 
-    if sc.psi_min < 0.0:
-        items.append(
-            CheckItem(
-                "psi-domination",
-                FAIL,
-                _q(psi_min=sc.psi_min),
-                detail="psi is negative at sampled nodes",
-            )
-        )
-    elif not slope_ok or margin.verdict != PASS:
-        items.append(_unsampled("admissible slope box undefined, nothing to sample"))
+    if not slope_ok or math.isnan(sc.slope_lo):
+        why = "admissible slope box undefined, nothing to sample"
+        items.append(_unsampled(why, negative_psi, psi_min=sc.psi_min))
     else:
-        box_lo = min(problem.nu1, sc.N1, sc.N2)
-        box_hi = max(problem.nu1, sc.N1, sc.N2)
+        box_lo, box_hi = problem.box
         items.append(
             _domination_item(
                 problem,
@@ -337,38 +326,16 @@ def check_corollary_singular(
     return HypothesisReport("cor2", tuple(items), _overall(items))
 
 
-def _golden_max(f: Callable, a: float, b: float, tol: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    z = 0.5 * (a + b)
-    return z, f(z)
-
-
 def plaplacian_maximizer(p: float, beta: float, N: float) -> tuple[float, float]:
     """Maximizer and maximum of ell(z) = (z/N)^{(p-1)/beta} - 2z for
-    beta above the critical exponent p-1 (golden-section search bracketed
-    by the closed-form critical point)."""
+    beta above the critical exponent p-1: the closed-form critical point
+    z = (N^{(1-p)/beta} (p-1) / (2 beta))^{beta/(beta-p+1)}, where
+    ell'(z) = 0."""
     pm1 = p - 1.0
     if not (beta > pm1):
         raise InvalidInputError("the maximizer exists only for beta > p-1")
-    q = pm1 / beta
-
-    def ell(z: float) -> float:
-        return (z / N) ** q - 2.0 * z
-
     z_crit = (N ** ((1.0 - p) / beta) * pm1 / (2.0 * beta)) ** (beta / (beta - pm1))
-    return _golden_max(ell, 0.0, 2.0 * z_crit, 1e-12 * max(z_crit, 1.0))
+    return z_crit, (z_crit / N) ** (pm1 / beta) - 2.0 * z_crit
 
 
 def plaplacian_bound(
@@ -457,6 +424,11 @@ def _mass_items(sc: HalflineScalars) -> tuple[list[CheckItem], float]:
         ),
     ]
     return items, sc.s_inf if items[0].verdict == PASS else math.nan
+
+
+def _negative_mass(sc: HalflineScalars) -> str:
+    """Why psi bounds no |f| on the half-line, or "" while ell_inf >= 0."""
+    return "psi has a negative half-line mass" if sc.ell_inf < 0.0 else ""
 
 
 def _halfline_t_lattice(nt: int) -> np.ndarray:
@@ -553,15 +525,16 @@ def check_halfline(
             )
         )
 
+    negative_psi = _negative_mass(sc)
     if not slope_ok:
         items.append(CheckItem("image-margin", INCONCLUSIVE, ()))
-        items.append(_unsampled())
+        items.append(_unsampled(negative_psi=negative_psi, ell_infinity=sc.ell_inf))
         return HypothesisReport("thm_halfline", tuple(items), _overall(items))
 
-    margin = _margin_item(branch, sc.phi_s_inf, sc.ell_inf)
-    items.append(margin)
-    if margin.verdict != PASS or math.isnan(sc.slope_lo):
-        items.append(_unsampled("admissible slope box undefined, nothing to sample"))
+    items.append(_margin_item(branch, sc.phi_s_inf, sc.ell_inf, negative_psi))
+    if math.isnan(sc.slope_lo):
+        why = "admissible slope box undefined, nothing to sample"
+        items.append(_unsampled(why, negative_psi, ell_infinity=sc.ell_inf))
         return HypothesisReport("thm_halfline", tuple(items), _overall(items))
 
     x_lo = min(hp.nu1, hp.nu1 + sc.k_inf * sc.slope_lo)
@@ -596,14 +569,17 @@ def check_halfline_odd(
             "odd-operator shortcut requires the symmetric increasing branch"
         )
     items, s_inf = _mass_items(sc)
+    negative_psi = _negative_mass(sc)
+    unsampled = _unsampled(negative_psi=negative_psi, ell_infinity=sc.ell_inf)
     if branch is None:
         items.append(_slope_item(None, False, "s*_inf", s_star_infinity=s_inf))
-        items.append(_unsampled())
+        items.append(unsampled)
         return HypothesisReport("thm_halfline_odd", tuple(items), _overall(items))
 
     witness = None
-    last_quantities: tuple[tuple[str, float], ...] = ()
-    for T in T_WITNESS_GRID:
+    last_quantities = _q(two_l=2.0 * sc.ell_inf)
+    # a negative psi mass leaves every margin undefined: no T is tried
+    for T in () if negative_psi else T_WITNESS_GRID:
         k_T = k_mass_upto(hp.weight, T)
         s_T = (hp.nu2 - hp.nu1) / k_T
         if not branch.contains(s_T):
@@ -617,15 +593,11 @@ def check_halfline_odd(
             witness = (T, k_T, s_T)
             break
     if witness is None:
-        items.append(
-            CheckItem(
-                "witness-interval",
-                FAIL,
-                last_quantities,
-                detail="no T in the doubling grid satisfies the margins",
-            )
-        )
-        items.append(_unsampled())
+        verdict, detail = FAIL, "no T in the doubling grid satisfies the margins"
+        if negative_psi:
+            verdict, detail = INCONCLUSIVE, f"{negative_psi}: margins undefined"
+        items.append(CheckItem("witness-interval", verdict, last_quantities, detail))
+        items.append(unsampled)
         return HypothesisReport("thm_halfline_odd", tuple(items), _overall(items))
 
     T, k_T, s_T = witness

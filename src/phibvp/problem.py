@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BranchError, CompatibilityError, EnvelopeError, InvalidInputError
+from .errors import BranchError, CompatibilityError, EnvelopeError, InvalidInputError, PhibvpError
 from .grid import (
     SENTINEL, Mesh, cumulative_integral, halfline_integral, lp_norm, sample_midpoints, sample_nodes
 )
@@ -236,6 +236,35 @@ class BvpProblem:
     def branch_contains(self, s: float) -> bool:
         return self.branch is not None and self.branch.contains(s)
 
+    @cached_property
+    def scalars(self) -> DerivedScalars:
+        """k1, kp, s*, L, min psi, Phi(s*), A*, B* and the box [N1, N2],
+        derived once per problem; never raises (see reference_slopes).
+
+        k1 and L are mesh quadratures of disc, the ones the solver
+        integrates with; require_box raises for a box left NaN.
+        """
+        disc = self.disc
+        k1 = disc.k1
+        s_star = (self.nu2 - self.nu1) / k1
+        L = float(cumulative_integral(disc.mesh, disc.psi_n, disc.psi_mid)[-1])
+        psi_min = float(np.min(disc.psi_n[~disc.mesh.singular_mask()], initial=math.inf))
+        phi_s, A_star, B_star = reference_slopes(
+            self.phi, self.branch, s_star, L, psi_min >= 0.0
+        )
+        slope_lo, slope_hi = sorted((A_star, B_star))
+        kp = lp_norm(disc.mesh, disc.recip_n, self.p, disc.recip_mid)
+        N1, N2 = self.nu1 + k1 * slope_lo, self.nu1 + k1 * slope_hi
+        return DerivedScalars(
+            k1, kp, s_star, L, psi_min, phi_s, A_star, B_star, slope_lo, slope_hi, N1, N2
+        )
+
+    @property
+    def box(self) -> tuple[float, float]:
+        """The truncation box [min(nu1, N1), max(nu1, N2)] for x."""
+        sc = self.scalars
+        return min(self.nu1, sc.N1), max(self.nu1, sc.N2)
+
 
 def default_mesh(weight: Weight, T: float, n: int = 1000) -> Mesh:
     """n cells on [0, T], graded toward the weight's singular points there."""
@@ -268,9 +297,10 @@ def make_problem(
 class DerivedScalars:
     """Scalar data the existence hypotheses and the solver share.
 
-    A failed hypothesis leaves the fields it undefines NaN: phi_s_star
-    when s* lies outside the branch, and A*, B*, the slopes and [N1, N2]
-    also when psi < 0 somewhere or Phi(s*) +- 2L leaves the branch image.
+    A failed hypothesis leaves the fields it undefines NaN, by the rule of
+    reference_slopes: phi_s_star when s* lies outside the branch, and A*,
+    B*, the slopes and [N1, N2] also when psi < 0 somewhere, Phi(s*) +- 2L
+    leaves the branch image or a numeric inverse finds no bracket.
     """
 
     k1: float
@@ -288,55 +318,29 @@ class DerivedScalars:
 
 
 def derive_scalars(problem: BvpProblem) -> DerivedScalars:
-    """Compute k1, kp, s*, L, min psi, Phi(s*), A*, B* and the box [N1, N2].
-
-    k1 and L are mesh quadratures of problem.disc, the ones the solver
-    integrates with.  A failed hypothesis is reported by NaN fields, never
-    raised; require_box raises for it.
-    """
-    disc = problem.disc
-    k1 = disc.k1
-    s_star = (problem.nu2 - problem.nu1) / k1
-    L = float(cumulative_integral(disc.mesh, disc.psi_n, disc.psi_mid)[-1])
-    psi_min = float(np.min(disc.psi_n[~disc.mesh.singular_mask()], initial=math.inf))
-    phi_s = A_star = B_star = math.nan
-    if problem.branch_contains(s_star):
-        phi_s = float(problem.phi(s_star))
-        if psi_min >= 0.0 and min(image_margins(problem.branch, phi_s, L)) > 0.0:
-            A_star, B_star = slope_box(problem.phi, problem.branch, phi_s, L)
-    slope_lo, slope_hi = sorted((A_star, B_star))
-    return DerivedScalars(
-        k1=k1,
-        kp=lp_norm(disc.mesh, disc.recip_n, problem.p, disc.recip_mid),
-        s_star=s_star,
-        L=L,
-        psi_min=psi_min,
-        phi_s_star=phi_s,
-        A_star=A_star,
-        B_star=B_star,
-        slope_lo=slope_lo,
-        slope_hi=slope_hi,
-        N1=problem.nu1 + k1 * slope_lo,
-        N2=problem.nu1 + k1 * slope_hi,
-    )
+    """The problem's scalars, BvpProblem.scalars."""
+    return problem.scalars
 
 
-def require_box(problem: BvpProblem, scalars: DerivedScalars) -> None:
+def require_box(problem: BvpProblem) -> None:
     """Raise for the first hypothesis that leaves the slope box undefined.
 
     BranchError when s* leaves the branch, InvalidInputError when psi is
-    negative, CompatibilityError when Phi(s*) +- 2L leaves the image.
+    negative, CompatibilityError when Phi(s*) +- 2L leaves the image or a
+    numeric inverse of it finds no bracket.
     """
-    br = problem.branch
-    if not problem.branch_contains(scalars.s_star):
+    br, sc = problem.branch, problem.scalars
+    if not problem.branch_contains(sc.s_star):
         where = "every branch" if br is None else f"branch ({br.lo}, {br.hi})"
-        raise BranchError(f"reference slope {scalars.s_star!r} outside {where}")
-    if scalars.psi_min < 0.0:
+        raise BranchError(f"reference slope {sc.s_star!r} outside {where}")
+    if sc.psi_min < 0.0:
         raise InvalidInputError("psi must be nonnegative")
-    if math.isnan(scalars.A_star):
+    if math.isnan(sc.A_star):
+        two_l = f"Phi(s*) +- 2L = {sc.phi_s_star!r} +- {2.0 * sc.L!r}"
+        if min(image_margins(br, sc.phi_s_star, sc.L)) > 0.0:
+            raise CompatibilityError(f"{two_l} has no numeric inverse on the branch")
         raise CompatibilityError(
-            f"Phi(s*) +- 2L = {scalars.phi_s_star!r} +- {2.0 * scalars.L!r} leaves "
-            f"the branch image ({br.image_lo!r}, {br.image_hi!r})"
+            f"{two_l} leaves the branch image ({br.image_lo!r}, {br.image_hi!r})"
         )
 
 
@@ -350,11 +354,10 @@ def image_margins(
 def slope_box(
     phi: PhiOperator, branch: MonotoneBranch, phi_s: float, L: float
 ) -> tuple[float, float]:
-    """Phi^{-1}(Phi(s*) - 2L) and Phi^{-1}(Phi(s*) + 2L) on the branch.
+    """Phi^{-1}(Phi(s) - 2L) and Phi^{-1}(Phi(s) + 2L) on the branch.
 
-    phi_s is Phi(s*), evaluated by the caller.  Both values must lie
-    strictly inside the branch image (see image_margins); partial_inverse
-    raises ImageDomainError otherwise.
+    Both values must lie strictly inside the branch image (see
+    image_margins); partial_inverse raises ImageDomainError otherwise.
     """
     return (
         partial_inverse(phi, branch, phi_s - 2.0 * L),
@@ -362,25 +365,47 @@ def slope_box(
     )
 
 
+def reference_slopes(
+    phi: PhiOperator, branch: MonotoneBranch | None, s: float, L: float, psi_ok: bool
+) -> tuple[float, float, float]:
+    """Phi(s) and the slope box of a psi of mass L, which psi_ok says is
+    nonnegative; never raises.
+
+    The one rule for finite and half-line problems: Phi(s) is NaN when s
+    lies outside the branch (or there is none), and the two slopes are NaN
+    then, when psi is negative, when Phi(s) +- 2L does not sit strictly
+    inside the branch image, or when a numeric inverse finds no bracket.
+    """
+    if branch is None or not branch.contains(s):
+        return math.nan, math.nan, math.nan
+    phi_s = float(phi(s))
+    lo_margin, hi_margin = image_margins(branch, phi_s, L)
+    if psi_ok and lo_margin > 0.0 and hi_margin > 0.0:
+        try:
+            return (phi_s, *slope_box(phi, branch, phi_s, L))
+        except PhibvpError:
+            pass  # a numeric inverse found no bracket: the box stays NaN
+    return phi_s, math.nan, math.nan
+
+
 @dataclass(frozen=True, eq=False)
 class Envelopes:
-    """Nodal derivative bounds eta1 <= x' <= eta2 and the solution box."""
+    """Nodal derivative bounds eta1 <= x' <= eta2."""
 
     eta1: np.ndarray
     eta2: np.ndarray
-    N1: float
-    N2: float
 
 
-def envelopes(problem: BvpProblem, scalars: DerivedScalars) -> Envelopes:
-    """Derivative envelopes slope/k(t); singular nodes get wide sentinels."""
+def envelopes(problem: BvpProblem) -> Envelopes:
+    """Derivative envelopes slope/k(t) from problem.scalars; singular nodes
+    get wide sentinels."""
+    sc = problem.scalars
     invk = problem.disc.recip_n
     mask = problem.mesh.singular_mask()
-    lo = np.where(mask, -SENTINEL, scalars.slope_lo * invk)
-    hi = np.where(mask, SENTINEL, scalars.slope_hi * invk)
+    lo = np.where(mask, -SENTINEL, sc.slope_lo * invk)
+    hi = np.where(mask, SENTINEL, sc.slope_hi * invk)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise InvalidInputError("derivative envelopes must be finite")
     if np.any(lo[~mask] > hi[~mask]):
         raise EnvelopeError("derivative envelopes are inverted")
-    return Envelopes(eta1=lo, eta2=hi, N1=scalars.N1, N2=scalars.N2)
-
+    return Envelopes(eta1=lo, eta2=hi)

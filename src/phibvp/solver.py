@@ -30,10 +30,10 @@ comes from a fixed point of the integral map, not from a contraction, so
 damping is a numerical choice only; it comes in when the loop stagnates,
 which halves omega.
 
-The truncation box for x is [min(nu1, N1), max(nu1, N2)]: the running
-integral of a derivative pinched between A*/k and B*/k can approach nu1
-at one end and nu1 + k1 A* (or + k1 B*) at the other, so both must lie
-inside the clamp for the clamp to vanish at a fixed point.
+The truncation box for x, BvpProblem.box, is [min(nu1, N1), max(nu1, N2)]:
+the running integral of a derivative pinched between A*/k and B*/k can
+approach nu1 at one end and nu1 + k1 A* (or + k1 B*) at the other, so
+both must lie inside the clamp for the clamp to vanish at a fixed point.
 """
 
 from __future__ import annotations
@@ -182,13 +182,12 @@ class BetaEquation:
         """
         disc = self.kernel.disc
         br = self.branch
-        s_star_d = self.target / disc.k1
-        if not br.contains(s_star_d):
+        sc = self.kernel.problem.scalars
+        s_star_d, phi_sd = sc.s_star, sc.phi_s_star
+        if math.isnan(phi_sd):
             raise BranchError(
                 f"discrete reference slope {s_star_d!r} escapes the branch"
             )
-        with np.errstate(all="ignore"):
-            phi_sd = float(np.asarray(self.phi(s_star_d)))
         m_F, M_F = float(self.F_n.min()), float(self.F_n.max())
         pad = 1e-12 * (1.0 + abs(phi_sd) + abs(m_F) + abs(M_F))
         lo = phi_sd - M_F - pad
@@ -315,11 +314,8 @@ def beta_solve(
     discrete reference slope; a violation means the quadrature and the
     stated psi mass disagree, and is reported rather than patched.
     """
-    eq = BetaEquation.build(SolverKernel(problem), Fx_cumulative)
-    beta = eq.solve(tol_beta)
-    s_star_d = eq.target / problem.disc.k1
-    with np.errstate(all="ignore"):
-        phi_sd = float(np.asarray(problem.phi(s_star_d)))
+    beta = BetaEquation.build(SolverKernel(problem), Fx_cumulative).solve(tol_beta)
+    phi_sd = problem.scalars.phi_s_star
     slack = 1e-9 * (1.0 + abs(phi_sd) + abs(L))
     if not (phi_sd - L - slack <= beta <= phi_sd + L + slack):
         raise BetaBracketError(
@@ -327,10 +323,6 @@ def beta_solve(
             f"[{phi_sd - L!r}, {phi_sd + L!r}]"
         )
     return beta
-
-
-def _box(problem: BvpProblem, envs: Envelopes) -> tuple[float, float]:
-    return min(problem.nu1, envs.N1), max(problem.nu1, envs.N2)
 
 
 def truncated_rhs(
@@ -349,7 +341,7 @@ def truncated_rhs(
     """
     nodes = problem.mesh.nodes
     singular = problem.mesh.singular_mask()
-    box_lo, box_hi = _box(problem, envs)
+    box_lo, box_hi = problem.box
     tx = np.clip(x, box_lo, box_hi)
     txp = np.clip(x_prime, envs.eta1, envs.eta2)
     with np.errstate(all="ignore"):
@@ -391,7 +383,6 @@ class GStep:
 
 def g_map(
     problem: BvpProblem,
-    scalars: DerivedScalars,
     x: np.ndarray,
     x_prime: np.ndarray,
     envs: Envelopes | None = None,
@@ -404,7 +395,7 @@ def g_map(
     BetaEquation.solve); the previous sweep's beta is a good one.  Every
     output must be finite.
     """
-    env = envs if envs is not None else envelopes(problem, scalars)
+    env = envs if envs is not None else envelopes(problem)
     F = truncated_rhs(problem, env, x, x_prime)
     Fcum = cumulative_integral(problem.mesh, F)
     eq = BetaEquation.build(SolverKernel(problem), Fcum)
@@ -507,20 +498,19 @@ def solve(
     # quadrature-consistent scalars: the g outputs then satisfy the
     # envelopes to rounding accuracy, not merely to quadrature accuracy
     scalars = derive_scalars(problem)
-    require_box(problem, scalars)
-    envs = envelopes(problem, scalars)
-    box = _box(problem, envs)
+    require_box(problem)
+    envs = envelopes(problem)
     # the iterates and the secant history die with _iterate, before the
     # final truncation and the verification allocate
     last, converged, trace, max_excess, halvings, rejections = _iterate(
-        problem, scalars, envs, cfg, initial
+        problem, envs, cfg, initial
     )
 
     final_stats: dict = {}
     F = truncated_rhs(problem, envs, last.x, last.x_prime, stats=final_stats)
     residual = difference_residual(problem.mesh, last.u, F)
     boundary_defect = abs(float(last.x[-1]) - problem.nu2)
-    ex_x, ex_y = _envelope_excess(last.x, last.x_prime, box, envs)
+    ex_x, ex_y = _envelope_excess(last.x, last.x_prime, problem.box, envs)
 
     status = "max-iters"
     if converged:
@@ -593,7 +583,6 @@ def _secant_coefficients(d_res: np.ndarray, res: np.ndarray) -> np.ndarray | Non
 
 def _iterate(
     problem: BvpProblem,
-    scalars: DerivedScalars,
     envs: Envelopes,
     cfg: IterationConfig,
     initial: tuple[np.ndarray, np.ndarray] | None,
@@ -625,7 +614,8 @@ def _iterate(
     disc = problem.disc
     mesh = disc.mesh
     singular = mesh.singular_mask()
-    box = _box(problem, envs)
+    box = problem.box
+    s_star = problem.scalars.s_star
     n_nodes = mesh.nodes.size
 
     # the iterate z = (x, x') in one buffer; the g outputs are fresh arrays,
@@ -633,8 +623,8 @@ def _iterate(
     z = np.empty(2 * n_nodes)
     x_vals, xp_vals = z[:n_nodes], z[n_nodes:]
     if initial is None:
-        x_vals[:] = problem.nu1 + scalars.s_star * disc.recip_cumulative
-        xp_vals[:] = np.where(singular, SENTINEL, scalars.s_star * disc.recip_n)
+        x_vals[:] = problem.nu1 + s_star * disc.recip_cumulative
+        xp_vals[:] = np.where(singular, SENTINEL, s_star * disc.recip_n)
     else:
         x0 = np.asarray(initial[0], dtype=float)
         xp0 = np.asarray(initial[1], dtype=float)
@@ -661,7 +651,7 @@ def _iterate(
 
     for _ in range(cfg.max_outer):
         last = g_map(
-            problem, scalars, x_vals, xp_vals, envs=envs, tol_beta=cfg.tol_beta,
+            problem, x_vals, xp_vals, envs=envs, tol_beta=cfg.tol_beta,
             beta_guess=None if last is None else last.beta,
         )
         if res is None:

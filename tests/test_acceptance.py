@@ -283,7 +283,7 @@ def test_06_random_certified_problems_stay_in_envelopes():
             assert report.status == "converged"
             assert report.truncation_count == 0
             scalars = derive_scalars(problem)
-            env = envelopes(problem, scalars)
+            env = envelopes(problem)
             lo = min(problem.nu1, scalars.N1) - 1e-8
             hi = max(problem.nu1, scalars.N2) + 1e-8
             assert np.all(report.x.values >= lo)

@@ -92,6 +92,13 @@ cells_per_unit = 50
 """
 
 
+# a right-hand side whose psi is negative everywhere on the half-line
+NEGATIVE_HALFLINE_PSI = """[rhs]
+f = -0.05 * exp(-t) * cos(x)
+psi = -0.05 * exp(-t)
+"""
+
+
 def write(tmp_path, text, name="problem.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -133,6 +140,47 @@ class TestCheck:
         item = parse_config((out / "record.txt").read_text()).section("check.image-margin")
         assert item["verdict"] == "inconclusive"
         assert item["detail"].startswith("psi is negative at sampled nodes")
+
+    @pytest.mark.parametrize(
+        "kind, margin",
+        [("halfline", "image-margin"), ("halfline-odd", "witness-interval")],
+    )
+    def test_negative_halfline_psi_leaves_the_margin_inconclusive(
+        self, tmp_path, capsys, kind, margin
+    ):
+        # the half-line twin: psi = -0.05 exp(-t) has mass ell_inf = -0.05,
+        # which bounds no |f|
+        text = ARCTAN.replace("[problem]", NEGATIVE_HALFLINE_PSI + "\n[problem]")
+        text = text.replace("kind = halfline-odd", f"kind = {kind}\nl_lip = 1\ndelta = 0.5")
+        out = tmp_path / "run"
+        assert main(["check", write(tmp_path, text), "-o", str(out)]) == 2
+        captured = capsys.readouterr().out
+        assert f"{margin}: inconclusive  (" in captured
+        assert "psi-domination: fail  (ell_infinity=-0.0500000" in captured
+        assert "overall: fail" in captured
+        item = parse_config((out / "record.txt").read_text()).section(f"check.{margin}")
+        assert item["detail"].startswith("psi has a negative half-line mass")
+
+    @pytest.mark.parametrize(
+        "section, line, code",
+        [
+            ("rhs", "f = (1/0) * 0 * t + 0.1 * cos(x)\npsi = 0.1 + 0 * t", 2),
+            ("weight", "expr = 1 + 1/0", 1),
+        ],
+        ids=["rhs", "weight"],
+    )
+    def test_dividing_constants_by_zero_is_no_traceback(
+        self, tmp_path, capsys, section, line, code
+    ):
+        # 1/0 between two constants is inf under IEEE, as on arrays: the
+        # check reports a NaN f, or rejects an infinite weight, by exit code
+        text = PERONA.format(nu2=0.05)
+        if section == "rhs":
+            text = re.sub(r"example = perona\n(\w+ = \S+\n)*", line + "\n", text)
+        else:
+            text = text.replace("name = constant\nvalue = 1.0", line)
+        assert main(["check", write(tmp_path, text)]) == code
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_check_writes_record(self, tmp_path):
         cfg = write(tmp_path, PERONA.format(nu2=0.05))

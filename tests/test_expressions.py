@@ -13,6 +13,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phibvp import ExpressionError, compile_expression
+from phibvp.expressions import BINARY_FUNCTIONS, UNARY_FUNCTIONS
+
+
+# random sentences of the grammar; constants include 0, so that two of them
+# can divide by zero, and floats that overflow when combined
+_ATOMS = st.one_of(
+    st.sampled_from(["0", "1", "2.5", "1e308", "pi", "t", "x", "y"]),
+    st.floats(0.0, 1e300).map(repr),
+)
+EXPRESSIONS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(st.sampled_from(sorted(UNARY_FUNCTIONS)), inner).map(
+            lambda p: f"{p[0]}({p[1]})"
+        ),
+        st.tuples(st.sampled_from(sorted(BINARY_FUNCTIONS)), inner, inner).map(
+            lambda p: f"{p[0]}({p[1]}, {p[2]})"
+        ),
+    ),
+    max_leaves=10,
+)
 
 
 def ev(text, t=0.0, x=0.0, y=0.0):
@@ -63,6 +86,23 @@ class TestArithmetic:
     def test_division_by_zero_is_nonfinite_not_raise(self):
         assert math.isinf(ev("1/t", t=0.0))
         assert math.isnan(ev("sqrt(t)", t=-1.0))
+
+    def test_dividing_two_constants_follows_ieee(self):
+        assert ev("1/0") == math.inf and ev("-1/0") == -math.inf
+        assert math.isnan(ev("0/0")) and math.isnan(ev("(1/0) * 0"))
+        assert ev("1 + pi/0") == math.inf
+
+    @given(
+        text=EXPRESSIONS,
+        t=st.floats(),
+        x=st.floats(),
+        y=st.floats(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_expressions_never_raise(self, text, t, x, y):
+        expr = compile_expression(text)
+        assert expr(t, x, y).shape == ()
+        assert expr(np.array([t, x, 0.0]), y, 0.0).shape == (3,)
 
     @given(
         a=st.floats(-10, 10),

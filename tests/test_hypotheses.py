@@ -78,6 +78,18 @@ class TestPlaplacianBound:
         assert z is not None and 0.0 < z <= 0.0625 + 1e-12
         assert (0.3 + 2.0 * z) ** 4 <= z * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("p, beta, N", [(2.0, 4.0, 1.0), (3.0, 5.0, 0.5), (1.5, 2.0, 2.0)])
+    def test_maximizer_is_the_critical_point(self, p, beta, N):
+        # closed form, not a search: ell'(z) = 0 to rounding, and the
+        # p = 2, beta = 4 oracle z = 1/16, ell = 3/8 to the last digits
+        z, ell_max = plaplacian_maximizer(p, beta, N)
+        q = (p - 1.0) / beta
+        assert q * (z / N) ** q / z == pytest.approx(2.0, rel=1e-13)
+        assert ell_max == (z / N) ** q - 2.0 * z
+        if (p, beta, N) == (2.0, 4.0, 1.0):
+            assert z == pytest.approx(0.0625, rel=1e-15)
+            assert ell_max == pytest.approx(0.375, rel=1e-15)
+
     def test_no_z_bar_beyond_bound(self):
         _, solver = plaplacian_bound(2.0, 4.0, 1.0)
         assert solver(0.5) is None

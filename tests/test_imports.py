@@ -1,4 +1,5 @@
-"""Every name a phibvp module imports is used in that module."""
+"""Every name a phibvp module imports is used in that module, and every
+source file parses on the Python floor that pyproject.toml declares."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import phibvp
 
 PACKAGE = Path(phibvp.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # perfbench/tracing.py patches cli's binding of cumulative_integral, which
 # cli itself never calls
@@ -53,3 +55,20 @@ def test_the_checker_sees_an_unused_import():
         "x: Callable = os.path.sep\nSeq = 1\n"
     )
     assert unused_imports(source) == ["Seq", "math"]
+
+
+# the floor that pyproject.toml declares, requires-python >= 3.10
+PYTHON_FLOOR = (3, 10)
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_parses_on_the_python_floor(path):
+    source = path.read_text(encoding="utf-8")
+    ast.parse(source, filename=str(path), feature_version=PYTHON_FLOOR)
+
+
+def test_the_floor_is_the_declared_one():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=%d.%d"' % PYTHON_FLOOR in pyproject
+    assert len(SOURCES) > len(MODULES)

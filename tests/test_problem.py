@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from phibvp import (
     BranchError,
     CompatibilityError,
+    HalflineProblem,
+    ImageDomainError,
     InvalidInputError,
     Mesh,
     SENTINEL,
@@ -26,6 +28,7 @@ from phibvp import (
     sqrt_t_weight,
     zero_rhs,
 )
+from phibvp import problem as problem_mod
 from phibvp.hypotheses import check_theorem1
 from phibvp.problem import Rhs, require_box, sample_weight
 from phibvp.solver import SolverKernel, solve
@@ -92,10 +95,10 @@ class TestDerivedScalars:
     def test_compatibility_is_strict_at_the_edge(self):
         threshold = 0.11238532110091745
         inside = _pm_problem(L=threshold - 1e-6)
-        require_box(inside, derive_scalars(inside))
+        require_box(inside)
         outside = _pm_problem(L=threshold + 1e-6)
         with pytest.raises(CompatibilityError):
-            require_box(outside, derive_scalars(outside))
+            require_box(outside)
 
     def test_surjective_branch_tolerates_huge_mass(self):
         phi = make_operator("relativistic")
@@ -160,6 +163,44 @@ class TestDerivedScalars:
         assert math.isnan(sc.A_star) and math.isnan(sc.N1)
         with pytest.raises(InvalidInputError, match="psi must be nonnegative"):
             solve(prob)
+
+    def test_scalars_are_derived_once_per_problem(self):
+        prob = _pm_problem()
+        assert derive_scalars(prob) is prob.scalars is prob.scalars
+        sc = prob.scalars
+        assert prob.box == (min(prob.nu1, sc.N1), max(prob.nu1, sc.N2))
+
+    def test_an_inverse_without_bracket_leaves_the_box_nan(self, monkeypatch):
+        # one rule for finite and half-line problems: deriving the scalars
+        # never raises, and require_box names the cause
+        def no_bracket(phi, branch, y):
+            raise ImageDomainError(y, branch.image_lo, branch.image_hi, "no bracket")
+
+        monkeypatch.setattr(problem_mod, "partial_inverse", no_bracket)
+        prob = _pm_problem()
+        sc = prob.scalars
+        assert math.isfinite(sc.phi_s_star)
+        for value in (sc.A_star, sc.B_star, sc.N1, sc.N2):
+            assert math.isnan(value)
+        with pytest.raises(CompatibilityError, match="has no numeric inverse"):
+            require_box(prob)
+        hp = HalflineProblem(
+            prob.phi, prob.branch, one_plus_t_squared_weight(), prob.rhs, 0.0, 0.3,
+            psi_l1=0.05,
+        )
+        assert math.isfinite(hp.scalars.phi_s_inf)
+        assert math.isnan(hp.scalars.slope_lo) and math.isnan(hp.scalars.slope_hi)
+
+    def test_negative_halfline_psi_mass_leaves_the_box_nan(self):
+        phi = make_operator("r_laplacian", r=2.0)
+        rhs = Rhs(fn=lambda t, x, y: 0.0 * t, psi=lambda t: -0.05 * np.exp(-t))
+        hp = HalflineProblem(
+            phi, find_branch(phi, 0.1), one_plus_t_squared_weight(), rhs, 0.0, 0.2
+        )
+        sc = hp.scalars
+        assert sc.ell_inf == pytest.approx(-0.05, rel=1e-6)
+        assert math.isfinite(sc.phi_s_inf)
+        assert math.isnan(sc.slope_lo) and math.isnan(sc.slope_hi)
 
 
 class TestWeights:
@@ -261,7 +302,7 @@ class TestEnvelopes:
             phi, sqrt_t_weight(), constant_rhs(0.05), 0.0, 0.3, 1.0, mesh_n=256
         )
         sc = derive_scalars(prob)
-        env = envelopes(prob, sc)
+        env = envelopes(prob)
         assert env.eta1[0] == -SENTINEL
         assert env.eta2[0] == SENTINEL
         inner = slice(1, None)
@@ -278,9 +319,9 @@ class TestEnvelopes:
             phi, one_plus_t_squared_weight(), constant_rhs(0.05), 0.0, 0.3, 1.0
         )
         sc = derive_scalars(prob)
-        env = envelopes(prob, sc)
+        env = envelopes(prob)
         assert np.all(np.abs(env.eta1) < SENTINEL)
-        assert env.N1 < env.N2
+        assert sc.N1 < sc.N2
 
 
 class TestOddSymmetry:

@@ -264,6 +264,32 @@ def test_each_command_samples_weight_and_psi_once(tmp_path, monkeypatch):
     assert not load_problem_config(parse_config(text)).build_finite().branch.increasing
 
 
+def test_each_problem_inverts_its_slope_box_once(tmp_path, monkeypatch):
+    # the check and the solve read one BvpProblem.scalars: Phi(s*) +- 2L is
+    # inverted once per problem, so a sweep does it once per passing row
+    workloads = _workloads_module(monkeypatch)
+    from phibvp import cli, problem, solve
+    from phibvp.config import load_problem_config, parse_config
+
+    calls = []
+    real = problem.slope_box
+    monkeypatch.setattr(problem, "slope_box", lambda *args: calls.append(1) or real(*args))
+
+    text = workloads._sweep_configs(0)["sweep"]
+    cfg = load_problem_config(parse_config(text))
+    built = cfg.build_finite()
+    assert cfg.run_check(built).overall == "pass"
+    assert solve(built, cfg.iteration).status == "converged"
+    assert len(calls) == 1
+
+    calls.clear()
+    path = tmp_path / "sweep.cfg"
+    path.write_text(text)
+    assert cli.main(["sweep", str(path), "-o", str(tmp_path / "sweep")]) == 0
+    rows = workloads.read_sweep(str(tmp_path / "sweep" / "sweep.txt"))
+    assert sum(row[1] == "pass" for row in rows) == len(calls) == 21
+
+
 def test_every_benchmark_solve_records_what_verify_prints(
     tmp_path, monkeypatch, printed_verification
 ):
