@@ -124,15 +124,17 @@ count = 4
 """
 
 # No workload runs a singular weight, a decreasing branch or a half-line
-# weight without a closed-form 1/k mass: the midpoint samples of 1/k and
-# psi, decreasing branches with a closed-form inverse (sine) and with the
-# generic one (difference), and the numeric half-line mass of 1/k are
-# checked by these configs.  A config with a [sweep] section runs
+# weight or psi without a closed-form mass: the midpoint samples of 1/k
+# and psi, decreasing branches with a closed-form inverse (sine) and with
+# the generic one (difference), and the numeric half-line masses of 1/k
+# and psi are checked by these configs.  A config with a [sweep] section runs
 # `sweep`, one with `halfline = true` runs `halfline`, the others `solve`
 # and then `verify`: the sweeps walk a singular weight across its flip,
 # and an r = 3 operator through lambda = 0, where a predicted start
 # stalls and the row is solved again cold.  halfline-expr-weight is the
-# halfline workload's config with k = 1 + t^2 given as an expression.
+# halfline workload's config with k = 1 + t^2 given as an expression, and
+# halfline-expr-psi the same with f and psi given as expressions, so that
+# the numeric half-line mass of psi is checked too.
 # The *-example cases build the worked-example tags no other config
 # builds, so that every tag's f and psi are compared: sine, plaplacian
 # and relativistic are swept across their closed-form thresholds, and
@@ -219,6 +221,27 @@ expr = 1 + t*t
 
 [rhs]
 example = halfline1
+
+[check]
+kind = halfline
+l_lip = 1
+delta = 0.5
+""",
+    "halfline-expr-psi": """[problem]
+nu1 = 0.0
+nu2 = 0.2
+halfline = true
+
+[operator]
+name = r_laplacian
+r = 2
+
+[weight]
+name = one_plus_t_squared
+
+[rhs]
+f = t^2 * cos(x) * y^3
+psi = (pi + 4)^(-1.5) * min(1, 1/(t*t))
 
 [check]
 kind = halfline

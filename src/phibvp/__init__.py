@@ -64,7 +64,6 @@ from .solver import (
     SolveReport,
     SolverKernel,
     VerificationRecord,
-    beta_solve,
     g_map,
     solve,
     truncated_rhs,

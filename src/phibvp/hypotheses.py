@@ -413,14 +413,17 @@ def _mass_item(name: str, value: float, tail: float, detail: str, ok=True) -> Ch
 
 def _mass_items(sc: HalflineScalars) -> tuple[list[CheckItem], float]:
     """The recip-integrable and psi-integrable items, then s*_inf: NaN
-    unless 1/k passes as integrable, which needs a positive mass."""
+    unless 1/k passes as integrable, which needs a positive mass; psi
+    passes only with a nonnegative one."""
     items = [
         _mass_item(
             "recip-integrable", sc.k_inf, sc.k_tail,
             "1/k must be integrable on the half-line", ok=sc.k_inf > 0.0,
         ),
         _mass_item(
-            "psi-integrable", sc.ell_inf, sc.psi_tail, "psi must be integrable on the half-line"
+            "psi-integrable", sc.ell_inf, sc.psi_tail,
+            _negative_mass(sc) or "psi must be integrable on the half-line",
+            ok=sc.ell_inf >= 0.0,
         ),
     ]
     return items, sc.s_inf if items[0].verdict == PASS else math.nan

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import BranchError, CompatibilityError, EnvelopeError, InvalidInputError, PhibvpError
 from .grid import (
-    SENTINEL, Mesh, cumulative_integral, halfline_integral, lp_norm, sample_midpoints, sample_nodes
+    SENTINEL, Mesh, cumulative_integral, halfline_integral, lp_norm, midvalues,
+    sample_midpoints, sample_nodes,
 )
 from .operators import MonotoneBranch, PhiOperator, find_branch, partial_inverse
 
@@ -185,6 +186,12 @@ class Discretization:
         psi_n = sample_nodes(self.mesh, rhs.psi_at)
         psi_mid = sample_midpoints(self.mesh, rhs.psi_at)
         return replace(self, psi_n=psi_n, psi_mid=psi_mid)
+
+    def weighted(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """values / k at the nodes, and at the midpoints of mesh.mid_cells
+        with the endpoint stand-ins of midvalues: the (values, mid_values)
+        pair of every 1/k-weighted integral."""
+        return self.recip_n * values, self.recip_mid * midvalues(self.mesh, values)
 
 
 def sample_weight(weight: Weight, mesh: Mesh) -> Discretization:

@@ -41,7 +41,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -56,12 +55,12 @@ from .grid import (
     SENTINEL,
     GridFunction,
     Mesh,
+    cell_integrals,
     cumulative_integral,
     difference_residual,
     lp_norm,
-    midvalues,
 )
-from .operators import MonotoneBranch, bracketed_root, partial_inverse_array
+from .operators import bracketed_root, partial_inverse_array
 from .problem import (
     BvpProblem,
     DerivedScalars,
@@ -125,13 +124,11 @@ class SolverKernel:
 
 @dataclass(frozen=True, eq=False)
 class BetaEquation:
-    """The strictly monotone scalar map xi -> integral (1/k) Phi^{-1}(xi + F)."""
+    """The strictly monotone scalar map xi -> integral (1/k) Phi^{-1}(xi + F);
+    Phi, its branch and the target nu2 - nu1 are those of kernel.problem."""
 
     kernel: SolverKernel
-    branch: MonotoneBranch
-    phi: Callable
     F_n: np.ndarray
-    target: float
     # the last (xi, cumulative(xi)): the solve ends on the point g_map
     # integrates, so that integration is free
     _last: list = field(default_factory=list, repr=False)
@@ -145,16 +142,13 @@ class BetaEquation:
             raise InvalidInputError("cumulative grid lives on a different mesh")
         if not np.all(np.isfinite(F_n)):
             raise InvalidInputError("grid function values must be finite")
-        problem = kernel.problem
-        target = problem.nu2 - problem.nu1
-        return BetaEquation(kernel, problem.branch, problem.phi, F_n, target)
+        return BetaEquation(kernel, F_n)
 
     def _slopes(self, xi: float) -> tuple[np.ndarray, np.ndarray]:
-        # Phi^{-1}(xi + F) at the nodes only; the midpoint-rule cells take
-        # its finite endpoint's value, times 1/k sampled at their midpoints
-        inv = partial_inverse_array(self.phi, self.branch, xi + self.F_n)
-        disc = self.kernel.disc
-        return disc.recip_n * inv, disc.recip_mid * midvalues(disc.mesh, inv)
+        # Phi^{-1}(xi + F) at the nodes only, weighted by 1/k
+        problem = self.kernel.problem
+        inv = partial_inverse_array(problem.phi, problem.branch, xi + self.F_n)
+        return self.kernel.disc.weighted(inv)
 
     def cumulative(self, xi: float) -> tuple[np.ndarray, np.ndarray]:
         """Running integral of (1/k)Phi^{-1}(xi + F) and its nodal integrand."""
@@ -181,9 +175,10 @@ class BetaEquation:
         theoretical bracket itself.
         """
         disc = self.kernel.disc
-        br = self.branch
-        sc = self.kernel.problem.scalars
-        s_star_d, phi_sd = sc.s_star, sc.phi_s_star
+        problem = self.kernel.problem
+        br = problem.branch
+        target = problem.nu2 - problem.nu1
+        s_star_d, phi_sd = problem.scalars.s_star, problem.scalars.phi_s_star
         if math.isnan(phi_sd):
             raise BranchError(
                 f"discrete reference slope {s_star_d!r} escapes the branch"
@@ -209,7 +204,7 @@ class BetaEquation:
         tried = []
 
         def residual(xi: float) -> float:
-            r = sgn * (self.value(xi) - self.target)
+            r = sgn * (self.value(xi) - target)
             tried.append((abs(r), xi))
             return r
 
@@ -226,10 +221,7 @@ class BetaEquation:
         if guess is not None and lo < guess < hi:
             x = guess
         else:
-            F_ends = midvalues(disc.mesh, self.F_n)
-            F_int = cumulative_integral(
-                disc.mesh, disc.recip_n * self.F_n, disc.recip_mid * F_ends
-            )
+            F_int = cumulative_integral(disc.mesh, *disc.weighted(self.F_n))
             F_mean = float(F_int[-1]) / disc.k1
             x = min(max(phi_sd - F_mean, lo), hi)
             if not lo < x < hi:
@@ -245,7 +237,7 @@ class BetaEquation:
             0.5 * (br.hi - s_star_d),
         )
         with np.errstate(all="ignore"):
-            phi_pm = np.asarray(self.phi(np.array([s_star_d - h, s_star_d + h])))
+            phi_pm = np.asarray(problem.phi(np.array([s_star_d - h, s_star_d + h])))
             slope = float(disc.k1 * 2.0 * h / abs(phi_pm[1] - phi_pm[0]))
         if math.isfinite(slope) and slope > 0.0:
             step = -r / slope
@@ -301,30 +293,6 @@ class BetaEquation:
         return close(lo, hi, r_lo, r_hi)
 
 
-def beta_solve(
-    problem: BvpProblem,
-    Fx_cumulative: np.ndarray,
-    L: float,
-    tol_beta: float = 1e-12,
-) -> float:
-    """Integration constant beta whose scalar map, the integral of
-    (1/k) Phi^{-1}(beta + F_cum) over [0, T], is within tol_beta of nu2 - nu1.
-
-    The result always lies in [Phi(s*) - L, Phi(s*) + L] around the
-    discrete reference slope; a violation means the quadrature and the
-    stated psi mass disagree, and is reported rather than patched.
-    """
-    beta = BetaEquation.build(SolverKernel(problem), Fx_cumulative).solve(tol_beta)
-    phi_sd = problem.scalars.phi_s_star
-    slack = 1e-9 * (1.0 + abs(phi_sd) + abs(L))
-    if not (phi_sd - L - slack <= beta <= phi_sd + L + slack):
-        raise BetaBracketError(
-            f"beta {beta!r} escaped [Phi(s*) - L, Phi(s*) + L] = "
-            f"[{phi_sd - L!r}, {phi_sd + L!r}]"
-        )
-    return beta
-
-
 def truncated_rhs(
     problem: BvpProblem,
     envs: Envelopes,
@@ -378,7 +346,6 @@ class GStep:
     x_prime: np.ndarray
     beta: float
     u: np.ndarray
-    phi_defect: float
 
 
 def g_map(
@@ -406,13 +373,7 @@ def g_map(
     u = beta + Fcum
     if not all(np.all(np.isfinite(v)) for v in (x_new, xp_new, u)):
         raise InvalidInputError("grid function values must be finite")
-    return GStep(
-        x=x_new,
-        x_prime=xp_new,
-        beta=beta,
-        u=u,
-        phi_defect=abs(float(cum[-1]) - eq.target),
-    )
+    return GStep(x=x_new, x_prime=xp_new, beta=beta, u=u)
 
 
 @dataclass(frozen=True)
@@ -763,12 +724,10 @@ def verify(
         integral = float(np.max(np.abs(u - (u[0] + cum))))
         residual = difference_residual(mesh, u, f_vals)
 
-        # x must be the integral of dx: trapezoid per cell, skipping cells
-        # that touch a singular node
+        # x must be the integral of dx, cell by cell, skipping cells that
+        # touch a singular node
         both = regular[:-1] & regular[1:]
-        increments = np.where(
-            both, 0.5 * (dx_filled[:-1] + dx_filled[1:]) * mesh.widths, np.diff(x)
-        )
+        increments = np.where(both, cell_integrals(mesh, dx_filled), np.diff(x))
         recon = problem.nu1 + np.concatenate(([0.0], np.cumsum(increments)))
         slope_integral = float(np.max(np.abs(recon - x)))
 

@@ -20,7 +20,6 @@ from phibvp import (
     Rhs,
     SolverKernel,
     Weight,
-    beta_solve,
     check_corollary_singular,
     check_halfline,
     check_theorem1,
@@ -222,12 +221,14 @@ def test_05_random_beta_equations():
             f_vals = amp * np.sin(2.0 * math.pi * t + phase)
             Fcum = cumulative_integral(mesh, f_vals)
             L = amp  # |f| <= amp pointwise, so the mass over [0,1] is below amp
-            beta = beta_solve(problem, Fcum, L=L)
             eq = BetaEquation.build(SolverKernel(problem), Fcum)
+            beta = eq.solve(1e-12)
             assert abs(eq.value(beta) - target) <= 1e-10
-            # bracket ends straddle the target
+            # beta lies in [Phi(s*) - L, Phi(s*) + L], whose ends straddle
+            # the target
             s_star_d = target / eq.kernel.disc.k1
             center = float(phi.fn(s_star_d))
+            assert abs(beta - center) <= L + 1e-9 * (1.0 + abs(center) + L)
             assert eq.value(center - L) <= target + 1e-10
             assert eq.value(center + L) >= target - 1e-10
             if trial % 40 == 0:

@@ -157,6 +157,7 @@ class TestCheck:
         captured = capsys.readouterr().out
         assert f"{margin}: inconclusive  (" in captured
         assert "psi-domination: fail  (ell_infinity=-0.0500000" in captured
+        assert "psi-integrable: fail  (mass=-0.0500000" in captured
         assert "overall: fail" in captured
         item = parse_config((out / "record.txt").read_text()).section(f"check.{margin}")
         assert item["detail"].startswith("psi has a negative half-line mass")

@@ -9,8 +9,10 @@ from phibvp.errors import InvalidInputError
 from phibvp.grid import (
     GridFunction,
     Mesh,
+    cell_integrals,
     cumulative_integral,
     difference_residual,
+    halfline_integral,
     lp_norm,
     sample_midpoints,
     sample_nodes,
@@ -381,6 +383,49 @@ def test_residual_is_in_u_units_on_tiny_cells():
     rhs = np.cos(3.0 * mesh.nodes)
     u = 0.7 + cumulative_integral(mesh, rhs)
     assert difference_residual(mesh, u, rhs) <= 1e-15
+
+
+# -- one cell quadrature under every integral and defect ----------------------
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [Mesh.uniform(2.0, 300), Mesh.graded(1.0, 400, [0.0])],
+    ids=["uniform", "graded-sqrt-t"],
+)
+def test_cumulative_integral_is_the_running_sum_of_the_cells(mesh):
+    # on the graded mesh the cell at t = 0 takes the midpoint rule, with
+    # 1/sqrt(t) sampled there, as the sqrt_t weight does
+    t = mesh.nodes
+    values = np.where(t > 0.0, np.cos(3.0 * t) / np.sqrt(np.maximum(t, 1e-300)), 0.0)
+    mids = sample_midpoints(mesh, lambda s: np.cos(3.0 * s) / np.sqrt(s))
+    cells = cell_integrals(mesh, values, mids)
+    running = np.concatenate(([0.0], np.cumsum(cells)))
+    assert np.array_equal(cumulative_integral(mesh, values, mids), running)
+    assert np.array_equal(cumulative_integral(mesh, values), np.concatenate(
+        ([0.0], np.cumsum(cell_integrals(mesh, values)))
+    ))
+
+
+def test_difference_residual_is_the_per_cell_formula():
+    mesh = Mesh.graded(1.0, 200, [0.0, 1.0])
+    t = mesh.nodes
+    u, rhs = np.sin(2.0 * t) + 1e-7 * t * t, 2.0 * np.cos(2.0 * t)
+    h = mesh.widths
+    defect = np.abs(np.diff(u) - 0.5 * h * (rhs[:-1] + rhs[1:]))[1:-1]
+    assert difference_residual(mesh, u, rhs) == float(np.max(defect))
+
+
+def test_halfline_integral_keeps_its_values():
+    # the values of the trapezoid the cell quadrature replaced, to the bit;
+    # 1/sqrt(t) is infinite at t = 0, which is dropped
+    assert halfline_integral(lambda t: 1.0 / (1.0 + t * t)) == (
+        1.5707956555661229, 9.000005964303031e-06
+    )
+    assert halfline_integral(lambda t: np.exp(-t) / np.sqrt(t)) == (1.7398018478598651, 0.0)
+    assert halfline_integral(lambda t: 1.0 / (1.0 + t), cutoff=1.0e4) == (
+        9.210441132966722, 2.301685813471898
+    )
 
 
 def test_non_finite_sample_message_prints_a_plain_float():

@@ -5,7 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phibvp import constant_weight, make_problem, operators, solver
+from phibvp import (
+    check_corollary_surjective,
+    constant_weight,
+    make_problem,
+    operators,
+    solver,
+    zero_rhs,
+)
 from phibvp.errors import (
     BranchError,
     BranchNotFoundError,
@@ -140,6 +147,42 @@ def test_sampled_branch_grows_to_window_for_monotone_operator():
     br = find_branch(op, 0.5)
     assert br.increasing
     assert br.hi >= 1e6
+
+
+@pytest.mark.parametrize(
+    "fn, hint",
+    [
+        (lambda s: s, (-math.inf, math.inf)),
+        (lambda s: np.sign(s) * np.abs(s) ** 0.5, (-math.inf, math.inf)),
+        (lambda s: s / np.sqrt(1.0 - s * s), (-1.0, 1.0)),
+    ],
+    ids=["identity", "square-root", "singular"],
+)
+def test_hinted_branch_without_metadata_sees_an_unbounded_image(fn, hint):
+    # growth across the probes marks an infinite end; a size cut-off of
+    # 1e12 took these ends for +-1e8, +-1e4 and +-707114.6
+    br = find_branch(PhiOperator("anon", fn, odd=True), 0.1, hint=hint)
+    assert (br.image_lo, br.image_hi) == (-math.inf, math.inf)
+
+
+def test_identity_without_metadata_takes_the_surjective_shortcut():
+    op = PhiOperator("anon", lambda s: s, odd=True)
+    prob = make_problem(
+        op, constant_weight(1.0), zero_rhs(), 0.0, 0.3, 1.0,
+        branch_hint=(-math.inf, math.inf), mesh_n=50,
+    )
+    assert check_corollary_surjective(prob, lattice=(3, 3, 3)).overall == "pass"
+
+
+def test_bounded_limits_stay_finite():
+    sat = PhiOperator("anon", lambda s: s / np.sqrt(1.0 + s * s), odd=True)
+    assert operators._limit_at(sat, math.inf, 0.0) == pytest.approx(1.0)
+    assert operators._limit_at(sat, -math.inf, 0.0) == pytest.approx(-1.0)
+    # perona's outer piece s / (1 + s^2) decreases to 0
+    outer = PhiOperator("anon", perona_malik().fn, odd=True)
+    br = find_branch(outer, 3.0, hint=(1.0, math.inf))
+    assert not br.increasing
+    assert 0.0 <= br.image_lo < 1e-6 and br.image_hi == pytest.approx(0.5)
 
 
 # -- inversion ----------------------------------------------------------------

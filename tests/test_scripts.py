@@ -1,5 +1,6 @@
-"""Tests of the scripts: each demo runs to completion and its printed
-results agree with the closed forms it quotes; compare_outputs.py finds a
+"""Tests of the scripts and the committed configs: each demo runs to
+completion and its printed results agree with the closed forms it
+quotes, and so do the threshold sweeps; compare_outputs.py finds a
 tree identical to itself and reports differences.  Also the hooks the
 benchmark in perfbench/ relies on: its tracer reaches every layer, and a
 command samples 1/k and psi once per problem."""
@@ -44,15 +45,23 @@ def test_heteroclinic_demo():
     assert float(worst.group(1)) < 1e-5
 
 
-def test_threshold_sweep():
-    out = run_script("threshold_sweep.py")
-    flips = re.findall(
-        r"flip between (\S+) and (\S+) \(midpoint (\S+), closed form (\S+)\)", out
-    )
-    # one flip per swept family
-    assert len(flips) == 2, out
-    for a, b, mid, closed in (tuple(map(float, f)) for f in flips):
-        assert abs(mid - closed) <= b - a
+def test_threshold_sweep(tmp_path, capsys):
+    # each committed sweep config flips its check within one grid step of
+    # its family's closed-form threshold
+    from phibvp import cli, example_condition
+
+    closed_forms = {
+        "perona": example_condition("perona", 0.0, alpha=4.0).bound,
+        "plaplacian": example_condition("plaplacian", 0.0, p=2.0, beta=4.0).bound,
+    }
+    for tag, closed in closed_forms.items():
+        cfg = ROOT / "configs" / f"{tag}_threshold_sweep.cfg"
+        assert cli.main(["sweep", str(cfg), "-o", str(tmp_path / tag)]) == 0
+        out = capsys.readouterr().out
+        flips = re.findall(r"check verdict flips between lambda = (\S+) and (\S+)", out)
+        assert len(flips) == 1, out
+        a, b = map(float, flips[0])
+        assert abs(0.5 * (a + b) - closed) <= b - a
 
 
 def _compare_outputs_module():
@@ -97,6 +106,8 @@ def test_compare_outputs_finds_the_tree_identical_to_itself(tmp_path):
                  "extra halfline-expr-weight stdout of halfline problem.cfg",
                  "extra halfline-expr-weight out/interval_160.txt",
                  "extra halfline-expr-weight out/record.txt",
+                 "extra halfline-expr-psi stdout of halfline problem.cfg",
+                 "extra halfline-expr-psi out/record.txt",
                  # every worked-example tag is built by some case
                  *(f"extra {tag}-example-sweep out/{name}"
                    for tag in ("sine", "plaplacian", "relativistic")

@@ -39,7 +39,6 @@ from phibvp.solver import (
     BetaEquation,
     IterationConfig,
     SolverKernel,
-    beta_solve,
     g_map,
     solve,
     truncated_rhs,
@@ -52,6 +51,14 @@ def _identity_problem(rhs, nu1=0.0, nu2=0.0, T=1.0, n=1000):
     return make_problem(phi, constant_weight(1.0), rhs, nu1, nu2, T, mesh_n=n)
 
 
+def _beta(prob, Fcum):
+    return BetaEquation.build(SolverKernel(prob), Fcum).solve(1e-12)
+
+
+def _target(eq):
+    return eq.kernel.problem.nu2 - eq.kernel.problem.nu1
+
+
 class TestBetaSolve:
     def test_zero_forcing_recovers_reference_slope(self):
         phi = make_operator("perona_malik")
@@ -59,29 +66,21 @@ class TestBetaSolve:
             phi, constant_weight(1.0), zero_rhs(), 0.0, 0.3, 1.0, mesh_n=500
         )
         Fcum = np.zeros(prob.mesh.nodes.size)
-        beta = beta_solve(prob, Fcum, L=0.0)
+        beta = _beta(prob, Fcum)
         assert beta == pytest.approx(0.2752293577981651, abs=1e-11)
 
     def test_linear_forcing_oracle(self):
         # integral of (beta + t) over [0,1] equals 1 forces beta = 1/2
         prob = _identity_problem(zero_rhs(), nu1=0.0, nu2=1.0)
         Fcum = prob.mesh.nodes.copy()
-        beta = beta_solve(prob, Fcum, L=1.0)
+        beta = _beta(prob, Fcum)
         assert beta == pytest.approx(0.5, abs=1e-11)
 
     def test_zero_mean_forcing(self):
         prob = _identity_problem(zero_rhs(), nu1=0.0, nu2=0.0)
         Fcum = prob.mesh.nodes - 0.5
-        beta = beta_solve(prob, Fcum, L=0.5)
+        beta = _beta(prob, Fcum)
         assert beta == pytest.approx(0.0, abs=1e-11)
-
-    def test_result_outside_stated_bracket_is_an_error(self):
-        # passing an L smaller than the actual forcing mass breaks the
-        # bracket guarantee and must be reported, not patched
-        prob = _identity_problem(zero_rhs(), nu1=0.0, nu2=1.0)
-        Fcum = prob.mesh.nodes.copy()
-        with pytest.raises(BetaBracketError):
-            beta_solve(prob, Fcum, L=0.2)
 
     def test_decreasing_branch_bisection(self):
         phi = make_operator("sine")
@@ -95,7 +94,7 @@ class TestBetaSolve:
             branch_hint=(math.pi / 2, 3 * math.pi / 2),
         )
         Fcum = np.zeros(prob.mesh.nodes.size)
-        beta = beta_solve(prob, Fcum, L=0.0)
+        beta = _beta(prob, Fcum)
         assert beta == pytest.approx(math.sin(3.0), abs=1e-11)
 
     @settings(max_examples=25, deadline=None)
@@ -184,7 +183,7 @@ class TestBetaSolve:
     def test_guess_is_only_a_first_trial_point(self, monkeypatch):
         eq = self._sweep_equation()
         cold = eq.solve(1e-12)
-        assert abs(eq.value(cold) - eq.target) <= 1e-12
+        assert abs(eq.value(cold) - _target(eq)) <= 1e-12
         # far outside the certified bracket: ignored
         assert eq.solve(1e-12, guess=1e6) == cold
         # at the root: the guess itself, and no bracket end
@@ -200,12 +199,13 @@ class TestBetaSolve:
     def _theoretical_bracket(eq):
         # [lo, hi] of BetaEquation.solve: Phi(s*_d) minus the range of F,
         # padded, and kept inside the branch image at every sample
-        s_star_d = eq.target / eq.kernel.disc.k1
-        phi_sd = float(eq.phi(s_star_d))
+        problem = eq.kernel.problem
+        s_star_d = _target(eq) / eq.kernel.disc.k1
+        phi_sd = float(problem.phi(s_star_d))
         m_F, M_F = float(eq.F_n.min()), float(eq.F_n.max())
         pad = 1e-12 * (1.0 + abs(phi_sd) + abs(m_F) + abs(M_F))
         lo, hi = phi_sd - M_F - pad, phi_sd - m_F + pad
-        b1, b2 = eq.branch.image_lo, eq.branch.image_hi
+        b1, b2 = problem.branch.image_lo, problem.branch.image_hi
         if math.isfinite(b1):
             lo = max(lo, b1 - m_F + 1e-14 * (1.0 + abs(b1)))
         if math.isfinite(b2):
@@ -220,7 +220,7 @@ class TestBetaSolve:
 
         def value(self, xi):
             v = real_value(self, xi)
-            solves[-1][3].append((xi, v - self.target))
+            solves[-1][3].append((xi, v - _target(self)))
             return v
 
         def solve_logged(self, tol_beta, guess=None):
@@ -262,7 +262,7 @@ class TestBetaSolve:
         # two evaluated points of opposite sign inside [lo, hi]
         for eq, tol, beta, log in solves:
             lo, hi = self._theoretical_bracket(eq)
-            sgn = 1.0 if eq.branch.increasing else -1.0
+            sgn = 1.0 if eq.kernel.problem.branch.increasing else -1.0
             points = [(xi, sgn * r) for xi, r in log]
             if any(xi == beta and abs(r) <= tol for xi, r in points):
                 continue
@@ -315,7 +315,7 @@ class TestBetaSolve:
         )
         beta = eq.solve(1e-12)
         assert len(calls) == 1 and calls[0] == beta
-        assert abs(real_value(eq, beta) - eq.target) <= 1e-12
+        assert abs(real_value(eq, beta) - _target(eq)) <= 1e-12
 
     def test_empty_bracket_message(self):
         # the image (-1, 1) of mean curvature is narrower than F = 2.5 t spans
@@ -359,7 +359,7 @@ class TestBetaSolve:
 
         def value(self, xi):
             r = real_value(self, xi)
-            calls.append((abs(r - self.target), xi))
+            calls.append((abs(r - _target(self)), xi))
             return r
 
         monkeypatch.setattr(BetaEquation, "value", value)
@@ -465,7 +465,7 @@ class TestGMap:
         assert np.max(np.abs(step.x - (t * t - t))) <= 1e-12
         assert np.max(np.abs(step.x_prime - (2 * t - 1))) <= 1e-12
         assert np.max(np.abs(step.u - (2 * t - 1))) <= 1e-12
-        assert step.phi_defect <= 1e-12
+        assert abs(float(step.x[-1]) - prob.nu2) <= 1e-12
 
     def test_affine_output_for_zero_forcing(self):
         prob = _identity_problem(zero_rhs(), nu2=0.7)
