@@ -1,9 +1,10 @@
 """Heteroclinic continuation demo on [0, +inf).
 
-Solves the cubic-decay family x'' of ((1+t^2) x')' = t^2 cos(x) x'^3 type
-with boundary data 0 -> 0.2 on a doubling interval schedule, prints the
-successive-gap table, then repeats with zero forcing where the limit is
-lam * arctan(t) / (pi/2) in closed form.
+Solves the worked cubic-decay family `halfline1` of phibvp.hypotheses,
+((1+t^2) x')' = t^2 cos(x) x'^3, with boundary data 0 -> 0.2 on a
+doubling interval schedule, prints the successive-gap table, then
+repeats with zero forcing where the limit is lam * arctan(t) / (pi/2)
+in closed form.
 
 Run:  python3 scripts/heteroclinic_demo.py
 """
@@ -14,32 +15,30 @@ import numpy as np
 
 from phibvp import (
     HalflineProblem,
-    Rhs,
     check_halfline,
+    example_condition,
     find_branch,
     make_operator,
     one_plus_t_squared_weight,
     solve_halfline,
     zero_rhs,
 )
+from phibvp.hypotheses import EXAMPLES, example_params
 
-R0 = (math.pi + 4.0) ** -1.5
 LAM = 0.2
+# the worked family halfline1 at its default r = (pi + 4)^(-3/2)
+CUBIC = EXAMPLES["halfline1"]
+PARAMS = example_params("halfline1", {})
 
 
 def cubic_problem():
     phi = make_operator("r_laplacian", r=2.0)
     weight = one_plus_t_squared_weight()
-    rhs = Rhs(
-        fn=lambda t, x, y: t**2 * np.cos(x) * y**3,
-        psi=lambda t: R0
-        * np.minimum(1.0, 1.0 / np.maximum(np.asarray(t, dtype=float), 1e-300) ** 2),
-        name="cubic-decay",
-    )
-    branch = find_branch(phi, LAM / (math.pi / 2.0))
+    s_star = LAM / (math.pi / 2.0)
+    branch = find_branch(phi, s_star)
     return HalflineProblem(
-        phi, branch, weight, rhs, 0.0, LAM,
-        tol_h=1e-3, cells_per_unit=200, psi_l1=2.0 * R0,
+        phi, branch, weight, CUBIC.rhs(s_star, **PARAMS), 0.0, LAM,
+        tol_h=1e-3, cells_per_unit=200, psi_l1=CUBIC.psi_l1(**PARAMS),
     )
 
 
@@ -64,7 +63,7 @@ def main():
     print("half-line hypothesis check:", check.overall)
     for item in check.items:
         print(f"  {item.name}: {item.verdict}")
-    admissible_bound = R0 * math.pi**2 / 2.0
+    admissible_bound = example_condition("halfline1", LAM).bound
     print(f"closed-form admissible |lambda| bound: {admissible_bound:.6f} > {LAM}")
 
     report_run("cubic forcing", solve_halfline(hp))

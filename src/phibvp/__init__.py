@@ -36,6 +36,7 @@ from .operators import (
     MonotoneBranch,
     PhiOperator,
     find_branch,
+    hint_branch,
     make_operator,
     partial_inverse,
     partial_inverse_array,

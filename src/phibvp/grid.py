@@ -33,8 +33,6 @@ GRADING_EXPONENT = 4.0
 # Nodal stand-in for an unbounded envelope value; excluded from norms.
 SENTINEL = 1.0e30
 
-_SNAP = 1e-12
-
 
 def _as_float_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -73,14 +71,14 @@ class Mesh:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def uniform(T: float, n: int, singular_points: Sequence[float] = ()) -> "Mesh":
+    def uniform(T: float, n: int) -> "Mesh":
         if not (T > 0 and math.isfinite(T)):
             raise InvalidInputError("T must be positive and finite")
         if n < 2:
             raise InvalidInputError("need at least 2 cells")
         nodes = np.linspace(0.0, T, n + 1)
         nodes[0], nodes[-1] = 0.0, T
-        return Mesh(nodes, singular_indices=_locate_singular(nodes, singular_points))
+        return Mesh(nodes)
 
     @staticmethod
     def graded(T: float, n: int, singular_points: Sequence[float]) -> "Mesh":
@@ -195,17 +193,6 @@ def _power_nodes(a: float, b: float, m: int, grade_a: bool, grade_b: bool) -> np
             out[sel] = end + sign * span * (steps[sel] / cells) ** q
     out[0], out[-1] = a, b
     return out
-
-
-def _locate_singular(nodes: np.ndarray, points: Sequence[float]) -> tuple[int, ...]:
-    out = []
-    scale = max(1.0, abs(nodes[-1]))
-    for p in points:
-        i = int(np.argmin(np.abs(nodes - p)))
-        if abs(nodes[i] - p) > _SNAP * scale:
-            raise InvalidInputError(f"singular point {p} does not coincide with a node")
-        out.append(i)
-    return tuple(sorted(out))
 
 
 @dataclass(frozen=True, eq=False)

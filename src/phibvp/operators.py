@@ -4,7 +4,8 @@ A branch is an interval on which Phi is strictly monotone together with
 its image interval; inversion is only ever performed branch-wise.  The
 catalog operators carry their monotone pieces analytically (exact piece
 endpoints, exact images, and a stable closed-form inverse where one
-exists); anything else falls back to dense sampling.  Without a closed
+exists); any other branch is certified by one rule, hint_branch: dense
+sampling on the interval and _limit_at at its ends.  Without a closed
 form the inverse is solved inside certified brackets, polish first, then
 certify: a zoomed table of samples brackets every element, one
 evaluation at the bracket's regula falsi point and an inverse quadratic
@@ -22,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    BranchError,
     BranchNotFoundError,
     DomainError,
     ImageDomainError,
@@ -41,6 +41,8 @@ INVERSE_MAX_ITER = 120
 INVERSE_TABLE_SIZE = 33
 # Elements that one call of bracketed_root closes in a generic inversion.
 INVERSE_BLOCK = 4096
+# Samples of the dense monotonicity test on a branch's window.
+BRANCH_SAMPLES = 2048
 
 
 @dataclass(frozen=True)
@@ -301,7 +303,8 @@ def make_operator(name: str, **params) -> PhiOperator:
 
 def _limit_at(phi: PhiOperator, s: float, toward: float) -> float:
     """Limit of Phi approaching s from the side of `toward`: infinite when
-    the probes, each 100 to 1000 times nearer s, at least double in size."""
+    the probes, each 100 to 1000 times nearer s, step by increments that
+    keep their sign and do not shrink."""
     if math.isfinite(s):
         v = float(phi(s))
         if math.isfinite(v):
@@ -314,14 +317,16 @@ def _limit_at(phi: PhiOperator, s: float, toward: float) -> float:
     vals = [v for v in vals if math.isfinite(v)]
     if not vals:
         raise BranchNotFoundError(f"cannot estimate image endpoint near s={s!r}")
-    if len(vals) > 1 and abs(vals[-1]) >= 2.0 * abs(vals[-2]):
-        return math.copysign(math.inf, vals[-1])
+    if len(vals) == 3:
+        before, last = vals[1] - vals[0], vals[2] - vals[1]
+        if last != 0.0 and last * before > 0.0 and abs(last) >= abs(before):
+            return math.copysign(math.inf, last)
     return vals[-1]
 
 
-def _sample_window(phi: PhiOperator, a: float, b: float, samples: int):
+def _sample_window(phi: PhiOperator, a: float, b: float):
     pad = (b - a) * 1e-9
-    ss = np.linspace(a + pad, b - pad, samples)
+    ss = np.linspace(a + pad, b - pad, BRANCH_SAMPLES)
     with np.errstate(all="ignore"):
         vv = np.asarray(phi.fn(ss), dtype=float)
     return ss, vv
@@ -339,31 +344,21 @@ def _monotone_direction(vv: np.ndarray) -> int | None:
     return None
 
 
-def find_branch(
-    phi: PhiOperator,
-    s_star: float,
-    hint: tuple[float, float] | None = None,
-    samples: int = 2048,
-) -> MonotoneBranch:
-    """Certify a strictly monotone branch of Phi containing s_star.
+def find_branch(phi: PhiOperator, s_star: float) -> MonotoneBranch:
+    """The strictly monotone branch of Phi that holds s_star.
 
-    With a hint interval, monotonicity is validated by dense sampling on
-    the hint; without one, a window grows symmetrically around s_star
-    until sampling detects a violation, then shrinks to the largest
-    violation-free sampled run.  Catalog piece metadata supplies exact
-    images and inverses whenever the branch sits inside a known piece.
+    A catalog operator's piece metadata gives the branch.  Otherwise
+    sampling only locates it, and hint_branch certifies it.  A window
+    grows symmetrically around s_star until sampling sees a violation or
+    the window spans the domain clipped to |s| <= WORK_WINDOW.  A window
+    monotone throughout gives the whole domain.  Otherwise each end of
+    the largest monotone sampled run around s_star moves one sample
+    inward, as a turn lies within one sample of it; an end that reached
+    the clipped domain's edge becomes the domain's end.
     """
     dom_lo, dom_hi = phi.domain
     if not dom_lo < s_star < dom_hi:
         raise DomainError(f"slope {s_star!r} outside operator domain ({dom_lo}, {dom_hi})")
-
-    if hint is not None:
-        branch = hint_branch(phi, hint, samples)
-        if not branch.contains(s_star):
-            raise BranchError(
-                f"slope {s_star!r} not inside branch hint ({branch.lo}, {branch.hi})"
-            )
-        return branch
 
     if phi.piece_at is not None:
         piece = phi.piece_at(s_star)
@@ -373,54 +368,46 @@ def find_branch(
             f"no strictly monotone piece has {s_star!r} in its interior"
         )
 
-    # sampling expansion
+    edge_lo, edge_hi = max(dom_lo, -WORK_WINDOW), min(dom_hi, WORK_WINDOW)
     radius = max(1e-3, 1e-3 * abs(s_star))
     while True:
-        a = max(dom_lo, s_star - radius, -WORK_WINDOW)
-        b = min(dom_hi, s_star + radius, WORK_WINDOW)
-        ss, vv = _sample_window(phi, a, b, samples)
-        direction = _monotone_direction(vv)
-        hit_edge = a <= max(dom_lo, -WORK_WINDOW) + 0.0 and b >= min(dom_hi, WORK_WINDOW)
-        if direction is not None and not hit_edge:
-            radius *= 2.0
-            continue
-        if direction is not None:
-            return MonotoneBranch(
-                float(ss[0]), float(ss[-1]), direction > 0,
-                float(min(vv[0], vv[-1])), float(max(vv[0], vv[-1])), None,
-            )
-        # shrink to the largest monotone sampled run containing s_star
-        idx = int(np.searchsorted(ss, s_star))
-        idx = min(max(idx, 1), ss.size - 2)
-        d = np.diff(vv)
-        sign = np.sign(d[idx - 1]) or np.sign(d[idx])
-        if sign == 0 or not np.isfinite(sign):
-            raise BranchNotFoundError(f"Phi is locally flat at s={s_star!r}")
-        i_lo = idx - 1
-        while i_lo > 0 and np.sign(d[i_lo - 1]) == sign:
-            i_lo -= 1
-        i_hi = idx
-        while i_hi < d.size - 1 and np.sign(d[i_hi + 1]) == sign:
-            i_hi += 1
-        lo, hi = float(ss[i_lo]), float(ss[i_hi + 1])
-        if not lo < s_star < hi:
-            raise BranchNotFoundError(
-                f"no strictly monotone sampled run contains s={s_star!r}"
-            )
-        v_lo, v_hi = float(vv[i_lo]), float(vv[i_hi + 1])
-        return MonotoneBranch(
-            lo, hi, sign > 0, min(v_lo, v_hi), max(v_lo, v_hi), None
+        a = max(edge_lo, s_star - radius)
+        b = min(edge_hi, s_star + radius)
+        ss, vv = _sample_window(phi, a, b)
+        if _monotone_direction(vv) is None:
+            break
+        if a == edge_lo and b == edge_hi:
+            return hint_branch(phi, phi.domain)
+        radius *= 2.0
+    # the largest monotone sampled run containing s_star
+    idx = int(np.searchsorted(ss, s_star))
+    idx = min(max(idx, 1), ss.size - 2)
+    d = np.diff(vv)
+    sign = np.sign(d[idx - 1]) or np.sign(d[idx])
+    if sign == 0 or not np.isfinite(sign):
+        raise BranchNotFoundError(f"Phi is locally flat at s={s_star!r}")
+    i_lo = idx - 1
+    while i_lo > 0 and np.sign(d[i_lo - 1]) == sign:
+        i_lo -= 1
+    i_hi = idx
+    while i_hi < d.size - 1 and np.sign(d[i_hi + 1]) == sign:
+        i_hi += 1
+    lo = dom_lo if i_lo == 0 and a == edge_lo else float(ss[i_lo + 1])
+    hi = dom_hi if i_hi == d.size - 1 and b == edge_hi else float(ss[i_hi])
+    if not lo < s_star < hi:
+        raise BranchNotFoundError(
+            f"no strictly monotone sampled run contains s={s_star!r}"
         )
+    return hint_branch(phi, (lo, hi))
 
 
-def hint_branch(
-    phi: PhiOperator, hint: tuple[float, float], samples: int = 2048
-) -> MonotoneBranch:
+def hint_branch(phi: PhiOperator, hint: tuple[float, float]) -> MonotoneBranch:
     """Certify the hint interval itself as a strictly monotone branch.
 
     Monotonicity is validated by dense sampling on the hint; catalog piece
     metadata supplies exact images and inverses when the hint sits inside
-    a known piece.  Every error names the hint, never a slope.
+    a known piece, and _limit_at every other image end.  Every error
+    names the hint, never a slope.
     """
     dom_lo, dom_hi = phi.domain
     a, b = float(hint[0]), float(hint[1])
@@ -428,7 +415,7 @@ def hint_branch(
         raise InvalidInputError("branch hint must be a nonempty interval")
     if a < dom_lo or b > dom_hi:
         raise DomainError("branch hint leaves the operator domain")
-    ss, vv = _sample_window(phi, max(a, -WORK_WINDOW), min(b, WORK_WINDOW), samples)
+    ss, vv = _sample_window(phi, max(a, -WORK_WINDOW), min(b, WORK_WINDOW))
     direction = _monotone_direction(vv)
     if direction is None:
         raise BranchNotFoundError(

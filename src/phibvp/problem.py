@@ -21,7 +21,7 @@ from .grid import (
     SENTINEL, Mesh, cumulative_integral, halfline_integral, lp_norm, midvalues,
     sample_midpoints, sample_nodes,
 )
-from .operators import MonotoneBranch, PhiOperator, find_branch, partial_inverse
+from .operators import MonotoneBranch, PhiOperator, find_branch, hint_branch, partial_inverse
 
 # reference mesh and tolerance of the K self-test (sqrt_t is off by 1e-6)
 K_SELFTEST_CELLS = 4096
@@ -178,7 +178,10 @@ class Discretization:
 
     @property
     def k1(self) -> float:
-        """||1/k||_L1 over [0, T]: every k1 the package computes is this."""
+        """||1/k||_L1 over [0, T] by the mesh quadrature: the k1 of every
+        finite problem.  halfline.k_mass_upto, which the half-line
+        schedule's k_n and the odd check's k_T read, takes the exact
+        K(t) - K(0) instead when the weight carries K."""
         return float(self.recip_cumulative[-1])
 
     def with_psi(self, rhs: Rhs) -> "Discretization":
@@ -291,12 +294,19 @@ def make_problem(
     mesh: Mesh | None = None,
     mesh_n: int = 1000,
 ) -> BvpProblem:
-    """Assemble a problem, selecting the branch around s* when not given."""
+    """Assemble a problem.  Without a given branch it takes the hint's
+    branch, else the branch that holds s*, else None: s* outside it is a
+    failed hypothesis for the check to report, as in ProblemConfig."""
     if mesh is None:
         mesh = default_mesh(weight, T, n=mesh_n)
     disc = sample_weight(weight, mesh)
-    if branch is None:
-        branch = find_branch(phi, (nu2 - nu1) / disc.k1, hint=branch_hint)
+    if branch is None and branch_hint is not None:
+        branch = hint_branch(phi, branch_hint)
+    elif branch is None:
+        try:
+            branch = find_branch(phi, (nu2 - nu1) / disc.k1)
+        except PhibvpError:
+            branch = None
     return BvpProblem(phi, branch, weight, rhs, nu1, nu2, T, p=p, disc=disc.with_psi(rhs))
 
 

@@ -20,3 +20,17 @@ def _printed_verification(out: str) -> dict:
 @pytest.fixture(scope="session")
 def printed_verification():
     return _printed_verification
+
+
+def _echoed_config(record) -> str:
+    """The config text that a record's config.* sections echo."""
+    return "".join(
+        f"[{name[len('config.'):]}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs)
+        for name, pairs in record.sections
+        if name.startswith("config.")
+    )
+
+
+@pytest.fixture(scope="session")
+def echoed_config():
+    return _echoed_config

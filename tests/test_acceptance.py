@@ -15,7 +15,6 @@ import pytest
 from phibvp import (
     BetaEquation,
     HalflineProblem,
-    IterationConfig,
     Mesh,
     Rhs,
     SolverKernel,
@@ -29,10 +28,10 @@ from phibvp import (
     envelopes,
     example_condition,
     find_branch,
+    hint_branch,
     load_problem_config,
     make_operator,
     make_problem,
-    make_weight,
     one_plus_t_squared_weight,
     parse_config,
     partial_inverse_array,
@@ -43,7 +42,7 @@ from phibvp import (
     sqrt_t_weight,
     zero_rhs,
 )
-from phibvp.cli import main, read_solution_table
+from phibvp.cli import main
 
 R0 = (math.pi + 4.0) ** -1.5  # decay scale of the cubic half-line family
 
@@ -413,7 +412,7 @@ def test_10_operator_inverse_round_trip():
         rng = np.random.default_rng(5)
         for name, params, s0, hint, (lo, hi) in cases:
             phi = make_operator(name, **params)
-            branch = find_branch(phi, s0, hint=hint)
+            branch = find_branch(phi, s0) if hint is None else hint_branch(phi, hint)
             s = rng.uniform(lo, hi, size=1000)
             y = np.asarray(phi.fn(s), dtype=float)
             s_back = partial_inverse_array(phi, branch, y)

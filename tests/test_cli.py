@@ -105,15 +105,6 @@ def write(tmp_path, text, name="problem.cfg"):
     return str(path)
 
 
-def _echoed_config(record) -> str:
-    """The config text that a record's config.* sections echo."""
-    return "".join(
-        f"[{name[len('config.'):]}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs)
-        for name, pairs in record.sections
-        if name.startswith("config.")
-    )
-
-
 class TestCheck:
     def test_pass_exits_zero(self, tmp_path, capsys):
         cfg = write(tmp_path, PERONA.format(nu2=0.05))
@@ -436,7 +427,7 @@ class TestSolve:
         t, *_ = read_solution_table(str(out / "solution.txt"))
         assert t.size == 41
 
-    def test_record_replays_flag_overrides(self, tmp_path):
+    def test_record_replays_flag_overrides(self, tmp_path, echoed_config):
         cfg = write(tmp_path, QUADRATIC.format(n=500))
         out = tmp_path / "run"
         flags = ["--mesh-n", "40", "--tol-beta", "1e-11", "--damping", "0.75"]
@@ -458,13 +449,13 @@ class TestSolve:
         }
         # the echoed config alone reproduces the table
         replay_cfg = tmp_path / "replay.cfg"
-        replay_cfg.write_text(_echoed_config(record))
+        replay_cfg.write_text(echoed_config(record))
         replay = tmp_path / "replay"
         assert main(["solve", str(replay_cfg), "-o", str(replay)]) == 0
         assert (replay / "solution.txt").read_bytes() == (out / "solution.txt").read_bytes()
         assert parse_config((replay / "record.txt").read_text()).section("run.overrides") is None
 
-    def test_record_with_the_fixed_iteration_keys_replays(self, tmp_path):
+    def test_record_with_the_fixed_iteration_keys_replays(self, tmp_path, echoed_config):
         # records written while acceleration, window and min_omega were
         # settable echo them, at the values the solver now fixes
         cfg = write(tmp_path, PERONA.format(nu2=0.05))
@@ -475,18 +466,20 @@ class TestSolve:
             assert key not in record.section("config.iteration")
             record = record.with_value("config.iteration", key, value)
         replay_cfg = tmp_path / "replay.cfg"
-        replay_cfg.write_text(_echoed_config(record))
+        replay_cfg.write_text(echoed_config(record))
         replay = tmp_path / "replay"
         assert main(["solve", str(replay_cfg), "-o", str(replay)]) == 0
         assert (replay / "solution.txt").read_bytes() == (out / "solution.txt").read_bytes()
 
-    def test_record_replays_across_a_default_change(self, tmp_path, monkeypatch):
+    def test_record_replays_across_a_default_change(
+        self, tmp_path, monkeypatch, echoed_config
+    ):
         cfg = write(tmp_path, PERONA.format(nu2=0.05))
         out = tmp_path / "run"
         assert main(["solve", cfg, "-o", str(out)]) == 0
         record = parse_config((out / "record.txt").read_text())
         replay_cfg = tmp_path / "replay.cfg"
-        replay_cfg.write_text(_echoed_config(record))
+        replay_cfg.write_text(echoed_config(record))
 
         @dataclasses.dataclass(frozen=True)
         class Damped(config_mod.IterationConfig):

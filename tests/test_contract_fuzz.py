@@ -6,9 +6,10 @@ edges, every check kind, meshes too coarse to build, finite and half-line
 problems, and valid and invalid sampling lattices.  Whatever is drawn,
 `main` must return a documented exit code without raising, and exit 1
 exactly when it prints a `config error: ` line first on stderr.  A table
-that `solve` writes holds no NaN outside the slopes at singular nodes, and
-`verify` passes every table of a converged solve and prints the defects
-that the solve's record holds.  `halfline` runs a short schedule; each
+that `solve` writes holds no NaN outside the slopes at singular nodes,
+the config that its record echoes replays it bit for bit, and `verify`
+passes every table of a converged solve and prints the defects that the
+solve's record holds.  `halfline` runs a short schedule; each
 interval table it writes parses, holds no NaN outside the slopes at
 singular nodes, and verifies against its interval's finite config when
 that interval converged.
@@ -122,7 +123,9 @@ def _main(argv) -> tuple[int, str, str]:
 
 @given(text=solve_configs())
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-def test_solve_writes_tables_that_verify(tmp_path_factory, printed_verification, text):
+def test_solve_writes_tables_that_verify(
+    tmp_path_factory, printed_verification, echoed_config, text
+):
     work = tmp_path_factory.mktemp("solve")
     path = work / "problem.cfg"
     path.write_text(text)
@@ -133,6 +136,13 @@ def test_solve_writes_tables_that_verify(tmp_path_factory, printed_verification,
     if table.exists():
         t, x, _, u = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2).T
         assert not np.isnan(np.concatenate((t, x, u))).any(), text
+        # the record's config.* sections alone replay the run
+        record = parse_config((work / "out" / "record.txt").read_text())
+        replay = work / "replay.cfg"
+        replay.write_text(echoed_config(record))
+        again, _, _ = _main(["solve", str(replay), "-o", str(work / "replay")])
+        assert again == code, text
+        assert (work / "replay" / "solution.txt").read_bytes() == table.read_bytes(), text
     if code == 0:
         code, _, out = _main(["verify", str(table), str(path)])
         assert code == 0, text

@@ -170,7 +170,7 @@ def test_integrate_inverse_sqrt_singular():
 
 
 def test_integrate_singular_without_evaluator_uses_finite_side():
-    mesh = Mesh.uniform(1.0, 4, singular_points=[0.0])
+    mesh = Mesh(np.linspace(0.0, 1.0, 5), singular_indices=(0,))
     vals = np.array([123.0, 1.0, 1.0, 1.0, 1.0])  # node 0 is a placeholder
     assert cumulative_integral(mesh, vals)[-1] == pytest.approx(1.0, abs=1e-15)
 
@@ -310,7 +310,7 @@ def test_norm_rejects_an_overflowing_power():
 
 def test_mesh_geometry_is_cached_and_read_only():
     for mesh in (
-        Mesh.uniform(1.0, 10, singular_points=[0.0]),
+        Mesh(np.linspace(0.0, 1.0, 11), singular_indices=(0,)),
         Mesh.graded(1.0, 64, [0.0, 0.5]),
     ):
         cells = {c for i in mesh.singular_indices for c in (i - 1, i)}
@@ -333,14 +333,14 @@ def test_mesh_geometry_is_cached_and_read_only():
 
 
 def test_sup_norm_skips_singular_placeholder():
-    mesh = Mesh.uniform(1.0, 4, singular_points=[0.0])
+    mesh = Mesh(np.linspace(0.0, 1.0, 5), singular_indices=(0,))
     g = np.array([1e29, 0.5, 0.25, 0.125, 0.0])
     assert lp_norm(mesh, g, math.inf) == 0.5
 
 
 def test_norms_of_a_mesh_without_regular_nodes_are_zero():
     # every node singular: the sup over no regular node is 0, as the L1 norm is
-    mesh = Mesh.uniform(1.0, 2, singular_points=[0.0, 0.5, 1.0])
+    mesh = Mesh(np.linspace(0.0, 1.0, 3), singular_indices=(0, 1, 2))
     assert lp_norm(mesh, np.array([1e29, 2.0, -3.0]), math.inf) == 0.0
     assert lp_norm(mesh, np.zeros(3), 1.0) == 0.0
 

@@ -33,6 +33,7 @@ from phibvp import (
     constant_weight,
     example_condition,
     find_branch,
+    hint_branch,
     make_operator,
     make_problem,
     one_plus_t_squared_weight,
@@ -580,7 +581,7 @@ class TestHalflineOdd:
 
     def test_rejects_asymmetric_branch(self):
         phi = make_operator("sine")
-        branch = find_branch(phi, math.pi, hint=(math.pi / 2.0, 3.0 * math.pi / 2.0))
+        branch = hint_branch(phi, (math.pi / 2.0, 3.0 * math.pi / 2.0))
         hetero = HalflineProblem(
             phi,
             branch,

@@ -1,5 +1,6 @@
-"""Every name a phibvp module imports is used in that module, and every
-source file parses on the Python floor that pyproject.toml declares."""
+"""Every name a phibvp module, script or test imports is used in that
+file, and every source file parses on the Python floor that
+pyproject.toml declares."""
 
 import ast
 from pathlib import Path
@@ -39,12 +40,18 @@ def unused_imports(source: str) -> list[str]:
 
 
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+# a package module by its name, a script or test by its path
+CHECKED = {module: PACKAGE / f"{module}.py" for module in MODULES} | {
+    f"{folder}/{p.name}": p
+    for folder in ("scripts", "tests")
+    for p in sorted((ROOT / folder).glob("*.py"))
+}
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
-    unused = [name for name in unused_imports(source) if (module, name) not in ALLOWED]
+@pytest.mark.parametrize("name", CHECKED)
+def test_no_unused_imports(name):
+    source = CHECKED[name].read_text(encoding="utf-8")
+    unused = [imp for imp in unused_imports(source) if (name, imp) not in ALLOWED]
     assert unused == []
 
 

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from phibvp import (
+    check_corollary_singular,
     check_corollary_surjective,
+    check_theorem1,
+    constant_rhs,
     constant_weight,
     make_problem,
     operators,
@@ -25,6 +28,7 @@ from phibvp.operators import (
     PhiOperator,
     difference,
     find_branch,
+    hint_branch,
     make_operator,
     mean_curvature,
     p_relativistic,
@@ -35,7 +39,7 @@ from phibvp.operators import (
     relativistic,
     sine,
 )
-from phibvp.problem import Rhs
+from phibvp.problem import Rhs, require_box
 
 
 def test_catalog_names_exist():
@@ -77,7 +81,7 @@ def _catalog_instances():
 
 def test_perona_malik_branch_with_hint():
     op = perona_malik()
-    br = find_branch(op, 0.3, hint=(-1.0, 1.0))
+    br = hint_branch(op, (-1.0, 1.0))
     assert br.increasing
     assert br.lo == -1.0 and br.hi == 1.0
     assert (br.image_lo, br.image_hi) == (-0.5, 0.5)
@@ -100,23 +104,31 @@ def test_perona_malik_decreasing_tail_branch():
 
 def test_sine_decreasing_branch():
     op = sine()
-    br = find_branch(op, 3.0, hint=(math.pi / 2, 3 * math.pi / 2))
+    br = hint_branch(op, (math.pi / 2, 3 * math.pi / 2))
     assert not br.increasing
     assert (br.image_lo, br.image_hi) == (-1.0, 1.0)
     s = partial_inverse(op, br, 0.5)
     assert s == pytest.approx(math.pi - math.asin(0.5), abs=1e-12)
 
 
-def test_hint_must_contain_slope():
-    op = sine()
-    with pytest.raises(BranchError):
-        find_branch(op, 0.0, hint=(math.pi / 2, 3 * math.pi / 2))
+def test_slope_outside_a_hinted_branch_is_a_failed_hypothesis():
+    # a hint is the branch itself: s* = 0 outside it fails the check's
+    # slope-in-branch item and require_box, and builds
+    prob = make_problem(
+        sine(), constant_weight(1.0), zero_rhs(), 0.0, 0.0, 1.0,
+        branch_hint=(math.pi / 2, 3 * math.pi / 2), mesh_n=50,
+    )
+    assert (prob.branch.lo, prob.branch.hi) == (math.pi / 2, 3 * math.pi / 2)
+    items = {item.name: item.verdict for item in check_theorem1(prob, (3, 3, 3)).items}
+    assert items["slope-in-branch"] == "fail"
+    with pytest.raises(BranchError, match="reference slope 0.0 outside branch"):
+        require_box(prob)
 
 
 def test_hint_with_monotonicity_violation():
     op = perona_malik()
     with pytest.raises(BranchNotFoundError):
-        find_branch(op, 0.3, hint=(-2.0, 2.0))
+        hint_branch(op, (-2.0, 2.0))
 
 
 def test_domain_error_outside_operator_domain():
@@ -124,7 +136,7 @@ def test_domain_error_outside_operator_domain():
     with pytest.raises(DomainError):
         find_branch(op, 1.5)
     with pytest.raises(DomainError):
-        find_branch(op, 0.5, hint=(-2.0, 2.0))
+        hint_branch(op, (-2.0, 2.0))
 
 
 def test_sampled_branch_without_piece_metadata():
@@ -149,6 +161,75 @@ def test_sampled_branch_grows_to_window_for_monotone_operator():
     assert br.hi >= 1e6
 
 
+def test_sampled_branch_stops_short_of_the_turns():
+    # s^3 - s turns at +-1/sqrt(3); each end of the sampled run moves one
+    # sample inward, so hint_branch certifies the located window
+    op = PhiOperator("anon", difference(2.0, 0.0).fn, odd=True)
+    br = find_branch(op, 0.0)
+    c = 1.0 / math.sqrt(3.0)
+    assert -c < br.lo < -c + 2e-3 and c - 2e-3 < br.hi < c
+    assert hint_branch(op, (br.lo, br.hi)) == br
+
+
+# operators without piece metadata, monotone on their whole domain, onto R:
+# Phi, domain, s*
+_UNBOUNDED_IMAGES = {
+    "cubic": (lambda s: s**3 + s, (-math.inf, math.inf), 0.5),
+    "identity": (lambda s: s, (-math.inf, math.inf), 0.1),
+    "singular": (lambda s: s / np.sqrt(1.0 - s * s), (-1.0, 1.0), 0.1),
+    "log1p": (lambda s: np.sign(s) * np.log1p(np.abs(s)), (-math.inf, math.inf), 0.5),
+}
+
+
+def _without_metadata(name):
+    fn, domain, _ = _UNBOUNDED_IMAGES[name]
+    return PhiOperator("anon", fn, domain=domain, odd=True)
+
+
+@pytest.mark.parametrize("name", _UNBOUNDED_IMAGES)
+def test_sampled_branch_is_the_hinted_branch_over_the_domain(name):
+    # one rule certifies both: a window monotone to the domain's ends is
+    # the whole domain, and every image end is judged by _limit_at
+    op = _without_metadata(name)
+    domain, s_star = _UNBOUNDED_IMAGES[name][1:]
+    br = find_branch(op, s_star)
+    assert br == hint_branch(op, domain)
+    assert (br.lo, br.hi) == domain
+    assert (br.image_lo, br.image_hi) == (-math.inf, math.inf)
+
+
+@pytest.mark.parametrize(
+    "name, check",
+    [
+        ("cubic", check_corollary_surjective),
+        ("identity", check_corollary_surjective),
+        ("singular", check_corollary_singular),
+    ],
+    ids=["cubic", "identity", "singular"],
+)
+def test_sampled_branch_takes_its_corollary(name, check):
+    prob = make_problem(
+        _without_metadata(name), constant_weight(1.0), zero_rhs(), 0.0, 0.3, 1.0, mesh_n=50
+    )
+    assert check(prob, lattice=(3, 3, 3)).overall == "pass"
+
+
+def test_theorem1_verdict_does_not_depend_on_a_whole_domain_hint():
+    # Phi(s*) +- 2L = +-18000 lies inside the image only when the end
+    # probes see that the image is all of R
+    verdicts = [
+        check_theorem1(
+            make_problem(
+                _without_metadata("singular"), constant_weight(1.0), constant_rhs(9000.0),
+                0.0, 0.0, 1.0, branch_hint=hint, mesh_n=50,
+            ),
+            lattice=(3, 3, 3),
+        ).overall
+        for hint in (None, (-1.0, 1.0))
+    ]
+    assert verdicts == ["pass", "pass"]
+
+
 @pytest.mark.parametrize(
     "fn, hint",
     [
@@ -161,7 +242,7 @@ def test_sampled_branch_grows_to_window_for_monotone_operator():
 def test_hinted_branch_without_metadata_sees_an_unbounded_image(fn, hint):
     # growth across the probes marks an infinite end; a size cut-off of
     # 1e12 took these ends for +-1e8, +-1e4 and +-707114.6
-    br = find_branch(PhiOperator("anon", fn, odd=True), 0.1, hint=hint)
+    br = hint_branch(PhiOperator("anon", fn, odd=True), hint)
     assert (br.image_lo, br.image_hi) == (-math.inf, math.inf)
 
 
@@ -180,7 +261,7 @@ def test_bounded_limits_stay_finite():
     assert operators._limit_at(sat, -math.inf, 0.0) == pytest.approx(-1.0)
     # perona's outer piece s / (1 + s^2) decreases to 0
     outer = PhiOperator("anon", perona_malik().fn, odd=True)
-    br = find_branch(outer, 3.0, hint=(1.0, math.inf))
+    br = hint_branch(outer, (1.0, math.inf))
     assert not br.increasing
     assert 0.0 <= br.image_lo < 1e-6 and br.image_hi == pytest.approx(0.5)
 
@@ -256,7 +337,7 @@ def test_round_trip_on_default_branch(op):
 
 def test_vectorized_inverse_matches_scalar():
     op = sine()
-    br = find_branch(op, 3.0, hint=(math.pi / 2, 3 * math.pi / 2))
+    br = hint_branch(op, (math.pi / 2, 3 * math.pi / 2))
     ys = np.linspace(-0.95, 0.95, 21)
     vec = partial_inverse_array(op, br, ys)
     scal = np.array([partial_inverse(op, br, float(y)) for y in ys])
@@ -438,7 +519,7 @@ _CLOSED_FORM_BRANCHES = [
     ids=[c[0] for c in _CLOSED_FORM_BRANCHES],
 )
 def test_generic_inverse_agrees_with_closed_form(op, s0, hint, s_max, monkeypatch):
-    br = find_branch(op, s0, hint=hint)
+    br = find_branch(op, s0) if hint is None else hint_branch(op, hint)
     assert br.inverse is not None
     generic = dataclasses.replace(br, inverse=None)
     ys = _targets(op, br, s_max, (1e-9, 1e-7, 1e-5))
@@ -492,7 +573,8 @@ def _generic_branches():
     largest |s| sampled)."""
     cases = []
     for name, op, s0, hint, s_max in _CLOSED_FORM_BRANCHES:
-        br = dataclasses.replace(find_branch(op, s0, hint=hint), inverse=None)
+        br = find_branch(op, s0) if hint is None else hint_branch(op, hint)
+        br = dataclasses.replace(br, inverse=None)
         cases.append((name, op, br, s_max))
     for alpha, beta in ((2.0, 0.0), (0.0, 2.0)):
         op = difference(alpha, beta)

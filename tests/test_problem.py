@@ -21,6 +21,7 @@ from phibvp import (
     derive_scalars,
     envelopes,
     find_branch,
+    hint_branch,
     make_operator,
     make_problem,
     make_weight,
@@ -109,7 +110,7 @@ class TestDerivedScalars:
 
     def test_reference_slope_outside_branch(self):
         phi = make_operator("perona_malik")
-        branch = find_branch(phi, 0.3, hint=(-1.0, 1.0))
+        branch = hint_branch(phi, (-1.0, 1.0))
         prob = make_problem(
             phi,
             constant_weight(1.0),
