@@ -25,7 +25,6 @@ from .errors import (
     WrongCorollaryError,
 )
 from .grid import (
-    SENTINEL,
     GridFunction,
     Mesh,
     cumulative_integral,

@@ -50,7 +50,7 @@ from .problem import (
     sample_weight,
     zero_rhs,
 )
-from .solver import MIN_OMEGA, SECANT_WINDOW, IterationConfig
+from .solver import IterationConfig
 
 CHECK_KINDS = (
     "auto",
@@ -535,9 +535,6 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
 
     mesh = _Section(doc, "mesh")
     mesh_n = mesh.get_int("n", 1000)
-    # accepted and ignored: the power-law grading has no ratio or block size
-    mesh.get_float("ratio")
-    mesh.get_int("graded_cells")
 
     it = _Section(doc, "iteration")
     base = IterationConfig()
@@ -549,16 +546,6 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
             tol_beta=it.get_float("tol_beta", base.tol_beta),
             stagnation=it.get_int("stagnation", base.stagnation),
         )
-    # solver constants: older records echo them, so their value is accepted
-    for key, get, fixed in (
-        ("acceleration", it.raw, "secant"),
-        ("window", it.get_int, SECANT_WINDOW),
-        ("min_omega", it.get_float, MIN_OMEGA),
-    ):
-        if get(key, fixed) != fixed:
-            raise it.error(key, f"fixed at {fixed}, got {it.raw(key)!r}")
-    # accepted and ignored: verify runs on the table's own nodes
-    it.get_int("verify_refine")
 
     chk = _Section(doc, "check")
     check_kind = chk.raw("kind", "auto")

@@ -101,10 +101,6 @@ class CompiledExpression:
         shape = np.broadcast_shapes(*(env[v].shape for v in self.variables))
         return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.used
-
 
 class _Parser:
     def __init__(self, tokens: list[Token], source: str, variables: tuple[str, ...]):

@@ -2,12 +2,14 @@
 
 The quadrature rule is composite trapezoid, written once, in
 cell_integrals.  Meshes may flag singular nodes (points where an
-integrand such as 1/k blows up); the cells that touch a singular node
-are integrated with the midpoint rule instead, so the integrand is never
-sampled at the singular point itself.  Only the data functions 1/k and
-psi are sampled at those midpoints (sample_midpoints); every other nodal
-array, f and whatever depends on the iterate, takes its finite
-endpoint's value there (midvalues).
+integrand such as 1/k blows up).  Every nodal array holds the
+placeholder 0 at a singular node (sample_nodes), and no integral or norm
+reads it: the cells that touch a singular node are integrated with the
+midpoint rule instead, so the integrand is never sampled at the singular
+point itself.  Only the data functions 1/k and psi are sampled at those
+midpoints (sample_midpoints); every other nodal array, f and whatever
+depends on the iterate, takes its finite endpoint's value there
+(midvalues).
 
 Graded meshes crowd their nodes toward each singular point p by the power
 map u -> u^q, q = GRADING_EXPONENT.  If 1/k ~ |t - p|^-a, the midpoint
@@ -29,9 +31,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 GRADING_EXPONENT = 4.0
-
-# Nodal stand-in for an unbounded envelope value; excluded from norms.
-SENTINEL = 1.0e30
 
 
 def _as_float_array(values) -> np.ndarray:
@@ -216,14 +215,14 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
 
-def sample_nodes(mesh: Mesh, fn: Callable, fill: float = 0.0) -> np.ndarray:
+def sample_nodes(mesh: Mesh, fn: Callable) -> np.ndarray:
     """fn at the nodes, where it must be finite; flagged singular nodes
-    get `fill` instead."""
+    get the placeholder 0 instead."""
     with np.errstate(all="ignore"):
         vals = np.asarray(fn(mesh.nodes), dtype=float)
     if vals.shape == ():
         vals = np.full(mesh.nodes.shape, float(vals))
-    vals = np.where(mesh.singular_mask(), fill, vals)
+    vals = np.where(mesh.singular_mask(), 0.0, vals)
     if not np.all(np.isfinite(vals)):
         bad = int(np.argmax(~np.isfinite(vals)))
         raise InvalidInputError(
@@ -326,24 +325,23 @@ def lp_norm(
 TAIL_CUTOFF = 1.0e6
 
 
-def halfline_integral(fn: Callable, cutoff: float = TAIL_CUTOFF) -> tuple[float, float]:
-    """Integral of fn over [0, cutoff] plus the mass of the last decade.
+def halfline_integral(fn: Callable) -> tuple[float, float]:
+    """Integral of fn over [0, TAIL_CUTOFF] plus the mass of the last decade.
 
-    Linear nodes cover [0, 1]; geometric nodes cover [1, cutoff].  Values
-    that evaluate non-finite (isolated singularities) are dropped from
-    the quadrature, so use exact antiderivatives where accuracy matters.
+    Linear nodes cover [0, 1]; geometric nodes cover [1, TAIL_CUTOFF].
+    Values that evaluate non-finite (isolated singularities) are dropped
+    from the quadrature, so use exact antiderivatives where accuracy
+    matters.
     """
-    if not (cutoff > 10.0 and math.isfinite(cutoff)):
-        raise InvalidInputError("cutoff must be finite and exceed 10")
     head = np.linspace(0.0, 1.0, 2001)
-    tail = np.geomspace(1.0, float(cutoff), 12001)[1:]
+    tail = np.geomspace(1.0, TAIL_CUTOFF, 12001)[1:]
     mesh = Mesh(np.concatenate([head, tail]))
     with np.errstate(all="ignore"):
         v = np.asarray(fn(mesh.nodes), dtype=float)
     v = np.where(np.isfinite(v), v, 0.0)
     seg = cell_integrals(mesh, v)
     total = float(np.sum(seg))
-    tail_mass = float(np.sum(seg[mesh.nodes[:-1] >= cutoff / 10.0]))
+    tail_mass = float(np.sum(seg[mesh.nodes[:-1] >= TAIL_CUTOFF / 10.0]))
     return total, tail_mass
 
 

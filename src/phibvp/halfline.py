@@ -24,10 +24,12 @@ from .problem import BvpProblem, Rhs, Weight, default_mesh, reference_slopes, sa
 from .solver import IterationConfig, SolveReport, solve
 
 DEFAULT_SCHEDULE = (5.0, 10.0, 20.0, 40.0, 80.0, 160.0)
+K_MASS_CELLS = 4000
 
 
-def k_mass_upto(weight: Weight, t: float, cells: int = 4000) -> float:
-    """||1/k||_L1 over [0, t], exact when the antiderivative is known."""
+def k_mass_upto(weight: Weight, t: float) -> float:
+    """||1/k||_L1 over [0, t], exact when the antiderivative is known, else
+    by the mesh quadrature on K_MASS_CELLS cells."""
     if not (t > 0 and math.isfinite(t)):
         raise InvalidInputError("t must be positive and finite")
     K = weight.recip_antiderivative
@@ -35,7 +37,7 @@ def k_mass_upto(weight: Weight, t: float, cells: int = 4000) -> float:
         val = float(K(float(t))) - float(K(0.0))
         if math.isfinite(val):
             return val
-    return sample_weight(weight, default_mesh(weight, float(t), n=cells)).k1
+    return sample_weight(weight, default_mesh(weight, float(t), n=K_MASS_CELLS)).k1
 
 
 def recip_mass(weight: Weight, k_infinity: float | None = None) -> tuple[float, float]:

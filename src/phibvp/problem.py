@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BranchError, CompatibilityError, EnvelopeError, InvalidInputError, PhibvpError
 from .grid import (
-    SENTINEL, Mesh, cumulative_integral, halfline_integral, lp_norm, midvalues,
+    Mesh, cumulative_integral, halfline_integral, lp_norm, midvalues,
     sample_midpoints, sample_nodes,
 )
 from .operators import MonotoneBranch, PhiOperator, find_branch, hint_branch, partial_inverse
@@ -186,8 +186,11 @@ class Discretization:
 
     def with_psi(self, rhs: Rhs) -> "Discretization":
         """A copy that also holds psi; a non-finite sample is an error."""
-        psi_n = sample_nodes(self.mesh, rhs.psi_at)
-        psi_mid = sample_midpoints(self.mesh, rhs.psi_at)
+        try:
+            psi_n = sample_nodes(self.mesh, rhs.psi_at)
+            psi_mid = sample_midpoints(self.mesh, rhs.psi_at)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"psi: {exc}") from None
         return replace(self, psi_n=psi_n, psi_mid=psi_mid)
 
     def weighted(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,15 +417,13 @@ class Envelopes:
 
 
 def envelopes(problem: BvpProblem) -> Envelopes:
-    """Derivative envelopes slope/k(t) from problem.scalars; singular nodes
-    get wide sentinels."""
+    """Derivative envelopes slope/k(t) from problem.scalars; at singular
+    nodes, where 1/k holds the placeholder 0, both bounds are 0."""
     sc = problem.scalars
-    invk = problem.disc.recip_n
-    mask = problem.mesh.singular_mask()
-    lo = np.where(mask, -SENTINEL, sc.slope_lo * invk)
-    hi = np.where(mask, SENTINEL, sc.slope_hi * invk)
+    lo = sc.slope_lo * problem.disc.recip_n
+    hi = sc.slope_hi * problem.disc.recip_n
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise InvalidInputError("derivative envelopes must be finite")
-    if np.any(lo[~mask] > hi[~mask]):
+    if np.any(lo > hi):
         raise EnvelopeError("derivative envelopes are inverted")
     return Envelopes(eta1=lo, eta2=hi)

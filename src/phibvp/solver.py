@@ -52,7 +52,6 @@ from .errors import (
     RhsEvaluationError,
 )
 from .grid import (
-    SENTINEL,
     GridFunction,
     Mesh,
     cell_integrals,
@@ -369,11 +368,10 @@ def g_map(
     beta = eq.solve(tol_beta, guess=beta_guess)
     cum, w_n = eq.cumulative(beta)
     x_new = problem.nu1 + cum
-    xp_new = np.where(problem.mesh.singular_mask(), SENTINEL, w_n)
     u = beta + Fcum
-    if not all(np.all(np.isfinite(v)) for v in (x_new, xp_new, u)):
+    if not all(np.all(np.isfinite(v)) for v in (x_new, w_n, u)):
         raise InvalidInputError("grid function values must be finite")
-    return GStep(x=x_new, x_prime=xp_new, beta=beta, u=u)
+    return GStep(x=x_new, x_prime=w_n, beta=beta, u=u)
 
 
 @dataclass(frozen=True)
@@ -426,8 +424,8 @@ def _envelope_excess(
 ) -> tuple[float, float]:
     """How far x leaves the box and x' its envelopes, 0 when inside.
 
-    Singular nodes need no mask: their envelopes are exactly +-SENTINEL,
-    and every slope there is SENTINEL or clipped into that range.
+    Singular nodes need no mask: their envelopes and every slope there
+    hold the placeholder 0.
     """
     lo, hi = box
     ex_x = float(max(np.max(lo - x_vals), np.max(x_vals - hi), 0.0))
@@ -447,8 +445,10 @@ def solve(
     stagnation damping only shape the intermediate iterates.
 
     `initial` optionally supplies (x, x') node arrays as the starting
-    iterate; they are projected into the box and envelopes.  Default is
-    the affine-in-K profile, which is the exact solution when f = 0.
+    iterate; they are projected into the box and envelopes, and x' at a
+    singular node (NaN in a table) reads as 0, the placeholder that the
+    reported x' holds there too.  Default is the affine-in-K profile,
+    which is the exact solution when f = 0.
 
     Everything below runs on node arrays of problem.mesh.  The report
     wraps its x, x' and u columns once, as GridFunctions, because they
@@ -574,7 +574,6 @@ def _iterate(
     """
     disc = problem.disc
     mesh = disc.mesh
-    singular = mesh.singular_mask()
     box = problem.box
     s_star = problem.scalars.s_star
     n_nodes = mesh.nodes.size
@@ -585,14 +584,15 @@ def _iterate(
     x_vals, xp_vals = z[:n_nodes], z[n_nodes:]
     if initial is None:
         x_vals[:] = problem.nu1 + s_star * disc.recip_cumulative
-        xp_vals[:] = np.where(singular, SENTINEL, s_star * disc.recip_n)
+        xp_vals[:] = s_star * disc.recip_n
     else:
         x0 = np.asarray(initial[0], dtype=float)
         xp0 = np.asarray(initial[1], dtype=float)
         if x0.shape != mesh.nodes.shape or xp0.shape != mesh.nodes.shape:
             raise MeshMismatchError("initial guess must live on the problem mesh")
         np.clip(x0, box[0], box[1], out=x_vals)
-        xp_vals[:] = np.where(singular, SENTINEL, np.clip(xp0, envs.eta1, envs.eta2))
+        # a table's NaN at a singular node reads as the placeholder 0
+        xp_vals[:] = np.where(mesh.singular_mask(), 0.0, np.clip(xp0, envs.eta1, envs.eta2))
         if not np.all(np.isfinite(z)):
             raise InvalidInputError("grid function values must be finite")
 
@@ -700,8 +700,8 @@ def verify(
     is the raw right-hand side at the table's x and dx, evaluated at the
     nodes only and integrated by the mesh's own rule: a cell that touches a
     singular node takes f at its finite end, as the solver does.  dx is
-    ignored at singular nodes, so a solver's SENTINEL there and a table's
-    NaN read the same.  A non-finite value anywhere else makes some defect
+    ignored at singular nodes, so a solver's placeholder 0 there and a
+    table's NaN read the same.  A non-finite value anywhere else makes some defect
     non-finite, which fails `ok`.
     """
     mesh = problem.mesh

@@ -455,22 +455,6 @@ class TestSolve:
         assert (replay / "solution.txt").read_bytes() == (out / "solution.txt").read_bytes()
         assert parse_config((replay / "record.txt").read_text()).section("run.overrides") is None
 
-    def test_record_with_the_fixed_iteration_keys_replays(self, tmp_path, echoed_config):
-        # records written while acceleration, window and min_omega were
-        # settable echo them, at the values the solver now fixes
-        cfg = write(tmp_path, PERONA.format(nu2=0.05))
-        out = tmp_path / "run"
-        assert main(["solve", cfg, "-o", str(out)]) == 0
-        record = parse_config((out / "record.txt").read_text())
-        for key, value in (("acceleration", "secant"), ("window", "3"), ("min_omega", "0.0625")):
-            assert key not in record.section("config.iteration")
-            record = record.with_value("config.iteration", key, value)
-        replay_cfg = tmp_path / "replay.cfg"
-        replay_cfg.write_text(echoed_config(record))
-        replay = tmp_path / "replay"
-        assert main(["solve", str(replay_cfg), "-o", str(replay)]) == 0
-        assert (replay / "solution.txt").read_bytes() == (out / "solution.txt").read_bytes()
-
     def test_record_replays_across_a_default_change(
         self, tmp_path, monkeypatch, echoed_config
     ):

@@ -136,20 +136,6 @@ class TestValidation:
         assert cfg.lattice == (50, 20, 20)
         assert cfg.sweep_range is None
 
-    def test_mesh_ratio_and_graded_cells_are_accepted_and_ignored(self):
-        # keys of the old geometric grading; the power-law grading has neither
-        base = MINIMAL.replace("name = constant\nvalue = 1.0", "name = sqrt_t")
-        plain = load(base).build_finite().mesh
-        knobs = load(splice("[mesh]\nratio = 0.5\ngraded_cells = 8", base)).build_finite().mesh
-        np.testing.assert_array_equal(knobs.nodes, plain.nodes)
-        assert knobs.singular_indices == plain.singular_indices == (0,)
-
-    def test_verify_refine_is_accepted_and_ignored(self):
-        # the knob of the old refined-mesh verification: older records
-        # that echo it still load, to the same iteration config
-        cfg = load(splice("[iteration]\nverify_refine = 4", MINIMAL))
-        assert cfg.iteration == load(MINIMAL).iteration
-
     @pytest.mark.parametrize(
         "mutation,fragment",
         [
@@ -174,6 +160,9 @@ class TestValidation:
             (("[iteration]\nacceleration = none", None), "acceleration"),
             (("[iteration]\nwindow = 4", None), "window"),
             (("[iteration]\nmin_omega = 0.125", None), "min_omega"),
+            (("[mesh]\nratio = 0.5", None), "unknown keys"),
+            (("[mesh]\ngraded_cells = 8", None), "unknown keys"),
+            (("[iteration]\nverify_refine = 4", None), "unknown keys"),
         ],
     )
     def test_rejections(self, mutation, fragment):
@@ -333,6 +322,27 @@ class TestAssembly:
         f_val = problem.rhs(t, np.array([0.0]), np.array([np.pi / 2]))
         assert float(np.asarray(f_val)[0]) == pytest.approx(0.5**4)
         assert float(np.asarray(problem.rhs.psi_at(t))[0]) == pytest.approx(0.5**4)
+
+    @pytest.mark.parametrize("tag", ["perona", "sine"])
+    def test_negative_alpha_needs_a_weight_singular_at_zero(self, tag, tmp_path, capsys):
+        # psi = t^alpha is infinite at t = 0: only a singular node may hold it
+        text = (
+            "[operator]\nname = perona_malik\n"
+            "[weight]\nname = constant\nvalue = 1.0\n"
+            f"[rhs]\nexample = {tag}\nalpha = -0.5\n"
+            "[problem]\nnu1 = 0\nnu2 = 0.05\nT = 1\n"
+        )
+        with pytest.raises(ConfigError, match=re.escape("[rhs] psi: ") + ".*node 0 "):
+            load(text).build_finite()
+        cfg = tmp_path / "regular.cfg"
+        cfg.write_text(text)
+        assert main(["check", str(cfg)]) == 1
+        assert "psi" in capsys.readouterr().err
+        singular = text.replace("name = constant\nvalue = 1.0", "name = sqrt_t")
+        problem = load(singular).build_finite()
+        assert problem.mesh.singular_indices == (0,)
+        assert problem.disc.psi_n[0] == 0.0
+        assert np.all(np.isfinite(problem.disc.psi_n))
 
     def test_halfline_assembly(self):
         cfg = load(

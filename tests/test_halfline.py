@@ -97,13 +97,6 @@ class TestHalflineIntegral:
         assert total == pytest.approx(1e6, rel=1e-6)
         assert tail > 1e-3 * total
 
-    def test_cutoff_validation(self):
-        fn = lambda t: np.zeros_like(np.asarray(t, float))
-        with pytest.raises(InvalidInputError):
-            halfline_integral(fn, cutoff=10.0)
-        with pytest.raises(InvalidInputError):
-            halfline_integral(fn, cutoff=math.inf)
-
 
 class TestKMass:
     def test_exact_antiderivatives(self):

@@ -14,7 +14,6 @@ from phibvp import (
     ImageDomainError,
     InvalidInputError,
     Mesh,
-    SENTINEL,
     Weight,
     constant_rhs,
     constant_weight,
@@ -297,15 +296,16 @@ class TestProblemAssembly:
 
 
 class TestEnvelopes:
-    def test_singular_nodes_get_sentinels(self):
+    def test_singular_nodes_get_zero_envelopes(self):
         phi = make_operator("r_laplacian", r=2.0)
         prob = make_problem(
             phi, sqrt_t_weight(), constant_rhs(0.05), 0.0, 0.3, 1.0, mesh_n=256
         )
         sc = derive_scalars(prob)
         env = envelopes(prob)
-        assert env.eta1[0] == -SENTINEL
-        assert env.eta2[0] == SENTINEL
+        # 1/k holds the placeholder 0 there, and so do both bounds
+        assert env.eta1[0] == 0.0
+        assert env.eta2[0] == 0.0
         inner = slice(1, None)
         assert np.all(env.eta1[inner] < env.eta2[inner])
         # away from the singularity the bound is slope / k(t)
@@ -321,7 +321,7 @@ class TestEnvelopes:
         )
         sc = derive_scalars(prob)
         env = envelopes(prob)
-        assert np.all(np.abs(env.eta1) < SENTINEL)
+        assert np.all(np.isfinite(env.eta1)) and np.all(env.eta1 < env.eta2)
         assert sc.N1 < sc.N2
 
 

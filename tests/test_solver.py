@@ -16,7 +16,6 @@ from phibvp import (
     MonotoneBranch,
     PhiOperator,
     RhsEvaluationError,
-    SENTINEL,
     Weight,
     constant_rhs,
     constant_weight,
@@ -510,6 +509,25 @@ class TestSolve:
         for col in (warm.x.values, warm.x_prime.values, warm.u.values):
             assert not any(np.shares_memory(col, a) for a in start)
 
+    def test_table_nan_at_singular_nodes_is_accepted_as_initial(self):
+        # a solution table writes dx = nan at the singular nodes: a warm
+        # start from it reads them as the placeholder 0
+        phi = make_operator("r_laplacian", r=2.0)
+        prob = make_problem(
+            phi, sqrt_t_weight(), constant_rhs(0.05), 0.0, 0.3, 1.0, mesh_n=256
+        )
+        cold = solve(prob)
+        singular = prob.mesh.singular_mask()
+        assert cold.status == "converged" and singular.any()
+        dx = np.where(singular, np.nan, cold.x_prime.values)
+        warm = solve(prob, initial=(cold.x.values, dx))
+        assert warm.status == "converged"
+        assert warm.iterations < cold.iterations
+        np.testing.assert_allclose(warm.x.values, cold.x.values, rtol=0.0, atol=1e-9)
+        zero = solve(prob, initial=(cold.x.values, np.where(singular, 0.0, dx)))
+        for a, b in zip((warm.x, warm.x_prime, warm.u), (zero.x, zero.x_prime, zero.u)):
+            assert np.array_equal(a.values, b.values)
+
     def test_zero_forcing_converges_immediately(self):
         report = solve(_identity_problem(zero_rhs(), nu2=0.4))
         t = report.x.mesh.nodes
@@ -705,7 +723,7 @@ class TestSolve:
         )
         report = solve(prob)
         assert report.status == "converged"
-        assert report.x_prime.values[0] == SENTINEL
+        assert report.x_prime.values[0] == 0.0
         t = prob.mesh.nodes
         keep = t >= 0.01
         assert np.max(np.abs(report.x.values[keep] - np.sqrt(t[keep]))) <= 5e-3
