@@ -174,11 +174,11 @@ def _solve_sections(report: SolveReport):
         ("max_envelope_excess", _fmt(report.max_envelope_excess)),
         ("trace", ",".join(_fmt(step) for step in report.trace)),
     )
-    sections = [("solve", pairs)]
-    for name, part in (("scalars", report.scalars), ("verification", report.verification)):
-        if part is not None:
-            sections.append((f"solve.{name}", _field_pairs(part)))
-    return tuple(sections)
+    return (
+        ("solve", pairs),
+        ("solve.scalars", _field_pairs(report.scalars)),
+        ("solve.verification", _field_pairs(report.verification)),
+    )
 
 
 def _halfline_sections(report: HeteroclinicReport):

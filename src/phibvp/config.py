@@ -18,6 +18,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Callable
 
 from .errors import ConfigError, ExpressionError, PhibvpError
 from .expressions import CompiledExpression, compile_expression
@@ -183,6 +184,9 @@ def read_config(path) -> ConfigDoc:
 
 # -- typed access --------------------------------------------------------
 
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+
 
 class _Section:
     """One section with typed getters that raise located ConfigErrors."""
@@ -207,44 +211,32 @@ class _Section:
             raise ConfigError(f"[{self.name}] missing required key {key!r}")
         return value
 
-    def get_float(self, key: str, default: float | None = None) -> float | None:
+    def _typed(self, key: str, default, parse: Callable[[str], object], expected: str):
+        """The key's value by parse, or default when the key is absent; a
+        value that parse rejects is a located error naming what was expected."""
         value = self.raw(key)
         if value is None:
             return default
         try:
-            return float(value)
-        except ValueError:
-            raise self.error(key, f"expected a number, got {value!r}") from None
+            return parse(value)
+        except (ValueError, KeyError):
+            raise self.error(key, f"expected {expected}, got {value!r}") from None
+
+    def get_float(self, key: str, default: float | None = None) -> float | None:
+        return self._typed(key, default, float, "a number")
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
-        value = self.raw(key)
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            raise self.error(key, f"expected an integer, got {value!r}") from None
+        return self._typed(key, default, int, "an integer")
 
     def get_bool(self, key: str, default: bool = False) -> bool:
-        value = self.raw(key)
-        if value is None:
-            return default
-        low = value.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise self.error(key, f"expected true/false, got {value!r}")
+        return self._typed(key, default, lambda v: _BOOLS[v.lower()], "true/false")
 
     def get_floats(self, key: str, default=None):
-        value = self.raw(key)
-        if value is None:
-            return default
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            raise self.error(key, f"expected comma-separated numbers, got {value!r}") from None
+        return self._typed(
+            key, default,
+            lambda v: tuple(float(p) for p in v.split(",") if p.strip()),
+            "comma-separated numbers",
+        )
 
     def get_expression(self, key: str, variables: tuple[str, ...]) -> CompiledExpression | None:
         value = self.raw(key)

@@ -189,8 +189,8 @@ def _interval_problem(hp: HalflineProblem, n: float) -> BvpProblem:
 
 def _gap(prev: GridFunction, cur: GridFunction) -> float:
     # both extensions are piecewise linear, so the sup of the difference
-    # is attained on the union of the breakpoints
-    pts = np.union1d(prev.mesh.nodes, cur.mesh.nodes)
+    # is attained at a node of one of the two meshes
+    pts = np.concatenate((prev.mesh.nodes, cur.mesh.nodes))
     return float(np.max(np.abs(extend_by_nu2(prev, pts) - extend_by_nu2(cur, pts))))
 
 

@@ -43,6 +43,8 @@ INVERSE_TABLE_SIZE = 33
 INVERSE_BLOCK = 4096
 # Samples of the dense monotonicity test on a branch's window.
 BRANCH_SAMPLES = 2048
+# Half-width of the central increment that locates a turn (see _rise).
+TURN_STEP = 5e-6
 
 
 @dataclass(frozen=True)
@@ -325,18 +327,29 @@ def _limit_at(phi: PhiOperator, s: float, toward: float) -> float:
 
 
 def _sample_window(phi: PhiOperator, a: float, b: float):
+    # off both ends, by at least one float where the pad rounds away; a
+    # window only a few floats wide has fewer distinct samples
     pad = (b - a) * 1e-9
-    ss = np.linspace(a + pad, b - pad, BRANCH_SAMPLES)
+    ss = np.unique(np.linspace(
+        max(a + pad, np.nextafter(a, b)), min(b - pad, np.nextafter(b, a)), BRANCH_SAMPLES
+    ))
     with np.errstate(all="ignore"):
         vv = np.asarray(phi.fn(ss), dtype=float)
     return ss, vv
 
 
 def _monotone_direction(vv: np.ndarray) -> int | None:
-    """+1 strictly increasing, -1 strictly decreasing, None otherwise."""
-    d = np.diff(vv)
+    """+1 increasing, -1 decreasing, None otherwise: the samples are finite,
+    their nonzero steps share one sign, and equal neighbours sit only at
+    the window's ends, where floating point cannot resolve a turn or a
+    tail that has underflowed."""
     if not np.all(np.isfinite(vv)):
         return None
+    d = np.diff(vv)
+    moving = np.flatnonzero(d)
+    if moving.size == 0:
+        return None
+    d = d[moving[0]:moving[-1] + 1]
     if np.all(d > 0):
         return 1
     if np.all(d < 0):
@@ -344,17 +357,59 @@ def _monotone_direction(vv: np.ndarray) -> int | None:
     return None
 
 
+def _rise(phi: PhiOperator, s: float) -> float:
+    """The central increment Phi(s + h) - Phi(s - h); h = TURN_STEP
+    (relative beyond |s| = 1) balances its h^2 bias against rounding, and
+    shrinks to keep s +- h inside the domain."""
+    lo, hi = phi.domain
+    h = min(TURN_STEP * max(1.0, abs(s)), 0.5 * (s - lo), 0.5 * (hi - s))
+    return float(phi(s + h)) - float(phi(s - h))
+
+
+def _branch_end(phi: PhiOperator, s_star: float, sign: float, end: float) -> float:
+    """The end of the branch through s_star on the side of the domain end
+    `end`, where Phi's increments have the sign `sign`.
+
+    The window from s_star toward `end` doubles until sampling sees a turn
+    or it reaches `end` clipped to |s| <= WORK_WINDOW, which gives `end`.
+    A turn is located by bisection on the sign of _rise, between the last
+    sample before the first step against `sign` and the sample after it.
+    """
+    out = math.copysign(1.0, end - s_star)
+    edge = max(-WORK_WINDOW, min(end, WORK_WINDOW))
+    radius = max(1e-3, 1e-3 * abs(s_star))
+    while True:
+        far = s_star + out * radius
+        far = min(far, edge) if out > 0 else max(far, edge)
+        ss, vv = _sample_window(phi, min(s_star, far), max(s_star, far))
+        if _monotone_direction(vv) != sign:
+            break
+        if far == edge:
+            return end
+        radius *= 2.0
+    if out < 0:
+        ss, vv = ss[::-1], vv[::-1]
+    # the first outward step that does not go with sign, zero or NaN too
+    j = int(np.argmin(sign * out * np.diff(vv) > 0))
+    inside, outside = (float(ss[j - 1]) if j else s_star), float(ss[j + 1])
+    while True:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            return inside
+        if sign * _rise(phi, mid) > 0:
+            inside = mid
+        else:
+            outside = mid
+
+
 def find_branch(phi: PhiOperator, s_star: float) -> MonotoneBranch:
     """The strictly monotone branch of Phi that holds s_star.
 
     A catalog operator's piece metadata gives the branch.  Otherwise
-    sampling only locates it, and hint_branch certifies it.  A window
-    grows symmetrically around s_star until sampling sees a violation or
-    the window spans the domain clipped to |s| <= WORK_WINDOW.  A window
-    monotone throughout gives the whole domain.  Otherwise each end of
-    the largest monotone sampled run around s_star moves one sample
-    inward, as a turn lies within one sample of it; an end that reached
-    the clipped domain's edge becomes the domain's end.
+    sampling only locates it, and hint_branch certifies it.  Each side
+    grows on its own from s_star (_branch_end) and ends at a turn located
+    to rounding, or at the domain's end when its window reached the edge
+    of the domain clipped to |s| <= WORK_WINDOW.
     """
     dom_lo, dom_hi = phi.domain
     if not dom_lo < s_star < dom_hi:
@@ -368,32 +423,12 @@ def find_branch(phi: PhiOperator, s_star: float) -> MonotoneBranch:
             f"no strictly monotone piece has {s_star!r} in its interior"
         )
 
-    edge_lo, edge_hi = max(dom_lo, -WORK_WINDOW), min(dom_hi, WORK_WINDOW)
-    radius = max(1e-3, 1e-3 * abs(s_star))
-    while True:
-        a = max(edge_lo, s_star - radius)
-        b = min(edge_hi, s_star + radius)
-        ss, vv = _sample_window(phi, a, b)
-        if _monotone_direction(vv) is None:
-            break
-        if a == edge_lo and b == edge_hi:
-            return hint_branch(phi, phi.domain)
-        radius *= 2.0
-    # the largest monotone sampled run containing s_star
-    idx = int(np.searchsorted(ss, s_star))
-    idx = min(max(idx, 1), ss.size - 2)
-    d = np.diff(vv)
-    sign = np.sign(d[idx - 1]) or np.sign(d[idx])
-    if sign == 0 or not np.isfinite(sign):
+    rise = _rise(phi, s_star)
+    if not (rise > 0.0 or rise < 0.0):
         raise BranchNotFoundError(f"Phi is locally flat at s={s_star!r}")
-    i_lo = idx - 1
-    while i_lo > 0 and np.sign(d[i_lo - 1]) == sign:
-        i_lo -= 1
-    i_hi = idx
-    while i_hi < d.size - 1 and np.sign(d[i_hi + 1]) == sign:
-        i_hi += 1
-    lo = dom_lo if i_lo == 0 and a == edge_lo else float(ss[i_lo + 1])
-    hi = dom_hi if i_hi == d.size - 1 and b == edge_hi else float(ss[i_hi])
+    sign = math.copysign(1.0, rise)
+    lo = _branch_end(phi, s_star, sign, dom_lo)
+    hi = _branch_end(phi, s_star, sign, dom_hi)
     if not lo < s_star < hi:
         raise BranchNotFoundError(
             f"no strictly monotone sampled run contains s={s_star!r}"

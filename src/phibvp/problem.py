@@ -371,25 +371,11 @@ def image_margins(
     return (phi_s - 2.0 * L) - branch.image_lo, branch.image_hi - (phi_s + 2.0 * L)
 
 
-def slope_box(
-    phi: PhiOperator, branch: MonotoneBranch, phi_s: float, L: float
-) -> tuple[float, float]:
-    """Phi^{-1}(Phi(s) - 2L) and Phi^{-1}(Phi(s) + 2L) on the branch.
-
-    Both values must lie strictly inside the branch image (see
-    image_margins); partial_inverse raises ImageDomainError otherwise.
-    """
-    return (
-        partial_inverse(phi, branch, phi_s - 2.0 * L),
-        partial_inverse(phi, branch, phi_s + 2.0 * L),
-    )
-
-
 def reference_slopes(
     phi: PhiOperator, branch: MonotoneBranch | None, s: float, L: float, psi_ok: bool
 ) -> tuple[float, float, float]:
-    """Phi(s) and the slope box of a psi of mass L, which psi_ok says is
-    nonnegative; never raises.
+    """Phi(s) and the slope box Phi^{-1}(Phi(s) - 2L), Phi^{-1}(Phi(s) + 2L)
+    of a psi of mass L, which psi_ok says is nonnegative; never raises.
 
     The one rule for finite and half-line problems: Phi(s) is NaN when s
     lies outside the branch (or there is none), and the two slopes are NaN
@@ -402,7 +388,11 @@ def reference_slopes(
     lo_margin, hi_margin = image_margins(branch, phi_s, L)
     if psi_ok and lo_margin > 0.0 and hi_margin > 0.0:
         try:
-            return (phi_s, *slope_box(phi, branch, phi_s, L))
+            return (
+                phi_s,
+                partial_inverse(phi, branch, phi_s - 2.0 * L),
+                partial_inverse(phi, branch, phi_s + 2.0 * L),
+            )
         except PhibvpError:
             pass  # a numeric inverse found no bracket: the box stays NaN
     return phi_s, math.nan, math.nan

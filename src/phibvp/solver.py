@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -400,12 +400,10 @@ class SolveReport:
     secant_rejections: int
     residual: float
     boundary_defect: float
-    x_in_box: bool
-    xp_in_envelopes: bool
     truncation_count: int
     psi_clip_count: int
     max_envelope_excess: float
-    verification: VerificationRecord | None = None
+    verification: VerificationRecord
 
 
 def _w1p_distance(mesh: Mesh, dx: np.ndarray, dxp: np.ndarray, p: float) -> float:
@@ -482,12 +480,19 @@ def solve(
         )
         status = "converged" if hypothesis_ok else "hypothesis-violation"
 
-    report = SolveReport(
+    x = GridFunction(problem.mesh, last.x)
+    x_prime = GridFunction(problem.mesh, last.x_prime)
+    u = GridFunction(problem.mesh, last.u)
+    beta = last.beta
+    # verify reads only the reported columns: let the g output, the
+    # envelopes and the final F go
+    del last, envs, F
+    return SolveReport(
         status=status,
-        x=GridFunction(problem.mesh, last.x),
-        x_prime=GridFunction(problem.mesh, last.x_prime),
-        u=GridFunction(problem.mesh, last.u),
-        beta=last.beta,
+        x=x,
+        x_prime=x_prime,
+        u=u,
+        beta=beta,
         scalars=scalars,
         iterations=len(trace),
         trace=tuple(trace),
@@ -495,19 +500,11 @@ def solve(
         secant_rejections=rejections,
         residual=residual,
         boundary_defect=boundary_defect,
-        x_in_box=ex_x <= 1e-8,
-        xp_in_envelopes=ex_y <= 1e-8,
         truncation_count=final_stats.get("truncated_nodes", 0),
         psi_clip_count=final_stats.get("psi_clips", 0),
         max_envelope_excess=max_excess,
+        verification=verify(problem, x.values, x_prime.values, u.values),
     )
-    # verify reads only the reported columns: let the g output, the
-    # envelopes and the final F go
-    del last, envs, F
-    verification = verify(
-        problem, report.x.values, report.x_prime.values, report.u.values
-    )
-    return replace(report, verification=verification)
 
 
 def _secant_coefficients(d_res: np.ndarray, res: np.ndarray) -> np.ndarray | None:

@@ -236,6 +236,36 @@ class TestValidation:
         with pytest.raises(ConfigError, match="true/false"):
             load(text)
 
+    @pytest.mark.parametrize(
+        "extra,repl,key,message",
+        [
+            (
+                "", ("nu1 = 0.0", "nu1 = zero"), "nu1",
+                "[problem] nu1: expected a number, got 'zero'",
+            ),
+            ("[mesh]\nn = 10.5", None, "n", "[mesh] n: expected an integer, got '10.5'"),
+            (
+                "", ("T = 1.0", "halfline = maybe"), "halfline",
+                "[problem] halfline: expected true/false, got 'maybe'",
+            ),
+            (
+                "[check]\nlattice = 8, x, 8", None, "lattice",
+                "[check] lattice: expected comma-separated numbers, got '8, x, 8'",
+            ),
+        ],
+        ids=["float", "int", "bool", "floats"],
+    )
+    def test_typed_value_errors_name_what_was_expected(self, extra, repl, key, message):
+        # each typed getter locates its value and names what it expected
+        text = splice(extra, replace=repl)
+        with pytest.raises(ConfigError) as err:
+            load(text)
+        lines = text.splitlines()
+        line = next(i for i, s in enumerate(lines, start=1) if s.startswith(f"{key} ="))
+        col = lines[line - 1].index("=") + 3
+        assert str(err.value) == f"line {line}, col {col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
+
     def test_expression_error_locates_line_and_col(self):
         text = splice("[rhs]\nf = t + $\npsi = 1.0 + 0*t")
         with pytest.raises(ConfigError) as err:

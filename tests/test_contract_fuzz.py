@@ -1,4 +1,5 @@
-"""Contract fuzz of `phibvp check`, `phibvp solve` and `phibvp halfline`.
+"""Contract fuzz of `phibvp check`, `phibvp solve`, `phibvp sweep` and
+`phibvp halfline`.
 
 Configs are drawn from the catalogs (operator, weight, worked-example or
 expression right-hand side), boundary values on both sides of the branch
@@ -9,7 +10,9 @@ exactly when it prints a `config error: ` line first on stderr.  A table
 that `solve` writes holds no NaN outside the slopes at singular nodes,
 the config that its record echoes replays it bit for bit, and `verify`
 passes every table of a converged solve and prints the defects that the
-solve's record holds.  `halfline` runs a short schedule; each
+solve's record holds.  `sweep` writes one row per lambda, whose verdict
+and status name their cause, and the config its record echoes replays
+the table byte for byte.  `halfline` runs a short schedule; each
 interval table it writes parses, holds no NaN outside the slopes at
 singular nodes, and verifies against its interval's finite config when
 that interval converged.
@@ -17,6 +20,7 @@ that interval converged.
 
 import contextlib
 import io
+import math
 import re
 
 import numpy as np
@@ -149,6 +153,79 @@ def test_solve_writes_tables_that_verify(
         # the record's verification is what verify prints on its table
         record = parse_config((work / "out" / "record.txt").read_text())
         assert record.section("solve.verification") == printed_verification(out), text
+
+
+SWEEP_RANGES = (
+    "lambda_min = 0.0\nlambda_max = 0.5\ncount = 3",
+    "lambda_min = -0.5\nlambda_max = 1.5\ncount = 4",
+    "lambda_min = 1.0\nlambda_max = 40.0\ncount = 2",
+    "lambda_min = 0.05\nlambda_max = 0.15\ncount = 5",
+    # one lambda twice
+    "lambda_min = 0.05\nlambda_max = 0.05\ncount = 2",
+    # config errors: an empty range, and no [sweep] section
+    "lambda_min = 1.0\nlambda_max = 0.0\ncount = 2",
+    None,
+)
+NO_VERDICT = "error: no sweep row produced a check verdict\n"
+
+
+@st.composite
+def sweep_configs(draw) -> str:
+    sections = [
+        f"[operator]\n{draw(st.sampled_from(OPERATORS))}",
+        f"[weight]\n{draw(st.sampled_from(WEIGHTS))}",
+    ]
+    rhs = draw(st.sampled_from(RHS))
+    if rhs is not None:
+        sections.append(f"[rhs]\n{rhs}")
+    # a half-line problem or a one-cell mesh fails every row's build
+    extent = draw(st.sampled_from(("T = 1.0",) * 4 + ("halfline = true",)))
+    sections.append(f"[problem]\nnu1 = 0.0\nnu2 = 0.1\n{extent}")
+    sections.append(f"[mesh]\nn = {draw(st.sampled_from((10, 32, 10, 32, 1)))}")
+    sections.append("[check]\nlattice = 4, 3, 3")
+    sweep = draw(st.sampled_from(SWEEP_RANGES))
+    if sweep is not None:
+        sections.append(f"[sweep]\n{sweep}")
+    return "\n\n".join(sections) + "\n"
+
+
+@given(text=sweep_configs())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_sweep_rows_name_their_cause_and_replay(tmp_path_factory, echoed_config, text):
+    work = tmp_path_factory.mktemp("sweep")
+    path = work / "problem.cfg"
+    path.write_text(text)
+    code, err, _ = _main(["sweep", str(path), "-o", str(work / "out")])
+    assert code in (0, 1, 4), text
+    table = work / "out" / "sweep.txt"
+    if err.startswith("config error: "):
+        assert code == 1 and not table.exists(), text + err
+        return
+    if code == 4:
+        # a package error that no row absorbed
+        assert err.startswith("error: ") and err != NO_VERDICT, text + err
+        return
+
+    lo, hi, count = load_problem_config(parse_config(text)).sweep_range
+    rows = [line.split(",") for line in table.read_text().splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == list(np.linspace(lo, hi, count)), text
+    for _, verdict, status, residual in rows:
+        assert verdict in ("pass", "fail", "inconclusive") or verdict.startswith("error:"), text
+        # only a passing row is solved, and only a solve has a residual
+        assert (status == "skipped") == (verdict != "pass"), text
+        unsolved = status == "skipped" or status.startswith("error:")
+        assert math.isnan(float(residual)) == unsolved, text
+    # a sweep whose rows all end in error:* exits 1, any other exits 0
+    judged = any(not row[1].startswith("error:") for row in rows)
+    assert (code, err) == ((0, "") if judged else (1, NO_VERDICT)), text + err
+
+    # the record's config.* sections alone replay the sweep
+    record = parse_config((work / "out" / "record.txt").read_text())
+    replay = work / "replay.cfg"
+    replay.write_text(echoed_config(record))
+    again, _, _ = _main(["sweep", str(replay), "-o", str(work / "replay")])
+    assert again == code, text
+    assert (work / "replay" / "sweep.txt").read_bytes() == table.read_bytes(), text
 
 
 HALFLINE_RHS = (

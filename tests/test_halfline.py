@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phibvp import (
     DEFAULT_SCHEDULE,
@@ -33,6 +35,7 @@ from phibvp import (
     sqrt_t_weight,
     zero_rhs,
 )
+from phibvp.halfline import _gap
 
 LAM = 0.2
 
@@ -78,6 +81,29 @@ class TestExtension:
     def test_negative_points_rejected(self):
         with pytest.raises(DomainError):
             extend_by_nu2(self.make_grid(), [-0.1, 1.0])
+
+
+@st.composite
+def interval_solution(draw, T: float) -> GridFunction:
+    """A piecewise-linear function on a random mesh of [0, T]."""
+    inner = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=30, unique=True))
+    nodes = np.concatenate(([0.0], np.sort(inner) * T, [T]))
+    assume(np.all(np.diff(nodes) > 0.0))
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=nodes.size, max_size=nodes.size))
+    return GridFunction(Mesh(nodes), np.array(values))
+
+
+@given(data=st.data(), n=st.sampled_from((1.0, 2.5, 5.0)))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_gap_is_the_sup_over_the_union_of_the_meshes(data, n):
+    # each extension is linear between its own nodes, so the sup over the
+    # sorted union of both meshes is the larger of the sups over each one
+    prev = data.draw(interval_solution(n))
+    cur = data.draw(interval_solution(2.0 * n))
+    assume(not np.isin(prev.mesh.nodes, cur.mesh.nodes).all())
+    pts = np.union1d(prev.mesh.nodes, cur.mesh.nodes)
+    union_sup = float(np.max(np.abs(extend_by_nu2(prev, pts) - extend_by_nu2(cur, pts))))
+    assert _gap(prev, cur) == union_sup
 
 
 class TestHalflineIntegral:

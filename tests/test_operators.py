@@ -23,6 +23,7 @@ from phibvp.errors import (
     ImageDomainError,
     InvalidInputError,
 )
+from phibvp.expressions import compile_expression
 from phibvp.operators import (
     OPERATOR_CATALOG,
     PhiOperator,
@@ -162,13 +163,38 @@ def test_sampled_branch_grows_to_window_for_monotone_operator():
 
 
 def test_sampled_branch_stops_short_of_the_turns():
-    # s^3 - s turns at +-1/sqrt(3); each end of the sampled run moves one
-    # sample inward, so hint_branch certifies the located window
+    # s^3 - s turns at +-1/sqrt(3); each end is the turn located to
+    # rounding, and hint_branch certifies the located window
     op = PhiOperator("anon", difference(2.0, 0.0).fn, odd=True)
     br = find_branch(op, 0.0)
     c = 1.0 / math.sqrt(3.0)
-    assert -c < br.lo < -c + 2e-3 and c - 2e-3 < br.hi < c
+    assert abs(br.lo + c) <= 1e-10 and abs(br.hi - c) <= 1e-10
     assert hint_branch(op, (br.lo, br.hi)) == br
+
+
+_C3 = 1.0 / math.sqrt(3.0)
+_C2 = 1.0 / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize(
+    "fn, s, lo, hi, image",
+    [
+        (lambda s: s**3 - s, 0.3, -_C3, _C3, (-2.0 * _C3 / 3.0, 2.0 * _C3 / 3.0)),
+        (lambda s: s**3 - s, 2.0, _C3, math.inf, (-2.0 * _C3 / 3.0, math.inf)),
+        (lambda s: s * np.exp(-s * s), 2.0, _C2, math.inf, (0.0, _C2 * math.exp(-0.5))),
+        (compile_expression("s/(1+s^2)", ("s",)), 0.2, -1.0, 1.0, (-0.5, 0.5)),
+    ],
+    ids=["cubic-middle", "cubic-outer", "gaussian-tail", "perona-expression"],
+)
+def test_sampled_branch_grows_each_side_to_its_own_end(fn, s, lo, hi, image):
+    # each side of the window grows on its own, so a turn on one side does
+    # not cut the other short: an end is a turn located to rounding, or the
+    # domain's end where no turn lies
+    br = find_branch(PhiOperator("anon", fn), s)
+    for got, want in ((br.lo, lo), (br.hi, hi)):
+        assert got == want if math.isinf(want) else abs(got - want) <= 1e-10
+    for got, want in zip((br.image_lo, br.image_hi), image):
+        assert got == want if math.isinf(want) else abs(got - want) <= 1e-12
 
 
 # operators without piece metadata, monotone on their whole domain, onto R:
@@ -177,6 +203,8 @@ _UNBOUNDED_IMAGES = {
     "cubic": (lambda s: s**3 + s, (-math.inf, math.inf), 0.5),
     "identity": (lambda s: s, (-math.inf, math.inf), 0.1),
     "singular": (lambda s: s / np.sqrt(1.0 - s * s), (-1.0, 1.0), 0.1),
+    # s* closer to the domain's end than the step that senses Phi's slope
+    "singular-near-end": (lambda s: s / np.sqrt(1.0 - s * s), (-1.0, 1.0), -0.9999999999),
     "log1p": (lambda s: np.sign(s) * np.log1p(np.abs(s)), (-math.inf, math.inf), 0.5),
 }
 
