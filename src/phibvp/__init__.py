@@ -32,6 +32,7 @@ from .grid import (
 )
 from .operators import (
     OPERATOR_CATALOG,
+    InverseStart,
     MonotoneBranch,
     PhiOperator,
     find_branch,

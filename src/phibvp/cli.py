@@ -22,6 +22,7 @@ through parse_config.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -520,7 +521,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it as
+    it is."""
     shared = _Parser(add_help=False)
     shared.add_argument("--mesh-n", type=int, default=None, help="override mesh cells")
     shared.add_argument("--tol-fp", type=float, default=None, help="fixed-point tolerance")

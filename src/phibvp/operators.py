@@ -5,13 +5,17 @@ its image interval; inversion is only ever performed branch-wise.  The
 catalog operators carry their monotone pieces analytically (exact piece
 endpoints, exact images, and a stable closed-form inverse where one
 exists); any other branch is certified by one rule, hint_branch: dense
-sampling on the interval and _limit_at at its ends.  Without a closed
-form the inverse is solved inside certified brackets, polish first, then
-certify: a zoomed table of samples brackets every element, one
-evaluation at the bracket's regula falsi point and an inverse quadratic
-step polish it, and one evaluation on each side of the polished point
-closes the bracket.  Vectorized Illinois regula falsi with a bisection
-safeguard (bracketed_root) closes only the brackets left open.
+sampling on the interval, the located-turn test next to its finite ends
+and _limit_at at its ends.  Without a closed form the inverse is solved
+inside certified brackets, polish first, then certify: a zoomed table of
+samples brackets every element, one evaluation at the bracket's regula
+falsi point and an inverse quadratic step polish it, and one evaluation
+on each side of the polished point closes the bracket.  Vectorized
+Illinois regula falsi with a bisection safeguard (bracketed_root) closes
+only the brackets left open.  A caller that inverts a sequence of nearby
+targets passes an InverseStart: each call then starts from the last
+one's brackets, a Newton and a secant step replace the table and the
+polish, and the same certification closes the bracket.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ INVERSE_BLOCK = 4096
 BRANCH_SAMPLES = 2048
 # Half-width of the central increment that locates a turn (see _rise).
 TURN_STEP = 5e-6
+# Span, relative to the scale of s, below which a secant is mostly
+# rounding: one over 1e-8 of it has about 1e-8 relative error.
+SECANT_REACH = 1e-8
 
 
 @dataclass(frozen=True)
@@ -252,8 +259,12 @@ def difference(alpha: float, beta: float) -> PhiOperator:
         raise InvalidInputError("difference needs alpha != beta")
 
     def fn(s):
+        # in place: three arrays of s's size at the peak, not five
         a = np.abs(s)
-        return np.sign(s) * (a ** (alpha + 1.0) - a ** (beta + 1.0))
+        out = a ** (alpha + 1.0)
+        out -= a ** (beta + 1.0)
+        out *= np.sign(s)
+        return out
 
     # critical |s| where (alpha+1)|s|^alpha = (beta+1)|s|^beta
     s_c = ((beta + 1.0) / (alpha + 1.0)) ** (1.0 / (alpha - beta))
@@ -377,6 +388,10 @@ def _branch_end(phi: PhiOperator, s_star: float, sign: float, end: float) -> flo
     """
     out = math.copysign(1.0, end - s_star)
     edge = max(-WORK_WINDOW, min(end, WORK_WINDOW))
+    # fewer than two floats between s_star and the edge show no step, so
+    # nothing there can turn
+    if float(np.nextafter(np.nextafter(s_star, edge), edge)) in (edge, s_star):
+        return end
     radius = max(1e-3, 1e-3 * abs(s_star))
     while True:
         far = s_star + out * radius
@@ -400,6 +415,18 @@ def _branch_end(phi: PhiOperator, s_star: float, sign: float, end: float) -> flo
             inside = mid
         else:
             outside = mid
+
+
+def _turns_at(phi: PhiOperator, end: float, toward: float, direction: int) -> bool:
+    """Whether Phi goes against `direction` next to the finite end `end`
+    of a window that reaches toward `toward`: find_branch's located-turn
+    test, _rise, two of its steps inside the end, so that a turn located
+    to rounding at the end itself passes.  Samples spread over a wide
+    window miss a turn that close to an end."""
+    p = end + math.copysign(2.0 * TURN_STEP * max(1.0, abs(end)), toward - end)
+    if not min(end, toward) < p < max(end, toward):
+        return False
+    return not direction * _rise(phi, p) > 0.0
 
 
 def find_branch(phi: PhiOperator, s_star: float) -> MonotoneBranch:
@@ -439,7 +466,8 @@ def find_branch(phi: PhiOperator, s_star: float) -> MonotoneBranch:
 def hint_branch(phi: PhiOperator, hint: tuple[float, float]) -> MonotoneBranch:
     """Certify the hint interval itself as a strictly monotone branch.
 
-    Monotonicity is validated by dense sampling on the hint; catalog piece
+    Monotonicity is validated by dense sampling on the hint and, next to
+    each finite end, by the located-turn test (_turns_at); catalog piece
     metadata supplies exact images and inverses when the hint sits inside
     a known piece, and _limit_at every other image end.  Every error
     names the hint, never a slope.
@@ -452,7 +480,11 @@ def hint_branch(phi: PhiOperator, hint: tuple[float, float]) -> MonotoneBranch:
         raise DomainError("branch hint leaves the operator domain")
     ss, vv = _sample_window(phi, max(a, -WORK_WINDOW), min(b, WORK_WINDOW))
     direction = _monotone_direction(vv)
-    if direction is None:
+    if direction is None or any(
+        _turns_at(phi, end, toward, direction)
+        for end, toward in ((a, b), (b, a))
+        if math.isfinite(end)
+    ):
         raise BranchNotFoundError(
             f"sampled monotonicity violation inside hint ({a}, {b})"
         )
@@ -588,8 +620,13 @@ def bracketed_root(
 def _falsi_point(a, b, ga, gb):
     """Regula falsi point of brackets [a, b]; a itself where a == b."""
     with np.errstate(all="ignore"):
-        est = b - gb * ((b - a) / (gb - ga))
-    return np.where((a <= est) & (est <= b), est, a)
+        # b - gb ((b - a) / (gb - ga)), in place
+        est = np.subtract(b, a)
+        est /= np.subtract(gb, ga)
+        est *= gb
+        np.subtract(b, est, out=est)
+    np.copyto(est, a, where=~((a <= est) & (est <= b)))
+    return est
 
 
 def _inverse_quadratic(a, b, ga, gb, x, gx):
@@ -611,6 +648,24 @@ def _narrow(a, b, ga, gb, x, gx) -> None:
     high = gx >= 0.0
     np.copyto(b, x, where=high)
     np.copyto(gb, gx, where=high)
+
+
+@dataclass(eq=False)
+class InverseStart:
+    """Where the generic inversions of one sequence of nearby targets start.
+
+    Per element: an anchor on the branch, Phi at the anchor as evaluated
+    (a cold call recovers it from its bracket's value, Phi - y, exactly
+    where Phi and y lie within a factor two), and Phi's slope there.
+    Empty until partial_inverse_array fills it from a cold call; each
+    warm call refreshes it in place.  Only estimates are taken from it,
+    never a sign, so a record that fits the targets badly costs a cold
+    fallback, not a wrong bracket.
+    """
+
+    s: np.ndarray | None = None
+    phi: np.ndarray | None = None
+    slope: np.ndarray | None = None
 
 
 def partial_inverse(phi: PhiOperator, branch: MonotoneBranch, y: float) -> float:
@@ -644,41 +699,111 @@ def _cell(mono: np.ndarray, t):
 
 
 def partial_inverse_array(
-    phi: PhiOperator, branch: MonotoneBranch, y: np.ndarray
+    phi: PhiOperator,
+    branch: MonotoneBranch,
+    y: np.ndarray,
+    start: InverseStart | None = None,
 ) -> np.ndarray:
     """Branch-wise inversion of Phi, elementwise over y.
 
-    A closed-form inverse is used when the branch carries one.  Otherwise
-    each result lies inside a certified bracket: Phi - y changes sign
-    across it and it is no wider than BISECT_TOL (or its ends are
-    adjacent floats), or Phi(s) = y holds exactly.  A scalar search
-    zooms a table of INVERSE_TABLE_SIZE samples onto the solutions of
-    min y and max y, and the last table gives each element its own
-    bracket, a table cell.  Polish: Phi at the cell's regula falsi point
-    narrows the bracket, and the inverse quadratic through that point and
-    the cell ends moves the estimate on.  Certify: Phi at
-    max(BISECT_TOL/4, one ulp) on each side of the estimate narrows the
-    bracket again, and where both sides have the right sign it is at most
-    BISECT_TOL wide; the result is the regula falsi point of the final
-    bracket.  bracketed_root closes the brackets left open (the flat ends
-    of a branch, wide target ranges), INVERSE_BLOCK elements at a time,
-    so that a call holds about a dozen arrays of the input's size.
+    A closed-form inverse is used when the branch carries one, and
+    `start` is left as it is.  Otherwise each result is the regula falsi
+    point of a certified bracket: Phi - y changes sign across it and it
+    is no wider than BISECT_TOL (or its ends are adjacent floats), or
+    Phi(s) = y holds exactly.
+
+    Cold, a scalar search zooms a table of INVERSE_TABLE_SIZE samples
+    onto the solutions of min y and max y, and the last table gives each
+    element its own bracket, a table cell.  Polish: Phi at the cell's
+    regula falsi point narrows the bracket, and the inverse quadratic
+    through that point and the cell ends moves the estimate on.  Certify:
+    Phi at max(BISECT_TOL/4, one ulp) on each side of the estimate
+    narrows the bracket again, and where both sides have the right sign
+    it is at most BISECT_TOL wide.  bracketed_root closes the brackets
+    left open (the flat ends of a branch, wide target ranges),
+    INVERSE_BLOCK elements at a time, so that a call holds about a dozen
+    arrays of the input's size.
+
+    Warm, from a `start` that holds as many elements as y (see
+    InverseStart), a Newton step from each anchor, Phi there, and a
+    secant step through the anchor give the estimate, and the same
+    certification closes it: three vector evaluations of Phi and no
+    table.  The elements whose two sides do not change sign go the cold
+    way, as a subset.  A `start` that is empty or of another size is
+    filled by a cold call, from the Phi values that call computes.
     """
     y = np.asarray(y, dtype=float)
     _check_in_image(branch, y)
     if branch.inverse is not None:
         s = np.asarray(branch.inverse(y), dtype=float)
         return np.clip(s, branch.lo, branch.hi)
+    flat = y.reshape(-1)
+    window = (max(branch.lo, -WORK_WINDOW), min(branch.hi, WORK_WINDOW))
+    if start is None or start.s is None or start.s.size != flat.size:
+        return _cold_inverse(phi, branch, window, flat, start).reshape(y.shape)
+    s, missed = _warm_inverse(phi, branch, window, flat, start)
+    if missed.size:
+        part = InverseStart()
+        s[missed] = _cold_inverse(phi, branch, window, flat[missed], part)
+        start.s[missed] = part.s
+        start.phi[missed] = part.phi
+        start.slope[missed] = part.slope
+    return s.reshape(y.shape)
+
+
+def _half_width(x: np.ndarray):
+    """max(BISECT_TOL/4, one ulp of x): how far each side of an estimate x
+    lies from it when it is certified.  One scalar where no |x| reaches
+    128, below which BISECT_TOL/4 is the larger."""
+    step = 0.25 * BISECT_TOL
+    if np.spacing(max(float(np.max(x)), -float(np.min(x)))) <= step:
+        return step
+    d = np.spacing(np.abs(x))
+    np.maximum(d, step, out=d)
+    return d
+
+
+def _reach(s: np.ndarray) -> float:
+    """SECANT_REACH of the scale of s, 1 + max |s|."""
+    return SECANT_REACH * (1.0 + max(float(np.max(s)), -float(np.min(s))))
+
+
+def _close_open(f, ty, s, a, b, ga, gb) -> None:
+    """bracketed_root on the brackets wider than BISECT_TOL, INVERSE_BLOCK
+    elements at a time so that its work arrays stay small; their results
+    go to s."""
+    rest = np.flatnonzero(b - a > BISECT_TOL)
+    for first in range(0, rest.size, INVERSE_BLOCK):
+        k = rest[first : first + INVERSE_BLOCK]
+        s[k] = bracketed_root(
+            lambda x, idx, t=ty[k]: np.asarray(f(x), dtype=float) - t[idx],
+            a[k], b[k], ga[k], gb[k], BISECT_TOL,
+        )
+
+
+def _cold_inverse(
+    phi: PhiOperator,
+    branch: MonotoneBranch,
+    window: tuple[float, float],
+    y: np.ndarray,
+    start: InverseStart | None,
+) -> np.ndarray:
+    """The cold path of partial_inverse_array on the flat targets y.
+
+    Fills `start`, when given, from the values it has computed: the end
+    of each final bracket that is nearer its root, Phi there, and the
+    secant from the polish's falsi point, or the table cell's slope where
+    that point lies too near the end for the secant to beat rounding
+    (_reach)."""
     f, orient = _oriented(phi, branch)
-    ty = y.reshape(-1) if orient > 0 else -y.reshape(-1)
-    lo = max(branch.lo, -WORK_WINDOW)
-    hi = min(branch.hi, WORK_WINDOW)
+    ty = y if orient > 0 else -y
+    lo, hi = window
     t_lo, t_hi = float(np.min(ty)), float(np.max(ty))
     below = _bracket_endpoint(f, lo, hi, t_lo, "lo")
     above = _bracket_endpoint(f, lo, hi, t_hi, "hi")
     if below is None or above is None:
         raise ImageDomainError(
-            float(y.reshape(-1)[0]), branch.image_lo, branch.image_hi,
+            float(y[0]), branch.image_lo, branch.image_hi,
             "no bisection bracket inside the working window",
         )
     a, b = below[0], above[0]
@@ -699,6 +824,10 @@ def partial_inverse_array(
     gb -= ty
     # each work array goes once spent: together they set the peak memory
     del j
+    if start is not None:
+        with np.errstate(all="ignore"):
+            slope = np.subtract(gb, ga)
+            slope /= b - a
 
     def g_at(x):
         return np.asarray(f(x), dtype=float) - ty
@@ -711,22 +840,101 @@ def partial_inverse_array(
     x = _inverse_quadratic(a, b, ga, gb, x0, g0)
     _narrow(a, b, ga, gb, x0, g0)
     np.copyto(x, x0, where=~((a <= x) & (x <= b)))
-    del x0, g0
+    if start is None:
+        del x0, g0
     # certify: Phi on each side of the polished point
-    d = np.spacing(np.abs(x))
-    np.maximum(d, 0.25 * BISECT_TOL, out=d)
+    d = _half_width(x)
     for sign in (-1.0, 1.0):
         side = np.minimum(np.maximum(x + sign * d, a), b)
         _narrow(a, b, ga, gb, side, g_at(side))
     del x, d, side
     s = _falsi_point(a, b, ga, gb)
-    # the flat ends of a branch and any element the polish missed close in
-    # bracketed_root, a block at a time so that its work arrays stay small
-    rest = np.flatnonzero(b - a > BISECT_TOL)
-    for start in range(0, rest.size, INVERSE_BLOCK):
-        k = rest[start : start + INVERSE_BLOCK]
-        s[k] = bracketed_root(
-            lambda x, idx, t=ty[k]: np.asarray(f(x), dtype=float) - t[idx],
-            a[k], b[k], ga[k], gb[k], BISECT_TOL,
-        )
-    return s.reshape(y.shape)
+    if start is not None:
+        nearer = np.abs(ga) <= np.abs(gb)
+        start.s = np.where(nearer, a, b)
+        g_s = np.where(nearer, ga, gb)
+        with np.errstate(all="ignore"):
+            sec = (g0 - g_s) / (x0 - start.s)
+        far = np.abs(x0 - start.s) > _reach(start.s)
+        np.copyto(slope, sec, where=far & (sec > 0.0))
+        del x0, g0, sec, far
+        start.phi = g_s
+        start.phi += ty
+        if orient < 0:
+            np.negative(start.phi, out=start.phi)
+            np.negative(slope, out=slope)
+        start.slope = slope
+    # the flat ends of a branch and any element the polish missed
+    _close_open(f, ty, s, a, b, ga, gb)
+    return s
+
+
+def _warm_inverse(
+    phi: PhiOperator,
+    branch: MonotoneBranch,
+    window: tuple[float, float],
+    y: np.ndarray,
+    start: InverseStart,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The warm path of partial_inverse_array on the flat targets y.
+
+    Returns the results and the indices of the elements that missed: the
+    sides of their estimate do not change sign, and their results are
+    not set.  The record is refreshed in place: each anchor moves to the
+    low side of its estimate, with Phi there, and each slope to the
+    secant through the old anchor where the two points lie far enough
+    apart for rounding to leave the secant accurate.  The missed
+    elements' entries are left for the caller.
+    """
+    lo, hi = window
+    s0, p0, m0 = start.s, start.phi, start.slope
+    reach = _reach(s0)
+    with np.errstate(all="ignore"):
+        # Newton from the anchor, then Phi at that point
+        x = np.subtract(y, p0)
+        x /= m0
+        x += s0
+        np.clip(x, lo, hi, out=x)
+        fx = phi(x)
+        g = np.subtract(fx, y)
+        sec = np.subtract(fx, p0)
+        del fx
+        dx = np.subtract(x, s0)
+        sec /= dx
+        # a secant of the wrong sign (or none, where the two points
+        # coincide) leaves a Newton step with the anchor's slope
+        fits = sec > 0.0 if branch.increasing else sec < 0.0
+        keep = np.abs(dx, out=dx) > reach
+        keep &= fits
+        del dx
+        np.copyto(sec, m0, where=~fits)
+        np.copyto(m0, sec, where=keep)
+        g /= sec
+        x -= g
+        del g, sec, fits, keep
+        # certify: Phi on each side of the estimate, clamped to the
+        # window; the low side is the next anchor, and x moves to the
+        # high side
+        d = _half_width(x)
+        np.subtract(x, d, out=s0)
+        np.clip(s0, lo, hi, out=s0)
+        x += d
+        np.clip(x, lo, hi, out=x)
+        wide = np.ndim(d) > 0
+        del d
+        np.copyto(p0, phi(s0))
+        g_hi = np.subtract(phi(x), y)
+        g_lo = np.subtract(p0, y)
+    if not branch.increasing:
+        np.negative(g_lo, out=g_lo)
+        np.negative(g_hi, out=g_hi)
+    hit = (g_lo <= 0.0) & (g_hi >= 0.0)
+    s = _falsi_point(s0, x, g_lo, g_hi)
+    if wide:
+        # beyond |s| = 256 brackets two ulps wide exceed BISECT_TOL and
+        # close as cold ones do; the missed brackets, which do not change
+        # sign, collapse first
+        np.copyto(x, s0, where=~hit)
+        f, orient = _oriented(phi, branch)
+        _close_open(f, y if orient > 0 else -y, s, s0, x, g_lo, g_hi)
+    return s, np.flatnonzero(~hit)

@@ -21,6 +21,18 @@ which is what makes the truncation harmless and the iteration stable.
 A decreasing branch is solved as it is: the scalar map then decreases in
 beta, and the beta solve and the branch inverse read the orientation.
 
+Each evaluation of the scalar map inverts Phi on the branch at every node.
+Without a closed-form inverse, every inversion of a solve after the first
+starts from the certified brackets of the one before: one
+operators.InverseStart record lives for the whole solve, and _iterate
+hands it through g_map and BetaEquation to partial_inverse_array.  The
+targets move little between inversions (the beta walk's steps, and F
+between sweeps), so a Newton and a secant step from the last brackets
+replace the cold path's table, and three vector evaluations of Phi
+certify each inversion.  Elements that move too far fall back to the
+cold path, and every result stays the regula falsi point of a certified
+bracket.
+
 The outer loop is undamped by default: a window-3 secant (Anderson) step
 mixes the raw sweep outputs.  Its history is a ring of consecutive
 differences of the residuals and of the mixed points, and its
@@ -59,7 +71,7 @@ from .grid import (
     difference_residual,
     lp_norm,
 )
-from .operators import bracketed_root, partial_inverse_array
+from .operators import InverseStart, bracketed_root, partial_inverse_array
 from .problem import (
     BvpProblem,
     DerivedScalars,
@@ -128,31 +140,40 @@ class BetaEquation:
 
     kernel: SolverKernel
     F_n: np.ndarray
+    # where each inversion starts: the brackets of the last one
+    start: InverseStart | None = field(default=None, repr=False)
     # the last (xi, cumulative(xi)): the solve ends on the point g_map
     # integrates, so that integration is free
     _last: list = field(default_factory=list, repr=False)
 
     @staticmethod
-    def build(kernel: SolverKernel, Fcum: np.ndarray) -> "BetaEquation":
+    def build(
+        kernel: SolverKernel, Fcum: np.ndarray, start: InverseStart | None = None
+    ) -> "BetaEquation":
         """The map for the running integral Fcum of F at the nodes of the
-        kernel's mesh."""
+        kernel's mesh; `start`, when given, carries each inversion's
+        brackets to the next (see operators.partial_inverse_array)."""
         F_n = np.asarray(Fcum, dtype=float)
         if F_n.shape != kernel.disc.mesh.nodes.shape:
             raise InvalidInputError("cumulative grid lives on a different mesh")
         if not np.all(np.isfinite(F_n)):
             raise InvalidInputError("grid function values must be finite")
-        return BetaEquation(kernel, F_n)
+        return BetaEquation(kernel, F_n, start)
 
     def _slopes(self, xi: float) -> tuple[np.ndarray, np.ndarray]:
         # Phi^{-1}(xi + F) at the nodes only, weighted by 1/k
         problem = self.kernel.problem
-        inv = partial_inverse_array(problem.phi, problem.branch, xi + self.F_n)
+        inv = partial_inverse_array(
+            problem.phi, problem.branch, xi + self.F_n, self.start
+        )
         return self.kernel.disc.weighted(inv)
 
     def cumulative(self, xi: float) -> tuple[np.ndarray, np.ndarray]:
         """Running integral of (1/k)Phi^{-1}(xi + F) and its nodal integrand."""
         if self._last and self._last[0] == xi:
             return self._last[1]
+        # the last evaluation goes before this one allocates
+        self._last.clear()
         w_n, w_mid = self._slopes(xi)
         out = (cumulative_integral(self.kernel.disc.mesh, w_n, w_mid), w_n)
         self._last[:] = (xi, out)
@@ -354,17 +375,21 @@ def g_map(
     envs: Envelopes | None = None,
     tol_beta: float = 1e-12,
     beta_guess: float | None = None,
+    inverse_start: InverseStart | None = None,
 ) -> GStep:
     """g_x = nu1 + cumulative (1/k) Phi^{-1}(beta + F_cum) at one iterate.
 
     `beta_guess` is the first trial point of the beta solve (see
-    BetaEquation.solve); the previous sweep's beta is a good one.  Every
-    output must be finite.
+    BetaEquation.solve); the previous sweep's beta is a good one.
+    `inverse_start` carries the brackets of each branch inversion to the
+    next, across sweeps too.  Every output must be finite.
     """
     env = envs if envs is not None else envelopes(problem)
     F = truncated_rhs(problem, env, x, x_prime)
     Fcum = cumulative_integral(problem.mesh, F)
-    eq = BetaEquation.build(SolverKernel(problem), Fcum)
+    # F is spent: the beta solve's inversions set the peak memory
+    del F
+    eq = BetaEquation.build(SolverKernel(problem), Fcum, inverse_start)
     beta = eq.solve(tol_beta, guess=beta_guess)
     cum, w_n = eq.cumulative(beta)
     x_new = problem.nu1 + cum
@@ -562,7 +587,9 @@ def _iterate(
 
     The loop keeps a fixed working set of 2n-vectors: the iterate, r and
     its previous value, the previous h, and the two rings of SECANT_WINDOW
-    rows.  A caller's `initial` arrays are only read.
+    rows, and the inversions' record of 3 node arrays (one and a half
+    vectors) when the branch has no closed-form inverse.  A caller's
+    `initial` arrays are only read.
 
     Returns the g output to report (the last one if the loop converged,
     else the one with the smallest step), whether it converged, the step
@@ -606,11 +633,15 @@ def _iterate(
     halvings = rejections = 0
     converged = False
     last: GStep | None = None
+    # one record for every inversion of the solve: each starts from the
+    # brackets of the one before
+    inverse_start = InverseStart()
 
     for _ in range(cfg.max_outer):
         last = g_map(
             problem, x_vals, xp_vals, envs=envs, tol_beta=cfg.tol_beta,
             beta_guess=None if last is None else last.beta,
+            inverse_start=inverse_start,
         )
         if res is None:
             # res holds g - z, then r = h - z, and swaps roles with res_prev

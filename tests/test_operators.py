@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phibvp import (
     check_corollary_singular,
@@ -274,6 +276,34 @@ def test_hinted_branch_without_metadata_sees_an_unbounded_image(fn, hint):
     assert (br.image_lo, br.image_hi) == (-math.inf, math.inf)
 
 
+def test_hint_that_holds_a_turn_next_to_its_end_is_refused():
+    # s^3 - s decreases on (0.5, 1/sqrt(3)); the samples over (0.5, 1e8)
+    # lie 5e4 apart, so only the located-turn test at the end sees it
+    cubic = PhiOperator("c", lambda s: s**3 - s)
+    with pytest.raises(BranchNotFoundError):
+        hint_branch(cubic, (0.5, math.inf))
+    with pytest.raises(BranchNotFoundError):
+        hint_branch(cubic, (-math.inf, -0.5))
+    # a hint that ends at a turn is a branch: the turn is its end
+    c = 1.0 / math.sqrt(3.0)
+    assert hint_branch(cubic, (c, math.inf)).increasing
+    assert not hint_branch(cubic, (-c, c)).increasing
+    assert not hint_branch(sine(), (math.pi / 2, 3 * math.pi / 2)).increasing
+
+
+@pytest.mark.parametrize("floats_to_end", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_branch_next_to_a_singular_domain_end_reaches_it(floats_to_end, sign):
+    # s* one to three floats from the end of (-1, 1), where Phi is
+    # infinite: a side window with fewer than two floats toward that end
+    # holds nothing that could turn
+    op = _without_metadata("singular")
+    s_star = sign * (1.0 - floats_to_end * 2.0**-53)
+    br = find_branch(op, s_star)
+    assert (br.lo, br.hi) == (-1.0, 1.0)
+    assert (br.image_lo, br.image_hi) == (-math.inf, math.inf)
+
+
 def test_identity_without_metadata_takes_the_surjective_shortcut():
     op = PhiOperator("anon", lambda s: s, odd=True)
     prob = make_problem(
@@ -445,9 +475,9 @@ def test_generic_inverse_costs_at_most_three_vector_evaluations(monkeypatch):
     assert prob.branch.inverse is None
     per_call = []
 
-    def counted(phi, branch, y):
+    def counted(phi, branch, y, start=None):
         sizes.clear()
-        out = partial_inverse_array(phi, branch, y)
+        out = partial_inverse_array(phi, branch, y, start)
         # vector evaluations run over the elements; table samples and
         # scalar probes (at most INVERSE_TABLE_SIZE points) are not counted
         vector = [k for k in sizes if k > operators.INVERSE_TABLE_SIZE]
@@ -460,6 +490,8 @@ def test_generic_inverse_costs_at_most_three_vector_evaluations(monkeypatch):
     assert report.status == "converged"
     assert len(per_call) > 10
     # one at the falsi points and one on each side of the polished points
+    # (cold), or at the Newton points and on each side of the secant
+    # points (warm)
     for vector_evals, elements, n in per_call:
         assert vector_evals <= 3
         assert elements <= 3 * n
@@ -665,3 +697,181 @@ def test_scalar_inverse_is_the_array_inverse():
         one = partial_inverse(op, br, float(y))
         assert one == float(partial_inverse_array(op, br, np.array([y]))[0])
         assert one == pytest.approx(s, rel=0.0, abs=operators.BISECT_TOL * (1.0 + abs(s)))
+
+
+# -- the warm start of a generic inversion -------------------------------------
+
+_CUBIC = PhiOperator("cubic", lambda s: s**3 - s)
+_PERONA_EXPRESSION = PhiOperator("expression", compile_expression("s/(1+s^2)", ("s",)))
+
+
+@st.composite
+def _warm_branches(draw):
+    """A generic branch, increasing or decreasing: a difference piece with
+    drawn exponents, a sampled branch of s^3 - s, or one of the
+    expression s/(1+s^2)."""
+    kind = draw(st.sampled_from(["difference", "cubic", "expression"]))
+    side = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    if kind == "difference":
+        alpha = draw(st.floats(0.0, 3.0))
+        beta = draw(st.floats(0.0, 3.0).filter(lambda b: abs(b - alpha) >= 0.25))
+        op = difference(alpha, beta)
+        s_c = ((beta + 1.0) / (alpha + 1.0)) ** (1.0 / (alpha - beta))
+        return op, op.piece_at(2.0 * s_c * side)
+    if kind == "cubic":
+        return _CUBIC, find_branch(_CUBIC, 2.0 * side)
+    return _PERONA_EXPRESSION, find_branch(_PERONA_EXPRESSION, 3.0 * side)
+
+
+def _assert_certified(op, br, ys, s):
+    # as test_generic_inverse_results_are_certified: Phi - y changes sign
+    # within BISECT_TOL (or one ulp) of s, up to two ulps of y, or vanishes
+    orient = 1.0 if br.increasing else -1.0
+
+    def f(v):
+        return orient * np.asarray(op(np.clip(v, br.lo, br.hi)))
+
+    t = orient * ys
+    h = np.maximum(operators.BISECT_TOL, np.spacing(np.abs(s)))
+    ulps = 2.0 * np.spacing(np.abs(t))
+    assert np.all((br.lo <= s) & (s <= br.hi))
+    assert np.all(((f(s - h) <= t + ulps) & (t - ulps <= f(s + h))) | (f(s) == t))
+
+
+@given(
+    case=_warm_branches(),
+    exponent=st.floats(-14.0, -1.0),
+    alternate=st.booleans(),
+)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_warm_inverse_is_certified_and_agrees_with_cold(case, exponent, alternate):
+    # targets of Phi over the inner 90% of the branch (|s| <= 4) move by
+    # 1e-14 to 1e-1 of 1 + |y|, all one way or alternating; a shift the
+    # estimate cannot follow falls back to the cold path, and every
+    # result is certified either way
+    op, br = case
+    assert br.inverse is None
+    lo, hi = max(br.lo, -4.0), min(br.hi, 4.0)
+    ss = lo + (hi - lo) * np.linspace(0.05, 0.95, 301)
+    y0 = np.asarray(op(ss), dtype=float)
+    signs = np.where(np.arange(y0.size) % 2, -1.0, 1.0) if alternate else 1.0
+    y1 = y0 + signs * 10.0**exponent * (1.0 + np.abs(y0))
+    # away from the image ends, where Phi flattens to rounding
+    keep = (y1 >= y0.min()) & (y1 <= y0.max())
+    assume(keep.any())
+    y0, y1 = y0[keep], y1[keep]
+    start = operators.InverseStart()
+    partial_inverse_array(op, br, y0, start)
+    warm = partial_inverse_array(op, br, y1, start)
+    cold = partial_inverse_array(op, br, y1)
+    _assert_certified(op, br, y1, warm)
+    assert np.all(np.abs(warm - cold) <= operators.BISECT_TOL * (1.0 + np.abs(cold)))
+    # the record moved to the new brackets, on the branch
+    assert np.all((br.lo <= start.s) & (start.s <= br.hi))
+
+
+def test_warm_inverse_falls_back_on_a_large_shift(monkeypatch):
+    op = difference(2.0, 0.0)
+    br = find_branch(op, 2.0)
+    y0 = np.asarray(op(np.linspace(1.5, 2.5, 500)))
+    start = operators.InverseStart()
+    partial_inverse_array(op, br, y0, start)
+    cold_sizes = []
+    real_cold = operators._cold_inverse
+
+    def cold(phi, branch, window, y, record):
+        cold_sizes.append(y.size)
+        return real_cold(phi, branch, window, y, record)
+
+    monkeypatch.setattr(operators, "_cold_inverse", cold)
+    # a small shift certifies warm; a shift of 1e-1 misses everywhere
+    near = partial_inverse_array(op, br, y0 + 1e-9, start)
+    assert cold_sizes == []
+    far = partial_inverse_array(op, br, y0 + 0.1, start)
+    assert cold_sizes == [y0.size]
+    _assert_certified(op, br, y0 + 1e-9, near)
+    _assert_certified(op, br, y0 + 0.1, far)
+    # the cold path refilled the record: the next small shift is warm again
+    again = partial_inverse_array(op, br, y0 + 0.1 + 1e-9, start)
+    assert cold_sizes == [y0.size]
+    _assert_certified(op, br, y0 + 0.1 + 1e-9, again)
+
+
+def test_warm_inverse_closes_ulp_wide_brackets_at_large_slopes(monkeypatch):
+    # beyond |s| = 256 one ulp exceeds BISECT_TOL / 2, so the two sides of
+    # a warm estimate bracket it two ulps wide; bracketed_root closes
+    # those as it closes the cold path's
+    op = difference(2.0, 0.0)
+    br = find_branch(op, 2.0)
+    y0 = np.asarray(op(np.linspace(300.0, 310.0, 200)))
+    start = operators.InverseStart()
+    partial_inverse_array(op, br, y0, start)
+    log = _BracketLog(operators.bracketed_root)
+    monkeypatch.setattr(operators, "bracketed_root", log)
+    cold_calls = []
+    monkeypatch.setattr(operators, "_cold_inverse", lambda *args: cold_calls.append(args))
+    ys = y0 * (1.0 + 1e-12)
+    warm = partial_inverse_array(op, br, ys, start)
+    assert log.runs and not cold_calls
+    monkeypatch.undo()
+    log.assert_certified(operators.BISECT_TOL)
+    _assert_certified(op, br, ys, warm)
+    cold = partial_inverse_array(op, br, ys)
+    assert np.all(np.abs(warm - cold) <= 2.0 * np.spacing(np.abs(cold)))
+
+
+def test_warm_inverse_with_a_record_of_another_size_runs_cold(monkeypatch):
+    op = difference(2.0, 0.0)
+    br = find_branch(op, 2.0)
+    start = operators.InverseStart()
+    partial_inverse_array(op, br, np.asarray(op(np.linspace(1.0, 3.0, 7))), start)
+    ys = np.asarray(op(np.linspace(1.0, 3.0, 11)))
+    s = partial_inverse_array(op, br, ys, start)
+    assert start.s.size == ys.size
+    assert np.array_equal(s, partial_inverse_array(op, br, ys))
+
+
+def test_closed_form_branch_leaves_the_record_empty():
+    op = perona_malik()
+    br = find_branch(op, 0.0)
+    start = operators.InverseStart()
+    partial_inverse_array(op, br, np.array([0.1, 0.2]), start)
+    assert start.s is None and start.phi is None and start.slope is None
+
+
+@pytest.mark.parametrize("n", [2000, 10_000])
+def test_solve_bisect_shape_inverts_warm_with_three_evaluations(monkeypatch, n):
+    # the solve-bisect workload's problem: 3 outer iterations, 8 map
+    # evaluations and 8 inversions; the first inversion is cold, and each
+    # later one certifies every element from the record with exactly 3
+    # vector evaluations of Phi and nothing else
+    op, sizes = _counting(difference(2.0, 0.0))
+    rhs = Rhs(
+        fn=lambda t, x, y: 0.05 * np.cos(x) * np.sin(y),
+        psi=lambda t: np.full_like(t, 0.05),
+        name="bisect-shape",
+    )
+    prob = make_problem(op, constant_weight(1.0), rhs, 0.0, 1.5, 1.0, mesh_n=n)
+    calls = []
+    evals = []
+    real_value = solver.BetaEquation.value
+
+    def counted(phi, branch, y, start=None):
+        warm = start is not None and start.s is not None and start.s.size == np.size(y)
+        sizes.clear()
+        out = partial_inverse_array(phi, branch, y, start)
+        calls.append((warm, list(sizes)))
+        return out
+
+    monkeypatch.setattr(solver, "partial_inverse_array", counted)
+    monkeypatch.setattr(
+        solver.BetaEquation, "value", lambda self, xi: evals.append(xi) or real_value(self, xi)
+    )
+    report = solver.solve(prob)
+    assert report.status == "converged"
+    assert report.iterations == 3
+    assert len(evals) == 8 and len(calls) == 8
+    assert [warm for warm, _ in calls] == [False] + [True] * 7
+    nodes = prob.mesh.nodes.size
+    for _, evaluated in calls[1:]:
+        assert evaluated == [nodes] * 3
