@@ -422,11 +422,13 @@ def _turns_at(phi: PhiOperator, end: float, toward: float, direction: int) -> bo
     of a window that reaches toward `toward`: find_branch's located-turn
     test, _rise, two of its steps inside the end, so that a turn located
     to rounding at the end itself passes.  Samples spread over a wide
-    window miss a turn that close to an end."""
+    window miss a turn that close to an end.  Only a step against
+    `direction` counts: a tail that saturates or underflows has equal
+    neighbours, as _monotone_direction allows."""
     p = end + math.copysign(2.0 * TURN_STEP * max(1.0, abs(end)), toward - end)
     if not min(end, toward) < p < max(end, toward):
         return False
-    return not direction * _rise(phi, p) > 0.0
+    return direction * _rise(phi, p) < 0.0
 
 
 def find_branch(phi: PhiOperator, s_star: float) -> MonotoneBranch:
@@ -656,7 +658,8 @@ class InverseStart:
 
     Per element: an anchor on the branch, Phi at the anchor as evaluated
     (a cold call recovers it from its bracket's value, Phi - y, exactly
-    where Phi and y lie within a factor two), and Phi's slope there.
+    where Phi and y lie within a factor two), and Phi's slope there (a
+    cold call takes its table cell's).
     Empty until partial_inverse_array fills it from a cold call; each
     warm call refreshes it in place.  Only estimates are taken from it,
     never a sign, so a record that fits the targets badly costs a cold
@@ -751,21 +754,12 @@ def partial_inverse_array(
     return s.reshape(y.shape)
 
 
-def _half_width(x: np.ndarray):
+def _half_width(x: np.ndarray) -> np.ndarray:
     """max(BISECT_TOL/4, one ulp of x): how far each side of an estimate x
-    lies from it when it is certified.  One scalar where no |x| reaches
-    128, below which BISECT_TOL/4 is the larger."""
-    step = 0.25 * BISECT_TOL
-    if np.spacing(max(float(np.max(x)), -float(np.min(x)))) <= step:
-        return step
+    lies from it when it is certified."""
     d = np.spacing(np.abs(x))
-    np.maximum(d, step, out=d)
+    np.maximum(d, 0.25 * BISECT_TOL, out=d)
     return d
-
-
-def _reach(s: np.ndarray) -> float:
-    """SECANT_REACH of the scale of s, 1 + max |s|."""
-    return SECANT_REACH * (1.0 + max(float(np.max(s)), -float(np.min(s))))
 
 
 def _close_open(f, ty, s, a, b, ga, gb) -> None:
@@ -792,9 +786,7 @@ def _cold_inverse(
 
     Fills `start`, when given, from the values it has computed: the end
     of each final bracket that is nearer its root, Phi there, and the
-    secant from the polish's falsi point, or the table cell's slope where
-    that point lies too near the end for the secant to beat rounding
-    (_reach)."""
+    slope of the table cell."""
     f, orient = _oriented(phi, branch)
     ty = y if orient > 0 else -y
     lo, hi = window
@@ -840,8 +832,7 @@ def _cold_inverse(
     x = _inverse_quadratic(a, b, ga, gb, x0, g0)
     _narrow(a, b, ga, gb, x0, g0)
     np.copyto(x, x0, where=~((a <= x) & (x <= b)))
-    if start is None:
-        del x0, g0
+    del x0, g0
     # certify: Phi on each side of the polished point
     d = _half_width(x)
     for sign in (-1.0, 1.0):
@@ -852,13 +843,7 @@ def _cold_inverse(
     if start is not None:
         nearer = np.abs(ga) <= np.abs(gb)
         start.s = np.where(nearer, a, b)
-        g_s = np.where(nearer, ga, gb)
-        with np.errstate(all="ignore"):
-            sec = (g0 - g_s) / (x0 - start.s)
-        far = np.abs(x0 - start.s) > _reach(start.s)
-        np.copyto(slope, sec, where=far & (sec > 0.0))
-        del x0, g0, sec, far
-        start.phi = g_s
+        start.phi = np.where(nearer, ga, gb)
         start.phi += ty
         if orient < 0:
             np.negative(start.phi, out=start.phi)
@@ -888,7 +873,7 @@ def _warm_inverse(
     """
     lo, hi = window
     s0, p0, m0 = start.s, start.phi, start.slope
-    reach = _reach(s0)
+    reach = SECANT_REACH * (1.0 + max(float(np.max(s0)), -float(np.min(s0))))
     with np.errstate(all="ignore"):
         # Newton from the anchor, then Phi at that point
         x = np.subtract(y, p0)
@@ -920,7 +905,6 @@ def _warm_inverse(
         np.clip(s0, lo, hi, out=s0)
         x += d
         np.clip(x, lo, hi, out=x)
-        wide = np.ndim(d) > 0
         del d
         np.copyto(p0, phi(s0))
         g_hi = np.subtract(phi(x), y)
@@ -930,11 +914,10 @@ def _warm_inverse(
         np.negative(g_hi, out=g_hi)
     hit = (g_lo <= 0.0) & (g_hi >= 0.0)
     s = _falsi_point(s0, x, g_lo, g_hi)
-    if wide:
-        # beyond |s| = 256 brackets two ulps wide exceed BISECT_TOL and
-        # close as cold ones do; the missed brackets, which do not change
-        # sign, collapse first
-        np.copyto(x, s0, where=~hit)
-        f, orient = _oriented(phi, branch)
-        _close_open(f, y if orient > 0 else -y, s, s0, x, g_lo, g_hi)
+    # beyond |s| = 256 brackets two ulps wide exceed BISECT_TOL and close
+    # as cold ones do; the missed brackets, which do not change sign,
+    # collapse first
+    np.copyto(x, s0, where=~hit)
+    f, orient = _oriented(phi, branch)
+    _close_open(f, y if orient > 0 else -y, s, s0, x, g_lo, g_hi)
     return s, np.flatnonzero(~hit)

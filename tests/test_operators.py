@@ -291,6 +291,20 @@ def test_hint_that_holds_a_turn_next_to_its_end_is_refused():
     assert not hint_branch(sine(), (math.pi / 2, 3 * math.pi / 2)).increasing
 
 
+@pytest.mark.parametrize("end", [1e6, 1e8, 1e20])
+def test_hint_with_a_saturated_finite_end_still_certifies(end):
+    # atan is pi/2 to rounding near 1e20 and nearly so at 1e6: Phi there
+    # does not move, which is no step against the branch's direction
+    arctan = PhiOperator("a", compile_expression("atan(s)", ("s",)))
+    br = hint_branch(arctan, (0.0, end))
+    assert br.increasing and (br.lo, br.hi) == (0.0, end)
+    # find_branch certifies a window grown to the domain's ends the same way
+    bounded = PhiOperator("a", arctan.fn, domain=(-end, end))
+    br = find_branch(bounded, 0.5)
+    assert (br.lo, br.hi) == (-end, end)
+    assert hint_branch(mean_curvature(), (0.0, 1e6)).increasing
+
+
 @pytest.mark.parametrize("floats_to_end", [1, 2, 3])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_branch_next_to_a_singular_domain_end_reaches_it(floats_to_end, sign):
