@@ -2,9 +2,9 @@
 
 Solves the worked cubic-decay family `halfline1` of phibvp.hypotheses,
 ((1+t^2) x')' = t^2 cos(x) x'^3, with boundary data 0 -> 0.2 on a
-doubling interval schedule, prints the successive-gap table, then
-repeats with zero forcing where the limit is lam * arctan(t) / (pi/2)
-in closed form.
+doubling interval schedule, prints each interval's sweeps, residual and
+successive gap, then repeats with zero forcing where the limit is
+lam * arctan(t) / (pi/2) in closed form.
 
 Run:  python3 scripts/heteroclinic_demo.py
 """
@@ -44,11 +44,11 @@ def cubic_problem():
 
 def report_run(tag, hetero):
     print(f"\n== {tag}")
-    print(f"{'interval':>10}  {'status':>10}  {'residual':>11}  {'gap':>11}")
+    print(f"{'interval':>10}  {'status':>10}  {'sweeps':>6}  {'residual':>11}  {'gap':>11}")
     for run in hetero.runs:
         gap = "-" if run.gap is None else f"{run.gap:11.4e}"
         print(
-            f"[0, {run.n:5g}]  {run.report.status:>10}  "
+            f"[0, {run.n:5g}]  {run.report.status:>10}  {run.report.iterations:6d}  "
             f"{run.report.residual:11.3e}  {gap:>11}"
         )
     print(

@@ -57,7 +57,7 @@ EXIT_NUMERIC = 4
 TABLE_HEADER = "t,x,dx,u"
 # rows are encoded a block at a time, so the writer's work arrays do not
 # grow with the table
-TABLE_BLOCK_ROWS = 1024
+TABLE_BLOCK_ROWS = 2048
 
 
 def _fmt(value: float) -> str:
@@ -197,11 +197,19 @@ def _halfline_sections(report: HeteroclinicReport):
     if report.detail:
         pairs.append(("detail", _sanitize(report.detail)))
     sections = [("halfline", tuple(pairs))]
-    if report.gaps:
-        gap_pairs = tuple(
-            (f"after_{label:g}", _fmt(gap)) for label, gap in report.gaps
+    gap_pairs = tuple((f"after_{label:g}", _fmt(gap)) for label, gap in report.gaps)
+    run_pairs = tuple(
+        (f"{key}_{run.n:g}", text)
+        for run in report.runs
+        for key, text in (
+            ("status", run.report.status),
+            ("iterations", str(run.report.iterations)),
+            ("residual", _fmt(run.report.residual)),
         )
-        sections.append(("halfline.gaps", gap_pairs))
+    )
+    for name, section in (("halfline.gaps", gap_pairs), ("halfline.intervals", run_pairs)):
+        if section:
+            sections.append((name, section))
     return tuple(sections)
 
 
@@ -472,7 +480,8 @@ def cmd_halfline(cfg: ProblemConfig, args) -> int:
         write_solution_table(path, run.report.x.mesh, run.report)
         gap_text = "-" if run.gap is None else _fmt(run.gap)
         print(
-            f"interval [0, {run.n:g}]: {run.report.status}, gap {gap_text}"
+            f"interval [0, {run.n:g}]: {run.report.status}, gap {gap_text}, "
+            f"sweeps {run.report.iterations}"
         )
 
     gaps_path = os.path.join(args.output, "gaps.txt")

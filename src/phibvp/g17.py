@@ -47,7 +47,7 @@ def _word(text: str) -> int:
 
 @functools.cache
 def _tables():
-    """(pow10, quad, tz4, prefix, suffix, int_end, masks) for encode_rows."""
+    """(pow10, quad, prefix, suffix, int_end, masks) for encode_rows."""
     pow10 = []
     for k in range(_K_MIN, _K_MAX + 1):
         # 10**k ~ q * 2**-shift with q an int of at least 110 bits when k < 0
@@ -64,11 +64,9 @@ def _tables():
         pow10.append((head, head_hi, head - head_hi, tail))
     pow10 = np.array(pow10).T.copy()
 
-    # four ASCII digits of 0..9999 in the low half of a word, and how
-    # many of them are trailing zeros
+    # four ASCII digits of 0..9999 in the low half of a word
     fours = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
     quad = (fours + 48).astype(np.uint8).view(np.uint32).ravel().astype(np.uint64)
-    tz4 = np.cumprod(fours[:, ::-1] == 0, axis=1).sum(axis=1)
 
     xs = range(-_X_OFF, _X_OFF + 1)
     fixed = [-4 <= x < 17 for x in xs]
@@ -101,7 +99,7 @@ def _tables():
     masks[:, :, 1, 1:17] = (kept & ~low) * np.uint8(0xFF)
     masks[1:, :, 2, 0:16] = np.eye(16, dtype=np.uint8)[:, None, :] * np.uint8(ord("."))
     masks = masks.reshape(17 * 17, 9 * 8).view(np.uint64).T.copy()
-    return pow10, quad, tz4, prefix, suffix, int_end, masks
+    return pow10, quad, prefix, suffix, int_end, masks
 
 
 def _exact(value: float) -> bytes:
@@ -117,17 +115,22 @@ def _decimal(v: np.ndarray, pow10: np.ndarray):
     a[~fast] = 1.0
     X = np.floor(np.log10(a)).astype(np.int64)
     # |v| * 10**(16 - X) = fp + q, fp an integer-valued double
-    head, head_hi, head_lo, tail = (t[16 - X - _K_MIN] for t in pow10)
+    head, head_hi, head_lo, tail = pow10.take(16 - X - _K_MIN, axis=1)
     p = a * head
-    c = _SPLIT * a
-    a_hi = c - (c - a)
+    a_hi = _SPLIT * a
+    a_hi -= a_hi - a
     a_lo = a - a_hi
-    # Dekker: p + e = a * head exactly
-    e = ((a_hi * head_hi - p) + a_hi * head_lo + a_lo * head_hi) + a_lo * head_lo
+    # Dekker: p + e = a * head exactly, e summed left to right in place
+    e = a_hi * head_hi
+    e -= p
+    for x, y in ((a_hi, head_lo), (a_lo, head_hi), (a_lo, head_lo)):
+        e += x * y
     fp = np.floor(p)
-    q = (p - fp) + (e + a * tail)
+    e += a * tail
+    q = np.subtract(p, fp, out=p)
+    q += e
     fq = np.floor(q)
-    frac = q - fq
+    frac = np.subtract(q, fq, out=q)
     D = fp.astype(np.int64) + fq.astype(np.int64)
     # below 10**16 X is one too high, unless the value rounds up to 10**16
     # at either exponent, as an exact power of ten does
@@ -139,7 +142,7 @@ def _decimal(v: np.ndarray, pow10: np.ndarray):
     return D, X, fast
 
 
-def _digits(D: np.ndarray, quad: np.ndarray, tz4: np.ndarray):
+def _digits(D: np.ndarray, quad: np.ndarray):
     """The first of the 17 ASCII digits of D in the top byte of a word, the
     other 16 in two words, and the index of the last nonzero digit."""
     # D = d0 c0 c1 c2 c3: one digit, then four groups of four
@@ -151,37 +154,42 @@ def _digits(D: np.ndarray, quad: np.ndarray, tz4: np.ndarray):
     c1 = h8 - c0 * 10**4
     c2 = l8 // 10**4
     c3 = l8 - c2 * 10**4
-    zeros = tz4[c3]
-    for group, chunk in ((1, c2), (2, c1), (3, c0)):
-        zeros += np.where(zeros == 4 * group, tz4[chunk], 0)
     half = np.uint64(32)
     lead = (d0 + ord("0")).astype(np.uint64) << np.uint64(56)
     words = (quad[c0] | (quad[c1] << half), quad[c2] | (quad[c3] << half))
-    return lead, words, 16 - zeros
+    # digit j >= 1 is byte (j - 1) % 8 of word (j - 1) // 8.  Less its '0',
+    # each byte is at most 9, so frexp's exponent is the exact bit length
+    e1, e2 = (np.frexp((w ^ np.uint64(0x3030303030303030)).astype(float))[1] for w in words)
+    return lead, words, np.where(e2 > 0, 8 + (e2 + 7) // 8, (e1 + 7) // 8)
+
+
+def _slots(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(out, fast): each value's four-word slot, its last byte NUL, and where
+    the fast path holds; the work arrays die before encode_rows joins."""
+    pow10, quad, prefix, suffix, int_end, masks = _tables()
+    D, X, fast = _decimal(v, pow10)
+    lead, (w1, w2), last = _digits(D, quad)
+    X += _X_OFF
+    ends = int_end[X]
+    # mask row (p + 1) * 17 + keep: p = ends if a digit follows, else -1
+    code = np.where(last > ends, (ends + 1) * 17 + last, ends)
+    out = np.empty((v.size, 4), np.uint64)
+    out[:, 0] = prefix[X + (2 * _X_OFF + 1) * (v < 0)] | lead
+    # the digits after the point move one byte up; the last can reach word 3
+    eight, top = np.uint64(8), np.uint64(56)
+    for i, w, up in ((0, w1, w1 << eight), (1, w2, (w2 << eight) | (w1 >> top))):
+        out[:, 1 + i] = (w & masks[i][code]) | (up & masks[3 + i][code])
+        out[:, 1 + i] |= masks[6 + i][code]
+    out[:, 3] = (w2 >> top & masks[5][code]) | suffix[X]
+    return out, fast
 
 
 def encode_rows(block: np.ndarray) -> bytes:
     """Rows of a 2-D float array as ASCII: each value exactly `%.17g`,
     values joined by ',' and every row ended by '\\n'."""
-    pow10, quad, tz4, prefix, suffix, int_end, masks = _tables()
     rows, cols = block.shape
     v = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    D, X, fast = _decimal(v, pow10)
-    lead, (w1, w2), last = _digits(D, quad, tz4)
-
-    xi = X + _X_OFF
-    ends = int_end[xi]
-    point = np.where(last > ends, ends, -1)
-    code = (point + 1) * 17 + np.maximum(last, ends)
-    out = np.empty((v.size, 4), np.uint64)
-    out[:, 0] = prefix[xi + (2 * _X_OFF + 1) * (v < 0)] | lead
-    # the digits after the point move one byte up; the last can reach word 3
-    eight, top = np.uint64(8), np.uint64(56)
-    shifted = (w1 << eight, (w2 << eight) | (w1 >> top), w2 >> top)
-    for i, w in enumerate((w1, w2)):
-        out[:, 1 + i] = (w & masks[i][code]) | (shifted[i] & masks[3 + i][code])
-        out[:, 1 + i] |= masks[6 + i][code]
-    out[:, 3] = (shifted[2] & masks[5][code]) | suffix[xi]
+    out, fast = _slots(v)
     # the separator sits in the last byte of the slot
     sep = np.full(cols, _word("\0" * 7 + ","), np.uint64)
     sep[-1] = _word("\0" * 7 + "\n")

@@ -4,9 +4,9 @@ Solving the Dirichlet problem on a growing schedule of intervals [0, n_j]
 and extending each solution by nu2 yields a sequence whose uniform gaps
 contract when 1/k and psi are integrable on the half-line; the limit
 connects x(0) = nu1 to x(+inf) = nu2.  This module runs the schedule,
-seeds each interval with the extension of the previous solution, and
-monitors the gap sequence together with the uniform slope and offset
-bounds that justify the limit passage.
+starts each interval from the previous solution moved in K (exact when
+f = 0, see solve_halfline), and monitors the gap sequence together with
+the uniform slope and offset bounds that justify the limit passage.
 """
 
 from __future__ import annotations
@@ -214,10 +214,12 @@ def solve_halfline(
 ) -> HeteroclinicReport:
     """Run the interval schedule until successive extensions agree.
 
-    Each interval is solved with the previous extension as the initial
-    iterate; the first gap at or below tol_h stops the schedule.  A
-    per-interval solve that does not converge aborts the schedule with
-    the partial report.
+    Each interval after the first starts from the previous solution moved
+    by the change of the affine-in-K profile nu1 + (nu2 - nu1) K / K(n),
+    K the running integral of 1/k: that profile solves every interval when
+    f = 0, so there the start is exact and converges in one sweep.  The
+    first gap at or below tol_h stops the schedule; a per-interval solve
+    that does not converge aborts it with the partial report.
     """
     cfg = config if config is not None else IterationConfig()
     sc = hp.scalars
@@ -230,12 +232,13 @@ def solve_halfline(
     prev_n = math.nan
     prev_k = -math.inf
     prev_abs_s = math.inf
+    move = hp.nu2 - hp.nu1
     status = "schedule-exhausted"
     detail = ""
 
     for n in hp.schedule:
         k_n = k_mass_upto(hp.weight, float(n))
-        s_n = (hp.nu2 - hp.nu1) / k_n
+        s_n = move / k_n
         if not (k_n > prev_k):
             raise InvalidInputError("interval mass k_n failed to increase")
         if abs(s_n) > prev_abs_s + 1e-15 * (1.0 + abs(s_n)):
@@ -247,11 +250,12 @@ def solve_halfline(
             problem = _interval_problem(hp, n)
             initial = None
             if prev is not None:
-                nodes = problem.mesh.nodes
-                x0 = extend_by_nu2(prev.x, nodes)
+                nodes, K = problem.mesh.nodes, problem.disc.recip_cumulative
+                K_prev, slope = np.interp(prev_n, nodes, K), move * problem.disc.recip_n
+                x0 = extend_by_nu2(prev.x, nodes) + move * (K / K[-1] - np.minimum(K / K_prev, 1))
                 mask = ~prev.x.mesh.singular_mask()
                 xp0 = np.interp(nodes, prev.x.mesh.nodes[mask], prev.x_prime.values[mask])
-                xp0 = np.where(nodes > prev.x.mesh.nodes[-1], 0.0, xp0)
+                xp0 = np.where(nodes <= prev_n, xp0 - slope / K_prev, 0.0) + slope / K[-1]
                 initial = (x0, xp0)
             rep = solve(problem, cfg, initial=initial)
         except PhibvpError as exc:
@@ -263,17 +267,8 @@ def solve_halfline(
         if prev is not None:
             gap = _gap(prev.x, rep.x)
             gaps.append((float(prev_n), gap))
-        runs.append(
-            IntervalRun(
-                n=float(n),
-                k_n=k_n,
-                s_star_n=s_n,
-                report=rep,
-                gap=gap,
-                envelope_excess=env_ex,
-                offset_excess=off_ex,
-            )
-        )
+        runs.append(IntervalRun(n=float(n), k_n=k_n, s_star_n=s_n, report=rep, gap=gap,
+                                envelope_excess=env_ex, offset_excess=off_ex))
         if rep.status != "converged":
             status = "aborted"
             detail = f"interval [0, {n:g}]: solver status {rep.status!r}"

@@ -880,6 +880,33 @@ class TestHalfline:
         record = parse_config((out / "record.txt").read_text())
         assert record.section("halfline")["status"] == "converged"
         assert record.section("halfline.gaps") is not None
+        # f = 0: the first interval starts from its solution, and each
+        # later one from the previous solution moved onto its own
+        printed = re.findall(r"^interval \[0, (\d+)\]: converged, gap \S+, sweeps (\d+)$",
+                             capsys.readouterr().out, re.M)
+        assert printed == [("5", "1"), ("10", "1"), ("20", "1")]
+        intervals = record.section("halfline.intervals")
+        assert list(intervals) == [
+            f"{key}_{n}" for n in (5, 10, 20) for key in ("status", "iterations", "residual")
+        ]
+        assert all(intervals[f"status_{n}"] == "converged" for n in (5, 10, 20))
+        assert all(intervals[f"iterations_{n}"] == "1" for n in (5, 10, 20))
+
+    def test_record_with_intervals_replays(self, tmp_path, echoed_config):
+        forced = ARCTAN.replace("[problem]", "[rhs]\nexample = halfline2\n\n[problem]")
+        cfg = write(tmp_path, forced)
+        out, replay = tmp_path / "run", tmp_path / "replay"
+        assert main(["halfline", cfg, "-o", str(out)]) == 0
+        record = parse_config((out / "record.txt").read_text())
+        replay_cfg = tmp_path / "replay.cfg"
+        replay_cfg.write_text(echoed_config(record))
+        assert main(["halfline", str(replay_cfg), "-o", str(replay)]) == 0
+        again = parse_config((replay / "record.txt").read_text())
+        assert again.section("halfline.intervals") == record.section("halfline.intervals")
+        tables = sorted(path.name for path in out.glob("interval_*.txt"))
+        assert tables == sorted(path.name for path in replay.glob("interval_*.txt"))
+        for name in tables:
+            assert (replay / name).read_bytes() == (out / name).read_bytes()
 
     def test_check_gate(self, tmp_path):
         # halfline1 cubic family fails its tail condition at lam = 0.28
@@ -1301,6 +1328,25 @@ class TestSolutionTable:
         assert text == "".join(expected)
         for piece in ("nan", "-inf", "4.9406564584124654e-324", "1.0000000000000001e+300", ",-0,"):
             assert piece in text
+
+    def test_block_size_does_not_change_the_bytes(self, tmp_path, monkeypatch):
+        # 2 * TABLE_BLOCK_ROWS + 1 rows: two full blocks and one of one row
+        nodes = np.linspace(0.0, 3.0, 2 * TABLE_BLOCK_ROWS + 1)
+        report = SimpleNamespace(
+            x=SimpleNamespace(values=np.tanh(nodes)),
+            x_prime=SimpleNamespace(values=-np.exp(-nodes) * 1e-7),
+            u=SimpleNamespace(values=np.sin(50.0 * nodes) * 1e20),
+        )
+        # the one-row block holds the singular node
+        mesh = Mesh(nodes, singular_indices=(2 * TABLE_BLOCK_ROWS,))
+        rows = np.column_stack((nodes, report.x.values, report.x_prime.values, report.u.values))
+        rows[-1, 2] = np.nan
+        expected = b"t,x,dx,u\n" + b"".join(b"%.17g,%.17g,%.17g,%.17g\n" % tuple(r) for r in rows)
+        for block_rows in (TABLE_BLOCK_ROWS, 1000, 4096):
+            monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", block_rows)
+            path = tmp_path / f"table_{block_rows}.txt"
+            write_solution_table(str(path), mesh, report)
+            assert path.read_bytes() == expected, block_rows
 
     @pytest.mark.parametrize(
         "text",

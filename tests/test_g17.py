@@ -102,3 +102,28 @@ def test_fallback_takes_zeros_non_finite_and_out_of_range_values(monkeypatch):
     values = np.array([0.0, -0.0, np.nan, np.inf, 1e-300, 0.1, -2.5, 1e20, 123456.0])
     assert_exact(values)
     assert len(calls) == 5
+
+
+def trailing_zeros(text: str) -> int:
+    """How many of the 17 digits of a %.17g text are trailing zeros."""
+    digits = text.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+    return 17 - len(digits.rstrip("0"))
+
+
+def test_every_trailing_zero_count_in_both_notations_and_signs():
+    # the last kept digit is read from the bit length of the digit words,
+    # so pin each count 0-16 in fixed and exponential notation, both signs
+    rng = np.random.default_rng(8)
+    found = {}
+    for _ in range(400):
+        for k in range(1, 18):
+            m = int(rng.integers(10 ** (k - 1), 10**k))
+            for lead_exp in (-3, 0, 9, 16, -12, 17, 40):
+                for sign in ("", "-"):
+                    v = float(f"{sign}{m}e{lead_exp - k + 1}")
+                    text = format(v, ".17g")
+                    found.setdefault((trailing_zeros(text), "e" in text, sign), v)
+    assert sorted(found) == sorted(
+        (z, exp, sign) for z in range(17) for exp in (False, True) for sign in ("", "-")
+    )
+    assert_exact(list(found.values()))

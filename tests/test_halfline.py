@@ -7,6 +7,7 @@ so the gap between consecutive extensions is lam * (1 - arctan(n)/arctan(m))
 and the limit profile is the heteroclinic x(t) = (2 lam / pi) arctan(t).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,13 +30,16 @@ from phibvp import (
     find_branch,
     halfline_integral,
     k_mass_upto,
+    load_problem_config,
     make_operator,
     one_plus_t_squared_weight,
+    parse_config,
+    solve,
     solve_halfline,
     sqrt_t_weight,
     zero_rhs,
 )
-from phibvp.halfline import _gap
+from phibvp.halfline import _gap, _interval_problem
 
 LAM = 0.2
 
@@ -240,6 +244,57 @@ class TestArctanFamily:
         assert len(rep.runs) == 2
         assert len(rep.gaps) == 1
         assert rep.gaps[0][1] == pytest.approx(closed_form_gap(LAM, 5.0, 10.0), rel=1e-4)
+
+
+# the half-line benchmark workload's config at its unjittered nu2
+HALFLINE1 = """[problem]
+nu1 = 0.0
+nu2 = 0.2
+halfline = true
+
+[operator]
+name = r_laplacian
+r = 2
+
+[weight]
+name = one_plus_t_squared
+
+[rhs]
+example = halfline1
+
+[check]
+kind = halfline
+l_lip = 1
+delta = 0.5
+"""
+
+
+class TestWarmStart:
+    """Each interval starts from the previous solution moved by the change
+    of the affine-in-K profile from [0, n_prev] to [0, n]."""
+
+    def test_zero_forcing_warm_intervals_take_one_sweep(self):
+        # the profile solves every interval when f = 0, so the moved start
+        # is already the fixed point
+        rep = solve_halfline(arctan_problem())
+        assert len(rep.runs) == 6
+        assert [run.report.iterations for run in rep.runs[1:]] == [1] * 5
+
+    def test_halfline1_takes_few_sweeps_and_agrees_with_tight_solves(self):
+        cfg = load_problem_config(parse_config(HALFLINE1))
+        hp = cfg.build_halfline()
+        rep = solve_halfline(hp, cfg.iteration)
+        assert rep.status == "converged" and len(rep.runs) == 6
+        # 27 sweeps from the extension by nu2 alone
+        assert sum(run.report.iterations for run in rep.runs) <= 22
+        tight = dataclasses.replace(cfg.iteration, tol_fp=1e-14)
+        for run in rep.runs:
+            ref = solve(_interval_problem(hp, run.n), tight)
+            assert ref.status == "converged"
+            for column in ("x", "x_prime", "u"):
+                got = getattr(run.report, column).values
+                want = getattr(ref, column).values
+                assert np.max(np.abs(got - want)) <= 1e-11, (run.n, column)
 
 
 class TestAbortPaths:

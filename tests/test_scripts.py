@@ -37,7 +37,8 @@ def run_script(name: str) -> str:
     return done.stdout
 
 
-# the demo's printout with the residual column, rounding-level values, cut
+# the demo's printout with the residual column, rounding-level values, cut;
+# the sweeps column pins the warm start of each interval
 HETEROCLINIC_DEMO = """\
 half-line hypothesis check: pass
   recip-integrable: pass
@@ -50,23 +51,23 @@ half-line hypothesis check: pass
 closed-form admissible |lambda| bound: 0.258569 > 0.2
 
 == cubic forcing
-  interval      status     residual          gap
-[0,     5]   converged            -
-[0,    10]   converged   1.3311e-02
-[0,    20]   converged   6.5486e-03
-[0,    40]   converged   3.2352e-03
-[0,    80]   converged   1.6063e-03
-[0,   160]   converged   8.0016e-04
+  interval      status  sweeps     residual          gap
+[0,     5]   converged       4            -
+[0,    10]   converged       4   1.3311e-02
+[0,    20]   converged       4   6.5486e-03
+[0,    40]   converged       3   3.2352e-03
+[0,    80]   converged       3   1.6063e-03
+[0,   160]   converged       3   8.0016e-04
 status converged; tail value 0.200000 (target 0.2); k_infinity 1.570796
 
 == zero forcing (closed form known)
-  interval      status     residual          gap
-[0,     5]   converged            -
-[0,    10]   converged   1.3286e-02
-[0,    20]   converged   6.5372e-03
-[0,    40]   converged   3.2299e-03
-[0,    80]   converged   1.6037e-03
-[0,   160]   converged   7.9888e-04
+  interval      status  sweeps     residual          gap
+[0,     5]   converged       1            -
+[0,    10]   converged       1   1.3286e-02
+[0,    20]   converged       1   6.5372e-03
+[0,    40]   converged       1   3.2299e-03
+[0,    80]   converged       1   1.6037e-03
+[0,   160]   converged       1   7.9888e-04
 status converged; tail value 0.200000 (target 0.2); k_infinity 1.570796
 worst deviation from lam*arctan(t)/arctan(n): 1.953e-07
 """
