@@ -658,8 +658,9 @@ class InverseStart:
 
     Per element: an anchor on the branch, Phi at the anchor as evaluated
     (a cold call recovers it from its bracket's value, Phi - y, exactly
-    where Phi and y lie within a factor two), and Phi's slope there (a
-    cold call takes its table cell's).
+    where Phi and y lie within a factor two, or takes the target where it
+    anchors at a result), and Phi's slope there (a cold call takes its
+    table cell's).
     Empty until partial_inverse_array fills it from a cold call; each
     warm call refreshes it in place.  Only estimates are taken from it,
     never a sign, so a record that fits the targets badly costs a cold
@@ -762,10 +763,10 @@ def _half_width(x: np.ndarray) -> np.ndarray:
     return d
 
 
-def _close_open(f, ty, s, a, b, ga, gb) -> None:
+def _close_open(f, ty, s, a, b, ga, gb) -> np.ndarray:
     """bracketed_root on the brackets wider than BISECT_TOL, INVERSE_BLOCK
     elements at a time so that its work arrays stay small; their results
-    go to s."""
+    go to s, and their indices are returned."""
     rest = np.flatnonzero(b - a > BISECT_TOL)
     for first in range(0, rest.size, INVERSE_BLOCK):
         k = rest[first : first + INVERSE_BLOCK]
@@ -773,6 +774,7 @@ def _close_open(f, ty, s, a, b, ga, gb) -> None:
             lambda x, idx, t=ty[k]: np.asarray(f(x), dtype=float) - t[idx],
             a[k], b[k], ga[k], gb[k], BISECT_TOL,
         )
+    return rest
 
 
 def _cold_inverse(
@@ -786,7 +788,8 @@ def _cold_inverse(
 
     Fills `start`, when given, from the values it has computed: the end
     of each final bracket that is nearer its root, Phi there, and the
-    slope of the table cell."""
+    slope of the table cell.  An element that bracketed_root closes is
+    anchored at its result instead, with its target for Phi there."""
     f, orient = _oriented(phi, branch)
     ty = y if orient > 0 else -y
     lo, hi = window
@@ -850,7 +853,12 @@ def _cold_inverse(
             np.negative(slope, out=slope)
         start.slope = slope
     # the flat ends of a branch and any element the polish missed
-    _close_open(f, ty, s, a, b, ga, gb)
+    closed = _close_open(f, ty, s, a, b, ga, gb)
+    if start is not None:
+        # their brackets' ends may lie a table cell from the root: anchor
+        # them at their results, where the target estimates Phi
+        start.s[closed] = s[closed]
+        start.phi[closed] = y[closed]
     return s
 
 

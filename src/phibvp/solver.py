@@ -21,6 +21,12 @@ which is what makes the truncation harmless and the iteration stable.
 A decreasing branch is solved as it is: the scalar map then decreases in
 beta, and the beta solve and the branch inverse read the orientation.
 
+The solution is checked a-posteriori by `verify`, the routine that
+`phibvp verify` runs on a table it reads.  A SolveReport runs it when its
+`verification` is first read, on its own read-only columns: the solve
+command's record reads it, and a sweep row or a half-line interval,
+which never does, pays nothing for it.
+
 Each evaluation of the scalar map inverts Phi on the branch at every node.
 Without a closed-form inverse, every inversion of a solve after the first
 starts from the certified brackets of the one before: one
@@ -53,6 +59,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -334,12 +341,12 @@ def truncated_rhs(
     txp = np.clip(x_prime, envs.eta1, envs.eta2)
     with np.errstate(all="ignore"):
         F = np.asarray(problem.rhs(nodes, tx, txp), dtype=float)
-    if F.shape == ():
-        F = np.full(nodes.shape, float(F))
-    F = np.where(singular, 0.0, F)
-    bad = ~np.isfinite(F)
-    if np.any(bad):
-        j = int(np.argmax(bad))
+    if problem.mesh.singular_indices:
+        F = np.where(singular, 0.0, F)
+    elif F.shape != nodes.shape:
+        F = np.broadcast_to(F, nodes.shape)
+    if not np.isfinite(F).all():
+        j = int(np.argmin(np.isfinite(F)))
         raise RhsEvaluationError(j, float(nodes[j]))
     # psi_n is 0 at singular nodes, where F is 0 too
     psi_n = problem.disc.psi_n
@@ -413,6 +420,9 @@ class VerificationRecord:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
+    """What `solve` found; its x, x' and u columns are read-only."""
+
+    problem: BvpProblem = field(repr=False)
     status: str
     x: GridFunction
     x_prime: GridFunction
@@ -428,15 +438,27 @@ class SolveReport:
     truncation_count: int
     psi_clip_count: int
     max_envelope_excess: float
-    verification: VerificationRecord
+
+    @cached_property
+    def verification(self) -> VerificationRecord:
+        """`verify` on the reported columns, run when first read."""
+        return verify(self.problem, self.x.values, self.x_prime.values, self.u.values)
 
 
 def _w1p_distance(mesh: Mesh, dx: np.ndarray, dxp: np.ndarray, p: float) -> float:
-    nx = lp_norm(mesh, dx, p)
-    nxp = lp_norm(mesh, dxp, p)
+    """(||dx||_p^p + ||dx'||_p^p)^(1/p), each p-th power one sum of
+    cell_integrals; lp_norm's sup for p = inf."""
     if math.isinf(p):
-        return max(nx, nxp)
-    return float((nx**p + nxp**p) ** (1.0 / p))
+        return max(lp_norm(mesh, dx, p), lp_norm(mesh, dxp, p))
+    total = 0.0
+    for v in (dx, dxp):
+        with np.errstate(over="ignore"):
+            powered = np.abs(v) ** p
+        # np.max passes a NaN on
+        if not math.isfinite(powered.max()):
+            raise InvalidInputError("grid function values must be finite")
+        total += float(cell_integrals(mesh, powered).sum())
+    return total ** (1.0 / p)
 
 
 def _envelope_excess(
@@ -451,7 +473,8 @@ def _envelope_excess(
     hold the placeholder 0.
     """
     lo, hi = box
-    ex_x = float(max(np.max(lo - x_vals), np.max(x_vals - hi), 0.0))
+    # fl(lo - x) falls as x grows, so this is the max of lo - x_vals
+    ex_x = float(max(lo - x_vals.min(), x_vals.max() - hi, 0.0))
     ex_y = float(max(np.max(envs.eta1 - xp_vals), np.max(xp_vals - envs.eta2), 0.0))
     return ex_x, ex_y
 
@@ -461,7 +484,8 @@ def solve(
     config: IterationConfig | None = None,
     initial: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SolveReport:
-    """Iterate the map g to a fixed point and check it a-posteriori.
+    """Iterate the map g to a fixed point; the report's `verification`
+    checks it a-posteriori when first read.
 
     The reported solution is the raw g output at the final sweep, so the
     envelope bounds hold for it by construction; secant mixing and any
@@ -485,7 +509,7 @@ def solve(
     require_box(problem)
     envs = envelopes(problem)
     # the iterates and the secant history die with _iterate, before the
-    # final truncation and the verification allocate
+    # final truncation allocates
     last, converged, trace, max_excess, halvings, rejections = _iterate(
         problem, envs, cfg, initial
     )
@@ -505,19 +529,18 @@ def solve(
         )
         status = "converged" if hypothesis_ok else "hypothesis-violation"
 
-    x = GridFunction(problem.mesh, last.x)
-    x_prime = GridFunction(problem.mesh, last.x_prime)
-    u = GridFunction(problem.mesh, last.u)
-    beta = last.beta
-    # verify reads only the reported columns: let the g output, the
-    # envelopes and the final F go
-    del last, envs, F
+    # the g output's arrays are the report's columns, read-only so that
+    # the verification checks what the solve reported
+    for values in (last.x, last.x_prime, last.u):
+        values.flags.writeable = False
+    x, x_prime, u = (GridFunction(problem.mesh, v) for v in (last.x, last.x_prime, last.u))
     return SolveReport(
+        problem=problem,
         status=status,
         x=x,
         x_prime=x_prime,
         u=u,
-        beta=beta,
+        beta=last.beta,
         scalars=scalars,
         iterations=len(trace),
         trace=tuple(trace),
@@ -528,7 +551,6 @@ def solve(
         truncation_count=final_stats.get("truncated_nodes", 0),
         psi_clip_count=final_stats.get("psi_clips", 0),
         max_envelope_excess=max_excess,
-        verification=verify(problem, x.values, x_prime.values, u.values),
     )
 
 

@@ -834,6 +834,36 @@ def test_warm_inverse_closes_ulp_wide_brackets_at_large_slopes(monkeypatch):
     assert np.all(np.abs(warm - cold) <= 2.0 * np.spacing(np.abs(cold)))
 
 
+def test_cold_call_anchors_elements_that_bracketed_root_closes(monkeypatch):
+    # over s in [300, 1000] the table cells are wide, so the cold call
+    # closes most elements with bracketed_root; each is anchored at its
+    # result, and a warm call at a relative shift of 1e-12 certifies all
+    op = difference(2.0, 0.0)
+    br = find_branch(op, 2.0)
+    y0 = np.asarray(op(np.linspace(300.0, 1000.0, 200)))
+    start = operators.InverseStart()
+    log = _BracketLog(operators.bracketed_root)
+    monkeypatch.setattr(operators, "bracketed_root", log)
+    cold = partial_inverse_array(op, br, y0, start)
+    assert log.runs
+    monkeypatch.undo()
+    assert np.all((br.lo <= start.s) & (start.s <= br.hi))
+    missed = []
+    real_warm = operators._warm_inverse
+
+    def warm(*args):
+        s, miss = real_warm(*args)
+        missed.append(miss.size)
+        return s, miss
+
+    monkeypatch.setattr(operators, "_warm_inverse", warm)
+    ys = y0 * (1.0 + 1e-12)
+    shifted = partial_inverse_array(op, br, ys, start)
+    assert missed == [0]
+    _assert_certified(op, br, ys, shifted)
+    assert np.all(np.abs(shifted - cold) <= 1e-9 * np.abs(cold))
+
+
 def test_warm_inverse_with_a_record_of_another_size_runs_cold(monkeypatch):
     op = difference(2.0, 0.0)
     br = find_branch(op, 2.0)

@@ -6,6 +6,7 @@ benchmark in perfbench/ relies on: its tracer reaches every layer, and a
 command samples 1/k and psi once per problem."""
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import os
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -306,6 +308,71 @@ def test_each_command_samples_weight_and_psi_once(tmp_path, monkeypatch):
     run("sine", text, "solve")
     assert calls == {"recip": 1, "psi": 1, "self_test": 1}
     assert not load_problem_config(parse_config(text)).build_finite().branch.increasing
+
+
+def test_only_the_solve_command_verifies_its_solve(tmp_path, monkeypatch):
+    # a report verifies its table when its verification is first read:
+    # the solve record reads it, a sweep row and a half-line interval never
+    workloads = _workloads_module(monkeypatch)
+    from phibvp import cli, solver
+
+    calls = []
+    real = solver.verify
+    monkeypatch.setattr(solver, "verify", lambda *args: calls.append(1) or real(*args))
+
+    def run(name: str, text: str, command: str) -> int:
+        calls.clear()
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        assert cli.main([command, str(cfg), "-o", str(tmp_path / name)]) == 0
+        return len(calls)
+
+    (text,) = workloads._solve_bisect_configs(0).values()
+    assert run("difference", text, "solve") == 1
+    assert run("sweep", workloads._sweep_configs(0)["sweep"], "sweep") == 0
+    (text,) = workloads._halfline_configs(0).values()
+    assert run("halfline", text, "halfline") == 0
+
+
+def _readme_config() -> str:
+    readme = (ROOT / "README.md").read_text()
+    quick = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```ini\n(.*?)```", quick, re.S).group(1)
+
+
+def test_verification_on_first_read_is_the_eager_record(monkeypatch):
+    # the README config, a singular sqrt_t weight, and a decreasing branch
+    from phibvp import solve, solver
+    from phibvp.config import load_problem_config, parse_config
+
+    compare = _compare_outputs_module()
+    texts = (
+        _readme_config(),
+        compare.EXTRA_CASES["perona-sqrt-t"],
+        compare.EXTRA_CASES["sine-decreasing"],
+    )
+    calls = []
+    real = solver.verify
+    monkeypatch.setattr(solver, "verify", lambda *args: calls.append(1) or real(*args))
+    problems = []
+    for text in texts:
+        cfg = load_problem_config(parse_config(text))
+        problem = cfg.build_finite()
+        problems.append(problem)
+        report = solve(problem, cfg.iteration)
+        columns = (report.x.values, report.x_prime.values, report.u.values)
+        calls.clear()
+        eager = real(problem, *columns)
+        lazy = report.verification
+        assert report.verification is lazy and calls == [1]
+        assert dataclasses.astuple(lazy) == dataclasses.astuple(eager)
+        assert lazy.ok
+        # the columns the record checked cannot change after the solve
+        for values in columns:
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+    assert problems[1].mesh.singular_indices
+    assert not problems[2].branch.increasing
 
 
 def test_each_problem_inverts_its_slope_box_once(tmp_path, monkeypatch):

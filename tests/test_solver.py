@@ -30,7 +30,7 @@ from phibvp import (
 from phibvp import parse_config
 from phibvp import solver as solver_mod
 from phibvp.config import load_problem_config
-from phibvp.grid import Mesh
+from phibvp.grid import Mesh, lp_norm
 from phibvp.problem import Rhs
 from phibvp.solver import (
     BETA_MAX_ITER,
@@ -441,6 +441,19 @@ class TestTruncatedRhs:
         with pytest.raises(RhsEvaluationError) as exc:
             truncated_rhs(prob, env, x, x)
         assert "node" in str(exc.value)
+        # the first non-finite node is named
+        assert exc.value.node_index == 51
+
+    @pytest.mark.parametrize("weight", [constant_weight(1.0), sqrt_t_weight()])
+    def test_a_constant_f_fills_the_nodes(self, weight):
+        # with and without a singular node, where F holds 0
+        rhs = Rhs(fn=lambda t, x, y: 0.25, psi=lambda t: np.ones_like(t), name="const")
+        phi = make_operator("r_laplacian", r=2.0)
+        prob = make_problem(phi, weight, rhs, 0.0, 0.0, 1.0, mesh_n=100)
+        x = np.zeros(101)
+        F = truncated_rhs(prob, envelopes(prob), x, x)
+        expect = np.where(prob.mesh.singular_mask(), 0.0, 0.25)
+        assert F.shape == (101,) and np.array_equal(F, expect)
 
 
 class TestGMap:
@@ -1029,6 +1042,57 @@ class TestEnvelopeExcess:
         # measured: the start, each sweep's g output and the final report;
         # a mixed iterate is clipped into the box and envelopes (excess 0)
         assert cold == report.iterations + 2 and len(calls) > cold + 2
+
+
+def _lp_norm_distance(mesh, dx, dxp, p):
+    # the step norm as it was taken: two lp_norm calls
+    return float((lp_norm(mesh, dx, p) ** p + lp_norm(mesh, dxp, p) ** p) ** (1.0 / p))
+
+
+def _step_mesh(kind: str, n: int) -> Mesh:
+    if kind == "uniform":
+        return Mesh.uniform(1.0, n)
+    return Mesh.graded(1.0, n, [0.0] if kind == "graded" else [0.0, 0.5])
+
+
+class TestStepNorm:
+    # Measured: over 3000 random draws with up to 4000 cells, the one-pass
+    # distance and the lp_norm form differ by at most 21 eps relative (the
+    # running sum against the pairwise one); the bound is three times that
+    REL_BOUND = 64 * np.finfo(float).eps
+
+    @given(
+        kind=st.sampled_from(["uniform", "graded", "singular"]),
+        n=st.integers(4, 4000),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.floats(-12.0, 3.0),
+        p=st.sampled_from([1.0, 2.0]),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_one_pass_distance_agrees_with_lp_norm(self, kind, n, seed, exponent, p):
+        # graded: one singular end; singular: an interior singular point too
+        mesh = _step_mesh(kind, n)
+        rng = np.random.default_rng(seed)
+        size = mesh.nodes.size
+        scale = 10.0**exponent
+        dx = rng.normal(0.0, scale, size) * (rng.random(size) < 0.5)
+        dxp = rng.normal(0.0, scale * 10.0 ** rng.uniform(-3.0, 3.0), size)
+        new = solver_mod._w1p_distance(mesh, dx, dxp, p)
+        old = _lp_norm_distance(mesh, dx, dxp, p)
+        assert abs(new - old) <= self.REL_BOUND * old
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded", "singular"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_a_non_finite_entry_raises_as_before(self, kind, bad, p):
+        mesh = _step_mesh(kind, 64)
+        for where in (0, 1, mesh.nodes.size - 1, *mesh.singular_indices):
+            for column in (0, 1):
+                pair = [np.ones(mesh.nodes.size), np.ones(mesh.nodes.size)]
+                pair[column][where] = bad
+                for distance in (_lp_norm_distance, solver_mod._w1p_distance):
+                    with pytest.raises(InvalidInputError, match="grid function values must be finite"):
+                        distance(mesh, *pair, p)
 
 
 class TestIterationConfig:
