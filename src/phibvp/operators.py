@@ -7,15 +7,16 @@ endpoints, exact images, and a stable closed-form inverse where one
 exists); any other branch is certified by one rule, hint_branch: dense
 sampling on the interval, the located-turn test next to its finite ends
 and _limit_at at its ends.  Without a closed form the inverse is solved
-inside certified brackets, polish first, then certify: a zoomed table of
-samples brackets every element, one evaluation at the bracket's regula
-falsi point and an inverse quadratic step polish it, and one evaluation
-on each side of the polished point closes the bracket.  Vectorized
-Illinois regula falsi with a bisection safeguard (bracketed_root) closes
-only the brackets left open.  A caller that inverts a sequence of nearby
-targets passes an InverseStart: each call then starts from the last
-one's brackets, a Newton and a secant step replace the table and the
-polish, and the same certification closes the bracket.
+inside certified brackets by one step from an anchor per element: a
+Newton step, Phi there and a secant step give the estimate, and one
+evaluation on each side of it closes the bracket.  The anchors live in
+an InverseStart record.  A caller that inverts a sequence of nearby
+targets keeps one, so that each call starts from the last one's
+brackets; an empty record is seeded from a zoomed table of samples, each
+element at its cell's regula falsi point.  Elements the step misses take
+it once more, and vectorized Illinois regula falsi with a bisection
+safeguard (bracketed_root) closes only what is still open, inside table
+cells.
 """
 
 from __future__ import annotations
@@ -631,40 +632,16 @@ def _falsi_point(a, b, ga, gb):
     return est
 
 
-def _inverse_quadratic(a, b, ga, gb, x, gx):
-    """Zero of the quadratic in g through (ga, a), (gb, b) and (gx, x).
-
-    x is the regula falsi point of [a, b]; the quadratic adds
-    ga gb s[ga, gb, gx] to it, s[...] the divided difference of the
-    inverse map.  NaN where two of the values coincide.
-    """
-    with np.errstate(all="ignore"):
-        return x + ga * gb * ((x - b) / (gx - gb) - (b - a) / (gb - ga)) / (gx - ga)
-
-
-def _narrow(a, b, ga, gb, x, gx) -> None:
-    """Move the end of each bracket on the side of gx's sign to x, in place."""
-    low = gx < 0.0
-    np.copyto(a, x, where=low)
-    np.copyto(ga, gx, where=low)
-    high = gx >= 0.0
-    np.copyto(b, x, where=high)
-    np.copyto(gb, gx, where=high)
-
-
 @dataclass(eq=False)
 class InverseStart:
     """Where the generic inversions of one sequence of nearby targets start.
 
-    Per element: an anchor on the branch, Phi at the anchor as evaluated
-    (a cold call recovers it from its bracket's value, Phi - y, exactly
-    where Phi and y lie within a factor two, or takes the target where it
-    anchors at a result), and Phi's slope there (a cold call takes its
-    table cell's).
-    Empty until partial_inverse_array fills it from a cold call; each
-    warm call refreshes it in place.  Only estimates are taken from it,
-    never a sign, so a record that fits the targets badly costs a cold
-    fallback, not a wrong bracket.
+    Per element: an anchor on the branch, Phi at the anchor as evaluated,
+    and Phi's slope there.  Empty until partial_inverse_array seeds it
+    from a table: each anchor at its cell's regula falsi point, with the
+    cell's slope.  Each call refreshes it in place.  Only estimates are
+    taken from it, never a sign, so a record that fits the targets badly
+    costs a second step or a closed table cell, not a wrong bracket.
     """
 
     s: np.ndarray | None = None
@@ -702,6 +679,40 @@ def _cell(mono: np.ndarray, t):
     return np.clip(np.searchsorted(mono, t, side="right") - 1, 0, mono.size - 2)
 
 
+def _zoomed_table(phi: PhiOperator, branch: MonotoneBranch, window, y: np.ndarray):
+    """The table of the oriented Phi that gives each target of y its own
+    cell: it zooms onto [s(min y), s(max y)] until the targets spread
+    over half the table's cells, or the range is resolved."""
+    f, orient = _oriented(phi, branch)
+    lo, hi = window
+    t_lo, t_hi = sorted((orient * float(np.min(y)), orient * float(np.max(y))))
+    below = _bracket_endpoint(f, lo, hi, t_lo, "lo")
+    above = _bracket_endpoint(f, lo, hi, t_hi, "hi")
+    if below is None or above is None:
+        raise ImageDomainError(
+            float(y[0]), branch.image_lo, branch.image_hi,
+            "no bisection bracket inside the working window",
+        )
+    a, b = below[0], above[0]
+    for _ in range(INVERSE_MAX_ITER):
+        nodes, vals, mono = _table(f, a, b)
+        j_lo = int(_cell(mono, t_lo))
+        j_hi = int(_cell(mono, t_hi)) + 1
+        a2, b2 = float(nodes[j_lo]), float(nodes[j_hi])
+        if 2 * (j_hi - j_lo) > nodes.size or b2 - a2 <= BISECT_TOL or b2 - a2 >= b - a:
+            break
+        a, b = a2, b2
+    return nodes, vals, mono
+
+
+def _cells(table, ty: np.ndarray):
+    """Each oriented target's table cell: its index j, its ends a < b and
+    the oriented Phi - ty there, ga <= 0 <= gb."""
+    nodes, vals, mono = table
+    j = _cell(mono, ty)
+    return j, nodes[j], nodes[j + 1], vals[j] - ty, vals[j + 1] - ty
+
+
 def partial_inverse_array(
     phi: PhiOperator,
     branch: MonotoneBranch,
@@ -716,25 +727,21 @@ def partial_inverse_array(
     is no wider than BISECT_TOL (or its ends are adjacent floats), or
     Phi(s) = y holds exactly.
 
-    Cold, a scalar search zooms a table of INVERSE_TABLE_SIZE samples
-    onto the solutions of min y and max y, and the last table gives each
-    element its own bracket, a table cell.  Polish: Phi at the cell's
-    regula falsi point narrows the bracket, and the inverse quadratic
-    through that point and the cell ends moves the estimate on.  Certify:
-    Phi at max(BISECT_TOL/4, one ulp) on each side of the estimate
-    narrows the bracket again, and where both sides have the right sign
-    it is at most BISECT_TOL wide.  bracketed_root closes the brackets
-    left open (the flat ends of a branch, wide target ranges),
-    INVERSE_BLOCK elements at a time, so that a call holds about a dozen
-    arrays of the input's size.
-
-    Warm, from a `start` that holds as many elements as y (see
-    InverseStart), a Newton step from each anchor, Phi there, and a
-    secant step through the anchor give the estimate, and the same
-    certification closes it: three vector evaluations of Phi and no
-    table.  The elements whose two sides do not change sign go the cold
-    way, as a subset.  A `start` that is empty or of another size is
-    filled by a cold call, from the Phi values that call computes.
+    Every element steps from its anchor in `start` (see InverseStart).
+    A `start` that is missing, empty or of another size is seeded first:
+    a scalar search zooms a table of INVERSE_TABLE_SIZE samples onto the
+    solutions of min y and max y, and each element is anchored at the
+    regula falsi point of its table cell, with Phi there (one vector
+    evaluation) and the cell's slope.  The step: a Newton step from the
+    anchor, Phi there, and a secant step through the anchor give the
+    estimate; Phi at max(BISECT_TOL/4, one ulp) on each side of it
+    closes the bracket where both sides have the right sign.  That is
+    three vector evaluations of Phi, and the step refreshes the record.
+    The elements whose two sides do not change sign take the step once
+    more, from their refreshed anchors.  bracketed_root closes what is
+    still open inside its table cell (a call that was not seeded zooms a
+    table onto those targets only), INVERSE_BLOCK elements at a time, so
+    that a call holds about a dozen arrays of the input's size.
     """
     y = np.asarray(y, dtype=float)
     _check_in_image(branch, y)
@@ -743,15 +750,33 @@ def partial_inverse_array(
         return np.clip(s, branch.lo, branch.hi)
     flat = y.reshape(-1)
     window = (max(branch.lo, -WORK_WINDOW), min(branch.hi, WORK_WINDOW))
-    if start is None or start.s is None or start.s.size != flat.size:
-        return _cold_inverse(phi, branch, window, flat, start).reshape(y.shape)
+    orient = 1.0 if branch.increasing else -1.0
+    if start is None:
+        start = InverseStart()
+    table = None
+    if start.s is None or start.s.size != flat.size:
+        table = _zoomed_table(phi, branch, window, flat)
+        j, *cell = _cells(table, flat if orient > 0 else -flat)
+        start.s = _falsi_point(*cell)
+        del cell
+        start.phi = np.asarray(phi(start.s), dtype=float)
+        nodes, vals, _ = table
+        with np.errstate(all="ignore"):
+            start.slope = (orient * np.diff(vals) / np.diff(nodes))[j]
+        del j
     s, missed = _warm_inverse(phi, branch, window, flat, start)
     if missed.size:
-        part = InverseStart()
-        s[missed] = _cold_inverse(phi, branch, window, flat[missed], part)
-        start.s[missed] = part.s
-        start.phi[missed] = part.phi
-        start.slope[missed] = part.slope
+        part, still = _warm_inverse(phi, branch, window, flat, start, missed)
+        s[missed] = part
+        missed = still
+    if missed.size:
+        ty = orient * flat[missed]
+        if table is None:
+            table = _zoomed_table(phi, branch, window, flat[missed])
+        _, *cell = _cells(table, ty)
+        part = _falsi_point(*cell)
+        _close_open(_oriented(phi, branch)[0], ty, part, *cell)
+        s[missed] = part
     return s.reshape(y.shape)
 
 
@@ -763,10 +788,10 @@ def _half_width(x: np.ndarray) -> np.ndarray:
     return d
 
 
-def _close_open(f, ty, s, a, b, ga, gb) -> np.ndarray:
+def _close_open(f, ty, s, a, b, ga, gb) -> None:
     """bracketed_root on the brackets wider than BISECT_TOL, INVERSE_BLOCK
     elements at a time so that its work arrays stay small; their results
-    go to s, and their indices are returned."""
+    go to s."""
     rest = np.flatnonzero(b - a > BISECT_TOL)
     for first in range(0, rest.size, INVERSE_BLOCK):
         k = rest[first : first + INVERSE_BLOCK]
@@ -774,92 +799,6 @@ def _close_open(f, ty, s, a, b, ga, gb) -> np.ndarray:
             lambda x, idx, t=ty[k]: np.asarray(f(x), dtype=float) - t[idx],
             a[k], b[k], ga[k], gb[k], BISECT_TOL,
         )
-    return rest
-
-
-def _cold_inverse(
-    phi: PhiOperator,
-    branch: MonotoneBranch,
-    window: tuple[float, float],
-    y: np.ndarray,
-    start: InverseStart | None,
-) -> np.ndarray:
-    """The cold path of partial_inverse_array on the flat targets y.
-
-    Fills `start`, when given, from the values it has computed: the end
-    of each final bracket that is nearer its root, Phi there, and the
-    slope of the table cell.  An element that bracketed_root closes is
-    anchored at its result instead, with its target for Phi there."""
-    f, orient = _oriented(phi, branch)
-    ty = y if orient > 0 else -y
-    lo, hi = window
-    t_lo, t_hi = float(np.min(ty)), float(np.max(ty))
-    below = _bracket_endpoint(f, lo, hi, t_lo, "lo")
-    above = _bracket_endpoint(f, lo, hi, t_hi, "hi")
-    if below is None or above is None:
-        raise ImageDomainError(
-            float(y[0]), branch.image_lo, branch.image_hi,
-            "no bisection bracket inside the working window",
-        )
-    a, b = below[0], above[0]
-    # zoom onto [s(t_lo), s(t_hi)] until the targets spread over half the
-    # table's cells, or the range is resolved
-    for _ in range(INVERSE_MAX_ITER):
-        nodes, vals, mono = _table(f, a, b)
-        j_lo = int(_cell(mono, t_lo))
-        j_hi = int(_cell(mono, t_hi)) + 1
-        a2, b2 = float(nodes[j_lo]), float(nodes[j_hi])
-        if 2 * (j_hi - j_lo) > nodes.size or b2 - a2 <= BISECT_TOL or b2 - a2 >= b - a:
-            break
-        a, b = a2, b2
-    j = _cell(mono, ty)
-    a, b = nodes[j], nodes[j + 1]
-    ga, gb = vals[j], vals[j + 1]
-    ga -= ty
-    gb -= ty
-    # each work array goes once spent: together they set the peak memory
-    del j
-    if start is not None:
-        with np.errstate(all="ignore"):
-            slope = np.subtract(gb, ga)
-            slope /= b - a
-
-    def g_at(x):
-        return np.asarray(f(x), dtype=float) - ty
-
-    # polish: Phi at the falsi point of the cell, then the inverse
-    # quadratic through that point and the cell ends, kept inside the
-    # bracket that point narrows
-    x0 = _falsi_point(a, b, ga, gb)
-    g0 = g_at(x0)
-    x = _inverse_quadratic(a, b, ga, gb, x0, g0)
-    _narrow(a, b, ga, gb, x0, g0)
-    np.copyto(x, x0, where=~((a <= x) & (x <= b)))
-    del x0, g0
-    # certify: Phi on each side of the polished point
-    d = _half_width(x)
-    for sign in (-1.0, 1.0):
-        side = np.minimum(np.maximum(x + sign * d, a), b)
-        _narrow(a, b, ga, gb, side, g_at(side))
-    del x, d, side
-    s = _falsi_point(a, b, ga, gb)
-    if start is not None:
-        nearer = np.abs(ga) <= np.abs(gb)
-        start.s = np.where(nearer, a, b)
-        start.phi = np.where(nearer, ga, gb)
-        start.phi += ty
-        if orient < 0:
-            np.negative(start.phi, out=start.phi)
-            np.negative(slope, out=slope)
-        start.slope = slope
-    # the flat ends of a branch and any element the polish missed
-    closed = _close_open(f, ty, s, a, b, ga, gb)
-    if start is not None:
-        # their brackets' ends may lie a table cell from the root: anchor
-        # them at their results, where the target estimates Phi
-        start.s[closed] = s[closed]
-        start.phi[closed] = y[closed]
-    return s
 
 
 def _warm_inverse(
@@ -868,31 +807,36 @@ def _warm_inverse(
     window: tuple[float, float],
     y: np.ndarray,
     start: InverseStart,
+    k: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The warm path of partial_inverse_array on the flat targets y.
+    """One step of partial_inverse_array from the record, on the elements
+    k of the flat targets y (all of them when k is None).
 
-    Returns the results and the indices of the elements that missed: the
-    sides of their estimate do not change sign, and their results are
-    not set.  The record is refreshed in place: each anchor moves to the
-    low side of its estimate, with Phi there, and each slope to the
-    secant through the old anchor where the two points lie far enough
-    apart for rounding to leave the secant accurate.  The missed
-    elements' entries are left for the caller.
+    Returns the results of those elements and the indices, into y, of
+    the ones that missed: the sides of their estimate do not change
+    sign, and their results are not set.  The record is refreshed in
+    place: each anchor moves to the low side of its estimate, with Phi
+    there, and each slope to the secant through the old anchor where the
+    two points lie far enough apart for rounding to leave the secant
+    accurate.  The elements k are read from the record where they are
+    used, and never copied out of it whole.
     """
     lo, hi = window
+    at = slice(None) if k is None else k
     s0, p0, m0 = start.s, start.phi, start.slope
     reach = SECANT_REACH * (1.0 + max(float(np.max(s0)), -float(np.min(s0))))
+    yk = y[at]
     with np.errstate(all="ignore"):
         # Newton from the anchor, then Phi at that point
-        x = np.subtract(y, p0)
-        x /= m0
-        x += s0
+        x = np.subtract(yk, p0[at])
+        x /= m0[at]
+        x += s0[at]
         np.clip(x, lo, hi, out=x)
         fx = phi(x)
-        g = np.subtract(fx, y)
-        sec = np.subtract(fx, p0)
+        g = np.subtract(fx, yk)
+        sec = np.subtract(fx, p0[at])
         del fx
-        dx = np.subtract(x, s0)
+        dx = np.subtract(x, s0[at])
         sec /= dx
         # a secant of the wrong sign (or none, where the two points
         # coincide) leaves a Newton step with the anchor's slope
@@ -900,32 +844,39 @@ def _warm_inverse(
         keep = np.abs(dx, out=dx) > reach
         keep &= fits
         del dx
-        np.copyto(sec, m0, where=~fits)
-        np.copyto(m0, sec, where=keep)
+        m = m0[at]
+        np.copyto(sec, m, where=~fits)
+        np.copyto(m, sec, where=keep)
+        if k is not None:
+            m0[k] = m
         g /= sec
         x -= g
-        del g, sec, fits, keep
+        del g, sec, fits, keep, m
         # certify: Phi on each side of the estimate, clamped to the
-        # window; the low side is the next anchor, and x moves to the
+        # window; the low side a is the next anchor, and x moves to the
         # high side
         d = _half_width(x)
-        np.subtract(x, d, out=s0)
-        np.clip(s0, lo, hi, out=s0)
+        a = s0[at]
+        np.subtract(x, d, out=a)
+        np.clip(a, lo, hi, out=a)
         x += d
         np.clip(x, lo, hi, out=x)
         del d
-        np.copyto(p0, phi(s0))
-        g_hi = np.subtract(phi(x), y)
-        g_lo = np.subtract(p0, y)
+        if k is not None:
+            s0[k] = a
+        p0[at] = phi(a)
+        g_hi = np.subtract(phi(x), yk)
+        g_lo = np.subtract(p0[at], yk)
     if not branch.increasing:
         np.negative(g_lo, out=g_lo)
         np.negative(g_hi, out=g_hi)
     hit = (g_lo <= 0.0) & (g_hi >= 0.0)
-    s = _falsi_point(s0, x, g_lo, g_hi)
+    s = _falsi_point(a, x, g_lo, g_hi)
     # beyond |s| = 256 brackets two ulps wide exceed BISECT_TOL and close
-    # as cold ones do; the missed brackets, which do not change sign,
+    # in bracketed_root; the missed brackets, which do not change sign,
     # collapse first
-    np.copyto(x, s0, where=~hit)
+    np.copyto(x, a, where=~hit)
     f, orient = _oriented(phi, branch)
-    _close_open(f, y if orient > 0 else -y, s, s0, x, g_lo, g_hi)
-    return s, np.flatnonzero(~hit)
+    _close_open(f, yk if orient > 0 else -yk, s, a, x, g_lo, g_hi)
+    missed = np.flatnonzero(~hit)
+    return s, (missed if k is None else k[missed])

@@ -34,10 +34,9 @@ operators.InverseStart record lives for the whole solve, and _iterate
 hands it through g_map and BetaEquation to partial_inverse_array.  The
 targets move little between inversions (the beta walk's steps, and F
 between sweeps), so a Newton and a secant step from the last brackets
-replace the cold path's table, and three vector evaluations of Phi
-certify each inversion.  Elements that move too far fall back to the
-cold path, and every result stays the regula falsi point of a certified
-bracket.
+and three vector evaluations of Phi certify each inversion.  Elements
+that move too far take the step a second time, and every result stays
+the regula falsi point of a certified bracket.
 
 The outer loop is undamped by default: a window-3 secant (Anderson) step
 mixes the raw sweep outputs.  Its history is a ring of consecutive

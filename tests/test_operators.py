@@ -476,7 +476,7 @@ def _counting(base):
     return op, sizes
 
 
-def test_generic_inverse_costs_at_most_three_vector_evaluations(monkeypatch):
+def test_generic_inverse_costs_one_step_of_three_vector_evaluations(monkeypatch):
     # the solve-bisect problem shape: difference (no closed-form inverse),
     # constant weight, f = 0.05 cos(x) sin(y), n = 2000
     op, sizes = _counting(difference(2.0, 0.0))
@@ -503,12 +503,12 @@ def test_generic_inverse_costs_at_most_three_vector_evaluations(monkeypatch):
     report = solver.solve(prob, solver.IterationConfig(omega=0.5))
     assert report.status == "converged"
     assert len(per_call) > 10
-    # one at the falsi points and one on each side of the polished points
-    # (cold), or at the Newton points and on each side of the secant
-    # points (warm)
-    for vector_evals, elements, n in per_call:
-        assert vector_evals <= 3
-        assert elements <= 3 * n
+    # the step: one at the Newton points and one on each side of the
+    # secant points; the seeded first call adds one at its table cells'
+    # falsi points
+    n = prob.mesh.nodes.size
+    assert per_call[0] == (4, 4 * n, n)
+    assert per_call[1:] == [(3, 3 * n, n)] * (len(per_call) - 1)
 
 
 class _BracketLog:
@@ -684,10 +684,10 @@ def test_generic_inverse_results_are_certified(op, br, s_max):
 
 @pytest.mark.parametrize("s_lo,s_hi", [(1.499, 1.501), (1.0, 2.0)])
 def test_generic_inverse_memory_is_a_few_arrays(s_lo, s_hi):
-    # 1e5 elements of the difference branch: a narrow range, closed by the
-    # certifying pass alone, and a wide one, which bracketed_root closes a
-    # block at a time; about 11 arrays of the input's size are live at the
-    # peak
+    # 1e5 elements of the difference branch: a narrow range, certified
+    # by the first step, and a wide one, where nearly every element takes
+    # the second step on its own part of the record; about 8 and 12
+    # arrays of the input's size are live at the peak
     op = difference(2.0, 0.0)
     br = find_branch(op, 2.0)
     ys = np.asarray(op(np.linspace(s_lo, s_hi, 100_001)))
@@ -784,37 +784,60 @@ def test_warm_inverse_is_certified_and_agrees_with_cold(case, exponent, alternat
     assert np.all((br.lo <= start.s) & (start.s <= br.hi))
 
 
+def _log_steps(monkeypatch):
+    """Every step of the generic inverse, as (elements, missed), and the
+    number of targets of every table it zooms."""
+    steps, tables = [], []
+    real_step, real_table = operators._warm_inverse, operators._zoomed_table
+
+    def step(phi, branch, window, y, start, k=None):
+        s, missed = real_step(phi, branch, window, y, start, k)
+        steps.append((y.size if k is None else k.size, missed.size))
+        return s, missed
+
+    def table(phi, branch, window, y):
+        tables.append(y.size)
+        return real_table(phi, branch, window, y)
+
+    monkeypatch.setattr(operators, "_warm_inverse", step)
+    monkeypatch.setattr(operators, "_zoomed_table", table)
+    return steps, tables
+
+
 def test_warm_inverse_falls_back_on_a_large_shift(monkeypatch):
     op = difference(2.0, 0.0)
     br = find_branch(op, 2.0)
     y0 = np.asarray(op(np.linspace(1.5, 2.5, 500)))
     start = operators.InverseStart()
     partial_inverse_array(op, br, y0, start)
-    cold_sizes = []
-    real_cold = operators._cold_inverse
-
-    def cold(phi, branch, window, y, record):
-        cold_sizes.append(y.size)
-        return real_cold(phi, branch, window, y, record)
-
-    monkeypatch.setattr(operators, "_cold_inverse", cold)
-    # a small shift certifies warm; a shift of 1e-1 misses everywhere
+    steps, tables = _log_steps(monkeypatch)
+    # a small shift certifies in one step; after a shift of 1e-1 (s moves
+    # by up to 1e-2) the first step misses everywhere, and the second,
+    # from the anchors the first refreshed, certifies most elements with
+    # no table.  Next to s = 1.5 the secant slope over the whole shift
+    # leaves the second step's estimates a few 1e-14 out, and a table
+    # zoomed onto those targets alone closes them
     near = partial_inverse_array(op, br, y0 + 1e-9, start)
-    assert cold_sizes == []
+    assert steps == [(y0.size, 0)]
     far = partial_inverse_array(op, br, y0 + 0.1, start)
-    assert cold_sizes == [y0.size]
+    assert steps[1] == (y0.size, y0.size)
+    assert steps[2][0] == y0.size and 0 < steps[2][1] < y0.size // 4
+    assert tables == [steps[2][1]]
     _assert_certified(op, br, y0 + 1e-9, near)
     _assert_certified(op, br, y0 + 0.1, far)
-    # the cold path refilled the record: the next small shift is warm again
+    tables.clear()
+    # the second step refreshed the record: the next small shift
+    # certifies in one step again
     again = partial_inverse_array(op, br, y0 + 0.1 + 1e-9, start)
-    assert cold_sizes == [y0.size]
+    assert steps[3:] == [(y0.size, 0)]
+    assert tables == []
     _assert_certified(op, br, y0 + 0.1 + 1e-9, again)
 
 
 def test_warm_inverse_closes_ulp_wide_brackets_at_large_slopes(monkeypatch):
     # beyond |s| = 256 one ulp exceeds BISECT_TOL / 2, so the two sides of
     # a warm estimate bracket it two ulps wide; bracketed_root closes
-    # those as it closes the cold path's
+    # those inside the step, with no second step and no table
     op = difference(2.0, 0.0)
     br = find_branch(op, 2.0)
     y0 = np.asarray(op(np.linspace(300.0, 310.0, 200)))
@@ -822,11 +845,10 @@ def test_warm_inverse_closes_ulp_wide_brackets_at_large_slopes(monkeypatch):
     partial_inverse_array(op, br, y0, start)
     log = _BracketLog(operators.bracketed_root)
     monkeypatch.setattr(operators, "bracketed_root", log)
-    cold_calls = []
-    monkeypatch.setattr(operators, "_cold_inverse", lambda *args: cold_calls.append(args))
+    steps, tables = _log_steps(monkeypatch)
     ys = y0 * (1.0 + 1e-12)
     warm = partial_inverse_array(op, br, ys, start)
-    assert log.runs and not cold_calls
+    assert log.runs and steps == [(y0.size, 0)] and tables == []
     monkeypatch.undo()
     log.assert_certified(operators.BISECT_TOL)
     _assert_certified(op, br, ys, warm)
@@ -886,9 +908,10 @@ def test_closed_form_branch_leaves_the_record_empty():
 @pytest.mark.parametrize("n", [2000, 10_000])
 def test_solve_bisect_shape_inverts_warm_with_three_evaluations(monkeypatch, n):
     # the solve-bisect workload's problem: 3 outer iterations, 8 map
-    # evaluations and 8 inversions; the first inversion is cold, and each
-    # later one certifies every element from the record with exactly 3
-    # vector evaluations of Phi and nothing else
+    # evaluations and 8 inversions; the first inversion seeds the record
+    # from its table with one vector evaluation of Phi and certifies
+    # every element in one step of 3 more, and each later one certifies
+    # every element from the record with that step and nothing else
     op, sizes = _counting(difference(2.0, 0.0))
     rhs = Rhs(
         fn=lambda t, x, y: 0.05 * np.cos(x) * np.sin(y),
@@ -917,5 +940,44 @@ def test_solve_bisect_shape_inverts_warm_with_three_evaluations(monkeypatch, n):
     assert len(evals) == 8 and len(calls) == 8
     assert [warm for warm, _ in calls] == [False] + [True] * 7
     nodes = prob.mesh.nodes.size
+    seeded = [k for k in calls[0][1] if k > operators.INVERSE_TABLE_SIZE]
+    assert seeded == [nodes] * 4
     for _, evaluated in calls[1:]:
         assert evaluated == [nodes] * 3
+
+
+def test_far_warm_targets_certify_in_a_second_step(monkeypatch):
+    # difference(2, 0), f = cos(x) sin(y), nu2 = 1.5, n = 2000: some warm
+    # inversions of this solve move s by up to 1e-3, too far for one step
+    # to certify.  The second step, from the anchors the first refreshed,
+    # certifies them: bracketed_root closes nothing, and no inversion but
+    # the first zooms a table
+    rhs = Rhs(
+        fn=lambda t, x, y: np.cos(x) * np.sin(y),
+        psi=lambda t: np.full_like(t, 1.0),
+        name="far-targets",
+    )
+    prob = make_problem(difference(2.0, 0.0), constant_weight(1.0), rhs, 0.0, 1.5, 1.0, mesh_n=2000)
+    closed = []
+    real_root = operators.bracketed_root
+
+    def root(g, a, *args, **kwargs):
+        closed.append(np.size(a))
+        return real_root(g, a, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "bracketed_root", root)
+    steps, tables = _log_steps(monkeypatch)
+    per_call = []
+
+    def counted(phi, branch, y, start=None):
+        before = (len(steps), len(tables))
+        out = partial_inverse_array(phi, branch, y, start)
+        per_call.append((len(steps) - before[0], len(tables) - before[1]))
+        return out
+
+    monkeypatch.setattr(solver, "partial_inverse_array", counted)
+    report = solver.solve(prob)
+    assert report.status == "converged" and report.iterations == 5
+    assert sum(closed) == 0
+    assert per_call[0][1] == 1 and all(built == 0 for _, built in per_call[1:])
+    assert any(taken == 2 for taken, _ in per_call[1:])
