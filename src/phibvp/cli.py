@@ -6,7 +6,9 @@ contract: 0 ok/converged, 1 usage or config problem, 2 hypothesis fail,
 
 An error's class alone decides its exit code, and main alone maps it:
 ConfigError (config, flags, building or checking the problem) exits 1
-with "config error: ...", any other PhibvpError exits 4 with "error: ...".
+with "config error: ...", any other PhibvpError exits 4 with "error: ...",
+and an OSError, which only a write can raise, exits 1 with "config error:
+cannot write output: ...".
 Only a solver failure after a passed check is mapped by its command
 ("solver error: ...", record written, exit 4); a sweep row names its class.
 
@@ -31,7 +33,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, solver
 from .config import (
     ConfigDoc,
     ProblemConfig,
@@ -46,7 +48,7 @@ from .g17 import encode_rows
 from .grid import Mesh, cumulative_integral  # noqa: F401
 from .halfline import HeteroclinicReport, solve_halfline
 from .hypotheses import FAIL, INCONCLUSIVE, PASS, HypothesisReport
-from .solver import SolveReport, solve, verify
+from .solver import SolveReport, VerificationRecord, solve, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,7 +163,7 @@ def _check_sections(report: HypothesisReport):
     return tuple(sections)
 
 
-def _solve_sections(report: SolveReport):
+def _solve_sections(report: SolveReport, verification: VerificationRecord):
     pairs = (
         ("status", report.status),
         ("iterations", str(report.iterations)),
@@ -178,7 +180,7 @@ def _solve_sections(report: SolveReport):
     return (
         ("solve", pairs),
         ("solve.scalars", _field_pairs(report.scalars)),
-        ("solve.verification", _field_pairs(report.verification)),
+        ("solve.verification", _field_pairs(verification)),
     )
 
 
@@ -234,6 +236,7 @@ def build_run_record(
     overrides: tuple[tuple[str, str], ...] = (),
     check: HypothesisReport | None = None,
     solve_report: SolveReport | None = None,
+    verification: VerificationRecord | None = None,
     halfline_report: HeteroclinicReport | None = None,
     sweep_counts: dict | None = None,
 ) -> ConfigDoc:
@@ -252,7 +255,7 @@ def build_run_record(
     if check is not None:
         sections.extend(_check_sections(check))
     if solve_report is not None:
-        sections.extend(_solve_sections(solve_report))
+        sections.extend(_solve_sections(solve_report, verification))
     if halfline_report is not None:
         sections.extend(_halfline_sections(halfline_report))
     if sweep_counts is not None:
@@ -336,8 +339,13 @@ def cmd_solve(cfg: ProblemConfig, args) -> int:
 
     table_path = os.path.join(args.output, "solution.txt")
     write_solution_table(table_path, problem.mesh, report)
+    # the columns just written, through the binding perfbench/tracing.py patches
+    verification = solver.verify(problem, report.x.values, report.x_prime.values, report.u.values)
     code = EXIT_OK if report.status == "converged" else EXIT_NUMERIC
-    _write_record("solve", cfg, args, code, check=report_check, solve_report=report)
+    _write_record(
+        "solve", cfg, args, code,
+        check=report_check, solve_report=report, verification=verification,
+    )
     print(
         f"solve: {report.status} in {report.iterations} iterations, "
         f"residual {_fmt(report.residual)}"
@@ -604,6 +612,9 @@ def main(argv=None) -> int:
     except PhibvpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

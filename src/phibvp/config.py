@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -177,7 +177,7 @@ def read_config(path) -> ConfigDoc:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text)
 
@@ -254,10 +254,6 @@ class _Section:
 
     def extra_keys(self) -> list[str]:
         return [k for k in self.pairs if k not in self.seen]
-
-
-def doc_has_section(doc: ConfigDoc, name: str) -> bool:
-    return any(sec == name for sec, _ in doc.sections)
 
 
 # -- the assembled configuration -------------------------------------------
@@ -382,6 +378,8 @@ class ProblemConfig:
             psi_l1 = 0.0  # the zero right-hand side
         with _config_errors("[problem]"):
             branch = self._branch_around(s_inf)
+        # [problem] was checked on load: what is left to reject is a [halfline] key
+        with _config_errors("[halfline]"):
             return HalflineProblem(
                 phi,
                 branch,
@@ -458,7 +456,7 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
             raise ConfigError(f"unknown section [{sec}]")
 
     op = _Section(doc, "operator")
-    if not doc_has_section(doc, "operator"):
+    if doc.section("operator") is None:
         raise ConfigError("missing [operator] section")
     operator_name = op.require("name")
     hint = op.get_floats("branch_hint")
@@ -473,7 +471,7 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
     weight_name = None
     weight_params: list[tuple[str, float]] = []
     weight_expr = None
-    if doc_has_section(doc, "weight"):
+    if doc.section("weight") is not None:
         weight_name = wt.raw("name")
         weight_expr = wt.get_expression("expr", ("t",))
         if (weight_name is None) == (weight_expr is None):
@@ -488,7 +486,7 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
     rhs_params: dict[str, float] = {}
     f_expr = None
     psi_expr = None
-    if doc_has_section(doc, "rhs"):
+    if doc.section("rhs") is not None:
         rhs_example = rhs.raw("example")
         f_expr = rhs.get_expression("f", ("t", "x", "y"))
         psi_expr = rhs.get_expression("psi", ("t",))
@@ -508,22 +506,26 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
             given = {key: rhs.get_float(key) for key, _ in EXAMPLES[rhs_example].keys}
             with _config_errors("[rhs]"):
                 rhs_params = example_params(rhs_example, given)
-        leftover = rhs.extra_keys()
-        if leftover:
-            raise ConfigError(f"[rhs] unknown keys: {', '.join(sorted(leftover))}")
 
     prob = _Section(doc, "problem")
-    if not doc_has_section(doc, "problem"):
+    if doc.section("problem") is None:
         raise ConfigError("missing [problem] section")
     nu1 = prob.get_float("nu1")
     nu2 = prob.get_float("nu2")
     if nu1 is None or nu2 is None:
         raise ConfigError("[problem] nu1 and nu2 are required")
+    for key, value in (("nu1", nu1), ("nu2", nu2)):
+        if not math.isfinite(value):
+            raise prob.error(key, "must be finite")
     halfline = prob.get_bool("halfline", False)
     T = prob.get_float("T")
     if halfline == (T is not None):
         raise ConfigError("[problem] give exactly one of T or halfline = true")
+    if T is not None and not 0.0 < T < math.inf:
+        raise prob.error("T", "must be positive and finite")
     p = prob.get_float("p", 1.0)
+    if not p >= 1.0:
+        raise prob.error("p", "must be at least 1")
 
     mesh = _Section(doc, "mesh")
     mesh_n = mesh.get_int("n", 1000)
@@ -564,12 +566,12 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
     cells_per_unit = hl.get_int("cells_per_unit", 200)
     k_infinity = hl.get_float("k_infinity")
     psi_l1 = hl.get_float("psi_l1")
-    if doc_has_section(doc, "halfline") and not halfline:
+    if doc.section("halfline") is not None and not halfline:
         raise ConfigError("[halfline] section present but problem is finite")
 
     sw = _Section(doc, "sweep")
     sweep_range = None
-    if doc_has_section(doc, "sweep"):
+    if doc.section("sweep") is not None:
         lo = sw.get_float("lambda_min")
         hi = sw.get_float("lambda_max")
         count = sw.get_int("count")
@@ -581,9 +583,10 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
             raise sw.error("lambda_max", "must not be below lambda_min")
         sweep_range = (lo, hi, count)
 
-    for sec_obj in (op, wt, prob, mesh, it, chk, hl, sw):
+    # [operator] and [weight] take their free keys as parameters
+    for sec_obj in (rhs, prob, mesh, it, chk, hl, sw):
         leftover = sec_obj.extra_keys()
-        if leftover and sec_obj.name not in ("operator", "weight"):
+        if leftover:
             raise ConfigError(
                 f"[{sec_obj.name}] unknown keys: {', '.join(sorted(leftover))}"
             )
@@ -629,13 +632,13 @@ def with_overrides(
     damping: float | None = None,
     max_iters: int | None = None,
 ) -> ProblemConfig:
-    """Apply command-line flag overrides on top of the config values.
+    """Apply command-line flag overrides as edits of the config text.
 
-    The config text `cfg.doc` is rewritten to match (numbers as %.17g), so
-    a run record that echoes it replays the run.
+    Each given flag writes its key into `cfg.doc` (numbers as %.17g), and
+    load_problem_config types the edited text as it types the file: a flag
+    is checked as its key is, and a run record that echoes the doc
+    replays the run.
     """
-    it = cfg.iteration
-    doc = cfg.doc
     for flag, section, key, value in (
         ("--mesh-n", "mesh", "n", mesh_n),
         ("--tol-fp", "iteration", "tol_fp", tol_fp),
@@ -645,14 +648,11 @@ def with_overrides(
     ):
         if value is None:
             continue
-        if section == "iteration":
-            # one flag at a time on a valid config: a failure is this flag's
-            with _config_errors(f"{flag} {value!r}:"):
-                it = replace(it, **{key: value})
-        doc = doc.with_value(section, key, format(value, ".17g"))
-    return replace(
-        cfg,
-        mesh_n=mesh_n if mesh_n is not None else cfg.mesh_n,
-        iteration=it,
-        doc=doc,
-    )
+        # one flag at a time on a valid config: a failure is this flag's
+        try:
+            cfg = load_problem_config(
+                cfg.doc.with_value(section, key, format(value, ".17g"))
+            )
+        except ConfigError as exc:
+            raise ConfigError(f"{flag} {value!r}: {exc}") from exc
+    return cfg

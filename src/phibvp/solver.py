@@ -22,10 +22,9 @@ A decreasing branch is solved as it is: the scalar map then decreases in
 beta, and the beta solve and the branch inverse read the orientation.
 
 The solution is checked a-posteriori by `verify`, the routine that
-`phibvp verify` runs on a table it reads.  A SolveReport runs it when its
-`verification` is first read, on its own read-only columns: the solve
-command's record reads it, and a sweep row or a half-line interval,
-which never does, pays nothing for it.
+`phibvp verify` runs on a table it reads.  A SolveReport holds neither
+its problem nor a verification: the solve command verifies the columns
+it writes, and a sweep row or a half-line interval pays nothing for it.
 
 Each evaluation of the scalar map inverts Phi on the branch at every node.
 Without a closed-form inverse, every inversion of a solve after the first
@@ -58,7 +57,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -419,9 +417,8 @@ class VerificationRecord:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """What `solve` found; its x, x' and u columns are read-only."""
+    """What `solve` found; `verify` checks its x, x' and u columns."""
 
-    problem: BvpProblem = field(repr=False)
     status: str
     x: GridFunction
     x_prime: GridFunction
@@ -437,11 +434,6 @@ class SolveReport:
     truncation_count: int
     psi_clip_count: int
     max_envelope_excess: float
-
-    @cached_property
-    def verification(self) -> VerificationRecord:
-        """`verify` on the reported columns, run when first read."""
-        return verify(self.problem, self.x.values, self.x_prime.values, self.u.values)
 
 
 def _w1p_distance(mesh: Mesh, dx: np.ndarray, dxp: np.ndarray, p: float) -> float:
@@ -483,8 +475,8 @@ def solve(
     config: IterationConfig | None = None,
     initial: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SolveReport:
-    """Iterate the map g to a fixed point; the report's `verification`
-    checks it a-posteriori when first read.
+    """Iterate the map g to a fixed point; `verify` checks the reported
+    columns a-posteriori.
 
     The reported solution is the raw g output at the final sweep, so the
     envelope bounds hold for it by construction; secant mixing and any
@@ -528,13 +520,8 @@ def solve(
         )
         status = "converged" if hypothesis_ok else "hypothesis-violation"
 
-    # the g output's arrays are the report's columns, read-only so that
-    # the verification checks what the solve reported
-    for values in (last.x, last.x_prime, last.u):
-        values.flags.writeable = False
     x, x_prime, u = (GridFunction(problem.mesh, v) for v in (last.x, last.x_prime, last.u))
     return SolveReport(
-        problem=problem,
         status=status,
         x=x,
         x_prime=x_prime,

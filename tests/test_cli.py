@@ -515,7 +515,11 @@ class TestSolve:
         assert main(["solve", cfg, "-o", str(out)]) == 0
         record = parse_config((out / "record.txt").read_text())
         config = cli.load_problem_config(parse_config(text))
-        expected = cli.solve(config.build_finite(), config.iteration).verification
+        problem = config.build_finite()
+        report = cli.solve(problem, config.iteration)
+        expected = cli.verify(
+            problem, report.x.values, report.x_prime.values, report.u.values
+        )
         section = record.section("solve.verification")
         assert list(section) == [
             "boundary_defect", "operator_defect", "integral_defect",
@@ -1539,6 +1543,37 @@ class TestExitCodeContract:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("config error: ")
+
+    def test_a_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        # a Latin-1 e-acute in a comment
+        path.write_bytes(b"# caf\xe9\n" + PERONA.format(nu2=0.05).encode())
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read config {str(path)!r}: "
+        )
+
+    @pytest.mark.parametrize("command", ["check", "solve", "sweep", "halfline"])
+    def test_an_output_under_a_file_is_a_config_error(self, tmp_path, capsys, command):
+        blocker = tmp_path / "some_file"
+        blocker.write_text("")
+        text = {"sweep": SWEEP, "halfline": ARCTAN}.get(command, PERONA.format(nu2=0.05))
+        cfg = write(tmp_path, text)
+        assert main([command, cfg, "-o", str(blocker / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["solution.txt", "record.txt"])
+    def test_a_failed_table_or_record_write_is_a_config_error(self, tmp_path, capsys, name):
+        # a directory where the file goes: opening it for writing fails
+        out = tmp_path / "run"
+        (out / name).mkdir(parents=True)
+        cfg = write(tmp_path, QUADRATIC.format(n=10))
+        assert main(["solve", cfg, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ")
+        assert len(err.splitlines()) == 1
 
 
 def test_readme_quick_start_prints_what_readme_shows(tmp_path, monkeypatch, capsys):

@@ -163,6 +163,16 @@ class TestValidation:
             (("[mesh]\nratio = 0.5", None), "unknown keys"),
             (("[mesh]\ngraded_cells = 8", None), "unknown keys"),
             (("[iteration]\nverify_refine = 4", None), "unknown keys"),
+            # a bad [problem] value is rejected where it is read, not by the
+            # [mesh] or the problem build that would meet it later
+            (("", ("T = 1.0", "T = 0")), r"\[problem\] T: must be positive and finite"),
+            (("", ("T = 1.0", "T = -1")), r"\[problem\] T: must be positive and finite"),
+            (("", ("T = 1.0", "T = inf")), r"\[problem\] T: must be positive and finite"),
+            (("", ("T = 1.0", "T = nan")), r"\[problem\] T: must be positive and finite"),
+            (("", ("nu1 = 0.0", "nu1 = inf")), r"\[problem\] nu1: must be finite"),
+            (("", ("nu2 = 0.5", "nu2 = nan")), r"\[problem\] nu2: must be finite"),
+            (("", ("T = 1.0", "T = 1.0\np = 0.5")), r"\[problem\] p: must be at least 1"),
+            (("", ("T = 1.0", "T = 1.0\np = nan")), r"\[problem\] p: must be at least 1"),
         ],
     )
     def test_rejections(self, mutation, fragment):
@@ -265,6 +275,23 @@ class TestValidation:
         col = lines[line - 1].index("=") + 3
         assert str(err.value) == f"line {line}, col {col}: {message}"
         assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("tol_h", "-1"),
+            ("schedule", "5, 3"),
+            ("cells_per_unit", "0"),
+            ("k_infinity", "-1"),
+            ("psi_l1", "-1"),
+        ],
+    )
+    def test_a_bad_halfline_value_names_its_key(self, key, value):
+        cfg = load(
+            MINIMAL.replace("T = 1.0", "halfline = true") + f"\n[halfline]\n{key} = {value}\n"
+        )
+        with pytest.raises(ConfigError, match=re.escape(f"[halfline] {key} ")):
+            cfg.build_halfline()
 
     def test_expression_error_locates_line_and_col(self):
         text = splice("[rhs]\nf = t + $\npsi = 1.0 + 0*t")
@@ -439,5 +466,18 @@ class TestAssembly:
         assert out.doc.section("iteration")["max_outer"] == "7"
         assert "tol_beta" not in out.doc.section("iteration")
         assert load_problem_config(out.doc) == out
-        untouched = with_overrides(cfg)
-        assert untouched == cfg
+        assert with_overrides(cfg) is cfg
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            ({"damping": 0.0}, "--damping 0.0: [iteration] omega (damping) must lie in [0.0625, 1]"),
+            ({"max_iters": 0}, "--max-iters 0: [iteration] max_outer must be at least 1"),
+            # a valid flag before the bad one is not blamed
+            ({"tol_fp": 1e-8, "tol_beta": -1.0}, "--tol-beta -1.0: [iteration] tol_beta "),
+        ],
+    )
+    def test_a_flag_is_checked_as_its_key(self, flags, message):
+        with pytest.raises(ConfigError) as err:
+            with_overrides(load(MINIMAL), **flags)
+        assert str(err.value).startswith(message)

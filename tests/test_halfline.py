@@ -8,7 +8,9 @@ and the limit profile is the heteroclinic x(t) = (2 lam / pi) arctan(t).
 """
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -295,6 +297,25 @@ class TestWarmStart:
                 got = getattr(run.report, column).values
                 want = getattr(ref, column).values
                 assert np.max(np.abs(got - want)) <= 1e-11, (run.n, column)
+
+
+def test_a_held_report_keeps_no_interval_problem_alive(monkeypatch):
+    # a report holds its solution columns, not the problem each interval
+    # solved: the 1/k and psi samples of an interval die with its solve
+    from phibvp import halfline
+
+    real, problems = halfline.solve, []
+
+    def tracked(problem, *args, **kwargs):
+        problems.append(weakref.ref(problem))
+        return real(problem, *args, **kwargs)
+
+    monkeypatch.setattr(halfline, "solve", tracked)
+    cfg = load_problem_config(parse_config(HALFLINE1))
+    rep = solve_halfline(cfg.build_halfline(), cfg.iteration)
+    assert rep.status == "converged" and len(problems) == len(rep.runs) == 6
+    gc.collect()
+    assert [ref() for ref in problems] == [None] * 6
 
 
 class TestAbortPaths:

@@ -760,9 +760,10 @@ def _assert_certified(op, br, ys, s):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_warm_inverse_is_certified_and_agrees_with_cold(case, exponent, alternate):
     # targets of Phi over the inner 90% of the branch (|s| <= 4) move by
-    # 1e-14 to 1e-1 of 1 + |y|, all one way or alternating; a shift the
-    # estimate cannot follow falls back to the cold path, and every
-    # result is certified either way
+    # 1e-14 to 1e-1 of 1 + |y|, all one way or alternating; an element
+    # whose step from its anchor misses takes the step again, and
+    # bracketed_root closes what is still open on its table cell, so
+    # every result is certified either way
     op, br = case
     assert br.inverse is None
     lo, hi = max(br.lo, -4.0), min(br.hi, 4.0)
@@ -857,9 +858,10 @@ def test_warm_inverse_closes_ulp_wide_brackets_at_large_slopes(monkeypatch):
 
 
 def test_cold_call_anchors_elements_that_bracketed_root_closes(monkeypatch):
-    # over s in [300, 1000] the table cells are wide, so the cold call
-    # closes most elements with bracketed_root; each is anchored at its
-    # result, and a warm call at a relative shift of 1e-12 certifies all
+    # over s in [300, 1000] the table cells are wide, so the seeded step
+    # and its retry leave elements open, and bracketed_root closes them on
+    # their table cells; the record keeps every element's last step, and
+    # the next call at a relative shift of 1e-12 certifies all in one step
     op = difference(2.0, 0.0)
     br = find_branch(op, 2.0)
     y0 = np.asarray(op(np.linspace(300.0, 1000.0, 200)))

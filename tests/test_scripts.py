@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -311,8 +310,8 @@ def test_each_command_samples_weight_and_psi_once(tmp_path, monkeypatch):
 
 
 def test_only_the_solve_command_verifies_its_solve(tmp_path, monkeypatch):
-    # a report verifies its table when its verification is first read:
-    # the solve record reads it, a sweep row and a half-line interval never
+    # the solve command verifies the table it writes, through
+    # solver.verify; a sweep row and a half-line interval are never verified
     workloads = _workloads_module(monkeypatch)
     from phibvp import cli, solver
 
@@ -340,9 +339,11 @@ def _readme_config() -> str:
     return re.search(r"```ini\n(.*?)```", quick, re.S).group(1)
 
 
-def test_verification_on_first_read_is_the_eager_record(monkeypatch):
-    # the README config, a singular sqrt_t weight, and a decreasing branch
-    from phibvp import solve, solver
+def test_solve_record_holds_verify_of_its_written_table(tmp_path):
+    # the README config, a singular sqrt_t weight, and a decreasing branch:
+    # the record's [solve.verification] is `verify` on the table the solve
+    # wrote, read back from the file
+    from phibvp import cli, verify
     from phibvp.config import load_problem_config, parse_config
 
     compare = _compare_outputs_module()
@@ -351,26 +352,26 @@ def test_verification_on_first_read_is_the_eager_record(monkeypatch):
         compare.EXTRA_CASES["perona-sqrt-t"],
         compare.EXTRA_CASES["sine-decreasing"],
     )
-    calls = []
-    real = solver.verify
-    monkeypatch.setattr(solver, "verify", lambda *args: calls.append(1) or real(*args))
     problems = []
-    for text in texts:
-        cfg = load_problem_config(parse_config(text))
-        problem = cfg.build_finite()
+    for i, text in enumerate(texts):
+        cfg = tmp_path / f"case{i}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / f"run{i}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["solve", str(cfg), "-o", str(out)]) == 0
+        problem = load_problem_config(parse_config(text)).build_finite()
         problems.append(problem)
-        report = solve(problem, cfg.iteration)
-        columns = (report.x.values, report.x_prime.values, report.u.values)
-        calls.clear()
-        eager = real(problem, *columns)
-        lazy = report.verification
-        assert report.verification is lazy and calls == [1]
-        assert dataclasses.astuple(lazy) == dataclasses.astuple(eager)
-        assert lazy.ok
-        # the columns the record checked cannot change after the solve
-        for values in columns:
-            with pytest.raises(ValueError):
-                values[0] = 1.0
+        _, x, dx, u = cli.read_solution_table(str(out / "solution.txt"))
+        expected = verify(problem, x, dx, u)
+        record = parse_config((out / "record.txt").read_text())
+        assert record.section("solve.verification") == {
+            field.name: (
+                str(value).lower() if isinstance(value, bool) else format(value, ".17g")
+            )
+            for field in dataclasses.fields(expected)
+            for value in [getattr(expected, field.name)]
+        }
+        assert expected.ok
     assert problems[1].mesh.singular_indices
     assert not problems[2].branch.increasing
 

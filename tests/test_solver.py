@@ -551,7 +551,8 @@ class TestSolve:
         assert report.truncation_count == 0
 
     def test_constant_forcing_quadratic_solution(self):
-        report = solve(_identity_problem(constant_rhs(2.0)))
+        prob = _identity_problem(constant_rhs(2.0))
+        report = solve(prob)
         t = report.x.mesh.nodes
         assert report.status == "converged"
         assert report.iterations <= 3
@@ -559,8 +560,8 @@ class TestSolve:
         assert report.beta == pytest.approx(-1.0, abs=1e-10)
         assert report.boundary_defect <= 1e-12
         assert report.max_envelope_excess <= 1e-12
-        v = report.verification
-        assert v is not None and v.ok
+        v = verify(prob, report.x.values, report.x_prime.values, report.u.values)
+        assert v.ok
         assert v.boundary_defect <= 1e-12
         assert v.operator_defect <= 1e-12
         assert v.integral_defect <= 1e-10
@@ -825,7 +826,8 @@ class TestMixing:
         report = solve(prob, cfg)
         assert report.omega_halvings == 1
         assert report.iterations > cfg.stagnation + 10
-        assert report.status == "converged" and report.verification.ok
+        assert report.status == "converged"
+        assert verify(prob, report.x.values, report.x_prime.values, report.u.values).ok
 
     def test_skipped_secant_steps_are_counted(self, monkeypatch):
         # non-finite coefficients: every secant step is skipped, which
@@ -890,7 +892,6 @@ class TestVerify:
         prob = _identity_problem(constant_rhs(2.0))
         report = solve(prob)
         record = verify(prob, report.x.values, report.x_prime.values, report.u.values)
-        assert record == report.verification
         assert record.ok
         assert record.integral_defect <= 1e-10
         assert record.boundary_defect <= 1e-12
