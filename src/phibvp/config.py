@@ -577,6 +577,9 @@ def load_problem_config(doc: ConfigDoc) -> ProblemConfig:
         count = sw.get_int("count")
         if lo is None or hi is None or count is None:
             raise ConfigError("[sweep] needs lambda_min, lambda_max and count")
+        for key, value in (("lambda_min", lo), ("lambda_max", hi)):
+            if not math.isfinite(value):
+                raise sw.error(key, "must be finite")
         if count < 0:
             raise sw.error("count", "must be nonnegative")
         if count > 0 and hi < lo:

@@ -21,7 +21,9 @@ from .grid import (
     Mesh, cumulative_integral, halfline_integral, lp_norm, midvalues,
     sample_midpoints, sample_nodes,
 )
-from .operators import MonotoneBranch, PhiOperator, find_branch, hint_branch, partial_inverse
+from .operators import (
+    MonotoneBranch, PhiOperator, find_branch, hint_branch, partial_inverse_array,
+)
 
 # reference mesh and tolerance of the K self-test (sqrt_t is off by 1e-6)
 K_SELFTEST_CELLS = 4096
@@ -388,11 +390,11 @@ def reference_slopes(
     lo_margin, hi_margin = image_margins(branch, phi_s, L)
     if psi_ok and lo_margin > 0.0 and hi_margin > 0.0:
         try:
-            return (
-                phi_s,
-                partial_inverse(phi, branch, phi_s - 2.0 * L),
-                partial_inverse(phi, branch, phi_s + 2.0 * L),
+            # one vector call: the two targets share one zoomed table
+            box = partial_inverse_array(
+                phi, branch, np.array([phi_s - 2.0 * L, phi_s + 2.0 * L])
             )
+            return phi_s, float(box[0]), float(box[1])
         except PhibvpError:
             pass  # a numeric inverse found no bracket: the box stays NaN
     return phi_s, math.nan, math.nan

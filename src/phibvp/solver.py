@@ -35,7 +35,15 @@ targets move little between inversions (the beta walk's steps, and F
 between sweeps), so a Newton and a secant step from the last brackets
 and three vector evaluations of Phi certify each inversion.  Elements
 that move too far take the step a second time, and every result stays
-the regula falsi point of a certified bracket.
+the regula falsi point of a certified bracket.  The record also predicts
+the beta root: its anchor s0, Phi(s0) = p0 and slope m0 at each node
+linearise Phi^{-1}(y) ~ s0 + (y - p0)/m0, so the scalar map is about
+A + B beta.  Each beta solve with a record tries the root of that line
+first, and takes B as its first step's slope (Newton on the scalar
+equation; Deuflhard, Newton Methods for Nonlinear Problems, 2004,
+ch. 2).  Once the sweeps settle, that one inversion meets tol_beta.
+The walk, the theoretical bracket and the Illinois close stay as they
+are; without a record the beta solve runs as described above.
 
 The outer loop is undamped by default: a window-3 secant (Anderson) step
 mixes the raw sweep outputs.  Its history is a ring of consecutive
@@ -186,17 +194,49 @@ class BetaEquation:
     def value(self, xi: float) -> float:
         return float(self.cumulative(xi)[0][-1])
 
+    def _line(self) -> tuple[float, float] | None:
+        """(A, B) with value(xi) ~ A + B xi from the inversion record, or
+        None without a record of the mesh's size, or where A is not finite
+        or B not finite with the branch's sign.
+
+        Per node the record linearises Phi^{-1}(y) ~ s0 + (y - p0)/m0
+        (see operators.InverseStart), so A = integral (1/k)(s0 + (F -
+        p0)/m0) and B = integral (1/k)/m0, by the quadrature of value.
+        """
+        start = self.start
+        if start is None or start.s is None or start.s.size != self.F_n.size:
+            return None
+        disc = self.kernel.disc
+        with np.errstate(all="ignore"):
+            recip = 1.0 / start.slope
+            w = np.subtract(self.F_n, start.phi)
+            w *= recip
+            w += start.s
+            A = float(cell_integrals(disc.mesh, *disc.weighted(w)).sum())
+            del w
+            B = float(cell_integrals(disc.mesh, *disc.weighted(recip)).sum())
+        sgn = 1.0 if self.kernel.problem.branch.increasing else -1.0
+        if not (math.isfinite(A) and math.isfinite(B) and sgn * B > 0.0):
+            return None
+        return A, B
+
     def solve(self, tol_beta: float, guess: float | None = None) -> float:
         """Root of value(xi) = target inside a certified bracket.
 
         The search starts at `guess`, typically the previous sweep's beta,
         if it lies strictly inside the theoretical bracket [lo, hi], else
         at Phi(s*_d) - Fbar with Fbar the 1/k-weighted mean of F (the root
-        when Phi is affine).  It walks from there by a first-order step,
-        then by doubled secant steps, until two evaluated points change
-        sign, and closes that local bracket.  Only a walk that reaches an
-        end of [lo, hi] or stalls evaluates, and if need be expands, the
-        theoretical bracket itself.
+        when Phi is affine).  When the inversion record holds the last
+        inversion's anchors (no closed-form inverse, and not the first
+        inversion of a solve), the search starts instead at the root of
+        the record's linear model value(xi) ~ A + B xi (see _line), if
+        that lies strictly inside [lo, hi].  It walks from there by a
+        first-order step, then by doubled secant steps, until two
+        evaluated points change sign, and closes that local bracket.  The
+        first step's slope is B of the record that the first evaluation
+        refreshed, or without a record k1/|Phi'(s*_d)|.  Only a walk that
+        reaches an end of [lo, hi] or stalls evaluates, and if need be
+        expands, the theoretical bracket itself.
         """
         disc = self.kernel.disc
         problem = self.kernel.problem
@@ -250,19 +290,29 @@ class BetaEquation:
             x = min(max(phi_sd - F_mean, lo), hi)
             if not lo < x < hi:
                 x = 0.5 * (lo + hi)
+        line = self._line()
+        if line is not None:
+            predicted = (target - line[0]) / line[1]
+            if lo < predicted < hi:
+                x = predicted
         r = residual(x)
         if abs(r) <= tol_beta:
             return x
-        # first step: d value / d xi is about k1 / |Phi'(s*_d)|, with Phi'
-        # from a central difference that stays inside the branch
-        h = min(
-            1e-6 * (1.0 + abs(s_star_d)),
-            0.5 * (s_star_d - br.lo),
-            0.5 * (br.hi - s_star_d),
-        )
-        with np.errstate(all="ignore"):
-            phi_pm = np.asarray(problem.phi(np.array([s_star_d - h, s_star_d + h])))
-            slope = float(disc.k1 * 2.0 * h / abs(phi_pm[1] - phi_pm[0]))
+        # first step: d value / d xi is B of the refreshed record, or
+        # about k1 / |Phi'(s*_d)|, with Phi' from a central difference
+        # that stays inside the branch
+        line = self._line()
+        if line is not None:
+            slope = sgn * line[1]
+        else:
+            h = min(
+                1e-6 * (1.0 + abs(s_star_d)),
+                0.5 * (s_star_d - br.lo),
+                0.5 * (br.hi - s_star_d),
+            )
+            with np.errstate(all="ignore"):
+                phi_pm = np.asarray(problem.phi(np.array([s_star_d - h, s_star_d + h])))
+                slope = float(disc.k1 * 2.0 * h / abs(phi_pm[1] - phi_pm[0]))
         if math.isfinite(slope) and slope > 0.0:
             step = -r / slope
         else:

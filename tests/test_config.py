@@ -173,6 +173,12 @@ class TestValidation:
             (("", ("nu2 = 0.5", "nu2 = nan")), r"\[problem\] nu2: must be finite"),
             (("", ("T = 1.0", "T = 1.0\np = 0.5")), r"\[problem\] p: must be at least 1"),
             (("", ("T = 1.0", "T = 1.0\np = nan")), r"\[problem\] p: must be at least 1"),
+            (("[sweep]\nlambda_min = 0\nlambda_max = inf\ncount = 3", None),
+             r"\[sweep\] lambda_max: must be finite"),
+            (("[sweep]\nlambda_min = nan\nlambda_max = 1\ncount = 3", None),
+             r"\[sweep\] lambda_min: must be finite"),
+            (("[sweep]\nlambda_min = -inf\nlambda_max = 1\ncount = 0", None),
+             r"\[sweep\] lambda_min: must be finite"),
         ],
     )
     def test_rejections(self, mutation, fragment):

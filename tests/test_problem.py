@@ -174,9 +174,9 @@ class TestDerivedScalars:
         # one rule for finite and half-line problems: deriving the scalars
         # never raises, and require_box names the cause
         def no_bracket(phi, branch, y):
-            raise ImageDomainError(y, branch.image_lo, branch.image_hi, "no bracket")
+            raise ImageDomainError(float(y[0]), branch.image_lo, branch.image_hi, "no bracket")
 
-        monkeypatch.setattr(problem_mod, "partial_inverse", no_bracket)
+        monkeypatch.setattr(problem_mod, "partial_inverse_array", no_bracket)
         prob = _pm_problem()
         sc = prob.scalars
         assert math.isfinite(sc.phi_s_star)

@@ -383,11 +383,12 @@ def test_each_problem_inverts_its_slope_box_once(tmp_path, monkeypatch):
     from phibvp import cli, problem, solve
     from phibvp.config import load_problem_config, parse_config
 
-    # reference_slopes inverts Phi(s*) - 2L and Phi(s*) + 2L: two calls per box
+    # reference_slopes inverts Phi(s*) - 2L and Phi(s*) + 2L in one call
     calls = []
-    real = problem.partial_inverse
+    real = problem.partial_inverse_array
     monkeypatch.setattr(
-        problem, "partial_inverse", lambda *args: calls.append(1) or real(*args)
+        problem, "partial_inverse_array",
+        lambda phi, branch, y: calls.append(np.size(y)) or real(phi, branch, y),
     )
 
     text = workloads._sweep_configs(0)["sweep"]
@@ -395,14 +396,15 @@ def test_each_problem_inverts_its_slope_box_once(tmp_path, monkeypatch):
     built = cfg.build_finite()
     assert cfg.run_check(built).overall == "pass"
     assert solve(built, cfg.iteration).status == "converged"
-    assert len(calls) == 2
+    assert calls == [2]
 
     calls.clear()
     path = tmp_path / "sweep.cfg"
     path.write_text(text)
     assert cli.main(["sweep", str(path), "-o", str(tmp_path / "sweep")]) == 0
     rows = workloads.read_sweep(str(tmp_path / "sweep" / "sweep.txt"))
-    assert 2 * sum(row[1] == "pass" for row in rows) == len(calls) == 42
+    assert sum(row[1] == "pass" for row in rows) == len(calls) == 21
+    assert set(calls) == {2}
 
 
 def test_every_benchmark_solve_records_what_verify_prints(

@@ -45,6 +45,13 @@ from phibvp.solver import (
 )
 
 
+WEAVE = Rhs(
+    fn=lambda t, x, y: 0.2 * np.sin(3.0 * t + x) - 0.1 * np.cos(y),
+    psi=lambda t: np.full_like(np.asarray(t, dtype=float), 0.3),
+    name="weave",
+)
+
+
 def _identity_problem(rhs, nu1=0.0, nu2=0.0, T=1.0, n=1000):
     phi = make_operator("r_laplacian", r=2.0)
     return make_problem(phi, constant_weight(1.0), rhs, nu1, nu2, T, mesh_n=n)
@@ -229,16 +236,11 @@ class TestBetaSolve:
 
         monkeypatch.setattr(BetaEquation, "value", value)
         monkeypatch.setattr(BetaEquation, "solve", solve_logged)
-        weave = Rhs(
-            fn=lambda t, x, y: 0.2 * np.sin(3.0 * t + x) - 0.1 * np.cos(y),
-            psi=lambda t: np.full_like(np.asarray(t, dtype=float), 0.3),
-            name="weave",
-        )
         problems = [
             self._bisect_shape(),
             make_problem(
                 make_operator("relativistic"), one_plus_t_squared_weight(),
-                weave, 0.0, 0.5, 1.0, mesh_n=400,
+                WEAVE, 0.0, 0.5, 1.0, mesh_n=400,
             ),
         ]
         # damped, so that the solves run enough sweeps to replay
@@ -781,6 +783,152 @@ T = 1.0
 [mesh]
 n = 2000
 """
+
+DIFFERENCE_DECREASING = """
+[operator]
+name = difference
+alpha = 2
+beta = 0
+
+[weight]
+name = {weight}
+
+[rhs]
+f = 0.01*cos(x)*sin(y) + 0.005*cos(3*t)
+psi = 0.015
+
+[problem]
+nu1 = 0.0
+nu2 = 0.3
+T = 1.0
+
+[mesh]
+n = 2000
+"""
+
+
+def _config_problem(text):
+    config = load_problem_config(parse_config(text))
+    return config.build_finite()
+
+
+class TestPredictedRoot:
+    """A beta solve with an inversion record starts at the root of the
+    record's linear model; the counts are deterministic."""
+
+    @staticmethod
+    def _counted_solve(monkeypatch, prob):
+        """solve(prob), and per beta solve: its map evaluations, its
+        inversions, whether the record gave a line, and |value - target|
+        at the beta it returned."""
+        solves = []
+        real_value = BetaEquation.value
+        real_solve = BetaEquation.solve
+        real_line = BetaEquation._line
+        real_inverse = solver_mod.partial_inverse_array
+
+        def value(self, xi):
+            solves[-1]["evals"] += 1
+            return real_value(self, xi)
+
+        def inverse(*args):
+            solves[-1]["inversions"] += 1
+            return real_inverse(*args)
+
+        def line(self):
+            out = real_line(self)
+            solves[-1]["lines"] += out is not None
+            return out
+
+        def solve_logged(self, tol_beta, guess=None):
+            solves.append(dict(evals=0, inversions=0, lines=0))
+            beta = real_solve(self, tol_beta, guess=guess)
+            # g_map integrates this point next, so this costs nothing more
+            cum = self.cumulative(beta)[0]
+            solves[-1]["residual"] = abs(float(cum[-1]) - _target(self))
+            solves[-1]["tol"] = tol_beta
+            return beta
+
+        monkeypatch.setattr(BetaEquation, "value", value)
+        monkeypatch.setattr(BetaEquation, "solve", solve_logged)
+        monkeypatch.setattr(BetaEquation, "_line", line)
+        monkeypatch.setattr(solver_mod, "partial_inverse_array", inverse)
+        report = solve(prob)
+        assert report.status == "converged"
+        return report, solves
+
+    @pytest.mark.parametrize(
+        "build, iterations, evaluations",
+        [
+            (lambda: _config_problem(PERONA_ROW), 6, 16),
+            (
+                lambda: make_problem(
+                    make_operator("r_laplacian", r=2.0), one_plus_t_squared_weight(),
+                    WEAVE, 0.0, 0.4, 1.0, mesh_n=400,
+                ),
+                5, 9,
+            ),
+        ],
+        ids=["perona", "r_laplacian-2"],
+    )
+    def test_a_closed_form_solve_never_predicts(
+        self, monkeypatch, build, iterations, evaluations
+    ):
+        # the counts of the solver before the prediction: a closed-form
+        # inverse leaves the record empty, so the path is unchanged
+        prob = build()
+        assert prob.branch.inverse is not None
+        report, solves = self._counted_solve(monkeypatch, prob)
+        assert report.iterations == iterations
+        assert sum(s["evals"] for s in solves) == evaluations
+        assert sum(s["lines"] for s in solves) == 0
+
+    @pytest.mark.parametrize(
+        "build, iterations, before, after",
+        [
+            (lambda: _config_problem(DIFFERENCE_DECREASING.format(weight="one_plus_t_squared")),
+             4, 10, 8),
+            (lambda: _config_problem(DIFFERENCE_DECREASING.format(weight="sqrt_t")), 4, 10, 6),
+            (
+                lambda: make_problem(
+                    make_operator("difference", alpha=2.0, beta=0.0), constant_weight(1.0),
+                    Rhs(
+                        fn=lambda t, x, y: np.cos(x) * np.sin(y),
+                        psi=lambda t: np.full_like(t, 1.0),
+                        name="far-targets",
+                    ),
+                    0.0, 1.5, 1.0, mesh_n=2000,
+                ),
+                5, 18, 11,
+            ),
+        ],
+        ids=["difference-decreasing", "difference-decreasing-sqrt-t", "far-targets"],
+    )
+    def test_a_generic_solve_evaluates_less_in_as_many_sweeps(
+        self, monkeypatch, build, iterations, before, after
+    ):
+        # `before` is the count of the solver without the prediction
+        prob = build()
+        assert prob.branch.inverse is None
+        report, solves = self._counted_solve(monkeypatch, prob)
+        assert report.iterations == iterations
+        evaluations = sum(s["evals"] for s in solves)
+        assert evaluations == after < before
+        assert sum(s["inversions"] for s in solves) == evaluations
+        for s in solves:
+            assert s["residual"] <= s["tol"], s
+
+    def test_an_affine_generic_phi_inverts_once_per_later_sweep(self, monkeypatch):
+        # Phi(s) = 2s + 0.5 without a closed-form inverse: the record's
+        # line is the scalar map itself, so its root needs no walk
+        phi = PhiOperator("affine", lambda s: 2.0 * s + 0.5)
+        prob = make_problem(
+            phi, one_plus_t_squared_weight(), WEAVE, 0.0, 0.4, 1.0, mesh_n=400
+        )
+        assert prob.branch.inverse is None
+        report, solves = self._counted_solve(monkeypatch, prob)
+        assert report.iterations == len(solves) > 2
+        assert all(s["inversions"] == 1 for s in solves[1:])
 
 
 class TestMixing:
