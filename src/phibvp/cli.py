@@ -341,7 +341,8 @@ def cmd_solve(cfg: ProblemConfig, args) -> int:
     write_solution_table(table_path, problem.mesh, report)
     # the columns just written, through the binding perfbench/tracing.py patches
     verification = solver.verify(problem, report.x.values, report.x_prime.values, report.u.values)
-    code = EXIT_OK if report.status == "converged" else EXIT_NUMERIC
+    # a table that `phibvp verify` would fail exits as that command does
+    code = EXIT_OK if report.status == "converged" and verification.ok else EXIT_NUMERIC
     _write_record(
         "solve", cfg, args, code,
         check=report_check, solve_report=report, verification=verification,
@@ -350,6 +351,8 @@ def cmd_solve(cfg: ProblemConfig, args) -> int:
         f"solve: {report.status} in {report.iterations} iterations, "
         f"residual {_fmt(report.residual)}"
     )
+    if not verification.ok:
+        print("verification: FAILED")
     print(f"wrote {table_path}")
     return code
 

@@ -8,16 +8,17 @@ equation
 
 for the integration constant beta, and integrates the new derivative
 Phi^{-1}(beta + F_cum)/k back up from nu1.  The left side is strictly
-monotone in beta.  Its solve starts at the previous sweep's beta, or on
-the first sweep at the first-order estimate Phi(s*_d) - Fbar (Fbar the
-1/k-weighted mean of F_cum; exact when Phi is affine), and walks by a
-first-order step, then doubled secant steps, until two evaluated points
-change sign.  That local certified bracket is closed by Illinois regula
-falsi with a bisection safeguard (operators.bracketed_root).  The wide
-bracket that the image margin guarantees is evaluated only when the walk
-reaches one of its ends or stalls.  Every sweep output lands inside the
-derived slope envelopes and the solution box regardless of its input,
-which is what makes the truncation harmless and the iteration stable.
+monotone in beta.  Its solve starts at the root of one linear model of
+the map about the last sweep's output (BetaEquation._model), takes a
+Newton step with the model's slope, then plain secant steps, until a
+point meets tol_beta or two evaluated points change sign (Deuflhard,
+Newton Methods for Nonlinear Problems, 2004, ch. 2).  That local
+certified bracket is closed by Illinois regula falsi with a bisection
+safeguard (operators.bracketed_root).  The wide bracket that the image
+margin guarantees is evaluated only when the walk reaches one of its
+ends or stalls.  Every sweep output lands inside the derived slope
+envelopes and the solution box regardless of its input, which is what
+makes the truncation harmless and the iteration stable.
 A decreasing branch is solved as it is: the scalar map then decreases in
 beta, and the beta solve and the branch inverse read the orientation.
 
@@ -35,15 +36,9 @@ targets move little between inversions (the beta walk's steps, and F
 between sweeps), so a Newton and a secant step from the last brackets
 and three vector evaluations of Phi certify each inversion.  Elements
 that move too far take the step a second time, and every result stays
-the regula falsi point of a certified bracket.  The record also predicts
-the beta root: its anchor s0, Phi(s0) = p0 and slope m0 at each node
-linearise Phi^{-1}(y) ~ s0 + (y - p0)/m0, so the scalar map is about
-A + B beta.  Each beta solve with a record tries the root of that line
-first, and takes B as its first step's slope (Newton on the scalar
-equation; Deuflhard, Newton Methods for Nonlinear Problems, 2004,
-ch. 2).  Once the sweeps settle, that one inversion meets tol_beta.
-The walk, the theoretical bracket and the Illinois close stay as they
-are; without a record the beta solve runs as described above.
+the regula falsi point of a certified bracket.  The record's anchors
+and slopes also give the beta solve its linear model; once the sweeps
+settle, one inversion meets tol_beta.
 
 The outer loop is undamped by default: a window-3 secant (Anderson) step
 mixes the raw sweep outputs.  Its history is a ring of consecutive
@@ -65,6 +60,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -128,10 +124,10 @@ class IterationConfig:
             raise InvalidInputError(f"omega (damping) must lie in [{MIN_OMEGA}, 1]")
         if self.max_outer < 1:
             raise InvalidInputError("max_outer must be at least 1")
-        if not self.tol_fp > 0:
-            raise InvalidInputError("tol_fp must be positive")
-        if not self.tol_beta > 0:
-            raise InvalidInputError("tol_beta must be positive")
+        if not 0 < self.tol_fp < math.inf:
+            raise InvalidInputError("tol_fp must be positive and finite")
+        if not 0 < self.tol_beta < math.inf:
+            raise InvalidInputError("tol_beta must be positive and finite")
         if self.stagnation < 1:
             raise InvalidInputError("stagnation must be at least 1")
 
@@ -154,13 +150,17 @@ class BetaEquation:
     F_n: np.ndarray
     # where each inversion starts: the brackets of the last one
     start: InverseStart | None = field(default=None, repr=False)
+    # the 1/k-weighted mean of the last sweep output's u (GStep.ubar);
+    # None reads as Phi(s*_d), the u of the affine-in-K start
+    ubar: float | None = None
     # the last (xi, cumulative(xi)): the solve ends on the point g_map
     # integrates, so that integration is free
     _last: list = field(default_factory=list, repr=False)
 
     @staticmethod
     def build(
-        kernel: SolverKernel, Fcum: np.ndarray, start: InverseStart | None = None
+        kernel: SolverKernel, Fcum: np.ndarray,
+        start: InverseStart | None = None, ubar: float | None = None,
     ) -> "BetaEquation":
         """The map for the running integral Fcum of F at the nodes of the
         kernel's mesh; `start`, when given, carries each inversion's
@@ -170,7 +170,7 @@ class BetaEquation:
             raise InvalidInputError("cumulative grid lives on a different mesh")
         if not np.all(np.isfinite(F_n)):
             raise InvalidInputError("grid function values must be finite")
-        return BetaEquation(kernel, F_n, start)
+        return BetaEquation(kernel, F_n, start, ubar)
 
     def _slopes(self, xi: float) -> tuple[np.ndarray, np.ndarray]:
         # Phi^{-1}(xi + F) at the nodes only, weighted by 1/k
@@ -194,51 +194,74 @@ class BetaEquation:
     def value(self, xi: float) -> float:
         return float(self.cumulative(xi)[0][-1])
 
-    def _line(self) -> tuple[float, float] | None:
-        """(A, B) with value(xi) ~ A + B xi from the inversion record, or
-        None without a record of the mesh's size, or where A is not finite
-        or B not finite with the branch's sign.
-
-        Per node the record linearises Phi^{-1}(y) ~ s0 + (y - p0)/m0
-        (see operators.InverseStart), so A = integral (1/k)(s0 + (F -
-        p0)/m0) and B = integral (1/k)/m0, by the quadrature of value.
-        """
-        start = self.start
-        if start is None or start.s is None or start.s.size != self.F_n.size:
-            return None
+    @cached_property
+    def F_mean(self) -> float:
+        """Fbar, the 1/k-weighted mean of F, by the quadrature of value."""
         disc = self.kernel.disc
-        with np.errstate(all="ignore"):
-            recip = 1.0 / start.slope
-            w = np.subtract(self.F_n, start.phi)
-            w *= recip
-            w += start.s
-            A = float(cell_integrals(disc.mesh, *disc.weighted(w)).sum())
-            del w
-            B = float(cell_integrals(disc.mesh, *disc.weighted(recip)).sum())
-        sgn = 1.0 if self.kernel.problem.branch.increasing else -1.0
-        if not (math.isfinite(A) and math.isfinite(B) and sgn * B > 0.0):
-            return None
-        return A, B
+        return float(cell_integrals(disc.mesh, *disc.weighted(self.F_n)).sum()) / disc.k1
 
-    def solve(self, tol_beta: float, guess: float | None = None) -> float:
+    def u_mean(self, beta: float) -> float | None:
+        """beta + Fbar, the mean of u = beta + F, if the model took Fbar."""
+        # F_mean's cache: a solve that reads only the record skips Fbar
+        F_mean = vars(self).get("F_mean")
+        return None if F_mean is None else beta + F_mean
+
+    @cached_property
+    def _uniform_slope(self) -> float:
+        # k1 / Phi'(s*_d), with Phi' from a central difference that stays
+        # inside the branch
+        problem = self.kernel.problem
+        s, br = problem.scalars.s_star, problem.branch
+        h = min(1e-6 * (1.0 + abs(s)), 0.5 * (s - br.lo), 0.5 * (br.hi - s))
+        with np.errstate(all="ignore"):
+            phi_pm = np.asarray(problem.phi(np.array([s - h, s + h])))
+            return float(self.kernel.disc.k1 * 2.0 * h / (phi_pm[1] - phi_pm[0]))
+
+    def _model(self) -> tuple[float, float]:
+        """(root, B) of the linear model value(xi) ~ A + B xi about the
+        last sweep's output.
+
+        An inversion record of the mesh's size (see operators.InverseStart)
+        linearises Phi^{-1}(y) ~ s0 + (y - p0)/m0 per node, so A = integral
+        (1/k)(s0 + (F - p0)/m0) and B = integral (1/k)/m0, by the
+        quadrature of value; used where A is finite and B finite with the
+        branch's sign.  Otherwise every node takes the slope Phi'(s*_d):
+        the last output's x' integrates to the target and its u has the
+        mean ubar = beta + Fbar, so B = k1/Phi'(s*_d) and the root is
+        ubar - Fbar whatever the slope, exact when Phi is affine.
+        """
+        problem = self.kernel.problem
+        target = problem.nu2 - problem.nu1
+        start = self.start
+        if start is not None and start.s is not None and start.s.size == self.F_n.size:
+            disc = self.kernel.disc
+            with np.errstate(all="ignore"):
+                recip = 1.0 / start.slope
+                w = np.subtract(self.F_n, start.phi)
+                w *= recip
+                w += start.s
+                A = float(cell_integrals(disc.mesh, *disc.weighted(w)).sum())
+                del w
+                B = float(cell_integrals(disc.mesh, *disc.weighted(recip)).sum())
+            sgn = 1.0 if problem.branch.increasing else -1.0
+            if math.isfinite(A) and math.isfinite(B) and sgn * B > 0.0:
+                return (target - A) / B, B
+        ubar = problem.scalars.phi_s_star if self.ubar is None else self.ubar
+        return ubar - self.F_mean, self._uniform_slope
+
+    def solve(self, tol_beta: float) -> float:
         """Root of value(xi) = target inside a certified bracket.
 
-        The search starts at `guess`, typically the previous sweep's beta,
-        if it lies strictly inside the theoretical bracket [lo, hi], else
-        at Phi(s*_d) - Fbar with Fbar the 1/k-weighted mean of F (the root
-        when Phi is affine).  When the inversion record holds the last
-        inversion's anchors (no closed-form inverse, and not the first
-        inversion of a solve), the search starts instead at the root of
-        the record's linear model value(xi) ~ A + B xi (see _line), if
-        that lies strictly inside [lo, hi].  It walks from there by a
-        first-order step, then by doubled secant steps, until two
-        evaluated points change sign, and closes that local bracket.  The
-        first step's slope is B of the record that the first evaluation
-        refreshed, or without a record k1/|Phi'(s*_d)|.  Only a walk that
-        reaches an end of [lo, hi] or stalls evaluates, and if need be
-        expands, the theoretical bracket itself.
+        The search starts at the root of the linear model (see _model), or
+        at the midpoint of the theoretical bracket [lo, hi] when that root
+        is not strictly inside it.  The first step is Newton's, with B of
+        the model that the first evaluation refreshed; later steps are
+        plain secant steps.  The walk ends at a point with |r| <= tol_beta,
+        or when two evaluated points change sign, and that local certified
+        bracket is closed.  Only a walk that reaches an end of [lo, hi] or
+        stalls evaluates, and if need be expands, the theoretical bracket
+        itself.
         """
-        disc = self.kernel.disc
         problem = self.kernel.problem
         br = problem.branch
         target = problem.nu2 - problem.nu1
@@ -249,14 +272,12 @@ class BetaEquation:
             )
         m_F, M_F = float(self.F_n.min()), float(self.F_n.max())
         pad = 1e-12 * (1.0 + abs(phi_sd) + abs(m_F) + abs(M_F))
-        lo = phi_sd - M_F - pad
-        hi = phi_sd - m_F + pad
         # keep xi + F strictly inside the branch image at every sample
         b1, b2 = br.image_lo, br.image_hi
-        if math.isfinite(b1):
-            lo = max(lo, b1 - m_F + 1e-14 * (1.0 + abs(b1)))
-        if math.isfinite(b2):
-            hi = min(hi, b2 - M_F - 1e-14 * (1.0 + abs(b2)))
+        lo_img = b1 - m_F + 1e-14 * (1.0 + abs(b1)) if math.isfinite(b1) else -math.inf
+        hi_img = b2 - M_F - 1e-14 * (1.0 + abs(b2)) if math.isfinite(b2) else math.inf
+        lo = max(phi_sd - M_F - pad, lo_img)
+        hi = min(phi_sd - m_F + pad, hi_img)
         if not lo < hi:
             raise BetaBracketError(
                 f"empty bisection bracket [{lo!r}, {hi!r}]; the compatibility "
@@ -282,37 +303,13 @@ class BetaEquation:
             )
             return min(tried)[1]
 
-        if guess is not None and lo < guess < hi:
-            x = guess
-        else:
-            F_int = cumulative_integral(disc.mesh, *disc.weighted(self.F_n))
-            F_mean = float(F_int[-1]) / disc.k1
-            x = min(max(phi_sd - F_mean, lo), hi)
-            if not lo < x < hi:
-                x = 0.5 * (lo + hi)
-        line = self._line()
-        if line is not None:
-            predicted = (target - line[0]) / line[1]
-            if lo < predicted < hi:
-                x = predicted
+        x = self._model()[0]
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
         r = residual(x)
         if abs(r) <= tol_beta:
             return x
-        # first step: d value / d xi is B of the refreshed record, or
-        # about k1 / |Phi'(s*_d)|, with Phi' from a central difference
-        # that stays inside the branch
-        line = self._line()
-        if line is not None:
-            slope = sgn * line[1]
-        else:
-            h = min(
-                1e-6 * (1.0 + abs(s_star_d)),
-                0.5 * (s_star_d - br.lo),
-                0.5 * (br.hi - s_star_d),
-            )
-            with np.errstate(all="ignore"):
-                phi_pm = np.asarray(problem.phi(np.array([s_star_d - h, s_star_d + h])))
-                slope = float(disc.k1 * 2.0 * h / abs(phi_pm[1] - phi_pm[0]))
+        slope = sgn * self._model()[1]
         if math.isfinite(slope) and slope > 0.0:
             step = -r / slope
         else:
@@ -332,8 +329,7 @@ class BetaEquation:
             slope = (r_new - r) / (x_new - x)
             if x_new in (lo, hi) or not slope > 0.0:
                 break
-            # doubled, so that the next point tends to cross the root
-            x, r, step = x_new, r_new, -2.0 * r_new / slope
+            x, r, step = x_new, r_new, -r_new / slope
 
         # the walk reached an end of [lo, hi] or stalled: certify the
         # theoretical bracket, expanding it if it does not straddle
@@ -344,17 +340,13 @@ class BetaEquation:
                 break
             width = hi - lo
             if r_lo > 0.0:
-                lo2 = lo - width
-                if math.isfinite(b1):
-                    lo2 = max(lo2, b1 - m_F + 1e-14 * (1.0 + abs(b1)))
+                lo2 = max(lo - width, lo_img)
                 if lo2 >= lo:
                     break
                 lo = lo2
                 r_lo = residual(lo)
             else:
-                hi2 = hi + width
-                if math.isfinite(b2):
-                    hi2 = min(hi2, b2 - M_F - 1e-14 * (1.0 + abs(b2)))
+                hi2 = min(hi + width, hi_img)
                 if hi2 <= hi:
                     break
                 hi = hi2
@@ -420,6 +412,9 @@ class GStep:
     x_prime: np.ndarray
     beta: float
     u: np.ndarray
+    # the 1/k-weighted mean of u, the next beta solve's anchor; None where
+    # the solve started from the inversion record (BetaEquation.u_mean)
+    ubar: float | None
 
 
 def g_map(
@@ -428,29 +423,29 @@ def g_map(
     x_prime: np.ndarray,
     envs: Envelopes | None = None,
     tol_beta: float = 1e-12,
-    beta_guess: float | None = None,
+    ubar: float | None = None,
     inverse_start: InverseStart | None = None,
 ) -> GStep:
     """g_x = nu1 + cumulative (1/k) Phi^{-1}(beta + F_cum) at one iterate.
 
-    `beta_guess` is the first trial point of the beta solve (see
-    BetaEquation.solve); the previous sweep's beta is a good one.
-    `inverse_start` carries the brackets of each branch inversion to the
-    next, across sweeps too.  Every output must be finite.
+    `ubar`, the last output's GStep.ubar, anchors the beta solve's linear
+    model (see BetaEquation._model).  `inverse_start` carries the brackets
+    of each branch inversion to the next, across sweeps too.  Every output
+    must be finite.
     """
     env = envs if envs is not None else envelopes(problem)
     F = truncated_rhs(problem, env, x, x_prime)
     Fcum = cumulative_integral(problem.mesh, F)
     # F is spent: the beta solve's inversions set the peak memory
     del F
-    eq = BetaEquation.build(SolverKernel(problem), Fcum, inverse_start)
-    beta = eq.solve(tol_beta, guess=beta_guess)
+    eq = BetaEquation.build(SolverKernel(problem), Fcum, inverse_start, ubar)
+    beta = eq.solve(tol_beta)
     cum, w_n = eq.cumulative(beta)
     x_new = problem.nu1 + cum
     u = beta + Fcum
     if not all(np.all(np.isfinite(v)) for v in (x_new, w_n, u)):
         raise InvalidInputError("grid function values must be finite")
-    return GStep(x=x_new, x_prime=w_n, beta=beta, u=u)
+    return GStep(x=x_new, x_prime=w_n, beta=beta, u=u, ubar=eq.u_mean(beta))
 
 
 @dataclass(frozen=True)
@@ -698,7 +693,7 @@ def _iterate(
     for _ in range(cfg.max_outer):
         last = g_map(
             problem, x_vals, xp_vals, envs=envs, tol_beta=cfg.tol_beta,
-            beta_guess=None if last is None else last.beta,
+            ubar=None if last is None else last.ubar,
             inverse_start=inverse_start,
         )
         if res is None:

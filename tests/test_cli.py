@@ -91,6 +91,24 @@ tol_h = 1.0e-2
 cells_per_unit = 50
 """
 
+# the README's quick-start config
+PENDULUM = """
+[problem]
+nu1 = 0.0
+nu2 = 0.5
+T = 1.0
+
+[operator]
+name = relativistic
+
+[weight]
+expr = 1 + t^2
+
+[rhs]
+f = 0.05 * cos(x) * sin(y)
+psi = 0.05
+"""
+
 
 # a right-hand side whose psi is negative everywhere on the half-line
 NEGATIVE_HALFLINE_PSI = """[rhs]
@@ -1526,6 +1544,22 @@ class TestExitCodeContract:
         }
         assert main([arg.format(**paths) for arg in argv]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    def test_a_solve_whose_table_fails_verification_exits_4(self, tmp_path, capsys):
+        # the README's quick-start problem: tol_fp = 1e-2 stops the loop
+        # after one sweep, whose table misses the integral identity (defect
+        # 4.1e-5); solve judges its table as verify does
+        cfg = write(tmp_path, PENDULUM)
+        out = tmp_path / "run"
+        assert main(["solve", cfg, "-o", str(out), "--tol-fp", "1e-2"]) == 4
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-3].startswith("solve: converged in 1 iterations")
+        assert printed[-2] == "verification: FAILED"
+        record = parse_config((out / "record.txt").read_text())
+        assert record.section("run")["exit_code"] == "4"
+        assert record.section("solve.verification")["ok"] == "false"
+        assert main(["verify", str(out / "solution.txt"), cfg]) == 4
+        assert "verification: FAILED" in capsys.readouterr().out.splitlines()
 
     def test_module_entry_point_prints_no_traceback(self, tmp_path):
         text = PERONA.format(nu2=0.05) + "\n[check]\nlattice = nan, 2, 2\n"

@@ -179,6 +179,10 @@ class TestValidation:
              r"\[sweep\] lambda_min: must be finite"),
             (("[sweep]\nlambda_min = -inf\nlambda_max = 1\ncount = 0", None),
              r"\[sweep\] lambda_min: must be finite"),
+            (("[iteration]\ntol_fp = inf", None),
+             r"\[iteration\] tol_fp must be positive and finite"),
+            (("[iteration]\ntol_beta = inf", None),
+             r"\[iteration\] tol_beta must be positive and finite"),
         ],
     )
     def test_rejections(self, mutation, fragment):
@@ -481,6 +485,7 @@ class TestAssembly:
             ({"max_iters": 0}, "--max-iters 0: [iteration] max_outer must be at least 1"),
             # a valid flag before the bad one is not blamed
             ({"tol_fp": 1e-8, "tol_beta": -1.0}, "--tol-beta -1.0: [iteration] tol_beta "),
+            ({"tol_beta": math.inf}, "--tol-beta inf: [iteration] tol_beta must be positive and finite"),
         ],
     )
     def test_a_flag_is_checked_as_its_key(self, flags, message):

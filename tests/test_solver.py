@@ -186,20 +186,26 @@ class TestBetaSolve:
         Fcum = np.cumsum(F) / F.size
         return BetaEquation.build(kern, Fcum)
 
-    def test_guess_is_only_a_first_trial_point(self, monkeypatch):
+    def test_the_anchor_places_the_first_trial_point(self, monkeypatch):
         eq = self._sweep_equation()
-        cold = eq.solve(1e-12)
-        assert abs(eq.value(cold) - _target(eq)) <= 1e-12
-        # far outside the certified bracket: ignored
-        assert eq.solve(1e-12, guess=1e6) == cold
-        # at the root: the guess itself, and no bracket end
+        root = eq.solve(1e-12)
+        assert abs(eq.value(root) - _target(eq)) <= 1e-12
         calls = []
         real_value = BetaEquation.value
         monkeypatch.setattr(
             BetaEquation, "value", lambda self, xi: calls.append(xi) or real_value(self, xi)
         )
-        assert eq.solve(1e-12, guess=cold) == cold
-        assert len(calls) == 1 and calls[-1] == cold
+        # an output whose u has the mean root + Fbar: the model's root is
+        # the root, and that one evaluation meets tol_beta
+        anchored = BetaEquation.build(eq.kernel, eq.F_n, ubar=root + eq.F_mean)
+        assert anchored.solve(1e-12) == calls[0] == pytest.approx(root, rel=1e-15)
+        assert len(calls) == 1
+        # a model root outside [lo, hi]: the midpoint is the first trial
+        calls.clear()
+        far = BetaEquation.build(eq.kernel, eq.F_n, ubar=1e6)
+        assert abs(far.solve(1e-12) - root) <= 1e-9
+        lo, hi = self._theoretical_bracket(eq)
+        assert calls[0] == pytest.approx(0.5 * (lo + hi), abs=1e-12 * (hi - lo))
 
     @staticmethod
     def _theoretical_bracket(eq):
@@ -229,9 +235,9 @@ class TestBetaSolve:
             solves[-1][3].append((xi, v - _target(self)))
             return v
 
-        def solve_logged(self, tol_beta, guess=None):
+        def solve_logged(self, tol_beta):
             solves.append([self, tol_beta, None, []])
-            solves[-1][2] = real_solve(self, tol_beta, guess=guess)
+            solves[-1][2] = real_solve(self, tol_beta)
             return solves[-1][2]
 
         monkeypatch.setattr(BetaEquation, "value", value)
@@ -256,7 +262,7 @@ class TestBetaSolve:
             0.05 * np.sin(5.0 * sine.mesh.nodes),
         )
         cold = eq.solve(1e-12)
-        eq.solve(1e-12, guess=cold + 1e-3)
+        BetaEquation.build(eq.kernel, eq.F_n, ubar=cold + eq.F_mean + 1e-3).solve(1e-12)
         eq.solve(1e-300)
         assert len(solves) > 10
         # each beta is an evaluated point with |r| <= tol, or lies between
@@ -462,7 +468,7 @@ class TestGMap:
     def test_non_finite_output_is_rejected(self, monkeypatch):
         prob = _identity_problem(zero_rhs(), nu2=0.7)
         zeros = np.zeros(prob.mesh.nodes.size)
-        monkeypatch.setattr(BetaEquation, "solve", lambda self, tol, guess=None: 0.0)
+        monkeypatch.setattr(BetaEquation, "solve", lambda self, tol: 0.0)
         monkeypatch.setattr(
             BetaEquation, "cumulative", lambda self, xi: (np.full(zeros.size, np.inf), zeros)
         )
@@ -813,18 +819,17 @@ def _config_problem(text):
 
 
 class TestPredictedRoot:
-    """A beta solve with an inversion record starts at the root of the
-    record's linear model; the counts are deterministic."""
+    """Every beta solve starts at the root of the linear model of its
+    scalar map (the inversion record's, or the uniform one about the last
+    output); the counts are deterministic."""
 
     @staticmethod
     def _counted_solve(monkeypatch, prob):
         """solve(prob), and per beta solve: its map evaluations, its
-        inversions, whether the record gave a line, and |value - target|
-        at the beta it returned."""
+        inversions, and |value - target| at the beta it returned."""
         solves = []
         real_value = BetaEquation.value
         real_solve = BetaEquation.solve
-        real_line = BetaEquation._line
         real_inverse = solver_mod.partial_inverse_array
 
         def value(self, xi):
@@ -835,14 +840,9 @@ class TestPredictedRoot:
             solves[-1]["inversions"] += 1
             return real_inverse(*args)
 
-        def line(self):
-            out = real_line(self)
-            solves[-1]["lines"] += out is not None
-            return out
-
-        def solve_logged(self, tol_beta, guess=None):
-            solves.append(dict(evals=0, inversions=0, lines=0))
-            beta = real_solve(self, tol_beta, guess=guess)
+        def solve_logged(self, tol_beta):
+            solves.append(dict(evals=0, inversions=0))
+            beta = real_solve(self, tol_beta)
             # g_map integrates this point next, so this costs nothing more
             cum = self.cumulative(beta)[0]
             solves[-1]["residual"] = abs(float(cum[-1]) - _target(self))
@@ -851,43 +851,44 @@ class TestPredictedRoot:
 
         monkeypatch.setattr(BetaEquation, "value", value)
         monkeypatch.setattr(BetaEquation, "solve", solve_logged)
-        monkeypatch.setattr(BetaEquation, "_line", line)
         monkeypatch.setattr(solver_mod, "partial_inverse_array", inverse)
         report = solve(prob)
         assert report.status == "converged"
         return report, solves
 
     @pytest.mark.parametrize(
-        "build, iterations, evaluations",
+        "build, iterations, before, after",
         [
-            (lambda: _config_problem(PERONA_ROW), 6, 16),
+            (lambda: _config_problem(PERONA_ROW), 6, 16, 13),
             (
                 lambda: make_problem(
                     make_operator("r_laplacian", r=2.0), one_plus_t_squared_weight(),
                     WEAVE, 0.0, 0.4, 1.0, mesh_n=400,
                 ),
-                5, 9,
+                5, 9, 5,
             ),
         ],
         ids=["perona", "r_laplacian-2"],
     )
-    def test_a_closed_form_solve_never_predicts(
-        self, monkeypatch, build, iterations, evaluations
+    def test_a_closed_form_solve_predicts_too(
+        self, monkeypatch, build, iterations, before, after
     ):
-        # the counts of the solver before the prediction: a closed-form
-        # inverse leaves the record empty, so the path is unchanged
+        # `before` is the count of the solver that started a closed-form
+        # solve at the previous sweep's beta; the uniform model predicts
+        # beta + Fbar - Fbar_new instead
         prob = build()
         assert prob.branch.inverse is not None
         report, solves = self._counted_solve(monkeypatch, prob)
         assert report.iterations == iterations
-        assert sum(s["evals"] for s in solves) == evaluations
-        assert sum(s["lines"] for s in solves) == 0
+        assert sum(s["evals"] for s in solves) == after < before
+        for s in solves:
+            assert s["residual"] <= s["tol"], s
 
     @pytest.mark.parametrize(
         "build, iterations, before, after",
         [
             (lambda: _config_problem(DIFFERENCE_DECREASING.format(weight="one_plus_t_squared")),
-             4, 10, 8),
+             4, 10, 7),
             (lambda: _config_problem(DIFFERENCE_DECREASING.format(weight="sqrt_t")), 4, 10, 6),
             (
                 lambda: make_problem(
@@ -929,6 +930,40 @@ class TestPredictedRoot:
         report, solves = self._counted_solve(monkeypatch, prob)
         assert report.iterations == len(solves) > 2
         assert all(s["inversions"] == 1 for s in solves[1:])
+
+    def test_an_affine_closed_form_phi_evaluates_once_per_sweep(self, monkeypatch):
+        # an interval of the half-line schedule: Phi(s) = s, so the uniform
+        # model is the scalar map itself on every sweep, the first included
+        prob = _config_problem(
+            "[operator]\nname = r_laplacian\nr = 2\n\n"
+            "[weight]\nname = one_plus_t_squared\n\n"
+            "[rhs]\nexample = halfline1\n\n"
+            "[problem]\nnu1 = 0.0\nnu2 = 0.2\nT = 5\n\n"
+            "[mesh]\nn = 1000\n"
+        )
+        report, solves = self._counted_solve(monkeypatch, prob)
+        assert report.iterations == len(solves) > 2
+        assert [s["evals"] for s in solves] == [1] * len(solves)
+
+    def test_a_first_step_near_the_root_is_not_doubled(self, monkeypatch):
+        # the first sweep of solve-bisect variant 1: the first step, with
+        # the slope of the record the first evaluation left, lands within a
+        # few tol_beta (r = -4.5e-12); a secant step from there meets
+        # tol_beta, where a doubled one crossed the root and closed the
+        # bracket in a fourth evaluation
+        prob = _config_problem(
+            "[operator]\nname = difference\nalpha = 2\nbeta = 0\n\n"
+            "[weight]\nname = constant\nvalue = 1.0\n\n"
+            "[rhs]\nf = 0.049919340183478891 * cos(x) * sin(y)\n"
+            "psi = 0.049919340183478891\n\n"
+            "[problem]\nnu1 = 0.0\nnu2 = 1.4804388028080981\nT = 1.0\n\n"
+            "[mesh]\nn = 10000\n"
+        )
+        report, solves = self._counted_solve(monkeypatch, prob)
+        assert report.iterations == 3
+        assert solves[0]["evals"] == solves[0]["inversions"] == 3
+        for s in solves:
+            assert s["residual"] <= s["tol"], s
 
 
 class TestMixing:
