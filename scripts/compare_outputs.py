@@ -138,7 +138,15 @@ count = 4
 # The *-example cases build the worked-example tags no other config
 # builds, so that every tag's f and psi are compared: sine, plaplacian
 # and relativistic are swept across their closed-form thresholds, and
-# halfline2 runs the half-line schedule.
+# halfline2 runs the half-line schedule.  The *-threshold-sweep cases are
+# the committed configs/*_threshold_sweep.cfg, read from there: a sweep
+# samples psi once when it does not read s* (perona), and once per row
+# when it does (plaplacian).
+def _committed_config(name: str) -> str:
+    with open(os.path.join(ROOT, "configs", name), encoding="utf-8") as handle:
+        return handle.read()
+
+
 EXTRA_CASES = {
     "perona-sqrt-t": PERONA_SQRT_T,
     "sine-decreasing": """[operator]
@@ -257,6 +265,8 @@ delta = 0.5
     "relativistic-example-sweep": EXAMPLE_SWEEP.format(
         operator="relativistic", rhs="relativistic", nu2=0.5, lo=-0.9, hi=1.2
     ),
+    "perona-threshold-sweep": _committed_config("perona_threshold_sweep.cfg"),
+    "plaplacian-threshold-sweep": _committed_config("plaplacian_threshold_sweep.cfg"),
     "halfline2-example": """[operator]
 name = relativistic
 

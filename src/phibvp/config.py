@@ -331,15 +331,30 @@ class ProblemConfig:
         with _config_errors("[weight]"):
             return phi, weight, sample_weight(weight, mesh)
 
+    def _sample_rhs(self, s_star: float) -> tuple[Rhs, Discretization]:
+        """The right-hand side at s*, and the mesh's 1/k with its psi."""
+        rhs = self._build_rhs(s_star)
+        with _config_errors("[rhs]"):
+            return rhs, self._finite_parts[2].with_psi(rhs)
+
+    @cached_property
+    def _fixed_rhs(self) -> tuple[Rhs, Discretization]:
+        """_sample_rhs of a right-hand side that does not read s*, as every
+        one but the plaplacian example's: a sweep samples its psi once,
+        and L and min psi with it.  A failure is not cached, so every
+        build raises it again."""
+        return self._sample_rhs(math.nan)
+
     def build_finite(self, nu2_override: float | None = None) -> BvpProblem:
         if self.halfline or self.T is None:
             raise ConfigError("[problem] this command needs a finite T")
         nu2 = self.nu2 if nu2_override is None else float(nu2_override)
         phi, weight, recip = self._finite_parts
         s_star = (nu2 - self.nu1) / recip.k1
-        rhs = self._build_rhs(s_star)
-        with _config_errors("[rhs]"):
-            disc = recip.with_psi(rhs)
+        if self.rhs_example is not None and EXAMPLES[self.rhs_example].reads_slope:
+            rhs, disc = self._sample_rhs(s_star)
+        else:
+            rhs, disc = self._fixed_rhs
         with _config_errors("[problem]"):
             branch = self._branch_around(s_star)
             return BvpProblem(

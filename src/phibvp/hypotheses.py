@@ -640,10 +640,11 @@ class WorkedExample:
 
     keys are its [rhs] parameters with their defaults (None: required),
     condition_keys those only its lambda-condition reads.  rhs(s_star,
-    **params) gives f and psi at the problem's slope s*, psi_l1(**params)
-    the exact half-line psi mass (None: not known), and bound(**params,
-    **condition params) the closed-form bound on |lambda| with the derived
-    quantities the condition reports; closed admits |lambda| == bound.
+    **params) gives f and psi at the problem's slope s*, which they read
+    only where reads_slope says so; psi_l1(**params) is the exact
+    half-line psi mass (None: not known), and bound(**params, **condition
+    params) the closed-form bound on |lambda| with the derived quantities
+    the condition reports; closed admits |lambda| == bound.
     """
 
     rhs: Callable[..., Rhs]
@@ -653,6 +654,7 @@ class WorkedExample:
     condition_keys: tuple[tuple[str, float], ...] = ()
     psi_l1: Callable[..., float | None] = lambda **params: None
     closed: bool = False
+    reads_slope: bool = False
 
 
 def _integrable_power(alpha: float) -> float:
@@ -728,6 +730,7 @@ EXAMPLES: dict[str, WorkedExample] = {
         bound=lambda p, beta, N: (plaplacian_bound(p, beta, N)[0], {}),
         detail="needs |lambda|^{p-1} <= max of (z/N)^{(p-1)/beta} - 2z",
         closed=True,
+        reads_slope=True,
     ),
     "relativistic": WorkedExample(
         rhs=lambda s_star: Rhs(

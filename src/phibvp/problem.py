@@ -177,6 +177,9 @@ class Discretization:
     recip_cumulative: np.ndarray
     psi_n: np.ndarray | None = None
     psi_mid: np.ndarray | None = None
+    # ||1/k||_p by p; the copies that with_psi makes share this dict, as
+    # they share the 1/k samples
+    recip_norms: dict = field(default_factory=dict, repr=False)
 
     @property
     def k1(self) -> float:
@@ -194,6 +197,24 @@ class Discretization:
         except InvalidInputError as exc:
             raise InvalidInputError(f"psi: {exc}") from None
         return replace(self, psi_n=psi_n, psi_mid=psi_mid)
+
+    def recip_norm(self, p: float) -> float:
+        """||1/k||_p over [0, T] by lp_norm, taken once per p for these
+        1/k samples; an error is not kept, so every call raises it."""
+        if p not in self.recip_norms:
+            self.recip_norms[p] = lp_norm(self.mesh, self.recip_n, p, self.recip_mid)
+        return self.recip_norms[p]
+
+    @cached_property
+    def psi_mass(self) -> float:
+        """L, the integral of psi by the mesh quadrature, once per psi
+        sampling."""
+        return float(cumulative_integral(self.mesh, self.psi_n, self.psi_mid)[-1])
+
+    @cached_property
+    def psi_min(self) -> float:
+        """The least psi sample at a regular node, once per psi sampling."""
+        return float(np.min(self.psi_n[~self.mesh.singular_mask()], initial=math.inf))
 
     def weighted(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """values / k at the nodes, and at the midpoints of mesh.mid_cells
@@ -257,18 +278,19 @@ class BvpProblem:
         derived once per problem; never raises (see reference_slopes).
 
         k1 and L are mesh quadratures of disc, the ones the solver
-        integrates with; require_box raises for a box left NaN.
+        integrates with; disc takes k1 and kp once per sampling of 1/k, L
+        and min psi once per sampling of psi, so the problems of a sweep
+        share them.  require_box raises for a box left NaN.
         """
         disc = self.disc
         k1 = disc.k1
         s_star = (self.nu2 - self.nu1) / k1
-        L = float(cumulative_integral(disc.mesh, disc.psi_n, disc.psi_mid)[-1])
-        psi_min = float(np.min(disc.psi_n[~disc.mesh.singular_mask()], initial=math.inf))
+        L, psi_min = disc.psi_mass, disc.psi_min
         phi_s, A_star, B_star = reference_slopes(
             self.phi, self.branch, s_star, L, psi_min >= 0.0
         )
         slope_lo, slope_hi = sorted((A_star, B_star))
-        kp = lp_norm(disc.mesh, disc.recip_n, self.p, disc.recip_mid)
+        kp = disc.recip_norm(self.p)
         N1, N2 = self.nu1 + k1 * slope_lo, self.nu1 + k1 * slope_hi
         return DerivedScalars(
             k1, kp, s_star, L, psi_min, phi_s, A_star, B_star, slope_lo, slope_hi, N1, N2

@@ -13,8 +13,9 @@ the map about the last sweep's output (BetaEquation._model), takes a
 Newton step with the model's slope, then plain secant steps, until a
 point meets tol_beta or two evaluated points change sign (Deuflhard,
 Newton Methods for Nonlinear Problems, 2004, ch. 2).  That local
-certified bracket is closed by Illinois regula falsi with a bisection
-safeguard (operators.bracketed_root).  The wide bracket that the image
+certified bracket is closed in scalar arithmetic by the Illinois rule of
+operators.bracketed_root: regula falsi with a bisection safeguard, point
+for point (close_bracket).  The wide bracket that the image
 margin guarantees is evaluated only when the walk reaches one of its
 ends or stalls.  Every sweep output lands inside the derived slope
 envelopes and the solution box regardless of its input, which is what
@@ -61,6 +62,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -79,7 +81,7 @@ from .grid import (
     difference_residual,
     lp_norm,
 )
-from .operators import InverseStart, bracketed_root, partial_inverse_array
+from .operators import InverseStart, partial_inverse_array
 from .problem import (
     BvpProblem,
     DerivedScalars,
@@ -139,6 +141,54 @@ class SolverKernel:
     def __init__(self, problem: BvpProblem):
         self.problem = problem
         self.disc = problem.disc
+
+
+def close_bracket(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, ftol: float
+) -> float:
+    """Root of an increasing scalar map f inside a < b, fa <= 0 <= fb.
+
+    The scalar form of operators.bracketed_root on one element, with
+    xtol = 0 and max_iter = BETA_MAX_ITER: it evaluates f at the same
+    points, bit for bit, and returns the same regula falsi point of the
+    final bracket.  Each step evaluates f at the regula falsi point, the
+    value of an end kept twice in a row halved (Illinois), or at the
+    midpoint when the bracket has not halved within two steps or that
+    point is not strictly inside.  It stops at a point with |f| <= ftol,
+    when no float lies strictly inside the bracket, or after BETA_MAX_ITER
+    evaluations.
+    """
+    if abs(fa) <= ftol:
+        b = a
+    if abs(fb) <= ftol:
+        a = b
+    kept = 0  # -1: a moved last, +1: b moved last
+    w1 = w2 = math.inf  # bracket widths one and two steps back
+    for _ in range(BETA_MAX_ITER):
+        W = b - a
+        M = 0.5 * (a + b)
+        if not (W > 0.0 and a < M < b):
+            break
+        # fb == fa leaves the regula falsi point undefined: the midpoint
+        x = M if W > 0.5 * w2 or fb == fa else b - fb * (W / (fb - fa))
+        if not a < x < b:
+            x = M
+        fx = f(x)
+        if fx < 0.0:
+            a, fa = x, fx
+            fb = 0.5 * fb if kept < 0 else fb
+            kept = -1
+        else:
+            b, fb = x, fx
+            fa = 0.5 * fa if kept > 0 else fa
+            kept = 1
+        w2, w1 = w1, W
+        if abs(fx) <= ftol:
+            a = b = x
+    if fb == fa:
+        return a
+    x = b - fb * ((b - a) / (fb - fa))
+    return x if a <= x <= b else a
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,13 +344,7 @@ class BetaEquation:
             return r
 
         def close(a: float, b: float, r_a: float, r_b: float) -> float:
-            # Illinois regula falsi with a bisection safeguard inside the
-            # certified bracket; it stops at the first point with
-            # |r| <= tol_beta, or when the bracket closes
-            bracketed_root(
-                lambda x, idx: residual(float(x[0])), a, b, r_a, r_b,
-                ftol=tol_beta, max_iter=BETA_MAX_ITER,
-            )
+            close_bracket(residual, a, b, r_a, r_b, tol_beta)
             return min(tried)[1]
 
         x = self._model()[0]

@@ -9,6 +9,7 @@ import contextlib
 import dataclasses
 import importlib.util
 import io
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,13 +83,16 @@ def test_heteroclinic_demo():
 
 def test_threshold_sweep(tmp_path, capsys):
     # each committed sweep config flips its check within one grid step of
-    # its family's closed-form threshold
+    # its family's closed-form threshold, as the README states: 5 - 2
+    # sqrt(6) for perona at alpha = 4, and 0.375 for plaplacian at p = 2,
+    # beta = 4; example_condition computes the same two bounds
     from phibvp import cli, example_condition
 
-    closed_forms = {
-        "perona": example_condition("perona", 0.0, alpha=4.0).bound,
-        "plaplacian": example_condition("plaplacian", 0.0, p=2.0, beta=4.0).bound,
-    }
+    closed_forms = {"perona": 5.0 - 2.0 * math.sqrt(6.0), "plaplacian": 0.375}
+    assert example_condition("perona", 0.0, alpha=4.0).bound == pytest.approx(
+        closed_forms["perona"], rel=1e-14
+    )
+    assert example_condition("plaplacian", 0.0, p=2.0, beta=4.0).bound == 0.375
     for tag, closed in closed_forms.items():
         cfg = ROOT / "configs" / f"{tag}_threshold_sweep.cfg"
         assert cli.main(["sweep", str(cfg), "-o", str(tmp_path / tag)]) == 0
@@ -145,6 +150,10 @@ def test_compare_outputs_finds_the_tree_identical_to_itself(tmp_path):
                  # every worked-example tag is built by some case
                  *(f"extra {tag}-example-sweep out/{name}"
                    for tag in ("sine", "plaplacian", "relativistic")
+                   for name in ("sweep.txt", "record.txt")),
+                 # and so is each committed threshold sweep
+                 *(f"extra {tag}-threshold-sweep out/{name}"
+                   for tag in ("perona", "plaplacian")
                    for name in ("sweep.txt", "record.txt")),
                  "extra halfline2-example out/interval_20.txt",
                  "extra halfline2-example out/record.txt"):
@@ -254,20 +263,23 @@ def _workloads_module(monkeypatch):
     return workloads
 
 
-def test_each_command_samples_weight_and_psi_once(tmp_path, monkeypatch):
-    # 1/k and psi are sampled on the full mesh once per problem, into its
-    # Discretization.  A sweep samples 1/k and self-tests the weight once
-    # per command, and psi once per lambda whose problem builds.
-    workloads = _workloads_module(monkeypatch)
-    from phibvp import cli, problem
-    from phibvp.config import load_problem_config, parse_config
+class _SampleCounts(dict):
+    """recip, psi and self_test counts; a sample counts when it holds
+    n_nodes points."""
 
     n_nodes = 0
-    calls = {}
+
+
+def _count_samples(monkeypatch) -> _SampleCounts:
+    """Counts of the node samples of 1/k and psi, and of the weight
+    self-tests, from here on."""
+    from phibvp import problem
+
+    calls = _SampleCounts(recip=0, psi=0, self_test=0)
 
     def counted(fn, key):
         def wrapper(self, t):
-            calls[key] += np.size(t) == n_nodes
+            calls[key] += np.size(t) == calls.n_nodes
             return fn(self, t)
 
         return wrapper
@@ -281,10 +293,22 @@ def test_each_command_samples_weight_and_psi_once(tmp_path, monkeypatch):
     monkeypatch.setattr(problem.Weight, "recip", counted(problem.Weight.recip, "recip"))
     monkeypatch.setattr(problem.Rhs, "psi_at", counted(problem.Rhs.psi_at, "psi"))
     monkeypatch.setattr(problem.Weight, "__post_init__", post_init)
+    return calls
+
+
+def test_each_command_samples_weight_and_psi_once(tmp_path, monkeypatch):
+    # 1/k and psi are sampled on the full mesh once per problem, into its
+    # Discretization.  A sweep samples 1/k and self-tests the weight once
+    # per command, and psi once too, unless its right-hand side reads s*
+    # (the plaplacian example): then once per lambda whose problem builds.
+    workloads = _workloads_module(monkeypatch)
+    from phibvp import cli
+    from phibvp.config import load_problem_config, parse_config
+
+    calls = _count_samples(monkeypatch)
 
     def run(name: str, text: str, command: str):
-        nonlocal n_nodes
-        n_nodes = load_problem_config(parse_config(text)).mesh_n + 1
+        calls.n_nodes = load_problem_config(parse_config(text)).mesh_n + 1
         calls.update(recip=0, psi=0, self_test=0)
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
@@ -298,8 +322,14 @@ def test_each_command_samples_weight_and_psi_once(tmp_path, monkeypatch):
 
     out = run("sweep", workloads._sweep_configs(0)["sweep"], "sweep")
     rows = workloads.read_sweep(str(out / "sweep.txt"))
+    assert len(rows) == 40 and all(not row[1].startswith("error:") for row in rows)
+    assert calls == {"recip": 1, "psi": 1, "self_test": 1}
+
+    text = _compare_outputs_module().EXTRA_CASES["plaplacian-example-sweep"]
+    out = run("plaplacian", text, "sweep")
+    rows = workloads.read_sweep(str(out / "sweep.txt"))
     built = sum(not row[1].startswith("error:") for row in rows)
-    assert len(rows) == 40 and built > 0
+    assert built > 1
     assert calls == {"recip": 1, "psi": built, "self_test": 1}
 
     # a decreasing branch is solved as it is, on the same discretization
@@ -307,6 +337,60 @@ def test_each_command_samples_weight_and_psi_once(tmp_path, monkeypatch):
     run("sine", text, "solve")
     assert calls == {"recip": 1, "psi": 1, "self_test": 1}
     assert not load_problem_config(parse_config(text)).build_finite().branch.increasing
+
+
+def test_a_sweep_writes_what_a_fresh_config_per_row_writes(tmp_path, monkeypatch):
+    # the psi, L, min psi and kp that a sweep keeps across its rows are
+    # those of a config loaded afresh for each row, for a right-hand side
+    # that reads s* (plaplacian) and one that does not (perona)
+    workloads = _workloads_module(monkeypatch)
+    from phibvp import cli
+    from phibvp.config import load_problem_config, parse_config
+
+    real_row = cli._sweep_row
+
+    def fresh_row(cfg, *args):
+        return real_row(load_problem_config(cfg.doc), *args)
+
+    cases = {
+        "perona": workloads._sweep_configs(0)["sweep"],
+        "plaplacian": _compare_outputs_module().EXTRA_CASES["plaplacian-example-sweep"],
+    }
+    for name, text in cases.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        written = []
+        for row in (real_row, fresh_row):
+            monkeypatch.setattr(cli, "_sweep_row", row)
+            out = tmp_path / f"{name}-{len(written)}"
+            assert cli.main(["sweep", str(cfg), "-o", str(out)]) == 0
+            record = parse_config((out / "record.txt").read_text())
+            written.append(((out / "sweep.txt").read_text(), record.section("sweep")))
+        assert written[0] == written[1]
+        assert int(written[0][1]["solved_rows"]) > 0
+
+
+def test_a_psi_that_fails_to_sample_fails_every_sweep_row(tmp_path, monkeypatch):
+    # a failed psi sampling is not kept: every row samples psi again and
+    # reads error:ConfigError
+    from phibvp import cli
+
+    cfg = tmp_path / "bad_psi.cfg"
+    cfg.write_text(
+        "[operator]\nname = perona_malik\n\n"
+        "[rhs]\nf = 0.1*cos(x)\npsi = 0.1/t\n\n"
+        "[problem]\nnu1 = 0.0\nnu2 = 0.1\nT = 1.0\n\n"
+        "[mesh]\nn = 50\n\n"
+        "[sweep]\nlambda_min = 0.05\nlambda_max = 0.15\ncount = 3\n"
+    )
+    calls = _count_samples(monkeypatch)
+    calls.n_nodes = 51
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(cfg), "-o", str(out)]) == 1
+    rows = (out / "sweep.txt").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.split(",")[1:3] == ["error:ConfigError", "skipped"] for row in rows)
+    assert calls["psi"] == 3
 
 
 def test_only_the_solve_command_verifies_its_solve(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phibvp import (
@@ -28,6 +28,7 @@ from phibvp import (
     zero_rhs,
 )
 from phibvp import parse_config
+from phibvp import operators
 from phibvp import solver as solver_mod
 from phibvp.config import load_problem_config
 from phibvp.grid import Mesh, lp_norm
@@ -376,6 +377,91 @@ class TestBetaSolve:
         assert beta == min(calls)[1]
         assert min(calls)[0] <= 1e-12
         assert len(calls) <= BETA_MAX_ITER + 2
+
+
+def _cube_root(x):
+    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+
+# increasing maps of d = x - root, scaled: convex, concave, both, and
+# flat away from the root or steep at it
+_CLOSER_MAPS = {
+    "affine": lambda d, c: d,
+    "cubic": lambda d, c: d + c * d**3,
+    "convex": lambda d, c: math.expm1(c * d),
+    "concave": lambda d, c: -math.expm1(-c * d),
+    "atan": lambda d, c: math.atan(c * d),
+    "cbrt": lambda d, c: _cube_root(c * d),
+}
+
+
+def _replay_close(f, a, b, tol):
+    """(points, answer) of close_bracket and of bracketed_root on one
+    element, for the map f on [a, b]; floats as hex, so that -0.0 and 0.0
+    differ."""
+    fa, fb = f(a), f(b)
+    out = []
+    for closer in (
+        lambda g: solver_mod.close_bracket(g, a, b, fa, fb, tol),
+        lambda g: operators.bracketed_root(
+            lambda x, idx: g(float(x[0])), a, b, fa, fb,
+            ftol=tol, max_iter=BETA_MAX_ITER,
+        )[0],
+    ):
+        points = []
+
+        def g(x):
+            points.append(x.hex())
+            return f(x)
+
+        out.append((points, float(closer(g)).hex()))
+    return out
+
+
+class TestCloseBracket:
+    # close_bracket is bracketed_root on one element, in Python floats:
+    # the same points, bit for bit, and the same answer
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(sorted(_CLOSER_MAPS)),
+        c=st.floats(0.1, 5.0),
+        scale=st.floats(1e-3, 1e3),
+        root=st.floats(-1.0, 1.0),
+        da=st.floats(0.0, 10.0),
+        db=st.floats(0.0, 10.0),
+        wide=st.booleans(),
+        tol=st.sampled_from([1e-300, 1e-14, 1e-12, 1e-8, 1e-3]),
+    )
+    def test_replays_bracketed_root(self, kind, c, scale, root, da, db, wide, tol):
+        if wide and kind in ("atan", "cbrt"):
+            # brackets up to 1e300: the bisection safeguard, and max_iter
+            da, db = 1e299 * da, 1e299 * db
+        a, b = root - da, root + db
+        f = lambda x: scale * _CLOSER_MAPS[kind](x - root, c)
+        assume(a < b and f(a) <= 0.0 <= f(b))
+        (points, answer), (ref_points, ref_answer) = _replay_close(f, a, b, tol)
+        assert points == ref_points
+        assert answer == ref_answer
+
+    @pytest.mark.parametrize(
+        "f, a, b, tol, evaluations",
+        [
+            # the first regula falsi point of an affine map meets tol
+            (lambda x: 2.0 * (x - 0.3), -1.0, 2.0, 1e-12, 1),
+            # an end that meets tol collapses the bracket: nothing evaluated
+            (lambda x: (x - 0.5) + (x - 0.5) ** 3, 0.5, 2.0, 1e-12, 0),
+            # so does it when the other end is infinite, which leaves the
+            # regula falsi point NaN: the answer is the end
+            (lambda x: x / (1.0 - x) if x < 1.0 else math.inf, 0.0, 1.0, 1e-12, 0),
+            # a cube root on a bracket of 4e300 exhausts BETA_MAX_ITER
+            (lambda x: _cube_root(x - 0.1), -1e300, 3e300, 1e-300, BETA_MAX_ITER),
+        ],
+    )
+    def test_replays_the_edge_cases(self, f, a, b, tol, evaluations):
+        (points, answer), (ref_points, ref_answer) = _replay_close(f, a, b, tol)
+        assert len(points) == evaluations
+        assert (points, answer) == (ref_points, ref_answer)
 
 
 class TestTruncatedRhs:
